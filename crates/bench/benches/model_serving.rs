@@ -11,18 +11,16 @@
 //! * `serving_compile_lowering` — the one-off model → tables lowering;
 //! * `serving_batch_b{001,016,256}` — batch evaluation of 1/16/256
 //!   distinct bit patterns through one compiled model (serial worker:
-//!   the win on a 1-core runner is lane vectorization + memoized
-//!   drives, not threads);
+//!   one `advance_chunks` round over fresh states, one task per
+//!   stimulus);
 //! * `serving_sequential_b256` — the same 256 stimuli as 256 separate
-//!   single-stimulus calls, the baseline the batch path must beat;
+//!   single-stimulus calls, the floor the batch path's per-round
+//!   bookkeeping is measured against;
 //! * `serving_stream_sustained_c064` / `serving_stream_sustained_c512`
 //!   — 64k samples pushed through one `StreamingSession` via the
 //!   zero-allocation `feed_into` in 64- / 512-sample chunks: the
 //!   sustained-Msamples/s figure of the streaming tier (must hold the
-//!   batch path's throughput);
-//! * `serving_session_set_s064` — 64 live sessions advanced in lockstep
-//!   lane groups through four 256-sample chunk rounds (serial advance:
-//!   the 1-core-runner scheduler scenario).
+//!   batch path's throughput).
 //!
 //! Throughput = (stimuli × samples) / time.
 
@@ -74,7 +72,7 @@ fn bench_serving(c: &mut Criterion) {
     for batch in [1usize, 16, 256] {
         let id = format!("serving_batch_b{batch:03}");
         let slice = &refs[..batch];
-        c.bench_function(&id, |b| b.iter(|| sim.simulate_batch(dt, slice)));
+        c.bench_function(&id, |b| b.iter(|| sim.try_simulate_batch(dt, slice).unwrap()));
     }
     c.bench_function("serving_sequential_b256", |b| {
         b.iter(|| refs.iter().map(|s| sim.simulate(dt, s)).collect::<Vec<_>>())
@@ -98,27 +96,6 @@ fn bench_serving(c: &mut Criterion) {
             })
         });
     }
-
-    // Many live sessions advanced in lockstep lane groups: 64 sessions
-    // × 4 rounds × 256-sample chunks (65,536 samples per iteration).
-    let session_stims: Vec<Vec<f64>> =
-        (0..64).map(|k| pattern_stimulus(1000 + k, 1024, dt)).collect();
-    c.bench_function("serving_session_set_s064", |b| {
-        b.iter(|| {
-            let mut set = sim.sessions(dt).unwrap();
-            let ids: Vec<_> = (0..64).map(|_| set.open()).collect();
-            let mut acc = 0.0;
-            for round in 0..4 {
-                for (id, u) in ids.iter().zip(&session_stims) {
-                    set.push(*id, &u[round * 256..(round + 1) * 256]).unwrap();
-                }
-                for (_, out) in set.advance().unwrap() {
-                    acc += out[out.len() - 1];
-                }
-            }
-            acc
-        })
-    });
 }
 
 criterion_group! {

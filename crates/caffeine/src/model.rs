@@ -433,7 +433,7 @@ mod tests {
         // And the batch path is bit-identical to per-stimulus serial.
         let sim = m.compile().unwrap();
         let halves: Vec<&[f64]> = inputs.chunks(57).collect();
-        let batch = sim.simulate_batch(1e-11, &halves);
+        let batch = sim.try_simulate_batch(1e-11, &halves).unwrap();
         for (s, out) in halves.iter().zip(&batch) {
             let single = sim.simulate(1e-11, s);
             assert_eq!(out.len(), single.len());

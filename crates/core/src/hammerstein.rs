@@ -174,7 +174,7 @@ impl HammersteinModel {
     /// Lowers the model into the flat serving tables of
     /// [`CompiledSim`](crate::CompiledSim): call once, then evaluate
     /// many stimuli through [`CompiledSim::simulate`](crate::CompiledSim::simulate)
-    /// / [`CompiledSim::simulate_batch`](crate::CompiledSim::simulate_batch).
+    /// / [`CompiledSim::try_simulate_batch`](crate::CompiledSim::try_simulate_batch).
     pub fn compile(&self) -> crate::CompiledSim {
         let mut b = crate::SimBuilder::new();
         let s = b.drive_rational(&self.static_path.primitive);
@@ -203,7 +203,7 @@ impl HammersteinModel {
     /// matching the circuit starting from its DC operating point.
     ///
     /// This routes through the compiled serving runtime
-    /// ([`compile`](HammersteinModel::compile) + one-lane kernel) and is
+    /// ([`compile`](HammersteinModel::compile) + the streaming kernel) and is
     /// equal to [`simulate_reference`](HammersteinModel::simulate_reference)
     /// sample-for-sample under `f64` comparison; callers evaluating many
     /// stimuli should compile once and reuse the

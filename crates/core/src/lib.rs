@@ -24,7 +24,8 @@
 //!    [`HammersteinModel::simulate`](hammerstein::HammersteinModel::simulate):
 //!    models lowered to flat shared-basis tables, with one-shot, pooled
 //!    batch, and streaming/resumable session APIs
-//!    ([`SimState`], [`StreamingSession`], [`SessionSet`]).
+//!    ([`SimState`], [`StreamingSession`], and
+//!    [`CompiledSim::advance_chunks`] for many sessions over a pool).
 //!
 //! # Examples
 //!
@@ -76,6 +77,6 @@ pub use rvf::{
     StageFit,
 };
 pub use serving::{
-    CompiledSim, ServingError, SessionChunk, SessionId, SessionSet, SimBuilder, SimState,
-    StateCheckpoint, StreamingSession, BATCH_LANES,
+    CompiledSim, ServingError, SessionChunk, SimBuilder, SimState, StateCheckpoint,
+    StreamingSession,
 };

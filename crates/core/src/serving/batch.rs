@@ -1,117 +1,47 @@
-//! Pooled batch evaluation: many stimuli fanned over lane groups.
+//! Batch evaluation: many stimuli from the fresh state.
 //!
-//! Stimuli are chopped into maximal runs of consecutive equal-length
-//! inputs (at most [`BATCH_LANES`] wide) and each group advances
-//! through the multi-lane chunk kernel in lockstep; groups fan over the
-//! [`SweepPool`] runtime. Output is **bit-identical** to calling
-//! [`CompiledSim::simulate`] per stimulus, for every thread count —
-//! per-lane arithmetic never crosses lanes.
-//!
-//! The checked entry points ([`CompiledSim::try_simulate_batch`],
-//! [`CompiledSim::try_simulate_batch_in`]) surface a mid-batch worker
-//! panic as [`ServingError::WorkerPanicked`] and leave the pool usable;
-//! the legacy signatures wrap the same core and keep their documented
-//! panic.
+//! A batch is one [`CompiledSim::advance_chunks`] round over fresh
+//! states — one pool task per non-empty stimulus. Output is
+//! **bit-identical** to calling [`CompiledSim::simulate`] per stimulus,
+//! for every thread count. A mid-batch worker panic surfaces as
+//! [`ServingError::WorkerPanicked`] and leaves the pool usable.
 
-use rvf_numerics::{resolve_threads, SweepConfig, SweepError, SweepPool};
+use rvf_numerics::{resolve_threads, SweepPool};
 
 use super::compile::CompiledSim;
-use super::state::{advance_group, SimState};
-use super::{check_dt, check_stimulus, dt_ok, trip_poison, ServingError, BATCH_LANES};
-
-/// Splits stimuli into maximal runs of consecutive equal-length inputs,
-/// chopped to [`BATCH_LANES`]. Deterministic and order-preserving, so
-/// the flattened group outputs are already in stimulus order.
-pub(crate) fn lane_groups(stimuli: &[&[f64]]) -> Vec<core::ops::Range<usize>> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < stimuli.len() {
-        let len = stimuli[start].len();
-        let mut end = start + 1;
-        while end < stimuli.len() && end - start < BATCH_LANES && stimuli[end].len() == len {
-            end += 1;
-        }
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
-
-/// Advances one lane group of equal-length stimuli from the fresh state
-/// through the chunk kernel. `ws` is a reusable per-worker workspace —
-/// re-shaped per group, so once it has seen the widest group it stops
-/// allocating.
-fn run_batch_group(
-    sim: &CompiledSim,
-    dt: f64,
-    stims: &[&[f64]],
-    ws: &mut SimState,
-) -> Vec<Vec<f64>> {
-    let mut outs: Vec<Vec<f64>> = stims.iter().map(|s| vec![0.0; s.len()]).collect();
-    if stims[0].is_empty() {
-        return outs;
-    }
-    ws.reset_for(sim, stims.len());
-    let mut out_refs: Vec<&mut [f64]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-    advance_group(sim, dt, ws, stims, &mut out_refs);
-    outs
-}
+use super::session::SessionChunk;
+use super::state::SimState;
+use super::ServingError;
 
 impl CompiledSim {
-    /// The checked batch core behind both the owned-pool signatures:
-    /// serial when one worker is enough, otherwise an owned pool.
-    fn batch_core(&self, dt: f64, stimuli: &[&[f64]]) -> Result<Vec<Vec<f64>>, ServingError> {
-        let groups = lane_groups(stimuli);
-        let workers = resolve_threads(self.threads).min(groups.len().max(1));
-        if workers <= 1 {
-            let mut scratch = SimState::for_lanes(self, 0);
-            let mut out = Vec::with_capacity(stimuli.len());
-            for g in &groups {
-                out.extend(run_batch_group(self, dt, &stimuli[g.clone()], &mut scratch));
-            }
-            return Ok(out);
-        }
-        let pool = SweepPool::new(workers);
-        self.batch_core_in(&pool, dt, stimuli)
-    }
-
-    /// The checked batch core on a borrowed pool: lane groups run as one
-    /// round on the already-parked workers.
-    fn batch_core_in(
+    /// Runs every stimulus from a fresh state in one
+    /// [`advance_chunks`](CompiledSim::advance_chunks) round.
+    fn batch_core(
         &self,
-        pool: &SweepPool,
+        pool: Option<&SweepPool>,
         dt: f64,
         stimuli: &[&[f64]],
     ) -> Result<Vec<Vec<f64>>, ServingError> {
-        let groups = lane_groups(stimuli);
-        let mut scratch: Vec<SimState> =
-            (0..pool.workers()).map(|_| SimState::for_lanes(self, 0)).collect();
-        let per_group = pool
-            .run_with(groups.len(), &SweepConfig::threads(pool.workers()), &mut scratch, |ws, g| {
-                trip_poison();
-                Ok::<_, core::convert::Infallible>(run_batch_group(
-                    self,
-                    dt,
-                    &stimuli[groups[g].clone()],
-                    ws,
-                ))
-            })
-            .map_err(|e| match e {
-                SweepError::WorkerPanicked { worker } => ServingError::WorkerPanicked { worker },
-                SweepError::Task { .. } => unreachable!("batch group tasks are infallible"),
-            })?;
-        let mut out = Vec::with_capacity(stimuli.len());
-        for g in per_group {
-            out.extend(g);
-        }
-        Ok(out)
+        let mut states: Vec<SimState> = stimuli.iter().map(|_| self.new_state()).collect();
+        let mut outs: Vec<Vec<f64>> = stimuli.iter().map(|s| vec![0.0; s.len()]).collect();
+        let mut chunks: Vec<SessionChunk<'_>> = states
+            .iter_mut()
+            .zip(stimuli)
+            .zip(outs.iter_mut())
+            .map(|((state, input), output)| SessionChunk { state, input, output })
+            .collect();
+        self.advance_chunks(dt, &mut chunks, pool)?;
+        drop(chunks);
+        Ok(outs)
     }
 
-    /// Checked [`simulate_batch`](CompiledSim::simulate_batch): validates
-    /// `dt` once per call and surfaces every failure — including a
-    /// worker panic mid-batch — as a typed error instead of panicking.
-    /// On error no partial output escapes and any pool used internally
-    /// is torn down cleanly.
+    /// Pushes many stimuli through the model from the fresh state,
+    /// fanning one task per stimulus over the configured worker count
+    /// ([`with_threads`](CompiledSim::with_threads); `1` = serial
+    /// default). Outputs come back in stimulus order and are
+    /// **bit-identical** to calling [`simulate`](CompiledSim::simulate)
+    /// per stimulus, for every thread count. On error no partial output
+    /// escapes and any pool used internally is torn down cleanly.
     ///
     /// # Errors
     ///
@@ -124,16 +54,17 @@ impl CompiledSim {
         dt: f64,
         stimuli: &[&[f64]],
     ) -> Result<Vec<Vec<f64>>, ServingError> {
-        check_dt(dt)?;
-        for s in stimuli {
-            check_stimulus(s)?;
+        let workers = resolve_threads(self.threads).min(stimuli.len());
+        if workers <= 1 {
+            return self.batch_core(None, dt, stimuli);
         }
-        self.batch_core(dt, stimuli)
+        self.batch_core(Some(&SweepPool::new(workers)), dt, stimuli)
     }
 
-    /// Checked [`simulate_batch_in`](CompiledSim::simulate_batch_in):
-    /// like [`try_simulate_batch`](CompiledSim::try_simulate_batch) but
-    /// on a borrowed [`SweepPool`]. After an
+    /// [`try_simulate_batch`](CompiledSim::try_simulate_batch) on a
+    /// borrowed [`SweepPool`]: the batch runs as one round on the pool's
+    /// already-parked workers, so a serving process pays the spawn cost
+    /// once, not per batch. After an
     /// [`Err(ServingError::WorkerPanicked)`](ServingError::WorkerPanicked)
     /// the pool remains usable — the panic is contained to the failed
     /// round (the [`SweepPool`] containment contract).
@@ -150,65 +81,7 @@ impl CompiledSim {
         dt: f64,
         stimuli: &[&[f64]],
     ) -> Result<Vec<Vec<f64>>, ServingError> {
-        check_dt(dt)?;
-        for s in stimuli {
-            check_stimulus(s)?;
-        }
-        self.batch_core_in(pool, dt, stimuli)
-    }
-
-    /// Pushes many stimuli through the model, fanning lane groups of up
-    /// to [`BATCH_LANES`] consecutive equal-length stimuli over the
-    /// configured worker count ([`with_threads`](CompiledSim::with_threads);
-    /// `1` = serial default). Outputs come back in stimulus order and
-    /// are **bit-identical** to calling
-    /// [`simulate`](CompiledSim::simulate) per stimulus, for every
-    /// thread count.
-    ///
-    /// This is the legacy infallible signature — a documented-panic
-    /// wrapper over [`try_simulate_batch`](CompiledSim::try_simulate_batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker panicked mid-batch (the kernel itself has no
-    /// panicking paths for finite or non-finite input data). A
-    /// non-finite or non-positive `dt` is a caller bug: it is
-    /// `debug_assert!`ed and produces non-finite output in release
-    /// builds.
-    pub fn simulate_batch(&self, dt: f64, stimuli: &[&[f64]]) -> Vec<Vec<f64>> {
-        debug_assert!(
-            dt_ok(dt),
-            "CompiledSim::simulate_batch: dt must be finite and positive ({dt})"
-        );
-        self.batch_core(dt, stimuli).unwrap_or_else(|e| panic!("serving batch worker failed: {e}"))
-    }
-
-    /// [`simulate_batch`](CompiledSim::simulate_batch) on a borrowed
-    /// [`SweepPool`] (the PR-4 `_in` convention): lane groups run as one
-    /// round on the pool's already-parked workers, so a serving process
-    /// pays the spawn cost once, not per batch. The effective worker
-    /// count is the pool capacity clamped to the group count; output is
-    /// bit-identical to the serial path regardless.
-    ///
-    /// This is the legacy infallible signature — a documented-panic
-    /// wrapper over
-    /// [`try_simulate_batch_in`](CompiledSim::try_simulate_batch_in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panicked mid-batch.
-    pub fn simulate_batch_in(
-        &self,
-        pool: &SweepPool,
-        dt: f64,
-        stimuli: &[&[f64]],
-    ) -> Vec<Vec<f64>> {
-        debug_assert!(
-            dt_ok(dt),
-            "CompiledSim::simulate_batch_in: dt must be finite and positive ({dt})"
-        );
-        self.batch_core_in(pool, dt, stimuli)
-            .unwrap_or_else(|e| panic!("serving batch worker failed: {e}"))
+        self.batch_core(Some(pool), dt, stimuli)
     }
 }
 
@@ -226,7 +99,7 @@ mod tests {
         let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
         let serial: Vec<Vec<f64>> = refs.iter().map(|s| sim.simulate(2.0e-11, s)).collect();
         for threads in [1, 2, 4, 0] {
-            let got = sim.clone().with_threads(threads).simulate_batch(2.0e-11, &refs);
+            let got = sim.clone().with_threads(threads).try_simulate_batch(2.0e-11, &refs).unwrap();
             for (k, (a, b)) in got.iter().zip(&serial).enumerate() {
                 assert_eq!(a.len(), b.len(), "stimulus {k}, threads {threads}");
                 for (x, y) in a.iter().zip(b) {
@@ -241,33 +114,20 @@ mod tests {
         let sim = linear_real_sim(-1.0e9, 1.0);
         let stims: Vec<Vec<f64>> = (0..20).map(|k| vec![0.1 * k as f64; 40]).collect();
         let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
-        let owned = sim.simulate_batch(1e-10, &refs);
+        let owned = sim.try_simulate_batch(1e-10, &refs).unwrap();
         let pool = SweepPool::new(3);
-        let borrowed = sim.simulate_batch_in(&pool, 1e-10, &refs);
+        let borrowed = sim.try_simulate_batch_in(&pool, 1e-10, &refs).unwrap();
         assert_eq!(owned, borrowed);
         assert!(pool.sweeps() >= 1);
-        // The checked signatures produce the same output.
-        assert_eq!(sim.try_simulate_batch(1e-10, &refs).unwrap(), owned);
-        assert_eq!(sim.try_simulate_batch_in(&pool, 1e-10, &refs).unwrap(), owned);
     }
 
     #[test]
     fn batch_handles_zero_length_stimuli() {
         let sim = linear_real_sim(-1.0e9, 1.0);
-        assert!(sim.simulate_batch(1e-10, &[]).is_empty());
-        let out = sim.simulate_batch(1e-10, &[&[][..], &[1.0, 2.0][..]]);
+        assert!(sim.try_simulate_batch(1e-10, &[]).unwrap().is_empty());
+        let out = sim.try_simulate_batch(1e-10, &[&[][..], &[1.0, 2.0][..]]).unwrap();
         assert!(out[0].is_empty());
         assert_eq!(out[1].len(), 2);
-    }
-
-    #[test]
-    fn lane_groups_chop_by_length_and_width() {
-        let a = vec![0.0; 3];
-        let b = vec![0.0; 4];
-        let stims: Vec<&[f64]> =
-            (0..10).map(|i| if i < 9 { a.as_slice() } else { b.as_slice() }).collect();
-        let groups = lane_groups(&stims);
-        assert_eq!(groups, vec![0..8, 8..9, 9..10]);
     }
 
     #[test]

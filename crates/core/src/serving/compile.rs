@@ -253,7 +253,7 @@ impl SimBuilder {
 
 /// Per-block first-order-hold coefficients in the uniform 2-wide
 /// representation (real blocks carry exact zeros in the imaginary
-/// parts), laid out contiguously for the batch kernel.
+/// parts), laid out contiguously for the kernel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockCoef {
     pub(crate) er: f64,
@@ -269,13 +269,14 @@ pub(crate) struct BlockCoef {
 /// Build one with [`HammersteinModel::compile`](crate::HammersteinModel::compile)
 /// (or [`SimBuilder`] directly), then evaluate stimuli with
 /// [`simulate`](CompiledSim::simulate) /
-/// [`simulate_batch`](CompiledSim::simulate_batch), or stream chunks
-/// through a [`SimState`](super::SimState) /
+/// [`try_simulate_batch`](CompiledSim::try_simulate_batch), or stream
+/// chunks through a [`SimState`](super::SimState) /
 /// [`StreamingSession`](super::StreamingSession).
 #[derive(Debug, Clone)]
 pub struct CompiledSim {
-    /// Worker threads for [`simulate_batch`](CompiledSim::simulate_batch)
-    /// (`1` = serial, `0` = one per core).
+    /// Worker threads for
+    /// [`try_simulate_batch`](CompiledSim::try_simulate_batch) (`1` =
+    /// serial, `0` = one per core).
     pub(crate) threads: usize,
     pub(crate) static_row: usize,
     pub(crate) n_drives: usize,
@@ -306,8 +307,8 @@ pub struct CompiledSim {
 
 impl CompiledSim {
     /// Sets the worker-thread request of
-    /// [`simulate_batch`](CompiledSim::simulate_batch) (`1` = serial —
-    /// the default, `0` = one worker per core), following the
+    /// [`try_simulate_batch`](CompiledSim::try_simulate_batch) (`1` =
+    /// serial — the default, `0` = one worker per core), following the
     /// `VfOptions::threads` convention.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {

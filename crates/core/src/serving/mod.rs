@@ -13,17 +13,21 @@
 //!   out, sample-for-sample equal to
 //!   [`HammersteinModel::simulate_reference`](crate::HammersteinModel::simulate_reference)
 //!   under `f64` comparison;
-//! * **batched** — [`CompiledSim::simulate_batch`] and the checked
-//!   [`CompiledSim::try_simulate_batch`] /
-//!   [`CompiledSim::try_simulate_batch_in`]: many stimuli chopped into
-//!   lane groups of up to [`BATCH_LANES`] and fanned over the
+//! * **batched** — [`CompiledSim::try_simulate_batch`] /
+//!   [`CompiledSim::try_simulate_batch_in`]: many stimuli from fresh
+//!   states, one task each over the
 //!   [`SweepPool`](rvf_numerics::SweepPool) runtime ([`batch`]);
 //! * **streaming** — [`SimState`] + [`CompiledSim::simulate_into`]
 //!   ([`state`]) carry the per-simulation first-order-hold state across
 //!   chunk boundaries, so a stimulus fed in N chunks produces exactly
 //!   the bits of the one-shot call; [`StreamingSession`] and the
-//!   many-session [`SessionSet`] ([`session`]) build resumable serving
-//!   sessions on top.
+//!   many-session [`CompiledSim::advance_chunks`] ([`session`]) build
+//!   resumable serving sessions on top.
+//!
+//! Every style runs the same single-simulation kernel over one
+//! [`SimState`] at a time; [`CompiledSim::advance_chunks`] is the one
+//! routine that fans chunks over a pool, and the batch entry points are
+//! an `advance_chunks` round over fresh states.
 //!
 //! Every kernel expression reproduces the reference loop's operation
 //! order, so compiled output equals the reference sample-for-sample
@@ -32,10 +36,9 @@
 //! bit-identical to one-shot evaluation for every chunk split.
 //!
 //! The *checked* entry points (`try_*`, [`CompiledSim::simulate_into`],
-//! the session types) never panic: invalid steps, foreign states,
-//! mis-sized buffers, and mid-batch worker panics all surface as a
-//! typed [`ServingError`]. The legacy infallible signatures are kept as
-//! documented-panic wrappers over the same core.
+//! [`CompiledSim::advance_chunks`], the session type) never panic:
+//! invalid steps, foreign states, mis-sized buffers, and mid-batch
+//! worker panics all surface as a typed [`ServingError`].
 
 pub mod batch;
 pub mod compile;
@@ -43,24 +46,17 @@ pub mod session;
 pub mod state;
 
 pub use compile::{CompiledSim, SimBuilder};
-pub use session::{SessionChunk, SessionId, SessionSet, StreamingSession};
+pub use session::{SessionChunk, StreamingSession};
 pub use state::{SimState, StateCheckpoint};
 
 use core::fmt;
-
-/// Lane width of the batch kernel: stimuli (or live sessions) in one
-/// task are advanced in lockstep groups of up to this many, so the
-/// per-block state updates (lane-innermost loops over contiguous slots)
-/// vectorize across the batch. Per-lane arithmetic never crosses lanes,
-/// which is what makes grouped output bit-identical to per-stimulus
-/// serial runs.
-pub const BATCH_LANES: usize = 8;
 
 /// Errors produced by the checked serving APIs.
 ///
 /// The serving layer's contract is that the *checked* entry points
 /// ([`CompiledSim::try_simulate_batch`], [`CompiledSim::simulate_into`],
-/// [`StreamingSession`], [`SessionSet`], [`SimBuilder::try_build`])
+/// [`StreamingSession`], [`CompiledSim::advance_chunks`],
+/// [`SimBuilder::try_build`])
 /// never panic: every data-dependent failure — including a worker panic
 /// inside a pooled batch round — comes back as one of these variants.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +82,7 @@ pub enum ServingError {
     /// Checked at every state-mutating boundary
     /// ([`CompiledSim::simulate_into`], [`StreamingSession::feed`] /
     /// [`feed_into`](StreamingSession::feed_into),
-    /// [`SessionSet::push`], [`CompiledSim::advance_chunks`], the
+    /// [`CompiledSim::advance_chunks`], the
     /// `try_*` batch entry points) *before* any state is touched: a NaN
     /// sample would otherwise poison the first-order-hold registers and
     /// every later checkpoint silently.
@@ -106,11 +102,6 @@ pub enum ServingError {
     /// A [`SimState`] was created by (or for) a different model shape
     /// than the [`CompiledSim`] it was handed to.
     StateMismatch,
-    /// A session id is unknown, or the session was already closed.
-    UnknownSession {
-        /// The offending id.
-        id: usize,
-    },
     /// A worker panicked mid-batch. The round is aborted (no partial
     /// results are applied) and the pool stays usable.
     WorkerPanicked {
@@ -137,9 +128,6 @@ impl fmt::Display for ServingError {
             }
             Self::StateMismatch => {
                 write!(f, "serving: SimState does not match this CompiledSim's shape")
-            }
-            Self::UnknownSession { id } => {
-                write!(f, "serving: unknown or closed session id {id}")
             }
             Self::WorkerPanicked { worker } => {
                 write!(f, "serving: batch worker {worker} panicked mid-round")
@@ -178,8 +166,9 @@ pub(crate) fn check_stimulus(chunk: &[f64]) -> Result<(), ServingError> {
     Ok(())
 }
 
-/// Test-only poison switch: when armed, the next pooled serving group
-/// task panics (exactly one — the flag is consumed atomically). This is
+/// Test-only poison switch: when armed, the next
+/// [`CompiledSim::advance_chunks`] task panics (exactly one — the flag
+/// is consumed atomically). This is
 /// the seam the worker-panic regression tests use to drive a genuine
 /// mid-batch panic through the checked path; it must never be called
 /// outside a dedicated test binary.
@@ -258,7 +247,6 @@ mod tests {
             .contains("not finite"));
         assert!(ServingError::OutputMismatch { expected: 4, got: 3 }.to_string().contains("4"));
         assert!(ServingError::StateMismatch.to_string().contains("SimState"));
-        assert!(ServingError::UnknownSession { id: 9 }.to_string().contains("9"));
         assert!(ServingError::WorkerPanicked { worker: 1 }.to_string().contains("panicked"));
     }
 }

@@ -1,20 +1,24 @@
 //! Resumable serving sessions: one stimulus fed chunk by chunk
-//! ([`StreamingSession`]), and many live sessions advanced in lockstep
-//! lane groups over a borrowed [`SweepPool`] ([`SessionSet`]).
+//! ([`StreamingSession`]), and many independent sessions advanced one
+//! chunk each over a borrowed [`SweepPool`]
+//! ([`CompiledSim::advance_chunks`]).
 //!
 //! Both are thin lifecycles around [`SimState`]: a session *is* its
 //! state plus the `dt` it was opened with (validated once at open, so
 //! the per-chunk path has no failure modes beyond buffer shape). The
 //! bit-identity contract carries through — a session fed any chunk
 //! split produces exactly the one-shot [`CompiledSim::simulate`] bits,
-//! and a [`SessionSet`] advance produces exactly the bits each session
-//! would produce alone, whatever the lane grouping or worker count.
+//! and an [`advance_chunks`](CompiledSim::advance_chunks) round
+//! produces exactly the bits each session would produce alone, whatever
+//! the worker count.
 
-use rvf_numerics::{SweepConfig, SweepError, SweepPool};
+use std::sync::{Mutex, PoisonError};
+
+use rvf_numerics::{run_sweep_with, SweepConfig, SweepError, SweepPool};
 
 use super::compile::CompiledSim;
-use super::state::{advance_group, SimState};
-use super::{check_dt, check_stimulus, trip_poison, ServingError, BATCH_LANES};
+use super::state::{advance, SimState};
+use super::{check_dt, check_stimulus, trip_poison, ServingError};
 
 /// A resumable streaming evaluation of one stimulus.
 ///
@@ -67,9 +71,7 @@ impl<'a> StreamingSession<'a> {
     pub fn feed(&mut self, chunk: &[f64]) -> Result<Vec<f64>, ServingError> {
         check_stimulus(chunk)?;
         let mut out = vec![0.0; chunk.len()];
-        if !chunk.is_empty() {
-            advance_group(self.sim, self.dt, &mut self.state, &[chunk], &mut [out.as_mut_slice()]);
-        }
+        advance(self.sim, self.dt, &mut self.state, chunk, &mut out);
         Ok(out)
     }
 
@@ -88,9 +90,7 @@ impl<'a> StreamingSession<'a> {
             return Err(ServingError::OutputMismatch { expected: chunk.len(), got: out.len() });
         }
         check_stimulus(chunk)?;
-        if !chunk.is_empty() {
-            advance_group(self.sim, self.dt, &mut self.state, &[chunk], &mut [out]);
-        }
+        advance(self.sim, self.dt, &mut self.state, chunk, out);
         Ok(())
     }
 
@@ -155,317 +155,18 @@ impl CompiledSim {
         state: SimState,
     ) -> Result<StreamingSession<'_>, ServingError> {
         check_dt(dt)?;
-        if state.lanes != 1 || !state.matches(self) {
+        if !state.matches(self) {
             return Err(ServingError::StateMismatch);
         }
         Ok(StreamingSession { sim: self, dt, state })
     }
 }
 
-/// Handle to one live session inside a [`SessionSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SessionId(pub(crate) usize);
-
-impl SessionId {
-    /// The raw slot index (stable for the lifetime of the set).
-    pub fn index(&self) -> usize {
-        self.0
-    }
-}
-
-/// One slot of a [`SessionSet`].
-#[derive(Debug, Clone)]
-struct SessionSlot {
-    state: SimState,
-    /// Input samples pushed since the last advance.
-    pending: Vec<f64>,
-    open: bool,
-}
-
-/// Many live streaming sessions advanced together.
-///
-/// A scheduler-shaped serving loop: [`open`](SessionSet::open)
-/// sessions, [`push`](SessionSet::push) each one's next input chunk,
-/// then [`advance`](SessionSet::advance) (serial) or
-/// [`advance_in`](SessionSet::advance_in) (over a borrowed
-/// [`SweepPool`]) to evaluate every pending chunk in one step. Sessions
-/// whose pending chunks have **equal length** are grouped into lockstep
-/// lanes of up to [`BATCH_LANES`] and advanced through the batch
-/// kernel, so a heavily loaded set gets the same vectorization and
-/// parallelism as [`CompiledSim::simulate_batch`] — while each
-/// session's output stays bit-identical to running it alone.
-///
-/// An advance is transactional: on any error (including a worker panic,
-/// surfaced as [`ServingError::WorkerPanicked`]) no session state is
-/// updated, every pending chunk is retained, and both the set and the
-/// pool remain usable.
-///
-/// # Examples
-///
-/// ```
-/// use rvf_core::{IntegratedStateFn, SimBuilder};
-///
-/// let mut b = SimBuilder::new();
-/// let s = b.drive_poly(&[0.0, 1.0]);
-/// b.set_static_drive(s);
-/// b.block_real(-1.0e9, s);
-/// let sim = b.build();
-///
-/// let mut set = sim.sessions(1.0e-10).unwrap();
-/// let a = set.open();
-/// let c = set.open();
-/// set.push(a, &[0.1, 0.2]).unwrap();
-/// set.push(c, &[0.9, 0.8]).unwrap();
-/// let outputs = set.advance().unwrap();
-/// assert_eq!(outputs.len(), 2);
-/// assert_eq!(outputs[0].0, a);
-/// assert_eq!(outputs[0].1, sim.simulate(1.0e-10, &[0.1, 0.2]));
-/// let state = set.close(a).unwrap(); // resumable checkpoint
-/// assert_eq!(state.samples(), 2);
-/// ```
-#[derive(Debug)]
-pub struct SessionSet<'a> {
-    sim: &'a CompiledSim,
-    dt: f64,
-    slots: Vec<SessionSlot>,
-    /// Group advance scratch for the serial path (lane-group states are
-    /// rebuilt per group; capacity persists across advances).
-    scratch: SimState,
-}
-
-impl<'a> SessionSet<'a> {
-    /// Opens a new session and returns its id.
-    pub fn open(&mut self) -> SessionId {
-        self.slots.push(SessionSlot {
-            state: self.sim.new_state(),
-            pending: Vec::new(),
-            open: true,
-        });
-        SessionId(self.slots.len() - 1)
-    }
-
-    /// Opens a session resuming from a checkpointed `state`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::StateMismatch`] when `state` was built for a
-    /// different model shape.
-    pub fn open_with_state(&mut self, state: SimState) -> Result<SessionId, ServingError> {
-        if state.lanes != 1 || !state.matches(self.sim) {
-            return Err(ServingError::StateMismatch);
-        }
-        self.slots.push(SessionSlot { state, pending: Vec::new(), open: true });
-        Ok(SessionId(self.slots.len() - 1))
-    }
-
-    /// Appends `chunk` to the session's pending input (evaluated at the
-    /// next advance).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::UnknownSession`] for a closed or foreign id,
-    /// [`ServingError::BadStimulus`] for a chunk with a non-finite
-    /// sample. A rejected push appends nothing — the session's pending
-    /// buffer is exactly what it was before the call.
-    pub fn push(&mut self, id: SessionId, chunk: &[f64]) -> Result<(), ServingError> {
-        check_stimulus(chunk)?;
-        let slot = self.slot_mut(id)?;
-        slot.pending.extend_from_slice(chunk);
-        Ok(())
-    }
-
-    /// Closes a session, returning its final state (a checkpoint — it
-    /// can seed [`open_with_state`](SessionSet::open_with_state) or
-    /// [`CompiledSim::session_from`] later). Pending input that was
-    /// never advanced is dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::UnknownSession`] for a closed or foreign id.
-    pub fn close(&mut self, id: SessionId) -> Result<SimState, ServingError> {
-        let sim = self.sim;
-        let slot = self.slot_mut(id)?;
-        slot.open = false;
-        slot.pending.clear();
-        Ok(core::mem::replace(&mut slot.state, sim.new_state()))
-    }
-
-    /// Number of open sessions.
-    pub fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.open).count()
-    }
-
-    /// Samples absorbed so far by session `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::UnknownSession`] for a closed or foreign id.
-    pub fn samples(&self, id: SessionId) -> Result<u64, ServingError> {
-        match self.slots.get(id.0) {
-            Some(s) if s.open => Ok(s.state.samples()),
-            _ => Err(ServingError::UnknownSession { id: id.0 }),
-        }
-    }
-
-    /// Advances every session with pending input, serially on the
-    /// calling thread. Returns `(id, output)` pairs in id order, one
-    /// output sample per pending input sample; pending buffers are
-    /// drained.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in practice (the `Result` keeps the
-    /// signature aligned with [`advance_in`](SessionSet::advance_in)).
-    pub fn advance(&mut self) -> Result<Vec<(SessionId, Vec<f64>)>, ServingError> {
-        let groups = self.lane_groups();
-        let mut applied = Vec::with_capacity(groups.len());
-        for members in &groups {
-            applied.push(group_task(self.sim, self.dt, &self.slots, members, &mut self.scratch));
-        }
-        Ok(self.apply(applied))
-    }
-
-    /// Advances every session with pending input over the borrowed
-    /// pool, one lane group per pool task. The caller's thread
-    /// participates as worker 0 (the [`SweepPool`] convention).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::WorkerPanicked`] if a pool worker's task
-    /// panicked. The advance is transactional: no session state is
-    /// updated, all pending chunks are retained, and the pool remains
-    /// usable for the next call.
-    pub fn advance_in(
-        &mut self,
-        pool: &SweepPool,
-    ) -> Result<Vec<(SessionId, Vec<f64>)>, ServingError> {
-        let groups = self.lane_groups();
-        if groups.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = pool.workers();
-        let mut workspaces: Vec<SimState> =
-            (0..workers).map(|_| SimState::for_lanes(self.sim, 0)).collect();
-        let (sim, dt, slots) = (self.sim, self.dt, &self.slots);
-        let applied = pool
-            .run_with(groups.len(), &SweepConfig::threads(workers), &mut workspaces, |ws, g| {
-                trip_poison();
-                Ok::<_, core::convert::Infallible>(group_task(sim, dt, slots, &groups[g], ws))
-            })
-            .map_err(|e| match e {
-                SweepError::WorkerPanicked { worker } => ServingError::WorkerPanicked { worker },
-                SweepError::Task { .. } => unreachable!("group tasks are infallible"),
-            })?;
-        Ok(self.apply(applied))
-    }
-
-    /// Groups the open sessions that have pending input into lockstep
-    /// lanes: sorted by (pending length, slot), maximal runs of equal
-    /// length chopped to [`BATCH_LANES`]. Equal-length grouping is what
-    /// lets lanes advance through one kernel call without padding — and
-    /// padding would break bit-identity bookkeeping, not just waste
-    /// work.
-    fn lane_groups(&self) -> Vec<Vec<usize>> {
-        let mut ready: Vec<(usize, usize)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.open && !s.pending.is_empty())
-            .map(|(i, s)| (s.pending.len(), i))
-            .collect();
-        ready.sort_unstable();
-        let mut groups = Vec::new();
-        let mut i = 0;
-        while i < ready.len() {
-            let len = ready[i].0;
-            let mut j = i;
-            while j < ready.len() && ready[j].0 == len && j - i < BATCH_LANES {
-                j += 1;
-            }
-            groups.push(ready[i..j].iter().map(|&(_, slot)| slot).collect());
-            i = j;
-        }
-        groups
-    }
-
-    /// Commits the per-group results: stores the advanced states,
-    /// drains the pending buffers, returns `(id, output)` in id order.
-    fn apply(
-        &mut self,
-        applied: Vec<Vec<(usize, Vec<f64>, SimState)>>,
-    ) -> Vec<(SessionId, Vec<f64>)> {
-        let mut outputs = Vec::new();
-        for (slot_idx, out, state) in applied.into_iter().flatten() {
-            self.slots[slot_idx].state = state;
-            self.slots[slot_idx].pending.clear();
-            outputs.push((SessionId(slot_idx), out));
-        }
-        outputs.sort_unstable_by_key(|(id, _)| id.0);
-        outputs
-    }
-
-    fn slot_mut(&mut self, id: SessionId) -> Result<&mut SessionSlot, ServingError> {
-        match self.slots.get_mut(id.0) {
-            Some(s) if s.open => Ok(s),
-            _ => Err(ServingError::UnknownSession { id: id.0 }),
-        }
-    }
-}
-
-/// Advances one lane group: loads each member's state into a lane,
-/// runs the chunk kernel once across the group, and extracts the
-/// advanced per-lane states. Pure with respect to `slots` — commit
-/// happens in [`SessionSet::apply`] only after every group succeeded,
-/// which is what makes a failed advance transactional.
-fn group_task(
-    sim: &CompiledSim,
-    dt: f64,
-    slots: &[SessionSlot],
-    members: &[usize],
-    ws: &mut SimState,
-) -> Vec<(usize, Vec<f64>, SimState)> {
-    let lanes = members.len();
-    let n = slots[members[0]].pending.len();
-    ws.reset_for(sim, lanes);
-    for (l, &slot_idx) in members.iter().enumerate() {
-        ws.load_lane(l, &slots[slot_idx].state);
-    }
-    let stims: Vec<&[f64]> = members.iter().map(|&i| slots[i].pending.as_slice()).collect();
-    let mut outs: Vec<Vec<f64>> = members.iter().map(|_| vec![0.0; n]).collect();
-    {
-        let mut out_refs: Vec<&mut [f64]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-        advance_group(sim, dt, ws, &stims, &mut out_refs);
-    }
-    members
-        .iter()
-        .zip(outs)
-        .enumerate()
-        .map(|(l, (&slot_idx, out))| {
-            let mut state = ws.extract_lane(sim, l);
-            state.set_samples(slots[slot_idx].state.samples() + n as u64);
-            (slot_idx, out, state)
-        })
-        .collect()
-}
-
-impl CompiledSim {
-    /// Opens an empty [`SessionSet`] at sample step `dt` (validated
-    /// once here).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::BadDt`] for a non-finite or non-positive `dt`.
-    pub fn sessions(&self, dt: f64) -> Result<SessionSet<'_>, ServingError> {
-        check_dt(dt)?;
-        Ok(SessionSet { sim: self, dt, slots: Vec::new(), scratch: SimState::for_lanes(self, 0) })
-    }
-}
-
 /// One session's unit of work for [`CompiledSim::advance_chunks`]: the
 /// session's state, its next input chunk, and the buffer its output
 /// samples land in. The caller owns all three — this is the seam a
-/// scheduler that holds its own session table (rather than borrowing a
-/// [`SessionSet`]) uses to drive the batch kernel.
+/// scheduler that holds its own session table uses to drive the
+/// kernel over a pool.
 #[derive(Debug)]
 pub struct SessionChunk<'a> {
     /// The session's resumable state; advanced in place on success,
@@ -478,34 +179,45 @@ pub struct SessionChunk<'a> {
     pub output: &'a mut [f64],
 }
 
+/// One non-empty chunk's pool task: read-only views of its state and
+/// input, plus its output buffer and its slot in the carry buffer the
+/// advanced registers wait in until the round commits. The sink is
+/// locked exactly once, by the one task that owns this job.
+struct Job<'a> {
+    state: &'a SimState,
+    input: &'a [f64],
+    sink: Mutex<(&'a mut [f64], &'a mut [f64])>,
+}
+
 impl CompiledSim {
-    /// Advances many independent sessions through one chunk each, in
-    /// lockstep lane groups of up to [`BATCH_LANES`] — over `pool` when
-    /// one is given, inline on the calling thread otherwise. Both paths
-    /// produce identical bits: each chunk's output equals what
+    /// Advances many independent sessions through one chunk each — one
+    /// pool task per non-empty chunk over `pool` when one is given,
+    /// inline on the calling thread otherwise. Both paths produce
+    /// identical bits: each chunk's output equals what
     /// [`simulate_into`](CompiledSim::simulate_into) would produce for
-    /// that state alone, whatever the grouping, worker count, or path.
+    /// that state alone, whatever the worker count or path.
     ///
     /// This is the batching seam for a scheduler that owns its session
-    /// table outright (e.g. `rvf-serve`): unlike [`SessionSet`] it
-    /// borrows nothing across calls, so the sessions can live in any
-    /// slab keyed any way the caller likes.
+    /// table outright (e.g. `rvf-serve`): it borrows nothing across
+    /// calls, so the sessions can live in any slab keyed any way the
+    /// caller likes.
     ///
-    /// The advance is **transactional**: every chunk is validated
-    /// before any state is touched, and on any error — including a
-    /// worker panic on either path, surfaced as
-    /// [`ServingError::WorkerPanicked`] — no state is updated and no
-    /// output buffer holds committed samples. Empty chunks are allowed
-    /// and absorb nothing.
+    /// The advance is **transactional** for states: every chunk is
+    /// validated before anything runs, each task advances a copy of its
+    /// state's carried registers, and states are committed only after
+    /// every task succeeded. On any error — including a worker panic on
+    /// either path, surfaced as [`ServingError::WorkerPanicked`] — no
+    /// state is updated. Outputs are written straight into the callers'
+    /// buffers, so after a failed round their contents are unspecified.
+    /// Empty chunks are allowed and absorb nothing.
     ///
     /// # Errors
     ///
     /// [`ServingError::BadDt`], [`ServingError::OutputMismatch`] (a
     /// chunk whose output buffer length differs from its input),
     /// [`ServingError::StateMismatch`] (a state built for a different
-    /// model shape, or a multi-lane internal state),
-    /// [`ServingError::BadStimulus`] (a non-finite input sample), and
-    /// [`ServingError::WorkerPanicked`].
+    /// model shape), [`ServingError::BadStimulus`] (a non-finite input
+    /// sample), and [`ServingError::WorkerPanicked`].
     pub fn advance_chunks(
         &self,
         dt: f64,
@@ -520,92 +232,62 @@ impl CompiledSim {
                     got: c.output.len(),
                 });
             }
-            if c.state.lanes != 1 || !c.state.matches(self) {
+            if !c.state.matches(self) {
                 return Err(ServingError::StateMismatch);
             }
             check_stimulus(c.input)?;
         }
-        // Same grouping discipline as [`SessionSet::lane_groups`]:
-        // equal-length runs (sorted by length, then index) chopped to
-        // BATCH_LANES, so lanes advance without padding.
-        let mut ready: Vec<(usize, usize)> = chunks
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.input.is_empty())
-            .map(|(i, c)| (c.input.len(), i))
-            .collect();
-        ready.sort_unstable();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut i = 0;
-        while i < ready.len() {
-            let len = ready[i].0;
-            let mut j = i;
-            while j < ready.len() && ready[j].0 == len && j - i < BATCH_LANES {
-                j += 1;
-            }
-            groups.push(ready[i..j].iter().map(|&(_, k)| k).collect());
-            i = j;
-        }
-        if groups.is_empty() {
+        let n_jobs = chunks.iter().filter(|c| !c.input.is_empty()).count();
+        if n_jobs == 0 {
             return Ok(());
         }
-        let shared: &[SessionChunk<'_>] = chunks;
-        let task = |ws: &mut SimState, g: usize| {
+        let scratch = self.new_state();
+        // Never zero: every model has its static drive row.
+        let carry_len = scratch.carry_len();
+        let mut carry = vec![0.0; n_jobs * carry_len];
+        let jobs: Vec<Job<'_>> = chunks
+            .iter_mut()
+            .filter(|c| !c.input.is_empty())
+            .zip(carry.chunks_exact_mut(carry_len))
+            .map(|(c, next)| Job {
+                state: &*c.state,
+                input: c.input,
+                sink: Mutex::new((&mut *c.output, next)),
+            })
+            .collect();
+        let task = |ws: &mut SimState, k: usize| {
             trip_poison();
-            let members: &[usize] = &groups[g];
-            let lanes = members.len();
-            let n = shared[members[0]].input.len();
-            ws.reset_for(self, lanes);
-            for (l, &k) in members.iter().enumerate() {
-                ws.load_lane(l, shared[k].state);
-            }
-            let stims: Vec<&[f64]> = members.iter().map(|&k| shared[k].input).collect();
-            let mut outs: Vec<Vec<f64>> = members.iter().map(|_| vec![0.0; n]).collect();
-            {
-                let mut out_refs: Vec<&mut [f64]> =
-                    outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-                advance_group(self, dt, ws, &stims, &mut out_refs);
-            }
-            let advanced: Vec<(usize, Vec<f64>, SimState)> = members
-                .iter()
-                .zip(outs)
-                .enumerate()
-                .map(|(l, (&k, out))| {
-                    let mut state = ws.extract_lane(self, l);
-                    state.set_samples(shared[k].state.samples() + n as u64);
-                    (k, out, state)
-                })
-                .collect();
-            Ok::<_, core::convert::Infallible>(advanced)
+            let job = &jobs[k];
+            let mut sink = job.sink.lock().unwrap_or_else(PoisonError::into_inner);
+            let (output, next) = &mut *sink;
+            ws.load_carry(job.state);
+            advance(self, dt, ws, job.input, output);
+            Ok::<_, core::convert::Infallible>(ws.save_carry(next))
         };
-        let applied = match pool {
+        let memos = match pool {
             Some(pool) => {
-                let workers = pool.workers();
-                let mut workspaces: Vec<SimState> =
-                    (0..workers).map(|_| SimState::for_lanes(self, 0)).collect();
-                pool.run_with(groups.len(), &SweepConfig::threads(workers), &mut workspaces, task)
-            }
-            None => {
-                // Serial path with the same containment semantics: a
-                // panicked group surfaces as WorkerPanicked, not an
-                // unwinding panic, and nothing is committed.
-                let mut workspaces = [SimState::for_lanes(self, 0)];
-                rvf_numerics::run_sweep_with(
-                    groups.len(),
-                    &SweepConfig::threads(1),
+                let mut workspaces = vec![scratch; pool.workers()];
+                pool.run_with(
+                    jobs.len(),
+                    &SweepConfig::threads(pool.workers()),
                     &mut workspaces,
                     task,
                 )
             }
+            // Serial path with the same containment semantics: a
+            // panicked task surfaces as WorkerPanicked, not an unwinding
+            // panic, and nothing is committed.
+            None => run_sweep_with(jobs.len(), &SweepConfig::threads(1), &mut [scratch], task),
         }
         .map_err(|e| match e {
             SweepError::WorkerPanicked { worker } => ServingError::WorkerPanicked { worker },
-            SweepError::Task { .. } => unreachable!("chunk group tasks are infallible"),
+            SweepError::Task { error, .. } => match error {},
         })?;
-        // Commit only after every group succeeded.
-        for (k, out, state) in applied.into_iter().flatten() {
-            chunks[k].output.copy_from_slice(&out);
-            *chunks[k].state = state;
+        drop(jobs);
+        // Commit only after every task succeeded.
+        let advanced = chunks.iter_mut().filter(|c| !c.input.is_empty());
+        for ((c, next), memo) in advanced.zip(carry.chunks_exact(carry_len)).zip(memos) {
+            c.state.commit_carry(next, memo, c.input.len());
         }
         Ok(())
     }
@@ -638,7 +320,6 @@ mod tests {
         let sim = linear_real_sim(-1.0e9, 1.0);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(sim.session(bad), Err(ServingError::BadDt { .. })), "{bad}");
-            assert!(matches!(sim.sessions(bad), Err(ServingError::BadDt { .. })), "{bad}");
         }
         let mut b = crate::SimBuilder::new();
         let s = b.drive_poly(&[0.0, 1.0, 1.0]);
@@ -700,71 +381,66 @@ mod tests {
         }
     }
 
+    /// Advances `states[i]` through `inputs[i]` in one
+    /// [`CompiledSim::advance_chunks`] round and returns the outputs.
+    fn advance_all(
+        sim: &CompiledSim,
+        dt: f64,
+        states: &mut [SimState],
+        inputs: &[&[f64]],
+        pool: Option<&SweepPool>,
+    ) -> Vec<Vec<f64>> {
+        let mut outs: Vec<Vec<f64>> = inputs.iter().map(|u| vec![0.0; u.len()]).collect();
+        let mut chunks: Vec<SessionChunk<'_>> = states
+            .iter_mut()
+            .zip(inputs)
+            .zip(outs.iter_mut())
+            .map(|((state, input), output)| SessionChunk { state, input, output })
+            .collect();
+        sim.advance_chunks(dt, &mut chunks, pool).unwrap();
+        outs
+    }
+
     #[test]
     fn session_set_matches_individual_sessions() {
         let sim = linear_real_sim(-1.5e9, 1.1);
         let dt = 2.0e-11;
-        // 11 sessions with three distinct chunk lengths → mixed lane
-        // groups, several advances.
-        let mut set = sim.sessions(dt).unwrap();
-        let specs: Vec<(SessionId, Vec<f64>)> =
-            (0..11).map(|i| (set.open(), stim(100 + i as u64, 40 + 13 * (i % 3)))).collect();
+        // 11 sessions with uneven chunk lengths, several advances; the
+        // sessions that have run dry ride along with empty chunks.
+        let specs: Vec<Vec<f64>> =
+            (0..11).map(|i| stim(100 + i as u64, 40 + 13 * (i % 3))).collect();
+        let mut states: Vec<SimState> = specs.iter().map(|_| sim.new_state()).collect();
         let mut streamed: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
-        for round in 0..4 {
-            for (i, (id, u)) in specs.iter().enumerate() {
-                let chunk_len = 5 + (i + round) % 7;
-                let fed = streamed[i].len();
-                let end = (fed + chunk_len).min(u.len());
-                if fed < end {
-                    set.push(*id, &u[fed..end]).unwrap();
-                }
-            }
-            for (id, out) in set.advance().unwrap() {
-                let i = specs.iter().position(|(s, _)| *s == id).unwrap();
+        for round in 0..5 {
+            let inputs: Vec<&[f64]> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, u)| {
+                    let fed = streamed[i].len();
+                    // Session i joins at round i % 3, so fresh and
+                    // started states share a round; round 4 drains.
+                    let end = match round {
+                        r if r < i % 3 => fed,
+                        4 => u.len(),
+                        _ => (fed + 5 + (i + round) % 7).min(u.len()),
+                    };
+                    &u[fed..end]
+                })
+                .collect();
+            for (i, out) in
+                advance_all(&sim, dt, &mut states, &inputs, None).into_iter().enumerate()
+            {
                 streamed[i].extend(out);
             }
         }
-        // Drain the rest in one final advance.
-        for (i, (id, u)) in specs.iter().enumerate() {
-            let fed = streamed[i].len();
-            if fed < u.len() {
-                set.push(*id, &u[fed..]).unwrap();
-            }
-        }
-        for (id, out) in set.advance().unwrap() {
-            let i = specs.iter().position(|(s, _)| *s == id).unwrap();
-            streamed[i].extend(out);
-        }
-        for (i, (id, u)) in specs.iter().enumerate() {
+        for (i, u) in specs.iter().enumerate() {
             let want = sim.simulate(dt, u);
             assert_eq!(streamed[i].len(), want.len(), "session {i}");
             for (g, w) in streamed[i].iter().zip(&want) {
                 assert_eq!(g.to_bits(), w.to_bits(), "session {i}");
             }
-            assert_eq!(set.samples(*id).unwrap(), u.len() as u64);
+            assert_eq!(states[i].samples(), u.len() as u64);
         }
-    }
-
-    #[test]
-    fn session_set_lifecycle_errors() {
-        let sim = linear_real_sim(-1.0e9, 1.0);
-        let mut set = sim.sessions(1e-10).unwrap();
-        let id = set.open();
-        assert_eq!(set.live(), 1);
-        set.push(id, &[0.5; 4]).unwrap();
-        set.advance().unwrap();
-        let state = set.close(id).unwrap();
-        assert_eq!(state.samples(), 4);
-        assert_eq!(set.live(), 0);
-        // Closed and foreign ids are typed errors.
-        assert_eq!(set.push(id, &[1.0]), Err(ServingError::UnknownSession { id: 0 }));
-        assert_eq!(set.close(id).unwrap_err(), ServingError::UnknownSession { id: 0 });
-        assert_eq!(set.samples(SessionId(9)).unwrap_err(), ServingError::UnknownSession { id: 9 });
-        // The checkpoint reopens and continues.
-        let id2 = set.open_with_state(state).unwrap();
-        assert_eq!(set.samples(id2).unwrap(), 4);
-        // Advance with nothing pending is a no-op.
-        assert!(set.advance().unwrap().is_empty());
     }
 
     #[test]
@@ -819,13 +495,22 @@ mod tests {
                     Err(ServingError::BadStimulus { .. })
                 ));
 
-                // SessionSet::push boundary: nothing is appended.
-                let mut set = sim.sessions(dt).unwrap();
-                let id = set.open();
-                set.push(id, &clean[..5]).unwrap();
-                assert!(matches!(set.push(id, &bad), Err(ServingError::BadStimulus { .. })));
-                let outputs = set.advance().unwrap();
-                assert_eq!(outputs[0].1.len(), 5, "rejected push left pending untouched");
+                // advance_chunks boundary: a bad chunk rejects the whole
+                // round before any state (its sibling's included) moves.
+                let (mut s0, mut s1) = (sim.new_state(), sim.new_state());
+                let (mut o0, mut o1) = (vec![0.0; 5], vec![0.0; 10]);
+                let err = sim
+                    .advance_chunks(
+                        dt,
+                        &mut [
+                            SessionChunk { state: &mut s0, input: &clean[..5], output: &mut o0 },
+                            SessionChunk { state: &mut s1, input: &bad, output: &mut o1 },
+                        ],
+                        None,
+                    )
+                    .unwrap_err();
+                assert!(matches!(err, ServingError::BadStimulus { .. }), "{err:?}");
+                assert!([s0, s1].iter().all(|s| s.samples() == 0 && !s.is_started()));
             }
         }
     }
@@ -911,22 +596,19 @@ mod tests {
     fn session_set_pooled_matches_serial() {
         let sim = linear_real_sim(-1.1e9, 1.4);
         let dt = 4.0e-11;
+        let stims: Vec<Vec<f64>> =
+            (0..10).map(|i| stim(500 + i as u64, 30 + 10 * (i % 2))).collect();
+        let inputs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
         for threads in [1usize, 2, 4, 0] {
             let pool = SweepPool::new(threads);
-            let mut set = sim.sessions(dt).unwrap();
-            let ids: Vec<SessionId> = (0..10).map(|_| set.open()).collect();
-            let stims: Vec<Vec<f64>> =
-                (0..10).map(|i| stim(500 + i as u64, 30 + 10 * (i % 2))).collect();
-            for (id, u) in ids.iter().zip(&stims) {
-                set.push(*id, u).unwrap();
-            }
-            let outputs = set.advance_in(&pool).unwrap();
+            let mut states: Vec<SimState> = (0..10).map(|_| sim.new_state()).collect();
+            let outputs = advance_all(&sim, dt, &mut states, &inputs, Some(&pool));
             assert_eq!(outputs.len(), 10);
-            for ((id, out), u) in outputs.iter().zip(&stims) {
+            for (i, (out, u)) in outputs.iter().zip(&stims).enumerate() {
                 let want = sim.simulate(dt, u);
                 assert_eq!(out.len(), want.len());
                 for (g, w) in out.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "threads {threads} id {id:?}");
+                    assert_eq!(g.to_bits(), w.to_bits(), "threads {threads} session {i}");
                 }
             }
         }

@@ -9,11 +9,9 @@
 //! [`CompiledSim::simulate`] call — the kernel's per-sample arithmetic
 //! never depends on where a chunk boundary falls.
 //!
-//! A state is *multi-lane* internally (the batch and session-set paths
-//! advance up to [`BATCH_LANES`](super::BATCH_LANES) simulations in
-//! lockstep through the same kernel), but the public constructor always
-//! hands out a single-lane state; per-lane arithmetic never crosses
-//! lanes, so the lane grouping is unobservable in the output bits.
+//! Every entry point — one-shot, streaming, batched, and the pooled
+//! [`CompiledSim::advance_chunks`] — runs the same single-simulation
+//! kernel, `advance`, over one state at a time.
 
 use rvf_numerics::Complex;
 
@@ -64,125 +62,40 @@ use super::{check_dt, check_stimulus, dt_ok, ServingError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimState {
-    /// Concurrent simulations carried by this state (1 for public
-    /// states; the batch/session kernels run up to `BATCH_LANES`).
-    pub(crate) lanes: usize,
-    /// Previous-sample drive values, `[drive][lane]`.
-    pub(crate) v0: Vec<f64>,
-    /// Current-sample drive values (scratch), `[drive][lane]`.
-    pub(crate) v1: Vec<f64>,
-    /// Block state, real components, `[block][lane]`.
-    pub(crate) sre: Vec<f64>,
-    /// Block state, imaginary components, `[block][lane]`.
-    pub(crate) sim: Vec<f64>,
-    /// Per-lane bit pattern of the last input that rebuilt the drives.
-    pub(crate) uprev: Vec<u64>,
-    /// Per-lane flag: has this lane absorbed its first sample (which
-    /// seeds the blocks at the DC steady state of that input)?
-    pub(crate) started: Vec<bool>,
-    /// Per-lane log-feature temporaries (one slot per distinct pole).
+    /// Previous-sample drive values, one per drive row.
+    v0: Vec<f64>,
+    /// Current-sample drive values (scratch).
+    v1: Vec<f64>,
+    /// Block state, real components, one per block.
+    sre: Vec<f64>,
+    /// Block state, imaginary components, one per block.
+    sim: Vec<f64>,
+    /// Bit pattern of the last input that rebuilt the drives.
+    uprev: u64,
+    /// Has the state absorbed its first sample (which seeds the blocks
+    /// at the DC steady state of that input)?
+    started: bool,
+    /// Log-feature temporaries (one slot per distinct pole).
     lr: Vec<f64>,
     li: Vec<f64>,
-    /// Shared power basis `[1, u, …, u^pdeg]` (scratch).
+    /// Power basis `[1, u, …, u^pdeg]` (scratch).
     pw: Vec<f64>,
-    /// Per-lane output accumulator of the emit pass (scratch).
-    acc: Vec<f64>,
     /// Cached first-order-hold coefficients for `coef_dt`.
     coef: Vec<BlockCoef>,
     /// Bit pattern of the `dt` the cache was computed for.
     coef_dt: u64,
     /// Model shape fingerprint: (drives, blocks, pole features, pdeg).
     shape: [usize; 4],
-    /// Samples advanced so far (per lane — lanes advance in lockstep).
+    /// Samples advanced so far.
     samples: u64,
 }
 
 impl SimState {
-    /// A fresh state with every buffer sized for `lanes` concurrent
-    /// simulations of `sim`, including capacity for the propagator
-    /// cache — after this, advancing chunks allocates nothing.
-    pub(crate) fn for_lanes(sim: &CompiledSim, lanes: usize) -> Self {
-        Self {
-            lanes,
-            v0: vec![0.0; sim.n_drives * lanes],
-            v1: vec![0.0; sim.n_drives * lanes],
-            sre: vec![0.0; sim.n_blocks() * lanes],
-            sim: vec![0.0; sim.n_blocks() * lanes],
-            uprev: vec![0; lanes],
-            started: vec![false; lanes],
-            lr: vec![0.0; sim.poles.len()],
-            li: vec![0.0; sim.poles.len()],
-            pw: vec![0.0; sim.pdeg + 1],
-            acc: vec![0.0; lanes],
-            coef: Vec::with_capacity(sim.n_blocks()),
-            coef_dt: u64::MAX,
-            shape: shape_of(sim),
-            samples: 0,
-        }
-    }
-
-    /// Re-sizes this state in place for a new lane group of `sim`
-    /// (shrinking never releases capacity, so a per-worker scratch
-    /// state reused across groups stops allocating once it has seen the
-    /// widest group). All lanes come back fresh.
-    pub(crate) fn reset_for(&mut self, sim: &CompiledSim, lanes: usize) {
-        let resize = |v: &mut Vec<f64>, n: usize| {
-            v.clear();
-            v.resize(n, 0.0);
-        };
-        self.lanes = lanes;
-        resize(&mut self.v0, sim.n_drives * lanes);
-        resize(&mut self.v1, sim.n_drives * lanes);
-        resize(&mut self.sre, sim.n_blocks() * lanes);
-        resize(&mut self.sim, sim.n_blocks() * lanes);
-        resize(&mut self.lr, sim.poles.len());
-        resize(&mut self.li, sim.poles.len());
-        resize(&mut self.pw, sim.pdeg + 1);
-        resize(&mut self.acc, lanes);
-        self.uprev.clear();
-        self.uprev.resize(lanes, 0);
-        self.started.clear();
-        self.started.resize(lanes, false);
-        self.shape = shape_of(sim);
-        self.samples = 0;
-    }
-
     /// Whether this state was sized for `sim`'s table shape. (A
     /// fingerprint check: two models with identical shape are
     /// interchangeable as far as buffer safety goes.)
     pub(crate) fn matches(&self, sim: &CompiledSim) -> bool {
         self.shape == shape_of(sim)
-    }
-
-    /// Copies lane 0 of the single-lane state `src` into lane `l`.
-    pub(crate) fn load_lane(&mut self, l: usize, src: &SimState) {
-        debug_assert_eq!(src.lanes, 1);
-        let (lanes, n_drives, n_blocks) = (self.lanes, self.shape[0], self.shape[1]);
-        for d in 0..n_drives {
-            self.v0[d * lanes + l] = src.v0[d];
-        }
-        for b in 0..n_blocks {
-            self.sre[b * lanes + l] = src.sre[b];
-            self.sim[b * lanes + l] = src.sim[b];
-        }
-        self.uprev[l] = src.uprev[0];
-        self.started[l] = src.started[0];
-    }
-
-    /// Extracts lane `l` as a fresh single-lane state of `sim`.
-    pub(crate) fn extract_lane(&self, sim: &CompiledSim, l: usize) -> SimState {
-        let mut out = SimState::for_lanes(sim, 1);
-        let (lanes, n_drives, n_blocks) = (self.lanes, self.shape[0], self.shape[1]);
-        for d in 0..n_drives {
-            out.v0[d] = self.v0[d * lanes + l];
-        }
-        for b in 0..n_blocks {
-            out.sre[b] = self.sre[b * lanes + l];
-            out.sim[b] = self.sim[b * lanes + l];
-        }
-        out.uprev[0] = self.uprev[l];
-        out.started[0] = self.started[l];
-        out
     }
 
     /// Re-fills the cached propagators if `dt` changed (bit compare);
@@ -198,23 +111,59 @@ impl SimState {
         self.coef_dt = bits;
     }
 
+    /// Number of `f64` registers the kernel carries between samples:
+    /// the drive vector plus both block-state components.
+    pub(crate) fn carry_len(&self) -> usize {
+        self.v0.len() + self.sre.len() + self.sim.len()
+    }
+
+    /// Loads the registers the kernel carries between samples from the
+    /// same-shape state `src` (scratch buffers, the propagator cache and
+    /// the sample counter stay this state's).
+    pub(crate) fn load_carry(&mut self, src: &SimState) {
+        self.v0.copy_from_slice(&src.v0);
+        self.sre.copy_from_slice(&src.sre);
+        self.sim.copy_from_slice(&src.sim);
+        self.uprev = src.uprev;
+        self.started = src.started;
+    }
+
+    /// Saves the carried registers: the `f64` ones into `dst` (length
+    /// [`carry_len`](SimState::carry_len)), the drive-memo bits and the
+    /// started flag as the return value.
+    pub(crate) fn save_carry(&self, dst: &mut [f64]) -> (u64, bool) {
+        let (v0, rest) = dst.split_at_mut(self.v0.len());
+        let (sre, sim) = rest.split_at_mut(self.sre.len());
+        v0.copy_from_slice(&self.v0);
+        sre.copy_from_slice(&self.sre);
+        sim.copy_from_slice(&self.sim);
+        (self.uprev, self.started)
+    }
+
+    /// Commits registers saved by [`save_carry`](SimState::save_carry)
+    /// from a copy of this state that went on to absorb `n` samples.
+    pub(crate) fn commit_carry(&mut self, src: &[f64], (uprev, started): (u64, bool), n: usize) {
+        let (v0, rest) = src.split_at(self.v0.len());
+        let (sre, sim) = rest.split_at(self.sre.len());
+        self.v0.copy_from_slice(v0);
+        self.sre.copy_from_slice(sre);
+        self.sim.copy_from_slice(sim);
+        self.uprev = uprev;
+        self.started = started;
+        self.samples += n as u64;
+    }
+
     /// Samples this state has absorbed since creation (or the last
     /// [`reset`](SimState::reset)).
     pub fn samples(&self) -> u64 {
         self.samples
     }
 
-    /// Overrides the absorbed-sample counter (used when a lane is
-    /// scattered back out of a group advance).
-    pub(crate) fn set_samples(&mut self, samples: u64) {
-        self.samples = samples;
-    }
-
     /// Whether the state has absorbed at least one sample. A fresh
     /// state seeds every block at the DC steady state of the first
     /// input it sees.
     pub fn is_started(&self) -> bool {
-        self.started.iter().all(|&s| s)
+        self.started
     }
 
     /// Rewinds to the fresh state: the next chunk's first sample
@@ -222,37 +171,27 @@ impl SimState {
     /// propagator cache) are kept, so a reset session still allocates
     /// nothing.
     pub fn reset(&mut self) {
-        self.started.fill(false);
+        self.started = false;
         self.samples = 0;
     }
 
     /// Exports this state as a plain-data [`StateCheckpoint`] — the
-    /// introspection seam a durability layer serializes. Only
-    /// single-lane states (the kind every public constructor hands out)
-    /// are exportable; the multi-lane group states are kernel-internal
-    /// scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::StateMismatch`] for a multi-lane internal state.
-    pub fn export(&self) -> Result<StateCheckpoint, ServingError> {
-        if self.lanes != 1 {
-            return Err(ServingError::StateMismatch);
-        }
-        Ok(StateCheckpoint {
+    /// introspection seam a durability layer serializes.
+    pub fn export(&self) -> StateCheckpoint {
+        StateCheckpoint {
             shape: self.shape.map(|s| s as u64),
             v0: self.v0.clone(),
             sre: self.sre.clone(),
             sim: self.sim.clone(),
-            uprev: self.uprev[0],
-            started: self.started[0],
+            uprev: self.uprev,
+            started: self.started,
             samples: self.samples,
             coef_dt: self.coef_dt,
-        })
+        }
     }
 }
 
-/// Plain-data snapshot of a single-lane [`SimState`]: everything the
+/// Plain-data snapshot of a [`SimState`]: everything the
 /// kernel carries from one sample to the next, as exact bit patterns.
 /// Produced by [`SimState::export`], turned back into a live state by
 /// [`CompiledSim::import_state`]; a round trip through any byte-exact
@@ -276,7 +215,7 @@ pub struct StateCheckpoint {
     /// Bit pattern of the last input that rebuilt the drives (the
     /// drive-memo register).
     pub uprev: u64,
-    /// Whether the lane has absorbed its first sample (a fresh lane
+    /// Whether the state has absorbed its first sample (a fresh state
     /// seeds the blocks at the DC point of its first input).
     pub started: bool,
     /// Samples absorbed so far.
@@ -293,18 +232,15 @@ fn shape_of(sim: &CompiledSim) -> [usize; 4] {
     [sim.n_drives, sim.n_blocks(), sim.poles.len(), sim.pdeg]
 }
 
-/// Evaluates every drive row at input `u` into lane `l` of `v1`.
+/// Evaluates every drive row at input `u` into `v1`.
 ///
 /// Pass 1 fills the shared log-feature basis (one `ln` per *distinct*
 /// pole), pass 2 accumulates the quadratic heads + CSR log terms in the
 /// reference operation order, pass 3 runs the power-basis matvec for
 /// the polynomial rows.
-#[allow(clippy::too_many_arguments)]
-fn eval_drives_lane(
+fn eval_drives(
     sim: &CompiledSim,
     u: f64,
-    l: usize,
-    lanes: usize,
     v1: &mut [f64],
     lr: &mut [f64],
     li: &mut [f64],
@@ -315,7 +251,7 @@ fn eval_drives_lane(
         lr[p] = z.re;
         li[p] = z.im;
     }
-    for d in 0..sim.n_drives {
+    for (d, v) in v1.iter_mut().enumerate() {
         let h = sim.head[d];
         // Matches `constant + linear*u + 0.5*quadratic*u*u` bit for bit
         // (h[2] is the exactly-precomputed 0.5·q).
@@ -326,7 +262,7 @@ fn eval_drives_lane(
             // Matches `2.0 * (rho * z.ln()).re`.
             acc += 2.0 * (w[0] * lr[p] - w[1] * li[p]);
         }
-        v1[d * lanes + l] = acc;
+        *v = acc;
     }
     if !sim.prow.is_empty() {
         let width = sim.pdeg + 1;
@@ -340,7 +276,7 @@ fn eval_drives_lane(
             for j in 0..width {
                 acc += row[j] * pw[j];
             }
-            v1[d * lanes + l] = acc;
+            v1[d] = acc;
         }
     }
 }
@@ -348,161 +284,94 @@ fn eval_drives_lane(
 /// Emit pass: output = static drive value + Σ block state components,
 /// accumulated per block (`y += sre + sim`) in model block order — the
 /// reference summation.
-fn emit(sim: &CompiledSim, lanes: usize, v1: &[f64], sre: &[f64], simc: &[f64], acc: &mut [f64]) {
-    let so = sim.static_row * lanes;
-    acc[..lanes].copy_from_slice(&v1[so..so + lanes]);
-    for b in 0..sim.n_blocks() {
-        let sb = b * lanes;
-        for l in 0..lanes {
-            acc[l] += sre[sb + l] + simc[sb + l];
-        }
+fn emit(sim: &CompiledSim, v1: &[f64], sre: &[f64], simc: &[f64]) -> f64 {
+    let mut acc = v1[sim.static_row];
+    for (re, im) in sre.iter().zip(simc) {
+        acc += re + im;
     }
+    acc
 }
 
-/// Advances every lane of `state` through one chunk of samples. This is
-/// the whole serving kernel: single stimuli and streaming sessions run
-/// it with one lane, the batch and session-set paths with up to
-/// [`BATCH_LANES`](super::BATCH_LANES); per-lane arithmetic never
-/// crosses lanes, so the grouping is unobservable in the output bits.
+/// Advances `state` through one chunk of samples, writing output sample
+/// `t` into `out[t]`. This is the whole serving kernel: every entry
+/// point runs it, one simulation at a time.
 ///
-/// `stims` holds one equal-length chunk per lane; `outs[l][t]` receives
-/// lane `l`'s output sample `t`. Lanes that have not started yet absorb
-/// their first sample as the DC seed (the reference loop's `t = 0`
-/// path); started lanes continue with the first-order-hold step against
-/// the drive vector and memo register carried in the state, so a chunk
-/// boundary is arithmetically invisible.
-pub(crate) fn advance_group(
+/// A state that has not started yet absorbs its first sample as the DC
+/// seed (the reference loop's `t = 0` path); a started state continues
+/// with the first-order-hold step against the drive vector and memo
+/// register it carries, so a chunk boundary is arithmetically
+/// invisible.
+pub(crate) fn advance(
     sim: &CompiledSim,
     dt: f64,
     state: &mut SimState,
-    stims: &[&[f64]],
-    outs: &mut [&mut [f64]],
+    input: &[f64],
+    out: &mut [f64],
 ) {
-    let lanes = state.lanes;
-    debug_assert_eq!(stims.len(), lanes);
-    let n = stims[0].len();
-    if n == 0 {
+    debug_assert_eq!(input.len(), out.len());
+    if input.is_empty() {
         return;
     }
     state.ensure_coef(sim, dt);
-    state.samples += n as u64;
-    let SimState { v0, v1, sre, sim: simc, uprev, started, lr, li, pw, acc, coef, .. } = state;
-    let n_blocks = sim.n_blocks();
+    state.samples += input.len() as u64;
+    let SimState { v0, v1, sre, sim: simc, uprev, started, lr, li, pw, coef, .. } = state;
 
     let mut t0 = 0;
-    if !started.iter().all(|&s| s) {
-        // Chunk sample 0 with at least one fresh lane: per-lane branch
-        // between the DC seed and the regular step. (After this sample
-        // every lane has started, so the uniform loop below takes over.)
-        for (l, stim) in stims.iter().enumerate() {
-            let u = stim[0];
-            let bits = u.to_bits();
-            if started[l] && bits == uprev[l] {
-                for d in 0..sim.n_drives {
-                    v1[d * lanes + l] = v0[d * lanes + l];
-                }
-            } else {
-                eval_drives_lane(sim, u, l, lanes, v1, lr, li, pw);
-                uprev[l] = bits;
-            }
-        }
-        for b in 0..n_blocks {
-            let c = coef[b];
-            let (o1, o2, sb) = (sim.d1[b] * lanes, sim.d2[b] * lanes, b * lanes);
+    if !*started {
+        // DC seed: every block starts at the steady state of the first
+        // input (the circuit's DC operating point).
+        let u = input[0];
+        eval_drives(sim, u, v1, lr, li, pw);
+        *uprev = u.to_bits();
+        for b in 0..sim.n_blocks() {
+            let (w1, w2) = (v1[sim.d1[b]], v1[sim.d2[b]]);
             if sim.pair[b] {
                 let lambda = Complex::new(sim.sigma[b], -sim.omega[b]);
-                for l in 0..lanes {
-                    if started[l] {
-                        foh_step(&c, v0, v1, sre, simc, o1, o2, sb, l);
-                    } else {
-                        // Steady state for the first input (the
-                        // circuit's DC operating point).
-                        let w = Complex::new(v1[o1 + l], v1[o2 + l]);
-                        let z = -(w / lambda);
-                        sre[sb + l] = z.re;
-                        simc[sb + l] = z.im;
-                    }
-                }
+                let z = -(Complex::new(w1, w2) / lambda);
+                sre[b] = z.re;
+                simc[b] = z.im;
             } else {
-                let a = sim.sigma[b];
-                for l in 0..lanes {
-                    if started[l] {
-                        foh_step(&c, v0, v1, sre, simc, o1, o2, sb, l);
-                    } else {
-                        let v = v1[o1 + l];
-                        sre[sb + l] = -v / a;
-                        simc[sb + l] = 0.0;
-                    }
-                }
+                sre[b] = -w1 / sim.sigma[b];
+                simc[b] = 0.0;
             }
         }
-        emit(sim, lanes, v1, sre, simc, acc);
-        for (l, out) in outs.iter_mut().enumerate() {
-            out[0] = acc[l];
-        }
+        out[0] = emit(sim, v1, sre, simc);
         core::mem::swap(v0, v1);
-        started.fill(true);
+        *started = true;
         t0 = 1;
     }
 
-    for t in t0..n {
-        // Drive pass, lane-at-a-time: re-evaluate only the lanes whose
-        // input actually changed (bit compare — flat bit-pattern
-        // stretches skip the transcendentals entirely; exact, since the
-        // drives are pure functions of `u`).
-        for (l, stim) in stims.iter().enumerate() {
-            let u = stim[t];
-            let bits = u.to_bits();
-            if bits == uprev[l] {
-                for d in 0..sim.n_drives {
-                    v1[d * lanes + l] = v0[d * lanes + l];
-                }
-            } else {
-                eval_drives_lane(sim, u, l, lanes, v1, lr, li, pw);
-                uprev[l] = bits;
-            }
+    for t in t0..input.len() {
+        // Drive pass: re-evaluate only when the input actually changed
+        // (bit compare — flat bit-pattern stretches skip the
+        // transcendentals entirely; exact, since the drives are pure
+        // functions of `u`).
+        let u = input[t];
+        let bits = u.to_bits();
+        if bits == *uprev {
+            v1.copy_from_slice(v0);
+        } else {
+            eval_drives(sim, u, v1, lr, li, pw);
+            *uprev = bits;
         }
-        // Block pass, lane-innermost: uniform complex-scalar FOH madds
-        // over contiguous slots — no per-block dispatch, and the lane
-        // loops vectorize across the batch.
-        for b in 0..n_blocks {
-            let c = coef[b];
-            let (o1, o2, sb) = (sim.d1[b] * lanes, sim.d2[b] * lanes, b * lanes);
-            for l in 0..lanes {
-                foh_step(&c, v0, v1, sre, simc, o1, o2, sb, l);
-            }
+        // Block pass: uniform complex-scalar FOH madds — no per-block
+        // dispatch (real blocks carry exact zeros in the imaginary
+        // parts).
+        for (b, c) in coef.iter().enumerate() {
+            let (o1, o2) = (sim.d1[b], sim.d2[b]);
+            let (xr, xi) = (sre[b], simc[b]);
+            let (w0r, w0i) = (v0[o1], v0[o2]);
+            let (dvr, dvi) = (v1[o1] - w0r, v1[o2] - w0i);
+            // `e·z + g1·w0 + g2·(w1 − w0)`, component-wise in the
+            // reference association.
+            sre[b] =
+                (c.er * xr - c.ei * xi + (c.g1r * w0r - c.g1i * w0i)) + (c.g2r * dvr - c.g2i * dvi);
+            simc[b] =
+                (c.er * xi + c.ei * xr + (c.g1r * w0i + c.g1i * w0r)) + (c.g2r * dvi + c.g2i * dvr);
         }
-        emit(sim, lanes, v1, sre, simc, acc);
-        for (l, out) in outs.iter_mut().enumerate() {
-            out[t] = acc[l];
-        }
+        out[t] = emit(sim, v1, sre, simc);
         core::mem::swap(v0, v1);
     }
-}
-
-/// One first-order-hold update of block slot `sb`, lane `l`:
-/// `e·z + g1·w0 + g2·(w1 − w0)`, component-wise in the reference
-/// association.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn foh_step(
-    c: &BlockCoef,
-    v0: &[f64],
-    v1: &[f64],
-    sre: &mut [f64],
-    simc: &mut [f64],
-    o1: usize,
-    o2: usize,
-    sb: usize,
-    l: usize,
-) {
-    let (xr, xi) = (sre[sb + l], simc[sb + l]);
-    let (w0r, w0i) = (v0[o1 + l], v0[o2 + l]);
-    let (dvr, dvi) = (v1[o1 + l] - w0r, v1[o2 + l] - w0i);
-    sre[sb + l] =
-        (c.er * xr - c.ei * xi + (c.g1r * w0r - c.g1i * w0i)) + (c.g2r * dvr - c.g2i * dvi);
-    simc[sb + l] =
-        (c.er * xi + c.ei * xr + (c.g1r * w0i + c.g1i * w0r)) + (c.g2r * dvi + c.g2i * dvr);
 }
 
 impl CompiledSim {
@@ -512,7 +381,21 @@ impl CompiledSim {
     /// [`simulate_into`](CompiledSim::simulate_into) is then
     /// allocation-free.
     pub fn new_state(&self) -> SimState {
-        SimState::for_lanes(self, 1)
+        SimState {
+            v0: vec![0.0; self.n_drives],
+            v1: vec![0.0; self.n_drives],
+            sre: vec![0.0; self.n_blocks()],
+            sim: vec![0.0; self.n_blocks()],
+            uprev: 0,
+            started: false,
+            lr: vec![0.0; self.poles.len()],
+            li: vec![0.0; self.poles.len()],
+            pw: vec![0.0; self.pdeg + 1],
+            coef: Vec::with_capacity(self.n_blocks()),
+            coef_dt: u64::MAX,
+            shape: shape_of(self),
+            samples: 0,
+        }
     }
 
     /// The allocation-free streaming kernel: advances `state` through
@@ -560,14 +443,11 @@ impl CompiledSim {
         if out.len() != inputs.len() {
             return Err(ServingError::OutputMismatch { expected: inputs.len(), got: out.len() });
         }
-        if state.lanes != 1 || !state.matches(self) {
+        if !state.matches(self) {
             return Err(ServingError::StateMismatch);
         }
         check_stimulus(inputs)?;
-        if inputs.is_empty() {
-            return Ok(());
-        }
-        advance_group(self, dt, state, &[inputs], &mut [out]);
+        advance(self, dt, state, inputs, out);
         Ok(())
     }
 
@@ -583,10 +463,7 @@ impl CompiledSim {
     pub fn simulate(&self, dt: f64, inputs: &[f64]) -> Vec<f64> {
         debug_assert!(dt_ok(dt), "CompiledSim::simulate: dt must be finite and positive ({dt})");
         let mut out = vec![0.0; inputs.len()];
-        if !inputs.is_empty() {
-            let mut state = self.new_state();
-            advance_group(self, dt, &mut state, &[inputs], &mut [out.as_mut_slice()]);
-        }
+        advance(self, dt, &mut self.new_state(), inputs, &mut out);
         out
     }
 
@@ -615,12 +492,12 @@ impl CompiledSim {
         {
             return Err(ServingError::StateMismatch);
         }
-        let mut state = SimState::for_lanes(self, 1);
+        let mut state = self.new_state();
         state.v0.copy_from_slice(&ckpt.v0);
         state.sre.copy_from_slice(&ckpt.sre);
         state.sim.copy_from_slice(&ckpt.sim);
-        state.uprev[0] = ckpt.uprev;
-        state.started[0] = ckpt.started;
+        state.uprev = ckpt.uprev;
+        state.started = ckpt.started;
         state.samples = ckpt.samples;
         let dt = f64::from_bits(ckpt.coef_dt);
         if ckpt.coef_dt != u64::MAX && dt_ok(dt) {
@@ -639,12 +516,7 @@ impl CompiledSim {
     pub fn try_simulate(&self, dt: f64, inputs: &[f64]) -> Result<Vec<f64>, ServingError> {
         check_dt(dt)?;
         check_stimulus(inputs)?;
-        let mut out = vec![0.0; inputs.len()];
-        if !inputs.is_empty() {
-            let mut state = self.new_state();
-            advance_group(self, dt, &mut state, &[inputs], &mut [out.as_mut_slice()]);
-        }
-        Ok(out)
+        Ok(self.simulate(dt, inputs))
     }
 }
 
@@ -812,7 +684,7 @@ mod tests {
         let mut state = sim.new_state();
         let mut head = vec![0.0; 20];
         sim.simulate_into(dt, &u[..20], &mut state, &mut head).unwrap();
-        let ckpt = state.export().unwrap();
+        let ckpt = state.export();
         assert_eq!(ckpt.samples, 20);
         assert!(ckpt.started);
         assert_eq!(ckpt.coef_dt, dt.to_bits(), "cache key travels with the checkpoint");
@@ -825,16 +697,13 @@ mod tests {
             assert_eq!(g.to_bits(), w.to_bits(), "sample {i}");
         }
         // The round trip itself is lossless.
-        assert_eq!(sim.import_state(&ckpt).unwrap().export().unwrap(), ckpt);
+        assert_eq!(sim.import_state(&ckpt).unwrap().export(), ckpt);
     }
 
     #[test]
-    fn export_rejects_multi_lane_and_import_rejects_foreign_shapes() {
+    fn import_rejects_foreign_shapes() {
         let sim = linear_real_sim(-1.0e9, 1.0);
-        let grouped = SimState::for_lanes(&sim, 2);
-        assert!(matches!(grouped.export(), Err(ServingError::StateMismatch)));
-
-        let ckpt = sim.new_state().export().unwrap();
+        let ckpt = sim.new_state().export();
         assert_eq!(ckpt.coef_dt, u64::MAX, "fresh state has no cached dt");
         let mut b = SimBuilder::new();
         let s = b.drive_poly(&[0.0, 1.0]);

@@ -2,8 +2,10 @@
 //! invariants, export robustness, and model stability.
 
 use proptest::prelude::*;
-use rvf_core::{text, DynBlock, HammersteinModel, IntegratedStateFn, LogTerm, StateFn};
-use rvf_numerics::{c, Complex};
+use rvf_core::{
+    text, DynBlock, HammersteinModel, IntegratedStateFn, LogTerm, SessionChunk, SimState, StateFn,
+};
+use rvf_numerics::{c, Complex, SweepPool};
 use rvf_vecfit::{PoleEntry, PoleSet, RationalModel, Residues, ResponseTerms};
 
 fn statefn(pole: Complex, rho: Complex, d: f64, constant: f64) -> StateFn {
@@ -214,7 +216,7 @@ proptest! {
         let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
         let sim = m.compile();
         let serial: Vec<Vec<f64>> = refs.iter().map(|s| sim.simulate(1e-10, s)).collect();
-        let batch = sim.clone().with_threads(threads).simulate_batch(1e-10, &refs);
+        let batch = sim.clone().with_threads(threads).try_simulate_batch(1e-10, &refs).unwrap();
         prop_assert_eq!(batch.len(), serial.len());
         for (k, (a, b)) in batch.iter().zip(&serial).enumerate() {
             prop_assert_eq!(a.len(), b.len(), "stimulus {}", k);
@@ -258,42 +260,56 @@ proptest! {
     }
 
     #[test]
-    fn session_set_bit_identical_to_solo(
+    fn advance_chunks_bit_identical_to_solo(
         m in arb_serving_model(),
         stims in prop::collection::vec(arb_stimulus(), 1..10),
         dt_exp in -11.0..-9.0f64,
     ) {
-        // Advancing many sessions in lockstep lane groups (grouped by
-        // remaining chunk length) reproduces each session's solo bits.
+        // Advancing many sessions one uneven chunk each per round, over
+        // several rounds, reproduces each session's solo bits on both
+        // the pooled and the serial path. Session i joins at round
+        // i % 3, so fresh and started states share a round; sessions
+        // that have run dry ride along with empty chunks.
         let dt = 10.0f64.powf(dt_exp);
         let sim = m.compile();
-        let mut set = sim.sessions(dt).unwrap();
-        let ids: Vec<_> = stims.iter().map(|_| set.open()).collect();
-        let mut streamed: Vec<Vec<f64>> = vec![Vec::new(); stims.len()];
-        let mut round = 0usize;
-        loop {
-            let mut any = false;
-            for (i, id) in ids.iter().enumerate() {
-                let fed = streamed[i].len();
-                let end = (fed + 3 + (i + round) % 5).min(stims[i].len());
-                if fed < end {
-                    set.push(*id, &stims[i][fed..end]).unwrap();
-                    any = true;
+        let pool = SweepPool::new(2);
+        for pooled in [false, true] {
+            let mut states: Vec<SimState> = stims.iter().map(|_| sim.new_state()).collect();
+            let mut streamed: Vec<Vec<f64>> = vec![Vec::new(); stims.len()];
+            let mut round = 0usize;
+            while streamed.iter().zip(&stims).any(|(s, u)| s.len() < u.len()) {
+                let bounds: Vec<(usize, usize)> = streamed
+                    .iter()
+                    .zip(&stims)
+                    .enumerate()
+                    .map(|(i, (s, u))| {
+                        let fed = s.len();
+                        let end = if round < i % 3 { fed } else { (fed + 3 + (i + round) % 5).min(u.len()) };
+                        (fed, end)
+                    })
+                    .collect();
+                let mut outs: Vec<Vec<f64>> = bounds.iter().map(|&(a, b)| vec![0.0; b - a]).collect();
+                let mut chunks: Vec<SessionChunk<'_>> = states
+                    .iter_mut()
+                    .zip(&stims)
+                    .zip(&bounds)
+                    .zip(outs.iter_mut())
+                    .map(|(((state, u), &(a, b)), output)| SessionChunk { state, input: &u[a..b], output })
+                    .collect();
+                sim.advance_chunks(dt, &mut chunks, pooled.then_some(&pool)).unwrap();
+                drop(chunks);
+                for (s, out) in streamed.iter_mut().zip(outs) {
+                    s.extend(out);
                 }
+                round += 1;
             }
-            if !any {
-                break;
-            }
-            for (id, out) in set.advance().unwrap() {
-                streamed[id.index()].extend(out);
-            }
-            round += 1;
-        }
-        for (i, (got, u)) in streamed.iter().zip(&stims).enumerate() {
-            let want = sim.simulate(dt, u);
-            prop_assert_eq!(got.len(), want.len(), "session {}", i);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), w.to_bits(), "session {}", i);
+            for (i, (got, u)) in streamed.iter().zip(&stims).enumerate() {
+                let want = sim.simulate(dt, u);
+                prop_assert_eq!(got.len(), want.len(), "session {} pooled={}", i, pooled);
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "session {} pooled={}", i, pooled);
+                }
+                prop_assert_eq!(states[i].samples(), u.len() as u64);
             }
         }
     }

@@ -34,6 +34,25 @@ fn nonlinear_sim() -> CompiledSim {
     b.build()
 }
 
+/// One pooled [`CompiledSim::advance_chunks`] round: `states[i]`
+/// absorbs `inputs[i]`, its output lands in `outs[i]`.
+fn advance_round(
+    sim: &CompiledSim,
+    dt: f64,
+    states: &mut [SimState],
+    inputs: &[&[f64]],
+    outs: &mut [Vec<f64>],
+    pool: &SweepPool,
+) -> Result<(), ServingError> {
+    let mut chunks: Vec<SessionChunk<'_>> = states
+        .iter_mut()
+        .zip(inputs)
+        .zip(outs.iter_mut())
+        .map(|((state, input), out)| SessionChunk { state, input, output: out })
+        .collect();
+    sim.advance_chunks(dt, &mut chunks, Some(pool))
+}
+
 #[test]
 fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
     let _g = lock();
@@ -65,38 +84,26 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
     let retry = sim.try_simulate_batch_in(&pool, dt, &refs).unwrap();
     assert_eq!(retry, want);
 
-    // --- session-set path ---
-    let mut set = sim.sessions(dt).unwrap();
-    let ids: Vec<_> = (0..12).map(|_| set.open()).collect();
-    for (id, u) in ids.iter().zip(&refs) {
-        set.push(*id, u).unwrap();
-    }
+    // --- many-session path ---
+    let mut states: Vec<SimState> = (0..12).map(|_| sim.new_state()).collect();
+    let mut outs: Vec<Vec<f64>> = refs.iter().map(|u| vec![0.0; u.len()]).collect();
     poison_next_group();
-    let err = set.advance_in(&pool).unwrap_err();
+    let err = advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap_err();
     assert!(matches!(err, ServingError::WorkerPanicked { .. }), "got {err:?}");
-    // Transactional: nothing was applied — every session still has its
-    // full pending chunk and zero absorbed samples.
-    for id in &ids {
-        assert_eq!(set.samples(*id).unwrap(), 0);
+    // Transactional: nothing was applied — every session still has zero
+    // absorbed samples.
+    for state in &states {
+        assert_eq!(state.samples(), 0);
+        assert!(!state.is_started());
     }
     // Retrying on the same pool succeeds and matches the solo bits.
-    let outputs = set.advance_in(&pool).unwrap();
-    assert_eq!(outputs.len(), 12);
-    for ((id, out), w) in outputs.iter().zip(&want) {
-        assert_eq!(out, w, "session {id:?}");
+    advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap();
+    for (i, (out, w)) in outs.iter().zip(&want).enumerate() {
+        assert_eq!(out, w, "session {i}");
     }
-    for (id, u) in ids.iter().zip(&refs) {
-        assert_eq!(set.samples(*id).unwrap(), u.len() as u64);
+    for (state, u) in states.iter().zip(&refs) {
+        assert_eq!(state.samples(), u.len() as u64);
     }
-
-    // The legacy infallible wrapper still panics (documented behaviour).
-    poison_next_group();
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sim.simulate_batch_in(&pool, dt, &refs)
-    }));
-    assert!(panicked.is_err(), "legacy wrapper keeps its documented panic");
-    // And the pool *still* survives.
-    assert_eq!(sim.try_simulate_batch_in(&pool, dt, &refs).unwrap(), want);
 }
 
 /// The `advance_chunks` seam under poison, pooled and serial: a
@@ -156,7 +163,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Loop-until-dry chaos: keep hammering one pool with randomly
-    /// poisoned session-set rounds until three consecutive rounds stay
+    /// poisoned `advance_chunks` rounds until three consecutive rounds stay
     /// clean (with at least eight injected panics along the way). The
     /// pool must absorb every panic without a single hidden rebuild
     /// (`pool_constructions()` stays flat) and the surviving clean
@@ -182,28 +189,25 @@ proptest! {
             x ^= x >> 7;
             x ^= x << 17;
             let poisoned = injected < 8 && x % 2 == 0;
-            let mut set = sim.sessions(dt).unwrap();
-            let ids: Vec<_> = (0..12).map(|_| set.open()).collect();
-            for (id, u) in ids.iter().zip(&refs) {
-                set.push(*id, u).unwrap();
-            }
+            let mut states: Vec<SimState> = (0..12).map(|_| sim.new_state()).collect();
+            let mut outs: Vec<Vec<f64>> = refs.iter().map(|u| vec![0.0; u.len()]).collect();
             if poisoned {
                 injected += 1;
                 dry_streak = 0;
                 poison_next_group();
-                let err = set.advance_in(&pool).unwrap_err();
+                let err = advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap_err();
                 let is_panic = matches!(err, ServingError::WorkerPanicked { .. });
                 prop_assert!(is_panic, "expected WorkerPanicked, got {:?}", err);
                 // Nothing committed; an immediate retry on the same
                 // pool recovers the full round.
-                for id in &ids {
-                    prop_assert_eq!(set.samples(*id).unwrap(), 0);
+                for state in &states {
+                    prop_assert_eq!(state.samples(), 0);
                 }
             } else {
                 dry_streak += 1;
             }
-            let outputs = set.advance_in(&pool).unwrap();
-            for ((_, out), w) in outputs.iter().zip(&want) {
+            advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap();
+            for (out, w) in outs.iter().zip(&want) {
                 for (a, b) in out.iter().zip(w) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }

@@ -10,7 +10,7 @@
 //! * [`Scheduler`] — admission control (bounded queues with typed
 //!   [`ServeError::Overloaded`] load shedding), per-request deadlines
 //!   and per-session idle timeouts on a deterministic injected clock,
-//!   lane-group batching over one shared
+//!   per-model batching over one shared
 //!   [`SweepPool`](rvf_numerics::SweepPool), retry with exponential
 //!   backoff on contained worker panics, pool rebuild past a panic
 //!   threshold, and graceful degradation to a bit-identical serial path

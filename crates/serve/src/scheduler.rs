@@ -4,9 +4,9 @@
 //! The [`Scheduler`] is the service loop's core: clients open sessions
 //! against registry models, [`submit`](Scheduler::submit) stimulus
 //! chunks with a deadline, and the serving loop calls
-//! [`tick`](Scheduler::tick) to coalesce eligible requests into
-//! `BATCH_LANES` lane groups over one shared
-//! [`SweepPool`](rvf_numerics::SweepPool).
+//! [`tick`](Scheduler::tick) to coalesce eligible requests into one
+//! [`CompiledSim::advance_chunks`] round per model — one pool task per
+//! request — over one shared [`SweepPool`](rvf_numerics::SweepPool).
 //!
 //! Time is an injected `u64` tick counter: every API that needs time
 //! takes `now` explicitly, so schedulers are fully deterministic under
@@ -38,8 +38,8 @@
 //! * **Pool rebuild and degradation** — contained worker panics are
 //!   counted per pool ([`SweepPool::contained_panics`]); past a
 //!   threshold the pool is torn down and rebuilt, and past a rebuild
-//!   budget the scheduler degrades to a serial single-lane path whose
-//!   output is bit-identical to the pooled path.
+//!   budget the scheduler degrades to a serial path whose output is
+//!   bit-identical to the pooled path.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -131,7 +131,7 @@ pub struct ServeConfig {
     /// and rebuilt.
     pub rebuild_after_panics: u64,
     /// Pool rebuilds tolerated before the scheduler degrades to the
-    /// serial single-lane path (bit-identical output, no pool).
+    /// serial path (bit-identical output, no pool).
     pub degrade_after_rebuilds: u64,
     /// Worker threads of the shared pool (`0` = one per core).
     pub workers: usize,
@@ -290,8 +290,8 @@ impl Scheduler {
         self.queued_samples
     }
 
-    /// Whether the scheduler has degraded to the serial single-lane
-    /// path (output stays bit-identical; throughput drops).
+    /// Whether the scheduler has degraded to the serial path (output
+    /// stays bit-identical; throughput drops).
     pub fn is_degraded(&self) -> bool {
         self.pool.is_none()
     }
@@ -442,11 +442,8 @@ impl Scheduler {
             return Err(ServeError::SessionLimit { live: self.live, limit: self.cfg.max_sessions });
         }
         // Journaling checkpoint, taken before the state moves into the
-        // slab so a failed export commits nothing.
-        let checkpoint = match &self.replica {
-            Some(_) => Some(state.export()?),
-            None => None,
-        };
+        // slab.
+        let checkpoint = self.replica.as_ref().map(|_| state.export());
         let session = Session { model, dt, state: Some(state), last_activity: now, queued: 0 };
         let index = match self.free.pop() {
             Some(i) => {
@@ -644,7 +641,7 @@ impl Scheduler {
                         model: s.model.index() as u32,
                         dt_bits: s.dt.to_bits(),
                         last_activity: s.last_activity,
-                        state: state.export()?,
+                        state: state.export(),
                     })
                 }
             };
@@ -817,7 +814,7 @@ impl Scheduler {
 
     /// Runs one scheduling round at tick `now`: expires idle sessions
     /// and overdue requests, coalesces the first eligible request of
-    /// each session into per-model lane-group batches, advances them
+    /// each session into per-model batches, advances them
     /// (pooled, or serial when degraded — identical bits either way),
     /// and returns every completion produced. Call repeatedly to drain;
     /// a tick with nothing eligible returns an empty vector.
@@ -1016,10 +1013,7 @@ impl Scheduler {
                 {
                     // Post-state checkpoint for the journal, exported
                     // before the state returns to its slot.
-                    let checkpoint = match &self.replica {
-                        Some(_) => state.export().ok(),
-                        None => None,
-                    };
+                    let checkpoint = self.replica.as_ref().map(|_| state.export());
                     self.put_back(request.session, state, Some(now));
                     self.queued_samples -= request.input.len();
                     self.note_dequeued(request.session);

@@ -59,7 +59,7 @@ fn live_checkpoint() -> StateCheckpoint {
     let u: Vec<f64> = (0..13).map(|i| (i as f64 * 0.31).sin()).collect();
     let mut out = vec![0.0; u.len()];
     sim.simulate_into(1.0e-10, &u, &mut state, &mut out).expect("stream");
-    state.export().expect("export")
+    state.export()
 }
 
 /// A realistic snapshot: an actual scheduler with served and queued
@@ -576,7 +576,7 @@ proptest! {
         let mut state = sim.new_state();
         let mut head = vec![0.0; cut];
         sim.simulate_into(dt, &u[..cut], &mut state, &mut head).expect("head");
-        let bytes = WireRecord::Checkpoint(state.export().expect("export")).encode();
+        let bytes = WireRecord::Checkpoint(state.export()).encode();
         let Ok(WireRecord::Checkpoint(ckpt)) = WireRecord::decode(&bytes) else {
             panic!("checkpoint failed to round trip");
         };

@@ -62,13 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let refs: Vec<&[f64]> = stimuli.iter().map(Vec::as_slice).collect();
     let total_samples = (refs.len() * n_samples) as f64;
 
-    // 4. Serve: one batch call fans lane groups over a worker pool; a
-    //    long-lived server would keep the pool and use
-    //    `simulate_batch_in` so the threads are spawned once.
+    // 4. Serve: one batch call fans one task per stimulus over a worker
+    //    pool; a long-lived server keeps the pool and uses
+    //    `try_simulate_batch_in` so the threads are spawned once.
     let pool = SweepPool::new(0);
     for round in 1..=3 {
         let start = Instant::now();
-        let outputs = sim.simulate_batch_in(&pool, dt, &refs);
+        let outputs = sim.try_simulate_batch_in(&pool, dt, &refs)?;
         let secs = start.elapsed().as_secs_f64();
         let last = outputs.last().and_then(|o| o.last()).copied().unwrap_or(0.0);
         println!(
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sanity: the batch output is bit-identical to a serial call.
     let serial = sim.simulate(dt, refs[0]);
-    let batch = sim.simulate_batch_in(&pool, dt, &refs[..1]);
+    let batch = sim.try_simulate_batch_in(&pool, dt, &refs[..1])?;
     assert!(serial.iter().zip(&batch[0]).all(|(a, b)| a.to_bits() == b.to_bits()));
     println!("bit-identity check passed; pool ran {} sweeps", pool.sweeps());
     Ok(())

@@ -1,7 +1,7 @@
 //! Streaming an extracted model chunk by chunk: open resumable
 //! sessions on one compiled buffer macromodel, feed inputs as they
-//! "arrive", checkpoint mid-stream, and advance many live sessions in
-//! lockstep — the model-serving service tier.
+//! "arrive", checkpoint mid-stream, and advance many live sessions
+//! together over a worker pool — the model-serving service tier.
 //!
 //! ```sh
 //! cargo run --release --example streaming_serving
@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use rvf::circuit::{high_speed_buffer, prbs7, BufferParams, Waveform};
-use rvf::model::{extract_model, RvfOptions};
+use rvf::model::{extract_model, RvfOptions, SessionChunk, SimState};
 use rvf::numerics::SweepPool;
 use rvf::tft::TftConfig;
 
@@ -79,30 +79,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(head.iter().chain(&tail).zip(&one_shot).all(|(a, b)| a.to_bits() == b.to_bits()));
     println!("resumed session reproduced the stream bit-for-bit");
 
-    // 4. A SessionSet advances many live sessions at once: equal-length
-    //    pending chunks share lockstep lanes, and lane groups fan over a
-    //    persistent worker pool. Worker failures come back as typed
-    //    errors (ServingError), never panics.
+    // 4. `advance_chunks` advances many live sessions at once, one pool
+    //    task per session chunk over a persistent worker pool. The
+    //    caller owns the states and output buffers; worker failures come
+    //    back as typed errors (ServingError), never panics, and leave
+    //    every state untouched.
     let pool = SweepPool::new(0);
-    let mut set = sim.sessions(dt)?;
-    let ids: Vec<_> = (0..48).map(|_| set.open()).collect();
+    let mut states: Vec<SimState> = (0..48).map(|_| sim.new_state()).collect();
+    let mut outputs: Vec<Vec<f64>> = vec![Vec::new(); states.len()];
     let start = Instant::now();
     let mut served = 0usize;
     for round in 0..16 {
-        for (k, id) in ids.iter().enumerate() {
-            // Sessions drift apart in chunk size, as real traffic would.
-            let n = 192 + 32 * ((k + round) % 3);
-            let off = (round * 256) % (stream.len() - n);
-            set.push(*id, &stream[off..off + n])?;
-        }
-        for (_, out) in set.advance_in(&pool)? {
-            served += out.len();
-        }
+        let mut chunks: Vec<SessionChunk<'_>> = states
+            .iter_mut()
+            .zip(outputs.iter_mut())
+            .enumerate()
+            .map(|(k, (state, output))| {
+                // Sessions drift apart in chunk size, as real traffic
+                // would.
+                let n = 192 + 32 * ((k + round) % 3);
+                let off = (round * 256) % (stream.len() - n);
+                output.resize(n, 0.0);
+                SessionChunk { state, input: &stream[off..off + n], output }
+            })
+            .collect();
+        sim.advance_chunks(dt, &mut chunks, Some(&pool))?;
+        served += chunks.iter().map(|c| c.output.len()).sum::<usize>();
     }
     let secs = start.elapsed().as_secs_f64();
     println!(
-        "session set: {} sessions, {} samples in {:.1} ms ({:.2} Msamples/s, {} pool sweeps)",
-        ids.len(),
+        "advance_chunks: {} sessions, {} samples in {:.1} ms ({:.2} Msamples/s, {} pool sweeps)",
+        states.len(),
         served,
         secs * 1e3,
         served as f64 / secs / 1e6,

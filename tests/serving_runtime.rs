@@ -112,7 +112,7 @@ fn batch_output_is_bit_identical_for_every_worker_count() {
     let model = clipper_model();
     let sim = model.compile();
     let dt = 2.0e-9;
-    // Mixed lengths: groups of equal length plus stragglers.
+    // Mixed lengths: runs of equal length plus stragglers.
     let stims: Vec<Vec<f64>> =
         (0..13).map(|k| stimulus(k as u64 + 17, if k < 10 { 160 } else { 40 + 7 * k })).collect();
     let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
@@ -120,8 +120,8 @@ fn batch_output_is_bit_identical_for_every_worker_count() {
 
     let pool = SweepPool::new(4);
     for threads in [1usize, 2, 4, 0] {
-        let owned = sim.clone().with_threads(threads).simulate_batch(dt, &refs);
-        let borrowed = sim.simulate_batch_in(&pool, dt, &refs);
+        let owned = sim.clone().with_threads(threads).try_simulate_batch(dt, &refs).unwrap();
+        let borrowed = sim.try_simulate_batch_in(&pool, dt, &refs).unwrap();
         for (k, ((a, b), c)) in owned.iter().zip(&serial).zip(&borrowed).enumerate() {
             assert_eq!(a.len(), b.len(), "stimulus {k}, threads {threads}");
             for ((x, y), z) in a.iter().zip(b).zip(c) {

@@ -1,11 +1,12 @@
 //! Pins the streaming serving tier on a *real* extracted model (the
 //! diode clipper): chunked session output is bit-identical to one-shot
 //! evaluation for arbitrary chunk splits, checkpoints resume exactly,
-//! and a [`SessionSet`] advancing many live sessions over a borrowed
-//! pool reproduces each session's solo bits at every worker count.
+//! and `CompiledSim::advance_chunks` advancing many live sessions over
+//! a borrowed pool reproduces each session's solo bits at every worker
+//! count.
 
 use rvf::circuit::{diode_clipper, Waveform};
-use rvf::model::serving::{SessionId, SimState};
+use rvf::model::serving::{SessionChunk, SimState};
 use rvf::model::{fit_tft, HammersteinModel, RvfOptions};
 use rvf::numerics::SweepPool;
 use rvf::tft::{extract_from_circuit, TftConfig};
@@ -112,28 +113,31 @@ fn session_set_matches_solo_sessions_for_every_worker_count() {
 
     for threads in [1usize, 2, 4, 0] {
         let pool = SweepPool::new(threads);
-        let mut set = sim.sessions(dt).unwrap();
-        let ids: Vec<SessionId> = (0..n_sessions).map(|_| set.open()).collect();
+        let mut states: Vec<SimState> = (0..n_sessions).map(|_| sim.new_state()).collect();
         let mut streamed: Vec<Vec<f64>> = vec![Vec::new(); n_sessions];
-        // Uneven per-session chunk sizes per round → shifting lane
-        // groupings across advances.
+        // Uneven per-session chunk sizes per round; sessions that have
+        // run dry ride along with empty chunks.
         let mut round = 0usize;
-        loop {
-            let mut any = false;
-            for (i, id) in ids.iter().enumerate() {
-                let fed = streamed[i].len();
-                let chunk = 17 + 11 * ((i + round) % 4);
-                let end = (fed + chunk).min(stims[i].len());
-                if fed < end {
-                    set.push(*id, &stims[i][fed..end]).unwrap();
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-            for (id, out) in set.advance_in(&pool).unwrap() {
-                streamed[id.index()].extend(out);
+        while streamed.iter().zip(&stims).any(|(s, u)| s.len() < u.len()) {
+            let inputs: Vec<&[f64]> = stims
+                .iter()
+                .zip(&streamed)
+                .enumerate()
+                .map(|(i, (u, s))| {
+                    &u[s.len()..(s.len() + 17 + 11 * ((i + round) % 4)).min(u.len())]
+                })
+                .collect();
+            let mut outs: Vec<Vec<f64>> = inputs.iter().map(|u| vec![0.0; u.len()]).collect();
+            let mut chunks: Vec<SessionChunk<'_>> = states
+                .iter_mut()
+                .zip(&inputs)
+                .zip(outs.iter_mut())
+                .map(|((state, input), output)| SessionChunk { state, input, output })
+                .collect();
+            sim.advance_chunks(dt, &mut chunks, Some(&pool)).unwrap();
+            drop(chunks);
+            for (s, out) in streamed.iter_mut().zip(outs) {
+                s.extend(out);
             }
             round += 1;
         }
