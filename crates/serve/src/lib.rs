@@ -65,6 +65,7 @@
 
 pub mod chaos;
 mod error;
+mod machine;
 mod registry;
 pub mod replica;
 mod scheduler;

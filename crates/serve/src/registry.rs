@@ -12,6 +12,7 @@ use std::sync::Arc;
 use rvf_core::CompiledSim;
 
 use crate::error::ServeError;
+use crate::wire::SnapshotModel;
 
 /// Stable handle to a model in a [`ModelRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,6 +100,15 @@ impl ModelRegistry {
     /// Iterates `(id, name)` pairs in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (ModelId, &str)> {
         self.names.iter().enumerate().map(|(i, n)| (ModelId(i), n.as_str()))
+    }
+
+    /// Every entry's name and table fingerprint, in index order — the
+    /// model list a scheduler snapshot records.
+    pub(crate) fn snapshot_models(&self) -> Vec<SnapshotModel> {
+        let entries = self.names.iter().zip(&self.models);
+        entries
+            .map(|(name, sim)| SnapshotModel { name: name.clone(), fingerprint: sim.fingerprint() })
+            .collect()
     }
 }
 

@@ -10,30 +10,31 @@
 //!
 //! A [`Follower`] consumes that log — record by record via
 //! [`apply`](Follower::apply), or byte-stream style via
-//! [`tail`](Follower::tail) on top of
-//! [`decode_stream`] — and maintains its
-//! own copy of the primary's canonical state
-//! ([`SchedulerSnapshot`], plain data: no pool, no threads). The
-//! replication contract is strict by construction:
+//! [`tail`](Follower::tail) on top of [`decode_stream`] — into the same
+//! committed-state machine the primary runs (the crate-private
+//! `SchedulerCore`), holding session checkpoints instead of live kernel
+//! states: plain data, no pool, no threads. The baseline snapshot
+//! passes the validation [`Scheduler::restore`] runs (registry names
+//! and fingerprints, slab, free stack, queue), and every delta replays
+//! through the transition method the primary called. The replication
+//! contract is strict by construction:
 //!
 //! * **Strict sequencing** — deltas must arrive with consecutive
-//!   sequence numbers; anything else is
-//!   [`ReplicaError::SequenceGap`] and the follower poisons itself
-//!   (every later call returns the stored error, nothing is committed).
+//!   sequence numbers; anything else is [`ReplicaError::SequenceGap`]
+//!   and the follower poisons itself (every later call returns the
+//!   stored error, nothing is committed).
 //! * **Digest verification** — each digest is recomputed over the
-//!   follower's own reconstructed state; a mismatch is
-//!   [`ReplicaError::Diverged`]. Because the digest covers the encoded
-//!   snapshot, digest equality is *byte* equality of canonical state.
-//! * **Structural validation** — every delta is checked against the
-//!   reconstruction before anything mutates
-//!   ([`ReplicaError::BadDelta`] commits nothing).
+//!   follower's own state with the primary's encoding; a mismatch is
+//!   [`ReplicaError::Diverged`]. Digest equality is *byte* equality of
+//!   canonical state.
+//! * **Structural validation** — a delta is checked against the state
+//!   before anything mutates ([`ReplicaError::BadDelta`] commits
+//!   nothing); a baseline that restore would refuse is refused on
+//!   arrival ([`ReplicaError::Serve`]), not at promotion.
 //!
-//! [`promote`](Follower::promote) turns the reconstruction into a live
-//! [`Scheduler`] by encoding it and running it through
-//! [`Scheduler::restore`] — so *promote ∘ apply\** is literally
-//! *restore-of-snapshot*, and inherits restore's registry fingerprint
-//! check: a follower holding retuned tables refuses promotion with a
-//! typed [`ServeError::RegistryMismatch`].
+//! [`promote`](Follower::promote) imports each checkpoint into a live
+//! kernel state — the import restore runs — and wraps the state in a
+//! fresh [`Scheduler`], with no encode/decode round trip.
 //!
 //! # Example
 //!
@@ -72,14 +73,13 @@ use core::fmt;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
+use rvf_core::StateCheckpoint;
 
 use crate::error::ServeError;
-use crate::registry::{ModelId, ModelRegistry};
-use crate::scheduler::{Scheduler, SessionHandle};
-use crate::wire::{
-    checksum64, decode_stream, DeltaOp, SchedulerSnapshot, SnapshotRequest, SnapshotSession,
-    SnapshotSlot, WireError, WireRecord,
-};
+use crate::machine::SchedulerCore;
+use crate::registry::ModelRegistry;
+use crate::scheduler::Scheduler;
+use crate::wire::{decode_stream, WireError, WireRecord};
 
 /// Where a journaling primary appends its replication records. Each
 /// `append` receives one fully framed, checksummed wire record
@@ -187,10 +187,11 @@ pub enum ReplicaError {
     /// The log itself failed to decode (truncated mid-frame corruption,
     /// bad checksum, …).
     Wire(WireError),
-    /// A serving-layer failure — most prominently the typed
-    /// [`ServeError::RegistryMismatch`] when the follower's registry
-    /// does not carry the primary's models (retuned tables refuse both
-    /// the baseline and promotion).
+    /// A serving-layer failure — a baseline that restore would refuse
+    /// ([`ServeError::RegistryMismatch`] when the follower's registry
+    /// does not carry the primary's models, [`ServeError::SnapshotInvalid`]
+    /// when the baseline is inconsistent), or a checkpoint that does not
+    /// fit its model at promotion.
     Serve(ServeError),
 }
 
@@ -246,7 +247,7 @@ impl From<ServeError> for ReplicaError {
 /// docs](self) for the contract.
 pub struct Follower {
     registry: ModelRegistry,
-    state: Option<SchedulerSnapshot>,
+    core: Option<SchedulerCore<StateCheckpoint>>,
     seq: u64,
     offset: usize,
     failed: Option<ReplicaError>,
@@ -257,7 +258,7 @@ impl Follower {
     /// models at the same indices (checked by name *and* compiled-table
     /// fingerprint when the baseline arrives).
     pub fn new(registry: ModelRegistry) -> Self {
-        Self { registry, state: None, seq: 0, offset: 0, failed: None }
+        Self { registry, core: None, seq: 0, offset: 0, failed: None }
     }
 
     /// Sequence number of the last applied delta (0 before any).
@@ -267,7 +268,7 @@ impl Follower {
 
     /// Whether the baseline snapshot has been applied.
     pub fn has_baseline(&self) -> bool {
-        self.state.is_some()
+        self.core.is_some()
     }
 
     /// The stored poison error, if the follower has failed.
@@ -293,10 +294,8 @@ impl Follower {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        match &self.state {
-            Some(snap) => Ok(digest_of(snap)),
-            None => Err(ReplicaError::NoBaseline),
-        }
+        let core = self.core.as_ref().ok_or(ReplicaError::NoBaseline)?;
+        Ok(core.digest()?)
     }
 
     /// Applies one replication record: the baseline snapshot, a
@@ -310,69 +309,49 @@ impl Follower {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        match self.apply_inner(record) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.failed = Some(e.clone());
-                Err(e)
-            }
-        }
+        self.apply_inner(record).map_err(|e| self.poison(e))
+    }
+
+    /// Stores `e` as the poison error and returns it.
+    fn poison(&mut self, e: ReplicaError) -> ReplicaError {
+        self.failed = Some(e.clone());
+        e
     }
 
     fn apply_inner(&mut self, record: WireRecord) -> Result<(), ReplicaError> {
         match record {
             WireRecord::Snapshot(snap) => {
-                if self.state.is_some() {
+                if self.core.is_some() {
                     return Err(ReplicaError::BadDelta {
                         seq: self.seq,
                         what: "a second baseline snapshot arrived mid-log",
                     });
                 }
-                // Fail fast on a mismatched registry: the baseline is
-                // the earliest point retuned tables can be detected.
-                for (i, m) in snap.models.iter().enumerate() {
-                    let id = ModelId(i);
-                    let ok = self.registry.name(id) == Some(m.name.as_str())
-                        && matches!(
-                            self.registry.get(id),
-                            Ok(sim) if sim.fingerprint() == m.fingerprint
-                        );
-                    if !ok {
-                        return Err(ReplicaError::Serve(ServeError::RegistryMismatch {
-                            index: i,
-                            name: m.name.clone(),
-                            fingerprint: m.fingerprint,
-                        }));
-                    }
-                }
-                self.state = Some(snap);
+                // The baseline passes restore's whole validation: a
+                // mismatched registry or an inconsistent slab is refused
+                // here, not at promotion.
+                self.core = Some(SchedulerCore::from_snapshot(snap, &self.registry)?);
                 self.seq = 0;
-                Ok(())
             }
             WireRecord::Delta(delta) => {
-                let Some(snap) = self.state.as_mut() else {
-                    return Err(ReplicaError::NoBaseline);
-                };
+                let core = self.core.as_mut().ok_or(ReplicaError::NoBaseline)?;
                 let expected = self.seq + 1;
                 if delta.seq != expected {
                     return Err(ReplicaError::SequenceGap { expected, found: delta.seq });
                 }
-                apply_op(snap, delta.op)
+                core.apply(delta.op)
                     .map_err(|what| ReplicaError::BadDelta { seq: delta.seq, what })?;
                 self.seq = delta.seq;
-                Ok(())
             }
             WireRecord::Digest(digest) => {
-                let Some(snap) = self.state.as_ref() else {
-                    return Err(ReplicaError::NoBaseline);
-                };
+                let core = self.core.as_ref().ok_or(ReplicaError::NoBaseline)?;
                 if digest.seq != self.seq {
                     return Err(ReplicaError::SequenceGap {
                         expected: self.seq,
                         found: digest.seq,
                     });
                 }
-                let computed = digest_of(snap);
+                let computed = core.digest()?;
                 if computed != digest.digest {
                     return Err(ReplicaError::Diverged {
                         seq: digest.seq,
@@ -380,15 +359,15 @@ impl Follower {
                         computed,
                     });
                 }
-                Ok(())
             }
             WireRecord::Stimulus(_) | WireRecord::Response(_) | WireRecord::Checkpoint(_) => {
-                Err(ReplicaError::BadDelta {
+                return Err(ReplicaError::BadDelta {
                     seq: self.seq,
                     what: "record kind does not belong in a replication log",
-                })
+                });
             }
         }
+        Ok(())
     }
 
     /// Tails a replication log: applies every complete record past the
@@ -409,12 +388,8 @@ impl Follower {
             return Err(e.clone());
         }
         if log.len() < self.offset {
-            let e = ReplicaError::BadDelta {
-                seq: self.seq,
-                what: "the replication log shrank below the consumed offset",
-            };
-            self.failed = Some(e.clone());
-            return Err(e);
+            let what = "the replication log shrank below the consumed offset";
+            return Err(self.poison(ReplicaError::BadDelta { seq: self.seq, what }));
         }
         let mut stream = decode_stream(log.slice(self.offset..log.len()));
         let mut applied = 0usize;
@@ -427,178 +402,30 @@ impl Follower {
                     self.offset += stream.consumed() - before;
                     applied += 1;
                 }
-                Some(Err(e)) => {
-                    let e = ReplicaError::Wire(e);
-                    self.failed = Some(e.clone());
-                    return Err(e);
-                }
+                Some(Err(e)) => return Err(self.poison(ReplicaError::Wire(e))),
             }
         }
         Ok(applied)
     }
 
     /// Promotes the reconstruction into a live [`Scheduler`] equal to
-    /// the primary at the last applied sequence: the follower's state
-    /// is encoded and run through [`Scheduler::restore`], so promotion
-    /// is *exactly* restore-of-snapshot — including restore's registry
-    /// fingerprint verification and structural validation. The promoted
-    /// scheduler has no replication sink attached; attach one to chain
-    /// standbys.
+    /// the primary at the last applied sequence: each session
+    /// checkpoint is imported into a live kernel state — the same
+    /// import [`Scheduler::restore`] runs after its validation, which
+    /// the baseline already passed — and the state is wrapped in a
+    /// fresh runtime. The promoted scheduler has no replication sink
+    /// attached; attach one to chain standbys.
     ///
     /// # Errors
     ///
     /// The stored poison error, [`ReplicaError::NoBaseline`], or a
-    /// wrapped [`ServeError`] from restore.
+    /// wrapped [`ServeError`] when a checkpoint does not fit its model.
     pub fn promote(mut self) -> Result<Scheduler, ReplicaError> {
         if let Some(e) = self.failed.take() {
             return Err(e);
         }
-        let Some(snap) = self.state.take() else {
-            return Err(ReplicaError::NoBaseline);
-        };
-        let bytes = WireRecord::Snapshot(snap).encode();
-        Scheduler::restore(&bytes, &self.registry).map_err(ReplicaError::Serve)
-    }
-}
-
-/// FNV-1a/64 over the encoded snapshot record — the digest both sides
-/// compute.
-fn digest_of(snap: &SchedulerSnapshot) -> u64 {
-    checksum64(WireRecord::Snapshot(snap.clone()).encode().as_ref())
-}
-
-fn live_session_mut<'a>(
-    snap: &'a mut SchedulerSnapshot,
-    handle: SessionHandle,
-) -> Option<&'a mut SnapshotSession> {
-    let slot = snap.slots.get_mut(handle.index())?;
-    if slot.generation != handle.generation() {
-        return None;
-    }
-    slot.session.as_mut()
-}
-
-/// Applies one delta op to the reconstruction. Every check runs before
-/// any mutation, so a failing op commits nothing.
-fn apply_op(snap: &mut SchedulerSnapshot, op: DeltaOp) -> Result<(), &'static str> {
-    match op {
-        DeltaOp::SessionOpened { session, model, dt_bits, last_activity, state } => {
-            let handle = SessionHandle::from_raw(session);
-            let (index, generation) = (handle.index(), handle.generation());
-            if (model as usize) >= snap.models.len() {
-                return Err("opened session names a model outside the registry");
-            }
-            let dt = f64::from_bits(dt_bits);
-            if !(dt.is_finite() && dt > 0.0) {
-                return Err("opened session carries a non-positive dt");
-            }
-            let sess = SnapshotSession { model, dt_bits, last_activity, state };
-            if index == snap.slots.len() {
-                // Fresh slot appended to the slab.
-                if generation != 0 {
-                    return Err("an appended slot must start at generation 0");
-                }
-                snap.slots.push(SnapshotSlot { generation: 0, session: Some(sess) });
-            } else {
-                // Slot reuse pops the top of the free stack — exactly
-                // mirroring the primary's allocator.
-                if snap.free.last().copied() != Some(index as u32) {
-                    return Err("the opened slot is not the top of the free stack");
-                }
-                let Some(slot) = snap.slots.get_mut(index) else {
-                    return Err("the opened slot is outside the slab");
-                };
-                if slot.generation != generation {
-                    return Err("the opened slot's generation does not match the handle");
-                }
-                if slot.session.is_some() {
-                    return Err("the opened slot already holds a session");
-                }
-                slot.session = Some(sess);
-                snap.free.pop();
-            }
-            Ok(())
-        }
-        DeltaOp::Admitted { request, session, deadline, not_before, input } => {
-            if request != snap.next_request {
-                return Err("the admitted request id is not the next request id");
-            }
-            if input.iter().any(|v| !v.is_finite()) {
-                return Err("an admitted stimulus holds a non-finite sample");
-            }
-            let handle = SessionHandle::from_raw(session);
-            let Some(sess) = live_session_mut(snap, handle) else {
-                return Err("admission names a dead session");
-            };
-            sess.last_activity = not_before;
-            snap.queue.push(SnapshotRequest {
-                id: request,
-                session,
-                deadline,
-                attempts: 0,
-                not_before,
-                input,
-            });
-            snap.next_request += 1;
-            Ok(())
-        }
-        DeltaOp::ChunkCompleted { request, session, last_activity, state } => {
-            let Some(pos) = snap.queue.iter().position(|r| r.id == request) else {
-                return Err("completion names a request that is not queued");
-            };
-            if snap.queue[pos].session != session {
-                return Err("completion names the wrong session for its request");
-            }
-            let handle = SessionHandle::from_raw(session);
-            let Some(sess) = live_session_mut(snap, handle) else {
-                return Err("completion names a dead session");
-            };
-            sess.state = state;
-            sess.last_activity = last_activity;
-            snap.queue.remove(pos);
-            Ok(())
-        }
-        DeltaOp::RequestFailed { request } => {
-            let Some(pos) = snap.queue.iter().position(|r| r.id == request) else {
-                return Err("failure names a request that is not queued");
-            };
-            snap.queue.remove(pos);
-            Ok(())
-        }
-        DeltaOp::SessionClosed { session } => {
-            let handle = SessionHandle::from_raw(session);
-            let index = handle.index();
-            let alive = snap.slots.get(index).is_some_and(|slot| {
-                slot.generation == handle.generation() && slot.session.is_some()
-            });
-            if !alive {
-                return Err("close names a dead session");
-            }
-            snap.queue.retain(|r| r.session != session);
-            let slot = &mut snap.slots[index];
-            slot.session = None;
-            slot.generation = slot.generation.wrapping_add(1);
-            snap.free.push(index as u32);
-            Ok(())
-        }
-        DeltaOp::RequestRetried { request, attempts, not_before } => {
-            let Some(pos) = snap.queue.iter().position(|r| r.id == request) else {
-                return Err("retry names a request that is not queued");
-            };
-            let mut r = snap.queue.remove(pos);
-            r.attempts = attempts;
-            r.not_before = not_before;
-            snap.queue.insert(0, r);
-            Ok(())
-        }
-        DeltaOp::PoolRebuilt => {
-            snap.rebuilds += 1;
-            Ok(())
-        }
-        DeltaOp::Degraded => {
-            snap.degraded = true;
-            Ok(())
-        }
+        let core = self.core.take().ok_or(ReplicaError::NoBaseline)?.import(&self.registry)?;
+        Ok(Scheduler::from_core(Arc::new(self.registry), core))
     }
 }
 
@@ -606,7 +433,6 @@ fn apply_op(snap: &mut SchedulerSnapshot, op: DeltaOp) -> Result<(), &'static st
 mod tests {
     use super::*;
     use crate::scheduler::ServeConfig;
-    use crate::wire::DeltaRecord;
     use rvf_core::SimBuilder;
 
     fn registry() -> ModelRegistry {
@@ -651,37 +477,6 @@ mod tests {
             follower.state_digest().expect("digest"),
             primary.state_digest().expect("digest")
         );
-    }
-
-    #[test]
-    fn sequence_gap_poisons_and_commits_nothing() {
-        let (mut primary, log, mut follower) = replicated_pair();
-        let model = primary.registry().id("m").expect("model");
-        primary.open_session(model, 1e-10, 0).expect("open");
-        follower.tail(&log.bytes()).expect("tail");
-        let seq_before = follower.applied_seq();
-        let digest_before = follower.state_digest().expect("digest");
-        // A delta from the future: gap.
-        let bogus =
-            WireRecord::Delta(DeltaRecord { seq: seq_before + 5, op: DeltaOp::PoolRebuilt });
-        assert!(matches!(
-            follower.apply(bogus),
-            Err(ReplicaError::SequenceGap { found, .. }) if found == seq_before + 5
-        ));
-        // Poisoned: same error again, state untouched, promote refused.
-        assert!(matches!(follower.error(), Some(ReplicaError::SequenceGap { .. })));
-        assert_eq!(follower.applied_seq(), seq_before);
-        assert!(matches!(follower.tail(&log.bytes()), Err(ReplicaError::SequenceGap { .. })));
-        assert!(matches!(follower.promote(), Err(ReplicaError::SequenceGap { .. })));
-        let _ = digest_before;
-    }
-
-    #[test]
-    fn records_before_baseline_are_refused() {
-        let mut follower = Follower::new(registry());
-        let delta = WireRecord::Delta(DeltaRecord { seq: 1, op: DeltaOp::PoolRebuilt });
-        assert!(matches!(follower.apply(delta), Err(ReplicaError::NoBaseline)));
-        assert!(matches!(Follower::new(registry()).promote(), Err(ReplicaError::NoBaseline)));
     }
 
     #[test]

@@ -304,13 +304,15 @@ pub struct SchedulerSnapshot {
 }
 
 /// One committed scheduler mutation, as journaled to a replication
-/// log. The op set mirrors the scheduler's commit points exactly: a
-/// follower that applies ops in sequence order reconstructs the
-/// primary's canonical state ([`SchedulerSnapshot`]) byte for byte.
+/// log. Each op names one transition method of the scheduler's
+/// committed-state machine: the primary calls the method and journals
+/// the op, and a follower replays the op through the same method, so
+/// applying ops in sequence order reconstructs the primary's canonical
+/// state ([`SchedulerSnapshot`]) byte for byte.
 ///
-/// Transient queue motion (a request picked for a batch that completes
-/// in the same tick) is deliberately *not* journaled: deltas describe
-/// committed state transitions only, so the log between any two
+/// A batch round's in-flight motion (states lent to the round while it
+/// runs) is deliberately *not* journaled: deltas describe committed
+/// state transitions only, so the log between any two
 /// [`DigestRecord`]s is a pure function of the scheduler's observable
 /// state.
 #[derive(Debug, Clone, PartialEq)]

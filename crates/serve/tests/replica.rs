@@ -26,8 +26,8 @@ use proptest::prelude::*;
 use rvf_core::{CompiledSim, SimBuilder};
 use rvf_serve::{
     chaos::{self, ChaosConfig, ChaosInjector, Fault},
-    replica::{Follower, ReplicaError, ReplicationSink},
-    wire::{DeltaOp, DeltaRecord, WireRecord},
+    replica::{Follower, ReplicaError, ReplicationSink, SharedLog},
+    wire::{checksum64, DeltaOp, DeltaRecord, WireRecord},
     Event, ModelRegistry, Scheduler, ServeConfig, ServeError, SessionHandle,
 };
 
@@ -782,4 +782,289 @@ fn replicated_storm_pinned_seeds() {
     for seed in [0xD15_7EAD, 0x5EED_0010, 0xFA11_BACC] {
         replicated_storm(seed);
     }
+}
+
+/// The wire image is a compatibility contract: a fixed scripted
+/// scenario — two sessions opened, chunks submitted and served, one
+/// panicked round retried (and the pool rebuilt), a session closed —
+/// must produce a final snapshot and a replication log whose bytes hash
+/// to constants recorded from the reference implementation. Any change
+/// to the encoding, the op order, or the digest cadence moves them.
+#[test]
+fn wire_image_of_a_scripted_scenario_is_pinned() {
+    let _g = lock();
+    let cfg = ServeConfig {
+        workers: 2,
+        retry_backoff_base: 2,
+        rebuild_after_panics: 1,
+        max_chunk_samples: 16,
+        ..Default::default()
+    };
+    let log = SharedLog::new();
+    let mut sched = Scheduler::new(registry(), cfg);
+    sched.attach_replica(Box::new(log.clone()), 3).expect("attach");
+    let [a, b] = ["a", "b"].map(|name| {
+        let id = sched.registry().id(name).expect("registered");
+        sched.open_session(id, DT, 0).expect("open")
+    });
+    sched.submit(a, &[0.1, -0.2, 0.3, 0.4, -0.5], 0, 100).expect("submit");
+    sched.submit(b, &[0.25, 0.5, -0.75], 0, 100).expect("submit");
+    sched.submit(a, &[0.6, 0.7], 0, 100).expect("submit");
+    let served = sched.tick(1);
+    assert_eq!(served.len(), 2);
+    assert!(served.iter().all(|e| matches!(e, Event::Completed { .. })));
+
+    // Model "a" batches first, so its group takes the panic; "b" serves.
+    chaos::arm_worker_panic();
+    sched.submit(b, &[-0.125, 0.0625], 1, 100).expect("submit");
+    let panicked = sched.tick(2);
+    assert_eq!(panicked.len(), 1, "only b's chunk serves in the panicked tick");
+    assert!(matches!(&panicked[0], Event::Completed { session, .. } if *session == b));
+    assert_eq!(sched.queued_requests(), 1, "a's chunk waits in retry backoff");
+    assert!(sched.tick(3).is_empty(), "the retry is still backing off");
+    let retried = sched.tick(4);
+    assert!(matches!(&retried[..], [Event::Completed { session, .. }] if *session == a));
+
+    sched.submit(b, &[0.875; 3], 5, 100).expect("submit");
+    sched.close_session(a).expect("close");
+    let snapshot = sched.snapshot().expect("snapshot");
+
+    assert_eq!(sched.pool_rebuilds(), 1);
+    assert_eq!(checksum64(snapshot.as_ref()), PINNED_SNAPSHOT, "snapshot bytes moved");
+    assert_eq!(checksum64(log.bytes().as_ref()), PINNED_LOG, "replication log bytes moved");
+}
+
+/// `checksum64` of the scenario's final snapshot record.
+const PINNED_SNAPSHOT: u64 = 0x5c11_69a0_ae07_3b57;
+/// `checksum64` of the scenario's whole replication log.
+const PINNED_LOG: u64 = 0x9b78_18de_a9ec_a5e7;
+
+/// A primary with three sessions (`a`, `b` on model "a"/"b", `c` on
+/// "a"), one queued request each on `a` and `c`, and `b` closed — so
+/// slot 1 sits on the free stack at generation 1. With `refill`, a
+/// fourth session reopens slot 1 and the free stack is empty again.
+struct Fixture {
+    log: RecordLog,
+    primary: Scheduler,
+    a: SessionHandle,
+    b: SessionHandle,
+    c: SessionHandle,
+}
+
+fn fixture(refill: bool) -> Fixture {
+    let log = RecordLog::default();
+    let mut primary = Scheduler::new(registry(), ServeConfig::default());
+    primary.attach_replica(Box::new(log.clone()), 1).expect("attach");
+    let [a, b, c] = ["a", "b", "a"].map(|name| {
+        let id = primary.registry().id(name).expect("registered");
+        primary.open_session(id, DT, 0).expect("open")
+    });
+    primary.submit(a, &[0.1, 0.2], 0, 100).expect("submit");
+    primary.submit(c, &[0.3], 0, 100).expect("submit");
+    primary.close_session(b).expect("close");
+    if refill {
+        let id = primary.registry().id("b").expect("registered");
+        primary.open_session(id, DT, 1).expect("reopen");
+    }
+    Fixture { log, primary, a, b, c }
+}
+
+/// Asserts `err` is the follower's stored poison error, that nothing
+/// was committed past `seq`, and that promotion returns the same error.
+fn assert_poisoned(follower: Follower, err: &ReplicaError, seq: u64, case: &str) {
+    assert_eq!(follower.error(), Some(err), "{case}: error not stored");
+    assert_eq!(follower.applied_seq(), seq, "{case}: a refused record committed");
+    match follower.promote() {
+        Err(stored) => assert_eq!(&stored, err, "{case}: promotion must return the stored error"),
+        Ok(_) => panic!("{case}: poisoned follower promoted"),
+    }
+}
+
+/// Regression: a baseline whose free list names a live slot is refused
+/// when the follower applies it — the validation restore runs — rather
+/// than at promotion, the moment of failover.
+#[test]
+fn baseline_whose_free_list_names_a_live_slot_is_refused_at_apply() {
+    let _g = lock();
+    let fx = fixture(false);
+    let Ok(WireRecord::Snapshot(mut snap)) =
+        WireRecord::decode(&fx.primary.snapshot().expect("snapshot"))
+    else {
+        panic!("snapshot bytes decode to a snapshot record");
+    };
+    snap.free = vec![0];
+    let mut follower = Follower::new(registry());
+    let err = follower.apply(WireRecord::Snapshot(snap)).expect_err("inconsistent baseline");
+    assert!(
+        matches!(err, ReplicaError::Serve(ServeError::SnapshotInvalid { .. })),
+        "expected a typed invalid-snapshot refusal, got {err}"
+    );
+    assert!(!follower.has_baseline(), "a refused baseline commits nothing");
+    assert_poisoned(follower, &err, 0, "live slot on the free list");
+}
+
+/// Every structural refusal, table-driven: each way a snapshot can be
+/// inconsistent is refused identically by `Scheduler::restore` and by a
+/// follower's baseline, and each way a record can contradict the
+/// follower's state is refused typed, commits nothing, and blocks
+/// promotion with the stored error.
+#[test]
+fn every_structural_refusal_is_typed_and_commits_nothing() {
+    let _g = lock();
+    let fx = fixture(false);
+    let Ok(WireRecord::Snapshot(base)) =
+        WireRecord::decode(&fx.primary.snapshot().expect("snapshot"))
+    else {
+        panic!("snapshot bytes decode to a snapshot record");
+    };
+    type Mutation = fn(&mut rvf_serve::wire::SchedulerSnapshot, u64);
+    let restore_cases: [(&str, Mutation); 8] = [
+        ("a session references a model outside the snapshot registry", |s, _| {
+            s.slots[0].session.as_mut().expect("live").model = 7;
+        }),
+        ("a session's dt is not a positive finite number", |s, _| {
+            s.slots[0].session.as_mut().expect("live").dt_bits = (-1.0f64).to_bits();
+        }),
+        ("a free-list entry does not name a distinct empty slot", |s, _| s.free = vec![0]),
+        ("a free-list entry does not name a distinct empty slot", |s, _| s.free = vec![1, 1]),
+        ("the free list does not cover every empty slot", |s, _| s.free.clear()),
+        ("a queued request references a dead session", |s, b| s.queue[0].session = b),
+        ("a queued request id is newer than the id counter", |s, _| {
+            s.queue[0].id = s.next_request;
+        }),
+        ("a queued stimulus holds a non-finite sample", |s, _| s.queue[0].input[0] = f64::NAN),
+    ];
+    for (want, mutate) in restore_cases {
+        let mut snap = base.clone();
+        mutate(&mut snap, fx.b.raw());
+        let bytes = WireRecord::Snapshot(snap.clone()).encode();
+        let typed = ServeError::SnapshotInvalid { what: want };
+        assert_eq!(Scheduler::restore(&bytes, &registry()).err(), Some(typed.clone()), "{want}");
+        let mut follower = Follower::new(registry());
+        let err = follower.apply(WireRecord::Snapshot(snap)).expect_err(want);
+        assert_eq!(err, ReplicaError::Serve(typed), "{want}: follower baseline");
+        assert!(!follower.has_baseline(), "{want}: refused baseline committed");
+        assert_poisoned(follower, &err, 0, want);
+    }
+
+    // Registries that do not carry the snapshot's models, garbage, and
+    // records of the wrong kind are refused typed too; a registry with
+    // extra models appended is accepted.
+    let bytes = WireRecord::Snapshot(base.clone()).encode();
+    let retuned =
+        ModelRegistry::build([("a".to_string(), model(1.0)), ("b".to_string(), model(9.9))]);
+    let renamed =
+        ModelRegistry::build([("a".to_string(), model(1.0)), ("x".to_string(), model(1.7))]);
+    for (index, bad) in [(1, retuned), (1, renamed), (0, ModelRegistry::build([]))] {
+        let refused = Scheduler::restore(&bytes, &bad).err();
+        assert!(
+            matches!(refused, Some(ServeError::RegistryMismatch { index: i, .. }) if i == index)
+        );
+        let mut follower = Follower::new(bad);
+        let err = follower.apply(WireRecord::Snapshot(base.clone())).expect_err("mismatch");
+        assert_eq!(Some(err.clone()), refused.map(ReplicaError::Serve));
+        assert_poisoned(follower, &err, 0, "registry mismatch");
+    }
+    let garbage = Bytes::from(vec![0u8; 40]);
+    assert!(matches!(Scheduler::restore(&garbage, &registry()).err(), Some(ServeError::Wire(_))));
+    let response = WireRecord::Response(rvf_serve::wire::ResponseChunk {
+        session: 0,
+        request: 0,
+        samples: vec![],
+    });
+    let not_a_snapshot =
+        ServeError::SnapshotInvalid { what: "the record is not a scheduler snapshot" };
+    assert_eq!(Scheduler::restore(&response.encode(), &registry()).err(), Some(not_a_snapshot));
+    let superset = ModelRegistry::build([
+        ("a".to_string(), model(1.0)),
+        ("b".to_string(), model(1.7)),
+        ("extra".to_string(), model(2.3)),
+    ]);
+    assert!(Scheduler::restore(&bytes, &superset).is_ok());
+
+    // Records the follower's state contradicts, each applied to a
+    // follower tailed to the fixture's log tip (slot 1 on the free stack,
+    // or refilled where the case needs an empty one).
+    let checkpoint = fx.primary.checkpoint(fx.a).expect("live").export();
+    let open = |session: u64, model: u32, dt: f64| {
+        let state = checkpoint.clone();
+        DeltaOp::SessionOpened { session, model, dt_bits: dt.to_bits(), last_activity: 2, state }
+    };
+    let admit = |request: u64, session: u64, sample: f64| DeltaOp::Admitted {
+        request,
+        session,
+        deadline: 100,
+        not_before: 2,
+        input: vec![sample],
+    };
+    let complete = |request: u64, session: u64| {
+        let state = checkpoint.clone();
+        DeltaOp::ChunkCompleted { request, session, last_activity: 2, state }
+    };
+    let (next, a, b, c) = (base.next_request, fx.a.raw(), fx.b.raw(), fx.c.raw());
+    let retry = DeltaOp::RequestRetried { request: 99, attempts: 1, not_before: 3 };
+    let delta_cases: Vec<(&str, bool, WireRecord)> = vec![
+        ("opened session names a model outside the registry", false, delta(open(1, 9, DT))),
+        ("opened session carries a non-positive dt", false, delta(open(1, 0, 0.0))),
+        ("the opened slot is not the top of the free stack", false, delta(open(2, 0, DT))),
+        ("the opened slot's generation does not match the handle", false, delta(open(1, 0, DT))),
+        ("an appended slot must start at generation 0", true, delta(open((7 << 32) | 3, 0, DT))),
+        (
+            "the admitted request id is not the next request id",
+            false,
+            delta(admit(next + 1, a, 0.5)),
+        ),
+        ("an admitted stimulus holds a non-finite sample", false, delta(admit(next, a, f64::NAN))),
+        ("admission names a dead session", false, delta(admit(next, b, 0.5))),
+        ("completion names a request that is not queued", false, delta(complete(99, a))),
+        ("completion names the wrong session for its request", false, delta(complete(0, c))),
+        (
+            "failure names a request that is not queued",
+            false,
+            delta(DeltaOp::RequestFailed { request: 99 }),
+        ),
+        ("retry names a request that is not queued", false, delta(retry)),
+        ("close names a dead session", false, delta(DeltaOp::SessionClosed { session: b })),
+        ("a second baseline snapshot arrived mid-log", false, WireRecord::Snapshot(base.clone())),
+        ("record kind does not belong in a replication log", false, response.clone()),
+    ];
+    let refilled = fixture(true);
+    for (want, refill, record) in delta_cases {
+        let log = if refill { &refilled.log } else { &fx.log };
+        let mut follower = Follower::new(registry());
+        follower.tail(&log.all_bytes()).expect("clean log");
+        let seq = follower.applied_seq();
+        // A delta is refused at its own sequence number; any other
+        // record at the last applied one.
+        let (record, bad_seq) = match record {
+            WireRecord::Delta(DeltaRecord { op, .. }) => (delta_at(seq + 1, op), seq + 1),
+            other => (other, seq),
+        };
+        let err = follower.apply(record).expect_err(want);
+        assert_eq!(err, ReplicaError::BadDelta { seq: bad_seq, what: want }, "{want}");
+        assert_poisoned(follower, &err, seq, want);
+    }
+
+    // Sequencing: a record before the baseline, and a delta from the
+    // future.
+    let mut follower = Follower::new(registry());
+    let err = follower.apply(delta_at(1, DeltaOp::PoolRebuilt)).expect_err("no baseline");
+    assert_eq!(err, ReplicaError::NoBaseline);
+    assert_poisoned(follower, &err, 0, "record before the baseline");
+    assert!(matches!(Follower::new(registry()).promote(), Err(ReplicaError::NoBaseline)));
+    let mut follower = Follower::new(registry());
+    follower.tail(&fx.log.all_bytes()).expect("clean log");
+    let seq = follower.applied_seq();
+    let err = follower.apply(delta_at(seq + 5, DeltaOp::PoolRebuilt)).expect_err("gap");
+    assert_eq!(err, ReplicaError::SequenceGap { expected: seq + 1, found: seq + 5 });
+    assert!(matches!(follower.tail(&fx.log.all_bytes()), Err(ReplicaError::SequenceGap { .. })));
+    assert_poisoned(follower, &err, seq, "sequence gap");
+}
+
+fn delta(op: DeltaOp) -> WireRecord {
+    delta_at(0, op)
+}
+
+fn delta_at(seq: u64, op: DeltaOp) -> WireRecord {
+    WireRecord::Delta(DeltaRecord { seq, op })
 }
