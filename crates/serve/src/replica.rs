@@ -433,6 +433,7 @@ impl Follower {
 mod tests {
     use super::*;
     use crate::scheduler::ServeConfig;
+    use crate::wire::{DeltaOp, DeltaRecord};
     use rvf_core::SimBuilder;
 
     fn registry() -> ModelRegistry {
@@ -477,6 +478,37 @@ mod tests {
             follower.state_digest().expect("digest"),
             primary.state_digest().expect("digest")
         );
+    }
+
+    #[test]
+    fn sequence_gap_poisons_and_commits_nothing() {
+        let (mut primary, log, mut follower) = replicated_pair();
+        let model = primary.registry().id("m").expect("model");
+        primary.open_session(model, 1e-10, 0).expect("open");
+        follower.tail(&log.bytes()).expect("tail");
+        let seq_before = follower.applied_seq();
+        let digest_before = follower.state_digest().expect("digest");
+        // A delta from the future: gap.
+        let bogus =
+            WireRecord::Delta(DeltaRecord { seq: seq_before + 5, op: DeltaOp::PoolRebuilt });
+        assert!(matches!(
+            follower.apply(bogus),
+            Err(ReplicaError::SequenceGap { found, .. }) if found == seq_before + 5
+        ));
+        // Poisoned: same error again, state untouched, promote refused.
+        assert!(matches!(follower.error(), Some(ReplicaError::SequenceGap { .. })));
+        assert_eq!(follower.applied_seq(), seq_before);
+        assert!(matches!(follower.tail(&log.bytes()), Err(ReplicaError::SequenceGap { .. })));
+        assert!(matches!(follower.promote(), Err(ReplicaError::SequenceGap { .. })));
+        let _ = digest_before;
+    }
+
+    #[test]
+    fn records_before_baseline_are_refused() {
+        let mut follower = Follower::new(registry());
+        let delta = WireRecord::Delta(DeltaRecord { seq: 1, op: DeltaOp::PoolRebuilt });
+        assert!(matches!(follower.apply(delta), Err(ReplicaError::NoBaseline)));
+        assert!(matches!(Follower::new(registry()).promote(), Err(ReplicaError::NoBaseline)));
     }
 
     #[test]

@@ -1161,6 +1161,55 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_mismatched_registry_and_garbage_typed() {
+        let (mut sched, model) = one_model_scheduler(ServeConfig::default());
+        let session = sched.open_session(model, 1e-10, 0).unwrap();
+        sched.submit(session, &[0.4; 3], 0, 50).unwrap();
+        let bytes = sched.snapshot().unwrap();
+
+        // Same name, different compiled tables -> fingerprint mismatch.
+        let retuned = ModelRegistry::build([("m".to_string(), tiny_model(-3.0e9))]);
+        assert!(matches!(
+            Scheduler::restore(&bytes, &retuned),
+            Err(ServeError::RegistryMismatch { index: 0, .. })
+        ));
+        // Same tables, different name.
+        let renamed = ModelRegistry::build([("other".to_string(), tiny_model(-1.0e9))]);
+        assert!(matches!(
+            Scheduler::restore(&bytes, &renamed),
+            Err(ServeError::RegistryMismatch { index: 0, .. })
+        ));
+        // Empty registry.
+        assert!(matches!(
+            Scheduler::restore(&bytes, &ModelRegistry::build([])),
+            Err(ServeError::RegistryMismatch { index: 0, .. })
+        ));
+        // Garbage bytes fail at the wire layer, typed.
+        assert!(matches!(
+            Scheduler::restore(&Bytes::from(vec![0u8; 40]), sched.registry()),
+            Err(ServeError::Wire(_))
+        ));
+        // A non-snapshot record is refused.
+        let wrong = WireRecord::Response(crate::wire::ResponseChunk {
+            session: 0,
+            request: 0,
+            samples: vec![],
+        })
+        .encode();
+        assert!(matches!(
+            Scheduler::restore(&wrong, sched.registry()),
+            Err(ServeError::SnapshotInvalid { .. })
+        ));
+        // A registry with extra models appended past the snapshot's is
+        // accepted — the snapshot's prefix is what must match.
+        let superset = ModelRegistry::build([
+            ("m".to_string(), tiny_model(-1.0e9)),
+            ("extra".to_string(), tiny_model(-2.0e9)),
+        ]);
+        assert!(Scheduler::restore(&bytes, &superset).is_ok());
+    }
+
+    #[test]
     fn mixed_dt_sessions_of_one_model_batch_separately_and_correctly() {
         let (mut sched, model) = one_model_scheduler(ServeConfig::default());
         let sim = Arc::clone(sched.registry().get(model).unwrap());
