@@ -8,8 +8,9 @@
 //! pool construction and each region becomes an epoch handoff to parked
 //! workers. This bench pits the two against each other on the same
 //! task mix: `pool_reuse_pooled_r{R}` builds one pool for R rounds,
-//! `pool_reuse_spawn_r{R}` builds (spawns/joins) a fresh pool per round
-//! — exactly what the pre-pool `run_sweep_with` did per region.
+//! `pool_reuse_spawn_r{R}` builds (spawns/joins) a fresh pool per round.
+//! Both time [`SweepPool::run_with`](rvf_numerics::SweepPool::run_with)
+//! dispatch, the path every fitting and serving round takes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rvf_numerics::{SweepConfig, SweepPool};
@@ -75,7 +76,7 @@ fn bench_pool_reuse(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
+    config = Criterion::default().sample_size(10).quick_sample_size(5);
     targets = bench_pool_reuse
 }
 criterion_main!(benches);

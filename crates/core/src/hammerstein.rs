@@ -178,7 +178,6 @@ impl HammersteinModel {
     pub fn compile(&self) -> crate::CompiledSim {
         let mut b = crate::SimBuilder::new();
         let s = b.drive_rational(&self.static_path.primitive);
-        b.set_static_drive(s);
         for block in &self.blocks {
             match block {
                 DynBlock::Real { a, f } => {
@@ -192,7 +191,9 @@ impl HammersteinModel {
                 }
             }
         }
-        b.build()
+        // Every row is registered before a block references it, so the
+        // wiring check has nothing to reject.
+        b.lower(s)
     }
 
     /// Simulates the model for inputs sampled at fixed `dt`, returning

@@ -6,7 +6,7 @@
 //! for every thread count. A mid-batch worker panic surfaces as
 //! [`ServingError::WorkerPanicked`] and leaves the pool usable.
 
-use rvf_numerics::{resolve_threads, SweepPool};
+use rvf_numerics::SweepPool;
 
 use super::compile::CompiledSim;
 use super::session::SessionChunk;
@@ -35,13 +35,13 @@ impl CompiledSim {
         Ok(outs)
     }
 
-    /// Pushes many stimuli through the model from the fresh state,
-    /// fanning one task per stimulus over the configured worker count
-    /// ([`with_threads`](CompiledSim::with_threads); `1` = serial
-    /// default). Outputs come back in stimulus order and are
-    /// **bit-identical** to calling [`simulate`](CompiledSim::simulate)
-    /// per stimulus, for every thread count. On error no partial output
-    /// escapes and any pool used internally is torn down cleanly.
+    /// Pushes many stimuli through the model from the fresh state, one
+    /// after another on the calling thread (a one-worker round; use
+    /// [`try_simulate_batch_in`](CompiledSim::try_simulate_batch_in) to
+    /// fan them over a pool). Outputs come back in stimulus order and
+    /// are **bit-identical** to calling
+    /// [`simulate`](CompiledSim::simulate) per stimulus. On error no
+    /// partial output escapes.
     ///
     /// # Errors
     ///
@@ -54,17 +54,14 @@ impl CompiledSim {
         dt: f64,
         stimuli: &[&[f64]],
     ) -> Result<Vec<Vec<f64>>, ServingError> {
-        let workers = resolve_threads(self.threads).min(stimuli.len());
-        if workers <= 1 {
-            return self.batch_core(None, dt, stimuli);
-        }
-        self.batch_core(Some(&SweepPool::new(workers)), dt, stimuli)
+        self.batch_core(None, dt, stimuli)
     }
 
     /// [`try_simulate_batch`](CompiledSim::try_simulate_batch) on a
     /// borrowed [`SweepPool`]: the batch runs as one round on the pool's
-    /// already-parked workers, so a serving process pays the spawn cost
-    /// once, not per batch. After an
+    /// already-parked workers, one task per stimulus, so a serving
+    /// process pays the spawn cost once, not per batch. Output is
+    /// bit-identical for every worker count. After an
     /// [`Err(ServingError::WorkerPanicked)`](ServingError::WorkerPanicked)
     /// the pool remains usable — the panic is contained to the failed
     /// round (the [`SweepPool`] containment contract).
@@ -99,7 +96,8 @@ mod tests {
         let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
         let serial: Vec<Vec<f64>> = refs.iter().map(|s| sim.simulate(2.0e-11, s)).collect();
         for threads in [1, 2, 4, 0] {
-            let got = sim.clone().with_threads(threads).try_simulate_batch(2.0e-11, &refs).unwrap();
+            let pool = SweepPool::new(threads);
+            let got = sim.try_simulate_batch_in(&pool, 2.0e-11, &refs).unwrap();
             for (k, (a, b)) in got.iter().zip(&serial).enumerate() {
                 assert_eq!(a.len(), b.len(), "stimulus {k}, threads {threads}");
                 for (x, y) in a.iter().zip(b) {

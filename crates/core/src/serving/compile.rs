@@ -52,8 +52,7 @@ enum BlockSpec {
 /// ([`HammersteinModel::compile`](crate::HammersteinModel::compile))
 /// and the CAFFEINE baseline (`rvf-caffeine`): register every stage
 /// primitive as a *drive row*, point the blocks at their rows, mark the
-/// static path, and [`try_build`](SimBuilder::try_build) (or
-/// [`build`](SimBuilder::build) for infallible internal callers).
+/// static path, and [`try_build`](SimBuilder::try_build).
 #[derive(Debug, Clone, Default)]
 pub struct SimBuilder {
     drives: Vec<DriveSpec>,
@@ -116,7 +115,15 @@ impl SimBuilder {
     /// [`ServingError::MissingStaticDrive`] if no static drive was set,
     /// [`ServingError::BadDrive`] if the static path or a block
     /// references an unregistered drive row.
-    pub fn try_build(mut self) -> Result<CompiledSim, ServingError> {
+    pub fn try_build(self) -> Result<CompiledSim, ServingError> {
+        let static_row = self.check_wiring()?;
+        Ok(self.lower(static_row))
+    }
+
+    /// The wiring check behind [`try_build`](SimBuilder::try_build):
+    /// returns the static row once it and every block's drive rows name
+    /// registered rows.
+    fn check_wiring(&self) -> Result<usize, ServingError> {
         let static_row = self.static_drive.ok_or(ServingError::MissingStaticDrive)?;
         let n_user = self.drives.len();
         let check = |d: usize| {
@@ -136,6 +143,14 @@ impl SimBuilder {
                 }
             }
         }
+        Ok(static_row)
+    }
+
+    /// Lowers the builder with `static_row` as the static path, without
+    /// the wiring check: for in-crate lowerings that register every row
+    /// before referencing it
+    /// ([`HammersteinModel::compile`](crate::HammersteinModel::compile)).
+    pub(crate) fn lower(mut self, static_row: usize) -> CompiledSim {
         // Real blocks need a second (identically zero) drive component
         // so every block is a uniform 2-wide slot; one synthetic all-zero
         // row serves them all.
@@ -217,8 +232,7 @@ impl SimBuilder {
             }
         }
 
-        Ok(CompiledSim {
-            threads: 1,
+        CompiledSim {
             static_row,
             n_drives,
             head,
@@ -234,20 +248,7 @@ impl SimBuilder {
             omega,
             d1,
             d2,
-        })
-    }
-
-    /// [`try_build`](SimBuilder::try_build) for infallible internal
-    /// callers (the model lowerings construct their wiring themselves,
-    /// so a failure is a construction bug, not a data-dependent
-    /// condition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no static drive was set or a drive row reference is
-    /// out of range.
-    pub fn build(self) -> CompiledSim {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+        }
     }
 }
 
@@ -274,10 +275,6 @@ pub(crate) struct BlockCoef {
 /// [`StreamingSession`](super::StreamingSession).
 #[derive(Debug, Clone)]
 pub struct CompiledSim {
-    /// Worker threads for
-    /// [`try_simulate_batch`](CompiledSim::try_simulate_batch) (`1` =
-    /// serial, `0` = one per core).
-    pub(crate) threads: usize,
     pub(crate) static_row: usize,
     pub(crate) n_drives: usize,
     /// `[c0, c1, 0.5·q]` quadratic heads, one row per drive.
@@ -306,21 +303,6 @@ pub struct CompiledSim {
 }
 
 impl CompiledSim {
-    /// Sets the worker-thread request of
-    /// [`try_simulate_batch`](CompiledSim::try_simulate_batch) (`1` =
-    /// serial — the default, `0` = one worker per core), following the
-    /// `VfOptions::threads` convention.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The configured batch worker request.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Number of drive rows (static stages, including the synthetic
     /// zero row real blocks share).
     pub fn n_drives(&self) -> usize {
@@ -340,11 +322,10 @@ impl CompiledSim {
     }
 
     /// A 64-bit fingerprint of the lowered serving tables (FNV-1a over
-    /// every table's exact bit pattern, excluding the runtime-only
-    /// thread request). Two compilations of the same model produce the
-    /// same fingerprint; any table difference — even an `f64` differing
-    /// only in its last bit — produces a different one with
-    /// overwhelming probability.
+    /// every table's exact bit pattern). Two compilations of the same
+    /// model produce the same fingerprint; any table difference — even
+    /// an `f64` differing only in its last bit — produces a different
+    /// one with overwhelming probability.
     ///
     /// This is the identity check of the durability layer: a serialized
     /// scheduler snapshot records the fingerprint of every registry
@@ -474,7 +455,7 @@ mod tests {
         let d1 = b.drive_rational(&t1);
         let d2 = b.drive_rational(&t2);
         b.block_pair(-1.0e9, 4.0e9, d1, d2);
-        let sim = b.build();
+        let sim = b.try_build().unwrap();
         // Identical pole sequences collapse to ONE feature slot.
         assert_eq!(sim.n_pole_features(), 1);
         assert_eq!(sim.n_drives(), 3);
@@ -493,23 +474,7 @@ mod tests {
         let d2 = b.drive_rational(&term(0.2));
         b.set_static_drive(d1);
         b.block_pair(-1.0e9, 2.0e9, d1, d2);
-        assert_eq!(b.build().n_pole_features(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "static drive row not set")]
-    fn builder_requires_static_row() {
-        let _ = SimBuilder::new().build();
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn builder_rejects_dangling_drive_reference() {
-        let mut b = SimBuilder::new();
-        let s = b.drive_poly(&[0.0]);
-        b.set_static_drive(s);
-        b.block_real(-1.0, 7);
-        let _ = b.build();
+        assert_eq!(b.try_build().unwrap().n_pole_features(), 2);
     }
 
     #[test]
@@ -551,15 +516,10 @@ mod tests {
             let s = b.drive_poly(&[0.0, slope]);
             b.set_static_drive(s);
             b.block_real(a, s);
-            b.build()
+            b.try_build().unwrap()
         };
         // Recompiling the same model reproduces the fingerprint exactly.
         assert_eq!(build(-1.0e9, 1.0).fingerprint(), build(-1.0e9, 1.0).fingerprint());
-        // The runtime-only thread request is excluded.
-        assert_eq!(
-            build(-1.0e9, 1.0).with_threads(4).fingerprint(),
-            build(-1.0e9, 1.0).fingerprint()
-        );
         // A last-bit table difference changes it.
         let a = -1.0e9_f64;
         let nudged = f64::from_bits(a.to_bits() ^ 1);
@@ -575,7 +535,7 @@ mod tests {
         b.set_static_drive(s);
         let f = b.drive_poly(&[0.0, 0.0, 0.0, 1.0]);
         b.block_real(-1.0e12, f);
-        let sim = b.build();
+        let sim = b.try_build().unwrap();
         assert_eq!(sim.pdeg, 3);
         // With a pole this fast the block output is ≈ −f(u)/a at every
         // sample; check the static path + near-static block algebra.

@@ -27,7 +27,10 @@
 //! Every style runs the same single-simulation kernel over one
 //! [`SimState`] at a time; [`CompiledSim::advance_chunks`] is the one
 //! routine that fans chunks over a pool, and the batch entry points are
-//! an `advance_chunks` round over fresh states.
+//! an `advance_chunks` round over fresh states. That round always runs
+//! on a caller-owned [`SweepPool`](rvf_numerics::SweepPool) (a local
+//! one-worker pool when none is given): the model carries no thread
+//! setting, and the module holds no global state.
 //!
 //! Every kernel expression reproduces the reference loop's operation
 //! order, so compiled output equals the reference sample-for-sample
@@ -166,27 +169,6 @@ pub(crate) fn check_stimulus(chunk: &[f64]) -> Result<(), ServingError> {
     Ok(())
 }
 
-/// Test-only poison switch: when armed, the next
-/// [`CompiledSim::advance_chunks`] task panics (exactly one — the flag
-/// is consumed atomically). This is
-/// the seam the worker-panic regression tests use to drive a genuine
-/// mid-batch panic through the checked path; it must never be called
-/// outside a dedicated test binary.
-#[doc(hidden)]
-pub fn poison_next_group() {
-    POISON.store(true, core::sync::atomic::Ordering::SeqCst);
-}
-
-pub(crate) static POISON: core::sync::atomic::AtomicBool =
-    core::sync::atomic::AtomicBool::new(false);
-
-/// Consumes the poison flag; the caller panics if it was armed.
-pub(crate) fn trip_poison() {
-    if POISON.swap(false, core::sync::atomic::Ordering::SeqCst) {
-        panic!("injected serving worker panic (test poison)");
-    }
-}
-
 /// Shared fixtures for the serving unit tests.
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -207,7 +189,7 @@ pub(crate) mod testutil {
             constant: 0.0,
         });
         b.block_real(a, f);
-        b.build()
+        b.try_build().unwrap()
     }
 }
 

@@ -14,11 +14,11 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use rvf_numerics::{run_sweep_with, SweepConfig, SweepError, SweepPool};
+use rvf_numerics::{SweepConfig, SweepError, SweepPool};
 
 use super::compile::CompiledSim;
 use super::state::{advance, SimState};
-use super::{check_dt, check_stimulus, trip_poison, ServingError};
+use super::{check_dt, check_stimulus, ServingError};
 
 /// A resumable streaming evaluation of one stimulus.
 ///
@@ -39,7 +39,7 @@ use super::{check_dt, check_stimulus, trip_poison, ServingError};
 /// let s = b.drive_poly(&[0.0, 1.0]);
 /// b.set_static_drive(s);
 /// b.block_real(-1.0e9, s);
-/// let sim = b.build();
+/// let sim = b.try_build().unwrap();
 ///
 /// let stimulus = [0.0, 0.5, 1.0, 1.0, 0.25];
 /// let mut session = sim.session(1.0e-10).unwrap();
@@ -191,11 +191,11 @@ struct Job<'a> {
 
 impl CompiledSim {
     /// Advances many independent sessions through one chunk each — one
-    /// pool task per non-empty chunk over `pool` when one is given,
-    /// inline on the calling thread otherwise. Both paths produce
-    /// identical bits: each chunk's output equals what
-    /// [`simulate_into`](CompiledSim::simulate_into) would produce for
-    /// that state alone, whatever the worker count or path.
+    /// pool task per non-empty chunk, as one round on `pool`, or on a
+    /// local one-worker pool (inline on the calling thread) when `pool`
+    /// is `None`. Both produce identical bits: each chunk's output
+    /// equals what [`simulate_into`](CompiledSim::simulate_into) would
+    /// produce for that state alone, whatever the worker count.
     ///
     /// This is the batching seam for a scheduler that owns its session
     /// table outright (e.g. `rvf-serve`): it borrows nothing across
@@ -256,7 +256,6 @@ impl CompiledSim {
             })
             .collect();
         let task = |ws: &mut SimState, k: usize| {
-            trip_poison();
             let job = &jobs[k];
             let mut sink = job.sink.lock().unwrap_or_else(PoisonError::into_inner);
             let (output, next) = &mut *sink;
@@ -264,25 +263,21 @@ impl CompiledSim {
             advance(self, dt, ws, job.input, output);
             Ok::<_, core::convert::Infallible>(ws.save_carry(next))
         };
-        let memos = match pool {
-            Some(pool) => {
-                let mut workspaces = vec![scratch; pool.workers()];
-                pool.run_with(
-                    jobs.len(),
-                    &SweepConfig::threads(pool.workers()),
-                    &mut workspaces,
-                    task,
-                )
+        let serial;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => {
+                serial = SweepPool::new(1);
+                &serial
             }
-            // Serial path with the same containment semantics: a
-            // panicked task surfaces as WorkerPanicked, not an unwinding
-            // panic, and nothing is committed.
-            None => run_sweep_with(jobs.len(), &SweepConfig::threads(1), &mut [scratch], task),
-        }
-        .map_err(|e| match e {
-            SweepError::WorkerPanicked { worker } => ServingError::WorkerPanicked { worker },
-            SweepError::Task { error, .. } => match error {},
-        })?;
+        };
+        let mut workspaces = vec![scratch; pool.workers()];
+        let memos = pool
+            .run_with(jobs.len(), &SweepConfig::threads(pool.workers()), &mut workspaces, task)
+            .map_err(|e| match e {
+                SweepError::WorkerPanicked { worker } => ServingError::WorkerPanicked { worker },
+                SweepError::Task { error, .. } => match error {},
+            })?;
         drop(jobs);
         // Commit only after every task succeeded.
         let advanced = chunks.iter_mut().filter(|c| !c.input.is_empty());
@@ -326,7 +321,7 @@ mod tests {
         b.set_static_drive(s);
         b.block_real(-1.0e9, s);
         b.block_real(-2.0e9, s);
-        let other = b.build();
+        let other = b.try_build().unwrap();
         assert!(matches!(
             sim.session_from(1e-10, other.new_state()),
             Err(ServingError::StateMismatch)

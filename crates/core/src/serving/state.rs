@@ -47,7 +47,7 @@ use super::{check_dt, check_stimulus, dt_ok, ServingError};
 ///     constant: 0.0,
 /// });
 /// b.block_real(-1.0e9, f);
-/// let sim = b.build();
+/// let sim = b.try_build().unwrap();
 ///
 /// // Stream a stimulus in two chunks; the result is bit-identical to
 /// // the one-shot call.
@@ -422,7 +422,7 @@ impl CompiledSim {
     /// let s = b.drive_poly(&[0.0, 1.0]);
     /// b.set_static_drive(s);
     /// b.block_real(-1.0e9, s);
-    /// let sim = b.build();
+    /// let sim = b.try_build().unwrap();
     ///
     /// let mut state = sim.new_state();
     /// let mut out = [0.0; 2];
@@ -663,7 +663,7 @@ mod tests {
         b.set_static_drive(s);
         b.block_real(-1.0e9, s);
         b.block_real(-2.0e9, s);
-        let bigger = b.build();
+        let bigger = b.try_build().unwrap();
         let mut foreign = bigger.new_state();
         let mut out = [0.0; 1];
         assert_eq!(
@@ -710,7 +710,7 @@ mod tests {
         b.set_static_drive(s);
         b.block_real(-1.0e9, s);
         b.block_real(-2.0e9, s);
-        let bigger = b.build();
+        let bigger = b.try_build().unwrap();
         assert!(matches!(bigger.import_state(&ckpt), Err(ServingError::StateMismatch)));
 
         // A checkpoint whose vectors lie about their lengths is refused

@@ -216,7 +216,7 @@ proptest! {
         let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
         let sim = m.compile();
         let serial: Vec<Vec<f64>> = refs.iter().map(|s| sim.simulate(1e-10, s)).collect();
-        let batch = sim.clone().with_threads(threads).try_simulate_batch(1e-10, &refs).unwrap();
+        let batch = sim.try_simulate_batch_in(&SweepPool::new(threads), 1e-10, &refs).unwrap();
         prop_assert_eq!(batch.len(), serial.len());
         for (k, (a, b)) in batch.iter().zip(&serial).enumerate() {
             prop_assert_eq!(a.len(), b.len(), "stimulus {}", k);

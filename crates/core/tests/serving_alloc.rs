@@ -59,7 +59,7 @@ fn simulate_into_allocates_nothing_per_chunk_in_steady_state() {
     b.block_pair(-1.0e9, 3.0e9, f1, f2);
     let fr = b.drive_poly(&[0.0, 0.7]);
     b.block_real(-2.0e9, fr);
-    let sim = b.build();
+    let sim = b.try_build().expect("valid wiring");
 
     let dt = 1.0e-10;
     let chunk: Vec<f64> = (0..256).map(|i| ((i / 3) as f64 * 0.17).sin()).collect();

@@ -3,22 +3,15 @@
 //! `Err(ServingError::WorkerPanicked)` from the checked APIs — not
 //! propagate — and the pool must stay usable for the next round.
 //!
-//! Lives in its own test binary: the poison switch
-//! (`poison_next_group`) is process-global, so every test here
-//! serializes through [`lock`] to keep armed windows from racing.
+//! Panics are injected through the pool's own fault seam
+//! ([`SweepPool::inject_panic`]), which arms one pool and nothing else,
+//! so these tests run in parallel. The loop-until-dry storm, which pins
+//! the process-global `pool_constructions()` counter, lives in its own
+//! binary (`serving_poison_pool_count.rs`).
 
-use std::sync::{Mutex, MutexGuard};
-
-use proptest::prelude::*;
-use rvf_core::serving::{poison_next_group, SessionChunk};
+use rvf_core::serving::SessionChunk;
 use rvf_core::{CompiledSim, IntegratedStateFn, ServingError, SimBuilder, SimState};
-use rvf_numerics::{pool_constructions, SweepPool};
-
-static POISON_GUARD: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    POISON_GUARD.lock().unwrap_or_else(|p| p.into_inner())
-}
+use rvf_numerics::SweepPool;
 
 fn nonlinear_sim() -> CompiledSim {
     let mut b = SimBuilder::new();
@@ -31,7 +24,7 @@ fn nonlinear_sim() -> CompiledSim {
         constant: 0.0,
     });
     b.block_real(-1.0e9, f);
-    b.build()
+    b.try_build().expect("valid wiring")
 }
 
 /// One pooled [`CompiledSim::advance_chunks`] round: `states[i]`
@@ -55,7 +48,6 @@ fn advance_round(
 
 #[test]
 fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
-    let _g = lock();
     let mut b = SimBuilder::new();
     let zero = b.drive_poly(&[0.0]);
     b.set_static_drive(zero);
@@ -66,7 +58,7 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
         constant: 0.0,
     });
     b.block_real(-1.0e9, f);
-    let sim = b.build();
+    let sim = b.try_build().expect("valid wiring");
 
     let dt = 1.0e-10;
     let stims: Vec<Vec<f64>> = (0..12).map(|k| vec![0.05 * k as f64; 64]).collect();
@@ -76,7 +68,7 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
     let pool = SweepPool::new(2);
 
     // --- batch path ---
-    poison_next_group();
+    pool.inject_panic();
     let err = sim.try_simulate_batch_in(&pool, dt, &refs).unwrap_err();
     assert!(matches!(err, ServingError::WorkerPanicked { .. }), "got {err:?}");
     // The panic was contained to that round: the same pool serves the
@@ -87,7 +79,7 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
     // --- many-session path ---
     let mut states: Vec<SimState> = (0..12).map(|_| sim.new_state()).collect();
     let mut outs: Vec<Vec<f64>> = refs.iter().map(|u| vec![0.0; u.len()]).collect();
-    poison_next_group();
+    pool.inject_panic();
     let err = advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap_err();
     assert!(matches!(err, ServingError::WorkerPanicked { .. }), "got {err:?}");
     // Transactional: nothing was applied — every session still has zero
@@ -106,42 +98,40 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
     }
 }
 
-/// The `advance_chunks` seam under poison, pooled and serial: a
-/// panicked round commits nothing, the retry on the same pool (or the
-/// same serial path) matches the one-shot simulation bit for bit, and
+/// The `advance_chunks` seam under poison, pooled and serial (a
+/// one-worker pool): a panicked round commits nothing, the retry on the
+/// same pool matches the one-shot simulation bit for bit, and
 /// `contained_panics` counts what the pool absorbed.
 #[test]
 fn advance_chunks_contains_panics_on_both_paths() {
-    let _g = lock();
     let sim = nonlinear_sim();
     let dt = 1.0e-10;
     let stims: Vec<Vec<f64>> = (0..5).map(|k| vec![0.07 * (k + 1) as f64; 24]).collect();
     let want: Vec<Vec<f64>> = stims.iter().map(|u| sim.simulate(dt, u)).collect();
-    let pool = SweepPool::new(2);
+    let pooled = SweepPool::new(2);
+    let serial = SweepPool::new(1);
 
-    for pool_arg in [Some(&pool), None] {
+    for pool in [&pooled, &serial] {
         let mut states: Vec<SimState> =
             (0..5).map(|_| sim.session(dt).unwrap().into_state()).collect();
         let mut outs: Vec<Vec<f64>> = stims.iter().map(|u| vec![0.0; u.len()]).collect();
         let panics_before = pool.contained_panics();
 
-        poison_next_group();
+        pool.inject_panic();
         let mut chunks: Vec<SessionChunk<'_>> = states
             .iter_mut()
             .zip(&stims)
             .zip(outs.iter_mut())
             .map(|((state, u), out)| SessionChunk { state, input: u, output: out })
             .collect();
-        let err = sim.advance_chunks(dt, &mut chunks, pool_arg).unwrap_err();
+        let err = sim.advance_chunks(dt, &mut chunks, Some(pool)).unwrap_err();
         assert!(matches!(err, ServingError::WorkerPanicked { .. }), "got {err:?}");
         drop(chunks);
         // Transactional: no state advanced.
         for state in &states {
             assert_eq!(state.samples(), 0, "panicked round committed state");
         }
-        if pool_arg.is_some() {
-            assert_eq!(pool.contained_panics(), panics_before + 1);
-        }
+        assert_eq!(pool.contained_panics(), panics_before + 1);
 
         // The retry on the very same path matches the one-shot bits.
         let mut chunks: Vec<SessionChunk<'_>> = states
@@ -150,76 +140,11 @@ fn advance_chunks_contains_panics_on_both_paths() {
             .zip(outs.iter_mut())
             .map(|((state, u), out)| SessionChunk { state, input: u, output: out })
             .collect();
-        sim.advance_chunks(dt, &mut chunks, pool_arg).unwrap();
+        sim.advance_chunks(dt, &mut chunks, Some(pool)).unwrap();
         drop(chunks);
         for ((out, w), state) in outs.iter().zip(&want).zip(&states) {
             assert_eq!(out, w);
             assert_eq!(state.samples(), 24);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Loop-until-dry chaos: keep hammering one pool with randomly
-    /// poisoned `advance_chunks` rounds until three consecutive rounds stay
-    /// clean (with at least eight injected panics along the way). The
-    /// pool must absorb every panic without a single hidden rebuild
-    /// (`pool_constructions()` stays flat) and the surviving clean
-    /// rounds must stay bit-identical to the reference batch.
-    #[test]
-    fn repeated_poison_rounds_until_dry_keep_pool_and_bits(seed in 1u64..(1u64 << 32)) {
-        let _g = lock();
-        let sim = nonlinear_sim();
-        let dt = 1.0e-10;
-        let stims: Vec<Vec<f64>> = (0..12).map(|k| vec![0.05 * k as f64; 32]).collect();
-        let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
-        let want = sim.try_simulate_batch(dt, &refs).unwrap();
-
-        let pool = SweepPool::new(2);
-        let constructions_before = pool_constructions();
-        let mut x = seed;
-        let mut injected = 0u32;
-        let mut dry_streak = 0u32;
-        let mut rounds = 0u32;
-        while (dry_streak < 3 || injected < 8) && rounds < 200 {
-            rounds += 1;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let poisoned = injected < 8 && x % 2 == 0;
-            let mut states: Vec<SimState> = (0..12).map(|_| sim.new_state()).collect();
-            let mut outs: Vec<Vec<f64>> = refs.iter().map(|u| vec![0.0; u.len()]).collect();
-            if poisoned {
-                injected += 1;
-                dry_streak = 0;
-                poison_next_group();
-                let err = advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap_err();
-                let is_panic = matches!(err, ServingError::WorkerPanicked { .. });
-                prop_assert!(is_panic, "expected WorkerPanicked, got {:?}", err);
-                // Nothing committed; an immediate retry on the same
-                // pool recovers the full round.
-                for state in &states {
-                    prop_assert_eq!(state.samples(), 0);
-                }
-            } else {
-                dry_streak += 1;
-            }
-            advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap();
-            for (out, w) in outs.iter().zip(&want) {
-                for (a, b) in out.iter().zip(w) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-        prop_assert!(injected >= 8, "storm never got its panic quota ({injected})");
-        prop_assert!(dry_streak >= 3, "storm never went dry (rounds {rounds})");
-        prop_assert_eq!(
-            pool_constructions(),
-            constructions_before,
-            "panic containment must not rebuild pools behind the caller's back"
-        );
-        prop_assert_eq!(pool.contained_panics(), injected as u64);
     }
 }

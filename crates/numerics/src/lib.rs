@@ -15,9 +15,9 @@
 //!   sweeps,
 //! * a Hessenberg–triangular pencil reduction ([`HtPencil`]) that turns a
 //!   per-snapshot frequency sweep from `O(L·n³)` into `O(n³ + L·n²)`,
-//! * a work-stealing sweep runtime — one-shot executors ([`run_sweep`])
-//!   and a persistent worker pool ([`SweepPool`]) that amortizes thread
-//!   spawn across the many small parallel regions of a recursive fit,
+//! * a work-stealing sweep runtime: a persistent worker pool
+//!   ([`SweepPool`]) that amortizes thread spawn across the many small
+//!   parallel regions of a recursive fit and every serving round,
 //! * Householder [`Qr`] least squares for the fitting systems,
 //! * a balanced Hessenberg + Francis-QR [`eigenvalues`] solver for vector
 //!   fitting pole relocation,
@@ -99,6 +99,6 @@ pub use stats::{
     db10, db20, deg, from_db20, max_abs_err, mean, nrmse, rms, rmse, rmse_complex, unwrap_phase,
 };
 pub use sweep::{
-    pool_constructions, resolve_threads, run_sweep, run_sweep_with, SweepConfig, SweepError,
-    SweepPool, AUTO_PARALLEL_CROSSOVER,
+    pool_constructions, resolve_threads, SweepConfig, SweepError, SweepPool,
+    AUTO_PARALLEL_CROSSOVER,
 };

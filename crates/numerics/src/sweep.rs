@@ -1,4 +1,4 @@
-//! Work-stealing sweep runtime: one-shot sweeps and a persistent pool.
+//! Work-stealing sweep runtime: a persistent pool of parked workers.
 //!
 //! The TFT stage evaluates one transfer function per Jacobian snapshot;
 //! snapshots are independent but *not* uniformly priced: one near a
@@ -10,20 +10,18 @@
 //! `fetch_add`, so load balances itself at task granularity with no
 //! channels, no external dependency beyond `std`.
 //!
-//! Two entry styles share that queue:
+//! [`SweepPool`] is the one entry point. The recursive-VF hot loop runs
+//! *many* small parallel regions (one per relocation round, per pole
+//! count, per pipeline stage), and a serving tier runs one per batch;
+//! paying a spawn/join cycle per region made thread management the
+//! dominant fixed cost. A pool is constructed once per fit, extraction
+//! or serving runtime, and every region becomes a
+//! [`run_with`](SweepPool::run_with) *round*: an epoch handoff to
+//! already-running parked workers, O(µs) instead of O(spawn). A
+//! one-worker pool spawns no thread at all and runs every round inline
+//! on the caller, with the same semantics.
 //!
-//! * [`run_sweep`] / [`run_sweep_with`] — one-shot sweeps; a pool is
-//!   built for the call and torn down afterwards (and skipped entirely
-//!   on the inline single-worker path).
-//! * [`SweepPool`] — a persistent runtime of parked worker threads.
-//!   The recursive-VF hot loop runs *many* small parallel regions (one
-//!   per relocation round, per pole count, per pipeline stage); paying
-//!   a spawn/join cycle per region made thread management the dominant
-//!   fixed cost. A pool is constructed once per fit (or extraction) and
-//!   every region becomes a `run_with` *round*: an epoch handoff to
-//!   already-running parked workers, O(µs) instead of O(spawn).
-//!
-//! Failure semantics (identical for both styles):
+//! Failure semantics:
 //!
 //! * the first task error aborts the sweep — remaining queued tasks are
 //!   dropped, in-flight tasks finish their current item — and is
@@ -31,15 +29,16 @@
 //! * a panicking task is caught at the call site, aborts the sweep the
 //!   same way, and surfaces as [`SweepError::WorkerPanicked`] instead
 //!   of tearing down the caller — on the inline single-worker path too,
-//!   and without poisoning a persistent pool (it stays usable).
+//!   and without poisoning the pool (it stays usable).
 //!
 //! # Examples
 //!
 //! ```
-//! use rvf_numerics::sweep::run_sweep;
+//! use rvf_numerics::sweep::{SweepConfig, SweepPool};
 //!
 //! // Square 0..8 on 3 workers; results come back in task order.
-//! let squares = run_sweep(8, 3, |i| Ok::<_, ()>(i * i)).unwrap();
+//! let pool = SweepPool::new(3);
+//! let squares = pool.run(8, &SweepConfig::threads(3), |i| Ok::<_, ()>(i * i)).unwrap();
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 //!
@@ -81,13 +80,13 @@ pub const AUTO_PARALLEL_CROSSOVER: usize = 8;
 
 /// Tuning knobs of a sweep run.
 ///
-/// `threads` follows the [`run_sweep`] convention (`0` = one worker per
-/// available core). `batch` is the number of consecutive task indices a
-/// worker claims per queue operation: the default of `1` preserves
-/// task-granular stealing, while larger batches cut atomic-queue
-/// traffic for workloads made of many small uniform tasks (e.g. the
-/// per-response blocks of a vector fit) at the cost of coarser load
-/// balancing.
+/// `threads` follows the [`resolve_threads`] convention (`0` = one
+/// worker per available core). `batch` is the number of consecutive
+/// task indices a worker claims per queue operation: the default of `1`
+/// preserves task-granular stealing, while larger batches cut
+/// atomic-queue traffic for workloads made of many small uniform tasks
+/// (e.g. the per-response blocks of a vector fit) at the cost of
+/// coarser load balancing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Worker threads (`0` = available parallelism).
@@ -155,8 +154,8 @@ impl<E: core::fmt::Display> core::fmt::Display for SweepError<E> {
 impl<E: core::fmt::Debug + core::fmt::Display> std::error::Error for SweepError<E> {}
 
 /// Process-wide count of [`SweepPool`] constructions (every
-/// `SweepPool::new`, including the transient pools behind the one-shot
-/// wrappers and single-worker pools that spawn no OS thread).
+/// `SweepPool::new`, including single-worker pools that spawn no OS
+/// thread).
 ///
 /// This is the observable behind the runtime's O(1)-spawn contract: a
 /// fit with R relocation rounds must advance this counter by exactly
@@ -246,6 +245,8 @@ pub struct SweepPool {
     sweeps: AtomicU64,
     rounds: AtomicU64,
     panics: AtomicU64,
+    /// Armed by [`SweepPool::inject_panic`]; consumed by the next round.
+    fault: AtomicBool,
 }
 
 impl core::fmt::Debug for SweepPool {
@@ -291,6 +292,7 @@ impl SweepPool {
             sweeps: AtomicU64::new(0),
             rounds: AtomicU64::new(0),
             panics: AtomicU64::new(0),
+            fault: AtomicBool::new(false),
         }
     }
 
@@ -327,8 +329,19 @@ impl SweepPool {
         self.panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Runs `n_tasks` workspace-free tasks on the pool; the counterpart
-    /// of [`run_sweep`] for a persistent runtime.
+    /// Fault-injection seam for test and chaos harnesses: the next task
+    /// this pool runs panics inside the pool's own containment, so its
+    /// round returns [`SweepError::WorkerPanicked`] and
+    /// [`contained_panics`](SweepPool::contained_panics) counts it.
+    /// Fires exactly once, on the pooled and the inline path alike;
+    /// arming an armed pool changes nothing, and other pools never see
+    /// it.
+    #[doc(hidden)]
+    pub fn inject_panic(&self) {
+        self.fault.store(true, Ordering::Relaxed);
+    }
+
+    /// Runs `n_tasks` workspace-free tasks on the pool.
     ///
     /// # Errors
     ///
@@ -392,11 +405,19 @@ impl SweepPool {
         }
         assert!(!workspaces.is_empty(), "sweep needs at least one workspace");
         self.sweeps.fetch_add(1, Ordering::Relaxed);
+        // An armed pool faults task 0 of this round, which exactly one
+        // worker claims; an unarmed round pays one load, no swap.
+        let faulted =
+            if self.fault.load(Ordering::Relaxed) && self.fault.swap(false, Ordering::Relaxed) {
+                0
+            } else {
+                n_tasks
+            };
         let batch = cfg.batch.max(1);
         let workers =
             resolve_threads(cfg.threads).min(n_tasks).min(workspaces.len()).min(self.capacity);
         if workers <= 1 {
-            let out = run_inline(n_tasks, &mut workspaces[0], &task);
+            let out = run_inline(n_tasks, &mut workspaces[0], &task, faulted);
             if matches!(out, Err(SweepError::WorkerPanicked { .. })) {
                 self.note_panic();
             }
@@ -430,7 +451,7 @@ impl SweepPool {
                     if abort.load(Ordering::Acquire) {
                         return;
                     }
-                    match catch_task(task_ref, ws, i) {
+                    match catch_task(task_ref, ws, i, i == faulted) {
                         // SAFETY: the fetch_add hands every index to
                         // exactly one worker, so this slot is written by
                         // this thread only, and the round handshake
@@ -567,133 +588,27 @@ struct WsPtr<W>(*mut W, PhantomData<W>);
 // SAFETY: see the type-level invariant above.
 unsafe impl<W: Send> Sync for WsPtr<W> {}
 
-/// The no-handoff path shared by every entry point: run all tasks on
-/// the calling thread with full failure-semantics parity (including
-/// panic containment), so a single-worker sweep pays no spawn and no
-/// dispatch.
-fn run_inline<W, T, E, F>(n_tasks: usize, ws: &mut W, task: &F) -> Result<Vec<T>, SweepError<E>>
+/// The no-handoff path of a one-worker round: run all tasks on the
+/// calling thread with full failure-semantics parity (including panic
+/// containment and the injected fault at index `faulted`), so a
+/// single-worker sweep pays no dispatch.
+fn run_inline<W, T, E, F>(
+    n_tasks: usize,
+    ws: &mut W,
+    task: &F,
+    faulted: usize,
+) -> Result<Vec<T>, SweepError<E>>
 where
     F: Fn(&mut W, usize) -> Result<T, E> + Sync,
 {
     let mut out = Vec::with_capacity(n_tasks);
     for i in 0..n_tasks {
-        match catch_task(task, ws, i) {
+        match catch_task(task, ws, i, i == faulted) {
             Ok(v) => out.push(v),
             Err(e) => return Err(e.into_error(0)),
         }
     }
     Ok(out)
-}
-
-/// Runs `n_tasks` independent tasks over `threads` workers using an
-/// atomic-index task queue and returns the results in task order.
-///
-/// `task(i)` is called exactly once for every `i` in `0..n_tasks`
-/// (unless an earlier task fails — see below). Workers claim indices
-/// with a relaxed `fetch_add` on a shared counter, so a slow task only
-/// occupies one worker while the rest keep draining the queue; there is
-/// no up-front partition to go stale.
-///
-/// This is the one-shot form: a transient [`SweepPool`] is built for
-/// the call and dropped afterwards. Callers that sweep repeatedly (the
-/// relocation loop of a vector fit, consecutive extractions) should
-/// hold a pool and use [`SweepPool::run`] /
-/// [`SweepPool::run_with`] so the spawn cost is paid once.
-///
-/// `threads == 0` resolves to [`std::thread::available_parallelism`];
-/// the worker count is additionally clamped to `n_tasks`. With one
-/// worker (or one task) the sweep runs inline on the calling thread,
-/// so single-threaded callers pay no spawn overhead.
-///
-/// # Errors
-///
-/// Returns [`SweepError::Task`] wrapping the first task error observed
-/// (by claim order, not necessarily the lowest failing index — ties
-/// across workers are raced) and [`SweepError::WorkerPanicked`] if a
-/// task panicked. In both cases the queue is drained early: tasks not
-/// yet claimed when the failure is flagged are never started.
-pub fn run_sweep<T, E, F>(n_tasks: usize, threads: usize, task: F) -> Result<Vec<T>, SweepError<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let workers = resolve_threads(threads).min(n_tasks.max(1));
-    let mut units = vec![(); workers];
-    run_sweep_with(n_tasks, &SweepConfig::threads(threads), &mut units, |(), i| task(i))
-}
-
-/// [`run_sweep`] with per-worker mutable state and batched claiming.
-///
-/// `workspaces` is a pool of caller-owned scratch states: worker `w`
-/// borrows `workspaces[w]` exclusively for the whole sweep, so a caller
-/// that keeps the pool alive across sweeps pays its buffer allocations
-/// once — the pattern behind the allocation-free steady state of the
-/// vector-fitting relocation loop. The worker count is the minimum of
-/// the resolved `cfg.threads`, `n_tasks`, and `workspaces.len()`; with
-/// one worker (or one task) the sweep runs inline on the calling thread
-/// using `workspaces[0]`.
-///
-/// This is the one-shot form (a transient [`SweepPool`] backs the
-/// multi-worker path); repeated sweeps should borrow a persistent pool
-/// via [`SweepPool::run_with`] instead.
-///
-/// `cfg.batch` indices are claimed per queue pop (see [`SweepConfig`]).
-/// Results come back in task order, and because every task runs exactly
-/// once on exactly one workspace, the output is independent of the
-/// worker count and claim interleaving for any `task` that is a pure
-/// function of `(workspace-as-scratch, index)`.
-///
-/// # Errors
-///
-/// Identical failure semantics to [`run_sweep`]: the first task error
-/// or contained panic aborts the sweep early. A workspace a panicking
-/// task ran on is left in an unspecified (but valid) state.
-///
-/// # Panics
-///
-/// Panics if `n_tasks > 0` and `workspaces` is empty.
-///
-/// # Examples
-///
-/// ```
-/// use rvf_numerics::sweep::{run_sweep_with, SweepConfig};
-///
-/// // Square 0..8 on 3 workers, each with a reusable scratch buffer.
-/// let mut scratch = vec![Vec::<usize>::new(); 3];
-/// let cfg = SweepConfig::threads(3).with_batch(2);
-/// let squares = run_sweep_with(8, &cfg, &mut scratch, |buf, i| {
-///     buf.clear();
-///     buf.push(i * i);
-///     Ok::<_, ()>(buf[0])
-/// })
-/// .unwrap();
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn run_sweep_with<W, T, E, F>(
-    n_tasks: usize,
-    cfg: &SweepConfig,
-    workspaces: &mut [W],
-    task: F,
-) -> Result<Vec<T>, SweepError<E>>
-where
-    W: Send,
-    T: Send,
-    E: Send,
-    F: Fn(&mut W, usize) -> Result<T, E> + Sync,
-{
-    if n_tasks == 0 {
-        return Ok(Vec::new());
-    }
-    assert!(!workspaces.is_empty(), "run_sweep_with needs at least one workspace");
-    let workers = resolve_threads(cfg.threads).min(n_tasks).min(workspaces.len());
-    if workers <= 1 {
-        // Inline fast path: no pool, no spawn, same semantics —
-        // including panic containment, so a single-snapshot sweep
-        // behaves like a multi-worker one.
-        return run_inline(n_tasks, &mut workspaces[0], &task);
-    }
-    SweepPool::new(workers).run_with(n_tasks, cfg, workspaces, task)
 }
 
 /// Outcome of one guarded task invocation.
@@ -713,14 +628,22 @@ impl<E> TaskFailure<E> {
 
 /// Runs `task(ws, i)` with panics caught at the call site, so a
 /// poisoned task flags the sweep down immediately instead of surfacing
-/// only when its worker is joined. `AssertUnwindSafe` is sound here: on
-/// panic the whole sweep is aborted, every partial result is discarded,
-/// and the workspace is documented as unspecified after a panic.
-fn catch_task<W, T, E, F>(task: &F, ws: &mut W, i: usize) -> Result<T, TaskFailure<E>>
+/// only when its worker is joined. With `inject` set the task panics
+/// before it starts ([`SweepPool::inject_panic`]). `AssertUnwindSafe`
+/// is sound here: on panic the whole sweep is aborted, every partial
+/// result is discarded, and the workspace is documented as unspecified
+/// after a panic.
+fn catch_task<W, T, E, F>(task: &F, ws: &mut W, i: usize, inject: bool) -> Result<T, TaskFailure<E>>
 where
     F: Fn(&mut W, usize) -> Result<T, E> + Sync,
 {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(ws, i))) {
+    let guarded = || {
+        if inject {
+            panic!("injected sweep pool panic");
+        }
+        task(ws, i)
+    };
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(guarded)) {
         Ok(Ok(v)) => Ok(v),
         Ok(Err(error)) => Err(TaskFailure::Error { index: i, error }),
         Err(_payload) => Err(TaskFailure::Panicked),
@@ -746,24 +669,30 @@ mod tests {
     #[test]
     fn results_in_task_order() {
         for threads in [1, 2, 3, 8] {
-            let out = run_sweep(17, threads, |i| Ok::<_, ()>(2 * i + 1)).unwrap();
+            let pool = SweepPool::new(threads);
+            let out =
+                pool.run(17, &SweepConfig::threads(threads), |i| Ok::<_, ()>(2 * i + 1)).unwrap();
             assert_eq!(out, (0..17).map(|i| 2 * i + 1).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn empty_sweep_is_empty() {
-        assert_eq!(run_sweep(0, 4, |_| Ok::<usize, ()>(0)).unwrap(), Vec::<usize>::new());
+        let pool = SweepPool::new(4);
+        let out = pool.run(0, &SweepConfig::threads(4), |_| Ok::<usize, ()>(0)).unwrap();
+        assert_eq!(out, Vec::<usize>::new());
+        assert_eq!(pool.sweeps(), 0);
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let out = run_sweep(100, 7, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok::<_, ()>(i)
-        })
-        .unwrap();
+        let out = SweepPool::new(7)
+            .run(100, &SweepConfig::threads(7), |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok::<_, ()>(i)
+            })
+            .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 100);
         assert_eq!(out.len(), 100);
     }
@@ -771,19 +700,22 @@ mod tests {
     #[test]
     fn uneven_task_cost_still_completes() {
         // One deliberately slow task must not starve the rest.
-        let out = run_sweep(32, 4, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            Ok::<_, ()>(i * i)
-        })
-        .unwrap();
+        let out = SweepPool::new(4)
+            .run(32, &SweepConfig::threads(4), |i| {
+                if i == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                Ok::<_, ()>(i * i)
+            })
+            .unwrap();
         assert_eq!(out[31], 31 * 31);
     }
 
     #[test]
     fn task_error_aborts_and_reports_index() {
-        let err = run_sweep(64, 3, |i| if i == 5 { Err("boom") } else { Ok(i) }).unwrap_err();
+        let err = SweepPool::new(3)
+            .run(64, &SweepConfig::threads(3), |i| if i == 5 { Err("boom") } else { Ok(i) })
+            .unwrap_err();
         match err {
             SweepError::Task { index, error } => {
                 assert_eq!(index, 5);
@@ -798,22 +730,30 @@ mod tests {
         // With one worker the queue is strictly sequential: nothing
         // after the failing index may run.
         let calls = AtomicUsize::new(0);
-        let err = run_sweep(100, 1, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if i == 3 {
-                Err(())
-            } else {
-                Ok(i)
-            }
-        })
-        .unwrap_err();
+        let err = SweepPool::new(1)
+            .run(100, &SweepConfig::threads(1), |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                if i == 3 {
+                    Err(())
+                } else {
+                    Ok(i)
+                }
+            })
+            .unwrap_err();
         assert!(matches!(err, SweepError::Task { index: 3, .. }));
         assert_eq!(calls.load(Ordering::Relaxed), 4);
     }
 
     #[test]
     fn panicking_task_is_contained() {
-        let err = run_sweep(16, 4, |i| if i == 7 { panic!("poisoned") } else { Ok::<_, ()>(i) })
+        let err = SweepPool::new(4)
+            .run(16, &SweepConfig::threads(4), |i| {
+                if i == 7 {
+                    panic!("poisoned")
+                } else {
+                    Ok::<_, ()>(i)
+                }
+            })
             .unwrap_err();
         assert!(matches!(err, SweepError::WorkerPanicked { .. }), "got {err:?}");
     }
@@ -822,10 +762,19 @@ mod tests {
     fn panicking_task_is_contained_on_inline_path() {
         // A single worker (or single task) runs inline on the calling
         // thread; the panic must still become WorkerPanicked there.
-        let err = run_sweep(4, 1, |i| if i == 2 { panic!("inline") } else { Ok::<_, ()>(i) })
+        let err = SweepPool::new(1)
+            .run(4, &SweepConfig::threads(1), |i| {
+                if i == 2 {
+                    panic!("inline")
+                } else {
+                    Ok::<_, ()>(i)
+                }
+            })
             .unwrap_err();
         assert!(matches!(err, SweepError::WorkerPanicked { worker: 0 }), "got {err:?}");
-        let err = run_sweep(1, 8, |_| -> Result<usize, ()> { panic!("single task") }).unwrap_err();
+        let err = SweepPool::new(2)
+            .run(1, &SweepConfig::threads(2), |_| -> Result<usize, ()> { panic!("single task") })
+            .unwrap_err();
         assert!(matches!(err, SweepError::WorkerPanicked { worker: 0 }), "got {err:?}");
     }
 
@@ -834,14 +783,15 @@ mod tests {
         // Sequential single worker: nothing after the panicking index
         // may run, mirroring error_skips_unclaimed_tasks.
         let calls = AtomicUsize::new(0);
-        let err = run_sweep(100, 1, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if i == 3 {
-                panic!("stop here");
-            }
-            Ok::<_, ()>(i)
-        })
-        .unwrap_err();
+        let err = SweepPool::new(1)
+            .run(100, &SweepConfig::threads(1), |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                if i == 3 {
+                    panic!("stop here");
+                }
+                Ok::<_, ()>(i)
+            })
+            .unwrap_err();
         assert!(matches!(err, SweepError::WorkerPanicked { .. }));
         assert_eq!(calls.load(Ordering::Relaxed), 4);
     }
@@ -850,17 +800,20 @@ mod tests {
     fn zero_threads_means_available_parallelism() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
-        // And the sweep accepts it.
-        let out = run_sweep(9, 0, |i| Ok::<_, ()>(i)).unwrap();
+        // And the pool accepts it.
+        let pool = SweepPool::new(0);
+        assert_eq!(pool.workers(), resolve_threads(0));
+        let out = pool.run(9, &SweepConfig::threads(0), |i| Ok::<_, ()>(i)).unwrap();
         assert_eq!(out.len(), 9);
     }
 
     #[test]
     fn batched_claims_cover_every_task() {
+        let pool = SweepPool::new(4);
+        let mut units = vec![(); 4];
         for batch in [1, 2, 3, 7, 100] {
             let cfg = SweepConfig::threads(4).with_batch(batch);
-            let mut units = vec![(); 4];
-            let out = run_sweep_with(23, &cfg, &mut units, |(), i| Ok::<_, ()>(3 * i)).unwrap();
+            let out = pool.run_with(23, &cfg, &mut units, |(), i| Ok::<_, ()>(3 * i)).unwrap();
             assert_eq!(out, (0..23).map(|i| 3 * i).collect::<Vec<_>>(), "batch {batch}");
         }
     }
@@ -869,7 +822,7 @@ mod tests {
     fn batch_zero_is_treated_as_one() {
         let cfg = SweepConfig::threads(2).with_batch(0);
         let mut units = vec![(); 2];
-        let out = run_sweep_with(9, &cfg, &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
+        let out = SweepPool::new(2).run_with(9, &cfg, &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
         assert_eq!(out.len(), 9);
     }
 
@@ -877,9 +830,9 @@ mod tests {
     fn batched_error_aborts_and_reports_index() {
         let cfg = SweepConfig::threads(3).with_batch(4);
         let mut units = vec![(); 3];
-        let err =
-            run_sweep_with(64, &cfg, &mut units, |(), i| if i == 5 { Err("boom") } else { Ok(i) })
-                .unwrap_err();
+        let err = SweepPool::new(3)
+            .run_with(64, &cfg, &mut units, |(), i| if i == 5 { Err("boom") } else { Ok(i) })
+            .unwrap_err();
         assert!(matches!(err, SweepError::Task { index: 5, error: "boom" }), "got {err:?}");
     }
 
@@ -888,10 +841,10 @@ mod tests {
         // Each worker owns one workspace exclusively: the per-workspace
         // tallies must sum to the task count, and a workspace pool kept
         // across sweeps accumulates (i.e. is genuinely reused).
+        let pool = SweepPool::new(3);
         let mut tallies = vec![0usize; 3];
         for _round in 0..2 {
-            let cfg = SweepConfig::threads(3);
-            run_sweep_with(30, &cfg, &mut tallies, |tally, i| {
+            pool.run_with(30, &SweepConfig::threads(3), &mut tallies, |tally, i| {
                 *tally += 1;
                 Ok::<_, ()>(i)
             })
@@ -902,35 +855,39 @@ mod tests {
 
     #[test]
     fn worker_count_clamped_to_workspace_pool() {
-        // 8 requested threads but a pool of 2: only 2 workers run, and
-        // the inline path handles a pool of 1.
-        let mut pool = vec![0usize; 2];
-        let out = run_sweep_with(10, &SweepConfig::threads(8), &mut pool, |t, i| {
-            *t += 1;
-            Ok::<_, ()>(i)
-        })
-        .unwrap();
+        // 8 requested threads but 2 workspaces: only 2 workers run, and
+        // the inline path handles a single workspace.
+        let pool = SweepPool::new(4);
+        let mut tallies = vec![0usize; 2];
+        let out = pool
+            .run_with(10, &SweepConfig::threads(8), &mut tallies, |t, i| {
+                *t += 1;
+                Ok::<_, ()>(i)
+            })
+            .unwrap();
         assert_eq!(out.len(), 10);
-        assert_eq!(pool.iter().sum::<usize>(), 10);
+        assert_eq!(tallies.iter().sum::<usize>(), 10);
         let mut one = vec![0usize];
-        run_sweep_with(5, &SweepConfig::threads(8), &mut one, |t, i| {
+        pool.run_with(5, &SweepConfig::threads(8), &mut one, |t, i| {
             *t += 1;
             Ok::<_, ()>(i)
         })
         .unwrap();
         assert_eq!(one[0], 5);
+        assert_eq!(pool.rounds(), 1, "the single-workspace sweep ran inline");
     }
 
     #[test]
     fn workspace_sweep_contains_panics() {
         let mut units = vec![(); 4];
-        let err = run_sweep_with(16, &SweepConfig::threads(4), &mut units, |(), i| {
-            if i == 7 {
-                panic!("poisoned");
-            }
-            Ok::<_, ()>(i)
-        })
-        .unwrap_err();
+        let err = SweepPool::new(4)
+            .run_with(16, &SweepConfig::threads(4), &mut units, |(), i| {
+                if i == 7 {
+                    panic!("poisoned");
+                }
+                Ok::<_, ()>(i)
+            })
+            .unwrap_err();
         assert!(matches!(err, SweepError::WorkerPanicked { .. }), "got {err:?}");
     }
 
@@ -1111,7 +1068,7 @@ mod tests {
         // delta is pinned in its own integration-test binary.
         let before = pool_constructions();
         let _pool = SweepPool::new(2);
-        let _transient = run_sweep(4, 2, |i| Ok::<_, ()>(i)).unwrap();
+        let _inline = SweepPool::new(1);
         assert!(pool_constructions() >= before + 2);
     }
 
@@ -1120,5 +1077,46 @@ mod tests {
         let pool = SweepPool::new(3);
         let out = pool.run(9, &SweepConfig::threads(3).with_batch(2), |i| Ok::<_, ()>(i + 1));
         assert_eq!(out.unwrap(), (1..=9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn injected_panic_fires_once_on_the_armed_pool_only() {
+        let cfg = |workers| SweepConfig::threads(workers);
+        for workers in [3, 1] {
+            let armed = SweepPool::new(workers);
+            let bystander = SweepPool::new(workers);
+            // Arming is idempotent and an empty round does not consume it.
+            armed.inject_panic();
+            armed.inject_panic();
+            assert!(armed.run(0, &cfg(workers), |i| Ok::<_, ()>(i)).unwrap().is_empty());
+            let calls = AtomicUsize::new(0);
+            let (faulted, clean) = thread::scope(|scope| {
+                let side = scope.spawn(|| {
+                    (0..20)
+                        .map(|_| bystander.run(16, &cfg(workers), |i| Ok::<_, ()>(i)))
+                        .collect::<Vec<_>>()
+                });
+                let faulted = armed.run(16, &cfg(workers), |i| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, ()>(i)
+                });
+                (faulted, side.join().unwrap())
+            });
+            assert!(
+                matches!(faulted, Err(SweepError::WorkerPanicked { .. })),
+                "{workers} workers: got {faulted:?}"
+            );
+            assert_eq!(armed.contained_panics(), 1, "{workers} workers");
+            if workers == 1 {
+                assert_eq!(calls.load(Ordering::Relaxed), 0, "the faulted task runs first");
+            }
+            // A concurrently running pool never sees the fault.
+            assert!(clean.iter().all(|r| r.as_ref().is_ok_and(|v| v.len() == 16)));
+            assert_eq!(bystander.contained_panics(), 0);
+            // The fault was consumed: the armed pool's next round is clean.
+            let out = armed.run(16, &cfg(workers), |i| Ok::<_, ()>(i + 1)).unwrap();
+            assert_eq!(out[15], 16);
+            assert_eq!(armed.contained_panics(), 1, "{workers} workers");
+        }
     }
 }

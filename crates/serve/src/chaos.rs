@@ -10,9 +10,9 @@
 //! Five fault classes mirror the failure modes the scheduler must
 //! absorb:
 //!
-//! * [`Fault::WorkerPanic`] — the next batch round panics inside a
-//!   worker ([`arm_worker_panic`] arms the one-shot poison seam of the
-//!   serving runtime).
+//! * [`Fault::WorkerPanic`] — the next batch round of one scheduler
+//!   panics inside a worker ([`arm_worker_panic`] arms the one-shot
+//!   fault seam of that scheduler's pool).
 //! * [`Fault::BadStimulus`] — a NaN/∞ sample is written into the chunk
 //!   ([`ChaosInjector::corrupt`]), exercising admission-time rejection.
 //! * [`Fault::OversizedChunk`] — the chunk is inflated past the
@@ -29,6 +29,8 @@
 //!   [`Follower`](crate::replica::Follower) from the truncated log,
 //!   resubmits unacknowledged work, and asserts the client-visible
 //!   streams stay bit-identical to an uninterrupted run.
+
+use crate::Scheduler;
 
 /// One injected fault, drawn by [`ChaosInjector::sample`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,12 +197,12 @@ impl ChaosInjector {
     }
 }
 
-/// Arms the serving runtime's one-shot poison seam: the next batch
-/// group to execute (pooled or serial) panics inside its worker. The
-/// flag is process-global and consumed by exactly one group, so tests
-/// injecting panics must serialize their use of this seam.
-pub fn arm_worker_panic() {
-    rvf_core::serving::poison_next_group();
+/// Arms the one-shot fault seam of `sched`'s current pool: the next
+/// batch round `sched` runs (pooled or degraded) panics inside a
+/// worker, exactly once. Other schedulers are unaffected, so harnesses
+/// driving several schedulers need no serialization.
+pub fn arm_worker_panic(sched: &Scheduler) {
+    sched.pool().inject_panic();
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@
 //! let s = b.drive_poly(&[0.0, 1.0]);
 //! b.set_static_drive(s);
 //! b.block_real(-1.0e9, s);
-//! let registry = ModelRegistry::build([("lowpass".to_string(), b.build())]);
+//! let registry = ModelRegistry::build([("lowpass".to_string(), b.try_build().unwrap())]);
 //! let model = registry.id("lowpass").unwrap();
 //!
 //! // Serve it with a small admission queue.

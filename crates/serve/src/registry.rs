@@ -42,7 +42,7 @@ impl ModelId {
 /// let s = b.drive_poly(&[0.0, 1.0]);
 /// b.set_static_drive(s);
 /// b.block_real(-1.0e9, s);
-/// let registry = ModelRegistry::build([("lowpass".to_string(), b.build())]);
+/// let registry = ModelRegistry::build([("lowpass".to_string(), b.try_build().unwrap())]);
 /// let id = registry.id("lowpass").unwrap();
 /// assert!(registry.get(id).is_ok());
 /// assert_eq!(registry.len(), 1);
@@ -122,7 +122,7 @@ mod tests {
         let s = b.drive_poly(&[0.0, 1.0]);
         b.set_static_drive(s);
         b.block_real(a, s);
-        b.build()
+        b.try_build().unwrap()
     }
 
     #[test]

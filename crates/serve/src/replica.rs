@@ -47,7 +47,7 @@
 //! let s = b.drive_poly(&[0.0, 1.0]);
 //! b.set_static_drive(s);
 //! b.block_real(-1.0e9, s);
-//! let registry = ModelRegistry::build([("m".to_string(), b.build())]);
+//! let registry = ModelRegistry::build([("m".to_string(), b.try_build().unwrap())]);
 //! let model = registry.id("m").unwrap();
 //!
 //! // Primary journals to a shared in-memory log.
@@ -441,7 +441,7 @@ mod tests {
         let s = b.drive_poly(&[0.0, 1.0]);
         b.set_static_drive(s);
         b.block_real(-1.0e9, s);
-        ModelRegistry::build([("m".to_string(), b.build())])
+        ModelRegistry::build([("m".to_string(), b.try_build().unwrap())])
     }
 
     fn replicated_pair() -> (Scheduler, SharedLog, Follower) {

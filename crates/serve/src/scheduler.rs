@@ -43,8 +43,8 @@
 //! * **Pool rebuild and degradation** — contained worker panics are
 //!   counted per pool ([`SweepPool::contained_panics`]); past a
 //!   threshold the pool is torn down and rebuilt, and past a rebuild
-//!   budget the scheduler degrades to a serial path whose output is
-//!   bit-identical to the pooled path.
+//!   budget the scheduler degrades to a one-worker pool (serial, no
+//!   thread) whose output is bit-identical to the pooled path.
 
 use std::sync::Arc;
 
@@ -133,7 +133,7 @@ pub struct ServeConfig {
     /// and rebuilt.
     pub rebuild_after_panics: u64,
     /// Pool rebuilds tolerated before the scheduler degrades to the
-    /// serial path (bit-identical output, no pool).
+    /// serial path (a one-worker pool; bit-identical output).
     pub degrade_after_rebuilds: u64,
     /// Worker threads of the shared pool (`0` = one per core).
     pub workers: usize,
@@ -212,7 +212,7 @@ struct Picked {
 /// let s = b.drive_poly(&[0.0, 1.0]);
 /// b.set_static_drive(s);
 /// b.block_real(-1.0e9, s);
-/// let registry = ModelRegistry::build([("m".to_string(), b.build())]);
+/// let registry = ModelRegistry::build([("m".to_string(), b.try_build().unwrap())]);
 /// let model = registry.id("m").unwrap();
 ///
 /// let mut sched = Scheduler::new(registry, ServeConfig::default());
@@ -224,8 +224,8 @@ struct Picked {
 pub struct Scheduler {
     registry: Arc<ModelRegistry>,
     core: SchedulerCore<SimState>,
-    /// `None` once degraded to the serial path.
-    pool: Option<SweepPool>,
+    /// Runs every batch round; a one-worker pool once degraded.
+    pool: SweepPool,
     replica: Option<Replication>,
     /// Per-slot scratch for the tick's queue passes — runtime only,
     /// never encoded: the stamp of the pass that last saw the slot's
@@ -243,11 +243,17 @@ impl Scheduler {
         Self::from_core(Arc::new(registry), core)
     }
 
-    /// Wraps committed state in a runtime: a fresh pool unless the state
-    /// is degraded, no replication sink.
+    /// Wraps committed state in a runtime: a fresh pool (one worker if
+    /// the state is degraded), no replication sink.
     pub(crate) fn from_core(registry: Arc<ModelRegistry>, core: SchedulerCore<SimState>) -> Self {
-        let pool = (!core.is_degraded()).then(|| SweepPool::new(core.cfg().workers));
+        let workers = if core.is_degraded() { 1 } else { core.cfg().workers };
+        let pool = SweepPool::new(workers);
         Self { registry, core, pool, replica: None, marks: Vec::new(), pass: 0 }
+    }
+
+    /// The pool the next batch round runs on (the chaos seam arms it).
+    pub(crate) fn pool(&self) -> &SweepPool {
+        &self.pool
     }
 
     /// The shared model registry.
@@ -559,8 +565,8 @@ impl Scheduler {
     /// on produces `f64`-bit-identical streams to an uninterrupted run.
     ///
     /// Restore is a constructor: on any error **nothing is committed**
-    /// (there is no scheduler to corrupt). A degraded scheduler is
-    /// restored degraded; otherwise a fresh pool is spawned.
+    /// (there is no scheduler to corrupt). A fresh pool is spawned; a
+    /// degraded scheduler is restored degraded, on a one-worker pool.
     ///
     /// # Errors
     ///
@@ -746,7 +752,7 @@ impl Scheduler {
                     output: output.as_mut_slice(),
                 })
                 .collect();
-            sim.advance_chunks(dt, &mut chunks, self.pool.as_ref())
+            sim.advance_chunks(dt, &mut chunks, Some(&self.pool))
         };
         match outcome {
             Ok(()) => {
@@ -836,21 +842,19 @@ impl Scheduler {
     /// Thresholds [`SweepPool::contained_panics`]: past
     /// `rebuild_after_panics` the pool is torn down and respawned; past
     /// `degrade_after_rebuilds` rebuilds the scheduler gives up on
-    /// pooling and serves serially (bit-identical, just slower).
+    /// pooling and serves on a one-worker pool (bit-identical, just
+    /// slower). The degraded rung is final.
     fn check_pool_health(&mut self) {
-        let Some(pool) = &self.pool else {
-            return;
-        };
         let cfg = self.core.cfg();
-        if pool.contained_panics() < cfg.rebuild_after_panics {
+        if self.core.is_degraded() || self.pool.contained_panics() < cfg.rebuild_after_panics {
             return;
         }
         if self.core.rebuilds() >= cfg.degrade_after_rebuilds {
-            self.pool = None;
+            self.pool = SweepPool::new(1);
             self.core.degrade();
             self.journal(DeltaOp::Degraded);
         } else {
-            self.pool = Some(SweepPool::new(cfg.workers));
+            self.pool = SweepPool::new(cfg.workers);
             self.core.pool_rebuilt();
             self.journal(DeltaOp::PoolRebuilt);
         }
@@ -867,7 +871,7 @@ mod tests {
         let s = b.drive_poly(&[0.0, 1.0]);
         b.set_static_drive(s);
         b.block_real(a, s);
-        b.build()
+        b.try_build().unwrap()
     }
 
     fn one_model_scheduler(cfg: ServeConfig) -> (Scheduler, ModelId) {

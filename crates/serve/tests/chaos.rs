@@ -15,13 +15,11 @@
 //! 6. the degraded serial path produces the same bits as the pooled
 //!    path.
 //!
-//! The worker-panic seam ([`chaos::arm_worker_panic`]) is a one-shot
-//! process-global flag consumed by the next batch round, so every test
-//! in this binary serializes through [`lock`] — two concurrently
-//! ticking schedulers would race for an armed poison.
+//! The worker-panic seam ([`chaos::arm_worker_panic`]) arms the pool
+//! of one named scheduler and is consumed by that scheduler's next
+//! batch round, so the tests run in parallel and never race for it.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use rvf_core::{CompiledSim, ServingError, SimBuilder};
@@ -29,12 +27,6 @@ use rvf_serve::{
     chaos::{self, ChaosConfig, ChaosInjector, Fault},
     Event, ModelRegistry, Scheduler, ServeConfig, ServeError, SessionHandle,
 };
-
-static POISON_GUARD: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    POISON_GUARD.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// A nonlinear Hammerstein-shaped model: polynomial drives into one
 /// real and one complex-pair block plus a static path.
@@ -46,7 +38,7 @@ fn model(k: f64) -> CompiledSim {
     b.set_static_drive(stat);
     b.block_real(-1.0e9 * k, d1);
     b.block_pair(-0.5e9, 2.0e9, d1, d2);
-    b.build()
+    b.try_build().expect("valid wiring")
 }
 
 fn registry() -> ModelRegistry {
@@ -135,7 +127,7 @@ fn storm(seed: u64) {
                 // retry to completion and the checkpoint must replay to
                 // the same bits afterwards (invariant 3).
                 let cp = sched.checkpoint(clients[who].session).expect("checkpoint");
-                chaos::arm_worker_panic();
+                chaos::arm_worker_panic(&sched);
                 sched
                     .submit(clients[who].session, &chunk, now, now + 200)
                     .expect("submit under armed panic");
@@ -260,7 +252,6 @@ proptest! {
     /// failure reproduces exactly).
     #[test]
     fn chaos_storm_preserves_all_invariants(seed in 1u64..(1u64 << 48)) {
-        let _g = lock();
         storm(seed);
     }
 }
@@ -269,7 +260,6 @@ proptest! {
 /// the proptest shim's seeding changes.
 #[test]
 fn chaos_storm_pinned_seeds() {
-    let _g = lock();
     for seed in [0xDA7E_2013, 0x5EED_0001, 0xB16_B00B5] {
         storm(seed);
     }
@@ -280,7 +270,6 @@ fn chaos_storm_pinned_seeds() {
 /// within its deadline. Nothing blocks, nothing deadlocks.
 #[test]
 fn backpressure_sheds_load_and_serves_admitted() {
-    let _g = lock();
     let cfg = ServeConfig { max_queued_requests: 4, ..Default::default() };
     let mut sched = Scheduler::new(registry(), cfg);
     let model = sched.registry().id("a").expect("registered");
@@ -318,13 +307,47 @@ fn backpressure_sheds_load_and_serves_admitted() {
     assert!(matches!(sched.tick(3)[0], Event::Completed { .. }));
 }
 
+/// The worker-panic seam is per scheduler: with two schedulers over one
+/// registry and only A armed, B's round is clean even when it runs
+/// first, and A's next round is the one that panics and retries.
+#[test]
+fn armed_panic_hits_only_the_named_scheduler() {
+    let shared = registry();
+    let cfg = ServeConfig { retry_backoff_base: 1, rebuild_after_panics: 10, ..Default::default() };
+    let mut a = Scheduler::new(shared.clone(), cfg.clone());
+    let mut b = Scheduler::new(shared, cfg);
+    let model = a.registry().id("a").expect("registered");
+    let sim = a.registry().get(model).expect("model").clone();
+    let (sa, sb) = (
+        a.open_session(model, DT, 0).expect("open on A"),
+        b.open_session(model, DT, 0).expect("open on B"),
+    );
+    let u = [0.4, -0.3, 0.8, 0.1];
+    a.submit(sa, &u, 0, 100).expect("submit to A");
+    b.submit(sb, &u, 0, 100).expect("submit to B");
+
+    chaos::arm_worker_panic(&a);
+    let served = b.tick(1);
+    assert!(
+        matches!(&served[..], [Event::Completed { session, .. }] if *session == sb),
+        "B's round must not consume A's fault: {served:?}"
+    );
+    assert!(a.tick(1).is_empty(), "A's round takes the panic");
+    assert_eq!(a.queued_requests(), 1, "A's chunk waits in retry backoff");
+    assert_eq!(a.samples(sa).expect("live"), 0, "the panicked round committed nothing");
+
+    let mut now = 1u64;
+    let mut outputs = BTreeMap::new();
+    drain(&mut a, &mut now, &mut outputs);
+    assert_bits_eq(&outputs[&sa], &sim.simulate(DT, &u), "A's retried chunk");
+}
+
 /// Invariant 6 plus the rebuild→degrade ladder: repeated panicked
 /// rounds first rebuild the pool, then degrade to the serial path, and
 /// the session's total output stays bit-identical to a clean one-shot
 /// simulation across both transitions.
 #[test]
 fn rebuild_then_degrade_keeps_bits_identical() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 1,
         max_retries: 5,
@@ -343,7 +366,7 @@ fn rebuild_then_degrade_keeps_bits_identical() {
         if round < 2 {
             // Rounds 0 and 1 panic: the first costs a rebuild, the
             // second exhausts the rebuild budget and degrades.
-            chaos::arm_worker_panic();
+            chaos::arm_worker_panic(&sched);
         }
         sched.submit(session, chunk, now, now + 100).expect("submit");
         drain(&mut sched, &mut now, &mut outputs);
@@ -353,7 +376,7 @@ fn rebuild_then_degrade_keeps_bits_identical() {
     assert!(sched.is_degraded(), "second strike degrades to serial");
     assert_bits_eq(&outputs[&session], &sim.simulate(DT, &u), "pooled→degraded stream");
     // Degraded mode still contains panics and still retries.
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     sched.submit(session, &[0.5; 5], now, now + 100).expect("submit degraded");
     drain(&mut sched, &mut now, &mut outputs);
     assert_eq!(sched.samples(session).expect("live"), 65);
@@ -363,7 +386,6 @@ fn rebuild_then_degrade_keeps_bits_identical() {
 /// its retry budget — and its session state is exactly where it was.
 #[test]
 fn retries_exhausted_is_typed_and_commits_nothing() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 1,
         max_retries: 0,
@@ -381,7 +403,7 @@ fn retries_exhausted_is_typed_and_commits_nothing() {
     let mut outputs = BTreeMap::new();
     drain(&mut sched, &mut now, &mut outputs);
 
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     let doomed = sched.submit(session, &[0.3; 6], now, now + 50).expect("doomed submit");
     now += 1;
     let events = sched.tick(now);
@@ -411,7 +433,6 @@ fn retries_exhausted_is_typed_and_commits_nothing() {
 /// serving chunk N+1 before chunk N and corrupting the stream.)
 #[test]
 fn retry_backoff_never_reorders_chunks_within_a_session() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 4,
         max_retries: 4,
@@ -425,7 +446,7 @@ fn retry_backoff_never_reorders_chunks_within_a_session() {
     let (c0, c1) = ([0.3, -0.1, 0.7, 0.2], [0.5, 0.4, -0.6, 0.9]);
     let r0 = sched.submit(session, &c0, 0, 100).expect("submit r0");
     let r1 = sched.submit(session, &c1, 0, 100).expect("submit r1");
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     assert!(sched.tick(1).is_empty(), "panicked round completes nothing");
     // r0 is in backoff until tick 1 + (4 << 0) = 5. Until then the
     // whole session must wait — r1 may not jump ahead.
@@ -460,7 +481,6 @@ fn retry_backoff_never_reorders_chunks_within_a_session() {
 /// sample.
 #[test]
 fn retries_exhausted_cancels_later_chunks_of_same_session() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 1,
         max_retries: 0,
@@ -477,7 +497,7 @@ fn retries_exhausted_cancels_later_chunks_of_same_session() {
     let mut outputs = BTreeMap::new();
     drain(&mut sched, &mut now, &mut outputs);
 
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     let doomed = sched.submit(session, &[0.3; 4], now, now + 50).expect("doomed");
     let tail_request = sched.submit(session, &[0.8; 4], now, now + 50).expect("tail");
     now += 1;
@@ -510,7 +530,6 @@ fn retries_exhausted_cancels_later_chunks_of_same_session() {
 /// for identical submissions (invariant 6, direct A/B form).
 #[test]
 fn degraded_serial_output_matches_pooled_bit_for_bit() {
-    let _g = lock();
     let pooled_cfg = ServeConfig::default();
     // Degrade immediately: zero tolerated rebuilds, one panic trips it.
     let serial_cfg = ServeConfig {
@@ -531,7 +550,7 @@ fn degraded_serial_output_matches_pooled_bit_for_bit() {
         let mut now = 0u64;
         let mut outputs = BTreeMap::new();
         if degrade_first {
-            chaos::arm_worker_panic();
+            chaos::arm_worker_panic(&sched);
         }
         for chunk in u.chunks(9) {
             sched.submit(session, chunk, now, now + 100).expect("submit");
@@ -628,7 +647,6 @@ fn kill_restore_at_seed(seed: u64) {
 /// to never having crashed (pinned seeds, release-mode CI).
 #[test]
 fn kill_restore_replays_bit_identically() {
-    let _g = lock();
     for seed in [0x0C1A_0515, 0xFEED_5EED, 0xDA7E_2013] {
         kill_restore_at_seed(seed);
     }
@@ -640,7 +658,6 @@ proptest! {
     /// Randomized kill–restore: any seed must replay bit-identically.
     #[test]
     fn kill_restore_bit_identity_holds_for_random_seeds(seed in 1u64..(1u64 << 48)) {
-        let _g = lock();
         kill_restore_at_seed(seed);
     }
 }
@@ -651,7 +668,6 @@ proptest! {
 /// and retries afterwards — all bit-identical to one clean simulation.
 #[test]
 fn kill_restore_while_degraded_preserves_ladder_position() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 1,
         max_retries: 5,
@@ -668,7 +684,7 @@ fn kill_restore_while_degraded_preserves_ladder_position() {
     let mut outputs = BTreeMap::new();
     // Two panicked rounds walk the ladder to its last rung.
     for chunk in u[..20].chunks(10) {
-        chaos::arm_worker_panic();
+        chaos::arm_worker_panic(&sched);
         sched.submit(session, chunk, now, now + 100).expect("submit");
         drain(&mut sched, &mut now, &mut outputs);
         now += 1;
@@ -688,7 +704,7 @@ fn kill_restore_while_degraded_preserves_ladder_position() {
 
     // Still on the last rung: a post-restore panic is contained and
     // retried on the serial path, never escalated into a pool respawn.
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     sched.submit(session, &u[30..40], now, now + 100).expect("submit degraded");
     drain(&mut sched, &mut now, &mut outputs);
     assert!(sched.is_degraded() && sched.pool_rebuilds() == 1);
@@ -705,7 +721,6 @@ fn kill_restore_while_degraded_preserves_ladder_position() {
 /// rebuild on a full fresh-pool threshold, degrade past the budget.
 #[test]
 fn kill_restore_mid_rebuild_restarts_panic_count_but_keeps_escalating() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 1,
         max_retries: 5,
@@ -722,7 +737,7 @@ fn kill_restore_mid_rebuild_restarts_panic_count_but_keeps_escalating() {
     let mut outputs = BTreeMap::new();
 
     // One absorbed panic: below the threshold of two, no rebuild yet.
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     sched.submit(session, &u[..10], now, now + 100).expect("submit");
     drain(&mut sched, &mut now, &mut outputs);
     assert_eq!(sched.pool_rebuilds(), 0);
@@ -736,13 +751,13 @@ fn kill_restore_mid_rebuild_restarts_panic_count_but_keeps_escalating() {
 
     // The half-spent threshold died with the old pool: the next panic
     // is strike one against the fresh pool, not strike two.
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     sched.submit(session, &u[10..20], now, now + 100).expect("submit");
     drain(&mut sched, &mut now, &mut outputs);
     assert_eq!(sched.pool_rebuilds(), 0, "a fresh pool restarts the panic count");
 
     // Strike two on the fresh pool completes the threshold: rebuild.
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     sched.submit(session, &u[20..30], now, now + 100).expect("submit");
     drain(&mut sched, &mut now, &mut outputs);
     assert_eq!(sched.pool_rebuilds(), 1, "the ladder keeps escalating after restore");
@@ -750,7 +765,7 @@ fn kill_restore_mid_rebuild_restarts_panic_count_but_keeps_escalating() {
 
     // Two more strikes exhaust the rebuild budget: degrade.
     for chunk in u[30..50].chunks(10) {
-        chaos::arm_worker_panic();
+        chaos::arm_worker_panic(&sched);
         sched.submit(session, chunk, now, now + 100).expect("submit");
         drain(&mut sched, &mut now, &mut outputs);
     }

@@ -16,10 +16,10 @@
 //! 4. the rebuild→degrade ladder (retries, pool rebuilds, degradation)
 //!    replicates exactly and survives promotion.
 //!
-//! The worker-panic seam is process-global and one-shot, so every test
-//! serializes through [`lock`], as in the chaos suite.
+//! The worker-panic seam arms one scheduler's pool, so the tests run in
+//! parallel like any others.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -31,12 +31,6 @@ use rvf_serve::{
     Event, ModelRegistry, Scheduler, ServeConfig, ServeError, SessionHandle,
 };
 
-static POISON_GUARD: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    POISON_GUARD.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Same nonlinear Hammerstein-shaped model family as the chaos suite.
 fn model(k: f64) -> CompiledSim {
     let mut b = SimBuilder::new();
@@ -46,7 +40,7 @@ fn model(k: f64) -> CompiledSim {
     b.set_static_drive(stat);
     b.block_real(-1.0e9 * k, d1);
     b.block_pair(-0.5e9, 2.0e9, d1, d2);
-    b.build()
+    b.try_build().expect("valid wiring")
 }
 
 fn registry() -> ModelRegistry {
@@ -347,7 +341,6 @@ fn failover_at_lag(lag: usize) {
 /// `f64`-bit-identical to the uninterrupted run.
 #[test]
 fn failover_streams_bit_identical_at_lag_0_1_4() {
-    let _g = lock();
     for lag in [0, 1, 4] {
         failover_at_lag(lag);
     }
@@ -358,7 +351,6 @@ fn failover_streams_bit_identical_at_lag_0_1_4() {
 /// and stays refusing at promotion.
 #[test]
 fn retuned_model_refuses_baseline_and_promotion() {
-    let _g = lock();
     let log = RecordLog::default();
     let mut primary = Scheduler::new(registry(), ServeConfig::default());
     primary.attach_replica(Box::new(log.clone()), 1).expect("attach");
@@ -387,7 +379,6 @@ fn retuned_model_refuses_baseline_and_promotion() {
 /// `Diverged` with both digests and refuses promotion.
 #[test]
 fn corrupted_delta_is_caught_by_the_next_digest() {
-    let _g = lock();
     let log = RecordLog::default();
     let mut primary = Scheduler::new(registry(), ServeConfig::default());
     primary.attach_replica(Box::new(log.clone()), 1).expect("attach");
@@ -432,7 +423,6 @@ fn corrupted_delta_is_caught_by_the_next_digest() {
 /// rebuild count, the degraded flag, and bit-identical serving.
 #[test]
 fn ladder_deltas_keep_follower_in_lockstep_and_survive_promotion() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 1,
         max_retries: 5,
@@ -455,7 +445,7 @@ fn ladder_deltas_keep_follower_in_lockstep_and_survive_promotion() {
         if round < 2 {
             // Round 0 costs the rebuild, round 1 exhausts the budget
             // and degrades — every rung journaled as it happens.
-            chaos::arm_worker_panic();
+            chaos::arm_worker_panic(&sched);
         }
         sched.submit(session, chunk, now, now + 100).expect("submit");
         clients[0].chunks.push(chunk.to_vec());
@@ -493,7 +483,6 @@ fn ladder_deltas_keep_follower_in_lockstep_and_survive_promotion() {
 /// sample.
 #[test]
 fn terminal_failure_deltas_replicate_cancelled_queues() {
-    let _g = lock();
     let cfg = ServeConfig {
         retry_backoff_base: 1,
         max_retries: 0,
@@ -518,7 +507,7 @@ fn terminal_failure_deltas_replicate_cancelled_queues() {
     let mut now = 0u64;
     drain_into(&mut sched, &mut now, &mut clients);
 
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     sched.submit(session, &[0.3; 4], now, now + 50).expect("doomed");
     sched.submit(session, &[0.8; 4], now, now + 50).expect("cancelled tail");
     now += 1;
@@ -619,7 +608,6 @@ proptest! {
         pick_b in 0usize..4096,
         mode in 0u8..3,
     ) {
-        let _g = lock();
         let mut records = canonical_log();
         let deltas = delta_positions(&records);
         prop_assume!(deltas.len() >= 2);
@@ -679,7 +667,6 @@ proptest! {
     /// bit-identical to a clean one-shot simulation.
     #[test]
     fn replicated_storm_survives_random_seeds(seed in 1u64..(1u64 << 48)) {
-        let _g = lock();
         replicated_storm(seed);
     }
 }
@@ -778,7 +765,6 @@ fn replicated_storm(seed: u64) {
 /// Pinned replicated storms so CI failures name a reproducible case.
 #[test]
 fn replicated_storm_pinned_seeds() {
-    let _g = lock();
     for seed in [0xD15_7EAD, 0x5EED_0010, 0xFA11_BACC] {
         replicated_storm(seed);
     }
@@ -792,7 +778,6 @@ fn replicated_storm_pinned_seeds() {
 /// to the encoding, the op order, or the digest cadence moves them.
 #[test]
 fn wire_image_of_a_scripted_scenario_is_pinned() {
-    let _g = lock();
     let cfg = ServeConfig {
         workers: 2,
         retry_backoff_base: 2,
@@ -815,7 +800,7 @@ fn wire_image_of_a_scripted_scenario_is_pinned() {
     assert!(served.iter().all(|e| matches!(e, Event::Completed { .. })));
 
     // Model "a" batches first, so its group takes the panic; "b" serves.
-    chaos::arm_worker_panic();
+    chaos::arm_worker_panic(&sched);
     sched.submit(b, &[-0.125, 0.0625], 1, 100).expect("submit");
     let panicked = sched.tick(2);
     assert_eq!(panicked.len(), 1, "only b's chunk serves in the panicked tick");
@@ -885,7 +870,6 @@ fn assert_poisoned(follower: Follower, err: &ReplicaError, seq: u64, case: &str)
 /// than at promotion, the moment of failover.
 #[test]
 fn baseline_whose_free_list_names_a_live_slot_is_refused_at_apply() {
-    let _g = lock();
     let fx = fixture(false);
     let Ok(WireRecord::Snapshot(mut snap)) =
         WireRecord::decode(&fx.primary.snapshot().expect("snapshot"))
@@ -910,7 +894,6 @@ fn baseline_whose_free_list_names_a_live_slot_is_refused_at_apply() {
 /// promotion with the stored error.
 #[test]
 fn every_structural_refusal_is_typed_and_commits_nothing() {
-    let _g = lock();
     let fx = fixture(false);
     let Ok(WireRecord::Snapshot(base)) =
         WireRecord::decode(&fx.primary.snapshot().expect("snapshot"))

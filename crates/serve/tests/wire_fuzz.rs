@@ -49,7 +49,7 @@ fn model() -> CompiledSim {
     b.set_static_drive(stat);
     b.block_real(-1.0e9, d);
     b.block_pair(-0.5e9, 2.0e9, d, stat);
-    b.build()
+    b.try_build().expect("valid wiring")
 }
 
 /// A realistic checkpoint: an actual mid-stream kernel state.
@@ -569,7 +569,7 @@ proptest! {
         let s = b.drive_poly(&[0.0, gain, 0.05]);
         b.set_static_drive(s);
         b.block_real(a, s);
-        let sim = b.build();
+        let sim = b.try_build().expect("valid wiring");
         let dt = 1.0e-10;
         let u: Vec<f64> = (0..40).map(|i| (i as f64 * 0.23).sin()).collect();
         let want = sim.simulate(dt, &u);

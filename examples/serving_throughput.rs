@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = report.model;
 
     // 2. Lower it into the compiled serving tables — once.
-    let sim = model.compile().with_threads(0);
+    let sim = model.compile();
     println!(
         "compiled: {} blocks, {} drive rows, {} shared pole features",
         sim.n_blocks(),
@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total_samples = (refs.len() * n_samples) as f64;
 
     // 4. Serve: one batch call fans one task per stimulus over a worker
-    //    pool; a long-lived server keeps the pool and uses
-    //    `try_simulate_batch_in` so the threads are spawned once.
+    //    pool; a long-lived server keeps the pool, so the threads are
+    //    spawned once.
     let pool = SweepPool::new(0);
     for round in 1..=3 {
         let start = Instant::now();

@@ -120,7 +120,7 @@ fn batch_output_is_bit_identical_for_every_worker_count() {
 
     let pool = SweepPool::new(4);
     for threads in [1usize, 2, 4, 0] {
-        let owned = sim.clone().with_threads(threads).try_simulate_batch(dt, &refs).unwrap();
+        let owned = sim.try_simulate_batch_in(&SweepPool::new(threads), dt, &refs).unwrap();
         let borrowed = sim.try_simulate_batch_in(&pool, dt, &refs).unwrap();
         for (k, ((a, b), c)) in owned.iter().zip(&serial).zip(&borrowed).enumerate() {
             assert_eq!(a.len(), b.len(), "stimulus {k}, threads {threads}");
