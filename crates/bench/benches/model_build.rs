@@ -37,7 +37,7 @@ fn bench_builds(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
+    config = Criterion::default().sample_size(10).quick_sample_size(5);
     targets = bench_builds
 }
 criterion_main!(benches);

@@ -24,6 +24,16 @@ pub enum RvfError {
         /// Pole budget that was exhausted.
         max_poles: usize,
     },
+    /// A pole-growth loop was given no pole count to try: its starting
+    /// count (at least 2) exceeds its maximum.
+    EmptyPoleBudget {
+        /// Which stage (`"frequency"` or `"state"`).
+        stage: &'static str,
+        /// Starting pole count, after raising it to at least 2.
+        start: usize,
+        /// Maximum pole count.
+        max: usize,
+    },
     /// The dataset has too few state points for the recursion.
     TooFewStates {
         /// States available.
@@ -57,6 +67,9 @@ impl fmt::Display for RvfError {
                 f,
                 "{stage} fit reached {achieved:.3e} (target {epsilon:.3e}) with {max_poles} poles"
             ),
+            Self::EmptyPoleBudget { stage, start, max } => {
+                write!(f, "{stage} pole budget is empty: start {start} exceeds max {max}")
+            }
             Self::TooFewStates { got, needed } => {
                 write!(f, "dataset has {got} state points, need at least {needed}")
             }

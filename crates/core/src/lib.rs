@@ -72,10 +72,7 @@ pub use integrated::{IntegratedStateFn, LogTerm};
 pub use metrics::{measure_speedup, time_domain_report, Speedup, TimeDomainReport};
 pub use pipeline::{extract_model, fit_tft, ExtractionReport};
 pub use recursive::{fit_recursive_2d, Rvf2d};
-pub use rvf::{
-    fit_frequency_stage, fit_frequency_stage_in, fit_state_stage, fit_state_stage_in, RvfOptions,
-    StageFit,
-};
+pub use rvf::{fit_frequency_stage, fit_state_stage, RvfOptions, StageFit};
 pub use serving::{
     CompiledSim, ServingError, SessionChunk, SimBuilder, SimState, StateCheckpoint,
     StreamingSession,

@@ -17,11 +17,11 @@
 //! and the product-form closed integral of eq. 18.
 
 use rvf_numerics::{Complex, SweepPool};
-use rvf_vecfit::{auto_workers, fit_with_initial_in, PoleSet, RationalModel, VfOptions};
+use rvf_vecfit::{auto_workers, PoleSet, RationalModel, VecfitError, VfOptions};
 
 use crate::error::RvfError;
 use crate::integrated::IntegratedStateFn;
-use crate::rvf::{single_response, RvfOptions};
+use crate::rvf::{fit_state_stage_in, grow_poles, single_response, state_preset, RvfOptions};
 
 /// A recursively fitted bivariate function `f(x₁, x₂)`: common poles in
 /// `x₂`, with every `x₂`-basis coefficient itself a rational function of
@@ -85,20 +85,25 @@ impl Rvf2d {
 ///
 /// # Errors
 ///
-/// Propagates vector fitting failures from either level.
-///
-/// # Panics
-///
-/// Panics if the value grid shape disagrees with the axis grids.
+/// Returns [`RvfError::Vecfit`] with [`VecfitError::LengthMismatch`]
+/// when the value grid's shape disagrees with the axis grids, and
+/// propagates vector fitting failures from either level.
 pub fn fit_recursive_2d(
     x1_grid: &[f64],
     x2_grid: &[f64],
     values: &[Vec<f64>],
     opts: &RvfOptions,
 ) -> Result<Rvf2d, RvfError> {
-    assert_eq!(values.len(), x1_grid.len(), "row count mismatch");
-    for row in values {
-        assert_eq!(row.len(), x2_grid.len(), "column count mismatch");
+    // One row per x₁ point (a missing or extra row is reported at the
+    // first index past the shorter side), one value per x₂ point.
+    if values.len() != x1_grid.len() {
+        let (response, expected, got) =
+            (values.len().min(x1_grid.len()), x1_grid.len(), values.len());
+        return Err(VecfitError::LengthMismatch { response, expected, got }.into());
+    }
+    if let Some(response) = values.iter().position(|row| row.len() != x2_grid.len()) {
+        let (expected, got) = (x2_grid.len(), values[response].len());
+        return Err(VecfitError::LengthMismatch { response, expected, got }.into());
     }
     // Level 1: common poles along x₂ across all x₁ rows. One worker
     // pool serves both recursion levels; its capacity covers whichever
@@ -110,41 +115,14 @@ pub fn fit_recursive_2d(
     let data: Vec<Vec<Complex>> =
         values.iter().map(|row| row.iter().map(|&v| Complex::from_re(v)).collect()).collect();
     let pool = SweepPool::new(auto_workers(opts.threads, data.len().max(opts.max_state_poles + 1)));
-    let vf2 = VfOptions::state(opts.start_state_poles.max(2))
-        .with_iterations(opts.state_vf_iterations)
-        .with_threads(opts.threads)
-        .with_stop_displacement(opts.vf_stop_displacement);
-    // Grow the outer pole count until the bound is met (Algorithm 1),
-    // warm-starting each increment from the previous relocated poles.
+    // Grow the outer pole count until the bound is met (Algorithm 1).
+    // Unlike the state stage, this level fits odd counts as requested
+    // rather than rounding them up to a pair.
     let peak =
         values.iter().flat_map(|r| r.iter()).fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-    let mut best: Option<(rvf_vecfit::VfFit, usize)> = None;
-    let mut warm: Option<PoleSet> = None;
-    let mut p = opts.start_state_poles.max(2);
-    while p <= opts.max_state_poles {
-        if x2_grid.len() < 2 * p + 2 {
-            break;
-        }
-        let mut o = vf2.clone();
-        o.n_poles = p;
-        let f = fit_with_initial_in(&pool, &x2_samples, &data, &o, warm.as_ref())?;
-        if opts.warm_start {
-            warm = Some(f.model.poles().clone());
-        }
-        let better = best.as_ref().map_or(true, |(b, _)| f.rms_error < b.rms_error);
-        let done = f.rms_error / peak <= opts.epsilon;
-        if better {
-            best = Some((f, p));
-        }
-        if done {
-            break;
-        }
-        p += 2;
-    }
-    let (outer, _) = best.ok_or(RvfError::TooFewStates {
-        got: x2_grid.len(),
-        needed: 2 * opts.start_state_poles.max(2) + 2,
-    })?;
+    let preset = |p| VfOptions { n_poles: p, ..state_preset(p, opts) };
+    let budget = ("state", opts.start_state_poles, opts.max_state_poles);
+    let outer = grow_poles(&pool, &x2_samples, &data, preset, budget, peak, opts)?.fit;
 
     // Level 2 (the recursion): each outer basis coefficient is a
     // trajectory over x₁ — fit them with common x₁ poles.
@@ -160,7 +138,7 @@ pub fn fit_recursive_2d(
     }
     let scale =
         trajectories.iter().flat_map(|t| t.iter()).fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-    let inner_stage = crate::rvf::fit_state_stage_in(&pool, x1_grid, &trajectories, scale, opts)?;
+    let inner_stage = fit_state_stage_in(&pool, x1_grid, &trajectories, scale, opts)?;
     let coefficient_fits: Vec<RationalModel> =
         (0..trajectories.len()).map(|k| single_response(&inner_stage.fit.model, k)).collect();
     Ok(Rvf2d { x2_poles: outer.model.poles().clone(), x2_has_const: has_const, coefficient_fits })
@@ -232,6 +210,32 @@ mod tests {
             let analytic = model.integral_x1(1.0, b) - model.integral_x1(0.0, b);
             assert!((analytic - numeric).abs() < 2e-3, "at x2={b}: {analytic} vs {numeric}");
         }
+    }
+
+    #[test]
+    fn ragged_grids_are_length_mismatch_errors() {
+        let opts = RvfOptions::default();
+        let x2 = linspace(0.0, 1.0, 30);
+        let one_row = vec![x2.clone()];
+        let err = fit_recursive_2d(&[0.0, 1.0], &x2, &one_row, &opts).unwrap_err();
+        let want = VecfitError::LengthMismatch { response: 1, expected: 2, got: 1 };
+        assert_eq!(err, RvfError::Vecfit(want));
+
+        let mut ragged = vec![x2.clone(), x2.clone()];
+        ragged[1].pop();
+        let err = fit_recursive_2d(&[0.0, 1.0], &x2, &ragged, &opts).unwrap_err();
+        let want = VecfitError::LengthMismatch { response: 1, expected: 30, got: 29 };
+        assert_eq!(err, RvfError::Vecfit(want));
+    }
+
+    #[test]
+    fn empty_pole_budget_is_a_typed_error() {
+        let x1 = linspace(0.0, 1.0, 30);
+        let x2 = linspace(0.0, 1.0, 30);
+        let values = grid_values(&x1, &x2, |a, b| a + b);
+        let opts = RvfOptions { start_state_poles: 20, max_state_poles: 16, ..Default::default() };
+        let err = fit_recursive_2d(&x1, &x2, &values, &opts).unwrap_err();
+        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "state", start: 20, max: 16 });
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! incrementing the pole count by two until the error bound `ε` is met.
 //! Stage 2 recursively fits every state-dependent quantity (the residue
 //! trajectories and the static conductance) as partial fractions in the
-//! state variable, again growing the pole count until `ε` is met.
+//! state variable, again growing the pole count until `ε` is met. Both
+//! stages, and both levels of the 2-D recursion in [`crate::recursive`],
+//! run the one growth loop of this module.
 
 use rvf_numerics::{Complex, SweepPool};
-use rvf_vecfit::{auto_workers, fit_with_initial_in, PoleSet, RationalModel, VfFit, VfOptions};
+use rvf_vecfit::{auto_workers, fit_in, Axis, PoleSet, RationalModel, VfFit, VfOptions};
 
 use crate::error::RvfError;
 
@@ -90,8 +92,10 @@ pub struct StageFit {
 ///
 /// # Errors
 ///
-/// Returns [`RvfError::ToleranceNotReached`] in strict mode when the
-/// pole budget is exhausted; otherwise returns the best fit found.
+/// Returns [`RvfError::EmptyPoleBudget`] when `start_freq_poles`
+/// exceeds `max_freq_poles`, and [`RvfError::ToleranceNotReached`] in
+/// strict mode when the pole budget is exhausted; otherwise returns the
+/// best fit found.
 pub fn fit_frequency_stage(
     s_grid: &[Complex],
     responses: &[Vec<Complex>],
@@ -100,59 +104,17 @@ pub fn fit_frequency_stage(
     // One pool for the whole growth loop: every relocation round of
     // every pole count is a round on these workers, not a spawn.
     let pool = SweepPool::new(auto_workers(opts.threads, responses.len()));
-    fit_frequency_stage_in(&pool, s_grid, responses, opts)
-}
-
-/// [`fit_frequency_stage`] running on a caller-owned [`SweepPool`], so
-/// several stages of one extraction share a single worker runtime.
-///
-/// # Errors
-///
-/// See [`fit_frequency_stage`].
-pub fn fit_frequency_stage_in(
-    pool: &SweepPool,
-    s_grid: &[Complex],
-    responses: &[Vec<Complex>],
-    opts: &RvfOptions,
-) -> Result<StageFit, RvfError> {
     let peak =
         responses.iter().flat_map(|r| r.iter()).fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-    let mut best: Option<StageFit> = None;
-    let mut warm: Option<PoleSet> = None;
-    let mut relocation_rounds = 0;
-    let mut p = opts.start_freq_poles.max(2);
-    while p <= opts.max_freq_poles {
-        let vf_opts = VfOptions::frequency(p)
+    let preset = |p| {
+        VfOptions::frequency(p)
             .with_iterations(opts.freq_vf_iterations)
             .with_threads(opts.threads)
-            .with_stop_displacement(opts.vf_stop_displacement);
-        let fit = fit_with_initial_in(pool, s_grid, responses, &vf_opts, warm.as_ref())?;
-        relocation_rounds += fit.iterations_run;
-        if opts.warm_start {
-            warm = Some(fit.model.poles().clone());
-        }
-        let rel = fit.rms_error / peak;
-        let candidate = StageFit { fit, rel_error: rel, n_poles: p, relocation_rounds };
-        let better = best.as_ref().map_or(true, |b| rel < b.rel_error);
-        if better {
-            best = Some(candidate);
-        }
-        if rel <= opts.epsilon {
-            break;
-        }
-        p += 2;
-    }
-    let mut best = best.expect("at least one fit attempted");
-    best.relocation_rounds = relocation_rounds;
-    if opts.strict && best.rel_error > opts.epsilon {
-        return Err(RvfError::ToleranceNotReached {
-            stage: "frequency",
-            achieved: best.rel_error,
-            epsilon: opts.epsilon,
-            max_poles: opts.max_freq_poles,
-        });
-    }
-    Ok(best)
+            .with_stop_displacement(opts.vf_stop_displacement)
+    };
+    let budget = ("frequency", opts.start_freq_poles, opts.max_freq_poles);
+    let best = grow_poles(&pool, s_grid, responses, preset, budget, peak, opts)?;
+    strict_check(best, budget, opts)
 }
 
 /// Fits one or more real-valued state trajectories with *common*
@@ -165,8 +127,11 @@ pub fn fit_frequency_stage_in(
 ///
 /// # Errors
 ///
-/// Returns [`RvfError::ToleranceNotReached`] in strict mode when the
-/// pole budget is exhausted, and propagates fitting failures.
+/// Returns [`RvfError::EmptyPoleBudget`] when `start_state_poles`
+/// exceeds `max_state_poles`, [`RvfError::TooFewStates`] when the
+/// states cannot support the starting pole count,
+/// [`RvfError::ToleranceNotReached`] in strict mode when the pole
+/// budget is exhausted, and propagates fitting failures.
 pub fn fit_state_stage(
     states: &[f64],
     trajectories: &[Vec<f64>],
@@ -177,14 +142,9 @@ pub fn fit_state_stage(
     fit_state_stage_in(&pool, states, trajectories, scale, opts)
 }
 
-/// [`fit_state_stage`] running on a caller-owned [`SweepPool`]; the
-/// Hammerstein builder threads one pool through its whole sequence of
-/// per-block stages this way.
-///
-/// # Errors
-///
-/// See [`fit_state_stage`].
-pub fn fit_state_stage_in(
+/// [`fit_state_stage`] on a caller-owned pool, so the Hammerstein
+/// builder and the 2-D recursion share one pool across all their stages.
+pub(crate) fn fit_state_stage_in(
     pool: &SweepPool,
     states: &[f64],
     trajectories: &[Vec<f64>],
@@ -194,48 +154,87 @@ pub fn fit_state_stage_in(
     let xs: Vec<Complex> = states.iter().map(|&x| Complex::from_re(x)).collect();
     let data: Vec<Vec<Complex>> =
         trajectories.iter().map(|t| t.iter().map(|&v| Complex::from_re(v)).collect()).collect();
-    let scale = scale.max(1e-300);
+    let preset = |p| state_preset(p, opts);
+    let budget = ("state", opts.start_state_poles, opts.max_state_poles);
+    let best = grow_poles(pool, &xs, &data, preset, budget, scale.max(1e-300), opts)?;
+    strict_check(best, budget, opts)
+}
+
+/// The state-axis preset for `p` poles (rounded up to a pair) with the
+/// RVF iteration, thread and convergence settings.
+pub(crate) fn state_preset(p: usize, opts: &RvfOptions) -> VfOptions {
+    VfOptions::state(p)
+        .with_iterations(opts.state_vf_iterations)
+        .with_threads(opts.threads)
+        .with_stop_displacement(opts.vf_stop_displacement)
+}
+
+/// A growth loop's pole budget: stage name, starting and maximum count.
+type PoleBudget = (&'static str, usize, usize);
+
+/// The pole-growth loop of paper Algorithm 1, shared by every stage: fit
+/// with `preset(p)` poles and, while `rms / scale` is above `ε`, add two
+/// poles and fit again — from the previous fit's relocated poles when
+/// [`RvfOptions::warm_start`] is set — until the budget's maximum.
+/// Real-axis presets stop growing once the samples no longer support
+/// the count (real rows are single equations, so `L ≥ 2P + 2`).
+///
+/// Returns the lowest-error fit, with the relocation rounds of every
+/// count tried.
+pub(crate) fn grow_poles(
+    pool: &SweepPool,
+    samples: &[Complex],
+    data: &[Vec<Complex>],
+    preset: impl Fn(usize) -> VfOptions,
+    (stage, start, max): PoleBudget,
+    scale: f64,
+    opts: &RvfOptions,
+) -> Result<StageFit, RvfError> {
+    let start = start.max(2);
+    if start > max {
+        return Err(RvfError::EmptyPoleBudget { stage, start, max });
+    }
     let mut best: Option<StageFit> = None;
     let mut warm: Option<PoleSet> = None;
     let mut relocation_rounds = 0;
-    let mut p = opts.start_state_poles.max(2);
-    while p <= opts.max_state_poles {
-        // Cap the pole count to what the sample count supports:
-        // real-axis rows are single equations, so L ≥ 2P + 2 is needed.
-        if states.len() < 2 * p + 2 {
+    let mut p = start;
+    while p <= max {
+        let vf_opts = preset(p);
+        if vf_opts.axis == Axis::Real && samples.len() < 2 * p + 2 {
             break;
         }
-        let vf_opts = VfOptions::state(p)
-            .with_iterations(opts.state_vf_iterations)
-            .with_threads(opts.threads)
-            .with_stop_displacement(opts.vf_stop_displacement);
-        let fit = fit_with_initial_in(pool, &xs, &data, &vf_opts, warm.as_ref())?;
+        let fit = fit_in(pool, samples, data, &vf_opts, warm.as_ref())?;
         relocation_rounds += fit.iterations_run;
         if opts.warm_start {
             warm = Some(fit.model.poles().clone());
         }
         let rel = fit.rms_error / scale;
-        let candidate = StageFit { fit, rel_error: rel, n_poles: p, relocation_rounds };
-        let better = best.as_ref().map_or(true, |b| rel < b.rel_error);
-        if better {
-            best = Some(candidate);
+        if best.as_ref().is_none_or(|b| rel < b.rel_error) {
+            best = Some(StageFit { fit, rel_error: rel, n_poles: p, relocation_rounds });
         }
         if rel <= opts.epsilon {
             break;
         }
         p += 2;
     }
-    let mut best = best.ok_or(RvfError::TooFewStates {
-        got: states.len(),
-        needed: 2 * opts.start_state_poles.max(2) + 2,
-    })?;
+    let mut best =
+        best.ok_or(RvfError::TooFewStates { got: samples.len(), needed: 2 * start + 2 })?;
     best.relocation_rounds = relocation_rounds;
+    Ok(best)
+}
+
+/// Strict mode: a best effort that misses `ε` is an error.
+fn strict_check(
+    best: StageFit,
+    (stage, _, max_poles): PoleBudget,
+    opts: &RvfOptions,
+) -> Result<StageFit, RvfError> {
     if opts.strict && best.rel_error > opts.epsilon {
         return Err(RvfError::ToleranceNotReached {
-            stage: "state",
+            stage,
             achieved: best.rel_error,
             epsilon: opts.epsilon,
-            max_poles: opts.max_state_poles,
+            max_poles,
         });
     }
     Ok(best)
@@ -344,6 +343,27 @@ mod tests {
         let opts = RvfOptions { start_state_poles: 4, ..Default::default() };
         let err = fit_state_stage(&states, &data, 1.0, &opts).unwrap_err();
         assert!(matches!(err, RvfError::TooFewStates { .. }));
+    }
+
+    #[test]
+    fn frequency_stage_empty_pole_budget_is_a_typed_error() {
+        let s_grid = jw_grid(&logspace(2.0, 6.0, 40));
+        let data = vec![s_grid.iter().map(|&s| (s + 1.0e3).inv()).collect::<Vec<_>>()];
+        let opts = RvfOptions { start_freq_poles: 30, max_freq_poles: 24, ..Default::default() };
+        let err = fit_frequency_stage(&s_grid, &data, &opts).unwrap_err();
+        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "frequency", start: 30, max: 24 });
+    }
+
+    #[test]
+    fn state_stage_empty_pole_budget_is_a_typed_error() {
+        // Enough states for the starting count: the budget, not the
+        // sample count, is what is wrong.
+        let states = linspace(0.0, 1.0, 60);
+        let traj: Vec<f64> = states.iter().map(|&x| x * x).collect();
+        let opts = RvfOptions { start_state_poles: 20, max_state_poles: 16, ..Default::default() };
+        let err = fit_state_stage(&states, &[traj], 1.0, &opts).unwrap_err();
+        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "state", start: 20, max: 16 });
+        assert!(err.to_string().contains("start 20 exceeds max 16"), "{err}");
     }
 
     #[test]

@@ -27,16 +27,15 @@
 //! fit — each relocation round and the final residue identification —
 //! is one [`SweepPool::run_with`] *round* on a single persistent pool
 //! that lives for the whole fit (or is borrowed from the caller via
-//! [`fit_in`] / [`fit_with_initial_in`], so a pole-growth loop pays one
-//! pool for its entire sequence of fits). Each worker owns a
-//! `BlockScratch` of reusable buffers (block, RHS, complex row, QR
-//! scalars) held in a `FitScratch` that lives for the whole fit, so
-//! the steady-state relocation round performs no per-response heap
-//! allocation — and, with the pool, no thread spawn either. Every
-//! response writes its `R₂₂` rows to a fixed row range of the stacked
-//! system (`k·kept .. (k+1)·kept`), which makes the parallel result
-//! **bit-identical** to the serial one regardless of worker count or
-//! claim order.
+//! [`fit_in`], so a pole-growth loop pays one pool for its entire
+//! sequence of fits). Each worker owns a `BlockScratch` of reusable
+//! buffers (block, RHS, complex row, QR scalars) held in a `FitScratch`
+//! that lives for the whole fit, so the steady-state relocation round
+//! performs no per-response heap allocation — and, with the pool, no
+//! thread spawn either. Every response writes its `R₂₂` rows to a
+//! fixed row range of the stacked system (`k·kept .. (k+1)·kept`),
+//! which makes the parallel result **bit-identical** to the serial one
+//! regardless of worker count or claim order.
 
 use rvf_numerics::{
     eigenvalues, factor_with_rhs_in_place, lstsq_ridge, resolve_threads, Complex, Mat,
@@ -100,44 +99,15 @@ pub fn fit(
     data: &[Vec<Complex>],
     opts: &VfOptions,
 ) -> Result<VfFit, VecfitError> {
-    fit_with_initial(samples, data, opts, None)
-}
-
-/// [`fit`] warm-started from an explicit initial pole set.
-///
-/// This is the primitive behind the RVF pole-growth loop (paper
-/// Algorithm 1): instead of re-seeding the relocation from the generic
-/// spread at every pole count, the caller passes the *relocated* poles
-/// of the previous (smaller) fit and the engine augments them to
-/// [`VfOptions::n_poles`] via [`PoleSet::grown_to`] — already-settled
-/// poles then need few (often zero) further relocation rounds. An
-/// initial set with *more* than `opts.n_poles` poles is used as-is.
-///
-/// `fit_with_initial(samples, data, opts, None)` is exactly [`fit`].
-///
-/// Warm starting is an optimization, not a semantic change: if a
-/// warm-started run trips a numerical kernel failure (a warm pole set
-/// can seed a relocation eigenproblem the solver refuses), the fit
-/// transparently restarts from the cold initial spread — i.e. it
-/// degrades to [`fit`] instead of failing.
-///
-/// # Errors
-///
-/// See [`fit`].
-pub fn fit_with_initial(
-    samples: &[Complex],
-    data: &[Vec<Complex>],
-    opts: &VfOptions,
-    initial: Option<&PoleSet>,
-) -> Result<VfFit, VecfitError> {
     let pool = SweepPool::new(auto_workers(opts.threads, data.len()));
-    fit_with_initial_in(&pool, samples, data, opts, initial)
+    fit_in(&pool, samples, data, opts, None)
 }
 
-/// [`fit`] running its parallel regions on a caller-owned [`SweepPool`].
+/// [`fit`] running its parallel regions on a caller-owned [`SweepPool`],
+/// optionally warm-started from an explicit initial pole set.
 ///
 /// The pool is borrowed, not consumed: callers that fit repeatedly —
-/// the RVF pole-growth loops fit once per pole count, each fit running
+/// the RVF pole-growth loop fits once per pole count, each fit running
 /// one sweep round per relocation iteration — construct one pool and
 /// thread it through every fit, collapsing the per-fit spawn/join cost
 /// to a single pool construction for the whole sequence. The effective
@@ -146,25 +116,24 @@ pub fn fit_with_initial(
 /// response count), and the result is bit-identical to [`fit`] for
 /// every pool size.
 ///
+/// With `initial`, the growth loop (paper Algorithm 1) passes the
+/// *relocated* poles of the previous, smaller fit instead of re-seeding
+/// from the generic spread at every count: the engine augments them to
+/// [`VfOptions::n_poles`] via [`PoleSet::grown_to`], and
+/// already-settled poles then need few (often zero) further relocation
+/// rounds. An initial set with *more* than `opts.n_poles` poles is used
+/// as-is. `None` is exactly [`fit`].
+///
+/// Warm starting is an optimization, not a semantic change: if a
+/// warm-started run trips a numerical kernel failure (a warm pole set
+/// can seed a relocation eigenproblem the solver refuses), the fit
+/// transparently restarts from the cold initial spread instead of
+/// failing.
+///
 /// # Errors
 ///
 /// See [`fit`].
 pub fn fit_in(
-    pool: &SweepPool,
-    samples: &[Complex],
-    data: &[Vec<Complex>],
-    opts: &VfOptions,
-) -> Result<VfFit, VecfitError> {
-    fit_with_initial_in(pool, samples, data, opts, None)
-}
-
-/// [`fit_with_initial`] running on a caller-owned [`SweepPool`]
-/// (see [`fit_in`]).
-///
-/// # Errors
-///
-/// See [`fit`].
-pub fn fit_with_initial_in(
     pool: &SweepPool,
     samples: &[Complex],
     data: &[Vec<Complex>],

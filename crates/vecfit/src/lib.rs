@@ -25,14 +25,14 @@
 //! workers (`0` = one per core, `1` = serial, the default). Every
 //! parallel region of a fit is a *round* on one persistent
 //! [`rvf_numerics::SweepPool`] — constructed once per [`fit()`] call, or
-//! borrowed from the caller via [`fit_in`] / [`fit_with_initial_in`] so
-//! a pole-growth loop shares a single pool across all of its fits and
-//! never pays a per-round (or even per-fit) thread spawn. The result is
-//! **bit-identical** for every thread count and pool size: each
-//! response's compressed `R₂₂` block lands in a fixed row range of the
-//! stacked sigma system, so neither the worker count nor the claim
-//! order can reach the arithmetic. Warm starts across pole counts go
-//! through [`fit_with_initial`].
+//! borrowed from the caller via [`fit_in`] so a pole-growth loop shares
+//! a single pool across all of its fits and never pays a per-round (or
+//! even per-fit) thread spawn. The result is **bit-identical** for
+//! every thread count and pool size: each response's compressed `R₂₂`
+//! block lands in a fixed row range of the stacked sigma system, so
+//! neither the worker count nor the claim order can reach the
+//! arithmetic. Warm starts across pole counts pass the previous fit's
+//! poles as [`fit_in`]'s `initial` set.
 //!
 //! # Examples
 //!
@@ -69,9 +69,7 @@ pub mod realization;
 
 pub use basis::{basis_matrix, basis_row, Residues};
 pub use error::VecfitError;
-pub use fit::{
-    auto_workers, fit, fit_in, fit_single, fit_with_initial, fit_with_initial_in, model_rms, VfFit,
-};
+pub use fit::{auto_workers, fit, fit_in, fit_single, model_rms, VfFit};
 pub use model::{RationalModel, ResponseTerms};
 pub use options::{Axis, PoleSpread, VfOptions, Weighting};
 pub use poles::{PoleEntry, PoleSet};

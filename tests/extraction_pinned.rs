@@ -1,0 +1,120 @@
+//! Pins the exact bits of extraction: the compiled-model fingerprint of
+//! every zoo family, the frequency-stage pole count and relocation
+//! rounds on the paper's buffer, the recursive 2-D fit at an even and an
+//! odd starting pole count, and the state stage at an odd start.
+//!
+//! The constants were recorded before the three pole-growth loops were
+//! folded into one driver; any change to them means a refactor moved a
+//! bit of an extracted model, not just the code around it.
+
+use rvf::circuit::{high_speed_buffer, parse_netlist, BufferParams, Waveform};
+use rvf::model::{
+    extract_model, fit_frequency_stage, fit_recursive_2d, fit_state_stage, RvfOptions,
+};
+use rvf::numerics::linspace;
+use rvf::tft::{extract_from_circuit, TftConfig};
+use rvf::validate::{zoo, DEFAULT_SEED};
+
+/// FNV-1a over the `Debug` rendering: `f64` debug output is the
+/// shortest round-tripping decimal, so equal hashes mean equal bits.
+fn bit_checksum(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn zoo_compiled_fingerprints_are_pinned() {
+    const PINNED: &[(&str, u64)] = &[
+        ("rc_lowpass", 0x3986_6883_e925_57bb),
+        ("rc_ladder_deep", 0x8650_d99e_6184_9856),
+        ("rlc_ladder", 0x445e_eb5c_2c13_b574),
+        ("vcvs_chain", 0x289f_6b19_1314_a758),
+        ("vccs_amp", 0xbf3c_9831_efc8_8451),
+        ("cccs_mirror", 0x726e_ff54_a8c2_757e),
+        ("ccvs_transresistance", 0x408c_cecf_557b_c587),
+        ("subckt_ladder", 0x32e4_3a46_500d_7e43),
+        ("clipper_soft", 0x1be2_945a_0139_c087),
+        ("clipper_hard", 0x549b_591c_8675_69ab),
+        ("clipper_fast", 0x5dff_ca72_c55f_bc46),
+        ("subckt_clipper", 0x1118_6a1e_fbf8_3fe9),
+        ("mos_cs_amp", 0x45c1_87c5_1879_4d70),
+        ("mos_follower", 0x5eb9_61da_1070_a7a4),
+    ];
+    let families = zoo(DEFAULT_SEED);
+    let mut got = Vec::new();
+    for family in &families {
+        let mut train = parse_netlist(&family.train_deck).unwrap();
+        let (report, _, _) = extract_model(&mut train, &family.tft, &family.rvf).unwrap();
+        got.push((family.name, report.model.compile().fingerprint()));
+    }
+    assert_eq!(got, PINNED);
+}
+
+#[test]
+fn buffer_frequency_stage_is_pinned() {
+    let mut buffer = high_speed_buffer(
+        &BufferParams::default(),
+        Waveform::Sine { offset: 0.9, amplitude: 0.5, freq_hz: 1.0e5, phase_rad: 0.0, delay: 0.0 },
+    );
+    let cfg = TftConfig {
+        f_min_hz: 1.0e0,
+        f_max_hz: 1.0e10,
+        n_freqs: 40,
+        t_train: 1.0e-5,
+        steps: 800,
+        n_snapshots: 60,
+        embed_depth: 1,
+        threads: 2,
+    };
+    let (ds, _) = extract_from_circuit(&mut buffer, &cfg).unwrap();
+    let (s_grid, responses) = (ds.s_grid(), ds.dynamic_responses());
+    let base = RvfOptions {
+        epsilon: 5e-5,
+        start_freq_poles: 4,
+        vf_stop_displacement: 1e-4,
+        ..Default::default()
+    };
+    let mut got = Vec::new();
+    for warm_start in [true, false] {
+        let opts = RvfOptions { warm_start, ..base.clone() };
+        let stage = fit_frequency_stage(&s_grid, &responses, &opts).unwrap();
+        got.push((stage.n_poles, stage.relocation_rounds, bit_checksum(&stage.fit.model)));
+    }
+    assert_eq!(got, [(8, 22, 14_345_847_770_095_679_275), (8, 26, 11_362_458_031_931_265_704)]);
+}
+
+#[test]
+fn recursive_2d_is_pinned_at_even_and_odd_starts() {
+    let x1 = linspace(-1.0, 1.0, 31);
+    let x2 = linspace(0.0, 2.0, 33);
+    let values: Vec<Vec<f64>> = x1
+        .iter()
+        .map(|&a| {
+            x2.iter().map(|&b| (1.0 + 0.5 * (b - 1.0).tanh()) / (1.0 + 4.0 * a * a)).collect()
+        })
+        .collect();
+    let mut got = Vec::new();
+    for start_state_poles in [4, 5] {
+        let opts = RvfOptions { epsilon: 1e-5, start_state_poles, ..Default::default() };
+        let model = fit_recursive_2d(&x1, &x2, &values, &opts).unwrap();
+        got.push((model.pole_counts(), bit_checksum(&model)));
+    }
+    assert_eq!(got, [((6, 4), 7_571_681_895_508_240_636), ((6, 6), 11_824_267_595_800_629_526)]);
+}
+
+#[test]
+fn state_stage_is_pinned_at_an_odd_start() {
+    let states = linspace(0.4, 1.4, 61);
+    let step: Vec<f64> = states.iter().map(|&x| (6.0 * (x - 0.9)).tanh()).collect();
+    let bump: Vec<f64> = states.iter().map(|&x| (-8.0 * (x - 0.7) * (x - 0.7)).exp()).collect();
+    let opts = RvfOptions { epsilon: 1e-7, start_state_poles: 5, ..Default::default() };
+    let stage = fit_state_stage(&states, &[step, bump], 1.0, &opts).unwrap();
+    let got = (
+        stage.n_poles,
+        stage.relocation_rounds,
+        stage.rel_error.to_bits(),
+        bit_checksum(&stage.fit.model),
+    );
+    assert_eq!(got, (9, 29, 4_480_473_304_736_185_819, 17_176_644_833_514_753_625));
+}

@@ -80,6 +80,7 @@ fn pooled_fit_is_bitwise_equal_to_serial_for_every_worker_count() {
             &s_grid,
             &responses,
             &VfOptions::frequency(6).with_iterations(6).with_threads(threads),
+            None,
         )
         .unwrap();
         assert_models_bit_identical(
@@ -103,7 +104,7 @@ fn one_pool_serves_consecutive_fits_on_both_axes() {
     let s_grid = ds.s_grid();
     let responses = ds.dynamic_responses();
     let opts_f = VfOptions::frequency(6).with_iterations(4).with_threads(2);
-    let f1 = fit_in(&pool, &s_grid, &responses, &opts_f).unwrap();
+    let f1 = fit_in(&pool, &s_grid, &responses, &opts_f, None).unwrap();
     let f1_fresh = fit(&s_grid, &responses, &opts_f).unwrap();
     assert_models_bit_identical(&f1.model, &f1_fresh.model, "fit 1 vs fresh-pool fit");
 
@@ -114,7 +115,7 @@ fn one_pool_serves_consecutive_fits_on_both_axes() {
         ds.samples.iter().map(|s| Complex::from_re(s.h[ds.n_freqs() / 2].abs())).collect();
     let data = vec![g0, gm];
     let opts_s = VfOptions::state(6).with_iterations(4).with_threads(2);
-    let f2 = fit_in(&pool, &xs, &data, &opts_s).unwrap();
+    let f2 = fit_in(&pool, &xs, &data, &opts_s, None).unwrap();
     let f2_fresh = fit(&xs, &data, &opts_s).unwrap();
     assert_models_bit_identical(&f2.model, &f2_fresh.model, "fit 2 vs fresh-pool fit");
 
