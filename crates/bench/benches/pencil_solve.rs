@@ -65,7 +65,7 @@ fn bench_pencil_solve(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(20);
+    config = Criterion::default().sample_size(20).quick_sample_size(5);
     targets = bench_pencil_solve
 }
 criterion_main!(benches);

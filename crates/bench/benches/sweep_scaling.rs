@@ -66,7 +66,7 @@ fn bench_dispatch_heuristic(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(30);
+    config = Criterion::default().sample_size(30).quick_sample_size(5);
     targets = bench_sweep_scaling, bench_dispatch_heuristic
 }
 criterion_main!(benches);

@@ -62,7 +62,7 @@ fn bench_dc_operating_point(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
+    config = Criterion::default().sample_size(10).quick_sample_size(5);
     targets = bench_dc_operating_point, bench_training_transient, bench_tft_transform
 }
 criterion_main!(benches);

@@ -74,6 +74,6 @@ pub use pipeline::{extract_model, fit_tft, ExtractionReport};
 pub use recursive::{fit_recursive_2d, Rvf2d};
 pub use rvf::{fit_frequency_stage, fit_state_stage, RvfOptions, StageFit};
 pub use serving::{
-    CompiledSim, ServingError, SessionChunk, SimBuilder, SimState, StateCheckpoint,
+    CheckpointView, CompiledSim, ServingError, SessionChunk, SimBuilder, SimState, StateCheckpoint,
     StreamingSession,
 };

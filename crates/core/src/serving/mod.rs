@@ -50,7 +50,7 @@ pub mod state;
 
 pub use compile::{CompiledSim, SimBuilder};
 pub use session::{SessionChunk, StreamingSession};
-pub use state::{SimState, StateCheckpoint};
+pub use state::{CheckpointView, SimState, StateCheckpoint};
 
 use core::fmt;
 

@@ -178,15 +178,23 @@ impl SimState {
     /// Exports this state as a plain-data [`StateCheckpoint`] — the
     /// introspection seam a durability layer serializes.
     pub fn export(&self) -> StateCheckpoint {
-        StateCheckpoint {
-            shape: self.shape.map(|s| s as u64),
-            v0: self.v0.clone(),
-            sre: self.sre.clone(),
-            sim: self.sim.clone(),
-            uprev: self.uprev,
-            started: self.started,
-            samples: self.samples,
-            coef_dt: self.coef_dt,
+        CheckpointView::from(self).to_checkpoint()
+    }
+}
+
+/// The fields [`SimState::export`] copies, borrowed: what a serializer
+/// streams from a live state without cloning it.
+impl<'a> From<&'a SimState> for CheckpointView<'a> {
+    fn from(s: &'a SimState) -> Self {
+        CheckpointView {
+            shape: s.shape.map(|n| n as u64),
+            v0: &s.v0,
+            sre: &s.sre,
+            sim: &s.sim,
+            uprev: s.uprev,
+            started: s.started,
+            samples: s.samples,
+            coef_dt: s.coef_dt,
         }
     }
 }
@@ -225,6 +233,60 @@ pub struct StateCheckpoint {
     /// re-warms the cache from this key, so the first chunk after a
     /// restore allocates nothing new.
     pub coef_dt: u64,
+}
+
+impl<'a> From<&'a StateCheckpoint> for CheckpointView<'a> {
+    fn from(c: &'a StateCheckpoint) -> Self {
+        CheckpointView {
+            shape: c.shape,
+            v0: &c.v0,
+            sre: &c.sre,
+            sim: &c.sim,
+            uprev: c.uprev,
+            started: c.started,
+            samples: c.samples,
+            coef_dt: c.coef_dt,
+        }
+    }
+}
+
+/// A [`StateCheckpoint`] with its vectors borrowed, from a live
+/// [`SimState`] or from a checkpoint (both convert with `From`). Field
+/// meanings are the checkpoint's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CheckpointView<'a> {
+    /// Model shape fingerprint.
+    pub shape: [u64; 4],
+    /// Previous-sample drive values.
+    pub v0: &'a [f64],
+    /// Block state, real components.
+    pub sre: &'a [f64],
+    /// Block state, imaginary components.
+    pub sim: &'a [f64],
+    /// Drive-memo register.
+    pub uprev: u64,
+    /// Whether the state has absorbed its first sample.
+    pub started: bool,
+    /// Samples absorbed so far.
+    pub samples: u64,
+    /// Propagator-cache key.
+    pub coef_dt: u64,
+}
+
+impl CheckpointView<'_> {
+    /// An owned copy.
+    pub fn to_checkpoint(&self) -> StateCheckpoint {
+        StateCheckpoint {
+            shape: self.shape,
+            v0: self.v0.to_vec(),
+            sre: self.sre.to_vec(),
+            sim: self.sim.to_vec(),
+            uprev: self.uprev,
+            started: self.started,
+            samples: self.samples,
+            coef_dt: self.coef_dt,
+        }
+    }
 }
 
 /// The shape fingerprint [`SimState::matches`] compares.

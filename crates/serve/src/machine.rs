@@ -8,7 +8,8 @@
 //! journaled op through [`apply`](SchedulerCore::apply), which checks
 //! everything first and then calls the same method. Restore and the
 //! follower's baseline share [`from_snapshot`](SchedulerCore::from_snapshot);
-//! snapshots and every digest share [`encode`](SchedulerCore::encode).
+//! snapshots and every digest stream one encoding from the borrowed
+//! core ([`encode`](SchedulerCore::encode), [`digest`](SchedulerCore::digest)).
 //!
 //! The core is generic over the per-session state: the primary holds
 //! live [`SimState`]s, the follower [`StateCheckpoint`]s, which
@@ -18,32 +19,15 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use rvf_core::{SimState, StateCheckpoint};
+use rvf_core::{CheckpointView, SimState, StateCheckpoint};
 
 use crate::error::ServeError;
 use crate::registry::{ModelId, ModelRegistry};
 use crate::scheduler::{RequestId, ServeConfig, SessionHandle};
 use crate::wire::{
-    checksum64, DeltaOp, SchedulerSnapshot, SnapshotModel, SnapshotRequest, SnapshotSession,
-    SnapshotSlot, WireRecord,
+    frame, framed_checksum, put_snapshot, DeltaOp, SchedulerSnapshot, Sink, SnapshotModel,
+    SnapshotRequest, SnapshotSlot, KIND_SNAPSHOT,
 };
-
-/// A per-session state the core can encode.
-pub(crate) trait Checkpoint {
-    fn checkpoint(&self) -> StateCheckpoint;
-}
-
-impl Checkpoint for SimState {
-    fn checkpoint(&self) -> StateCheckpoint {
-        self.export()
-    }
-}
-
-impl Checkpoint for StateCheckpoint {
-    fn checkpoint(&self) -> StateCheckpoint {
-        self.clone()
-    }
-}
 
 /// One live session.
 pub(crate) struct Session<S> {
@@ -276,53 +260,40 @@ impl<S> SchedulerCore<S> {
     }
 }
 
-impl<S: Checkpoint> SchedulerCore<S> {
-    /// The state as a [`SchedulerSnapshot`].
+impl<S> SchedulerCore<S>
+where
+    for<'s> &'s S: Into<CheckpointView<'s>>,
+{
+    /// Writes the state as a [`SchedulerSnapshot`] payload, borrowing
+    /// every session state and queued stimulus.
     ///
     /// # Errors
     ///
     /// [`ServeError::SnapshotInvalid`] if a session's state is riding a
     /// batch round.
-    pub(crate) fn to_snapshot(&self) -> Result<SchedulerSnapshot, ServeError> {
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let session = match &slot.session {
-                None => None,
-                Some(s) => {
-                    let state = s.state.as_ref().ok_or(ServeError::SnapshotInvalid {
-                        what: "a session's state is riding a batch round",
-                    })?;
-                    Some(SnapshotSession {
-                        model: s.model.index() as u32,
-                        dt_bits: s.dt.to_bits(),
-                        last_activity: s.last_activity,
-                        state: state.checkpoint(),
-                    })
-                }
-            };
-            slots.push(SnapshotSlot { generation: slot.generation, session });
-        }
-        Ok(SchedulerSnapshot {
-            cfg: self.cfg.clone(),
-            next_request: self.next_request,
-            rebuilds: self.rebuilds,
-            degraded: self.degraded,
-            models: self.models.clone(),
-            slots,
-            free: self.free.iter().map(|&i| i as u32).collect(),
-            queue: self.queue.iter().cloned().collect(),
-        })
+    fn put(&self, w: &mut Sink<'_>) -> Result<(), ServeError> {
+        let slots = self.slots.iter().map(|slot| {
+            let Some(s) = &slot.session else { return Ok((slot.generation, None)) };
+            let state = s.state.as_ref().ok_or(ServeError::SnapshotInvalid {
+                what: "a session's state is riding a batch round",
+            })?;
+            let view = (s.model.index() as u32, s.dt.to_bits(), s.last_activity, state.into());
+            Ok((slot.generation, Some(view)))
+        });
+        let head = (&self.cfg, self.next_request, self.rebuilds, self.degraded);
+        let free = self.free.iter().map(|&i| i as u32);
+        put_snapshot(w, head, &self.models, slots, free, self.queue.iter())
     }
 
     /// The state as one framed snapshot record.
     pub(crate) fn encode(&self) -> Result<Bytes, ServeError> {
-        Ok(WireRecord::Snapshot(self.to_snapshot()?).encode())
+        frame(KIND_SNAPSHOT, |w| self.put(w))
     }
 
-    /// FNV-1a/64 over [`encode`](Self::encode): the value a digest
-    /// record carries.
+    /// FNV-1a/64 over [`encode`](Self::encode) — the value a digest
+    /// record carries — in one pass, building nothing.
     pub(crate) fn digest(&self) -> Result<u64, ServeError> {
-        Ok(checksum64(self.encode()?.as_ref()))
+        framed_checksum(KIND_SNAPSHOT, |w| self.put(w))
     }
 }
 
@@ -514,5 +485,82 @@ impl SchedulerCore<StateCheckpoint> {
             DeltaOp::Degraded => self.degrade(),
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::wire::{checksum64, SnapshotSession, WireRecord};
+
+    /// The state as an owned [`SchedulerSnapshot`], cloning every
+    /// session state and queued stimulus — the pre-streaming encoding
+    /// path, kept as the digest oracle.
+    fn to_snapshot<S>(core: &SchedulerCore<S>) -> Result<SchedulerSnapshot, ServeError>
+    where
+        for<'s> &'s S: Into<CheckpointView<'s>>,
+    {
+        let mut slots = Vec::with_capacity(core.slots.len());
+        for slot in &core.slots {
+            let session = match &slot.session {
+                None => None,
+                Some(s) => {
+                    let state = s.state.as_ref().ok_or(ServeError::SnapshotInvalid {
+                        what: "a session's state is riding a batch round",
+                    })?;
+                    Some(SnapshotSession {
+                        model: s.model.index() as u32,
+                        dt_bits: s.dt.to_bits(),
+                        last_activity: s.last_activity,
+                        state: Into::<CheckpointView<'_>>::into(state).to_checkpoint(),
+                    })
+                }
+            };
+            slots.push(SnapshotSlot { generation: slot.generation, session });
+        }
+        Ok(SchedulerSnapshot {
+            cfg: core.cfg.clone(),
+            next_request: core.next_request,
+            rebuilds: core.rebuilds,
+            degraded: core.degraded,
+            models: core.models.clone(),
+            slots,
+            free: core.free.iter().map(|&i| i as u32).collect(),
+            queue: core.queue.iter().cloned().collect(),
+        })
+    }
+
+    /// The digest as it was computed before streaming: clone the state
+    /// into a snapshot, encode it, hash the record.
+    pub(crate) fn oracle_digest<S>(core: &SchedulerCore<S>) -> Result<u64, ServeError>
+    where
+        for<'s> &'s S: Into<CheckpointView<'s>>,
+    {
+        Ok(checksum64(WireRecord::Snapshot(to_snapshot(core)?).encode().as_ref()))
+    }
+
+    #[test]
+    fn a_riding_state_refuses_encode_and_digest() {
+        let mut core = SchedulerCore::new(ServeConfig::default(), Vec::new());
+        let state = StateCheckpoint {
+            shape: [1, 1, 0, 1],
+            v0: vec![0.5],
+            sre: vec![0.25],
+            sim: vec![0.0],
+            uprev: 0,
+            started: true,
+            samples: 3,
+            coef_dt: 1.0f64.to_bits(),
+        };
+        let handle = core.open(ModelId(0), 1.0, 0, state);
+        assert!(core.digest().is_ok());
+        let state = core.take_state(handle).expect("live");
+        let riding =
+            Err(ServeError::SnapshotInvalid { what: "a session's state is riding a batch round" });
+        assert_eq!(core.encode().map(|_| ()), riding);
+        assert_eq!(core.digest().map(|_| ()), riding);
+        assert_eq!(oracle_digest(&core).map(|_| ()), riding);
+        core.put_state(handle, state);
+        assert_eq!(core.digest(), oracle_digest(&core));
     }
 }

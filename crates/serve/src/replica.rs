@@ -93,21 +93,25 @@ pub trait ReplicationSink: Send {
     fn append(&mut self, record: Bytes);
 }
 
-/// The simplest sink: an in-memory vector of framed records. Useful in
-/// tests that want record-granular access to the log.
-impl ReplicationSink for Vec<Bytes> {
-    fn append(&mut self, record: Bytes) {
-        self.push(record);
-    }
-}
-
 /// A clonable, shared, in-memory replication log: the primary appends
 /// through one clone while followers [`tail`](Follower::tail) the
 /// concatenated bytes through another — the in-process stand-in for a
 /// replicated log service or a shared append-only file.
+///
+/// Copy-on-write: [`bytes`](SharedLog::bytes) copies nothing, and an
+/// append copies the buffer only while a view of it is alive.
 #[derive(Debug, Clone, Default)]
 pub struct SharedLog {
-    inner: Arc<Mutex<Vec<u8>>>,
+    inner: Arc<Mutex<Arc<Vec<u8>>>>,
+}
+
+/// The owner of a [`SharedLog::bytes`] view: one version of the buffer.
+struct LogVersion(Arc<Vec<u8>>);
+
+impl AsRef<[u8]> for LogVersion {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 impl SharedLog {
@@ -116,18 +120,15 @@ impl SharedLog {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            // A panic while appending cannot leave a torn record: the
-            // buffer only ever grows by whole `append`s.
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// Ignores poisoning: the buffer only grows by whole `append`s.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Arc<Vec<u8>>> {
+        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// A copy of the log's current bytes.
+    /// The log's current bytes, without copying them. The view keeps
+    /// them: appends while it is alive go to a copy of the buffer.
     pub fn bytes(&self) -> Bytes {
-        Bytes::from(self.lock().clone())
+        Bytes::from_owner(LogVersion(Arc::clone(&self.lock())))
     }
 
     /// Current length in bytes.
@@ -143,7 +144,7 @@ impl SharedLog {
 
 impl ReplicationSink for SharedLog {
     fn append(&mut self, record: Bytes) {
-        self.lock().extend_from_slice(record.as_ref());
+        Arc::make_mut(&mut self.lock()).extend_from_slice(record.as_ref());
     }
 }
 
@@ -291,9 +292,7 @@ impl Follower {
     /// The stored poison error, or [`ReplicaError::NoBaseline`] before
     /// the baseline snapshot arrived.
     pub fn state_digest(&self) -> Result<u64, ReplicaError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
+        self.healthy()?;
         let core = self.core.as_ref().ok_or(ReplicaError::NoBaseline)?;
         Ok(core.digest()?)
     }
@@ -306,10 +305,13 @@ impl Follower {
     /// Any [`ReplicaError`]; on error nothing is committed and the
     /// follower is poisoned (every later call returns the same error).
     pub fn apply(&mut self, record: WireRecord) -> Result<(), ReplicaError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
+        self.healthy()?;
         self.apply_inner(record).map_err(|e| self.poison(e))
+    }
+
+    /// The stored poison error, if the follower has failed.
+    fn healthy(&self) -> Result<(), ReplicaError> {
+        self.failed.clone().map_or(Ok(()), Err)
     }
 
     /// Stores `e` as the poison error and returns it.
@@ -376,34 +378,27 @@ impl Follower {
     /// records applied.
     ///
     /// `log` must be the *whole* log from its first byte — the follower
-    /// tracks its own offset, so repeatedly passing
-    /// [`SharedLog::bytes`] tails incrementally.
+    /// tracks its own offset, so repeatedly passing the zero-copy
+    /// [`SharedLog::bytes`] view tails incrementally.
     ///
     /// # Errors
     ///
     /// Any [`ReplicaError`]; the offending record and everything after
     /// it are not consumed, and the follower is poisoned.
     pub fn tail(&mut self, log: &Bytes) -> Result<usize, ReplicaError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
+        self.healthy()?;
         if log.len() < self.offset {
             let what = "the replication log shrank below the consumed offset";
             return Err(self.poison(ReplicaError::BadDelta { seq: self.seq, what }));
         }
-        let mut stream = decode_stream(log.slice(self.offset..log.len()));
+        let start = self.offset;
+        let mut stream = decode_stream(log.slice(start..log.len()));
         let mut applied = 0usize;
-        loop {
-            let before = stream.consumed();
-            match stream.next() {
-                None => break,
-                Some(Ok(record)) => {
-                    self.apply(record)?;
-                    self.offset += stream.consumed() - before;
-                    applied += 1;
-                }
-                Some(Err(e)) => return Err(self.poison(ReplicaError::Wire(e))),
-            }
+        while let Some(record) = stream.next() {
+            let record = record.map_err(|e| self.poison(ReplicaError::Wire(e)))?;
+            self.apply(record)?;
+            self.offset = start + stream.consumed();
+            applied += 1;
         }
         Ok(applied)
     }
@@ -421,9 +416,7 @@ impl Follower {
     /// The stored poison error, [`ReplicaError::NoBaseline`], or a
     /// wrapped [`ServeError`] when a checkpoint does not fit its model.
     pub fn promote(mut self) -> Result<Scheduler, ReplicaError> {
-        if let Some(e) = self.failed.take() {
-            return Err(e);
-        }
+        self.healthy()?;
         let core = self.core.take().ok_or(ReplicaError::NoBaseline)?.import(&self.registry)?;
         Ok(Scheduler::from_core(Arc::new(self.registry), core))
     }
@@ -432,6 +425,7 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos;
     use crate::scheduler::ServeConfig;
     use crate::wire::{DeltaOp, DeltaRecord};
     use rvf_core::SimBuilder;
@@ -460,6 +454,85 @@ mod tests {
         writer.append(Bytes::from(vec![4]));
         assert_eq!(log.len(), 4);
         assert_eq!(log.bytes().as_ref(), &[1, 2, 3, 4]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The streamed one-pass digest equals the clone-encode-hash
+        /// oracle on both sides of the log, after every op of a random
+        /// open / submit / tick / close / panicked-tick sequence — so
+        /// digests are taken with queued work, retries in backoff, and
+        /// freed slots.
+        #[test]
+        fn streamed_digest_matches_the_clone_and_encode_oracle(
+            ops in proptest::collection::vec((0u8..5, 0u64..1000), 1..40)
+        ) {
+            use crate::machine::tests::oracle_digest;
+            let log = SharedLog::new();
+            let cfg = ServeConfig {
+                workers: 2,
+                max_retries: 1,
+                retry_backoff_base: 1,
+                rebuild_after_panics: 2,
+                ..ServeConfig::default()
+            };
+            let mut primary = Scheduler::new(registry(), cfg);
+            primary.attach_replica(Box::new(log.clone()), 3).expect("attach");
+            let mut follower = Follower::new(registry());
+            let model = primary.registry().id("m").expect("model");
+            let (mut sessions, mut now) = (Vec::new(), 0u64);
+            for (op, x) in ops {
+                let pick = |n: usize| x as usize % n.max(1);
+                match op {
+                    0 => sessions.push(primary.open_session(model, 1e-10, now).expect("open")),
+                    1 if !sessions.is_empty() => {
+                        let chunk: Vec<f64> =
+                            (0..1 + x % 5).map(|i| (i + x) as f64 * 1e-3).collect();
+                        let session = sessions[pick(sessions.len())];
+                        let _ = primary.submit(session, &chunk, now, now + x % 4);
+                    }
+                    3 if !sessions.is_empty() => {
+                        let _ = primary.close_session(sessions.swap_remove(pick(sessions.len())));
+                    }
+                    4 => chaos::arm_worker_panic(&primary),
+                    _ => {
+                        primary.tick(now);
+                        now += 1;
+                    }
+                }
+                let digest = primary.state_digest();
+                proptest::prop_assert_eq!(&digest, &oracle_digest(primary.core_for_test()));
+                follower.tail(&log.bytes()).expect("the follower verifies every journaled digest");
+                let core = follower.core.as_ref().expect("baseline");
+                proptest::prop_assert_eq!(follower.state_digest().ok(), oracle_digest(core).ok());
+                proptest::prop_assert_eq!(follower.state_digest().ok(), digest.ok());
+            }
+        }
+    }
+
+    #[test]
+    fn a_view_keeps_its_bytes_across_later_appends() {
+        let mut log = SharedLog::new();
+        log.append(Bytes::from(vec![1, 2]));
+        let view = log.bytes();
+        log.append(Bytes::from(vec![3]));
+        assert_eq!(view.as_ref(), &[1, 2], "the old view is unchanged");
+        assert_eq!(log.bytes().as_ref(), &[1, 2, 3], "the append landed");
+        assert_eq!(log.len(), 3);
+    }
+
+    #[test]
+    fn views_without_an_append_between_share_one_buffer() {
+        let mut log = SharedLog::new();
+        log.append(Bytes::from(vec![7, 8, 9]));
+        let (a, b) = (log.bytes(), log.bytes());
+        assert_eq!(a.as_ref().as_ptr(), b.as_ref().as_ptr(), "bytes() copied the log");
+        drop((a, b));
+        // With no view alive an append extends the buffer in place; the
+        // next view still reads the same bytes from the front.
+        log.append(Bytes::from(vec![10]));
+        assert_eq!(log.bytes().as_ref(), &[7, 8, 9, 10]);
     }
 
     #[test]

@@ -57,7 +57,9 @@ use crate::error::ServeError;
 use crate::machine::SchedulerCore;
 use crate::registry::{ModelId, ModelRegistry};
 use crate::replica::ReplicationSink;
-use crate::wire::{DeltaOp, DeltaRecord, DigestRecord, WireRecord};
+use crate::wire::{
+    encode_delta, put_admitted, put_completed, put_op, DeltaOp, DigestRecord, Sink, WireRecord,
+};
 
 /// Replication bookkeeping: the attached sink, the delta sequence
 /// counter, and the digest cadence. Digests are *deferred*: a journaled
@@ -68,7 +70,6 @@ struct Replication {
     sink: Box<dyn ReplicationSink>,
     seq: u64,
     digest_every: u64,
-    since_digest: u64,
     digest_due: bool,
 }
 
@@ -304,19 +305,12 @@ impl Scheduler {
     /// is attached.
     pub fn attach_replica(
         &mut self,
-        sink: Box<dyn ReplicationSink>,
+        mut sink: Box<dyn ReplicationSink>,
         digest_every: u64,
     ) -> Result<(), ServeError> {
-        let baseline = self.snapshot()?;
-        let mut rep = Replication {
-            sink,
-            seq: 0,
-            digest_every: digest_every.max(1),
-            since_digest: 0,
-            digest_due: false,
-        };
-        rep.sink.append(baseline);
-        self.replica = Some(rep);
+        sink.append(self.snapshot()?);
+        let digest_every = digest_every.max(1);
+        self.replica = Some(Replication { sink, seq: 0, digest_every, digest_due: false });
         Ok(())
     }
 
@@ -344,39 +338,29 @@ impl Scheduler {
         self.core.digest()
     }
 
-    /// Appends one committed mutation to the replication log, if a sink
-    /// is attached. Infallible by design: the sink's `append` cannot
-    /// fail, so journaling never blocks or poisons the serving path.
-    fn journal(&mut self, op: DeltaOp) {
-        let Some(rep) = self.replica.as_mut() else {
-            return;
-        };
+    /// Appends the committed mutation `put_op` writes to the log, if a
+    /// sink is attached, under the next sequence number. Infallible:
+    /// journaling never blocks or poisons the serving path.
+    fn journal(&mut self, put_op: impl Fn(&mut Sink<'_>)) {
+        let Some(rep) = self.replica.as_mut() else { return };
         rep.seq += 1;
-        let record = WireRecord::Delta(DeltaRecord { seq: rep.seq, op }).encode();
-        rep.sink.append(record);
-        rep.since_digest += 1;
-        if rep.since_digest >= rep.digest_every {
-            rep.since_digest = 0;
-            rep.digest_due = true;
-        }
+        rep.sink.append(encode_delta(rep.seq, put_op));
+        // The sequence restarts at each baseline.
+        rep.digest_due |= rep.seq % rep.digest_every == 0;
     }
 
     /// Emits a due digest. Only called at snapshot-consistent points
     /// (never mid-batch, when session states are riding the round).
     fn flush_digest(&mut self) {
-        if !self.replica.as_ref().is_some_and(|rep| rep.digest_due) {
-            return;
-        }
-        let Ok(digest) = self.state_digest() else {
-            // Unreachable: flush points are snapshot-consistent. Leave
-            // the digest due; a follower just verifies one cadence
-            // later.
+        let Some(rep) = self.replica.as_mut().filter(|rep| rep.digest_due) else {
             return;
         };
-        if let Some(rep) = self.replica.as_mut() {
+        // Cannot fail: flush points are snapshot-consistent. If it did,
+        // the digest would stay due; a follower just verifies one
+        // cadence later.
+        if let Ok(digest) = self.core.digest() {
             rep.digest_due = false;
-            let record = WireRecord::Digest(DigestRecord { seq: rep.seq, digest }).encode();
-            rep.sink.append(record);
+            rep.sink.append(WireRecord::Digest(DigestRecord { seq: rep.seq, digest }).encode());
         }
     }
 
@@ -433,13 +417,9 @@ impl Scheduler {
         let checkpoint = self.replica.as_ref().map(|_| state.export());
         let handle = self.core.open(model, dt, now, state);
         if let Some(state) = checkpoint {
-            self.journal(DeltaOp::SessionOpened {
-                session: handle.raw(),
-                model: model.index() as u32,
-                dt_bits: dt.to_bits(),
-                last_activity: now,
-                state,
-            });
+            let (session, model, dt_bits) = (handle.raw(), model.index() as u32, dt.to_bits());
+            let op = DeltaOp::SessionOpened { session, model, dt_bits, last_activity: now, state };
+            self.journal(|w| put_op(w, &op));
             self.flush_digest();
         }
         Ok(handle)
@@ -478,7 +458,7 @@ impl Scheduler {
     pub fn close_session(&mut self, handle: SessionHandle) -> Result<SimState, ServeError> {
         let unknown = ServeError::UnknownSession { id: handle.raw() };
         let session = self.core.close(handle).ok_or(unknown.clone())?;
-        self.journal(DeltaOp::SessionClosed { session: handle.raw() });
+        self.journal(|w| put_op(w, &DeltaOp::SessionClosed { session: handle.raw() }));
         self.flush_digest();
         session.state.ok_or(unknown)
     }
@@ -524,13 +504,7 @@ impl Scheduler {
         }
         let id = self.core.admit(handle, chunk.to_vec(), deadline, now);
         if self.replica.is_some() {
-            self.journal(DeltaOp::Admitted {
-                request: id.0,
-                session: handle.raw(),
-                deadline,
-                not_before: now,
-                input: chunk.to_vec(),
-            });
+            self.journal(|w| put_admitted(w, [id.0, handle.raw(), deadline, now], chunk));
             self.flush_digest();
         }
         Ok(id)
@@ -666,7 +640,7 @@ impl Scheduler {
         events: &mut Vec<Event>,
     ) {
         self.core.fail(request);
-        self.journal(DeltaOp::RequestFailed { request: request.0 });
+        self.journal(|w| put_op(w, &DeltaOp::RequestFailed { request: request.0 }));
         events.push(Event::Failed { request, session, error });
     }
 
@@ -757,18 +731,11 @@ impl Scheduler {
         match outcome {
             Ok(()) => {
                 for ((m, state), output) in lent.into_iter().zip(outputs) {
-                    // Post-state checkpoint for the journal, exported
-                    // before the state returns to the core.
-                    let checkpoint = self.replica.as_ref().map(|_| state.export());
+                    // Journaled from the borrowed post-state, before it
+                    // returns to the core.
+                    let head = [m.request.0, m.session.raw(), now];
+                    self.journal(|w| put_completed(w, head, (&state).into()));
                     self.core.complete(m.request, m.session, now, state);
-                    if let Some(state) = checkpoint {
-                        self.journal(DeltaOp::ChunkCompleted {
-                            request: m.request.0,
-                            session: m.session.raw(),
-                            last_activity: now,
-                            state,
-                        });
-                    }
                     events.push(Event::Completed {
                         request: m.request,
                         session: m.session,
@@ -799,11 +766,8 @@ impl Scheduler {
                 // journaled) in reverse, so the oldest ends up first.
                 for (request, attempts, not_before) in requeue.into_iter().rev() {
                     self.core.retry(request, attempts, not_before);
-                    self.journal(DeltaOp::RequestRetried {
-                        request: request.0,
-                        attempts,
-                        not_before,
-                    });
+                    let op = DeltaOp::RequestRetried { request: request.0, attempts, not_before };
+                    self.journal(|w| put_op(w, &op));
                 }
                 self.check_pool_health();
             }
@@ -852,11 +816,11 @@ impl Scheduler {
         if self.core.rebuilds() >= cfg.degrade_after_rebuilds {
             self.pool = SweepPool::new(1);
             self.core.degrade();
-            self.journal(DeltaOp::Degraded);
+            self.journal(|w| put_op(w, &DeltaOp::Degraded));
         } else {
             self.pool = SweepPool::new(cfg.workers);
             self.core.pool_rebuilt();
-            self.journal(DeltaOp::PoolRebuilt);
+            self.journal(|w| put_op(w, &DeltaOp::PoolRebuilt));
         }
     }
 }
@@ -864,6 +828,13 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Scheduler {
+        /// The committed state, for the crate's differential tests.
+        pub(crate) fn core_for_test(&self) -> &SchedulerCore<SimState> {
+            &self.core
+        }
+    }
     use rvf_core::{CompiledSim, SimBuilder};
 
     fn tiny_model(a: f64) -> CompiledSim {

@@ -53,10 +53,12 @@
 //! [`Scheduler::restore`](crate::Scheduler::restore) and
 //! [`CompiledSim::import_state`](rvf_core::CompiledSim::import_state).
 
+use core::convert::Infallible;
 use core::fmt;
+use core::ops::Range;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut, TryGetError};
-use rvf_core::StateCheckpoint;
+use bytes::{Buf, Bytes, TryGetError};
+use rvf_core::{CheckpointView, StateCheckpoint};
 
 use crate::scheduler::ServeConfig;
 
@@ -90,7 +92,13 @@ pub const HEADER_LEN: usize = 16;
 /// length field must be caught by count validation, not saved by the
 /// checksum), and so external tooling can verify records it relays.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the FNV-1a/64 state `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -453,28 +461,46 @@ impl WireRecord {
     /// representable, and the 64-bit length field cannot overflow an
     /// in-memory buffer.
     pub fn encode(&self) -> Bytes {
-        let mut p = BytesMut::new();
+        let Ok(bytes) = frame(self.kind(), |w| self.put_payload(w));
+        bytes
+    }
+
+    /// Writes the record's payload.
+    fn put_payload(&self, w: &mut Sink<'_>) -> Result<(), Infallible> {
         match self {
             Self::Stimulus(c) => {
-                p.put_u64_le(c.session);
-                p.put_u64_le(c.request);
-                p.put_u64_le(c.deadline);
-                put_f64_vec(&mut p, &c.samples);
+                w.put_u64_le(c.session);
+                w.put_u64_le(c.request);
+                w.put_u64_le(c.deadline);
+                w.put_f64_vec(&c.samples);
             }
             Self::Response(c) => {
-                p.put_u64_le(c.session);
-                p.put_u64_le(c.request);
-                put_f64_vec(&mut p, &c.samples);
+                w.put_u64_le(c.session);
+                w.put_u64_le(c.request);
+                w.put_f64_vec(&c.samples);
             }
-            Self::Checkpoint(c) => put_checkpoint(&mut p, c),
-            Self::Snapshot(s) => put_snapshot(&mut p, s),
-            Self::Delta(d) => put_delta(&mut p, d),
+            Self::Checkpoint(c) => put_checkpoint(w, c.into()),
+            Self::Snapshot(s) => {
+                let slots = s.slots.iter().map(|slot| {
+                    let session = slot.session.as_ref();
+                    let view =
+                        session.map(|s| (s.model, s.dt_bits, s.last_activity, (&s.state).into()));
+                    Ok((slot.generation, view))
+                });
+                let head = (&s.cfg, s.next_request, s.rebuilds, s.degraded);
+                let (free, queue) = (s.free.iter().copied(), s.queue.iter());
+                return put_snapshot(w, head, &s.models, slots, free, queue);
+            }
+            Self::Delta(d) => {
+                w.put_u64_le(d.seq);
+                put_op(w, &d.op);
+            }
             Self::Digest(d) => {
-                p.put_u64_le(d.seq);
-                p.put_u64_le(d.digest);
+                w.put_u64_le(d.seq);
+                w.put_u64_le(d.digest);
             }
         }
-        frame(self.kind(), p.freeze())
+        Ok(())
     }
 
     /// Decodes one framed record, validating magic, version, kind,
@@ -496,34 +522,17 @@ impl WireRecord {
     /// [`decode`](Self::decode) contract); without it, they are left
     /// for the caller — the [`decode_stream`] contract.
     fn decode_at(bytes: &Bytes, exact: bool) -> Result<(Self, usize), WireError> {
-        let total = bytes.remaining();
-        let mut cur = bytes.clone();
-        let magic = cur.try_get_u32_le()?;
-        if magic != MAGIC {
-            return Err(WireError::BadMagic { found: magic });
+        let total = bytes.remaining() as u64;
+        let needed = check_header(bytes.as_ref())?.unwrap_or(HEADER_LEN as u64 + 8);
+        if total < needed {
+            return Err(WireError::Truncated { needed, available: total });
         }
-        let version = cur.try_get_u16_le()?;
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion { found: version });
-        }
-        let kind = cur.try_get_u8()?;
-        if !(KIND_STIMULUS..=KIND_DIGEST).contains(&kind) {
-            return Err(WireError::UnknownRecord { kind });
-        }
-        if cur.try_get_u8()? != 0 {
-            return Err(WireError::Malformed { what: "nonzero reserved header byte" });
-        }
-        let payload_len = cur.try_get_u64_le()?;
-        let needed = payload_len.saturating_add(HEADER_LEN as u64 + 8);
-        if (total as u64) < needed {
-            return Err(WireError::Truncated { needed, available: total as u64 });
-        }
-        if exact && (total as u64) > needed {
-            return Err(WireError::TrailingBytes { extra: total as u64 - needed });
+        if exact && total > needed {
+            return Err(WireError::TrailingBytes { extra: total - needed });
         }
         // total >= needed, so the payload length fits in usize.
-        let plen = payload_len as usize;
-        let expected = checksum64(bytes.slice(0..HEADER_LEN + plen).as_ref());
+        let (kind, plen) = (bytes.as_ref()[6], needed as usize - HEADER_LEN - 8);
+        let expected = checksum64(&bytes.as_ref()[..HEADER_LEN + plen]);
         let mut trailer = bytes.slice(HEADER_LEN + plen..HEADER_LEN + plen + 8);
         let found = trailer.try_get_u64_le()?;
         if found != expected {
@@ -621,58 +630,21 @@ impl Iterator for RecordStream {
             return None;
         }
         let rest = self.buf.slice(self.offset..self.buf.len());
-        let len = rest.len();
-        if len == 0 {
-            self.state = StreamState::Ended(StreamEnd::Clean);
-            return None;
-        }
-        // Validate whatever header prefix is visible: a partial record
-        // is only "partial" while every byte seen so far is consistent
-        // with a record under construction — anything else is a hard
-        // error, not a wait-for-more-bytes condition.
-        let r = rest.as_ref();
-        if len >= 4 {
-            let magic = u32::from_le_bytes([r[0], r[1], r[2], r[3]]);
-            if magic != MAGIC {
-                self.state = StreamState::Failed;
-                return Some(Err(WireError::BadMagic { found: magic }));
+        let len = rest.len() as u64;
+        // A partial record is only "partial" while every byte seen so
+        // far is consistent with a record under construction — anything
+        // else is a hard error, not a wait-for-more-bytes condition.
+        let decoded = match check_header(rest.as_ref()) {
+            Ok(Some(needed)) if needed <= len => WireRecord::decode_at(&rest, false),
+            Ok(needed) => {
+                let (offset, needed) = (self.offset, needed.unwrap_or(0));
+                let partial = StreamEnd::Partial { offset, needed, available: len };
+                self.state = StreamState::Ended(if len == 0 { StreamEnd::Clean } else { partial });
+                return None;
             }
-        }
-        if len >= 6 {
-            let version = u16::from_le_bytes([r[4], r[5]]);
-            if version != WIRE_VERSION {
-                self.state = StreamState::Failed;
-                return Some(Err(WireError::UnsupportedVersion { found: version }));
-            }
-        }
-        if len >= 7 && !(KIND_STIMULUS..=KIND_DIGEST).contains(&r[6]) {
-            self.state = StreamState::Failed;
-            return Some(Err(WireError::UnknownRecord { kind: r[6] }));
-        }
-        if len >= 8 && r[7] != 0 {
-            self.state = StreamState::Failed;
-            return Some(Err(WireError::Malformed { what: "nonzero reserved header byte" }));
-        }
-        if len < HEADER_LEN {
-            self.state = StreamState::Ended(StreamEnd::Partial {
-                offset: self.offset,
-                needed: 0,
-                available: len as u64,
-            });
-            return None;
-        }
-        let payload_len =
-            u64::from_le_bytes([r[8], r[9], r[10], r[11], r[12], r[13], r[14], r[15]]);
-        let needed = payload_len.saturating_add(HEADER_LEN as u64 + 8);
-        if (len as u64) < needed {
-            self.state = StreamState::Ended(StreamEnd::Partial {
-                offset: self.offset,
-                needed,
-                available: len as u64,
-            });
-            return None;
-        }
-        match WireRecord::decode_at(&rest, false) {
+            Err(e) => Err(e),
+        };
+        match decoded {
             Ok((record, used)) => {
                 self.offset += used;
                 Some(Ok(record))
@@ -683,6 +655,27 @@ impl Iterator for RecordStream {
             }
         }
     }
+}
+
+/// Validates the visible prefix of a record header in order — magic,
+/// version, kind, reserved byte, each once its bytes are visible — and,
+/// once the length field is visible, returns the record's framed length.
+fn check_header(r: &[u8]) -> Result<Option<u64>, WireError> {
+    let le =
+        |at: Range<usize>| r.get(at).map(|b| b.iter().rev().fold(0, |v, &x| v << 8 | x as u64));
+    if let Some(found) = le(0..4).filter(|&magic| magic != MAGIC as u64) {
+        return Err(WireError::BadMagic { found: found as u32 });
+    }
+    if let Some(found) = le(4..6).filter(|&version| version != WIRE_VERSION as u64) {
+        return Err(WireError::UnsupportedVersion { found: found as u16 });
+    }
+    if let Some(&kind) = r.get(6).filter(|kind| !(KIND_STIMULUS..=KIND_DIGEST).contains(kind)) {
+        return Err(WireError::UnknownRecord { kind });
+    }
+    if r.get(7).is_some_and(|&reserved| reserved != 0) {
+        return Err(WireError::Malformed { what: "nonzero reserved header byte" });
+    }
+    Ok(le(8..16).map(|payload_len| payload_len.saturating_add(HEADER_LEN as u64 + 8)))
 }
 
 /// Iterates the concatenated framed records at the front of `buf`,
@@ -700,21 +693,88 @@ pub fn decode_stream(buf: Bytes) -> RecordStream {
     RecordStream { buf, offset: 0, state: StreamState::Running }
 }
 
-/// Frames a finished payload: header + payload + FNV-1a trailer.
-fn frame(kind: u8, payload: Bytes) -> Bytes {
-    let mut body = BytesMut::with_capacity(HEADER_LEN + payload.len() + 8);
-    body.put_u32_le(MAGIC);
-    body.put_u16_le(WIRE_VERSION);
-    body.put_u8(kind);
-    body.put_u8(0);
-    body.put_u64_le(payload.len() as u64);
-    body.put_slice(payload.as_ref());
-    let body = body.freeze();
-    let sum = checksum64(body.as_ref());
-    let mut full = BytesMut::with_capacity(body.len() + 8);
-    full.put_slice(body.as_ref());
-    full.put_u64_le(sum);
-    full.freeze()
+/// Where encoded bytes go — counted, buffered, or folded into FNV-1a —
+/// so a record's length field, bytes and checksum share one writer.
+pub(crate) enum Sink<'a> {
+    Count(&'a mut usize),
+    Buf(&'a mut Vec<u8>),
+    Fnv(&'a mut u64),
+}
+
+impl Sink<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        match self {
+            Sink::Count(n) => **n += src.len(),
+            Sink::Buf(b) => b.extend_from_slice(src),
+            Sink::Fnv(h) => **h = fnv1a(**h, src),
+        }
+    }
+
+    fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64_le(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    /// A `u32` count, then each value's bit pattern.
+    fn put_f64_vec(&mut self, v: &[f64]) {
+        self.put_u32_le(v.len() as u32);
+        match self {
+            Sink::Count(n) => **n += 8 * v.len(),
+            _ => v.iter().for_each(|x| self.put_u64_le(x.to_bits())),
+        }
+    }
+}
+
+/// Writes a `kind` header and the payload `put` writes, sized by a
+/// counting pass first (a buffer reserves the whole record from it).
+fn put_record<E>(
+    w: &mut Sink<'_>,
+    kind: u8,
+    put: &impl Fn(&mut Sink<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut len = 0;
+    put(&mut Sink::Count(&mut len))?;
+    if let Sink::Buf(b) = w {
+        b.reserve_exact(HEADER_LEN + len + 8);
+    }
+    w.put_u32_le(MAGIC);
+    w.put_slice(&WIRE_VERSION.to_le_bytes());
+    w.put_slice(&[kind, 0]);
+    w.put_u64_le(len as u64);
+    put(w)
+}
+
+/// Frames the payload `put` writes (header, payload, trailer) in one buffer.
+pub(crate) fn frame<E>(kind: u8, put: impl Fn(&mut Sink<'_>) -> Result<(), E>) -> Result<Bytes, E> {
+    let mut buf = Vec::new();
+    put_record(&mut Sink::Buf(&mut buf), kind, &put)?;
+    buf.extend_from_slice(&checksum64(&buf).to_le_bytes());
+    Ok(Bytes::from(buf))
+}
+
+/// [`checksum64`] of the record [`frame`] builds, in one pass that
+/// builds nothing: FNV-1a streams, and its state after header and
+/// payload is the trailer, so the hash goes on over the trailer's bytes.
+pub(crate) fn framed_checksum<E>(
+    kind: u8,
+    put: impl Fn(&mut Sink<'_>) -> Result<(), E>,
+) -> Result<u64, E> {
+    let mut h = FNV_OFFSET;
+    put_record(&mut Sink::Fnv(&mut h), kind, &put)?;
+    Ok(fnv1a(h, &h.to_le_bytes()))
+}
+
+/// A framed delta record: `seq`, then the op `put_op` writes.
+pub(crate) fn encode_delta(seq: u64, put_op: impl Fn(&mut Sink<'_>)) -> Bytes {
+    let Ok(bytes) = frame(KIND_DELTA, |w| {
+        w.put_u64_le(seq);
+        put_op(w);
+        Ok::<_, Infallible>(())
+    });
+    bytes
 }
 
 /// Rejects a count field that promises more elements (of at least
@@ -732,26 +792,16 @@ fn check_count(
     }
 }
 
-fn put_f64_vec(b: &mut BytesMut, v: &[f64]) {
-    b.put_u32_le(v.len() as u32);
-    for &x in v {
-        b.put_f64_le(x);
-    }
-}
-
 fn get_f64_vec(cur: &mut Bytes, what: &'static str) -> Result<Vec<f64>, WireError> {
     let count = cur.try_get_u32_le()? as usize;
     check_count(count, 8, cur.remaining(), what)?;
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(cur.try_get_f64_le()?);
-    }
+    // The count check bounds the slice; each chunk is exactly 8 bytes.
+    let v = cur.chunk()[..8 * count]
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        .collect();
+    cur.advance(8 * count);
     Ok(v)
-}
-
-fn put_string(b: &mut BytesMut, s: &str) {
-    b.put_u32_le(s.len() as u32);
-    b.put_slice(s.as_bytes());
 }
 
 fn get_string(cur: &mut Bytes, what: &'static str) -> Result<String, WireError> {
@@ -774,17 +824,17 @@ fn get_usize(cur: &mut Bytes, what: &'static str) -> Result<usize, WireError> {
     usize::try_from(cur.try_get_u64_le()?).map_err(|_| WireError::Malformed { what })
 }
 
-fn put_checkpoint(b: &mut BytesMut, c: &StateCheckpoint) {
+fn put_checkpoint(w: &mut Sink<'_>, c: CheckpointView<'_>) {
     for s in c.shape {
-        b.put_u64_le(s);
+        w.put_u64_le(s);
     }
-    b.put_u64_le(c.uprev);
-    b.put_u8(c.started as u8);
-    b.put_u64_le(c.samples);
-    b.put_u64_le(c.coef_dt);
-    put_f64_vec(b, &c.v0);
-    put_f64_vec(b, &c.sre);
-    put_f64_vec(b, &c.sim);
+    w.put_u64_le(c.uprev);
+    w.put_slice(&[c.started as u8]);
+    w.put_u64_le(c.samples);
+    w.put_u64_le(c.coef_dt);
+    w.put_f64_vec(c.v0);
+    w.put_f64_vec(c.sre);
+    w.put_f64_vec(c.sim);
 }
 
 fn get_checkpoint(cur: &mut Bytes) -> Result<StateCheckpoint, WireError> {
@@ -802,53 +852,68 @@ fn get_checkpoint(cur: &mut Bytes) -> Result<StateCheckpoint, WireError> {
     Ok(StateCheckpoint { shape, v0, sre, sim, uprev, started, samples, coef_dt })
 }
 
-fn put_snapshot(b: &mut BytesMut, s: &SchedulerSnapshot) {
-    let cfg = &s.cfg;
-    b.put_u64_le(cfg.max_sessions as u64);
-    b.put_u64_le(cfg.max_queued_requests as u64);
-    b.put_u64_le(cfg.max_queued_samples as u64);
-    b.put_u64_le(cfg.max_chunk_samples as u64);
-    b.put_u64_le(cfg.idle_timeout);
-    b.put_u64_le(cfg.retry_backoff_base);
-    b.put_u32_le(cfg.max_retries);
-    b.put_u64_le(cfg.rebuild_after_panics);
-    b.put_u64_le(cfg.degrade_after_rebuilds);
-    b.put_u64_le(cfg.workers as u64);
-    b.put_u64_le(s.next_request);
-    b.put_u64_le(s.rebuilds);
-    b.put_u8(s.degraded as u8);
-    b.put_u32_le(s.models.len() as u32);
-    for m in &s.models {
-        b.put_u64_le(m.fingerprint);
-        put_string(b, &m.name);
+/// A live session: model, `dt` bits, last activity, kernel state.
+pub(crate) type SessionView<'a> = (u32, u64, u64, CheckpointView<'a>);
+
+/// Writes a [`SchedulerSnapshot`] payload, for the owned snapshot and
+/// the committed state alike, from borrowed parts: head (config, next
+/// request id, rebuilds, degraded), models, slots, free stack, queue.
+pub(crate) fn put_snapshot<'a, E>(
+    w: &mut Sink<'_>,
+    (cfg, next_request, rebuilds, degraded): (&ServeConfig, u64, u64, bool),
+    models: &[SnapshotModel],
+    slots: impl ExactSizeIterator<Item = Result<(u32, Option<SessionView<'a>>), E>>,
+    free: impl ExactSizeIterator<Item = u32>,
+    queue: impl ExactSizeIterator<Item = &'a SnapshotRequest>,
+) -> Result<(), E> {
+    w.put_u64_le(cfg.max_sessions as u64);
+    w.put_u64_le(cfg.max_queued_requests as u64);
+    w.put_u64_le(cfg.max_queued_samples as u64);
+    w.put_u64_le(cfg.max_chunk_samples as u64);
+    w.put_u64_le(cfg.idle_timeout);
+    w.put_u64_le(cfg.retry_backoff_base);
+    w.put_u32_le(cfg.max_retries);
+    w.put_u64_le(cfg.rebuild_after_panics);
+    w.put_u64_le(cfg.degrade_after_rebuilds);
+    w.put_u64_le(cfg.workers as u64);
+    w.put_u64_le(next_request);
+    w.put_u64_le(rebuilds);
+    w.put_slice(&[degraded as u8]);
+    w.put_u32_le(models.len() as u32);
+    for m in models {
+        w.put_u64_le(m.fingerprint);
+        w.put_u32_le(m.name.len() as u32);
+        w.put_slice(m.name.as_bytes());
     }
-    b.put_u32_le(s.slots.len() as u32);
-    for slot in &s.slots {
-        b.put_u32_le(slot.generation);
-        match &slot.session {
-            None => b.put_u8(0),
-            Some(sess) => {
-                b.put_u8(1);
-                b.put_u32_le(sess.model);
-                b.put_u64_le(sess.dt_bits);
-                b.put_u64_le(sess.last_activity);
-                put_checkpoint(b, &sess.state);
+    w.put_u32_le(slots.len() as u32);
+    for slot in slots {
+        let (generation, session) = slot?;
+        w.put_u32_le(generation);
+        match session {
+            None => w.put_slice(&[0]),
+            Some((model, dt_bits, last_activity, state)) => {
+                w.put_slice(&[1]);
+                w.put_u32_le(model);
+                w.put_u64_le(dt_bits);
+                w.put_u64_le(last_activity);
+                put_checkpoint(w, state);
             }
         }
     }
-    b.put_u32_le(s.free.len() as u32);
-    for &i in &s.free {
-        b.put_u32_le(i);
+    w.put_u32_le(free.len() as u32);
+    for i in free {
+        w.put_u32_le(i);
     }
-    b.put_u32_le(s.queue.len() as u32);
-    for r in &s.queue {
-        b.put_u64_le(r.id);
-        b.put_u64_le(r.session);
-        b.put_u64_le(r.deadline);
-        b.put_u32_le(r.attempts);
-        b.put_u64_le(r.not_before);
-        put_f64_vec(b, &r.input);
+    w.put_u32_le(queue.len() as u32);
+    for r in queue {
+        w.put_u64_le(r.id);
+        w.put_u64_le(r.session);
+        w.put_u64_le(r.deadline);
+        w.put_u32_le(r.attempts);
+        w.put_u64_le(r.not_before);
+        w.put_f64_vec(&r.input);
     }
+    Ok(())
 }
 
 fn get_snapshot(cur: &mut Bytes) -> Result<SchedulerSnapshot, WireError> {
@@ -932,49 +997,54 @@ const OP_RETRY: u8 = 6;
 const OP_REBUILD: u8 = 7;
 const OP_DEGRADE: u8 = 8;
 
-fn put_delta(b: &mut BytesMut, d: &DeltaRecord) {
-    b.put_u64_le(d.seq);
-    match &d.op {
+/// Writes a [`DeltaOp`].
+pub(crate) fn put_op(w: &mut Sink<'_>, op: &DeltaOp) {
+    match op {
         DeltaOp::SessionOpened { session, model, dt_bits, last_activity, state } => {
-            b.put_u8(OP_OPEN);
-            b.put_u64_le(*session);
-            b.put_u32_le(*model);
-            b.put_u64_le(*dt_bits);
-            b.put_u64_le(*last_activity);
-            put_checkpoint(b, state);
+            w.put_slice(&[OP_OPEN]);
+            w.put_u64_le(*session);
+            w.put_u32_le(*model);
+            w.put_u64_le(*dt_bits);
+            w.put_u64_le(*last_activity);
+            put_checkpoint(w, state.into());
         }
         DeltaOp::Admitted { request, session, deadline, not_before, input } => {
-            b.put_u8(OP_ADMIT);
-            b.put_u64_le(*request);
-            b.put_u64_le(*session);
-            b.put_u64_le(*deadline);
-            b.put_u64_le(*not_before);
-            put_f64_vec(b, input);
+            put_admitted(w, [*request, *session, *deadline, *not_before], input);
         }
         DeltaOp::ChunkCompleted { request, session, last_activity, state } => {
-            b.put_u8(OP_COMPLETE);
-            b.put_u64_le(*request);
-            b.put_u64_le(*session);
-            b.put_u64_le(*last_activity);
-            put_checkpoint(b, state);
+            put_completed(w, [*request, *session, *last_activity], state.into());
         }
         DeltaOp::RequestFailed { request } => {
-            b.put_u8(OP_FAIL);
-            b.put_u64_le(*request);
+            w.put_slice(&[OP_FAIL]);
+            w.put_u64_le(*request);
         }
         DeltaOp::SessionClosed { session } => {
-            b.put_u8(OP_CLOSE);
-            b.put_u64_le(*session);
+            w.put_slice(&[OP_CLOSE]);
+            w.put_u64_le(*session);
         }
         DeltaOp::RequestRetried { request, attempts, not_before } => {
-            b.put_u8(OP_RETRY);
-            b.put_u64_le(*request);
-            b.put_u32_le(*attempts);
-            b.put_u64_le(*not_before);
+            w.put_slice(&[OP_RETRY]);
+            w.put_u64_le(*request);
+            w.put_u32_le(*attempts);
+            w.put_u64_le(*not_before);
         }
-        DeltaOp::PoolRebuilt => b.put_u8(OP_REBUILD),
-        DeltaOp::Degraded => b.put_u8(OP_DEGRADE),
+        DeltaOp::PoolRebuilt => w.put_slice(&[OP_REBUILD]),
+        DeltaOp::Degraded => w.put_slice(&[OP_DEGRADE]),
     }
+}
+
+/// Writes [`DeltaOp::Admitted`]: `[request, session, deadline, not_before]`, `input`.
+pub(crate) fn put_admitted(w: &mut Sink<'_>, head: [u64; 4], input: &[f64]) {
+    w.put_slice(&[OP_ADMIT]);
+    head.into_iter().for_each(|v| w.put_u64_le(v));
+    w.put_f64_vec(input);
+}
+
+/// Writes [`DeltaOp::ChunkCompleted`]: `[request, session, last_activity]`, `state`.
+pub(crate) fn put_completed(w: &mut Sink<'_>, head: [u64; 3], state: CheckpointView<'_>) {
+    w.put_slice(&[OP_COMPLETE]);
+    head.into_iter().for_each(|v| w.put_u64_le(v));
+    put_checkpoint(w, state);
 }
 
 fn get_delta(cur: &mut Bytes) -> Result<DeltaRecord, WireError> {
@@ -1017,6 +1087,27 @@ fn get_delta(cur: &mut Bytes) -> Result<DeltaRecord, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
+
+    /// The framer as it was before the one-buffer [`frame`]: the
+    /// payload built on its own, copied behind a header, hashed, and
+    /// the whole copied again ahead of the trailer. Kept as the oracle
+    /// the one-buffer framer must match byte for byte.
+    fn two_copy_frame(kind: u8, payload: Bytes) -> Bytes {
+        let mut body = BytesMut::with_capacity(HEADER_LEN + payload.len() + 8);
+        body.put_u32_le(MAGIC);
+        body.put_u16_le(WIRE_VERSION);
+        body.put_u8(kind);
+        body.put_u8(0);
+        body.put_u64_le(payload.len() as u64);
+        body.put_slice(payload.as_ref());
+        let body = body.freeze();
+        let sum = checksum64(body.as_ref());
+        let mut full = BytesMut::with_capacity(body.len() + 8);
+        full.put_slice(body.as_ref());
+        full.put_u64_le(sum);
+        full.freeze()
+    }
 
     fn checkpoint() -> StateCheckpoint {
         StateCheckpoint {
@@ -1190,7 +1281,7 @@ mod tests {
         p.put_u64_le(1);
         p.put_u64_le(2);
         p.put_u32_le(u32::MAX);
-        let bytes = frame(KIND_RESPONSE, p.freeze());
+        let bytes = two_copy_frame(KIND_RESPONSE, p.freeze());
         assert!(matches!(
             WireRecord::decode(&bytes),
             Err(WireError::BadCount { what: "response samples", .. })
@@ -1207,7 +1298,7 @@ mod tests {
         p.put_u64_le(2);
         p.put_u32_le(0);
         p.put_u32_le(0);
-        let bytes = frame(KIND_RESPONSE, p.freeze());
+        let bytes = two_copy_frame(KIND_RESPONSE, p.freeze());
         assert!(matches!(WireRecord::decode(&bytes), Err(WireError::Malformed { .. })));
     }
 
@@ -1227,6 +1318,71 @@ mod tests {
         }
     }
 
+    /// The snapshot of a live scheduler with served and queued work the
+    /// wire fuzz suite's corpus holds.
+    fn live_snapshot() -> WireRecord {
+        let mut b = rvf_core::SimBuilder::new();
+        let stat = b.drive_poly(&[0.0, 0.8, 0.02]);
+        let d = b.drive_poly(&[0.0, 1.0, 0.1]);
+        b.set_static_drive(stat);
+        b.block_real(-1.0e9, d);
+        b.block_pair(-0.5e9, 2.0e9, d, stat);
+        let sim = b.try_build().expect("valid wiring");
+        let registry = crate::ModelRegistry::build([("m".to_string(), sim)]);
+        let mut sched = crate::Scheduler::new(registry, ServeConfig::default());
+        let id = sched.registry().id("m").expect("registered");
+        let s0 = sched.open_session(id, 1.0e-10, 0).expect("open");
+        let s1 = sched.open_session(id, 2.0e-10, 0).expect("open");
+        sched.submit(s0, &[0.1, 0.2, 0.3], 0, 100).expect("submit");
+        sched.tick(1);
+        sched.submit(s0, &[0.4; 5], 2, 100).expect("submit");
+        sched.submit(s1, &[-0.2; 2], 2, 100).expect("submit");
+        sched.close_session(s1).expect("close");
+        WireRecord::decode(&sched.snapshot().expect("snapshot")).expect("decodes")
+    }
+
+    /// One record of every kind and every delta op: the wire fuzz
+    /// suite's round-trip corpus plus the unit fixtures.
+    fn corpus() -> Vec<WireRecord> {
+        let mut records = vec![
+            WireRecord::Stimulus(StimulusChunk {
+                session: 0x0000_0003_0000_0001,
+                request: 41,
+                deadline: 99,
+                samples: vec![0.25, -0.5, 1.0e-12, -0.0],
+            }),
+            WireRecord::Response(ResponseChunk {
+                session: 7,
+                request: 8,
+                samples: vec![3.25, f64::MIN_POSITIVE],
+            }),
+            WireRecord::Stimulus(StimulusChunk {
+                session: 1,
+                request: 2,
+                deadline: 3,
+                samples: vec![],
+            }),
+            WireRecord::Checkpoint(checkpoint()),
+            WireRecord::Snapshot(snapshot()),
+            live_snapshot(),
+            WireRecord::Digest(DigestRecord { seq: 2, digest: 0xDEAD_BEEF_0BAD_F00D }),
+        ];
+        records.extend(deltas());
+        records
+    }
+
+    #[test]
+    fn one_buffer_frame_matches_the_two_copy_oracle() {
+        for record in corpus() {
+            let mut payload = Vec::new();
+            let Ok(()) = record.put_payload(&mut Sink::Buf(&mut payload));
+            let want = two_copy_frame(record.kind(), Bytes::from(payload));
+            assert_eq!(record.encode(), want, "kind {} framed differently", record.kind());
+            let Ok(sum) = framed_checksum(record.kind(), |w| record.put_payload(w));
+            assert_eq!(sum, checksum64(want.as_ref()), "kind {}: one-pass checksum", record.kind());
+        }
+    }
+
     #[test]
     fn checksum_is_fnv1a() {
         // Pinned reference values of FNV-1a/64.
@@ -1239,7 +1395,7 @@ mod tests {
         let mut p = BytesMut::new();
         p.put_u64_le(1);
         p.put_u8(99);
-        let bytes = frame(KIND_DELTA, p.freeze());
+        let bytes = two_copy_frame(KIND_DELTA, p.freeze());
         assert!(matches!(
             WireRecord::decode(&bytes),
             Err(WireError::Malformed { what: "unknown delta op" })
