@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks of the numerical kernels that dominate the
 //! extraction (ablation data for DESIGN.md): the eigensolver behind
-//! pole relocation, the per-response QR compression, and the complex
-//! frequency solves of the TFT transform.
+//! pole relocation, the per-response QR compression, the complex
+//! frequency solves of the TFT transform, and whole fits at the
+//! frequency-stage and state-stage shapes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rvf_numerics::{eigenvalues, jw_grid, logspace, CLu, CMat, Complex, Mat, Qr};
+use rvf_numerics::{eigenvalues, jw_grid, linspace, logspace, CLu, CMat, Complex, Mat, Qr};
 use rvf_vecfit::{fit, VfOptions};
 
 fn bench_eigensolver(c: &mut Criterion) {
@@ -110,6 +111,19 @@ fn bench_vf_fit(c: &mut Criterion) {
     });
 }
 
+fn bench_state_stage_fit(c: &mut Criterion) {
+    // The state stage's shape, its largest extraction layer: one
+    // real-axis residue trajectory over 41 states at the 16-pole budget
+    // ceiling of the paper's RVF options.
+    let xs: Vec<Complex> = linspace(-1.0, 1.0, 41).into_iter().map(Complex::from_re).collect();
+    let traj = xs.iter().map(|x| Complex::from_re((1.5 * x.re).tanh() + 0.3 * x.re * x.re));
+    let data = vec![traj.collect::<Vec<_>>()];
+    let opts = VfOptions::state(16).with_iterations(10);
+    c.bench_function("vector_fit_state_1response_41states_16poles", |b| {
+        b.iter(|| fit(&xs, &data, &opts).unwrap())
+    });
+}
+
 fn bench_vf_k_scaling(c: &mut Criterion) {
     // Serial vs parallel per-response compression at growing response
     // counts. `threads: 1` pins the serial path; `threads: 0` takes one
@@ -138,6 +152,6 @@ criterion_group! {
     // µs-scale kernel rows.
     config = Criterion::default().sample_size(10).quick_sample_size(7);
     targets = bench_eigensolver, bench_complex_solve, bench_qr_compression, bench_vf_fit,
-        bench_vf_k_scaling
+        bench_state_stage_fit, bench_vf_k_scaling
 }
 criterion_main!(benches);

@@ -128,6 +128,9 @@ pub struct BuildDiagnostics {
     pub static_pole_count: usize,
     /// Relative RMS error of the static-path fit.
     pub static_rel_error: f64,
+    /// Warm-started fits, over every stage of the build, that hit a
+    /// numerical kernel failure and fell back to a cold restart.
+    pub cold_restarts: usize,
 }
 
 /// The extracted analytical model.
@@ -327,6 +330,7 @@ pub fn build_hammerstein(
     let mut diagnostics = BuildDiagnostics {
         freq_rel_error: freq_stage.rel_error,
         n_freq_poles: freq_stage.n_poles,
+        cold_restarts: freq_stage.cold_restarts,
         ..Default::default()
     };
 
@@ -342,6 +346,7 @@ pub fn build_hammerstein(
                 let comp: Vec<f64> = traj.iter().map(|r| r.re).collect();
                 let scale = block_scale(&[Complex::from_re(*a)]);
                 let stage = fit_state_stage_in(&pool, &states, &[comp], scale, opts)?;
+                diagnostics.cold_restarts += stage.cold_restarts;
                 diagnostics.state_pole_counts.push(stage.n_poles);
                 diagnostics.state_rel_errors.push(stage.rel_error);
                 let f = StateFn::from_fit(&stage.fit.model, 0, u0, 0.0);
@@ -353,6 +358,7 @@ pub fn build_hammerstein(
                 let c2: Vec<f64> = traj.iter().map(|r| r.re - r.im).collect();
                 let scale = block_scale(&[*a, a.conj()]);
                 let stage = fit_state_stage_in(&pool, &states, &[c1, c2], scale, opts)?;
+                diagnostics.cold_restarts += stage.cold_restarts;
                 diagnostics.state_pole_counts.push(stage.n_poles);
                 diagnostics.state_rel_errors.push(stage.rel_error);
                 let f1 = StateFn::from_fit(&stage.fit.model, 0, u0, 0.0);
@@ -369,6 +375,7 @@ pub fn build_hammerstein(
     let static_stage = fit_state_stage_in(&pool, &states, &[g_traj], g_scale.max(1e-300), opts)?;
     diagnostics.static_pole_count = static_stage.n_poles;
     diagnostics.static_rel_error = static_stage.rel_error;
+    diagnostics.cold_restarts += static_stage.cold_restarts;
     let static_path = StateFn::from_fit(&static_stage.fit.model, 0, u0, y0);
 
     Ok((HammersteinModel { static_path, blocks, u0, y0 }, diagnostics))

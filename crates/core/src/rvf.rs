@@ -84,6 +84,9 @@ pub struct StageFit {
     /// Total pole-relocation rounds performed across *all* pole counts
     /// the stage tried — the work metric the warm start cuts.
     pub relocation_rounds: usize,
+    /// Fits of the stage whose warm start failed and fell back to a cold
+    /// restart (see [`rvf_vecfit::VfFit::cold_restarted`]).
+    pub cold_restarts: usize,
 }
 
 /// Fits the frequency axis: common stable poles across all state
@@ -179,8 +182,8 @@ type PoleBudget = (&'static str, usize, usize);
 /// Real-axis presets stop growing once the samples no longer support
 /// the count (real rows are single equations, so `L ≥ 2P + 2`).
 ///
-/// Returns the lowest-error fit, with the relocation rounds of every
-/// count tried.
+/// Returns the lowest-error fit, with the relocation rounds and cold
+/// restarts of every count tried.
 pub(crate) fn grow_poles(
     pool: &SweepPool,
     samples: &[Complex],
@@ -196,7 +199,7 @@ pub(crate) fn grow_poles(
     }
     let mut best: Option<StageFit> = None;
     let mut warm: Option<PoleSet> = None;
-    let mut relocation_rounds = 0;
+    let (mut relocation_rounds, mut cold_restarts) = (0, 0);
     let mut p = start;
     while p <= max {
         let vf_opts = preset(p);
@@ -205,12 +208,19 @@ pub(crate) fn grow_poles(
         }
         let fit = fit_in(pool, samples, data, &vf_opts, warm.as_ref())?;
         relocation_rounds += fit.iterations_run;
+        cold_restarts += usize::from(fit.cold_restarted);
         if opts.warm_start {
             warm = Some(fit.model.poles().clone());
         }
         let rel = fit.rms_error / scale;
         if best.as_ref().is_none_or(|b| rel < b.rel_error) {
-            best = Some(StageFit { fit, rel_error: rel, n_poles: p, relocation_rounds });
+            best = Some(StageFit {
+                fit,
+                rel_error: rel,
+                n_poles: p,
+                relocation_rounds,
+                cold_restarts,
+            });
         }
         if rel <= opts.epsilon {
             break;
@@ -220,6 +230,7 @@ pub(crate) fn grow_poles(
     let mut best =
         best.ok_or(RvfError::TooFewStates { got: samples.len(), needed: 2 * start + 2 })?;
     best.relocation_rounds = relocation_rounds;
+    best.cold_restarts = cold_restarts;
     Ok(best)
 }
 

@@ -19,9 +19,12 @@ use crate::matrix::Mat;
 /// # Errors
 ///
 /// Returns [`NumericsError::NotSquare`] for rectangular input and
-/// [`NumericsError::NoConvergence`] if the QR iteration stalls (does not
-/// happen for the balanced, well-scaled matrices produced by the fitting
-/// pipeline).
+/// [`NumericsError::NoConvergence`] if the QR iteration stalls. That does
+/// happen on matrices from the fitting pipeline: a relocation matrix
+/// whose spectrum is symmetric in ± (the textbook case where Francis
+/// shifts stall) can exhaust the budget of 30 iterations per eigenvalue.
+/// Vector fitting's warm-started fits recover by restarting cold, and
+/// report it (`VfFit::cold_restarted` in `rvf-vecfit`).
 ///
 /// # Examples
 ///

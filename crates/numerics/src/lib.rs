@@ -94,7 +94,10 @@ pub use lu::{CLu, Lu};
 pub use matrix::Mat;
 pub use pencil::{HtPencil, PENCIL_REDUCTION_CROSSOVER};
 pub use poly::{from_roots, Poly};
-pub use qr::{factor_with_rhs_in_place, lstsq, lstsq_ridge, Qr};
+pub use qr::{
+    apply_reflectors_in_place, factor_block_in_place, factor_with_rhs_in_place, lstsq, lstsq_ridge,
+    Qr,
+};
 pub use stats::{
     db10, db20, deg, from_db20, max_abs_err, mean, nrmse, rms, rmse, rmse_complex, unwrap_phase,
 };

@@ -4,7 +4,11 @@
 //! real/imaginary parts of the partial-fraction basis); the fast VF
 //! variant of Deschrijver et al. additionally needs the triangular `R`
 //! factor of per-snapshot blocks to compress the pole-identification
-//! system. Both paths go through [`Qr`].
+//! system. Every factorization runs one row-oriented fused Householder
+//! kernel ([`factor_block_in_place`]); [`apply_reflectors_in_place`]
+//! replays a packed factor's reflectors on another block with the same
+//! arithmetic, so a column block shared by many systems is factored
+//! once.
 
 use crate::error::NumericsError;
 use crate::matrix::Mat;
@@ -49,9 +53,8 @@ impl Qr {
     ///
     /// Numerically identical to [`Qr::factor`] followed by
     /// [`Qr::qt_mul`] (the reflectors hit `b` in the same order with the
-    /// same coefficients), but in one pass over the data — the fast-VF
-    /// per-response compression uses this to skip the separate
-    /// `qt_mul` sweep.
+    /// same coefficients), but in one pass over the data, without the
+    /// separate `qt_mul` sweep.
     ///
     /// # Panics
     ///
@@ -84,21 +87,12 @@ impl Qr {
 
     /// Applies `Qᵀ` to a vector (length `m`), in place semantics via return.
     pub fn qt_mul(&self, b: &[f64]) -> Vec<f64> {
-        let (m, n) = self.qr.shape();
+        let m = self.qr.rows();
         assert_eq!(b.len(), m, "dimension mismatch in qt_mul");
         let mut y = b.to_vec();
-        for j in 0..m.min(n) {
-            if self.tau[j] == 0.0 {
-                continue;
-            }
-            let mut dot = y[j];
-            for i in (j + 1)..m {
-                dot += self.qr[(i, j)] * y[i];
-            }
-            dot *= self.tau[j];
-            y[j] -= dot;
-            for i in (j + 1)..m {
-                y[i] -= dot * self.qr[(i, j)];
+        for (j, &t) in self.tau.iter().enumerate() {
+            if t != 0.0 {
+                reflect_vec(&mut y, j, t, |i| self.qr[(i, j)]);
             }
         }
         y
@@ -114,17 +108,8 @@ impl Qr {
             let mut e = vec![0.0; m];
             e[col] = 1.0;
             for j in (0..k).rev() {
-                if self.tau[j] == 0.0 {
-                    continue;
-                }
-                let mut dot = e[j];
-                for i in (j + 1)..m {
-                    dot += self.qr[(i, j)] * e[i];
-                }
-                dot *= self.tau[j];
-                e[j] -= dot;
-                for i in (j + 1)..m {
-                    e[i] -= dot * self.qr[(i, j)];
+                if self.tau[j] != 0.0 {
+                    reflect_vec(&mut e, j, self.tau[j], |i| self.qr[(i, j)]);
                 }
             }
             for i in 0..m {
@@ -195,16 +180,10 @@ impl Qr {
 ///
 /// This is the allocation-free core behind [`Qr::factor`] /
 /// [`Qr::factor_with_rhs`]: callers that own a reusable block buffer
-/// (the vector-fitting compression loop) factor it in place and read
-/// the rows of `R` straight out of the packed factor — entries `(i, j)`
-/// with `j ≥ i` — without a [`Qr`] handle, a copy of `R`, or a separate
-/// `qt_mul` pass. `tau` is cleared and refilled, retaining its
-/// capacity across calls.
-///
-/// Column norms use a scaled sum of squares (one max pass, one
-/// accumulation pass) instead of an `m`-deep `hypot` chain; `hypot`'s
-/// per-element overflow guard costs an order of magnitude more than a
-/// multiply-add and the scaling achieves the same robustness.
+/// factor it in place and read the rows of `R` straight out of the
+/// packed factor — entries `(i, j)` with `j ≥ i` — without a [`Qr`]
+/// handle, a copy of `R`, or a separate `qt_mul` pass. `tau` is cleared
+/// and refilled, retaining its capacity across calls.
 ///
 /// An empty `rhs` slice means "no right-hand side".
 ///
@@ -214,61 +193,165 @@ impl Qr {
 /// count of `a`.
 pub fn factor_with_rhs_in_place(a: &mut Mat, tau: &mut Vec<f64>, rhs: &mut [f64]) {
     let (m, n) = a.shape();
-    assert!(rhs.is_empty() || rhs.len() == m, "dimension mismatch in factor_with_rhs_in_place");
+    factor_block_in_place(a.as_mut_slice(), m, n, tau, rhs);
+}
+
+/// [`factor_with_rhs_in_place`] on a row-major `rows × cols` slice, so a
+/// caller can factor a trailing row block of a larger buffer in place.
+///
+/// Column norms use a scaled sum of squares (one max pass, one
+/// accumulation pass) instead of an `m`-deep `hypot` chain; `hypot`'s
+/// per-element overflow guard costs an order of magnitude more than a
+/// multiply-add and the scaling achieves the same robustness. Each
+/// reflector is applied row by row (see [`apply_reflectors_in_place`]
+/// for the per-column arithmetic), so the update streams contiguous
+/// row slices instead of one strided dot chain per column.
+///
+/// # Panics
+///
+/// Panics if `a.len() != rows · cols`, or if `rhs` is non-empty and its
+/// length differs from `rows`.
+pub fn factor_block_in_place(
+    a: &mut [f64],
+    rows: usize,
+    cols: usize,
+    tau: &mut Vec<f64>,
+    rhs: &mut [f64],
+) {
+    let (m, n) = (rows, cols);
+    assert_eq!(a.len(), m * n, "block length must equal rows*cols");
+    assert!(rhs.is_empty() || rhs.len() == m, "dimension mismatch in factor_block_in_place");
     let k = m.min(n);
     tau.clear();
     tau.resize(k, 0.0);
     for j in 0..k {
         // Householder reflector for column j; scaled sum of squares
         // keeps the norm overflow-safe without hypot.
-        let mut amax = 0.0_f64;
-        for i in j..m {
-            amax = amax.max(a[(i, j)].abs());
-        }
+        let amax = a[j * n + j..].iter().step_by(n).fold(0.0_f64, |acc, v| acc.max(v.abs()));
         if amax == 0.0 {
             // tau[j] stays 0: identity reflector.
             continue;
         }
         let mut ssq = 0.0;
-        for i in j..m {
-            let t = a[(i, j)] / amax;
+        for v in a[j * n + j..].iter().step_by(n) {
+            let t = v / amax;
             ssq += t * t;
         }
         let norm = amax * ssq.sqrt();
         // Choose sign to avoid cancellation.
-        let alpha = if a[(j, j)] >= 0.0 { -norm } else { norm };
+        let ajj = a[j * n + j];
+        let alpha = if ajj >= 0.0 { -norm } else { norm };
         // v = x - alpha*e1, normalized so v[0] = 1.
-        let v0 = a[(j, j)] - alpha;
-        for i in (j + 1)..m {
-            a[(i, j)] /= v0;
+        let v0 = ajj - alpha;
+        for v in a.iter_mut().skip((j + 1) * n + j).step_by(n) {
+            *v /= v0;
         }
         tau[j] = -v0 / alpha;
-        a[(j, j)] = alpha;
-        // Apply the reflector to the remaining columns.
-        for c in (j + 1)..n {
-            let mut dot = a[(j, c)];
-            for i in (j + 1)..m {
-                dot += a[(i, j)] * a[(i, c)];
-            }
-            dot *= tau[j];
-            a[(j, c)] -= dot;
-            for i in (j + 1)..m {
-                let vij = a[(i, j)];
-                a[(i, c)] -= dot * vij;
+        a[j * n + j] = alpha;
+        // Apply the reflector to the remaining columns and, fusing the
+        // qt_mul pass, to the right-hand side.
+        reflect_rows(a, n, j, j + 1, tau[j], |_, row| row[j]);
+        reflect_vec(rhs, j, tau[j], |i| a[i * n + j]);
+    }
+}
+
+/// Applies the reflectors of an already-packed factor — `factor` and
+/// `tau` as left by [`factor_with_rhs_in_place`] — to another row-major
+/// block `b` (`b_cols` wide, as many rows as `factor`) and to `rhs`
+/// when it is non-empty: `b ← Qᵀ·b`, `rhs ← Qᵀ·rhs`.
+///
+/// The arithmetic is exactly the fused kernel's, so factoring
+/// `[A | B]` in one pass and factoring `A` then applying its reflectors
+/// to `B` leave bit-identical columns in `B`. Per column `c` and
+/// reflector `j` (`v_j = 1`): `w = b(j,c) + Σ_{i>j} v_i·b(i,c)`
+/// accumulated in increasing `i`, `w ← τ_j·w`, `b(i,c) ← b(i,c) − w·v_i`.
+/// Reflectors with `τ = 0` (all-zero columns) are skipped, as the fused
+/// kernel skips them.
+///
+/// # Panics
+///
+/// Panics if `tau` holds more reflectors than `factor` has, if
+/// `b.len() != rows · b_cols`, or if `rhs` is non-empty and its length
+/// differs from the row count.
+pub fn apply_reflectors_in_place(
+    factor: &Mat,
+    tau: &[f64],
+    b: &mut [f64],
+    b_cols: usize,
+    rhs: &mut [f64],
+) {
+    let (m, n) = factor.shape();
+    assert!(tau.len() <= m.min(n), "more reflectors than the factor holds");
+    assert_eq!(b.len(), m * b_cols, "block length must equal rows*cols");
+    assert!(rhs.is_empty() || rhs.len() == m, "dimension mismatch in apply_reflectors_in_place");
+    for (j, &t) in tau.iter().enumerate() {
+        if t == 0.0 {
+            continue;
+        }
+        reflect_rows(b, b_cols, j, 0, t, |i, _| factor[(i, j)]);
+        reflect_vec(rhs, j, t, |i| factor[(i, j)]);
+    }
+}
+
+/// Columns per pass of the row-oriented update: their accumulators live
+/// on the stack, so the kernel needs no workspace.
+const COL_CHUNK: usize = 64;
+
+/// Applies the reflector `I − τ·v·vᵀ` (`v_j = 1`, `v_i = v(i, row_i)`
+/// below) to rows `j..` of columns `first_col..cols` of the row-major
+/// block `b`. Every column gets the fused kernel's products in its
+/// summation order; only the loop nest is swapped so rows stream
+/// contiguously.
+fn reflect_rows(
+    b: &mut [f64],
+    cols: usize,
+    j: usize,
+    first_col: usize,
+    tau: f64,
+    v: impl Fn(usize, &[f64]) -> f64,
+) {
+    let rows = b.len().checked_div(cols).unwrap_or(0);
+    let mut acc = [0.0_f64; COL_CHUNK];
+    for c0 in (first_col..cols).step_by(COL_CHUNK) {
+        let width = (cols - c0).min(COL_CHUNK);
+        let w = &mut acc[..width];
+        w.copy_from_slice(&b[j * cols + c0..][..width]);
+        for i in j + 1..rows {
+            let row = &b[i * cols..(i + 1) * cols];
+            let vi = v(i, row);
+            for (wc, x) in w.iter_mut().zip(&row[c0..c0 + width]) {
+                *wc += vi * x;
             }
         }
-        // ... and to the right-hand side, fusing the qt_mul pass.
-        if !rhs.is_empty() {
-            let mut dot = rhs[j];
-            for i in (j + 1)..m {
-                dot += a[(i, j)] * rhs[i];
-            }
-            dot *= tau[j];
-            rhs[j] -= dot;
-            for i in (j + 1)..m {
-                rhs[i] -= dot * a[(i, j)];
+        for wc in w.iter_mut() {
+            *wc *= tau;
+        }
+        for (x, wc) in b[j * cols + c0..][..width].iter_mut().zip(w.iter()) {
+            *x -= wc;
+        }
+        for i in j + 1..rows {
+            let vi = v(i, &b[i * cols..(i + 1) * cols]);
+            for (x, wc) in b[i * cols + c0..][..width].iter_mut().zip(w.iter()) {
+                *x -= wc * vi;
             }
         }
+    }
+}
+
+/// Applies the reflector `I − τ·v·vᵀ` (`v_j = 1`, `v_i = v(i)` below) to
+/// rows `j..` of the vector `y`; a no-op on an empty `y`.
+fn reflect_vec(y: &mut [f64], j: usize, tau: f64, v: impl Fn(usize) -> f64) {
+    let Some((yj, below)) = y.get_mut(j..).and_then(<[f64]>::split_first_mut) else {
+        return;
+    };
+    let mut dot = *yj;
+    for (i, yi) in (j + 1..).zip(below.iter()) {
+        dot += v(i) * yi;
+    }
+    dot *= tau;
+    *yj -= dot;
+    for (i, yi) in (j + 1..).zip(below.iter_mut()) {
+        *yi -= dot * v(i);
     }
 }
 
@@ -323,6 +406,138 @@ pub fn lstsq_ridge(a: &Mat, b: &[f64], lambda: f64) -> Result<Vec<f64>, Numerics
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The column-oriented fused kernel the row-oriented one replaced:
+    /// one strided dot chain per column. Kept as the bit-level oracle.
+    fn column_dot_factor(a: &mut Mat, tau: &mut Vec<f64>, rhs: &mut [f64]) {
+        let (m, n) = a.shape();
+        let k = m.min(n);
+        tau.clear();
+        tau.resize(k, 0.0);
+        for j in 0..k {
+            let mut amax = 0.0_f64;
+            for i in j..m {
+                amax = amax.max(a[(i, j)].abs());
+            }
+            if amax == 0.0 {
+                continue;
+            }
+            let mut ssq = 0.0;
+            for i in j..m {
+                let t = a[(i, j)] / amax;
+                ssq += t * t;
+            }
+            let norm = amax * ssq.sqrt();
+            let alpha = if a[(j, j)] >= 0.0 { -norm } else { norm };
+            let v0 = a[(j, j)] - alpha;
+            for i in (j + 1)..m {
+                a[(i, j)] /= v0;
+            }
+            tau[j] = -v0 / alpha;
+            a[(j, j)] = alpha;
+            for c in (j + 1)..n {
+                let mut dot = a[(j, c)];
+                for i in (j + 1)..m {
+                    dot += a[(i, j)] * a[(i, c)];
+                }
+                dot *= tau[j];
+                a[(j, c)] -= dot;
+                for i in (j + 1)..m {
+                    let vij = a[(i, j)];
+                    a[(i, c)] -= dot * vij;
+                }
+            }
+            if !rhs.is_empty() {
+                let mut dot = rhs[j];
+                for i in (j + 1)..m {
+                    dot += a[(i, j)] * rhs[i];
+                }
+                dot *= tau[j];
+                rhs[j] -= dot;
+                for i in (j + 1)..m {
+                    rhs[i] -= dot * a[(i, j)];
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A `rows × cols` matrix from `data`, with the columns flagged in
+    /// `zero_mask` forced to zero (identity reflectors).
+    fn masked(rows: usize, cols: usize, data: &[f64], zero_mask: u32) -> Mat {
+        Mat::from_fn(rows, cols, |i, j| {
+            if zero_mask >> j & 1 == 1 {
+                0.0
+            } else {
+                data[(i * cols + j) % data.len()]
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn row_kernel_is_bit_identical_to_column_dot_oracle(
+            rows in 0usize..14,
+            cols in 0usize..11,
+            data in prop::collection::vec(-5.0..5.0f64, 97),
+            zero_mask in 0u32..2048,
+            rhs_data in prop::collection::vec(-5.0..5.0f64, 14),
+            with_rhs in 0u8..2,
+        ) {
+            // Covers wide (m < n) shapes, all-zero columns and an empty RHS.
+            let a = masked(rows, cols, &data, zero_mask);
+            let rhs0: Vec<f64> = if with_rhs == 1 { rhs_data[..rows].to_vec() } else { Vec::new() };
+            let (mut want, mut want_tau, mut want_rhs) = (a.clone(), Vec::new(), rhs0.clone());
+            column_dot_factor(&mut want, &mut want_tau, &mut want_rhs);
+            let (mut got, mut got_tau, mut got_rhs) = (a, vec![3.0; 5], rhs0);
+            factor_with_rhs_in_place(&mut got, &mut got_tau, &mut got_rhs);
+            prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+            prop_assert_eq!(bits(&got_tau), bits(&want_tau));
+            prop_assert_eq!(bits(&got_rhs), bits(&want_rhs));
+        }
+
+        #[test]
+        fn shared_reflectors_then_trailing_factor_match_one_pass(
+            rows in 1usize..14,
+            left in 1usize..6,
+            right in 0usize..7,
+            data in prop::collection::vec(-5.0..5.0f64, 89),
+            zero_mask in 0u32..512,
+            rhs_data in prop::collection::vec(-5.0..5.0f64, 14),
+        ) {
+            // Factoring [A | B] in one pass, and factoring A, applying
+            // its reflectors to B, then factoring B's trailing rows, must
+            // leave the same bits in B's columns and in Qᵀb.
+            let n = left + right;
+            let full = masked(rows, n, &data, zero_mask);
+            let rhs0 = rhs_data[..rows].to_vec();
+            let (mut one, mut one_tau, mut one_rhs) = (full.clone(), Vec::new(), rhs0.clone());
+            factor_with_rhs_in_place(&mut one, &mut one_tau, &mut one_rhs);
+
+            let mut a = Mat::from_fn(rows, left, |i, j| full[(i, j)]);
+            let mut a_tau = Vec::new();
+            factor_with_rhs_in_place(&mut a, &mut a_tau, &mut []);
+            let mut b: Vec<f64> = (0..rows).flat_map(|i| full.row(i)[left..].to_vec()).collect();
+            let mut b_rhs = rhs0;
+            apply_reflectors_in_place(&a, &a_tau, &mut b, right, &mut b_rhs);
+            let top = left.min(rows);
+            let mut t_tau = Vec::new();
+            factor_block_in_place(&mut b[top * right..], rows - top, right, &mut t_tau, &mut b_rhs[top..]);
+
+            let want_b: Vec<f64> = (0..rows).flat_map(|i| one.row(i)[left..].to_vec()).collect();
+            prop_assert_eq!(bits(&b), bits(&want_b));
+            prop_assert_eq!(bits(&b_rhs), bits(&one_rhs));
+            let mut tau = a_tau;
+            tau.extend_from_slice(&t_tau);
+            prop_assert_eq!(bits(&tau), bits(&one_tau));
+        }
+    }
 
     fn approx(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());

@@ -24,6 +24,8 @@ pub struct FamilyRun {
     pub report: AccuracyReport,
     /// Frequency-stage pole count of the extracted model.
     pub n_freq_poles: usize,
+    /// Warm-started fits of the build that fell back to a cold restart.
+    pub cold_restarts: usize,
     /// Model build time (excluding the training transient), seconds.
     pub build_seconds: f64,
 }
@@ -97,6 +99,7 @@ pub fn run_family(family: &ZooFamily) -> Result<FamilyRun, ZooError> {
         name: family.name,
         report,
         n_freq_poles: extraction.diagnostics.n_freq_poles,
+        cold_restarts: extraction.diagnostics.cold_restarts,
         build_seconds: extraction.build_seconds,
     })
 }
@@ -201,6 +204,7 @@ pub fn report_json(seed: u64, gated: &[GatedRun]) -> Json {
                 ("settling_nrmse".into(), Json::Num(r.settling_nrmse)),
                 ("settled_nrmse".into(), Json::Num(r.settled_nrmse)),
                 ("n_freq_poles".into(), Json::Num(g.run.n_freq_poles as f64)),
+                ("cold_restarts".into(), Json::Num(g.run.cold_restarts as f64)),
                 ("build_seconds".into(), Json::Num(g.run.build_seconds)),
                 ("violations".into(), Json::Arr(violations)),
             ]);

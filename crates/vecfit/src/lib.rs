@@ -71,6 +71,6 @@ pub use basis::{basis_matrix, basis_row, Residues};
 pub use error::VecfitError;
 pub use fit::{auto_workers, fit, fit_in, fit_single, model_rms, VfFit};
 pub use model::{RationalModel, ResponseTerms};
-pub use options::{Axis, PoleSpread, VfOptions, Weighting};
+pub use options::{Axis, PoleSpread, VfOptions};
 pub use poles::{PoleEntry, PoleSet};
 pub use realization::{realize, Block, Form, Realization};

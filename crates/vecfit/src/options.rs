@@ -24,19 +24,6 @@ pub enum Axis {
     Real,
 }
 
-/// Row weighting applied to the least-squares systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Weighting {
-    /// All samples weighted equally.
-    #[default]
-    Uniform,
-    /// Weight `1/|H|`: relative error fit, emphasizes low-magnitude
-    /// regions (useful when the dynamic part spans many decades).
-    InverseMagnitude,
-    /// Weight `1/√|H|`: compromise between absolute and relative.
-    InverseSqrtMagnitude,
-}
-
 /// Distribution of the starting poles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoleSpread {
@@ -77,8 +64,6 @@ pub struct VfOptions {
     pub include_const: bool,
     /// Include a linear term `s·e` in the fitted model.
     pub include_linear: bool,
-    /// Least-squares row weighting.
-    pub weighting: Weighting,
     /// Starting pole distribution.
     pub spread: PoleSpread,
     /// Real-axis fits only: lower bound on `|Im(pole)|` as a fraction of
@@ -117,7 +102,6 @@ impl VfOptions {
             relaxed: true,
             include_const: false,
             include_linear: false,
-            weighting: Weighting::Uniform,
             spread: PoleSpread::Logarithmic,
             real_axis_min_imag: 0.05,
             initial_damping: 0.01,
@@ -137,7 +121,6 @@ impl VfOptions {
             relaxed: true,
             include_const: true,
             include_linear: false,
-            weighting: Weighting::Uniform,
             spread: PoleSpread::Linear,
             real_axis_min_imag: 0.05,
             initial_damping: 0.01,
@@ -162,12 +145,6 @@ impl VfOptions {
     /// Sets the iteration count.
     pub fn with_iterations(mut self, iterations: usize) -> Self {
         self.iterations = iterations;
-        self
-    }
-
-    /// Sets the weighting scheme.
-    pub fn with_weighting(mut self, weighting: Weighting) -> Self {
-        self.weighting = weighting;
         self
     }
 
@@ -223,10 +200,8 @@ mod tests {
             .with_iterations(3)
             .with_const(true)
             .with_linear(true)
-            .with_relaxed(false)
-            .with_weighting(Weighting::InverseMagnitude);
+            .with_relaxed(false);
         assert_eq!(o.iterations, 3);
         assert!(o.include_const && o.include_linear && !o.relaxed);
-        assert_eq!(o.weighting, Weighting::InverseMagnitude);
     }
 }

@@ -2,11 +2,13 @@
 //! experiment: growing the pole count from the previous fit's relocated
 //! poles must perform strictly fewer total relocation rounds than
 //! re-seeding from the generic spread at every count — while losing
-//! nothing in fit quality.
+//! nothing in fit quality. A warm start that trips a kernel failure and
+//! falls back to a cold restart must show up in the build diagnostics.
 
-use rvf::circuit::{high_speed_buffer, BufferParams, Waveform};
-use rvf::model::{fit_frequency_stage, RvfOptions};
+use rvf::circuit::{high_speed_buffer, parse_netlist, BufferParams, Waveform};
+use rvf::model::{extract_model, fit_frequency_stage, RvfOptions};
 use rvf::tft::{extract_from_circuit, TftConfig, TftDataset};
+use rvf::validate::{zoo, DEFAULT_SEED};
 
 fn buffer_dataset() -> TftDataset {
     let mut buffer = high_speed_buffer(
@@ -72,5 +74,21 @@ fn warm_start_performs_fewer_relocation_rounds_on_buffer() {
         "warm rel_error {} vs cold {}",
         warm.rel_error,
         cold.rel_error
+    );
+}
+
+#[test]
+fn clipper_hard_reports_its_warm_start_fallback() {
+    // At the default seed a warm-started fit of `clipper_hard` seeds a
+    // relocation eigenproblem the solver refuses, and `fit_in` restarts
+    // it cold; the build must count that instead of passing it off as a
+    // plain success.
+    let family = zoo(DEFAULT_SEED).into_iter().find(|f| f.name == "clipper_hard").unwrap();
+    let mut train = parse_netlist(&family.train_deck).unwrap();
+    let (report, _, _) = extract_model(&mut train, &family.tft, &family.rvf).unwrap();
+    assert!(
+        report.diagnostics.cold_restarts >= 1,
+        "expected a warm-start fallback, got {}",
+        report.diagnostics.cold_restarts
     );
 }
