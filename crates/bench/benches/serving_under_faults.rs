@@ -18,7 +18,14 @@
 //!   mutation into a [`SharedLog`] and a [`Follower`] tails it to a
 //!   verified digest inside the timed region, so the delta against
 //!   `serving_faults_sustained_f010` is the full cost of pairing
-//!   (delta encode + append + follower apply + digest checks).
+//!   (delta encode + append + follower apply + digest checks);
+//! * `wire_checksum_log_835kb` — `checksum64` over 835,080 bytes, the
+//!   log a `serve_pattern_c64_standby` round journals: every journaled
+//!   byte is hashed once when framed and once when the standby decodes
+//!   it, so this row is the per-round checksum floor;
+//! * `state_digest_1000_sessions` — one `state_digest` of a scheduler
+//!   holding 1000 sessions after a served round: the canonical-state
+//!   digest the primary journals and the standby recomputes.
 //!
 //! A fault budget of `p` permille is split 40% worker panics (the
 //! whole round retries with backoff), 30% NaN/∞ stimulus (rejected at
@@ -40,6 +47,7 @@ use rvf_bench::{buffer_circuit, paper_rvf_options, paper_tft_config};
 use rvf_core::fit_tft;
 use rvf_serve::{
     chaos::{self, ChaosConfig, ChaosInjector, Fault},
+    wire::checksum64,
     Event, Follower, ModelRegistry, Scheduler, ServeConfig, SessionHandle, SharedLog,
 };
 use rvf_tft::extract_from_circuit;
@@ -47,6 +55,9 @@ use rvf_tft::extract_from_circuit;
 const CLIENTS: usize = 1000;
 const CHUNK: usize = 64;
 const DEADLINE_SLACK: u64 = 10_000;
+/// Log bytes one `serve_pattern_c64_standby` round journals
+/// (`replica.bytes_per_round`).
+const STANDBY_ROUND_LOG_BYTES: usize = 835_080;
 
 fn chaos_config(permille: u16) -> ChaosConfig {
     ChaosConfig {
@@ -290,6 +301,19 @@ fn bench_serving_under_faults(c: &mut Criterion) {
     let primary = harness.sched.state_digest().expect("primary digest");
     let standby = follower.state_digest().expect("standby digest");
     assert_eq!(primary, standby, "standby diverged from primary after the bench run");
+
+    // Hash-rate rows: the record checksum over a standby round's log,
+    // and one canonical-state digest of 1000 served sessions.
+    let log_bytes: Vec<u8> = (0..STANDBY_ROUND_LOG_BYTES as u64)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+        .collect();
+    c.bench_function("wire_checksum_log_835kb", |b| b.iter(|| checksum64(&log_bytes)));
+    let mut harness = Harness::new(0, model.compile(), dt);
+    harness.submit_round();
+    harness.drain();
+    c.bench_function("state_digest_1000_sessions", |b| {
+        b.iter(|| harness.sched.state_digest().expect("digest"))
+    });
 }
 
 criterion_group! {

@@ -290,8 +290,8 @@ where
         frame(KIND_SNAPSHOT, |w| self.put(w))
     }
 
-    /// FNV-1a/64 over [`encode`](Self::encode) — the value a digest
-    /// record carries — in one pass, building nothing.
+    /// XXH64 over [`encode`](Self::encode) — the value a digest record
+    /// carries — in one pass, building nothing.
     pub(crate) fn digest(&self) -> Result<u64, ServeError> {
         framed_checksum(KIND_SNAPSHOT, |w| self.put(w))
     }

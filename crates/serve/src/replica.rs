@@ -5,7 +5,7 @@
 //! [`WireRecord::Delta`] — session opened, chunk admitted / completed /
 //! failed / retried, session closed, pool rebuilt, degraded — each
 //! carrying the post-state of any mutated session. Every `digest_every`
-//! deltas it also appends a [`WireRecord::Digest`]: FNV-1a over its
+//! deltas it also appends a [`WireRecord::Digest`]: XXH64 over its
 //! encoded canonical state.
 //!
 //! A [`Follower`] consumes that log — record by record via
@@ -251,6 +251,7 @@ pub struct Follower {
     core: Option<SchedulerCore<StateCheckpoint>>,
     seq: u64,
     offset: usize,
+    verified: u64,
     failed: Option<ReplicaError>,
 }
 
@@ -259,12 +260,17 @@ impl Follower {
     /// models at the same indices (checked by name *and* compiled-table
     /// fingerprint when the baseline arrives).
     pub fn new(registry: ModelRegistry) -> Self {
-        Self { registry, core: None, seq: 0, offset: 0, failed: None }
+        Self { registry, core: None, seq: 0, offset: 0, verified: 0, failed: None }
     }
 
     /// Sequence number of the last applied delta (0 before any).
     pub fn applied_seq(&self) -> u64 {
         self.seq
+    }
+
+    /// Journaled digests this follower recomputed and matched so far.
+    pub fn digests_verified(&self) -> u64 {
+        self.verified
     }
 
     /// Whether the baseline snapshot has been applied.
@@ -283,7 +289,7 @@ impl Follower {
         self.offset
     }
 
-    /// FNV-1a/64 over the follower's encoded reconstruction — directly
+    /// XXH64 over the follower's encoded reconstruction — directly
     /// comparable to [`Scheduler::state_digest`] and to the digests the
     /// primary journals.
     ///
@@ -361,6 +367,7 @@ impl Follower {
                         computed,
                     });
                 }
+                self.verified += 1;
             }
             WireRecord::Stimulus(_) | WireRecord::Response(_) | WireRecord::Checkpoint(_) => {
                 return Err(ReplicaError::BadDelta {
@@ -551,6 +558,7 @@ mod tests {
             follower.state_digest().expect("digest"),
             primary.state_digest().expect("digest")
         );
+        assert!(follower.digests_verified() >= 1, "no journaled digest was verified");
     }
 
     #[test]

@@ -326,7 +326,7 @@ impl Scheduler {
         self.replica.as_ref().map_or(0, |rep| rep.seq)
     }
 
-    /// FNV-1a/64 over the scheduler's encoded canonical state — the
+    /// XXH64 over the scheduler's encoded canonical state — the
     /// value a [`WireRecord::Digest`] carries. Two schedulers with
     /// equal digests have byte-identical snapshots.
     ///

@@ -10,7 +10,7 @@
 //! ├──────────────────────── payload ───────────────────────────────┤
 //! │ kind-specific fields, little-endian, `f64`s as raw bit patterns│
 //! ├──────────────────────── trailer ───────────────────────────────┤
-//! │ checksum : u64 LE — FNV-1a over header + payload               │
+//! │ checksum : u64 LE — XXH64 (seed 0) over header + payload       │
 //! └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -26,9 +26,9 @@
 //! * [`DeltaRecord`] (kind 5) — one sequence-numbered committed
 //!   scheduler mutation in the replication log, carrying the post-state
 //!   of any mutated session.
-//! * [`DigestRecord`] (kind 6) — a periodic FNV-1a digest of the
-//!   primary's canonical state (its encoded snapshot), letting a
-//!   follower prove its reconstruction byte-identical.
+//! * [`DigestRecord`] (kind 6) — a periodic XXH64 digest of the
+//!   primary's canonical state (its encoded snapshot record), letting
+//!   a follower prove its reconstruction byte-identical.
 //!
 //! `f64`s travel as raw IEEE-754 bit patterns, so an encode → decode
 //! round trip is **bit-exact** — the property the tier's
@@ -67,8 +67,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"RVFW");
 
 /// Current wire-format version. Decoders reject every other value with
 /// [`WireError::UnsupportedVersion`]; bumping this is how incompatible
-/// layout changes are made loud instead of silent.
-pub const WIRE_VERSION: u16 = 1;
+/// layout changes are made loud instead of silent. Version 2 moved the
+/// trailer and every digest from FNV-1a to XXH64; no layout, length or
+/// payload byte changed.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Record kind of a [`StimulusChunk`].
 pub const KIND_STIMULUS: u8 = 1;
@@ -87,23 +89,137 @@ pub const KIND_DIGEST: u8 = 6;
 /// payload length).
 pub const HEADER_LEN: usize = 16;
 
-/// FNV-1a/64 over `bytes` — the record checksum. Exposed so tests can
-/// craft adversarial records whose checksums are *valid* (a lying
+/// XXH64 (seed 0) over `bytes` — the record checksum. Exposed so tests
+/// can craft adversarial records whose checksums are *valid* (a lying
 /// length field must be caught by count validation, not saved by the
 /// checksum), and so external tooling can verify records it relays.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
+    let mut h = Xxh64::new();
+    h.put_slice(bytes);
+    h.finish()
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// Continues the FNV-1a/64 state `h` over `bytes`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+fn round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn merge(acc: u64, v: u64) -> u64 {
+    (acc ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// Streaming XXH64 with seed 0 (the xxHash specification): four lane
+/// accumulators over 32-byte stripes. Input arrives a word at a time:
+/// whole little-endian words fill the pending stripe, and the bytes of
+/// a shorter field wait in `carry` until a word is complete, so a `u64`
+/// after an odd-length field costs one shift, not eight byte stores.
+pub(crate) struct Xxh64 {
+    acc: [u64; 4],
+    stripe: [u64; 4],
+    /// Whole words waiting in `stripe`.
+    lanes: usize,
+    /// Bytes below a word boundary, little-endian from bit 0.
+    carry: u64,
+    carry_len: u32,
+    total: u64,
+}
+
+impl Xxh64 {
+    fn new() -> Self {
+        let acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        Self { acc, stripe: [0; 4], lanes: 0, carry: 0, carry_len: 0, total: 0 }
     }
-    h
+
+    fn push_word(&mut self, w: u64) {
+        self.stripe[self.lanes] = w;
+        self.lanes += 1;
+        if self.lanes == 4 {
+            self.lanes = 0;
+            for (acc, &lane) in self.acc.iter_mut().zip(&self.stripe) {
+                *acc = round(*acc, lane);
+            }
+        }
+    }
+
+    /// Appends the low `n` bytes of `v` (1 ≤ `n` ≤ 8; higher bytes zero).
+    fn put_word(&mut self, v: u64, n: u32) {
+        self.total += u64::from(n);
+        let k = self.carry_len;
+        let word = self.carry | v << (8 * k);
+        if k + n < 8 {
+            (self.carry, self.carry_len) = (word, k + n);
+            return;
+        }
+        self.push_word(word);
+        self.carry = if k == 0 { 0 } else { v >> (64 - 8 * k) };
+        self.carry_len = k + n - 8;
+    }
+
+    fn put_slice(&mut self, mut src: &[u8]) {
+        if self.lanes == 0 && self.carry_len == 0 {
+            // On a stripe boundary: whole stripes go straight to the lanes.
+            let mut stripes = src.chunks_exact(32);
+            for s in &mut stripes {
+                for (i, acc) in self.acc.iter_mut().enumerate() {
+                    *acc = round(*acc, le64(&s[8 * i..]));
+                }
+            }
+            self.total += (src.len() - stripes.remainder().len()) as u64;
+            src = stripes.remainder();
+        }
+        let mut words = src.chunks_exact(8);
+        for w in &mut words {
+            self.put_word(le64(w), 8);
+        }
+        for &b in words.remainder() {
+            self.put_word(u64::from(b), 1);
+        }
+    }
+
+    /// The digest of everything written so far; the state is untouched,
+    /// so writing can go on.
+    fn finish(&self) -> u64 {
+        let [v1, v2, v3, v4] = self.acc;
+        let mut h = if self.total >= 32 {
+            let h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            self.acc.iter().fold(h, |h, &v| merge(h, v))
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        for &w in &self.stripe[..self.lanes] {
+            h = (h ^ round(0, w)).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        }
+        let (mut carry, mut n) = (self.carry, self.carry_len);
+        if n >= 4 {
+            h ^= (carry & 0xFFFF_FFFF).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            (carry, n) = (carry >> 32, n - 4);
+        }
+        for _ in 0..n {
+            h ^= (carry & 0xFF).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+            carry >>= 8;
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ h >> 32
+    }
 }
 
 /// Typed decode failure. Every way a byte string can fail to be a
@@ -422,7 +538,7 @@ pub struct DeltaRecord {
 pub struct DigestRecord {
     /// The last delta sequence the digest covers.
     pub seq: u64,
-    /// FNV-1a/64 over the primary's encoded snapshot record.
+    /// XXH64 over the primary's encoded snapshot record.
     pub digest: u64,
 }
 
@@ -693,12 +809,12 @@ pub fn decode_stream(buf: Bytes) -> RecordStream {
     RecordStream { buf, offset: 0, state: StreamState::Running }
 }
 
-/// Where encoded bytes go — counted, buffered, or folded into FNV-1a —
+/// Where encoded bytes go — counted, buffered, or folded into XXH64 —
 /// so a record's length field, bytes and checksum share one writer.
 pub(crate) enum Sink<'a> {
     Count(&'a mut usize),
     Buf(&'a mut Vec<u8>),
-    Fnv(&'a mut u64),
+    Hash(&'a mut Xxh64),
 }
 
 impl Sink<'_> {
@@ -706,16 +822,29 @@ impl Sink<'_> {
         match self {
             Sink::Count(n) => **n += src.len(),
             Sink::Buf(b) => b.extend_from_slice(src),
-            Sink::Fnv(h) => **h = fnv1a(**h, src),
+            Sink::Hash(h) => h.put_slice(src),
         }
     }
 
+    /// The low `n` bytes of `v`, little-endian.
+    fn put_word(&mut self, v: u64, n: u32) {
+        match self {
+            Sink::Count(c) => **c += n as usize,
+            Sink::Buf(b) => b.extend_from_slice(&v.to_le_bytes()[..n as usize]),
+            Sink::Hash(h) => h.put_word(v, n),
+        }
+    }
+
+    fn put_u8(&mut self, v: u8) {
+        self.put_word(u64::from(v), 1);
+    }
+
     fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
+        self.put_word(u64::from(v), 4);
     }
 
     fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
+        self.put_word(v, 8);
     }
 
     /// A `u32` count, then each value's bit pattern.
@@ -740,9 +869,8 @@ fn put_record<E>(
     if let Sink::Buf(b) = w {
         b.reserve_exact(HEADER_LEN + len + 8);
     }
-    w.put_u32_le(MAGIC);
-    w.put_slice(&WIRE_VERSION.to_le_bytes());
-    w.put_slice(&[kind, 0]);
+    // Magic, version, kind and the zero reserved byte: one word.
+    w.put_u64_le(u64::from(MAGIC) | u64::from(WIRE_VERSION) << 32 | u64::from(kind) << 48);
     w.put_u64_le(len as u64);
     put(w)
 }
@@ -756,15 +884,18 @@ pub(crate) fn frame<E>(kind: u8, put: impl Fn(&mut Sink<'_>) -> Result<(), E>) -
 }
 
 /// [`checksum64`] of the record [`frame`] builds, in one pass that
-/// builds nothing: FNV-1a streams, and its state after header and
-/// payload is the trailer, so the hash goes on over the trailer's bytes.
+/// builds nothing: XXH64 streams, a finished copy of its state after
+/// header and payload is the trailer, and the hash goes on over the
+/// trailer's bytes.
 pub(crate) fn framed_checksum<E>(
     kind: u8,
     put: impl Fn(&mut Sink<'_>) -> Result<(), E>,
 ) -> Result<u64, E> {
-    let mut h = FNV_OFFSET;
-    put_record(&mut Sink::Fnv(&mut h), kind, &put)?;
-    Ok(fnv1a(h, &h.to_le_bytes()))
+    let mut h = Xxh64::new();
+    put_record(&mut Sink::Hash(&mut h), kind, &put)?;
+    let trailer = h.finish();
+    h.put_word(trailer, 8);
+    Ok(h.finish())
 }
 
 /// A framed delta record: `seq`, then the op `put_op` writes.
@@ -829,7 +960,7 @@ fn put_checkpoint(w: &mut Sink<'_>, c: CheckpointView<'_>) {
         w.put_u64_le(s);
     }
     w.put_u64_le(c.uprev);
-    w.put_slice(&[c.started as u8]);
+    w.put_u8(c.started as u8);
     w.put_u64_le(c.samples);
     w.put_u64_le(c.coef_dt);
     w.put_f64_vec(c.v0);
@@ -878,7 +1009,7 @@ pub(crate) fn put_snapshot<'a, E>(
     w.put_u64_le(cfg.workers as u64);
     w.put_u64_le(next_request);
     w.put_u64_le(rebuilds);
-    w.put_slice(&[degraded as u8]);
+    w.put_u8(degraded as u8);
     w.put_u32_le(models.len() as u32);
     for m in models {
         w.put_u64_le(m.fingerprint);
@@ -890,9 +1021,9 @@ pub(crate) fn put_snapshot<'a, E>(
         let (generation, session) = slot?;
         w.put_u32_le(generation);
         match session {
-            None => w.put_slice(&[0]),
+            None => w.put_u8(0),
             Some((model, dt_bits, last_activity, state)) => {
-                w.put_slice(&[1]);
+                w.put_u8(1);
                 w.put_u32_le(model);
                 w.put_u64_le(dt_bits);
                 w.put_u64_le(last_activity);
@@ -1001,7 +1132,7 @@ const OP_DEGRADE: u8 = 8;
 pub(crate) fn put_op(w: &mut Sink<'_>, op: &DeltaOp) {
     match op {
         DeltaOp::SessionOpened { session, model, dt_bits, last_activity, state } => {
-            w.put_slice(&[OP_OPEN]);
+            w.put_u8(OP_OPEN);
             w.put_u64_le(*session);
             w.put_u32_le(*model);
             w.put_u64_le(*dt_bits);
@@ -1015,34 +1146,34 @@ pub(crate) fn put_op(w: &mut Sink<'_>, op: &DeltaOp) {
             put_completed(w, [*request, *session, *last_activity], state.into());
         }
         DeltaOp::RequestFailed { request } => {
-            w.put_slice(&[OP_FAIL]);
+            w.put_u8(OP_FAIL);
             w.put_u64_le(*request);
         }
         DeltaOp::SessionClosed { session } => {
-            w.put_slice(&[OP_CLOSE]);
+            w.put_u8(OP_CLOSE);
             w.put_u64_le(*session);
         }
         DeltaOp::RequestRetried { request, attempts, not_before } => {
-            w.put_slice(&[OP_RETRY]);
+            w.put_u8(OP_RETRY);
             w.put_u64_le(*request);
             w.put_u32_le(*attempts);
             w.put_u64_le(*not_before);
         }
-        DeltaOp::PoolRebuilt => w.put_slice(&[OP_REBUILD]),
-        DeltaOp::Degraded => w.put_slice(&[OP_DEGRADE]),
+        DeltaOp::PoolRebuilt => w.put_u8(OP_REBUILD),
+        DeltaOp::Degraded => w.put_u8(OP_DEGRADE),
     }
 }
 
 /// Writes [`DeltaOp::Admitted`]: `[request, session, deadline, not_before]`, `input`.
 pub(crate) fn put_admitted(w: &mut Sink<'_>, head: [u64; 4], input: &[f64]) {
-    w.put_slice(&[OP_ADMIT]);
+    w.put_u8(OP_ADMIT);
     head.into_iter().for_each(|v| w.put_u64_le(v));
     w.put_f64_vec(input);
 }
 
 /// Writes [`DeltaOp::ChunkCompleted`]: `[request, session, last_activity]`, `state`.
 pub(crate) fn put_completed(w: &mut Sink<'_>, head: [u64; 3], state: CheckpointView<'_>) {
-    w.put_slice(&[OP_COMPLETE]);
+    w.put_u8(OP_COMPLETE);
     head.into_iter().for_each(|v| w.put_u64_le(v));
     put_checkpoint(w, state);
 }
@@ -1384,10 +1515,54 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_fnv1a() {
-        // Pinned reference values of FNV-1a/64.
-        assert_eq!(checksum64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(checksum64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn checksum_matches_published_xxh64_vectors() {
+        // XXH64, seed 0: reference values of the xxHash specification's
+        // implementation. The 39- and 100-byte inputs run the lanes.
+        assert_eq!(checksum64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(checksum64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(checksum64(b"Nobody inspects the spammish repetition"), 0xfbce_a83c_8a37_8bf1);
+        let counting: Vec<u8> = (0..=99).collect();
+        assert_eq!(checksum64(&counting), 0x6ac1_e580_3216_6597);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any mix of slices, whole words, `u32`s and single bytes, cut
+        /// at any points and starting at any byte offset, hashes to the
+        /// one-shot [`checksum64`] of the same bytes.
+        #[test]
+        fn streaming_hash_equals_one_shot(
+            bytes in proptest::collection::vec(0u8..=255, 0..300),
+            cuts in proptest::collection::vec((0u8..4, 0usize..70), 0..40),
+        ) {
+            let mut h = Xxh64::new();
+            let mut w = Sink::Hash(&mut h);
+            let mut at = 0;
+            for (how, len) in cuts {
+                let rest = &bytes[at..];
+                let n = match how {
+                    0 => len.min(rest.len()),
+                    1 => 8,
+                    2 => 4,
+                    _ => 1,
+                };
+                if n > rest.len() {
+                    break;
+                }
+                let word = |n| rest[..n].iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b));
+                match how {
+                    0 => w.put_slice(&rest[..n]),
+                    1 => w.put_u64_le(word(8)),
+                    2 => w.put_u32_le(word(4) as u32),
+                    _ => w.put_u8(rest[0]),
+                }
+                at += n;
+            }
+            w.put_slice(&bytes[at..]);
+            proptest::prop_assert_eq!(h.finish(), checksum64(&bytes));
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@ use rvf_core::{CompiledSim, SimBuilder};
 use rvf_serve::{
     chaos::{self, ChaosConfig, ChaosInjector, Fault},
     replica::{Follower, ReplicaError, ReplicationSink, SharedLog},
-    wire::{checksum64, DeltaOp, DeltaRecord, WireRecord},
+    wire::{
+        checksum64, DeltaOp, DeltaRecord, DigestRecord, WireError, WireRecord, HEADER_LEN,
+        KIND_DIGEST, MAGIC,
+    },
     Event, ModelRegistry, Scheduler, ServeConfig, ServeError, SessionHandle,
 };
 
@@ -775,7 +778,10 @@ fn replicated_storm_pinned_seeds() {
 /// panicked round retried (and the pool rebuilt), a session closed —
 /// must produce a final snapshot and a replication log whose bytes hash
 /// to constants recorded from the reference implementation. Any change
-/// to the encoding, the op order, or the digest cadence moves them.
+/// to the encoding, the op order, the digest cadence or the checksum
+/// moves them. The payload image pins the same records with the
+/// checksum left out, so a change of checksum alone can be told from a
+/// change of payload.
 #[test]
 fn wire_image_of_a_scripted_scenario_is_pinned() {
     let cfg = ServeConfig {
@@ -815,14 +821,70 @@ fn wire_image_of_a_scripted_scenario_is_pinned() {
     let snapshot = sched.snapshot().expect("snapshot");
 
     assert_eq!(sched.pool_rebuilds(), 1);
+    let mut follower = Follower::new(registry());
+    follower.tail(&log.bytes()).expect("the follower verifies the scenario's log");
+    assert!(follower.digests_verified() >= 1, "the scenario journals no verified digest");
+    let image = payload_image(payload_image(FNV_OFFSET, snapshot.as_ref()), log.bytes().as_ref());
+    assert_eq!(image, PINNED_PAYLOAD_IMAGE, "payload bytes moved");
     assert_eq!(checksum64(snapshot.as_ref()), PINNED_SNAPSHOT, "snapshot bytes moved");
     assert_eq!(checksum64(log.bytes().as_ref()), PINNED_LOG, "replication log bytes moved");
 }
 
 /// `checksum64` of the scenario's final snapshot record.
-const PINNED_SNAPSHOT: u64 = 0x5c11_69a0_ae07_3b57;
+const PINNED_SNAPSHOT: u64 = 0x1402_3d99_548d_fc08;
 /// `checksum64` of the scenario's whole replication log.
-const PINNED_LOG: u64 = 0x9b78_18de_a9ec_a5e7;
+const PINNED_LOG: u64 = 0x73e1_b50e_c212_2218;
+/// [`payload_image`] of the scenario's final snapshot, then its log,
+/// recorded with wire version 1 (FNV-1a trailers and digests).
+const PINNED_PAYLOAD_IMAGE: u64 = 0xff9d_59bc_5b08_c910;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Byte-serial FNV-1a/64 continuing from `h`: the wire checksum of
+/// version 1, kept here as an oracle that shares no code with the
+/// crate's hash.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a from `h` over the payload image of concatenated framed
+/// records: each record's kind byte, length field and payload, in
+/// order. The version field and the trailer are left out, and so is a
+/// digest record's digest value — the bytes a change of checksum moves.
+fn payload_image(mut h: u64, mut records: &[u8]) -> u64 {
+    while !records.is_empty() {
+        let plen = u64::from_le_bytes(records[8..HEADER_LEN].try_into().expect("8 bytes"));
+        let (kind, end) = (records[6], HEADER_LEN + plen as usize);
+        let payload = &records[HEADER_LEN..end];
+        h = fnv1a(h, &[kind]);
+        h = fnv1a(h, &records[8..HEADER_LEN]);
+        h = fnv1a(h, if kind == KIND_DIGEST { &payload[..8] } else { payload });
+        records = &records[end + 8..];
+    }
+    h
+}
+
+/// A version-1 record — FNV-1a trailer, valid for its own bytes — is
+/// refused at the version field, before the checksum is consulted: an
+/// old log fails loudly as an old log, not as corruption.
+#[test]
+fn a_version_1_record_is_refused_by_version_not_checksum() {
+    let record = WireRecord::Digest(DigestRecord { seq: 3, digest: 0x0123_4567_89ab_cdef });
+    let mut raw = record.encode().as_ref().to_vec();
+    let plen = raw.len() - HEADER_LEN - 8;
+    raw[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let sum = fnv1a(FNV_OFFSET, &raw[..HEADER_LEN + plen]);
+    raw[HEADER_LEN + plen..].copy_from_slice(&sum.to_le_bytes());
+    assert_eq!(u32::from_le_bytes(raw[..4].try_into().expect("4 bytes")), MAGIC);
+    assert_eq!(
+        WireRecord::decode(&Bytes::from(raw)),
+        Err(WireError::UnsupportedVersion { found: 1 })
+    );
+}
 
 /// A primary with three sessions (`a`, `b` on model "a"/"b", `c` on
 /// "a"), one queued request each on `a` and `c`, and `b` closed — so

@@ -313,6 +313,50 @@ fn lying_payload_length_is_typed() {
     }
 }
 
+/// Every 1-bit and every 2-bit error in `record` is caught: the
+/// corrupted bytes decode to a typed error, never to a record. Returns
+/// the number of corrupted images tried.
+fn assert_low_weight_errors_detected(what: &str, record: &Bytes) -> usize {
+    let raw = record.as_ref();
+    let bits = 8 * raw.len();
+    let mut tried = 0;
+    for i in 0..bits {
+        for j in i..bits {
+            let mut bad = raw.to_vec();
+            bad[i / 8] ^= 1 << (i % 8);
+            if j != i {
+                bad[j / 8] ^= 1 << (j % 8);
+            }
+            let decoded = WireRecord::decode(&Bytes::from(bad));
+            assert!(decoded.is_err(), "{what}: flipping bits {i} and {j} went undetected");
+            tried += 1;
+        }
+    }
+    tried
+}
+
+/// The checksum's guarantee, checked exhaustively rather than sampled:
+/// no error of weight one or two in a digest record (40 bytes: every
+/// 1-bit flip and all 51,040 pairs) or in a one-sample stimulus record
+/// decodes. A weaker checksum — a single-lane word hash, say — leaves
+/// some pairs undetected and fails here.
+#[test]
+fn every_one_and_two_bit_error_is_detected() {
+    let digest =
+        WireRecord::Digest(DigestRecord { seq: 9, digest: 0x0123_4567_89AB_CDEF }).encode();
+    assert_eq!(digest.len(), 40);
+    assert_eq!(assert_low_weight_errors_detected("digest", &digest), 320 + 51_040);
+    let stimulus = WireRecord::Stimulus(StimulusChunk {
+        session: 0x0000_0001_0000_0002,
+        request: 5,
+        deadline: 77,
+        samples: vec![0.375],
+    })
+    .encode();
+    let bits = 8 * stimulus.len();
+    assert_eq!(assert_low_weight_errors_detected("stimulus", &stimulus), bits * (bits + 1) / 2);
+}
+
 /// Concatenated bytes of every exemplar, in order — a replication-log
 /// shaped buffer for the stream-decoding fuzz.
 fn exemplar_stream() -> (Vec<Bytes>, Bytes) {
