@@ -9,6 +9,10 @@
 //! * `serving_compiled_single` — the same stimulus through a
 //!   pre-compiled [`rvf_core::CompiledSim`];
 //! * `serving_compile_lowering` — the one-off model → tables lowering;
+//! * `serving_drive_ln_p46_x4096` — the kernel's drive pass alone: one
+//!   `Complex::ln(u − pole)` per distinct state pole of the compiled
+//!   buffer model (46 poles), over 4096 smooth inputs — the per-sample
+//!   transcendental cost every changed input pays;
 //! * `serving_batch_b{001,016,256}` — batch evaluation of 1/16/256
 //!   distinct bit patterns through one compiled model (serial worker:
 //!   one `advance_chunks` round over fresh states, one task per
@@ -27,7 +31,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rvf_bench::{buffer_circuit, paper_rvf_options, paper_tft_config, test_pattern};
 use rvf_circuit::Waveform;
-use rvf_core::fit_tft;
+use rvf_core::{fit_tft, DynBlock};
+use rvf_numerics::Complex;
 use rvf_tft::extract_from_circuit;
 
 /// One 2.5 GS/s bit pattern, 2 ps sampling. The 20 symbols come from a
@@ -65,6 +70,41 @@ fn bench_serving(c: &mut Criterion) {
     });
     c.bench_function("serving_compiled_single", |b| b.iter(|| sim.simulate(dt, &inputs)));
     c.bench_function("serving_compile_lowering", |b| b.iter(|| model.compile()));
+
+    // The drive pass: the distinct state poles of the lowered tables
+    // (deduplicated by bit pattern, as `compile` does), each evaluated
+    // as a log feature at every input.
+    let mut poles: Vec<Complex> = Vec::new();
+    let rows = model.blocks.iter().flat_map(|block| match block {
+        DynBlock::Real { f, .. } => vec![f],
+        DynBlock::Pair { f1, f2, .. } => vec![f1, f2],
+    });
+    for row in std::iter::once(&model.static_path).chain(rows) {
+        for t in &row.primitive.terms {
+            let bits = |z: &Complex| (z.re.to_bits(), z.im.to_bits());
+            if !poles.iter().any(|p| bits(p) == bits(&t.pole)) {
+                poles.push(t.pole);
+            }
+        }
+    }
+    assert_eq!(poles.len(), sim.n_pole_features());
+    assert_eq!(poles.len(), 46, "the buffer model's log-feature basis");
+    let drive_inputs: Vec<f64> =
+        (0..4096).map(|i| 0.9 + 0.4 * (f64::from(i) * 0.0123).sin()).collect();
+    let (mut lr, mut li) = (vec![0.0; poles.len()], vec![0.0; poles.len()]);
+    c.bench_function("serving_drive_ln_p46_x4096", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for &u in &drive_inputs {
+                for ((r, i), &pole) in lr.iter_mut().zip(li.iter_mut()).zip(&poles) {
+                    let z = (Complex::from_re(u) - pole).ln();
+                    (*r, *i) = (z.re, z.im);
+                }
+                acc += lr[0] + li[poles.len() - 1];
+            }
+            acc
+        })
+    });
 
     // Batch serving: 256 distinct 1000-sample bit patterns.
     let stimuli: Vec<Vec<f64>> = (0..256).map(|k| pattern_stimulus(k, 1000, dt)).collect();

@@ -18,6 +18,96 @@ fn small_matrix(n: usize) -> impl Strategy<Value = Mat> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn ln_of_the_conjugate_is_the_conjugate_of_ln(re in prop::num::f64::NORMAL,
+                                                 im in prop::num::f64::NORMAL,
+                                                 axis in 0u8..4) {
+        // Normal parts over the whole exponent range, and both axes.
+        let (re, im) = match axis {
+            0 => (0.0, im),
+            1 => (re, 0.0),
+            _ => (re, im),
+        };
+        let z = c(re, im);
+        let (a, b) = (z.conj().ln(), z.ln().conj());
+        prop_assert_eq!((a.re.to_bits(), a.im.to_bits()), (b.re.to_bits(), b.im.to_bits()));
+    }
+}
+
+/// `S·D·S⁻¹` for `D` block-diagonal with a spectrum symmetric in ±:
+/// each `(a, b)` gives the pairs `±a ± jb` as two 2×2 rotation-scaling
+/// blocks, each `r` the real pair `±r`. Returns the matrix and its
+/// eigenvalues, or `None` when `S = I + ¼·R` is too close to singular.
+fn plus_minus_similar(
+    pairs: &[(f64, f64)],
+    reals: &[f64],
+    r: &[f64],
+) -> Option<(Mat, Vec<Complex>)> {
+    let n = 4 * pairs.len() + 2 * reals.len();
+    let mut d = Mat::zeros(n, n);
+    let mut want = Vec::new();
+    let mut k = 0;
+    for &(a, b) in pairs {
+        for sa in [a, -a] {
+            d[(k, k)] = sa;
+            d[(k, k + 1)] = b;
+            d[(k + 1, k)] = -b;
+            d[(k + 1, k + 1)] = sa;
+            want.extend([c(sa, b), c(sa, -b)]);
+            k += 2;
+        }
+    }
+    for &re in reals {
+        for sr in [re, -re] {
+            d[(k, k)] = sr;
+            want.push(c(sr, 0.0));
+            k += 1;
+        }
+    }
+    let s = Mat::from_fn(n, n, |i, j| f64::from(u8::from(i == j)) + 0.25 * r[i * n + j]);
+    let lu = Lu::factor(&s).ok()?;
+    if lu.rcond_estimate() < 1e-2 {
+        return None;
+    }
+    Some((s.matmul(&d).matmul(&lu.inverse().ok()?), want))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn eigenvalues_of_plus_minus_symmetric_spectra(
+        n_pairs in 0usize..3,
+        n_reals in 0usize..3,
+        vals in prop::collection::vec(0.05..3.0f64, 6),
+        r in prop::collection::vec(-1.0..1.0f64, 144),
+    ) {
+        prop_assume!(4 * n_pairs + 2 * n_reals >= 3);
+        let pairs: Vec<(f64, f64)> = (0..n_pairs).map(|i| (vals[2 * i], vals[2 * i + 1])).collect();
+        let reals = &vals[4..4 + n_reals];
+        let built = plus_minus_similar(&pairs, reals, &r);
+        prop_assume!(built.is_some());
+        let (a, want) = built.unwrap();
+        let got = eigenvalues(&a);
+        prop_assert!(got.is_ok(), "{got:?} on {a:?}");
+        // Match each known eigenvalue to its nearest computed one.
+        let mut got = got.unwrap();
+        for w in &want {
+            let (i, dist) = got
+                .iter()
+                .enumerate()
+                .map(|(i, g)| (i, (*g - *w).abs()))
+                .min_by(|x, y| x.1.total_cmp(&y.1))
+                .unwrap();
+            prop_assert!(dist < 1e-6, "{w:?} missing from {got:?}");
+            got.swap_remove(i);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
