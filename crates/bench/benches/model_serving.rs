@@ -9,10 +9,13 @@
 //! * `serving_compiled_single` — the same stimulus through a
 //!   pre-compiled [`rvf_core::CompiledSim`];
 //! * `serving_compile_lowering` — the one-off model → tables lowering;
-//! * `serving_drive_ln_p46_x4096` — the kernel's drive pass alone: one
-//!   `Complex::ln(u − pole)` per distinct state pole of the compiled
-//!   buffer model (46 poles), over 4096 smooth inputs — the per-sample
-//!   transcendental cost every changed input pays;
+//! * `serving_drive_ln_p46_x4096` — the kernel's drive pass alone:
+//!   `ln_shifted_into`, one `ln(u − pole)` per distinct state pole of
+//!   the compiled buffer model (46 poles), over 4096 smooth inputs —
+//!   the per-sample transcendental cost every changed input pays;
+//! * `serving_drive_ln_scalar_p46_x4096` — its control: the same
+//!   features from one out-of-line `Complex::ln` call per pole, so each
+//!   run shows the vector/scalar ratio;
 //! * `serving_batch_b{001,016,256}` — batch evaluation of 1/16/256
 //!   distinct bit patterns through one compiled model (serial worker:
 //!   one `advance_chunks` round over fresh states, one task per
@@ -28,11 +31,11 @@
 //!
 //! Throughput = (stimuli × samples) / time.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rvf_bench::{buffer_circuit, paper_rvf_options, paper_tft_config, test_pattern};
 use rvf_circuit::Waveform;
 use rvf_core::{fit_tft, DynBlock};
-use rvf_numerics::Complex;
+use rvf_numerics::{ln_shifted_into, Complex};
 use rvf_tft::extract_from_circuit;
 
 /// One 2.5 GS/s bit pattern, 2 ps sampling. The 20 symbols come from a
@@ -96,8 +99,21 @@ fn bench_serving(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for &u in &drive_inputs {
+                ln_shifted_into(u, &poles, &mut lr, &mut li);
+                acc += lr[0] + li[poles.len() - 1];
+            }
+            acc
+        })
+    });
+    // Called through an opaque pointer, so the compiler can neither
+    // inline nor vectorise it: one out-of-line `Complex::ln` per pole.
+    let scalar_ln: fn(Complex) -> Complex = black_box(Complex::ln);
+    c.bench_function("serving_drive_ln_scalar_p46_x4096", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for &u in &drive_inputs {
                 for ((r, i), &pole) in lr.iter_mut().zip(li.iter_mut()).zip(&poles) {
-                    let z = (Complex::from_re(u) - pole).ln();
+                    let z = scalar_ln(Complex::from_re(u) - pole);
                     (*r, *i) = (z.re, z.im);
                 }
                 acc += lr[0] + li[poles.len() - 1];

@@ -13,7 +13,7 @@
 //! [`CompiledSim::advance_chunks`] — runs the same single-simulation
 //! kernel, `advance`, over one state at a time.
 
-use rvf_numerics::Complex;
+use rvf_numerics::{ln_shifted_into, Complex};
 
 use super::compile::{BlockCoef, CompiledSim};
 use super::{check_dt, check_stimulus, dt_ok, ServingError};
@@ -297,9 +297,9 @@ fn shape_of(sim: &CompiledSim) -> [usize; 4] {
 /// Evaluates every drive row at input `u` into `v1`.
 ///
 /// Pass 1 fills the shared log-feature basis (one `ln` per *distinct*
-/// pole), pass 2 accumulates the quadratic heads + CSR log terms in the
-/// reference operation order, pass 3 runs the power-basis matvec for
-/// the polynomial rows.
+/// pole, in one vectorised `ln_shifted_into` call), pass 2 accumulates
+/// the quadratic heads + CSR log terms in the reference operation order,
+/// pass 3 runs the power-basis matvec for the polynomial rows.
 fn eval_drives(
     sim: &CompiledSim,
     u: f64,
@@ -308,11 +308,7 @@ fn eval_drives(
     li: &mut [f64],
     pw: &mut [f64],
 ) {
-    for (p, &pole) in sim.poles.iter().enumerate() {
-        let z = (Complex::from_re(u) - pole).ln();
-        lr[p] = z.re;
-        li[p] = z.im;
-    }
+    ln_shifted_into(u, &sim.poles, lr, li);
     for (d, v) in v1.iter_mut().enumerate() {
         let h = sim.head[d];
         // Matches `constant + linear*u + 0.5*quadratic*u*u` bit for bit

@@ -141,8 +141,11 @@ impl Complex {
     /// The routine is in-tree and branch-free: IEEE `+ − × ÷`,
     /// comparisons/selects and exponent bit manipulation only, with no
     /// libm call, no fused multiply-add and no table, so its bits do not
-    /// depend on the platform's libm, and a loop over many `ln`s
-    /// vectorises. Both halves use fdlibm's kernels:
+    /// depend on the platform's libm. Whether a loop over `ln` calls
+    /// vectorises is left to the inliner, and only ever for the baseline
+    /// target; [`ln_shifted_into`] inlines the same kernel into one slice
+    /// loop that vectorises, built for AVX2 as well, with every lane
+    /// bit-equal to this method. Both halves use fdlibm's kernels:
     ///
     /// * `ln|z|`: with `m = max(|x|,|y|)`, both parts are scaled by the
     ///   exact power of two that brings `m` into `[2, 4)` (subnormals are
@@ -164,105 +167,9 @@ impl Complex {
     /// `hypot().ln()` and `atan2` give (`ln 0 = −∞` with a signed-zero
     /// argument, `ln ∞ = ∞`, NaN in, NaN out).
     #[inline]
-    // The kernel constants are fdlibm's, digit for digit.
-    #[allow(clippy::excessive_precision)]
     pub fn ln(self) -> Self {
-        const LN2_HI: f64 = 6.93147180369123816490e-01;
-        const LN2_LO: f64 = 1.90821492927058770002e-10;
-        const LG: [f64; 7] = [
-            6.666666666666735130e-01,
-            3.999999999940941908e-01,
-            2.857142874366239149e-01,
-            2.222219843214978396e-01,
-            1.818357216161805012e-01,
-            1.531383769920937332e-01,
-            1.479819860511658591e-01,
-        ];
-        const AT: [f64; 11] = [
-            3.33333333333329318027e-01,
-            -1.99999999998764832476e-01,
-            1.42857142725034663711e-01,
-            -1.11111104054623557880e-01,
-            9.09088713343650656196e-02,
-            -7.69187620504482999495e-02,
-            6.66107313738753120669e-02,
-            -5.83357013379057348645e-02,
-            4.97687799461593236017e-02,
-            -3.65315727442169155270e-02,
-            1.62858201153657823623e-02,
-        ];
-        // π/4 split so that 0..=4 multiples of the high part are exact.
-        const PI_4_HI: f64 = core::f64::consts::FRAC_PI_4;
-        const PI_4_LO: f64 = 3.06161699786838301793e-17;
-        const TAN_PI_8: f64 = 4.14213562373095034e-01;
-        const TWO54: f64 = 1.8014398509481984e16;
-        const MANTISSA: u64 = 0x000f_ffff_ffff_ffff;
-        const SQRT_HALF_HI: u64 = 0x3fe6_a09e_0000_0000;
-
-        let (ax, ay) = (self.re.abs(), self.im.abs());
-        let swap = ay > ax;
-        let (m, n) = if swap { (ay, ax) } else { (ax, ay) };
-
-        // ln|z| = ½·ln(x² + y²) on parts rescaled by the power of two
-        // 2^(1−e) that puts `m` in [2, 4): exact, and its biased exponent
-        // 2047 − (e + 1023) is a normal number for every normal `m`.
-        let tiny = m < f64::MIN_POSITIVE;
-        let pre = if tiny { TWO54 } else { 1.0 };
-        let (ms, ns) = (m * pre, n * pre);
-        let biased = ms.to_bits() >> 52;
-        let scale = f64::from_bits((2047 - biased) << 52);
-        let (mu, nu) = (ms * scale, ns * scale);
-        let sq = mu * mu + nu * nu;
-        let ix = sq.to_bits().wrapping_add(0x3ff0_0000_0000_0000 - SQRT_HALF_HI);
-        let f = f64::from_bits((ix & MANTISSA) + SQRT_HALF_HI) - 1.0;
-        let hfsq = 0.5 * f * f;
-        let r = f / (2.0 + f);
-        // log1p(f) = f − (hfsq − r·(hfsq + z·L(z))), z = r², L of degree 6
-        // by Estrin's scheme.
-        let z = r * r;
-        let (z2, z4) = (z * z, z * z * (z * z));
-        let l03 = (LG[0] + LG[1] * z) + (LG[2] + LG[3] * z) * z2;
-        let l46 = (LG[4] + LG[5] * z) + LG[6] * z2;
-        let log1p = f - (hfsq - r * (hfsq + z * (l03 + l46 * z4)));
-        // x² + y² = 2^(2e − 2)·sq and sq = 2^k·(1+f): c = k/2 + e − 1.
-        let k = (ix >> 52) as i32 - 1023;
-        let e = biased as i32 - 1023 - if tiny { 54 } else { 0 };
-        let c = 0.5 * f64::from(k) + f64::from(e - 1);
-        let ln_abs = c * LN2_HI + (0.5 * log1p + c * LN2_LO);
-
-        // arg z: atan(n/m) ∈ [0, π/4] as q₀·π/4 + atan(t), where
-        // t = tan(atan(n/m) − q₀·π/4) = (n − q₀·m)/(m + q₀·n) with
-        // q₀ = [n ≥ tan(π/8)·m], so |t| ≤ tan(π/8). The corners 0/0 and
-        // ∞/∞ make t NaN; they read t = 0 (q₀ is 0 and 1 there, so θ is
-        // atan2's 0 and π/4).
-        let q0 = if n >= TAN_PI_8 * m && n > 0.0 { 1.0 } else { 0.0 };
-        let t = (n - q0 * m) / (m + q0 * n);
-        let t = if t.is_nan() { 0.0 } else { t };
-        // atan(t) = t − t·z·P(z), z = t², P of degree 10 by Estrin's scheme.
-        let z = t * t;
-        let (z2, z4) = (z * z, z * z * (z * z));
-        let p03 = (AT[0] + AT[1] * z) + (AT[2] + AT[3] * z) * z2;
-        let p47 = (AT[4] + AT[5] * z) + (AT[6] + AT[7] * z) * z2;
-        let p8 = (AT[8] + AT[9] * z) + AT[10] * z2;
-        let tzp = t * (z * ((p03 + p47 * z4) + p8 * (z4 * z4)));
-        // θ = q·π/4 ± atan(t) with q ∈ 0..=4: swapping the parts reflects
-        // about π/4 (q → 2 − q), a negative real part about π/2
-        // (q → 4 − q); each reflection flips the sign of atan(t). Every
-        // such q·PI_4_HI is exact.
-        let negative = self.re.is_sign_negative();
-        let q = if swap { 2.0 - q0 } else { q0 };
-        let q = if negative { 4.0 - q } else { q };
-        let (t, tzp) = if swap != negative { (-t, -tzp) } else { (t, tzp) };
-        let theta = q * PI_4_HI - ((tzp - q * PI_4_LO) - t);
-        let arg = theta.copysign(self.im);
-
-        // hypot's classification: ∞ wins over NaN; ln 0 = −∞.
-        let nan = self.re.is_nan() || self.im.is_nan();
-        let inf = ax == f64::INFINITY || ay == f64::INFINITY;
-        let ln_abs = if ms == 0.0 { f64::NEG_INFINITY } else { ln_abs };
-        let ln_abs = if nan { f64::NAN } else { ln_abs };
-        let ln_abs = if inf { f64::INFINITY } else { ln_abs };
-        Self::new(ln_abs, if nan { f64::NAN } else { arg })
+        let (re, im) = ln_parts(self.re, self.im);
+        Self::new(re, im)
     }
 
     /// Principal square root.
@@ -317,6 +224,169 @@ impl Complex {
     pub fn mul_add(self, a: Self, b: Self) -> Self {
         self * a + b
     }
+}
+
+/// The kernel of [`Complex::ln`] at `re + j·im`, as `(ln|z|, arg z)`.
+///
+/// Always inlined, so that [`ln_shifted_into`]'s loop sees the whole body
+/// and can vectorise it; `Complex::ln` is its scalar instance.
+#[inline(always)]
+// The kernel constants are fdlibm's, digit for digit.
+#[allow(clippy::excessive_precision)]
+fn ln_parts(re: f64, im: f64) -> (f64, f64) {
+    const LN2_HI: f64 = 6.93147180369123816490e-01;
+    const LN2_LO: f64 = 1.90821492927058770002e-10;
+    const LG: [f64; 7] = [
+        6.666666666666735130e-01,
+        3.999999999940941908e-01,
+        2.857142874366239149e-01,
+        2.222219843214978396e-01,
+        1.818357216161805012e-01,
+        1.531383769920937332e-01,
+        1.479819860511658591e-01,
+    ];
+    const AT: [f64; 11] = [
+        3.33333333333329318027e-01,
+        -1.99999999998764832476e-01,
+        1.42857142725034663711e-01,
+        -1.11111104054623557880e-01,
+        9.09088713343650656196e-02,
+        -7.69187620504482999495e-02,
+        6.66107313738753120669e-02,
+        -5.83357013379057348645e-02,
+        4.97687799461593236017e-02,
+        -3.65315727442169155270e-02,
+        1.62858201153657823623e-02,
+    ];
+    // π/4 split so that 0..=4 multiples of the high part are exact.
+    const PI_4_HI: f64 = core::f64::consts::FRAC_PI_4;
+    const PI_4_LO: f64 = 3.06161699786838301793e-17;
+    const TAN_PI_8: f64 = 4.14213562373095034e-01;
+    const TWO54: f64 = 1.8014398509481984e16;
+    const MANTISSA: u64 = 0x000f_ffff_ffff_ffff;
+    const SQRT_HALF_HI: u64 = 0x3fe6_a09e_0000_0000;
+
+    let (ax, ay) = (re.abs(), im.abs());
+    let swap = ay > ax;
+    let (m, n) = if swap { (ay, ax) } else { (ax, ay) };
+
+    // ln|z| = ½·ln(x² + y²) on parts rescaled by the power of two
+    // 2^(1−e) that puts `m` in [2, 4): exact, and its biased exponent
+    // 2047 − (e + 1023) is a normal number for every normal `m`.
+    let tiny = m < f64::MIN_POSITIVE;
+    let pre = if tiny { TWO54 } else { 1.0 };
+    let (ms, ns) = (m * pre, n * pre);
+    let biased = ms.to_bits() >> 52;
+    let scale = f64::from_bits((2047 - biased) << 52);
+    let (mu, nu) = (ms * scale, ns * scale);
+    let sq = mu * mu + nu * nu;
+    let ix = sq.to_bits().wrapping_add(0x3ff0_0000_0000_0000 - SQRT_HALF_HI);
+    let f = f64::from_bits((ix & MANTISSA) + SQRT_HALF_HI) - 1.0;
+    let hfsq = 0.5 * f * f;
+    let r = f / (2.0 + f);
+    // log1p(f) = f − (hfsq − r·(hfsq + z·L(z))), z = r², L of degree 6
+    // by Estrin's scheme.
+    let z = r * r;
+    let (z2, z4) = (z * z, z * z * (z * z));
+    let l03 = (LG[0] + LG[1] * z) + (LG[2] + LG[3] * z) * z2;
+    let l46 = (LG[4] + LG[5] * z) + LG[6] * z2;
+    let log1p = f - (hfsq - r * (hfsq + z * (l03 + l46 * z4)));
+    // x² + y² = 2^(2e − 2)·sq and sq = 2^k·(1+f): c = k/2 + e − 1.
+    let k = (ix >> 52) as i32 - 1023;
+    let e = biased as i32 - 1023 - if tiny { 54 } else { 0 };
+    let c = 0.5 * f64::from(k) + f64::from(e - 1);
+    let ln_abs = c * LN2_HI + (0.5 * log1p + c * LN2_LO);
+
+    // arg z: atan(n/m) ∈ [0, π/4] as q₀·π/4 + atan(t), where
+    // t = tan(atan(n/m) − q₀·π/4) = (n − q₀·m)/(m + q₀·n) with
+    // q₀ = [n ≥ tan(π/8)·m], so |t| ≤ tan(π/8). The corners 0/0 and
+    // ∞/∞ make t NaN; they read t = 0 (q₀ is 0 and 1 there, so θ is
+    // atan2's 0 and π/4).
+    let q0 = if n >= TAN_PI_8 * m && n > 0.0 { 1.0 } else { 0.0 };
+    let t = (n - q0 * m) / (m + q0 * n);
+    let t = if t.is_nan() { 0.0 } else { t };
+    // atan(t) = t − t·z·P(z), z = t², P of degree 10 by Estrin's scheme.
+    let z = t * t;
+    let (z2, z4) = (z * z, z * z * (z * z));
+    let p03 = (AT[0] + AT[1] * z) + (AT[2] + AT[3] * z) * z2;
+    let p47 = (AT[4] + AT[5] * z) + (AT[6] + AT[7] * z) * z2;
+    let p8 = (AT[8] + AT[9] * z) + AT[10] * z2;
+    let tzp = t * (z * ((p03 + p47 * z4) + p8 * (z4 * z4)));
+    // θ = q·π/4 ± atan(t) with q ∈ 0..=4: swapping the parts reflects
+    // about π/4 (q → 2 − q), a negative real part about π/2
+    // (q → 4 − q); each reflection flips the sign of atan(t). Every
+    // such q·PI_4_HI is exact.
+    let negative = re.is_sign_negative();
+    let q = if swap { 2.0 - q0 } else { q0 };
+    let q = if negative { 4.0 - q } else { q };
+    let (t, tzp) = if swap != negative { (-t, -tzp) } else { (t, tzp) };
+    let theta = q * PI_4_HI - ((tzp - q * PI_4_LO) - t);
+    let arg = theta.copysign(im);
+
+    // hypot's classification: ∞ wins over NaN; ln 0 = −∞.
+    let nan = re.is_nan() || im.is_nan();
+    let inf = ax == f64::INFINITY || ay == f64::INFINITY;
+    let ln_abs = if ms == 0.0 { f64::NEG_INFINITY } else { ln_abs };
+    let ln_abs = if nan { f64::NAN } else { ln_abs };
+    let ln_abs = if inf { f64::INFINITY } else { ln_abs };
+    (ln_abs, if nan { f64::NAN } else { arg })
+}
+
+/// Writes `ln(u − poles[p])` into `(re[p], im[p])` for every pole: the
+/// serving kernel's per-sample log features, one per distinct pole.
+///
+/// Every element is bit-equal to `(Complex::from_re(u) - poles[p]).ln()`.
+/// The loop inlines [`Complex::ln`]'s kernel, so it vectorises whatever
+/// the inliner makes of `ln` calls elsewhere. Its one body is compiled
+/// twice: for the baseline target, and in a function with AVX2 enabled
+/// (four poles per vector).
+/// On `x86_64` each call picks the AVX2 build when the CPU has it (a
+/// cached feature check, one atomic load); other targets run the
+/// baseline build. Both builds run the same IEEE `+ − × ÷`, selects and
+/// bit operations in the same order, and Rust never contracts `a·b + c`
+/// into a fused multiply-add (AVX2 is enabled without FMA), so the bits
+/// cannot depend on which build runs or on the vector width.
+///
+/// # Panics
+///
+/// If `re` or `im` is not as long as `poles`.
+pub fn ln_shifted_into(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
+    assert!(
+        re.len() == poles.len() && im.len() == poles.len(),
+        "ln_shifted_into: {} poles into {}/{} outputs",
+        poles.len(),
+        re.len(),
+        im.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the only feature the build enables.
+        return unsafe { ln_shifted_avx2(u, poles, re, im) };
+    }
+    ln_shifted(u, poles, re, im);
+}
+
+/// [`ln_shifted_into`]'s one loop body. Inlined into a caller built for
+/// the baseline target it is the baseline build; inlined into
+/// `ln_shifted_avx2` it is the AVX2 build.
+#[inline(always)]
+fn ln_shifted(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
+    for ((r, i), pole) in re.iter_mut().zip(im.iter_mut()).zip(poles) {
+        // `Complex::from_re(u) - pole`, part by part: 0.0 − im, not −im,
+        // so a zero imaginary part stays +0.
+        (*r, *i) = ln_parts(u - pole.re, 0.0 - pole.im);
+    }
+}
+
+/// The AVX2 build of [`ln_shifted_into`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn ln_shifted_avx2(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
+    ln_shifted(u, poles, re, im);
 }
 
 impl From<f64> for Complex {
@@ -624,6 +694,140 @@ mod tests {
         assert_eq!(c(-1.0, 0.0).ln().im, PI);
         assert_eq!(c(-1.0, -0.0).ln().im, -PI);
         assert_eq!(c(-0.0, 0.0).ln(), c(f64::NEG_INFINITY, PI));
+    }
+
+    /// One build of `ln_shifted_into`'s loop.
+    type ShiftedLn = fn(f64, &[Complex], &mut [f64], &mut [f64]);
+
+    /// Every build of `ln_shifted_into`'s loop this CPU can run, by name:
+    /// the baseline build, the AVX2 build when the CPU has AVX2 (the
+    /// skip is printed), and the dispatching entry point.
+    fn shifted_builds() -> Vec<(&'static str, ShiftedLn)> {
+        let mut builds: Vec<(&'static str, ShiftedLn)> =
+            vec![("baseline", ln_shifted), ("dispatch", ln_shifted_into)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2.
+            builds.push(("avx2", |u, p, r, i| unsafe { ln_shifted_avx2(u, p, r, i) }));
+        } else {
+            println!("ln_shifted_into: the CPU has no AVX2, AVX2 build skipped");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("ln_shifted_into: not x86_64, AVX2 build skipped");
+        builds
+    }
+
+    /// Checks that every build writes `(Complex::from_re(u) - pole).ln()`
+    /// for every pole, bit for bit.
+    fn assert_shifted_bits(builds: &[(&str, ShiftedLn)], u: f64, poles: &[Complex]) {
+        // A NaN payload the kernel never produces: an unwritten output
+        // cannot pass.
+        let unwritten = f64::from_bits(0x7ff8_dead_beef_0001);
+        let (mut re, mut im) = (vec![0.0; poles.len()], vec![0.0; poles.len()]);
+        for &(name, build) in builds {
+            re.fill(unwritten);
+            im.fill(unwritten);
+            build(u, poles, &mut re, &mut im);
+            for (p, &pole) in poles.iter().enumerate() {
+                let want = (Complex::from_re(u) - pole).ln();
+                assert!(
+                    re[p].to_bits() == want.re.to_bits() && im[p].to_bits() == want.im.to_bits(),
+                    "{name} build, u = {u:e}, pole {p} of {} = {pole:?}: ({:?}, {:?}) vs ln {want:?}",
+                    poles.len(),
+                    re[p],
+                    im[p]
+                );
+            }
+        }
+    }
+
+    /// A seeded pole: real, a conjugate pair, near `u` (so `u − pole` is
+    /// small) or complex with unrelated part magnitudes, over 1e-300..1e300.
+    fn push_pole(rng: &mut Stream, u: f64, poles: &mut Vec<Complex>) {
+        let part = |rng: &mut Stream| rng.sign() * rng.decades(-300.0, 300.0);
+        match rng.next() % 4 {
+            0 => poles.push(c(part(rng), 0.0)),
+            1 => {
+                let (a, b) = (part(rng), part(rng));
+                poles.extend([c(a, b), c(a, -b)]);
+            }
+            2 => {
+                let im = rng.sign() * rng.decades(-300.0, 0.0);
+                poles.push(c(rng.nudge(u, 4), im));
+            }
+            _ => poles.push(c(part(rng), part(rng))),
+        }
+    }
+
+    #[test]
+    fn ln_shifted_into_matches_ln_bits_over_a_seeded_sweep() {
+        let builds = shifted_builds();
+        let mut rng = Stream(0x6c6e_5f73_6869_6674);
+        let mut poles = Vec::new();
+        for _ in 0..20_000 {
+            let u = rng.sign() * rng.decades(-300.0, 300.0);
+            poles.clear();
+            while poles.len() < 12 {
+                push_pole(&mut rng, u, &mut poles);
+            }
+            assert_shifted_bits(&builds, u, &poles);
+        }
+    }
+
+    #[test]
+    fn ln_shifted_into_matches_ln_bits_on_special_values() {
+        let builds = shifted_builds();
+        let specials = [
+            0.0,
+            -0.0,
+            4.9e-324,
+            -4.9e-324,
+            f64::MIN_POSITIVE / 3.0,
+            1.0,
+            -1.0,
+            PI,
+            -PI,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Every pole from the table, at every `u` from it: this covers
+        // the ±0 combinations, the ±π cut (u = −1 against the zero-part
+        // poles), subnormals, MAX, ±∞ and NaN, one lane each.
+        let poles: Vec<Complex> =
+            specials.iter().flat_map(|&a| specials.iter().map(move |&b| c(a, b))).collect();
+        for &u in &specials {
+            assert_shifted_bits(&builds, u, &poles);
+        }
+    }
+
+    #[test]
+    fn ln_shifted_into_matches_ln_bits_at_every_remainder() {
+        let builds = shifted_builds();
+        let mut rng = Stream(0x7265_6d61_696e_6472);
+        for len in 0..=17 {
+            for _ in 0..50 {
+                let u = rng.sign() * rng.decades(-3.0, 3.0);
+                let mut poles = Vec::new();
+                while poles.len() < len + 3 {
+                    push_pole(&mut rng, u, &mut poles);
+                }
+                // Every start offset in a vector's reach, so each length
+                // runs at every alignment too.
+                for start in 0..4.min(poles.len() - len + 1) {
+                    assert_shifted_bits(&builds, u, &poles[start..start + len]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "3 poles into 3/2 outputs")]
+    fn ln_shifted_into_rejects_short_outputs() {
+        let poles = [Complex::ONE; 3];
+        ln_shifted_into(0.5, &poles, &mut [0.0; 3], &mut [0.0; 2]);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! pipeline needs, with no external linear-algebra dependencies:
 //!
 //! * [`Complex`] arithmetic with the principal logarithm used by the RVF
-//!   closed-form integrals,
+//!   closed-form integrals, and [`ln_shifted_into`], that logarithm over
+//!   a whole pole table in one vectorised loop,
 //! * dense real ([`Mat`]) and complex ([`CMat`]) matrices,
 //! * LU factorizations ([`Lu`], [`CLu`]) for MNA solves and frequency
 //!   sweeps,
@@ -83,7 +84,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use cmatrix::CMat;
-pub use complex::{c, Complex, C64, J};
+pub use complex::{c, ln_shifted_into, Complex, C64, J};
 pub use eig::{eig_2x2, eigenvalues, sort_eigenvalues};
 pub use error::NumericsError;
 pub use expm::{expm2, FohPair, FohScalar};
