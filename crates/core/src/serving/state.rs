@@ -209,17 +209,21 @@ impl<'a> From<&'a SimState> for CheckpointView<'a> {
 /// Scratch buffers (current-sample drives, log-feature and power-basis
 /// temporaries) are deliberately absent: they are overwritten before
 /// being read on every sample, so they are not state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StateCheckpoint {
+///
+/// `V` is how the three vectors are held: owned (`Vec<f64>`, the
+/// default), borrowed ([`CheckpointView`]), or in any other form a
+/// serializer reads them in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StateCheckpoint<V = Vec<f64>> {
     /// Model shape fingerprint `[n_drives, n_blocks, pole features,
     /// pdeg]` — import refuses a mismatching model.
     pub shape: [u64; 4],
     /// Previous-sample drive values (one per drive row).
-    pub v0: Vec<f64>,
+    pub v0: V,
     /// Block state, real components (one per block).
-    pub sre: Vec<f64>,
+    pub sre: V,
     /// Block state, imaginary components (one per block).
-    pub sim: Vec<f64>,
+    pub sim: V,
     /// Bit pattern of the last input that rebuilt the drives (the
     /// drive-memo register).
     pub uprev: u64,
@@ -235,6 +239,10 @@ pub struct StateCheckpoint {
     pub coef_dt: u64,
 }
 
+/// A [`StateCheckpoint`] with its vectors borrowed, from a live
+/// [`SimState`] or from a checkpoint (both convert with `From`).
+pub type CheckpointView<'a> = StateCheckpoint<&'a [f64]>;
+
 impl<'a> From<&'a StateCheckpoint> for CheckpointView<'a> {
     fn from(c: &'a StateCheckpoint) -> Self {
         CheckpointView {
@@ -248,29 +256,6 @@ impl<'a> From<&'a StateCheckpoint> for CheckpointView<'a> {
             coef_dt: c.coef_dt,
         }
     }
-}
-
-/// A [`StateCheckpoint`] with its vectors borrowed, from a live
-/// [`SimState`] or from a checkpoint (both convert with `From`). Field
-/// meanings are the checkpoint's.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckpointView<'a> {
-    /// Model shape fingerprint.
-    pub shape: [u64; 4],
-    /// Previous-sample drive values.
-    pub v0: &'a [f64],
-    /// Block state, real components.
-    pub sre: &'a [f64],
-    /// Block state, imaginary components.
-    pub sim: &'a [f64],
-    /// Drive-memo register.
-    pub uprev: u64,
-    /// Whether the state has absorbed its first sample.
-    pub started: bool,
-    /// Samples absorbed so far.
-    pub samples: u64,
-    /// Propagator-cache key.
-    pub coef_dt: u64,
 }
 
 impl CheckpointView<'_> {

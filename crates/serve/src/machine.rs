@@ -25,8 +25,8 @@ use crate::error::ServeError;
 use crate::registry::{ModelId, ModelRegistry};
 use crate::scheduler::{RequestId, ServeConfig, SessionHandle};
 use crate::wire::{
-    frame, framed_checksum, put_snapshot, DeltaOp, SchedulerSnapshot, Sink, SnapshotModel,
-    SnapshotRequest, SnapshotSlot, KIND_SNAPSHOT,
+    frame, framed_checksum, DeltaOp, F64s, Get, Put, SchedulerSnapshot, Sink, SnapshotModel,
+    SnapshotRequest, SnapshotSession, SnapshotSlot, KIND_SNAPSHOT,
 };
 
 /// One live session.
@@ -57,7 +57,7 @@ pub(crate) struct SchedulerCore<S> {
     rebuilds: u64,
     degraded: bool,
     slots: Vec<Slot<S>>,
-    free: Vec<usize>,
+    free: Vec<u32>,
     queue: VecDeque<SnapshotRequest>,
     live: usize,
     queued_samples: usize,
@@ -121,13 +121,15 @@ impl<S> SchedulerCore<S> {
         slot?.session.as_mut()
     }
 
-    fn position(&self, request: RequestId) -> Option<usize> {
+    /// A queued request's position in the queue.
+    pub(crate) fn position(&self, request: RequestId) -> Option<usize> {
         self.queue.iter().position(|r| r.id == request.0)
     }
 
-    /// Removes a queued request, keeping the derived counters in step.
-    fn dequeue(&mut self, request: RequestId) -> Option<SnapshotRequest> {
-        let r = self.queue.remove(self.position(request)?)?;
+    /// Removes the request at queue position `pos`, keeping the derived
+    /// counters in step.
+    fn dequeue(&mut self, pos: usize) -> Option<SnapshotRequest> {
+        let r = self.queue.remove(pos)?;
         self.queued_samples -= r.input.len();
         if let Some(s) = self.session_mut(SessionHandle::from_raw(r.session)) {
             s.queued = s.queued.saturating_sub(1);
@@ -151,9 +153,9 @@ impl<S> SchedulerCore<S> {
 
     /// The handle [`open`](Self::open) assigns next: the top of the
     /// free stack, or a fresh slot appended at generation 0.
-    fn next_handle(&self) -> SessionHandle {
-        match self.free.last() {
-            Some(&i) => SessionHandle::new(i, self.slots.get(i).map_or(0, |s| s.generation)),
+    pub(crate) fn next_handle(&self) -> SessionHandle {
+        match self.free.last().map(|&i| i as usize) {
+            Some(i) => SessionHandle::new(i, self.slots.get(i).map_or(0, |s| s.generation)),
             None => SessionHandle::new(self.slots.len(), 0),
         }
     }
@@ -164,7 +166,7 @@ impl<S> SchedulerCore<S> {
         let session =
             Some(Session { model, dt, state: Some(state), last_activity: now, queued: 0 });
         match self.free.pop() {
-            Some(i) => self.slots[i].session = session,
+            Some(i) => self.slots[i as usize].session = session,
             None => self.slots.push(Slot { generation: 0, session }),
         }
         self.live += 1;
@@ -199,18 +201,19 @@ impl<S> SchedulerCore<S> {
         RequestId(id)
     }
 
-    /// A chunk completed (op 3): the request leaves the queue and the
-    /// session takes its advanced `state`.
+    /// A chunk completed (op 3): the request at queue position `pos`
+    /// (from one [`position`](Self::position) lookup) leaves the queue,
+    /// and `advance` moves the session's state to its post-chunk state.
     pub(crate) fn complete(
         &mut self,
-        request: RequestId,
+        pos: Option<usize>,
         session: SessionHandle,
         now: u64,
-        state: S,
+        advance: impl FnOnce(&mut Option<S>),
     ) {
-        self.dequeue(request);
+        pos.and_then(|pos| self.dequeue(pos));
         if let Some(s) = self.session_mut(session) {
-            s.state = Some(state);
+            advance(&mut s.state);
             s.last_activity = now;
         }
     }
@@ -218,7 +221,7 @@ impl<S> SchedulerCore<S> {
     /// A request failed terminally and leaves the queue (op 4). `false`
     /// (and no change) if it is not queued.
     pub(crate) fn fail(&mut self, request: RequestId) -> bool {
-        self.dequeue(request).is_some()
+        self.position(request).and_then(|pos| self.dequeue(pos)).is_some()
     }
 
     /// Closes a session (op 5): queued work purged, slot generation
@@ -229,7 +232,7 @@ impl<S> SchedulerCore<S> {
         let slot = &mut self.slots[handle.index()];
         let closed = slot.session.take();
         slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(handle.index());
+        self.free.push(handle.index() as u32);
         self.live -= 1;
         let purged = self.queue.iter().filter(|r| r.session == handle.raw());
         self.queued_samples -= purged.map(|r| r.input.len()).sum::<usize>();
@@ -260,40 +263,54 @@ impl<S> SchedulerCore<S> {
     }
 }
 
+/// The snapshot layout of a slot, from the borrowed session state.
+impl<S> Put for Slot<S>
+where
+    for<'s> &'s S: Into<CheckpointView<'s>>,
+{
+    fn put(&self, w: &mut Sink<'_>) {
+        // A state riding a batch round never gets here: `snapshot`
+        // refuses first.
+        let session = self.session.as_ref().and_then(|s| {
+            let (model, dt_bits) = (s.model.index() as u32, s.dt.to_bits());
+            let state = s.state.as_ref()?.into();
+            Some(SnapshotSession { model, dt_bits, last_activity: s.last_activity, state })
+        });
+        SnapshotSlot { generation: self.generation, session }.put(w);
+    }
+}
+
 impl<S> SchedulerCore<S>
 where
     for<'s> &'s S: Into<CheckpointView<'s>>,
 {
-    /// Writes the state as a [`SchedulerSnapshot`] payload, borrowing
-    /// every session state and queued stimulus.
+    /// The state as a [`SchedulerSnapshot`] borrowing every session
+    /// state and queued stimulus.
     ///
     /// # Errors
     ///
     /// [`ServeError::SnapshotInvalid`] if a session's state is riding a
     /// batch round.
-    fn put(&self, w: &mut Sink<'_>) -> Result<(), ServeError> {
-        let slots = self.slots.iter().map(|slot| {
-            let Some(s) = &slot.session else { return Ok((slot.generation, None)) };
-            let state = s.state.as_ref().ok_or(ServeError::SnapshotInvalid {
-                what: "a session's state is riding a batch round",
-            })?;
-            let view = (s.model.index() as u32, s.dt.to_bits(), s.last_activity, state.into());
-            Ok((slot.generation, Some(view)))
-        });
-        let head = (&self.cfg, self.next_request, self.rebuilds, self.degraded);
-        let free = self.free.iter().map(|&i| i as u32);
-        put_snapshot(w, head, &self.models, slots, free, self.queue.iter())
+    fn snapshot(&self) -> Result<impl Put + '_, ServeError> {
+        if self.slots.iter().filter_map(|s| s.session.as_ref()).any(|s| s.state.is_none()) {
+            let what = "a session's state is riding a batch round";
+            return Err(ServeError::SnapshotInvalid { what });
+        }
+        let (models, slots, free, queue) = (&self.models, &self.slots, &self.free, &self.queue);
+        let (next_request, rebuilds, degraded) = (self.next_request, self.rebuilds, self.degraded);
+        let cfg = self.cfg.clone();
+        Ok(SchedulerSnapshot { cfg, next_request, rebuilds, degraded, models, slots, free, queue })
     }
 
     /// The state as one framed snapshot record.
     pub(crate) fn encode(&self) -> Result<Bytes, ServeError> {
-        frame(KIND_SNAPSHOT, |w| self.put(w))
+        Ok(frame(KIND_SNAPSHOT, &self.snapshot()?))
     }
 
     /// XXH64 over [`encode`](Self::encode) — the value a digest record
     /// carries — in one pass, building nothing.
     pub(crate) fn digest(&self) -> Result<u64, ServeError> {
-        framed_checksum(KIND_SNAPSHOT, |w| self.put(w))
+        Ok(framed_checksum(KIND_SNAPSHOT, &self.snapshot()?))
     }
 }
 
@@ -344,11 +361,11 @@ impl SchedulerCore<StateCheckpoint> {
         }
         let mut in_free = vec![false; core.slots.len()];
         for &i in &snap.free {
-            let i = i as usize;
-            if core.slots.get(i).is_none_or(|slot| slot.session.is_some()) || in_free[i] {
+            let at = i as usize;
+            if core.slots.get(at).is_none_or(|slot| slot.session.is_some()) || in_free[at] {
                 return invalid("a free-list entry does not name a distinct empty slot");
             }
-            in_free[i] = true;
+            in_free[at] = true;
             core.free.push(i);
         }
         if core.free.len() + core.live != core.slots.len() {
@@ -411,14 +428,17 @@ impl SchedulerCore<StateCheckpoint> {
         })
     }
 
-    /// Replays one journaled op: every consistency check runs before
-    /// anything mutates, then the op's transition method — the one the
-    /// primary called — runs.
+    /// Replays one journaled op, decoded in place: every consistency
+    /// check runs before anything mutates, then the op's transition
+    /// method — the one the primary called — runs. A completion copies
+    /// its state into the session's own checkpoint and an admission
+    /// allocates only the queued input, so a steady-state replay
+    /// allocates nothing else.
     ///
     /// # Errors
     ///
     /// Which check failed; nothing is committed.
-    pub(crate) fn apply(&mut self, op: DeltaOp) -> Result<(), &'static str> {
+    pub(crate) fn apply(&mut self, op: DeltaOp<F64s<'_>>) -> Result<(), &'static str> {
         match op {
             DeltaOp::SessionOpened { session, model, dt_bits, last_activity, state } => {
                 let (handle, next) = (SessionHandle::from_raw(session), self.next_handle());
@@ -438,7 +458,7 @@ impl SchedulerCore<StateCheckpoint> {
                 if handle.generation() != next.generation() {
                     return Err("the opened slot's generation does not match the handle");
                 }
-                self.open(ModelId(model as usize), dt, last_activity, state);
+                self.open(ModelId(model as usize), dt, last_activity, state.owned());
             }
             DeltaOp::Admitted { request, session, deadline, not_before, input } => {
                 let handle = SessionHandle::from_raw(session);
@@ -451,20 +471,36 @@ impl SchedulerCore<StateCheckpoint> {
                 if self.session(handle).is_none() {
                     return Err("admission names a dead session");
                 }
-                self.admit(handle, input, deadline, not_before);
+                self.admit(handle, input.to_vec(), deadline, not_before);
             }
             DeltaOp::ChunkCompleted { request, session, last_activity, state } => {
-                let Some(queued) = self.queue.iter().find(|r| r.id == request) else {
+                let Some(pos) = self.position(RequestId(request)) else {
                     return Err("completion names a request that is not queued");
                 };
-                if queued.session != session {
+                if self.queue.get(pos).is_none_or(|queued| queued.session != session) {
                     return Err("completion names the wrong session for its request");
                 }
                 let handle = SessionHandle::from_raw(session);
-                if self.session(handle).is_none() {
+                let Some(live) = self.session(handle) else {
                     return Err("completion names a dead session");
+                };
+                let lens = [state.v0, state.sre, state.sim].map(|v| v.iter().len());
+                let fits = |c: &StateCheckpoint| {
+                    c.shape == state.shape && [c.v0.len(), c.sre.len(), c.sim.len()] == lens
+                };
+                if !live.state.as_ref().is_some_and(fits) {
+                    return Err("completion carries a state that does not fit the session");
                 }
-                self.complete(RequestId(request), handle, last_activity, state);
+                self.complete(Some(pos), handle, last_activity, |c| {
+                    let Some(c) = c else { return };
+                    for (to, from) in
+                        [(&mut c.v0, state.v0), (&mut c.sre, state.sre), (&mut c.sim, state.sim)]
+                    {
+                        to.iter_mut().zip(from.iter()).for_each(|(to, v)| *to = v);
+                    }
+                    (c.uprev, c.started, c.samples) = (state.uprev, state.started, state.samples);
+                    c.coef_dt = state.coef_dt;
+                });
             }
             DeltaOp::RequestFailed { request } => {
                 if !self.fail(RequestId(request)) {
@@ -525,7 +561,7 @@ pub(crate) mod tests {
             degraded: core.degraded,
             models: core.models.clone(),
             slots,
-            free: core.free.iter().map(|&i| i as u32).collect(),
+            free: core.free.clone(),
             queue: core.queue.iter().cloned().collect(),
         })
     }

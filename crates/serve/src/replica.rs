@@ -2,10 +2,11 @@
 //!
 //! A primary [`Scheduler`] with an attached [`ReplicationSink`]
 //! journals every committed mutation as a sequence-numbered
-//! [`WireRecord::Delta`] — session opened, chunk admitted / completed /
-//! failed / retried, session closed, pool rebuilt, degraded — each
-//! carrying the post-state of any mutated session. Every `digest_every`
-//! deltas it also appends a [`WireRecord::Digest`]: XXH64 over its
+//! [`Delta`](crate::wire::Record::Delta) record — session opened, chunk
+//! admitted / completed / failed / retried, session closed, pool
+//! rebuilt, degraded — each carrying the post-state of any mutated
+//! session. Every `digest_every` deltas it also appends a
+//! [`Digest`](crate::wire::Record::Digest) record: XXH64 over its
 //! encoded canonical state.
 //!
 //! A [`Follower`] consumes that log — record by record via
@@ -79,7 +80,7 @@ use crate::error::ServeError;
 use crate::machine::SchedulerCore;
 use crate::registry::ModelRegistry;
 use crate::scheduler::Scheduler;
-use crate::wire::{decode_stream, WireError, WireRecord};
+use crate::wire::{decode_stream, WireError, WireView};
 
 /// Where a journaling primary appends its replication records. Each
 /// `append` receives one fully framed, checksummed wire record
@@ -303,14 +304,14 @@ impl Follower {
         Ok(core.digest()?)
     }
 
-    /// Applies one replication record: the baseline snapshot, a
+    /// Applies one decoded replication record: the baseline snapshot, a
     /// sequence-checked delta, or a digest to verify against.
     ///
     /// # Errors
     ///
     /// Any [`ReplicaError`]; on error nothing is committed and the
     /// follower is poisoned (every later call returns the same error).
-    pub fn apply(&mut self, record: WireRecord) -> Result<(), ReplicaError> {
+    pub fn apply(&mut self, record: WireView<'_>) -> Result<(), ReplicaError> {
         self.healthy()?;
         self.apply_inner(record).map_err(|e| self.poison(e))
     }
@@ -326,9 +327,9 @@ impl Follower {
         e
     }
 
-    fn apply_inner(&mut self, record: WireRecord) -> Result<(), ReplicaError> {
+    fn apply_inner(&mut self, record: WireView<'_>) -> Result<(), ReplicaError> {
         match record {
-            WireRecord::Snapshot(snap) => {
+            WireView::Snapshot(snap) => {
                 if self.core.is_some() {
                     return Err(ReplicaError::BadDelta {
                         seq: self.seq,
@@ -341,7 +342,7 @@ impl Follower {
                 self.core = Some(SchedulerCore::from_snapshot(snap, &self.registry)?);
                 self.seq = 0;
             }
-            WireRecord::Delta(delta) => {
+            WireView::Delta(delta) => {
                 let core = self.core.as_mut().ok_or(ReplicaError::NoBaseline)?;
                 let expected = self.seq + 1;
                 if delta.seq != expected {
@@ -351,7 +352,7 @@ impl Follower {
                     .map_err(|what| ReplicaError::BadDelta { seq: delta.seq, what })?;
                 self.seq = delta.seq;
             }
-            WireRecord::Digest(digest) => {
+            WireView::Digest(digest) => {
                 let core = self.core.as_ref().ok_or(ReplicaError::NoBaseline)?;
                 if digest.seq != self.seq {
                     return Err(ReplicaError::SequenceGap {
@@ -369,7 +370,7 @@ impl Follower {
                 }
                 self.verified += 1;
             }
-            WireRecord::Stimulus(_) | WireRecord::Response(_) | WireRecord::Checkpoint(_) => {
+            WireView::Stimulus(_) | WireView::Response(_) | WireView::Checkpoint(_) => {
                 return Err(ReplicaError::BadDelta {
                     seq: self.seq,
                     what: "record kind does not belong in a replication log",
@@ -399,7 +400,8 @@ impl Follower {
             return Err(self.poison(ReplicaError::BadDelta { seq: self.seq, what }));
         }
         let start = self.offset;
-        let mut stream = decode_stream(log.slice(start..log.len()));
+        let rest = log.slice(start..log.len());
+        let mut stream = decode_stream(&rest);
         let mut applied = 0usize;
         while let Some(record) = stream.next() {
             let record = record.map_err(|e| self.poison(ReplicaError::Wire(e)))?;
@@ -570,8 +572,7 @@ mod tests {
         let seq_before = follower.applied_seq();
         let digest_before = follower.state_digest().expect("digest");
         // A delta from the future: gap.
-        let bogus =
-            WireRecord::Delta(DeltaRecord { seq: seq_before + 5, op: DeltaOp::PoolRebuilt });
+        let bogus = WireView::Delta(DeltaRecord { seq: seq_before + 5, op: DeltaOp::PoolRebuilt });
         assert!(matches!(
             follower.apply(bogus),
             Err(ReplicaError::SequenceGap { found, .. }) if found == seq_before + 5
@@ -587,7 +588,7 @@ mod tests {
     #[test]
     fn records_before_baseline_are_refused() {
         let mut follower = Follower::new(registry());
-        let delta = WireRecord::Delta(DeltaRecord { seq: 1, op: DeltaOp::PoolRebuilt });
+        let delta = WireView::Delta(DeltaRecord { seq: 1, op: DeltaOp::PoolRebuilt });
         assert!(matches!(follower.apply(delta), Err(ReplicaError::NoBaseline)));
         assert!(matches!(Follower::new(registry()).promote(), Err(ReplicaError::NoBaseline)));
     }

@@ -57,9 +57,7 @@ use crate::error::ServeError;
 use crate::machine::SchedulerCore;
 use crate::registry::{ModelId, ModelRegistry};
 use crate::replica::ReplicationSink;
-use crate::wire::{
-    encode_delta, put_admitted, put_completed, put_op, DeltaOp, DigestRecord, Sink, WireRecord,
-};
+use crate::wire::{frame, DeltaOp, DeltaRecord, DigestRecord, WireRecord, WireView, KIND_DELTA};
 
 /// Replication bookkeeping: the attached sink, the delta sequence
 /// counter, and the digest cadence. Digests are *deferred*: a journaled
@@ -338,13 +336,14 @@ impl Scheduler {
         self.core.digest()
     }
 
-    /// Appends the committed mutation `put_op` writes to the log, if a
-    /// sink is attached, under the next sequence number. Infallible:
-    /// journaling never blocks or poisons the serving path.
-    fn journal(&mut self, put_op: impl Fn(&mut Sink<'_>)) {
+    /// Appends the committed mutation `op`, written from borrowed
+    /// parts, to the log if a sink is attached, under the next sequence
+    /// number. Infallible: journaling never blocks or poisons the
+    /// serving path.
+    fn journal(&mut self, op: DeltaOp<&[f64]>) {
         let Some(rep) = self.replica.as_mut() else { return };
         rep.seq += 1;
-        rep.sink.append(encode_delta(rep.seq, put_op));
+        rep.sink.append(frame(KIND_DELTA, &DeltaRecord { seq: rep.seq, op }));
         // The sequence restarts at each baseline.
         rep.digest_due |= rep.seq % rep.digest_every == 0;
     }
@@ -412,16 +411,16 @@ impl Scheduler {
         if self.core.live() >= limit {
             return Err(ServeError::SessionLimit { live: self.core.live(), limit });
         }
-        // Journaling checkpoint, taken before the state moves into the
-        // slab.
-        let checkpoint = self.replica.as_ref().map(|_| state.export());
+        // Journaled from the borrowed state, before it moves into the slab.
+        self.journal(DeltaOp::SessionOpened {
+            session: self.core.next_handle().raw(),
+            model: model.index() as u32,
+            dt_bits: dt.to_bits(),
+            last_activity: now,
+            state: (&state).into(),
+        });
         let handle = self.core.open(model, dt, now, state);
-        if let Some(state) = checkpoint {
-            let (session, model, dt_bits) = (handle.raw(), model.index() as u32, dt.to_bits());
-            let op = DeltaOp::SessionOpened { session, model, dt_bits, last_activity: now, state };
-            self.journal(|w| put_op(w, &op));
-            self.flush_digest();
-        }
+        self.flush_digest();
         Ok(handle)
     }
 
@@ -458,7 +457,7 @@ impl Scheduler {
     pub fn close_session(&mut self, handle: SessionHandle) -> Result<SimState, ServeError> {
         let unknown = ServeError::UnknownSession { id: handle.raw() };
         let session = self.core.close(handle).ok_or(unknown.clone())?;
-        self.journal(|w| put_op(w, &DeltaOp::SessionClosed { session: handle.raw() }));
+        self.journal(DeltaOp::SessionClosed { session: handle.raw() });
         self.flush_digest();
         session.state.ok_or(unknown)
     }
@@ -503,10 +502,9 @@ impl Scheduler {
             return Err(ServeError::Overloaded { queued_requests, queued_samples });
         }
         let id = self.core.admit(handle, chunk.to_vec(), deadline, now);
-        if self.replica.is_some() {
-            self.journal(|w| put_admitted(w, [id.0, handle.raw(), deadline, now], chunk));
-            self.flush_digest();
-        }
+        let (request, session, not_before) = (id.0, handle.raw(), now);
+        self.journal(DeltaOp::Admitted { request, session, deadline, not_before, input: chunk });
+        self.flush_digest();
         Ok(id)
     }
 
@@ -551,7 +549,7 @@ impl Scheduler {
     /// [`ServingError`] when a session checkpoint does not fit its
     /// model.
     pub fn restore(bytes: &Bytes, registry: &ModelRegistry) -> Result<Self, ServeError> {
-        let WireRecord::Snapshot(snap) = WireRecord::decode(bytes)? else {
+        let WireView::Snapshot(snap) = WireRecord::decode(bytes)? else {
             return Err(ServeError::SnapshotInvalid {
                 what: "the record is not a scheduler snapshot",
             });
@@ -640,7 +638,7 @@ impl Scheduler {
         events: &mut Vec<Event>,
     ) {
         self.core.fail(request);
-        self.journal(|w| put_op(w, &DeltaOp::RequestFailed { request: request.0 }));
+        self.journal(DeltaOp::RequestFailed { request: request.0 });
         events.push(Event::Failed { request, session, error });
     }
 
@@ -730,12 +728,19 @@ impl Scheduler {
         };
         match outcome {
             Ok(()) => {
-                for ((m, state), output) in lent.into_iter().zip(outputs) {
+                for ((m, advanced), output) in lent.into_iter().zip(outputs) {
                     // Journaled from the borrowed post-state, before it
                     // returns to the core.
-                    let head = [m.request.0, m.session.raw(), now];
-                    self.journal(|w| put_completed(w, head, (&state).into()));
-                    self.core.complete(m.request, m.session, now, state);
+                    let (request, session, last_activity) = (m.request.0, m.session.raw(), now);
+                    let state = (&advanced).into();
+                    self.journal(DeltaOp::ChunkCompleted {
+                        request,
+                        session,
+                        last_activity,
+                        state,
+                    });
+                    let pos = self.core.position(m.request);
+                    self.core.complete(pos, m.session, now, |slot| *slot = Some(advanced));
                     events.push(Event::Completed {
                         request: m.request,
                         session: m.session,
@@ -764,10 +769,10 @@ impl Scheduler {
                 // Retries go back to the *front*, preserving their FIFO
                 // priority over younger requests. Requeued (and
                 // journaled) in reverse, so the oldest ends up first.
-                for (request, attempts, not_before) in requeue.into_iter().rev() {
-                    self.core.retry(request, attempts, not_before);
-                    let op = DeltaOp::RequestRetried { request: request.0, attempts, not_before };
-                    self.journal(|w| put_op(w, &op));
+                for (id, attempts, not_before) in requeue.into_iter().rev() {
+                    self.core.retry(id, attempts, not_before);
+                    let request = id.0;
+                    self.journal(DeltaOp::RequestRetried { request, attempts, not_before });
                 }
                 self.check_pool_health();
             }
@@ -816,11 +821,11 @@ impl Scheduler {
         if self.core.rebuilds() >= cfg.degrade_after_rebuilds {
             self.pool = SweepPool::new(1);
             self.core.degrade();
-            self.journal(|w| put_op(w, &DeltaOp::Degraded));
+            self.journal(DeltaOp::Degraded);
         } else {
             self.pool = SweepPool::new(cfg.workers);
             self.core.pool_rebuilt();
-            self.journal(|w| put_op(w, &DeltaOp::PoolRebuilt));
+            self.journal(DeltaOp::PoolRebuilt);
         }
     }
 }

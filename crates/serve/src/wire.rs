@@ -16,32 +16,38 @@
 //!
 //! * [`StimulusChunk`] (kind 1) — one submitted stimulus chunk.
 //! * [`ResponseChunk`] (kind 2) — one completed output chunk.
-//! * [`StateCheckpoint`] (kind 3) — a per-session kernel checkpoint
-//!   (re-exported from `rvf_core`; FOH registers, drive-memo bits,
-//!   started flag, propagator-cache key, shape fingerprint).
-//! * [`SchedulerSnapshot`] (kind 4) — the whole scheduler: registry
-//!   model fingerprints, generation-tagged session slab, admission
-//!   queue, retry/backoff and deadline state on the injected `u64`
-//!   clock.
-//! * [`DeltaRecord`] (kind 5) — one sequence-numbered committed
-//!   scheduler mutation in the replication log, carrying the post-state
-//!   of any mutated session.
-//! * [`DigestRecord`] (kind 6) — a periodic XXH64 digest of the
-//!   primary's canonical state (its encoded snapshot record), letting
-//!   a follower prove its reconstruction byte-identical.
+//! * [`StateCheckpoint`] (kind 3) — a per-session kernel checkpoint.
+//! * [`SchedulerSnapshot`] (kind 4) — the whole scheduler.
+//! * [`DeltaRecord`] (kind 5) — one committed scheduler mutation in the
+//!   replication log.
+//! * [`DigestRecord`] (kind 6) — a digest of the primary's canonical
+//!   state, letting a follower prove its reconstruction byte-identical.
 //!
-//! `f64`s travel as raw IEEE-754 bit patterns, so an encode → decode
-//! round trip is **bit-exact** — the property the tier's
+//! Each record's fields are listed once, in wire order, in the layout
+//! table below. That one list is the record's encoder — which the frame
+//! runs to count the payload, to write it, and to fold it into XXH64 —
+//! and its decoder. `f64`s travel as raw IEEE-754 bit patterns, so an
+//! encode → decode round trip is **bit-exact**: the property the tier's
 //! restore-then-replay guarantee is built on.
+//!
+//! Records are generic over how they hold their `f64` vectors. A
+//! [`WireRecord`] owns them. The scheduler journals from borrowed
+//! `&[f64]`s and [`CheckpointView`](rvf_core::CheckpointView)s.
+//! [`WireRecord::decode`] and [`decode_stream`] yield a [`WireView`],
+//! whose [`F64s`] read the decoded bytes in place: those bytes are not
+//! 8-aligned, so they cannot be cast to `&[f64]`. [`WireView::to_owned`]
+//! copies a view out. A snapshot, read once per baseline or restore,
+//! decodes straight into an owned [`SchedulerSnapshot`].
 //!
 //! # Totality
 //!
 //! [`WireRecord::decode`] is *total*: any byte string produces either a
-//! record or a typed [`WireError`] — never a panic, and never an
-//! allocation larger than the input itself (every length and count
-//! field is validated against [`Buf::remaining`] before a vector is
-//! sized). The decode-fuzz suite pins this by mutating valid records
-//! with truncations, bit flips, and lying length fields.
+//! view or a typed [`WireError`] — never a panic, and never an
+//! allocation larger than the input itself. A view allocates nothing; a
+//! snapshot's lists and names are sized only after their count field
+//! has been checked against the payload bytes that remain. The
+//! decode-fuzz suite pins this by mutating valid records with
+//! truncations, bit flips, and lying length fields.
 //!
 //! Decode validates strictly in this order: truncated header →
 //! [`WireError::BadMagic`] → [`WireError::UnsupportedVersion`] →
@@ -53,12 +59,12 @@
 //! [`Scheduler::restore`](crate::Scheduler::restore) and
 //! [`CompiledSim::import_state`](rvf_core::CompiledSim::import_state).
 
-use core::convert::Infallible;
 use core::fmt;
 use core::ops::Range;
+use std::collections::VecDeque;
 
 use bytes::{Buf, Bytes, TryGetError};
-use rvf_core::{CheckpointView, StateCheckpoint};
+use rvf_core::StateCheckpoint;
 
 use crate::scheduler::ServeConfig;
 
@@ -320,246 +326,599 @@ impl From<TryGetError> for WireError {
     }
 }
 
-/// One submitted stimulus chunk in transit (kind 1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StimulusChunk {
-    /// Raw session handle the chunk belongs to.
-    pub session: u64,
-    /// Raw request id assigned at admission.
-    pub request: u64,
-    /// Absolute-tick deadline the chunk was submitted with.
-    pub deadline: u64,
-    /// The stimulus samples.
-    pub samples: Vec<f64>,
+/// Where encoded bytes go — counted, buffered, or folded into XXH64 —
+/// so a record's length field, bytes and checksum share one writer.
+pub(crate) enum Sink<'a> {
+    Count(&'a mut usize),
+    Buf(&'a mut Vec<u8>),
+    Hash(&'a mut Xxh64),
 }
 
-/// One completed output chunk in transit (kind 2).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResponseChunk {
-    /// Raw session handle the chunk belongs to.
-    pub session: u64,
-    /// Raw request id the output answers.
-    pub request: u64,
-    /// The output samples, one per input sample, bit-exact.
-    pub samples: Vec<f64>,
+impl Sink<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        match self {
+            Sink::Count(n) => **n += src.len(),
+            Sink::Buf(b) => b.extend_from_slice(src),
+            Sink::Hash(h) => h.put_slice(src),
+        }
+    }
+
+    /// The low `n` bytes of `v`, little-endian.
+    fn put_word(&mut self, v: u64, n: u32) {
+        match self {
+            Sink::Count(c) => **c += n as usize,
+            Sink::Buf(b) => b.extend_from_slice(&v.to_le_bytes()[..n as usize]),
+            Sink::Hash(h) => h.put_word(v, n),
+        }
+    }
 }
 
-/// One registry entry as captured in a [`SchedulerSnapshot`]: the name
-/// a model was registered under and its table fingerprint.
-/// [`Scheduler::restore`](crate::Scheduler::restore) refuses a registry
-/// whose same-index entry differs in either.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotModel {
-    /// Registered model name.
-    pub name: String,
-    /// [`CompiledSim::fingerprint`](rvf_core::CompiledSim::fingerprint)
-    /// of the compiled tables.
-    pub fingerprint: u64,
+/// A payload being decoded: the bytes not yet read.
+type Reader<'a> = &'a [u8];
+
+/// The next `n` bytes of `r`, borrowed.
+fn take<'a>(r: &mut Reader<'a>, n: usize) -> Result<&'a [u8], WireError> {
+    let (head, rest) =
+        r.split_at_checked(n).ok_or(TryGetError { requested: n, available: r.len() })?;
+    *r = rest;
+    Ok(head)
 }
 
-/// One live session inside a [`SnapshotSlot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotSession {
-    /// Registry index of the session's model.
-    pub model: u32,
-    /// Bit pattern of the session's sample step.
-    pub dt_bits: u64,
-    /// Tick of the session's last activity (idle-expiry clock).
-    pub last_activity: u64,
-    /// The session's kernel state.
-    pub state: StateCheckpoint,
+/// A `u32` count of elements of at least `min` bytes each, refused if
+/// the rest of the payload cannot hold them.
+fn count(r: &mut Reader<'_>, min: usize, what: &'static str) -> Result<usize, WireError> {
+    let (count, available) = (r.try_get_u32_le()?, r.len() as u64);
+    match (count as usize).checked_mul(min) {
+        Some(need) if need as u64 <= available => Ok(count as usize),
+        _ => Err(WireError::BadCount { what, count: u64::from(count), available }),
+    }
 }
 
-/// One slot of the generation-tagged session slab.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotSlot {
-    /// Slot generation — restored exactly so pre-snapshot
-    /// [`SessionHandle`](crate::SessionHandle)s stay valid (and stale
-    /// ones stay invalid) across a restore.
-    pub generation: u32,
-    /// The live session, or `None` for a free slot.
-    pub session: Option<SnapshotSession>,
+/// The encoding half of a layout.
+pub(crate) trait Put {
+    fn put(&self, w: &mut Sink<'_>);
 }
 
-/// One admitted request waiting in the queue, FIFO position preserved.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotRequest {
-    /// Raw request id.
-    pub id: u64,
-    /// Raw handle of the session the chunk belongs to.
-    pub session: u64,
-    /// Absolute-tick deadline.
-    pub deadline: u64,
-    /// Panicked-round attempts so far (retry accounting).
-    pub attempts: u32,
-    /// Earliest tick the request may be served (retry backoff).
-    pub not_before: u64,
-    /// The stimulus samples.
-    pub input: Vec<f64>,
+/// The decoding half of a layout.
+pub(crate) trait Get<'a>: Sized {
+    /// Fewest payload bytes one value occupies, against which a count of
+    /// them is checked.
+    const MIN: usize;
+    /// The value with its borrowed vectors copied out.
+    type Owned;
+    /// Reads one value; `what` names the field in its errors.
+    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError>;
+    fn owned(self) -> Self::Owned;
 }
 
-/// The whole scheduler as plain data (kind 4): configuration, registry
-/// fingerprints, session slab, free list, admission queue, and
-/// counters. Produced by [`Scheduler::snapshot`](crate::Scheduler::snapshot),
-/// consumed by [`Scheduler::restore`](crate::Scheduler::restore);
-/// everything is on the injected `u64` clock, so a snapshot is
-/// deterministic and two snapshots of identical schedulers are
-/// byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerSnapshot {
-    /// Scheduler limits and tuning knobs.
-    pub cfg: ServeConfig,
-    /// Next request id to assign (restored exactly so ids never
-    /// collide across a crash).
-    pub next_request: u64,
-    /// Pool rebuilds performed so far (degradation ladder position).
-    pub rebuilds: u64,
-    /// Whether the scheduler had degraded to the serial path.
-    pub degraded: bool,
-    /// Registry entries the snapshot was taken against, in index order.
-    pub models: Vec<SnapshotModel>,
-    /// The session slab, in slot order.
-    pub slots: Vec<SnapshotSlot>,
-    /// Free-slot stack, in pop order — restored exactly so session
-    /// handles assigned after a restore match an uninterrupted run.
-    pub free: Vec<u32>,
-    /// The admission queue, front first.
-    pub queue: Vec<SnapshotRequest>,
+/// A record's layout: its fields in wire order, each with its type and,
+/// where the field can fail to decode on its own, the `what` its error
+/// names. Expands to the record's [`Put`] and [`Get`]; given a `pub
+/// struct` or `pub enum`, it declares the record too. An enum writes a
+/// tag byte ahead of each variant's fields.
+macro_rules! layout {
+    ($(#[$m:meta])* pub struct $ty:ident $(<$($p:ident = $d:ty),+>)? {
+        $($(#[$fm:meta])* $f:ident: $t:ty $(=> $what:literal)?),+ $(,)?
+    }) => {
+        $(#[$m])*
+        pub struct $ty$(<$($p = $d),+>)? {
+            $($(#[$fm])* pub $f: $t,)+
+        }
+        layout!($ty$(<$($p),+>)? { $($f: $t $(=> $what)?),+ });
+    };
+    ($(#[$m:meta])* pub enum $ty:ident<$p:ident = $d:ty> else $unknown:literal {
+        $($(#[$vm:meta])* $v:ident $({
+            $($(#[$fm:meta])* $f:ident: $t:ty $(=> $what:literal)?),+ $(,)?
+        })? = $tag:literal),+ $(,)?
+    }) => {
+        $(#[$m])*
+        pub enum $ty<$p = $d> {
+            $($(#[$vm])* $v $({ $($(#[$fm])* $f: $t),+ })?,)+
+        }
+
+        impl<$p: Put> Put for $ty<$p> {
+            fn put(&self, w: &mut Sink<'_>) {
+                match self {
+                    $(Self::$v $({ $($f),+ })? => {
+                        w.put_word($tag, 1);
+                        $($($f.put(w);)+)?
+                    })+
+                }
+            }
+        }
+
+        impl<'a, $p: Get<'a>> Get<'a> for $ty<$p> {
+            const MIN: usize = 1;
+            type Owned = $ty<$p::Owned>;
+            fn get(r: &mut Reader<'a>, _: &'static str) -> Result<Self, WireError> {
+                Ok(match r.try_get_u8()? {
+                    $($tag => Self::$v $({ $($f: Get::get(r, layout!(@what $($what)?))?),+ })?,)+
+                    _ => return Err(WireError::Malformed { what: $unknown }),
+                })
+            }
+            fn owned(self) -> Self::Owned {
+                match self {
+                    $(Self::$v $({ $($f),+ })? => $ty::$v $({ $($f: $f.owned()),+ })?,)+
+                }
+            }
+        }
+    };
+    ($ty:ident $(<$($p:ident),+>)? { $($f:ident: $t:ty $(=> $what:literal)?),+ $(,)? }) => {
+        impl$(<$($p: Put),+>)? Put for $ty$(<$($p),+>)? {
+            fn put(&self, w: &mut Sink<'_>) {
+                $(self.$f.put(w);)+
+            }
+        }
+
+        impl<'a, $($($p: Get<'a>),+)?> Get<'a> for $ty$(<$($p),+>)? {
+            const MIN: usize = 0 $(+ <$t as Get<'a>>::MIN)+;
+            type Owned = $ty$(<$($p::Owned),+>)?;
+            fn get(r: &mut Reader<'a>, _: &'static str) -> Result<Self, WireError> {
+                Ok(Self { $($f: Get::get(r, layout!(@what $($what)?))?),+ })
+            }
+            fn owned(self) -> Self::Owned {
+                $ty { $($f: self.$f.owned()),+ }
+            }
+        }
+    };
+    (@what $what:literal) => { $what };
+    (@what) => { "" };
 }
 
-/// One committed scheduler mutation, as journaled to a replication
-/// log. Each op names one transition method of the scheduler's
-/// committed-state machine: the primary calls the method and journals
-/// the op, and a follower replays the op through the same method, so
-/// applying ops in sequence order reconstructs the primary's canonical
-/// state ([`SchedulerSnapshot`]) byte for byte.
-///
-/// A batch round's in-flight motion (states lent to the round while it
-/// runs) is deliberately *not* journaled: deltas describe committed
-/// state transitions only, so the log between any two
-/// [`DigestRecord`]s is a pure function of the scheduler's observable
-/// state.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum DeltaOp {
-    /// A session was opened (op 1): a slab slot was appended or popped
-    /// off the free stack, carrying the session's initial kernel state.
-    SessionOpened {
-        /// Raw handle of the new session (slot index + generation).
+/// The fields all layouts are built from, each as `type: |value, sink|
+/// encoding, fewest bytes, |reader, what| decoding;`.
+macro_rules! leaf {
+    ($($t:ty: |$v:ident, $w:ident| $put:expr, $min:expr, |$r:ident, $what:ident| $get:expr;)+) => {$(
+        impl Put for $t {
+            fn put(&self, $w: &mut Sink<'_>) {
+                let $v = self;
+                $put
+            }
+        }
+
+        impl<'a> Get<'a> for $t {
+            const MIN: usize = $min;
+            type Owned = Self;
+            fn get($r: &mut Reader<'a>, $what: &'static str) -> Result<Self, WireError> {
+                $get
+            }
+            fn owned(self) -> Self {
+                self
+            }
+        }
+    )+};
+}
+
+leaf! {
+    u8: |v, w| w.put_word(u64::from(*v), 1), 1, |r, _what| Ok(r.try_get_u8()?);
+    u32: |v, w| w.put_word(u64::from(*v), 4), 4, |r, _what| Ok(r.try_get_u32_le()?);
+    u64: |v, w| w.put_word(*v, 8), 8, |r, _what| Ok(r.try_get_u64_le()?);
+    f64: |v, w| w.put_word(v.to_bits(), 8), 8, |r, _what| Ok(r.try_get_f64_le()?);
+    usize: |v, w| w.put_word(*v as u64, 8), 8, |r, what| {
+        usize::try_from(r.try_get_u64_le()?).map_err(|_| WireError::Malformed { what })
+    };
+    bool: |v, w| w.put_word(u64::from(*v), 1), 1, |r, what| match r.try_get_u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::Malformed { what }),
+    };
+    [u64; 4]: |v, w| v.iter().for_each(|&x| w.put_word(x, 8)), 32, |r, what| {
+        Ok([u64::get(r, what)?, u64::get(r, what)?, u64::get(r, what)?, u64::get(r, what)?])
+    };
+    // A `u32` byte length, then UTF-8.
+    String: |v, w| put_list(w, v.as_bytes().iter()), 4, |r, what| {
+        let len = count(r, 1, what)?;
+        let text = core::str::from_utf8(take(r, len)?);
+        text.map(str::to_owned).map_err(|_| WireError::Malformed { what: "non-UTF-8 string" })
+    };
+}
+
+/// A presence flag, then the value if present.
+impl<T: Put> Put for Option<T> {
+    fn put(&self, w: &mut Sink<'_>) {
+        self.is_some().put(w);
+        self.iter().for_each(|v| v.put(w));
+    }
+}
+
+impl<'a, T: Get<'a>> Get<'a> for Option<T> {
+    const MIN: usize = 1;
+    type Owned = Option<T::Owned>;
+    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError> {
+        Ok(if bool::get(r, what)? { Some(T::get(r, what)?) } else { None })
+    }
+    fn owned(self) -> Self::Owned {
+        self.map(T::owned)
+    }
+}
+
+/// A list: a `u32` count, then each element.
+fn put_list<'t, T: Put + 't>(w: &mut Sink<'_>, list: impl ExactSizeIterator<Item = &'t T>) {
+    w.put_word(list.len() as u64, 4);
+    list.for_each(|v| v.put(w));
+}
+
+impl<T: Put> Put for [T] {
+    fn put(&self, w: &mut Sink<'_>) {
+        put_list(w, self.iter());
+    }
+}
+
+impl<T: Put> Put for Vec<T> {
+    fn put(&self, w: &mut Sink<'_>) {
+        put_list(w, self.iter());
+    }
+}
+
+impl<T: Put> Put for VecDeque<T> {
+    fn put(&self, w: &mut Sink<'_>) {
+        put_list(w, self.iter());
+    }
+}
+
+impl<T: Put + ?Sized> Put for &T {
+    fn put(&self, w: &mut Sink<'_>) {
+        (**self).put(w);
+    }
+}
+
+impl<'a, T: Get<'a>> Get<'a> for Vec<T> {
+    const MIN: usize = 4;
+    type Owned = Vec<T::Owned>;
+    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError> {
+        let n = count(r, T::MIN, what)?;
+        let mut list = Vec::with_capacity(n);
+        for _ in 0..n {
+            list.push(T::get(r, what)?);
+        }
+        Ok(list)
+    }
+    fn owned(self) -> Self::Owned {
+        self.into_iter().map(T::owned).collect()
+    }
+}
+
+/// A decoded `f64` vector, borrowed: the raw little-endian bit patterns
+/// in the decoded bytes, read one value at a time (`iter().len()` is
+/// its length). Compares bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct F64s<'a>(&'a [u8]);
+
+impl<'a> F64s<'a> {
+    /// The values in order, bit-exact.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.0.chunks_exact(8).map(|b| f64::from_bits(le64(b)))
+    }
+
+    /// The values as an owned vector.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.iter().collect()
+    }
+}
+
+impl Put for F64s<'_> {
+    fn put(&self, w: &mut Sink<'_>) {
+        w.put_word(self.0.len() as u64 / 8, 4);
+        w.put_slice(self.0);
+    }
+}
+
+impl<'a> Get<'a> for F64s<'a> {
+    const MIN: usize = 4;
+    type Owned = Vec<f64>;
+    fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError> {
+        let n = count(r, 8, what)?;
+        Ok(F64s(take(r, 8 * n)?))
+    }
+    fn owned(self) -> Vec<f64> {
+        self.to_vec()
+    }
+}
+
+// The layout table: every record, and every part of one, with its
+// fields in wire order.
+
+layout! {
+    /// One submitted stimulus chunk in transit (kind 1).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct StimulusChunk<V = Vec<f64>> {
+        /// Raw session handle the chunk belongs to.
         session: u64,
+        /// Raw request id assigned at admission.
+        request: u64,
+        /// Absolute-tick deadline the chunk was submitted with.
+        deadline: u64,
+        /// The stimulus samples.
+        samples: V => "stimulus samples",
+    }
+}
+
+layout! {
+    /// One completed output chunk in transit (kind 2).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ResponseChunk<V = Vec<f64>> {
+        /// Raw session handle the chunk belongs to.
+        session: u64,
+        /// Raw request id the output answers.
+        request: u64,
+        /// The output samples, one per input sample, bit-exact.
+        samples: V => "response samples",
+    }
+}
+
+// Declared by `rvf_core` and the scheduler.
+layout!(StateCheckpoint<V> {
+    shape: [u64; 4],
+    uprev: u64,
+    started: bool => "checkpoint started flag must be 0 or 1",
+    samples: u64,
+    coef_dt: u64,
+    v0: V => "checkpoint drive vector",
+    sre: V => "checkpoint block state (re)",
+    sim: V => "checkpoint block state (im)",
+});
+
+layout!(ServeConfig {
+    max_sessions: usize => "max_sessions exceeds platform usize",
+    max_queued_requests: usize => "max_queued_requests exceeds platform usize",
+    max_queued_samples: usize => "max_queued_samples exceeds platform usize",
+    max_chunk_samples: usize => "max_chunk_samples exceeds platform usize",
+    idle_timeout: u64,
+    retry_backoff_base: u64,
+    max_retries: u32,
+    rebuild_after_panics: u64,
+    degrade_after_rebuilds: u64,
+    workers: usize => "workers exceeds platform usize",
+});
+
+layout! {
+    /// One registry entry as captured in a [`SchedulerSnapshot`]: the
+    /// name a model was registered under and its table fingerprint.
+    /// [`Scheduler::restore`](crate::Scheduler::restore) refuses a
+    /// registry whose same-index entry differs in either.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SnapshotModel {
+        /// [`CompiledSim::fingerprint`](rvf_core::CompiledSim::fingerprint)
+        /// of the compiled tables.
+        fingerprint: u64,
+        /// Registered model name.
+        name: String => "model name",
+    }
+}
+
+layout! {
+    /// One live session inside a [`SnapshotSlot`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct SnapshotSession<V = Vec<f64>> {
         /// Registry index of the session's model.
         model: u32,
         /// Bit pattern of the session's sample step.
         dt_bits: u64,
-        /// Admission tick (initial idle-expiry clock).
+        /// Tick of the session's last activity (idle-expiry clock).
         last_activity: u64,
-        /// The session's kernel state at open.
-        state: StateCheckpoint,
-    },
-    /// A chunk was admitted to the queue tail (op 2). `attempts` is
-    /// implicitly zero; the admission tick doubles as the session's new
-    /// `last_activity`.
-    Admitted {
-        /// Raw request id — must equal the follower's `next_request`.
-        request: u64,
+        /// The session's kernel state.
+        state: StateCheckpoint<V>,
+    }
+}
+
+layout! {
+    /// One slot of the generation-tagged session slab.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct SnapshotSlot<V = Vec<f64>> {
+        /// Slot generation — restored exactly so pre-snapshot
+        /// [`SessionHandle`](crate::SessionHandle)s stay valid (and
+        /// stale ones stay invalid) across a restore.
+        generation: u32,
+        /// The live session, or `None` for a free slot.
+        session: Option<SnapshotSession<V>> => "session flag must be 0 or 1",
+    }
+}
+
+layout! {
+    /// One admitted request waiting in the queue, FIFO position
+    /// preserved.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SnapshotRequest {
+        /// Raw request id.
+        id: u64,
         /// Raw handle of the session the chunk belongs to.
         session: u64,
         /// Absolute-tick deadline.
         deadline: u64,
-        /// Admission tick (also the earliest serving tick).
+        /// Panicked-round attempts so far (retry accounting).
+        attempts: u32,
+        /// Earliest tick the request may be served (retry backoff).
         not_before: u64,
         /// The stimulus samples.
-        input: Vec<f64>,
-    },
-    /// A chunk completed (op 3): the request left the queue and the
-    /// session's kernel state advanced to `state`.
-    ChunkCompleted {
-        /// Raw id of the completed request.
-        request: u64,
-        /// Raw handle of the session it belonged to.
-        session: u64,
-        /// Completion tick (idle-expiry clock touch).
-        last_activity: u64,
-        /// The session's kernel state after the chunk.
-        state: StateCheckpoint,
-    },
-    /// A request failed terminally (op 4) — deadline, exhausted
-    /// retries, serving error, or predecessor-failed cascade — and left
-    /// the queue.
-    RequestFailed {
-        /// Raw id of the failed request.
-        request: u64,
-    },
-    /// A session closed (op 5) — explicit close or idle expiry: queued
-    /// work purged, slot generation bumped, slot pushed on the free
-    /// stack.
-    SessionClosed {
-        /// Raw handle of the closed session.
-        session: u64,
-    },
-    /// A panicked request was requeued at the queue *front* (op 6) with
-    /// updated retry accounting. Emitted in the primary's push order,
-    /// so applying "remove by id, push front" per op reproduces the
-    /// exact queue order.
-    RequestRetried {
-        /// Raw id of the retried request.
-        request: u64,
-        /// Panicked-round attempts so far.
-        attempts: u32,
-        /// Earliest tick the retry may be served (backoff).
-        not_before: u64,
-    },
-    /// The worker pool was torn down and rebuilt (op 7) — one rung up
-    /// the degradation ladder.
-    PoolRebuilt,
-    /// The scheduler degraded to the serial path (op 8) — terminal rung
-    /// of the ladder.
-    Degraded,
+        input: Vec<f64> => "queued request samples",
+    }
 }
 
-/// One sequence-numbered entry of the replication log (kind 5).
-/// Sequences start at 1 after the baseline snapshot and increment by
-/// exactly one per committed mutation; a follower refuses any other
-/// progression.
+layout! {
+    /// The whole scheduler as plain data (kind 4): configuration,
+    /// registry fingerprints, session slab, free list, admission queue,
+    /// and counters. Produced by
+    /// [`Scheduler::snapshot`](crate::Scheduler::snapshot), consumed by
+    /// [`Scheduler::restore`](crate::Scheduler::restore); everything is
+    /// on the injected `u64` clock, so a snapshot is deterministic and
+    /// two snapshots of identical schedulers are byte-identical.
+    ///
+    /// The type parameters hold the four lists: a decoded snapshot owns
+    /// them, and the scheduler writes its own lists, borrowed.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SchedulerSnapshot<
+        M = Vec<SnapshotModel>,
+        S = Vec<SnapshotSlot>,
+        F = Vec<u32>,
+        Q = Vec<SnapshotRequest>
+    > {
+        /// Scheduler limits and tuning knobs.
+        cfg: ServeConfig,
+        /// Next request id to assign (restored exactly so ids never
+        /// collide across a crash).
+        next_request: u64,
+        /// Pool rebuilds performed so far (degradation ladder position).
+        rebuilds: u64,
+        /// Whether the scheduler had degraded to the serial path.
+        degraded: bool => "degraded flag must be 0 or 1",
+        /// Registry entries the snapshot was taken against, in order.
+        models: M => "registry models",
+        /// The session slab, in slot order.
+        slots: S => "session slots",
+        /// Free-slot stack, in pop order — restored exactly so session
+        /// handles assigned after a restore match an uninterrupted run.
+        free: F => "free slots",
+        /// The admission queue, front first.
+        queue: Q => "queued requests",
+    }
+}
+
+layout! {
+    /// One committed scheduler mutation, as journaled to a replication
+    /// log. Each op names one transition method of the scheduler's
+    /// committed-state machine: the primary calls the method and
+    /// journals the op, and a follower replays the op through the same
+    /// method, so applying ops in sequence order reconstructs the
+    /// primary's canonical state ([`SchedulerSnapshot`]) byte for byte.
+    ///
+    /// A batch round's in-flight motion (states lent to the round while
+    /// it runs) is deliberately *not* journaled: deltas describe
+    /// committed state transitions only, so the log between any two
+    /// [`DigestRecord`]s is a pure function of the scheduler's
+    /// observable state.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    #[non_exhaustive]
+    pub enum DeltaOp<V = Vec<f64>> else "unknown delta op" {
+        /// A session was opened (op 1): a slab slot was appended or
+        /// popped off the free stack, carrying its initial kernel state.
+        SessionOpened {
+            /// Raw handle of the new session (slot index + generation).
+            session: u64,
+            /// Registry index of the session's model.
+            model: u32,
+            /// Bit pattern of the session's sample step.
+            dt_bits: u64,
+            /// Admission tick (initial idle-expiry clock).
+            last_activity: u64,
+            /// The session's kernel state at open.
+            state: StateCheckpoint<V>,
+        } = 1,
+        /// A chunk was admitted to the queue tail (op 2). `attempts` is
+        /// implicitly zero; the admission tick doubles as the session's
+        /// new `last_activity`.
+        Admitted {
+            /// Raw request id — must equal the follower's `next_request`.
+            request: u64,
+            /// Raw handle of the session the chunk belongs to.
+            session: u64,
+            /// Absolute-tick deadline.
+            deadline: u64,
+            /// Admission tick (also the earliest serving tick).
+            not_before: u64,
+            /// The stimulus samples.
+            input: V => "admitted request samples",
+        } = 2,
+        /// A chunk completed (op 3): the request left the queue and the
+        /// session's kernel state advanced to `state`.
+        ChunkCompleted {
+            /// Raw id of the completed request.
+            request: u64,
+            /// Raw handle of the session it belonged to.
+            session: u64,
+            /// Completion tick (idle-expiry clock touch).
+            last_activity: u64,
+            /// The session's kernel state after the chunk.
+            state: StateCheckpoint<V>,
+        } = 3,
+        /// A request failed terminally (op 4) — deadline, exhausted
+        /// retries, serving error, or predecessor-failed cascade — and
+        /// left the queue.
+        RequestFailed {
+            /// Raw id of the failed request.
+            request: u64,
+        } = 4,
+        /// A session closed (op 5) — explicit close or idle expiry:
+        /// queued work purged, slot generation bumped, slot pushed on
+        /// the free stack.
+        SessionClosed {
+            /// Raw handle of the closed session.
+            session: u64,
+        } = 5,
+        /// A panicked request was requeued at the queue *front* (op 6)
+        /// with updated retry accounting. Emitted in the primary's push
+        /// order, so applying "remove by id, push front" per op
+        /// reproduces the exact queue order.
+        RequestRetried {
+            /// Raw id of the retried request.
+            request: u64,
+            /// Panicked-round attempts so far.
+            attempts: u32,
+            /// Earliest tick the retry may be served (backoff).
+            not_before: u64,
+        } = 6,
+        /// The worker pool was torn down and rebuilt (op 7) — one rung
+        /// up the degradation ladder.
+        PoolRebuilt = 7,
+        /// The scheduler degraded to the serial path (op 8) — terminal
+        /// rung of the ladder.
+        Degraded = 8,
+    }
+}
+
+layout! {
+    /// One sequence-numbered entry of the replication log (kind 5).
+    /// Sequences start at 1 after the baseline snapshot and increment
+    /// by exactly one per committed mutation; a follower refuses any
+    /// other progression.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DeltaRecord<V = Vec<f64>> {
+        /// Position in the log, starting at 1 after the baseline.
+        seq: u64,
+        /// The committed mutation.
+        op: DeltaOp<V>,
+    }
+}
+
+layout! {
+    /// A periodic digest of the primary's canonical state (kind 6):
+    /// [`checksum64`] over the primary's encoded [`SchedulerSnapshot`]
+    /// record as of sequence `seq`. A follower recomputes the same
+    /// digest from its reconstructed state; any mismatch is divergence,
+    /// detected at the digest rather than at promotion.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DigestRecord {
+        /// The last delta sequence the digest covers.
+        seq: u64,
+        /// XXH64 over the primary's encoded snapshot record.
+        digest: u64,
+    }
+}
+
+/// A wire record of any kind, its `f64` vectors held as `V`: owned in a
+/// [`WireRecord`], borrowed from the decoded bytes in a [`WireView`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct DeltaRecord {
-    /// Position in the log, starting at 1 after the baseline.
-    pub seq: u64,
-    /// The committed mutation.
-    pub op: DeltaOp,
-}
-
-/// A periodic digest of the primary's canonical state (kind 6):
-/// [`checksum64`] over the primary's encoded [`SchedulerSnapshot`]
-/// record as of sequence `seq`. A follower recomputes the same digest
-/// from its reconstructed state; any mismatch is divergence, detected
-/// at the digest rather than at promotion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DigestRecord {
-    /// The last delta sequence the digest covers.
-    pub seq: u64,
-    /// XXH64 over the primary's encoded snapshot record.
-    pub digest: u64,
-}
-
-/// A decoded wire record of any kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireRecord {
+pub enum Record<V> {
     /// A stimulus chunk (kind 1).
-    Stimulus(StimulusChunk),
+    Stimulus(StimulusChunk<V>),
     /// A response chunk (kind 2).
-    Response(ResponseChunk),
+    Response(ResponseChunk<V>),
     /// A session kernel checkpoint (kind 3).
-    Checkpoint(StateCheckpoint),
-    /// A full scheduler snapshot (kind 4).
+    Checkpoint(StateCheckpoint<V>),
+    /// A full scheduler snapshot (kind 4), always owned.
     Snapshot(SchedulerSnapshot),
     /// A replication-log delta (kind 5).
-    Delta(DeltaRecord),
+    Delta(DeltaRecord<V>),
     /// A replication-log state digest (kind 6).
     Digest(DigestRecord),
 }
 
-impl WireRecord {
+/// A record that owns its vectors.
+pub type WireRecord = Record<Vec<f64>>;
+
+/// A decoded record, its vectors borrowing the decoded bytes.
+pub type WireView<'a> = Record<F64s<'a>>;
+
+impl<V> Record<V> {
     /// The record's kind byte.
     pub fn kind(&self) -> u8 {
         match self {
@@ -571,114 +930,81 @@ impl WireRecord {
             Self::Digest(_) => KIND_DIGEST,
         }
     }
+}
 
+impl WireRecord {
     /// Encodes the record into a framed, checksummed byte string.
     /// Encoding is infallible: every field of every record type is
     /// representable, and the 64-bit length field cannot overflow an
     /// in-memory buffer.
     pub fn encode(&self) -> Bytes {
-        let Ok(bytes) = frame(self.kind(), |w| self.put_payload(w));
-        bytes
+        frame(self.kind(), self)
     }
 
-    /// Writes the record's payload.
-    fn put_payload(&self, w: &mut Sink<'_>) -> Result<(), Infallible> {
-        match self {
-            Self::Stimulus(c) => {
-                w.put_u64_le(c.session);
-                w.put_u64_le(c.request);
-                w.put_u64_le(c.deadline);
-                w.put_f64_vec(&c.samples);
-            }
-            Self::Response(c) => {
-                w.put_u64_le(c.session);
-                w.put_u64_le(c.request);
-                w.put_f64_vec(&c.samples);
-            }
-            Self::Checkpoint(c) => put_checkpoint(w, c.into()),
-            Self::Snapshot(s) => {
-                let slots = s.slots.iter().map(|slot| {
-                    let session = slot.session.as_ref();
-                    let view =
-                        session.map(|s| (s.model, s.dt_bits, s.last_activity, (&s.state).into()));
-                    Ok((slot.generation, view))
-                });
-                let head = (&s.cfg, s.next_request, s.rebuilds, s.degraded);
-                let (free, queue) = (s.free.iter().copied(), s.queue.iter());
-                return put_snapshot(w, head, &s.models, slots, free, queue);
-            }
-            Self::Delta(d) => {
-                w.put_u64_le(d.seq);
-                put_op(w, &d.op);
-            }
-            Self::Digest(d) => {
-                w.put_u64_le(d.seq);
-                w.put_u64_le(d.digest);
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes one framed record, validating magic, version, kind,
-    /// framing lengths, and checksum before touching the payload. See
-    /// the module docs for the exact validation order.
+    /// Decodes one framed record into a view of `bytes`, validating
+    /// magic, version, kind, framing lengths, and checksum before
+    /// touching the payload (the order is in the module docs).
     ///
     /// # Errors
     ///
-    /// A [`WireError`] naming the first check that failed; on any error
-    /// nothing is allocated beyond what the input's own length can
-    /// justify.
-    pub fn decode(bytes: &Bytes) -> Result<Self, WireError> {
-        Self::decode_at(bytes, true).map(|(record, _)| record)
+    /// A [`WireError`] naming the first check that failed.
+    pub fn decode(bytes: &Bytes) -> Result<WireView<'_>, WireError> {
+        decode_front(bytes.as_ref(), true).map(|(record, _)| record)
+    }
+}
+
+impl WireView<'_> {
+    /// Encodes the view: byte for byte the record it was decoded from.
+    pub fn encode(&self) -> Bytes {
+        frame(self.kind(), self)
     }
 
-    /// Decodes the record at the *front* of `bytes`, returning it with
-    /// the number of bytes it occupied. With `exact` set, bytes past
-    /// the record's own frame are [`WireError::TrailingBytes`] (the
-    /// [`decode`](Self::decode) contract); without it, they are left
-    /// for the caller — the [`decode_stream`] contract.
-    fn decode_at(bytes: &Bytes, exact: bool) -> Result<(Self, usize), WireError> {
-        let total = bytes.remaining() as u64;
-        let needed = check_header(bytes.as_ref())?.unwrap_or(HEADER_LEN as u64 + 8);
-        if total < needed {
-            return Err(WireError::Truncated { needed, available: total });
+    /// The record with its vectors copied out of the decoded bytes.
+    pub fn to_owned(self) -> WireRecord {
+        match self {
+            Self::Stimulus(c) => Record::Stimulus(c.owned()),
+            Self::Response(c) => Record::Response(c.owned()),
+            Self::Checkpoint(c) => Record::Checkpoint(c.owned()),
+            Self::Snapshot(s) => Record::Snapshot(s),
+            Self::Delta(d) => Record::Delta(d.owned()),
+            Self::Digest(d) => Record::Digest(d),
         }
-        if exact && total > needed {
-            return Err(WireError::TrailingBytes { extra: total - needed });
-        }
-        // total >= needed, so the payload length fits in usize.
-        let (kind, plen) = (bytes.as_ref()[6], needed as usize - HEADER_LEN - 8);
-        let expected = checksum64(&bytes.as_ref()[..HEADER_LEN + plen]);
-        let mut trailer = bytes.slice(HEADER_LEN + plen..HEADER_LEN + plen + 8);
-        let found = trailer.try_get_u64_le()?;
-        if found != expected {
-            return Err(WireError::BadChecksum { expected, found });
-        }
-        let mut p = bytes.slice(HEADER_LEN..HEADER_LEN + plen);
-        let record = match kind {
-            KIND_STIMULUS => Self::Stimulus(StimulusChunk {
-                session: p.try_get_u64_le()?,
-                request: p.try_get_u64_le()?,
-                deadline: p.try_get_u64_le()?,
-                samples: get_f64_vec(&mut p, "stimulus samples")?,
-            }),
-            KIND_RESPONSE => Self::Response(ResponseChunk {
-                session: p.try_get_u64_le()?,
-                request: p.try_get_u64_le()?,
-                samples: get_f64_vec(&mut p, "response samples")?,
-            }),
-            KIND_CHECKPOINT => Self::Checkpoint(get_checkpoint(&mut p)?),
-            KIND_SNAPSHOT => Self::Snapshot(get_snapshot(&mut p)?),
-            KIND_DELTA => Self::Delta(get_delta(&mut p)?),
-            _ => {
-                Self::Digest(DigestRecord { seq: p.try_get_u64_le()?, digest: p.try_get_u64_le()? })
-            }
-        };
-        if p.remaining() != 0 {
-            return Err(WireError::Malformed { what: "payload longer than its record contents" });
-        }
-        Ok((record, needed as usize))
     }
+}
+
+/// Decodes the record at the *front* of `bytes`, returning it with the
+/// number of bytes it occupied. With `exact` set, bytes past the
+/// record's own frame are [`WireError::TrailingBytes`] (the
+/// [`WireRecord::decode`] contract); without it, they are left for the
+/// caller — the [`decode_stream`] contract.
+fn decode_front(bytes: &[u8], exact: bool) -> Result<(WireView<'_>, usize), WireError> {
+    let total = bytes.len() as u64;
+    let needed = check_header(bytes)?.unwrap_or(HEADER_LEN as u64 + 8);
+    if total < needed {
+        return Err(WireError::Truncated { needed, available: total });
+    }
+    if exact && total > needed {
+        return Err(WireError::TrailingBytes { extra: total - needed });
+    }
+    // total >= needed, so the frame's length fits in usize.
+    let (framed, trailer) = bytes[..needed as usize].split_at(needed as usize - 8);
+    let (expected, found) = (checksum64(framed), le64(trailer));
+    if found != expected {
+        return Err(WireError::BadChecksum { expected, found });
+    }
+    let r = &mut &framed[HEADER_LEN..];
+    let record = match framed[6] {
+        KIND_STIMULUS => Record::Stimulus(Get::get(r, "")?),
+        KIND_RESPONSE => Record::Response(Get::get(r, "")?),
+        KIND_CHECKPOINT => Record::Checkpoint(Get::get(r, "")?),
+        KIND_SNAPSHOT => Record::Snapshot(Get::get(r, "")?),
+        KIND_DELTA => Record::Delta(Get::get(r, "")?),
+        _ => Record::Digest(Get::get(r, "")?),
+    };
+    if !r.is_empty() {
+        return Err(WireError::Malformed { what: "payload longer than its record contents" });
+    }
+    Ok((record, needed as usize))
 }
 
 /// How a [`RecordStream`] ended.
@@ -701,23 +1027,18 @@ pub enum StreamEnd {
 }
 
 /// Streaming decoder over concatenated framed records — the shape of a
-/// replication log. Yields each complete record in order; see
+/// replication log. Yields a view of each complete record in order; see
 /// [`decode_stream`].
 #[derive(Debug)]
-pub struct RecordStream {
-    buf: Bytes,
+pub struct RecordStream<'a> {
+    buf: &'a [u8],
     offset: usize,
-    state: StreamState,
+    /// `Some` once iteration is over: how it ended, or `None` after a
+    /// hard error.
+    done: Option<Option<StreamEnd>>,
 }
 
-#[derive(Debug)]
-enum StreamState {
-    Running,
-    Ended(StreamEnd),
-    Failed,
-}
-
-impl RecordStream {
+impl RecordStream<'_> {
     /// Bytes consumed so far — the offset of the first byte *not* part
     /// of a fully decoded record. Stable across a trailing partial
     /// record, so a tailer resumes from here.
@@ -731,31 +1052,28 @@ impl RecordStream {
     /// [`StreamEnd::Partial`] when the buffer ends inside a record
     /// still being appended.
     pub fn end(&self) -> Option<StreamEnd> {
-        match self.state {
-            StreamState::Ended(end) => Some(end),
-            _ => None,
-        }
+        self.done.flatten()
     }
 }
 
-impl Iterator for RecordStream {
-    type Item = Result<WireRecord, WireError>;
+impl<'a> Iterator for RecordStream<'a> {
+    type Item = Result<WireView<'a>, WireError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if !matches!(self.state, StreamState::Running) {
+        if self.done.is_some() {
             return None;
         }
-        let rest = self.buf.slice(self.offset..self.buf.len());
+        let rest = &self.buf[self.offset..];
         let len = rest.len() as u64;
         // A partial record is only "partial" while every byte seen so
         // far is consistent with a record under construction — anything
         // else is a hard error, not a wait-for-more-bytes condition.
-        let decoded = match check_header(rest.as_ref()) {
-            Ok(Some(needed)) if needed <= len => WireRecord::decode_at(&rest, false),
+        let decoded = match check_header(rest) {
+            Ok(Some(needed)) if needed <= len => decode_front(rest, false),
             Ok(needed) => {
                 let (offset, needed) = (self.offset, needed.unwrap_or(0));
                 let partial = StreamEnd::Partial { offset, needed, available: len };
-                self.state = StreamState::Ended(if len == 0 { StreamEnd::Clean } else { partial });
+                self.done = Some(Some(if len == 0 { StreamEnd::Clean } else { partial }));
                 return None;
             }
             Err(e) => Err(e),
@@ -766,7 +1084,7 @@ impl Iterator for RecordStream {
                 Some(Ok(record))
             }
             Err(e) => {
-                self.state = StreamState::Failed;
+                self.done = Some(None);
                 Some(Err(e))
             }
         }
@@ -799,420 +1117,61 @@ fn check_header(r: &[u8]) -> Result<Option<u64>, WireError> {
 /// record boundary) from a **trailing partial record** (buffer ends
 /// inside a record whose visible prefix is valid — a log caught
 /// mid-append). Any other malformation is a hard, typed error and
-/// fuses the iterator.
+/// fuses the iterator. Each record comes out as a view borrowing `buf`.
 ///
 /// After iteration, [`RecordStream::end`] reports which end state was
 /// reached and [`RecordStream::consumed`] the resume offset — together
 /// they are the log-tailing contract used by
 /// [`Follower::tail`](crate::replica::Follower::tail).
-pub fn decode_stream(buf: Bytes) -> RecordStream {
-    RecordStream { buf, offset: 0, state: StreamState::Running }
+pub fn decode_stream(buf: &Bytes) -> RecordStream<'_> {
+    RecordStream { buf: buf.as_ref(), offset: 0, done: None }
 }
 
-/// Where encoded bytes go — counted, buffered, or folded into XXH64 —
-/// so a record's length field, bytes and checksum share one writer.
-pub(crate) enum Sink<'a> {
-    Count(&'a mut usize),
-    Buf(&'a mut Vec<u8>),
-    Hash(&'a mut Xxh64),
-}
-
-impl Sink<'_> {
-    fn put_slice(&mut self, src: &[u8]) {
+impl<V: Put> Put for Record<V> {
+    fn put(&self, w: &mut Sink<'_>) {
         match self {
-            Sink::Count(n) => **n += src.len(),
-            Sink::Buf(b) => b.extend_from_slice(src),
-            Sink::Hash(h) => h.put_slice(src),
-        }
-    }
-
-    /// The low `n` bytes of `v`, little-endian.
-    fn put_word(&mut self, v: u64, n: u32) {
-        match self {
-            Sink::Count(c) => **c += n as usize,
-            Sink::Buf(b) => b.extend_from_slice(&v.to_le_bytes()[..n as usize]),
-            Sink::Hash(h) => h.put_word(v, n),
-        }
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_word(u64::from(v), 1);
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_word(u64::from(v), 4);
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_word(v, 8);
-    }
-
-    /// A `u32` count, then each value's bit pattern.
-    fn put_f64_vec(&mut self, v: &[f64]) {
-        self.put_u32_le(v.len() as u32);
-        match self {
-            Sink::Count(n) => **n += 8 * v.len(),
-            _ => v.iter().for_each(|x| self.put_u64_le(x.to_bits())),
+            Self::Stimulus(c) => c.put(w),
+            Self::Response(c) => c.put(w),
+            Self::Checkpoint(c) => c.put(w),
+            Self::Snapshot(s) => s.put(w),
+            Self::Delta(d) => d.put(w),
+            Self::Digest(d) => d.put(w),
         }
     }
 }
 
-/// Writes a `kind` header and the payload `put` writes, sized by a
-/// counting pass first (a buffer reserves the whole record from it).
-fn put_record<E>(
-    w: &mut Sink<'_>,
-    kind: u8,
-    put: &impl Fn(&mut Sink<'_>) -> Result<(), E>,
-) -> Result<(), E> {
+/// Writes a `kind` header and `payload`, sized by a counting pass first
+/// (a buffer reserves the whole record from it).
+fn put_record(w: &mut Sink<'_>, kind: u8, payload: &impl Put) {
     let mut len = 0;
-    put(&mut Sink::Count(&mut len))?;
+    payload.put(&mut Sink::Count(&mut len));
     if let Sink::Buf(b) = w {
         b.reserve_exact(HEADER_LEN + len + 8);
     }
     // Magic, version, kind and the zero reserved byte: one word.
-    w.put_u64_le(u64::from(MAGIC) | u64::from(WIRE_VERSION) << 32 | u64::from(kind) << 48);
-    w.put_u64_le(len as u64);
-    put(w)
+    w.put_word(u64::from(MAGIC) | u64::from(WIRE_VERSION) << 32 | u64::from(kind) << 48, 8);
+    w.put_word(len as u64, 8);
+    payload.put(w);
 }
 
-/// Frames the payload `put` writes (header, payload, trailer) in one buffer.
-pub(crate) fn frame<E>(kind: u8, put: impl Fn(&mut Sink<'_>) -> Result<(), E>) -> Result<Bytes, E> {
+/// Frames `payload` (header, payload, trailer) in one buffer.
+pub(crate) fn frame(kind: u8, payload: &impl Put) -> Bytes {
     let mut buf = Vec::new();
-    put_record(&mut Sink::Buf(&mut buf), kind, &put)?;
+    put_record(&mut Sink::Buf(&mut buf), kind, payload);
     buf.extend_from_slice(&checksum64(&buf).to_le_bytes());
-    Ok(Bytes::from(buf))
+    Bytes::from(buf)
 }
 
 /// [`checksum64`] of the record [`frame`] builds, in one pass that
 /// builds nothing: XXH64 streams, a finished copy of its state after
 /// header and payload is the trailer, and the hash goes on over the
 /// trailer's bytes.
-pub(crate) fn framed_checksum<E>(
-    kind: u8,
-    put: impl Fn(&mut Sink<'_>) -> Result<(), E>,
-) -> Result<u64, E> {
+pub(crate) fn framed_checksum(kind: u8, payload: &impl Put) -> u64 {
     let mut h = Xxh64::new();
-    put_record(&mut Sink::Hash(&mut h), kind, &put)?;
+    put_record(&mut Sink::Hash(&mut h), kind, payload);
     let trailer = h.finish();
     h.put_word(trailer, 8);
-    Ok(h.finish())
-}
-
-/// A framed delta record: `seq`, then the op `put_op` writes.
-pub(crate) fn encode_delta(seq: u64, put_op: impl Fn(&mut Sink<'_>)) -> Bytes {
-    let Ok(bytes) = frame(KIND_DELTA, |w| {
-        w.put_u64_le(seq);
-        put_op(w);
-        Ok::<_, Infallible>(())
-    });
-    bytes
-}
-
-/// Rejects a count field that promises more elements (of at least
-/// `min_elem` bytes each) than the remaining payload holds — *before*
-/// the caller allocates for it.
-fn check_count(
-    count: usize,
-    min_elem: usize,
-    available: usize,
-    what: &'static str,
-) -> Result<(), WireError> {
-    match count.checked_mul(min_elem) {
-        Some(need) if need <= available => Ok(()),
-        _ => Err(WireError::BadCount { what, count: count as u64, available: available as u64 }),
-    }
-}
-
-fn get_f64_vec(cur: &mut Bytes, what: &'static str) -> Result<Vec<f64>, WireError> {
-    let count = cur.try_get_u32_le()? as usize;
-    check_count(count, 8, cur.remaining(), what)?;
-    // The count check bounds the slice; each chunk is exactly 8 bytes.
-    let v = cur.chunk()[..8 * count]
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-        .collect();
-    cur.advance(8 * count);
-    Ok(v)
-}
-
-fn get_string(cur: &mut Bytes, what: &'static str) -> Result<String, WireError> {
-    let len = cur.try_get_u32_le()? as usize;
-    check_count(len, 1, cur.remaining(), what)?;
-    let mut raw = vec![0u8; len];
-    cur.try_copy_to_slice(&mut raw)?;
-    String::from_utf8(raw).map_err(|_| WireError::Malformed { what: "non-UTF-8 string" })
-}
-
-fn get_bool(cur: &mut Bytes, what: &'static str) -> Result<bool, WireError> {
-    match cur.try_get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::Malformed { what }),
-    }
-}
-
-fn get_usize(cur: &mut Bytes, what: &'static str) -> Result<usize, WireError> {
-    usize::try_from(cur.try_get_u64_le()?).map_err(|_| WireError::Malformed { what })
-}
-
-fn put_checkpoint(w: &mut Sink<'_>, c: CheckpointView<'_>) {
-    for s in c.shape {
-        w.put_u64_le(s);
-    }
-    w.put_u64_le(c.uprev);
-    w.put_u8(c.started as u8);
-    w.put_u64_le(c.samples);
-    w.put_u64_le(c.coef_dt);
-    w.put_f64_vec(c.v0);
-    w.put_f64_vec(c.sre);
-    w.put_f64_vec(c.sim);
-}
-
-fn get_checkpoint(cur: &mut Bytes) -> Result<StateCheckpoint, WireError> {
-    let mut shape = [0u64; 4];
-    for s in &mut shape {
-        *s = cur.try_get_u64_le()?;
-    }
-    let uprev = cur.try_get_u64_le()?;
-    let started = get_bool(cur, "checkpoint started flag must be 0 or 1")?;
-    let samples = cur.try_get_u64_le()?;
-    let coef_dt = cur.try_get_u64_le()?;
-    let v0 = get_f64_vec(cur, "checkpoint drive vector")?;
-    let sre = get_f64_vec(cur, "checkpoint block state (re)")?;
-    let sim = get_f64_vec(cur, "checkpoint block state (im)")?;
-    Ok(StateCheckpoint { shape, v0, sre, sim, uprev, started, samples, coef_dt })
-}
-
-/// A live session: model, `dt` bits, last activity, kernel state.
-pub(crate) type SessionView<'a> = (u32, u64, u64, CheckpointView<'a>);
-
-/// Writes a [`SchedulerSnapshot`] payload, for the owned snapshot and
-/// the committed state alike, from borrowed parts: head (config, next
-/// request id, rebuilds, degraded), models, slots, free stack, queue.
-pub(crate) fn put_snapshot<'a, E>(
-    w: &mut Sink<'_>,
-    (cfg, next_request, rebuilds, degraded): (&ServeConfig, u64, u64, bool),
-    models: &[SnapshotModel],
-    slots: impl ExactSizeIterator<Item = Result<(u32, Option<SessionView<'a>>), E>>,
-    free: impl ExactSizeIterator<Item = u32>,
-    queue: impl ExactSizeIterator<Item = &'a SnapshotRequest>,
-) -> Result<(), E> {
-    w.put_u64_le(cfg.max_sessions as u64);
-    w.put_u64_le(cfg.max_queued_requests as u64);
-    w.put_u64_le(cfg.max_queued_samples as u64);
-    w.put_u64_le(cfg.max_chunk_samples as u64);
-    w.put_u64_le(cfg.idle_timeout);
-    w.put_u64_le(cfg.retry_backoff_base);
-    w.put_u32_le(cfg.max_retries);
-    w.put_u64_le(cfg.rebuild_after_panics);
-    w.put_u64_le(cfg.degrade_after_rebuilds);
-    w.put_u64_le(cfg.workers as u64);
-    w.put_u64_le(next_request);
-    w.put_u64_le(rebuilds);
-    w.put_u8(degraded as u8);
-    w.put_u32_le(models.len() as u32);
-    for m in models {
-        w.put_u64_le(m.fingerprint);
-        w.put_u32_le(m.name.len() as u32);
-        w.put_slice(m.name.as_bytes());
-    }
-    w.put_u32_le(slots.len() as u32);
-    for slot in slots {
-        let (generation, session) = slot?;
-        w.put_u32_le(generation);
-        match session {
-            None => w.put_u8(0),
-            Some((model, dt_bits, last_activity, state)) => {
-                w.put_u8(1);
-                w.put_u32_le(model);
-                w.put_u64_le(dt_bits);
-                w.put_u64_le(last_activity);
-                put_checkpoint(w, state);
-            }
-        }
-    }
-    w.put_u32_le(free.len() as u32);
-    for i in free {
-        w.put_u32_le(i);
-    }
-    w.put_u32_le(queue.len() as u32);
-    for r in queue {
-        w.put_u64_le(r.id);
-        w.put_u64_le(r.session);
-        w.put_u64_le(r.deadline);
-        w.put_u32_le(r.attempts);
-        w.put_u64_le(r.not_before);
-        w.put_f64_vec(&r.input);
-    }
-    Ok(())
-}
-
-fn get_snapshot(cur: &mut Bytes) -> Result<SchedulerSnapshot, WireError> {
-    let cfg = ServeConfig {
-        max_sessions: get_usize(cur, "max_sessions exceeds platform usize")?,
-        max_queued_requests: get_usize(cur, "max_queued_requests exceeds platform usize")?,
-        max_queued_samples: get_usize(cur, "max_queued_samples exceeds platform usize")?,
-        max_chunk_samples: get_usize(cur, "max_chunk_samples exceeds platform usize")?,
-        idle_timeout: cur.try_get_u64_le()?,
-        retry_backoff_base: cur.try_get_u64_le()?,
-        max_retries: cur.try_get_u32_le()?,
-        rebuild_after_panics: cur.try_get_u64_le()?,
-        degrade_after_rebuilds: cur.try_get_u64_le()?,
-        workers: get_usize(cur, "workers exceeds platform usize")?,
-    };
-    let next_request = cur.try_get_u64_le()?;
-    let rebuilds = cur.try_get_u64_le()?;
-    let degraded = get_bool(cur, "degraded flag must be 0 or 1")?;
-
-    let n_models = cur.try_get_u32_le()? as usize;
-    // Minimum per model: fingerprint (8) + name length (4).
-    check_count(n_models, 12, cur.remaining(), "registry models")?;
-    let mut models = Vec::with_capacity(n_models);
-    for _ in 0..n_models {
-        let fingerprint = cur.try_get_u64_le()?;
-        let name = get_string(cur, "model name")?;
-        models.push(SnapshotModel { name, fingerprint });
-    }
-
-    let n_slots = cur.try_get_u32_le()? as usize;
-    // Minimum per slot: generation (4) + session flag (1).
-    check_count(n_slots, 5, cur.remaining(), "session slots")?;
-    let mut slots = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        let generation = cur.try_get_u32_le()?;
-        let session = if get_bool(cur, "session flag must be 0 or 1")? {
-            Some(SnapshotSession {
-                model: cur.try_get_u32_le()?,
-                dt_bits: cur.try_get_u64_le()?,
-                last_activity: cur.try_get_u64_le()?,
-                state: get_checkpoint(cur)?,
-            })
-        } else {
-            None
-        };
-        slots.push(SnapshotSlot { generation, session });
-    }
-
-    let n_free = cur.try_get_u32_le()? as usize;
-    check_count(n_free, 4, cur.remaining(), "free slots")?;
-    let mut free = Vec::with_capacity(n_free);
-    for _ in 0..n_free {
-        free.push(cur.try_get_u32_le()?);
-    }
-
-    let n_queue = cur.try_get_u32_le()? as usize;
-    // Minimum per request: id + session + deadline + not_before (8×4),
-    // attempts (4), sample count (4).
-    check_count(n_queue, 40, cur.remaining(), "queued requests")?;
-    let mut queue = Vec::with_capacity(n_queue);
-    for _ in 0..n_queue {
-        queue.push(SnapshotRequest {
-            id: cur.try_get_u64_le()?,
-            session: cur.try_get_u64_le()?,
-            deadline: cur.try_get_u64_le()?,
-            attempts: cur.try_get_u32_le()?,
-            not_before: cur.try_get_u64_le()?,
-            input: get_f64_vec(cur, "queued request samples")?,
-        });
-    }
-
-    Ok(SchedulerSnapshot { cfg, next_request, rebuilds, degraded, models, slots, free, queue })
-}
-
-const OP_OPEN: u8 = 1;
-const OP_ADMIT: u8 = 2;
-const OP_COMPLETE: u8 = 3;
-const OP_FAIL: u8 = 4;
-const OP_CLOSE: u8 = 5;
-const OP_RETRY: u8 = 6;
-const OP_REBUILD: u8 = 7;
-const OP_DEGRADE: u8 = 8;
-
-/// Writes a [`DeltaOp`].
-pub(crate) fn put_op(w: &mut Sink<'_>, op: &DeltaOp) {
-    match op {
-        DeltaOp::SessionOpened { session, model, dt_bits, last_activity, state } => {
-            w.put_u8(OP_OPEN);
-            w.put_u64_le(*session);
-            w.put_u32_le(*model);
-            w.put_u64_le(*dt_bits);
-            w.put_u64_le(*last_activity);
-            put_checkpoint(w, state.into());
-        }
-        DeltaOp::Admitted { request, session, deadline, not_before, input } => {
-            put_admitted(w, [*request, *session, *deadline, *not_before], input);
-        }
-        DeltaOp::ChunkCompleted { request, session, last_activity, state } => {
-            put_completed(w, [*request, *session, *last_activity], state.into());
-        }
-        DeltaOp::RequestFailed { request } => {
-            w.put_u8(OP_FAIL);
-            w.put_u64_le(*request);
-        }
-        DeltaOp::SessionClosed { session } => {
-            w.put_u8(OP_CLOSE);
-            w.put_u64_le(*session);
-        }
-        DeltaOp::RequestRetried { request, attempts, not_before } => {
-            w.put_u8(OP_RETRY);
-            w.put_u64_le(*request);
-            w.put_u32_le(*attempts);
-            w.put_u64_le(*not_before);
-        }
-        DeltaOp::PoolRebuilt => w.put_u8(OP_REBUILD),
-        DeltaOp::Degraded => w.put_u8(OP_DEGRADE),
-    }
-}
-
-/// Writes [`DeltaOp::Admitted`]: `[request, session, deadline, not_before]`, `input`.
-pub(crate) fn put_admitted(w: &mut Sink<'_>, head: [u64; 4], input: &[f64]) {
-    w.put_u8(OP_ADMIT);
-    head.into_iter().for_each(|v| w.put_u64_le(v));
-    w.put_f64_vec(input);
-}
-
-/// Writes [`DeltaOp::ChunkCompleted`]: `[request, session, last_activity]`, `state`.
-pub(crate) fn put_completed(w: &mut Sink<'_>, head: [u64; 3], state: CheckpointView<'_>) {
-    w.put_u8(OP_COMPLETE);
-    head.into_iter().for_each(|v| w.put_u64_le(v));
-    put_checkpoint(w, state);
-}
-
-fn get_delta(cur: &mut Bytes) -> Result<DeltaRecord, WireError> {
-    let seq = cur.try_get_u64_le()?;
-    let op = match cur.try_get_u8()? {
-        OP_OPEN => DeltaOp::SessionOpened {
-            session: cur.try_get_u64_le()?,
-            model: cur.try_get_u32_le()?,
-            dt_bits: cur.try_get_u64_le()?,
-            last_activity: cur.try_get_u64_le()?,
-            state: get_checkpoint(cur)?,
-        },
-        OP_ADMIT => DeltaOp::Admitted {
-            request: cur.try_get_u64_le()?,
-            session: cur.try_get_u64_le()?,
-            deadline: cur.try_get_u64_le()?,
-            not_before: cur.try_get_u64_le()?,
-            input: get_f64_vec(cur, "admitted request samples")?,
-        },
-        OP_COMPLETE => DeltaOp::ChunkCompleted {
-            request: cur.try_get_u64_le()?,
-            session: cur.try_get_u64_le()?,
-            last_activity: cur.try_get_u64_le()?,
-            state: get_checkpoint(cur)?,
-        },
-        OP_FAIL => DeltaOp::RequestFailed { request: cur.try_get_u64_le()? },
-        OP_CLOSE => DeltaOp::SessionClosed { session: cur.try_get_u64_le()? },
-        OP_RETRY => DeltaOp::RequestRetried {
-            request: cur.try_get_u64_le()?,
-            attempts: cur.try_get_u32_le()?,
-            not_before: cur.try_get_u64_le()?,
-        },
-        OP_REBUILD => DeltaOp::PoolRebuilt,
-        OP_DEGRADE => DeltaOp::Degraded,
-        _ => return Err(WireError::Malformed { what: "unknown delta op" }),
-    };
-    Ok(DeltaRecord { seq, op })
+    h.finish()
 }
 
 #[cfg(test)]
@@ -1338,9 +1297,11 @@ mod tests {
         records.extend(deltas());
         for record in records {
             let bytes = record.encode();
-            let back = WireRecord::decode(&bytes).expect("round trip decodes");
+            let view = WireRecord::decode(&bytes).expect("round trip decodes");
+            assert_eq!(view.kind(), record.kind());
+            assert_eq!(view.encode(), bytes, "kind {}: the view re-encodes", record.kind());
+            let back = view.to_owned();
             assert_eq!(back, record);
-            assert_eq!(back.kind(), record.kind());
             // -0.0 vs 0.0 travel as distinct bit patterns.
             if let (WireRecord::Stimulus(a), WireRecord::Stimulus(b)) = (&back, &record) {
                 for (x, y) in a.samples.iter().zip(&b.samples) {
@@ -1469,7 +1430,7 @@ mod tests {
         sched.submit(s0, &[0.4; 5], 2, 100).expect("submit");
         sched.submit(s1, &[-0.2; 2], 2, 100).expect("submit");
         sched.close_session(s1).expect("close");
-        WireRecord::decode(&sched.snapshot().expect("snapshot")).expect("decodes")
+        WireRecord::decode(&sched.snapshot().expect("snapshot")).expect("decodes").to_owned()
     }
 
     /// One record of every kind and every delta op: the wire fuzz
@@ -1506,10 +1467,10 @@ mod tests {
     fn one_buffer_frame_matches_the_two_copy_oracle() {
         for record in corpus() {
             let mut payload = Vec::new();
-            let Ok(()) = record.put_payload(&mut Sink::Buf(&mut payload));
+            record.put(&mut Sink::Buf(&mut payload));
             let want = two_copy_frame(record.kind(), Bytes::from(payload));
             assert_eq!(record.encode(), want, "kind {} framed differently", record.kind());
-            let Ok(sum) = framed_checksum(record.kind(), |w| record.put_payload(w));
+            let sum = framed_checksum(record.kind(), &record);
             assert_eq!(sum, checksum64(want.as_ref()), "kind {}: one-pass checksum", record.kind());
         }
     }
@@ -1554,9 +1515,9 @@ mod tests {
                 let word = |n| rest[..n].iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b));
                 match how {
                     0 => w.put_slice(&rest[..n]),
-                    1 => w.put_u64_le(word(8)),
-                    2 => w.put_u32_le(word(4) as u32),
-                    _ => w.put_u8(rest[0]),
+                    1 => w.put_word(word(8), 8),
+                    2 => w.put_word(word(4), 4),
+                    _ => w.put_word(u64::from(rest[0]), 1),
                 }
                 at += n;
             }
@@ -1586,10 +1547,10 @@ mod tests {
         }
         let log = log.freeze();
         let total = log.len();
-        let mut stream = decode_stream(log);
+        let mut stream = decode_stream(&log);
         let mut back = Vec::new();
         for item in &mut stream {
-            back.push(item.expect("stream record decodes"));
+            back.push(item.expect("stream record decodes").to_owned());
         }
         assert_eq!(back, records);
         assert_eq!(stream.end(), Some(StreamEnd::Clean));
@@ -1606,7 +1567,8 @@ mod tests {
             let mut log = BytesMut::new();
             log.put_slice(a.as_ref());
             log.put_slice(&b.as_ref()[..cut]);
-            let mut stream = decode_stream(log.freeze());
+            let log = log.freeze();
+            let mut stream = decode_stream(&log);
             let first = stream.next().expect("first record present").expect("first decodes");
             assert_eq!(first, WireRecord::decode(&a).expect("a decodes"));
             assert!(stream.next().is_none());
@@ -1628,7 +1590,8 @@ mod tests {
         let mut log = BytesMut::new();
         log.put_slice(a.as_ref());
         log.put_slice(&[0xDE, 0xAD, 0xBE, 0xEF]);
-        let mut stream = decode_stream(log.freeze());
+        let log = log.freeze();
+        let mut stream = decode_stream(&log);
         assert!(stream.next().expect("first record").is_ok());
         assert!(matches!(stream.next(), Some(Err(WireError::BadMagic { .. }))));
         assert!(stream.next().is_none());

@@ -23,13 +23,13 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rvf_core::{CompiledSim, SimBuilder};
+use rvf_core::{CompiledSim, SimBuilder, StateCheckpoint};
 use rvf_serve::{
     chaos::{self, ChaosConfig, ChaosInjector, Fault},
     replica::{Follower, ReplicaError, ReplicationSink, SharedLog},
     wire::{
-        checksum64, DeltaOp, DeltaRecord, DigestRecord, WireError, WireRecord, HEADER_LEN,
-        KIND_DIGEST, MAGIC,
+        checksum64, DeltaOp, DeltaRecord, DigestRecord, WireError, WireRecord, WireView,
+        HEADER_LEN, KIND_DIGEST, MAGIC,
     },
     Event, ModelRegistry, Scheduler, ServeConfig, ServeError, SessionHandle,
 };
@@ -89,7 +89,7 @@ impl RecordLog {
         let delta_at: Vec<usize> = records
             .iter()
             .enumerate()
-            .filter(|(_, r)| matches!(WireRecord::decode(r), Ok(WireRecord::Delta(_))))
+            .filter(|(_, r)| matches!(WireRecord::decode(r), Ok(WireView::Delta(_))))
             .map(|(i, _)| i)
             .collect();
         let lag = lag.min(delta_at.len());
@@ -396,17 +396,18 @@ fn corrupted_delta_is_caught_by_the_next_digest() {
         .position(|r| {
             matches!(
                 WireRecord::decode(r),
-                Ok(WireRecord::Delta(DeltaRecord { op: DeltaOp::Admitted { .. }, .. }))
+                Ok(WireView::Delta(DeltaRecord { op: DeltaOp::Admitted { .. }, .. }))
             )
         })
         .expect("an admission was journaled");
-    let Ok(WireRecord::Delta(DeltaRecord {
+    let Ok(WireView::Delta(DeltaRecord {
         seq,
-        op: DeltaOp::Admitted { request, session, deadline, not_before, mut input },
+        op: DeltaOp::Admitted { request, session, deadline, not_before, input },
     })) = WireRecord::decode(&records[target])
     else {
         unreachable!("target was just matched as an Admitted delta");
     };
+    let mut input = input.to_vec();
     input[0] = -input[0];
     records[target] = WireRecord::Delta(DeltaRecord {
         seq,
@@ -563,7 +564,7 @@ fn canonical_log() -> Vec<Bytes> {
     assert!(
         matches!(
             WireRecord::decode(records.last().expect("non-empty log")),
-            Ok(WireRecord::Digest(_))
+            Ok(WireView::Digest(_))
         ),
         "cadence-1 log must end with a digest, or a dropped tail delta would go unnoticed"
     );
@@ -574,7 +575,7 @@ fn delta_positions(records: &[Bytes]) -> Vec<usize> {
     records
         .iter()
         .enumerate()
-        .filter(|(_, r)| matches!(WireRecord::decode(r), Ok(WireRecord::Delta(_))))
+        .filter(|(_, r)| matches!(WireRecord::decode(r), Ok(WireView::Delta(_))))
         .map(|(i, _)| i)
         .collect()
 }
@@ -640,18 +641,19 @@ proptest! {
                     .enumerate()
                     .filter(|(_, r)| matches!(
                         WireRecord::decode(r),
-                        Ok(WireRecord::Delta(DeltaRecord { op: DeltaOp::Admitted { .. }, .. }))
+                        Ok(WireView::Delta(DeltaRecord { op: DeltaOp::Admitted { .. }, .. }))
                     ))
                     .map(|(i, _)| i)
                     .collect();
                 let target = admits[pick_a % admits.len()];
-                let Ok(WireRecord::Delta(DeltaRecord {
+                let Ok(WireView::Delta(DeltaRecord {
                     seq,
-                    op: DeltaOp::Admitted { request, session, deadline, not_before, mut input },
+                    op: DeltaOp::Admitted { request, session, deadline, not_before, input },
                 })) = WireRecord::decode(&records[target])
                 else {
                     unreachable!("target was just matched as an Admitted delta");
                 };
+                let mut input = input.to_vec();
                 input[0] = -input[0];
                 records[target] = WireRecord::Delta(DeltaRecord {
                     seq,
@@ -933,14 +935,14 @@ fn assert_poisoned(follower: Follower, err: &ReplicaError, seq: u64, case: &str)
 #[test]
 fn baseline_whose_free_list_names_a_live_slot_is_refused_at_apply() {
     let fx = fixture(false);
-    let Ok(WireRecord::Snapshot(mut snap)) =
+    let Ok(WireView::Snapshot(mut snap)) =
         WireRecord::decode(&fx.primary.snapshot().expect("snapshot"))
     else {
         panic!("snapshot bytes decode to a snapshot record");
     };
     snap.free = vec![0];
     let mut follower = Follower::new(registry());
-    let err = follower.apply(WireRecord::Snapshot(snap)).expect_err("inconsistent baseline");
+    let err = follower.apply(WireView::Snapshot(snap)).expect_err("inconsistent baseline");
     assert!(
         matches!(err, ReplicaError::Serve(ServeError::SnapshotInvalid { .. })),
         "expected a typed invalid-snapshot refusal, got {err}"
@@ -957,7 +959,7 @@ fn baseline_whose_free_list_names_a_live_slot_is_refused_at_apply() {
 #[test]
 fn every_structural_refusal_is_typed_and_commits_nothing() {
     let fx = fixture(false);
-    let Ok(WireRecord::Snapshot(base)) =
+    let Ok(WireView::Snapshot(base)) =
         WireRecord::decode(&fx.primary.snapshot().expect("snapshot"))
     else {
         panic!("snapshot bytes decode to a snapshot record");
@@ -986,7 +988,7 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
         let typed = ServeError::SnapshotInvalid { what: want };
         assert_eq!(Scheduler::restore(&bytes, &registry()).err(), Some(typed.clone()), "{want}");
         let mut follower = Follower::new(registry());
-        let err = follower.apply(WireRecord::Snapshot(snap)).expect_err(want);
+        let err = follower.apply(WireView::Snapshot(snap)).expect_err(want);
         assert_eq!(err, ReplicaError::Serve(typed), "{want}: follower baseline");
         assert!(!follower.has_baseline(), "{want}: refused baseline committed");
         assert_poisoned(follower, &err, 0, want);
@@ -1006,7 +1008,7 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
             matches!(refused, Some(ServeError::RegistryMismatch { index: i, .. }) if i == index)
         );
         let mut follower = Follower::new(bad);
-        let err = follower.apply(WireRecord::Snapshot(base.clone())).expect_err("mismatch");
+        let err = follower.apply(WireView::Snapshot(base.clone())).expect_err("mismatch");
         assert_eq!(Some(err.clone()), refused.map(ReplicaError::Serve));
         assert_poisoned(follower, &err, 0, "registry mismatch");
     }
@@ -1046,6 +1048,10 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
         let state = checkpoint.clone();
         DeltaOp::ChunkCompleted { request, session, last_activity: 2, state }
     };
+    let misfit = {
+        let state = StateCheckpoint { shape: [9; 4], ..checkpoint.clone() };
+        DeltaOp::ChunkCompleted { request: 0, session: fx.a.raw(), last_activity: 2, state }
+    };
     let (next, a, b, c) = (base.next_request, fx.a.raw(), fx.b.raw(), fx.c.raw());
     let retry = DeltaOp::RequestRetried { request: 99, attempts: 1, not_before: 3 };
     let delta_cases: Vec<(&str, bool, WireRecord)> = vec![
@@ -1063,6 +1069,7 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
         ("admission names a dead session", false, delta(admit(next, b, 0.5))),
         ("completion names a request that is not queued", false, delta(complete(99, a))),
         ("completion names the wrong session for its request", false, delta(complete(0, c))),
+        ("completion carries a state that does not fit the session", false, delta(misfit)),
         (
             "failure names a request that is not queued",
             false,
@@ -1085,7 +1092,7 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
             WireRecord::Delta(DeltaRecord { op, .. }) => (delta_at(seq + 1, op), seq + 1),
             other => (other, seq),
         };
-        let err = follower.apply(record).expect_err(want);
+        let err = follower.apply(view(&record.encode())).expect_err(want);
         assert_eq!(err, ReplicaError::BadDelta { seq: bad_seq, what: want }, "{want}");
         assert_poisoned(follower, &err, seq, want);
     }
@@ -1093,14 +1100,16 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
     // Sequencing: a record before the baseline, and a delta from the
     // future.
     let mut follower = Follower::new(registry());
-    let err = follower.apply(delta_at(1, DeltaOp::PoolRebuilt)).expect_err("no baseline");
+    let err =
+        follower.apply(view(&delta_at(1, DeltaOp::PoolRebuilt).encode())).expect_err("no baseline");
     assert_eq!(err, ReplicaError::NoBaseline);
     assert_poisoned(follower, &err, 0, "record before the baseline");
     assert!(matches!(Follower::new(registry()).promote(), Err(ReplicaError::NoBaseline)));
     let mut follower = Follower::new(registry());
     follower.tail(&fx.log.all_bytes()).expect("clean log");
     let seq = follower.applied_seq();
-    let err = follower.apply(delta_at(seq + 5, DeltaOp::PoolRebuilt)).expect_err("gap");
+    let err =
+        follower.apply(view(&delta_at(seq + 5, DeltaOp::PoolRebuilt).encode())).expect_err("gap");
     assert_eq!(err, ReplicaError::SequenceGap { expected: seq + 1, found: seq + 5 });
     assert!(matches!(follower.tail(&fx.log.all_bytes()), Err(ReplicaError::SequenceGap { .. })));
     assert_poisoned(follower, &err, seq, "sequence gap");
@@ -1112,4 +1121,9 @@ fn delta(op: DeltaOp) -> WireRecord {
 
 fn delta_at(seq: u64, op: DeltaOp) -> WireRecord {
     WireRecord::Delta(DeltaRecord { seq, op })
+}
+
+/// The view a follower applies of an encoded record.
+fn view(bytes: &Bytes) -> WireView<'_> {
+    WireRecord::decode(bytes).expect("a valid record")
 }

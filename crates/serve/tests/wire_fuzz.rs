@@ -14,8 +14,8 @@ use rvf_core::{CompiledSim, SimBuilder, StateCheckpoint};
 use rvf_serve::wire::{
     checksum64, decode_stream, DeltaOp, DeltaRecord, DigestRecord, ResponseChunk,
     SchedulerSnapshot, SnapshotModel, SnapshotRequest, SnapshotSession, SnapshotSlot,
-    StimulusChunk, StreamEnd, WireError, WireRecord, HEADER_LEN, KIND_CHECKPOINT, KIND_DELTA,
-    KIND_SNAPSHOT, KIND_STIMULUS, MAGIC, WIRE_VERSION,
+    StimulusChunk, StreamEnd, WireError, WireRecord, WireView, HEADER_LEN, KIND_CHECKPOINT,
+    KIND_DELTA, KIND_SNAPSHOT, KIND_STIMULUS, MAGIC, WIRE_VERSION,
 };
 use rvf_serve::{ModelRegistry, Scheduler, ServeConfig};
 
@@ -327,7 +327,8 @@ fn assert_low_weight_errors_detected(what: &str, record: &Bytes) -> usize {
             if j != i {
                 bad[j / 8] ^= 1 << (j % 8);
             }
-            let decoded = WireRecord::decode(&Bytes::from(bad));
+            let bad = Bytes::from(bad);
+            let decoded = WireRecord::decode(&bad);
             assert!(decoded.is_err(), "{what}: flipping bits {i} and {j} went undetected");
             tried += 1;
         }
@@ -375,7 +376,7 @@ fn exemplar_stream() -> (Vec<Bytes>, Bytes) {
 fn stream_decodes_every_kind_to_a_clean_end() {
     let (records, buf) = exemplar_stream();
     let total = buf.len();
-    let mut stream = decode_stream(buf);
+    let mut stream = decode_stream(&buf);
     for (i, want) in records.iter().enumerate() {
         let got = stream.next().expect("record present").expect("record decodes");
         assert_eq!(got.encode(), *want, "record {i} did not survive the stream");
@@ -407,7 +408,8 @@ proptest! {
             boundary += r.len();
             whole += 1;
         }
-        let mut stream = decode_stream(Bytes::from(buf.as_ref()[..cut].to_vec()));
+        let prefix = Bytes::from(buf.as_ref()[..cut].to_vec());
+        let mut stream = decode_stream(&prefix);
         for i in 0..whole {
             let got = stream.next().expect("record present");
             prop_assert!(got.is_ok(), "whole record {i} failed under cut {cut}");
@@ -438,7 +440,8 @@ proptest! {
             let bit = rng.below(mutant.len() * 8);
             mutant[bit / 8] ^= 1 << (bit % 8);
         }
-        let mut stream = decode_stream(Bytes::from(mutant));
+        let mutant = Bytes::from(mutant);
+        let mut stream = decode_stream(&mutant);
         let mut yielded = 0usize;
         let mut erred = false;
         for item in stream.by_ref() {
@@ -493,7 +496,8 @@ proptest! {
             prop_assert!(WireRecord::decode(&Bytes::from(raw[..cut].to_vec())).is_err());
             let mut long = raw.to_vec();
             long.extend(std::iter::repeat(0xA5).take(1 + rng.below(9)));
-            let got = WireRecord::decode(&Bytes::from(long));
+            let long = Bytes::from(long);
+            let got = WireRecord::decode(&long);
             let trailing = matches!(got, Err(WireError::TrailingBytes { .. }));
             prop_assert!(trailing, "expected TrailingBytes, got {:?}", got);
         }
@@ -538,6 +542,9 @@ proptest! {
             prop_assert!(decoded.is_ok());
             if let Ok(back) = decoded {
                 prop_assert_eq!(back.encode(), encoded);
+                // The owned copy is the record bit for bit (`==` cannot
+                // see NaN payloads): it encodes to the same bytes.
+                prop_assert_eq!(back.to_owned().encode(), encoded);
             }
         }
     }
@@ -596,6 +603,9 @@ proptest! {
             prop_assert!(decoded.is_ok());
             if let Ok(back) = decoded {
                 prop_assert_eq!(back.encode(), encoded);
+                // The owned copy is the record bit for bit (`==` cannot
+                // see NaN payloads): it encodes to the same bytes.
+                prop_assert_eq!(back.to_owned().encode(), encoded);
             }
         }
     }
@@ -621,7 +631,8 @@ proptest! {
         let mut head = vec![0.0; cut];
         sim.simulate_into(dt, &u[..cut], &mut state, &mut head).expect("head");
         let bytes = WireRecord::Checkpoint(state.export()).encode();
-        let Ok(WireRecord::Checkpoint(ckpt)) = WireRecord::decode(&bytes) else {
+        let Ok(WireRecord::Checkpoint(ckpt)) = WireRecord::decode(&bytes).map(WireView::to_owned)
+        else {
             panic!("checkpoint failed to round trip");
         };
         let mut resumed = sim.import_state(&ckpt).expect("import");
