@@ -16,7 +16,7 @@ use rvf_numerics::Poly;
 
 /// Unary operators available to the canonical form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
+pub(crate) enum UnaryOp {
     /// `log₁₀(|arg| + ε)` — CAFFEINE's workhorse for smooth saturation.
     Log10Abs,
     /// `exp(clamp(arg))`.
@@ -31,7 +31,7 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Applies the operator (guarded against singular arguments).
-    pub fn apply(self, v: f64) -> f64 {
+    pub(crate) fn apply(self, v: f64) -> f64 {
         match self {
             UnaryOp::Log10Abs => (v.abs() + 1e-30).log10(),
             UnaryOp::Exp => v.clamp(-40.0, 40.0).exp(),
@@ -45,19 +45,8 @@ impl UnaryOp {
     }
 
     /// All operators (for random choice).
-    pub const ALL: [UnaryOp; 5] =
+    pub(crate) const ALL: [UnaryOp; 5] =
         [UnaryOp::Log10Abs, UnaryOp::Exp, UnaryOp::Inv, UnaryOp::SqrtAbs, UnaryOp::Tanh];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            UnaryOp::Log10Abs => "log10",
-            UnaryOp::Exp => "exp",
-            UnaryOp::Inv => "inv",
-            UnaryOp::SqrtAbs => "sqrt",
-            UnaryOp::Tanh => "tanh",
-        }
-    }
 }
 
 trait SignumOrOne {
@@ -75,7 +64,7 @@ impl SignumOrOne for f64 {
 
 /// One multiplicative factor of a basis term.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Factor {
+pub(crate) enum Factor {
     /// `x^p` with `p ≥ 1` (the constant is the term weight itself).
     Power(u32),
     /// `op(c₀ + c₁·x + c₂·x²)`.
@@ -84,7 +73,7 @@ pub enum Factor {
 
 impl Factor {
     /// Evaluates the factor at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         match self {
             Factor::Power(p) => x.powi(*p as i32),
             Factor::Op(op, c) => op.apply(c[0] + c[1] * x + c[2] * x * x),
@@ -93,7 +82,7 @@ impl Factor {
 
     /// Structural complexity cost (CAFFEINE penalizes operators more
     /// than raw powers).
-    pub fn complexity(&self) -> usize {
+    pub(crate) fn complexity(&self) -> usize {
         match self {
             Factor::Power(p) => *p as usize,
             Factor::Op(_, _) => 4,
@@ -101,46 +90,46 @@ impl Factor {
     }
 
     /// `true` for plain powers (the analytically integrable subset).
-    pub fn is_polynomial(&self) -> bool {
+    pub(crate) fn is_polynomial(&self) -> bool {
         matches!(self, Factor::Power(_))
     }
 }
 
 /// A product of factors; the empty product is the constant term `1`.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct BasisTerm {
+pub(crate) struct BasisTerm {
     /// The factors.
-    pub factors: Vec<Factor>,
+    pub(crate) factors: Vec<Factor>,
 }
 
 impl BasisTerm {
     /// The constant term.
-    pub fn constant() -> Self {
+    pub(crate) fn constant() -> Self {
         Self { factors: Vec::new() }
     }
 
     /// A plain power term `x^p`.
-    pub fn power(p: u32) -> Self {
+    pub(crate) fn power(p: u32) -> Self {
         Self { factors: vec![Factor::Power(p)] }
     }
 
     /// Evaluates the product at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         self.factors.iter().map(|f| f.eval(x)).product()
     }
 
     /// Structural complexity.
-    pub fn complexity(&self) -> usize {
+    pub(crate) fn complexity(&self) -> usize {
         1 + self.factors.iter().map(Factor::complexity).sum::<usize>()
     }
 
     /// `true` if the term is a pure polynomial in `x`.
-    pub fn is_polynomial(&self) -> bool {
+    pub(crate) fn is_polynomial(&self) -> bool {
         self.factors.iter().all(Factor::is_polynomial)
     }
 
     /// Total power when polynomial.
-    pub fn total_power(&self) -> Option<u32> {
+    pub(crate) fn total_power(&self) -> Option<u32> {
         if !self.is_polynomial() {
             return None;
         }
@@ -154,33 +143,15 @@ impl BasisTerm {
                 .sum(),
         )
     }
-
-    /// Human-readable form.
-    pub fn to_string_repr(&self) -> String {
-        if self.factors.is_empty() {
-            return "1".to_string();
-        }
-        self.factors
-            .iter()
-            .map(|f| match f {
-                Factor::Power(1) => "x".to_string(),
-                Factor::Power(p) => format!("x^{p}"),
-                Factor::Op(op, c) => {
-                    format!("{}({:.3e} + {:.3e}*x + {:.3e}*x^2)", op.name(), c[0], c[1], c[2])
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("*")
-    }
 }
 
 /// A complete canonical-form model: weighted sum of terms.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct CanonicalForm {
+pub(crate) struct CanonicalForm {
     /// Basis terms (the first is conventionally the constant).
-    pub terms: Vec<BasisTerm>,
+    pub(crate) terms: Vec<BasisTerm>,
     /// Linear weights, one per term (solved by least squares).
-    pub weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
 }
 
 /// Whether a canonical form has a closed-form antiderivative.
@@ -199,18 +170,18 @@ impl CanonicalForm {
     /// # Panics
     ///
     /// Panics if weights and terms disagree in length.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         assert_eq!(self.terms.len(), self.weights.len(), "weights not solved");
         self.terms.iter().zip(&self.weights).map(|(t, w)| w * t.eval(x)).sum()
     }
 
     /// Total structural complexity.
-    pub fn complexity(&self) -> usize {
+    pub(crate) fn complexity(&self) -> usize {
         self.terms.iter().map(BasisTerm::complexity).sum()
     }
 
     /// Integrability classification.
-    pub fn integrability(&self) -> Integrability {
+    pub(crate) fn integrability(&self) -> Integrability {
         if self.terms.iter().all(BasisTerm::is_polynomial) {
             Integrability::Closed
         } else {
@@ -220,7 +191,7 @@ impl CanonicalForm {
 
     /// Closed-form antiderivative for polynomial models (`None` when
     /// operator terms are present — the paper's automation gap).
-    pub fn antiderivative(&self) -> Option<Poly> {
+    pub(crate) fn antiderivative(&self) -> Option<Poly> {
         if self.integrability() != Integrability::Closed {
             return None;
         }
@@ -233,19 +204,6 @@ impl CanonicalForm {
             coeffs[p] += w;
         }
         Some(Poly::new(coeffs).antideriv(0.0))
-    }
-
-    /// Human-readable expression.
-    pub fn to_string_repr(&self) -> String {
-        if self.terms.is_empty() {
-            return "0".to_string();
-        }
-        self.terms
-            .iter()
-            .zip(&self.weights)
-            .map(|(t, w)| format!("({w:.4e})*{}", t.to_string_repr()))
-            .collect::<Vec<_>>()
-            .join(" + ")
     }
 }
 
@@ -312,12 +270,5 @@ mod tests {
         assert!(op.complexity() > poly.complexity() - 2);
         assert_eq!(poly.complexity(), 4);
         assert_eq!(op.complexity(), 5);
-    }
-
-    #[test]
-    fn string_repr_is_readable() {
-        let cf = CanonicalForm { terms: vec![BasisTerm::power(1)], weights: vec![2.5] };
-        let s = cf.to_string_repr();
-        assert!(s.contains("x") && s.contains("2.5"));
     }
 }

@@ -47,13 +47,13 @@ impl Default for GpOptions {
 
 /// An evolved individual with its fitted weights and scores.
 #[derive(Debug, Clone)]
-pub struct Individual {
+pub(crate) struct Individual {
     /// The model.
-    pub form: CanonicalForm,
+    pub(crate) form: CanonicalForm,
     /// Root-mean-square error on the training data.
-    pub rmse: f64,
+    pub(crate) rmse: f64,
     /// Structural complexity.
-    pub complexity: usize,
+    pub(crate) complexity: usize,
 }
 
 impl Individual {
@@ -72,7 +72,7 @@ impl Individual {
 /// # Panics
 ///
 /// Panics if `xs` and `ys` have different lengths or are empty.
-pub fn evolve(xs: &[f64], ys: &[f64], opts: &GpOptions) -> Individual {
+pub(crate) fn evolve(xs: &[f64], ys: &[f64], opts: &GpOptions) -> Individual {
     assert_eq!(xs.len(), ys.len(), "sample lengths differ");
     assert!(!xs.is_empty(), "need samples");
     let mut rng = StdRng::seed_from_u64(opts.seed);

@@ -10,40 +10,45 @@
 //!
 //! * canonical-form expressions (weighted sums of products of powers and
 //!   guarded unary operators) with linear weights solved by least
-//!   squares ([`expr`], [`gp`]);
-//! * a bi-objective (error, complexity) GP engine ([`gp::evolve`]);
-//! * an **integrability analyzer** ([`expr::Integrability`]): only the
+//!   squares;
+//! * a bi-objective (error, complexity) GP engine ([`GpOptions`]), run
+//!   per state stage by [`CaffeineStage::fit`];
+//! * an **integrability analyzer** ([`Integrability`]): only the
 //!   polynomial subset has closed-form antiderivatives, which is exactly
 //!   the automation gap the paper reports for CAFFEINE ("the indefinite
 //!   integral … needs to be computed manually, if it can be computed
 //!   altogether");
-//! * the CAFFEINE Hammerstein baseline ([`model`]): VF frequency poles +
-//!   GP residue regression, with simulation available only for
-//!   integrable stages.
+//! * the CAFFEINE Hammerstein baseline ([`CaffeineHammerstein`]): VF
+//!   frequency poles + GP residue regression, with simulation available
+//!   only for integrable stages.
 //!
 //! # Examples
 //!
-//! Evolve a canonical-form fit of a quadratic:
+//! Evolve a canonical-form fit of a quadratic stage; being polynomial,
+//! it also gets a closed-form primitive, anchored here at `F(0) = 0`:
 //!
 //! ```
-//! use rvf_caffeine::{evolve, GpOptions};
+//! use rvf_caffeine::{CaffeineStage, GpOptions};
 //! use rvf_numerics::linspace;
 //!
 //! let xs = linspace(-1.0, 1.0, 40);
 //! let ys: Vec<f64> = xs.iter().map(|&x| 1.0 + 2.0 * x * x).collect();
-//! let best = evolve(&xs, &ys, &GpOptions { generations: 15, ..Default::default() });
-//! assert!(best.rmse < 1e-8);
+//! let gp = GpOptions { generations: 15, ..Default::default() };
+//! let stage = CaffeineStage::fit(&xs, &ys, &gp, 0.0, 0.0);
+//! assert!(stage.fit_rmse < 1e-8);
+//! let f1 = stage.integral(1.0).expect("polynomial stages integrate");
+//! assert!((f1 - 5.0 / 3.0).abs() < 1e-6);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod expr;
-pub mod gp;
-pub mod model;
+mod expr;
+mod gp;
+mod model;
 
-pub use expr::{BasisTerm, CanonicalForm, Factor, Integrability, UnaryOp};
-pub use gp::{evolve, GpOptions, Individual};
+pub use expr::Integrability;
+pub use gp::GpOptions;
 pub use model::{
     build_caffeine_hammerstein, CafBlock, CaffeineHammerstein, CaffeineOptions, CaffeineStage,
 };

@@ -30,9 +30,9 @@ pub struct CaffeineOptions {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaffeineStage {
     /// The canonical-form fit of the stage function.
-    pub form: CanonicalForm,
+    pub(crate) form: CanonicalForm,
     /// Closed-form primitive (polynomial models only), anchored.
-    pub primitive: Option<Poly>,
+    pub(crate) primitive: Option<Poly>,
     /// RMS error of the GP fit on the training trajectory.
     pub fit_rmse: f64,
 }
@@ -64,7 +64,7 @@ impl CaffeineStage {
     }
 
     /// The stage function value.
-    pub fn value(&self, u: f64) -> f64 {
+    pub(crate) fn value(&self, u: f64) -> f64 {
         self.form.eval(u)
     }
 
@@ -99,7 +99,7 @@ pub enum CafBlock {
 
 impl CafBlock {
     /// Complex residue reconstructed from the components.
-    pub fn residue_at(&self, u: f64) -> Complex {
+    pub(crate) fn residue_at(&self, u: f64) -> Complex {
         match self {
             CafBlock::Real { f, .. } => Complex::from_re(f.value(u)),
             CafBlock::Pair { f1, f2, .. } => {
@@ -111,7 +111,7 @@ impl CafBlock {
     }
 
     /// Transfer contribution at `(u, s)`.
-    pub fn transfer(&self, u: f64, s: Complex) -> Complex {
+    pub(crate) fn transfer(&self, u: f64, s: Complex) -> Complex {
         match self {
             CafBlock::Real { a, .. } => self.residue_at(u) * (s - Complex::from_re(*a)).inv(),
             CafBlock::Pair { sigma, omega, .. } => {

@@ -7,9 +7,9 @@
 //!   reduction of the pencil `(G, C)` ([`rvf_numerics::HtPencil`]), then
 //!   `O(n²)` per frequency; the win for sweeps of more than a handful of
 //!   points, which is why [`transfer_sweep`] switches paths at
-//!   [`REDUCTION_CROSSOVER`].
+//!   [`PENCIL_REDUCTION_CROSSOVER`].
 
-use rvf_numerics::{CLu, CMat, Complex, HtPencil, Mat};
+use rvf_numerics::{CLu, CMat, Complex, HtPencil, Mat, PENCIL_REDUCTION_CROSSOVER};
 
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
@@ -41,16 +41,6 @@ pub fn transfer_at(
     }
     Ok(y)
 }
-
-/// Minimum sweep length at which [`transfer_sweep`] switches from the
-/// per-frequency LU to the reduced-pencil path.
-///
-/// This is the workspace-wide pencil-reduction crossover
-/// [`rvf_numerics::PENCIL_REDUCTION_CROSSOVER`] (see its rustdoc for
-/// the measured break-even), re-exported under the crate's historical
-/// name so circuit-level callers and the dispatch in [`transfer_sweep`]
-/// share one documented constant.
-pub use rvf_numerics::PENCIL_REDUCTION_CROSSOVER as REDUCTION_CROSSOVER;
 
 /// A transfer function `H(s) = Dᵀ·(G + s·C)⁻¹·B` prepared for repeated
 /// evaluation: the pencil is reduced to Hessenberg–triangular form once
@@ -95,11 +85,6 @@ impl ReducedTransfer {
         Ok(Self { pencil, bt, dt })
     }
 
-    /// MNA dimension of the underlying pencil.
-    pub fn dim(&self) -> usize {
-        self.pencil.dim()
-    }
-
     /// Evaluates `H(s)` in `O(n²)`.
     ///
     /// # Errors
@@ -113,7 +98,8 @@ impl ReducedTransfer {
 /// Evaluates `H(s)` over a list of complex frequencies, choosing the
 /// cheaper path: per-frequency LU ([`transfer_at`]) for short sweeps and
 /// tiny systems, the reduced pencil ([`ReducedTransfer`]) once the sweep
-/// is long enough ([`REDUCTION_CROSSOVER`]) to amortize the reduction.
+/// is long enough ([`PENCIL_REDUCTION_CROSSOVER`], the workspace-wide
+/// measured break-even) to amortize the reduction.
 ///
 /// Both paths agree to machine precision (pinned to 1e-10 in tests on
 /// the RC ladder and diode clipper).
@@ -128,7 +114,7 @@ pub fn transfer_sweep(
     d: &[f64],
     ss: &[Complex],
 ) -> Result<Vec<Complex>, CircuitError> {
-    if ss.len() < REDUCTION_CROSSOVER || g.rows() < 2 {
+    if ss.len() < PENCIL_REDUCTION_CROSSOVER || g.rows() < 2 {
         return ss.iter().map(|&s| transfer_at(g, c, b, d, s)).collect();
     }
     let rt = ReducedTransfer::new(g, c, b, d)?;
@@ -210,7 +196,10 @@ mod tests {
         let ss: Vec<Complex> = (0..40)
             .map(|i| Complex::from_im(2.0 * core::f64::consts::PI * 10f64.powf(i as f64 * 0.25)))
             .collect();
-        assert!(ss.len() >= REDUCTION_CROSSOVER, "sweep long enough to take the reduced path");
+        assert!(
+            ss.len() >= PENCIL_REDUCTION_CROSSOVER,
+            "sweep long enough to take the reduced path"
+        );
         let fast = transfer_sweep(&g, &c, &b, &d, &ss).unwrap();
         for (s, h_fast) in ss.iter().zip(&fast) {
             let h_naive = transfer_at(&g, &c, &b, &d, *s).unwrap();
@@ -253,7 +242,6 @@ mod tests {
         let (mut ckt, _) = rc_lowpass();
         let (g, c, b, d) = pencil_at_op(&mut ckt);
         let rt = ReducedTransfer::new(&g, &c, &b, &d).unwrap();
-        assert_eq!(rt.dim(), g.rows());
         let s = Complex::new(-3.0e5, 7.0e5);
         let rc = 1.0e3 * 1.0e-9;
         let want = (Complex::ONE + s.scale(rc)).inv();

@@ -16,34 +16,34 @@ use crate::waveform::Waveform;
 #[derive(Debug, Clone, Copy)]
 pub struct BufferParams {
     /// Supply voltage (V).
-    pub vdd: f64,
+    pub(crate) vdd: f64,
     /// Reference (common-mode) input voltage for the unused side (V).
-    pub vref: f64,
+    pub(crate) vref: f64,
     /// Differential-stage load resistance (Ω).
-    pub r_load: f64,
+    pub(crate) r_load: f64,
     /// Load capacitance per drain node (F).
-    pub c_load: f64,
+    pub(crate) c_load: f64,
     /// Transconductance factor of the diff-pair devices (A/V²).
-    pub kp_diff: f64,
+    pub(crate) kp_diff: f64,
     /// Transconductance factor of the tail devices (A/V²).
-    pub kp_tail: f64,
+    pub(crate) kp_tail: f64,
     /// Transconductance factor of the source followers (A/V²).
-    pub kp_follower: f64,
+    pub(crate) kp_follower: f64,
     /// Transconductance factor of the follower tail sinks (A/V²).
-    pub kp_follower_tail: f64,
+    pub(crate) kp_follower_tail: f64,
     /// Bias resistor from the supply into the diode-connected reference
     /// device (Ω).
-    pub r_bias: f64,
+    pub(crate) r_bias: f64,
     /// Threshold voltage of all devices (V).
-    pub vt0: f64,
+    pub(crate) vt0: f64,
     /// Channel-length modulation (1/V).
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// Gate–source capacitance (F).
-    pub cgs: f64,
+    pub(crate) cgs: f64,
     /// Gate–drain capacitance (F).
-    pub cgd: f64,
+    pub(crate) cgd: f64,
     /// Output-node load capacitance (F).
-    pub c_out: f64,
+    pub(crate) c_out: f64,
 }
 
 impl Default for BufferParams {
@@ -267,7 +267,7 @@ mod tests {
         // All node voltages within the rails.
         let n_nodes = ckt.n_nodes();
         for (i, v) in x[..n_nodes].iter().enumerate() {
-            assert!((-0.1..=1.6).contains(v), "node {} = {v}", ckt.node_name(i + 1));
+            assert!((-0.1..=1.6).contains(v), "node {} = {v}", i + 1);
         }
         let out = ckt.output_value(&x);
         assert!((0.3..1.2).contains(&out), "output DC {out}");

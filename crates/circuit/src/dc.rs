@@ -9,17 +9,17 @@ use crate::netlist::Circuit;
 #[derive(Debug, Clone)]
 pub struct DcOptions {
     /// Maximum Newton iterations per gmin step.
-    pub max_iterations: usize,
+    pub(crate) max_iterations: usize,
     /// Residual convergence tolerance (amps).
-    pub tol_residual: f64,
+    pub(crate) tol_residual: f64,
     /// Update convergence tolerance (volts).
-    pub tol_update: f64,
+    pub(crate) tol_update: f64,
     /// Per-iteration cap on the infinity norm of the update (volts);
     /// damping for the exponential nonlinearities.
-    pub max_step: f64,
+    pub(crate) max_step: f64,
     /// Gmin continuation sequence (conductance to ground at nonlinear
     /// devices); must end with the target value (normally a tiny one).
-    pub gmin_sequence: Vec<f64>,
+    pub(crate) gmin_sequence: Vec<f64>,
 }
 
 impl Default for DcOptions {

@@ -10,7 +10,7 @@ use super::{Device, NodeId, StampContext};
 
 /// BJT polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BjtType {
+pub(crate) enum BjtType {
     /// NPN device.
     Npn,
     /// PNP device.
@@ -19,17 +19,17 @@ pub enum BjtType {
 
 /// Ebers–Moll parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BjtParams {
+pub(crate) struct BjtParams {
     /// Transport saturation current (A).
-    pub is: f64,
+    pub(crate) is: f64,
     /// Forward current gain β_F.
-    pub beta_f: f64,
+    pub(crate) beta_f: f64,
     /// Reverse current gain β_R.
-    pub beta_r: f64,
+    pub(crate) beta_r: f64,
     /// Base–emitter junction capacitance (F).
-    pub cje: f64,
+    pub(crate) cje: f64,
     /// Base–collector junction capacitance (F).
-    pub cjc: f64,
+    pub(crate) cjc: f64,
 }
 
 impl Default for BjtParams {
@@ -40,22 +40,22 @@ impl Default for BjtParams {
 
 /// A three-terminal BJT (collector, base, emitter).
 #[derive(Debug, Clone)]
-pub struct Bjt {
+pub(crate) struct Bjt {
     name: String,
     c: NodeId,
     b: NodeId,
     e: NodeId,
     /// Polarity.
-    pub bjt_type: BjtType,
+    pub(crate) bjt_type: BjtType,
     /// Model parameters.
-    pub params: BjtParams,
+    pub(crate) params: BjtParams,
     /// Internal junction helper (provides the limited exponential).
     junction: Diode,
 }
 
 impl Bjt {
     /// Creates a BJT with terminals collector, base, emitter.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         c: NodeId,
         b: NodeId,

@@ -8,16 +8,16 @@ use super::{Device, NodeId, StampContext};
 /// linearly (first-order Taylor), which keeps Newton iterates finite for
 /// arbitrary excursions — the standard junction-limiting trick.
 #[derive(Debug, Clone)]
-pub struct Diode {
+pub(crate) struct Diode {
     name: String,
     p: NodeId,
     n: NodeId,
     /// Saturation current (A).
-    pub is: f64,
+    pub(crate) is: f64,
     /// Ideality factor.
-    pub n_ideal: f64,
+    pub(crate) n_ideal: f64,
     /// Thermal voltage (V), 25.85 mV at 300 K.
-    pub vt: f64,
+    pub(crate) vt: f64,
 }
 
 /// Maximum exponent argument before linear continuation.
@@ -29,14 +29,20 @@ impl Diode {
     /// # Panics
     ///
     /// Panics if `is` or `n_ideal` are not positive finite numbers.
-    pub fn new(name: impl Into<String>, p: NodeId, n: NodeId, is: f64, n_ideal: f64) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        p: NodeId,
+        n: NodeId,
+        is: f64,
+        n_ideal: f64,
+    ) -> Self {
         assert!(is.is_finite() && is > 0.0, "saturation current must be positive");
         assert!(n_ideal.is_finite() && n_ideal > 0.0, "ideality must be positive");
         Self { name: name.into(), p, n, is, n_ideal, vt: 0.025852 }
     }
 
     /// Current and conductance at junction voltage `v`.
-    pub fn iv(&self, v: f64) -> (f64, f64) {
+    pub(crate) fn iv(&self, v: f64) -> (f64, f64) {
         let nvt = self.n_ideal * self.vt;
         let arg = v / nvt;
         if arg > EXP_LIMIT {

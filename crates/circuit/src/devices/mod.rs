@@ -12,9 +12,9 @@
 //! the transient solution points are exactly the snapshots the TFT
 //! transform consumes (paper eq. 3).
 
-pub mod bjt;
-pub mod diode;
-pub mod mosfet;
+pub(crate) mod bjt;
+pub(crate) mod diode;
+pub(crate) mod mosfet;
 pub mod passive;
 pub mod sources;
 
@@ -28,11 +28,10 @@ pub type NodeId = usize;
 /// Accumulator for one evaluation of the MNA system at `(x, t)`.
 ///
 /// Rows/columns address the unknown vector: node `n > 0` maps to row
-/// `n − 1`; device branch equations occupy rows `≥ n_nodes`.
+/// `n − 1`; device branch equations occupy the rows after the nodes.
 pub struct StampContext<'a> {
     x: &'a [f64],
     t: f64,
-    n_nodes: usize,
     f: &'a mut [f64],
     q: &'a mut [f64],
     g: Option<&'a mut Mat>,
@@ -43,36 +42,34 @@ pub struct StampContext<'a> {
 impl<'a> StampContext<'a> {
     /// Creates a context over preallocated accumulators. `g`/`c` may be
     /// `None` when only residuals are needed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         x: &'a [f64],
         t: f64,
-        n_nodes: usize,
         f: &'a mut [f64],
         q: &'a mut [f64],
         g: Option<&'a mut Mat>,
         c: Option<&'a mut Mat>,
         gmin: f64,
     ) -> Self {
-        Self { x, t, n_nodes, f, q, g, c, gmin }
+        Self { x, t, f, q, g, c, gmin }
     }
 
     /// Simulation time of this evaluation.
     #[inline]
-    pub fn time(&self) -> f64 {
+    pub(crate) fn time(&self) -> f64 {
         self.t
     }
 
     /// Minimum conductance added from every node to ground by nonlinear
     /// devices (convergence aid; 0 when disabled).
     #[inline]
-    pub fn gmin(&self) -> f64 {
+    pub(crate) fn gmin(&self) -> f64 {
         self.gmin
     }
 
     /// Voltage of node `n` (0 for ground).
     #[inline]
-    pub fn v(&self, n: NodeId) -> f64 {
+    pub(crate) fn v(&self, n: NodeId) -> f64 {
         if n == 0 {
             0.0
         } else {
@@ -82,13 +79,13 @@ impl<'a> StampContext<'a> {
 
     /// Value of the unknown at absolute row `row` (for branch currents).
     #[inline]
-    pub fn unknown(&self, row: usize) -> f64 {
+    pub(crate) fn unknown(&self, row: usize) -> f64 {
         self.x[row]
     }
 
     /// Row index of node `n`, or `None` for ground.
     #[inline]
-    pub fn node_row(&self, n: NodeId) -> Option<usize> {
+    pub(crate) fn node_row(&self, n: NodeId) -> Option<usize> {
         if n == 0 {
             None
         } else {
@@ -98,7 +95,7 @@ impl<'a> StampContext<'a> {
 
     /// Adds to the static residual `f` at a node.
     #[inline]
-    pub fn add_f_node(&mut self, n: NodeId, val: f64) {
+    pub(crate) fn add_f_node(&mut self, n: NodeId, val: f64) {
         if n != 0 {
             self.f[n - 1] += val;
         }
@@ -106,13 +103,13 @@ impl<'a> StampContext<'a> {
 
     /// Adds to the static residual `f` at an absolute row.
     #[inline]
-    pub fn add_f_row(&mut self, row: usize, val: f64) {
+    pub(crate) fn add_f_row(&mut self, row: usize, val: f64) {
         self.f[row] += val;
     }
 
     /// Adds to the charge vector `q` at a node.
     #[inline]
-    pub fn add_q_node(&mut self, n: NodeId, val: f64) {
+    pub(crate) fn add_q_node(&mut self, n: NodeId, val: f64) {
         if n != 0 {
             self.q[n - 1] += val;
         }
@@ -120,13 +117,13 @@ impl<'a> StampContext<'a> {
 
     /// Adds to the charge vector `q` at an absolute row.
     #[inline]
-    pub fn add_q_row(&mut self, row: usize, val: f64) {
+    pub(crate) fn add_q_row(&mut self, row: usize, val: f64) {
         self.q[row] += val;
     }
 
     /// Adds `∂f_row/∂x_col` between two nodes.
     #[inline]
-    pub fn add_g_nodes(&mut self, row: NodeId, col: NodeId, val: f64) {
+    pub(crate) fn add_g_nodes(&mut self, row: NodeId, col: NodeId, val: f64) {
         if row == 0 || col == 0 {
             return;
         }
@@ -137,7 +134,7 @@ impl<'a> StampContext<'a> {
 
     /// Adds `∂f/∂x` at absolute indices.
     #[inline]
-    pub fn add_g_rows(&mut self, row: usize, col: usize, val: f64) {
+    pub(crate) fn add_g_rows(&mut self, row: usize, col: usize, val: f64) {
         if let Some(g) = self.g.as_deref_mut() {
             g[(row, col)] += val;
         }
@@ -145,7 +142,7 @@ impl<'a> StampContext<'a> {
 
     /// Adds `∂q_row/∂x_col` between two nodes.
     #[inline]
-    pub fn add_c_nodes(&mut self, row: NodeId, col: NodeId, val: f64) {
+    pub(crate) fn add_c_nodes(&mut self, row: NodeId, col: NodeId, val: f64) {
         if row == 0 || col == 0 {
             return;
         }
@@ -156,7 +153,7 @@ impl<'a> StampContext<'a> {
 
     /// Adds `∂q/∂x` at absolute indices.
     #[inline]
-    pub fn add_c_rows(&mut self, row: usize, col: usize, val: f64) {
+    pub(crate) fn add_c_rows(&mut self, row: usize, col: usize, val: f64) {
         if let Some(c) = self.c.as_deref_mut() {
             c[(row, col)] += val;
         }
@@ -164,7 +161,7 @@ impl<'a> StampContext<'a> {
 
     /// Stamps a conductance `g` between nodes `p` and `n` carrying the
     /// current `g·(v_p − v_n)` (both residual and Jacobian).
-    pub fn stamp_conductance(&mut self, p: NodeId, n: NodeId, g: f64) {
+    pub(crate) fn stamp_conductance(&mut self, p: NodeId, n: NodeId, g: f64) {
         let i = g * (self.v(p) - self.v(n));
         self.add_f_node(p, i);
         self.add_f_node(n, -i);
@@ -176,7 +173,7 @@ impl<'a> StampContext<'a> {
 
     /// Stamps a nonlinear branch current `i` with conductance `di/dv`
     /// between `p` and `n`.
-    pub fn stamp_current(&mut self, p: NodeId, n: NodeId, i: f64, di_dv: f64) {
+    pub(crate) fn stamp_current(&mut self, p: NodeId, n: NodeId, i: f64, di_dv: f64) {
         self.add_f_node(p, i);
         self.add_f_node(n, -i);
         self.add_g_nodes(p, p, di_dv);
@@ -187,19 +184,13 @@ impl<'a> StampContext<'a> {
 
     /// Stamps a charge `q(v_p − v_n)` with capacitance `dq/dv` between
     /// `p` and `n`.
-    pub fn stamp_charge(&mut self, p: NodeId, n: NodeId, q: f64, dq_dv: f64) {
+    pub(crate) fn stamp_charge(&mut self, p: NodeId, n: NodeId, q: f64, dq_dv: f64) {
         self.add_q_node(p, q);
         self.add_q_node(n, -q);
         self.add_c_nodes(p, p, dq_dv);
         self.add_c_nodes(p, n, -dq_dv);
         self.add_c_nodes(n, p, -dq_dv);
         self.add_c_nodes(n, n, dq_dv);
-    }
-
-    /// Number of node unknowns (branch rows start here).
-    #[inline]
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
     }
 }
 

@@ -10,7 +10,7 @@ use super::{Device, NodeId, StampContext};
 
 /// Channel polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MosType {
+pub(crate) enum MosType {
     /// N-channel.
     Nmos,
     /// P-channel.
@@ -19,17 +19,17 @@ pub enum MosType {
 
 /// Level-1 model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MosfetParams {
+pub(crate) struct MosfetParams {
     /// Transconductance factor `k = µ·Cox·W/L` (A/V²).
-    pub kp: f64,
+    pub(crate) kp: f64,
     /// Threshold voltage magnitude (V, positive for both polarities).
-    pub vt0: f64,
+    pub(crate) vt0: f64,
     /// Channel-length modulation (1/V).
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// Gate–source capacitance (F).
-    pub cgs: f64,
+    pub(crate) cgs: f64,
     /// Gate–drain capacitance (F).
-    pub cgd: f64,
+    pub(crate) cgd: f64,
 }
 
 impl Default for MosfetParams {
@@ -40,15 +40,15 @@ impl Default for MosfetParams {
 
 /// A three-terminal (bulk tied to source) level-1 MOSFET.
 #[derive(Debug, Clone)]
-pub struct Mosfet {
+pub(crate) struct Mosfet {
     name: String,
     d: NodeId,
     g: NodeId,
     s: NodeId,
     /// Polarity.
-    pub mos_type: MosType,
+    pub(crate) mos_type: MosType,
     /// Model parameters.
-    pub params: MosfetParams,
+    pub(crate) params: MosfetParams,
 }
 
 /// Drain current and partial derivatives in the forward NMOS frame.
@@ -79,7 +79,7 @@ fn level1_forward(p: &MosfetParams, vgs: f64, vds: f64) -> (f64, f64, f64) {
 
 impl Mosfet {
     /// Creates a MOSFET with terminals drain, gate, source.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         d: NodeId,
         g: NodeId,
@@ -95,7 +95,7 @@ impl Mosfet {
     /// Drain current (into the drain terminal) and its partial
     /// derivatives `(id, did_dvg, did_dvd, did_dvs)` at the given
     /// terminal voltages.
-    pub fn id_and_derivs(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
+    pub(crate) fn id_and_derivs(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
         let pol = match self.mos_type {
             MosType::Nmos => 1.0,
             MosType::Pmos => -1.0,

@@ -9,7 +9,7 @@ pub struct Resistor {
     p: NodeId,
     n: NodeId,
     /// Resistance in ohms.
-    pub r: f64,
+    pub(crate) r: f64,
 }
 
 impl Resistor {
@@ -45,7 +45,7 @@ pub struct Capacitor {
     p: NodeId,
     n: NodeId,
     /// Capacitance in farads.
-    pub c: f64,
+    pub(crate) c: f64,
 }
 
 impl Capacitor {
@@ -78,12 +78,12 @@ impl Device for Capacitor {
 /// A linear inductor between `p` and `n`, adding its branch current as
 /// an extra unknown.
 #[derive(Debug, Clone)]
-pub struct Inductor {
+pub(crate) struct Inductor {
     name: String,
     p: NodeId,
     n: NodeId,
     /// Inductance in henries.
-    pub l: f64,
+    pub(crate) l: f64,
     branch: usize,
 }
 
@@ -93,7 +93,7 @@ impl Inductor {
     /// # Panics
     ///
     /// Panics if `l` is not a positive finite number.
-    pub fn new(name: impl Into<String>, p: NodeId, n: NodeId, l: f64) -> Self {
+    pub(crate) fn new(name: impl Into<String>, p: NodeId, n: NodeId, l: f64) -> Self {
         assert!(l.is_finite() && l > 0.0, "inductance must be positive");
         Self { name: name.into(), p, n, l, branch: usize::MAX }
     }
@@ -147,19 +147,14 @@ mod tests {
     use super::*;
     use rvf_numerics::Mat;
 
-    fn eval(
-        dev: &dyn Device,
-        x: &[f64],
-        n_nodes: usize,
-        dim: usize,
-    ) -> (Vec<f64>, Vec<f64>, Mat, Mat) {
+    fn eval(dev: &dyn Device, x: &[f64], dim: usize) -> (Vec<f64>, Vec<f64>, Mat, Mat) {
         let mut f = vec![0.0; dim];
         let mut q = vec![0.0; dim];
         let mut g = Mat::zeros(dim, dim);
         let mut c = Mat::zeros(dim, dim);
         {
             let mut ctx =
-                StampContext::new(x, 0.0, n_nodes, &mut f, &mut q, Some(&mut g), Some(&mut c), 0.0);
+                StampContext::new(x, 0.0, &mut f, &mut q, Some(&mut g), Some(&mut c), 0.0);
             dev.stamp(&mut ctx);
         }
         (f, q, g, c)
@@ -168,7 +163,7 @@ mod tests {
     #[test]
     fn resistor_stamp() {
         let r = Resistor::new("R1", 1, 2, 100.0);
-        let (f, _q, g, _c) = eval(&r, &[2.0, 1.0], 2, 2);
+        let (f, _q, g, _c) = eval(&r, &[2.0, 1.0], 2);
         assert!((f[0] - 0.01).abs() < 1e-15); // (2-1)/100 leaving node 1
         assert!((f[1] + 0.01).abs() < 1e-15);
         assert!((g[(0, 0)] - 0.01).abs() < 1e-18);
@@ -178,7 +173,7 @@ mod tests {
     #[test]
     fn resistor_to_ground_has_no_ground_row() {
         let r = Resistor::new("R1", 1, 0, 50.0);
-        let (f, _q, g, _c) = eval(&r, &[1.0], 1, 1);
+        let (f, _q, g, _c) = eval(&r, &[1.0], 1);
         assert!((f[0] - 0.02).abs() < 1e-15);
         assert!((g[(0, 0)] - 0.02).abs() < 1e-18);
     }
@@ -186,7 +181,7 @@ mod tests {
     #[test]
     fn capacitor_charge_and_jacobian() {
         let c = Capacitor::new("C1", 1, 0, 1e-12);
-        let (_f, q, _g, cm) = eval(&c, &[3.0], 1, 1);
+        let (_f, q, _g, cm) = eval(&c, &[3.0], 1);
         assert!((q[0] - 3e-12).abs() < 1e-24);
         assert!((cm[(0, 0)] - 1e-12).abs() < 1e-24);
     }
@@ -196,7 +191,7 @@ mod tests {
         let mut l = Inductor::new("L1", 1, 0, 1e-9);
         l.set_branch_base(1); // one node + branch at row 1
         let x = [2.0, 0.5]; // v1 = 2, i_l = 0.5
-        let (f, q, g, cm) = eval(&l, &x, 1, 2);
+        let (f, q, g, cm) = eval(&l, &x, 2);
         assert!((f[0] - 0.5).abs() < 1e-15); // current leaves node 1
         assert!((f[1] - 2.0).abs() < 1e-15); // branch eq static: v_p - v_n
         assert!((q[1] + 1e-9 * 0.5).abs() < 1e-24);

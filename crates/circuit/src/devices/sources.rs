@@ -14,7 +14,7 @@ pub struct Vsource {
     p: NodeId,
     n: NodeId,
     /// The stimulus waveform.
-    pub waveform: Waveform,
+    pub(crate) waveform: Waveform,
     branch: usize,
 }
 
@@ -22,11 +22,6 @@ impl Vsource {
     /// Creates a voltage source.
     pub fn new(name: impl Into<String>, p: NodeId, n: NodeId, waveform: Waveform) -> Self {
         Self { name: name.into(), p, n, waveform, branch: usize::MAX }
-    }
-
-    /// Absolute row of the branch-current unknown (after finalize).
-    pub fn branch_row(&self) -> usize {
-        self.branch
     }
 }
 
@@ -82,17 +77,22 @@ impl Device for Vsource {
 /// An independent current source injecting `u(t)` into node `to` (and
 /// drawing it from node `from`).
 #[derive(Debug, Clone)]
-pub struct Isource {
+pub(crate) struct Isource {
     name: String,
     from: NodeId,
     to: NodeId,
     /// The stimulus waveform.
-    pub waveform: Waveform,
+    pub(crate) waveform: Waveform,
 }
 
 impl Isource {
     /// Creates a current source pushing current from `from` to `to`.
-    pub fn new(name: impl Into<String>, from: NodeId, to: NodeId, waveform: Waveform) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        from: NodeId,
+        to: NodeId,
+        waveform: Waveform,
+    ) -> Self {
         Self { name: name.into(), from, to, waveform }
     }
 }
@@ -133,19 +133,19 @@ impl Device for Isource {
 /// A voltage-controlled current source: current `gm·(v_cp − v_cn)` flows
 /// from `p` to `n`.
 #[derive(Debug, Clone)]
-pub struct Vccs {
+pub(crate) struct Vccs {
     name: String,
     p: NodeId,
     n: NodeId,
     cp: NodeId,
     cn: NodeId,
     /// Transconductance in siemens.
-    pub gm: f64,
+    pub(crate) gm: f64,
 }
 
 impl Vccs {
     /// Creates a VCCS.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         p: NodeId,
         n: NodeId,
@@ -181,20 +181,20 @@ impl Device for Vccs {
 /// A voltage-controlled voltage source: `v_p − v_n = gain·(v_cp − v_cn)`,
 /// with a branch current unknown.
 #[derive(Debug, Clone)]
-pub struct Vcvs {
+pub(crate) struct Vcvs {
     name: String,
     p: NodeId,
     n: NodeId,
     cp: NodeId,
     cn: NodeId,
     /// Voltage gain.
-    pub gain: f64,
+    pub(crate) gain: f64,
     branch: usize,
 }
 
 impl Vcvs {
     /// Creates a VCVS.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         p: NodeId,
         n: NodeId,
@@ -256,19 +256,19 @@ impl Device for Vcvs {
 /// `gain·i_ctrl` flows from `p` to `n`, where `i_ctrl` is the branch
 /// current of a named voltage source (or inductor).
 #[derive(Debug, Clone)]
-pub struct Cccs {
+pub(crate) struct Cccs {
     name: String,
     p: NodeId,
     n: NodeId,
     control: String,
     /// Current gain (dimensionless).
-    pub gain: f64,
+    pub(crate) gain: f64,
     ctrl_row: usize,
 }
 
 impl Cccs {
     /// Creates a CCCS controlled by the branch current of `control`.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         p: NodeId,
         n: NodeId,
@@ -314,20 +314,20 @@ impl Device for Cccs {
 /// `i_ctrl` is the branch current of a named voltage source (or
 /// inductor).
 #[derive(Debug, Clone)]
-pub struct Ccvs {
+pub(crate) struct Ccvs {
     name: String,
     p: NodeId,
     n: NodeId,
     control: String,
     /// Transresistance in ohms.
-    pub r: f64,
+    pub(crate) r: f64,
     branch: usize,
     ctrl_row: usize,
 }
 
 impl Ccvs {
     /// Creates a CCVS controlled by the branch current of `control`.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         p: NodeId,
         n: NodeId,
@@ -402,14 +402,13 @@ mod tests {
 
     use crate::devices::passive::Resistor;
 
-    fn eval(dev: &dyn Device, x: &[f64], n_nodes: usize, dim: usize, t: f64) -> (Vec<f64>, Mat) {
+    fn eval(dev: &dyn Device, x: &[f64], dim: usize, t: f64) -> (Vec<f64>, Mat) {
         let mut f = vec![0.0; dim];
         let mut q = vec![0.0; dim];
         let mut g = Mat::zeros(dim, dim);
         let mut c = Mat::zeros(dim, dim);
         {
-            let mut ctx =
-                StampContext::new(x, t, n_nodes, &mut f, &mut q, Some(&mut g), Some(&mut c), 0.0);
+            let mut ctx = StampContext::new(x, t, &mut f, &mut q, Some(&mut g), Some(&mut c), 0.0);
             dev.stamp(&mut ctx);
         }
         (f, g)
@@ -420,13 +419,13 @@ mod tests {
         let mut v = Vsource::new("V1", 1, 0, Waveform::Dc(1.5));
         v.set_branch_base(1);
         // v1 = 1.5 satisfied, branch current 1 mA.
-        let (f, g) = eval(&v, &[1.5, 1e-3], 1, 2, 0.0);
+        let (f, g) = eval(&v, &[1.5, 1e-3], 2, 0.0);
         assert!((f[0] - 1e-3).abs() < 1e-18);
         assert!(f[1].abs() < 1e-15);
         assert_eq!(g[(0, 1)], 1.0);
         assert_eq!(g[(1, 0)], 1.0);
         // Violated branch equation shows in the residual.
-        let (f, _) = eval(&v, &[1.0, 0.0], 1, 2, 0.0);
+        let (f, _) = eval(&v, &[1.0, 0.0], 2, 0.0);
         assert!((f[1] + 0.5).abs() < 1e-15);
     }
 
@@ -445,7 +444,7 @@ mod tests {
             },
         );
         v.set_branch_base(1);
-        let (f, _) = eval(&v, &[0.0, 0.0], 1, 2, 0.25);
+        let (f, _) = eval(&v, &[0.0, 0.0], 2, 0.25);
         assert!((f[1] + 1.0).abs() < 1e-12, "residual tracks -u(t)");
         assert_eq!(v.source_value(0.25), Some(1.0));
     }
@@ -453,7 +452,7 @@ mod tests {
     #[test]
     fn isource_injects_current() {
         let i = Isource::new("I1", 0, 1, Waveform::Dc(2e-3));
-        let (f, _) = eval(&i, &[0.0], 1, 1, 0.0);
+        let (f, _) = eval(&i, &[0.0], 1, 0.0);
         assert!((f[0] + 2e-3).abs() < 1e-18);
         let b = i.input_column().unwrap();
         assert_eq!(b, vec![(0, 1.0)]);
@@ -462,7 +461,7 @@ mod tests {
     #[test]
     fn vccs_transconductance_stamp() {
         let g = Vccs::new("G1", 2, 0, 1, 0, 1e-3);
-        let (f, gm) = eval(&g, &[2.0, 0.0], 2, 2, 0.0);
+        let (f, gm) = eval(&g, &[2.0, 0.0], 2, 0.0);
         assert!((f[1] - 2e-3).abs() < 1e-18);
         assert!((gm[(1, 0)] - 1e-3).abs() < 1e-18);
     }
@@ -519,6 +518,5 @@ mod tests {
         let mut v = Vsource::new("V1", 2, 1, Waveform::Dc(0.0));
         v.set_branch_base(7);
         assert_eq!(v.input_column().unwrap(), vec![(7, 1.0)]);
-        assert_eq!(v.branch_row(), 7);
     }
 }

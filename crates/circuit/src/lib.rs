@@ -42,23 +42,23 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ac;
-pub mod circuits;
-pub mod dc;
+mod ac;
+mod circuits;
+mod dc;
 pub mod devices;
-pub mod error;
-pub mod netlist;
+mod error;
+mod netlist;
 pub mod parser;
-pub mod snapshot;
-pub mod transient;
-pub mod waveform;
+mod snapshot;
+mod transient;
+mod waveform;
 
-pub use ac::{ac_sweep, transfer_at, transfer_sweep, ReducedTransfer, REDUCTION_CROSSOVER};
+pub use ac::{ac_sweep, transfer_at, transfer_sweep, ReducedTransfer};
 pub use circuits::{diode_clipper, high_speed_buffer, rc_ladder, transistor_count, BufferParams};
 pub use dc::{dc_operating_point, DcOptions};
 pub use error::CircuitError;
 pub use netlist::{Circuit, MnaEval};
 pub use parser::parse_netlist;
 pub use snapshot::JacobianSnapshot;
-pub use transient::{transient, Integrator, TranOptions, TranResult};
+pub use transient::{transient, TranOptions, TranResult};
 pub use waveform::{prbs7, Waveform};

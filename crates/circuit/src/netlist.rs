@@ -11,9 +11,9 @@ use crate::error::CircuitError;
 #[derive(Debug, Clone)]
 pub struct MnaEval {
     /// Static residual `i(x) − s(t)` (KCL currents and branch equations).
-    pub f: Vec<f64>,
+    pub(crate) f: Vec<f64>,
     /// Charge/flux vector `q(x)`.
-    pub q: Vec<f64>,
+    pub(crate) q: Vec<f64>,
     /// `∂f/∂x` (present when Jacobians were requested).
     pub g: Option<Mat>,
     /// `∂q/∂x` (present when Jacobians were requested).
@@ -48,7 +48,6 @@ pub struct MnaEval {
 /// ```
 #[derive(Debug, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
     node_index: HashMap<String, NodeId>,
     devices: Vec<Box<dyn Device>>,
     device_index: HashMap<String, usize>,
@@ -62,7 +61,6 @@ impl Circuit {
     /// Creates an empty circuit (ground pre-registered).
     pub fn new() -> Self {
         let mut c = Self {
-            node_names: vec!["0".to_string()],
             node_index: HashMap::new(),
             devices: Vec::new(),
             device_index: HashMap::new(),
@@ -82,26 +80,16 @@ impl Circuit {
         if let Some(&id) = self.node_index.get(key) {
             return id;
         }
-        let id = self.node_names.len();
-        self.node_names.push(key.to_string());
+        let id = self.node_index.len();
         self.node_index.insert(key.to_string(), id);
         self.finalized = false;
         id
     }
 
     /// Looks up an existing node by name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
+    pub(crate) fn find_node(&self, name: &str) -> Option<NodeId> {
         let key = if name.eq_ignore_ascii_case("gnd") { "0" } else { name };
         self.node_index.get(key).copied()
-    }
-
-    /// Name of a node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id]
     }
 
     /// Adds a device.
@@ -117,7 +105,7 @@ impl Circuit {
             return Err(CircuitError::DuplicateDevice { name });
         }
         for n in device.nodes() {
-            if n >= self.node_names.len() {
+            if n >= self.node_index.len() {
                 return Err(CircuitError::UnknownNode { name: format!("#{n}") });
             }
         }
@@ -159,7 +147,7 @@ impl Circuit {
 
     /// Number of circuit nodes excluding ground.
     pub fn n_nodes(&self) -> usize {
-        self.node_names.len() - 1
+        self.node_index.len() - 1
     }
 
     /// Number of devices.
@@ -168,7 +156,7 @@ impl Circuit {
     }
 
     /// Iterates over the devices.
-    pub fn devices(&self) -> impl Iterator<Item = &dyn Device> {
+    pub(crate) fn devices(&self) -> impl Iterator<Item = &dyn Device> {
         self.devices.iter().map(|d| d.as_ref())
     }
 
@@ -179,20 +167,9 @@ impl Circuit {
         self.n_nodes() + self.n_branches
     }
 
-    /// Total number of unknowns without finalizing (must already be
-    /// finalized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit was modified since the last finalize.
-    pub fn dim_finalized(&self) -> usize {
-        assert!(self.finalized, "circuit must be finalized");
-        self.n_nodes() + self.n_branches
-    }
-
     /// Assigns branch rows and resolves current-control references.
     /// Called automatically by the analyses.
-    pub fn finalize(&mut self) {
+    pub(crate) fn finalize(&mut self) {
         if self.finalized {
             return;
         }
@@ -230,16 +207,7 @@ impl Circuit {
         let mut g = if want_jacobians { Some(Mat::zeros(dim, dim)) } else { None };
         let mut c = if want_jacobians { Some(Mat::zeros(dim, dim)) } else { None };
         {
-            let mut ctx = StampContext::new(
-                x,
-                t,
-                self.n_nodes(),
-                &mut f,
-                &mut q,
-                g.as_mut(),
-                c.as_mut(),
-                gmin,
-            );
+            let mut ctx = StampContext::new(x, t, &mut f, &mut q, g.as_mut(), c.as_mut(), gmin);
             for d in &self.devices {
                 d.stamp(&mut ctx);
             }
@@ -252,7 +220,7 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`CircuitError::MissingPort`] when no input is set.
-    pub fn input_value(&self, t: f64) -> Result<f64, CircuitError> {
+    pub(crate) fn input_value(&self, t: f64) -> Result<f64, CircuitError> {
         let idx = self.input.ok_or(CircuitError::MissingPort { which: "input" })?;
         Ok(self.devices[idx].source_value(t).expect("input device is a source"))
     }
@@ -307,11 +275,6 @@ impl Circuit {
         let vn = if n == 0 { 0.0 } else { x[n - 1] };
         vp - vn
     }
-
-    /// Index of the input device, if configured.
-    pub fn input_device(&self) -> Option<&dyn Device> {
-        self.input.map(|i| self.devices[i].as_ref())
-    }
 }
 
 #[cfg(test)]
@@ -330,7 +293,6 @@ mod tests {
         let a = c.node("a");
         assert_eq!(a, 1);
         assert_eq!(c.node("a"), 1);
-        assert_eq!(c.node_name(a), "a");
         assert_eq!(c.find_node("b"), None);
         assert_eq!(c.n_nodes(), 1);
     }

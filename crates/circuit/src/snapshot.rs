@@ -5,7 +5,6 @@
 //! `(G(k), C(k))` of the circuit around the large-signal trajectory,
 //! together with the input (the state estimator) and output values.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rvf_numerics::Mat;
 
 /// One captured linearization of the circuit at a trajectory point.
@@ -23,115 +22,4 @@ pub struct JacobianSnapshot {
     pub g: Mat,
     /// Dynamic Jacobian `C = ∂q/∂v` at the solution.
     pub c: Mat,
-}
-
-impl JacobianSnapshot {
-    /// Serializes the snapshot to a compact binary representation
-    /// (useful for staging large training sets out of memory).
-    pub fn to_bytes(&self) -> Bytes {
-        let dim = self.x.len();
-        let mut buf = BytesMut::with_capacity(32 + 8 * (dim + 2 * dim * dim));
-        buf.put_u64_le(dim as u64);
-        buf.put_f64_le(self.t);
-        buf.put_f64_le(self.u);
-        buf.put_f64_le(self.y);
-        for &v in &self.x {
-            buf.put_f64_le(v);
-        }
-        for &v in self.g.as_slice() {
-            buf.put_f64_le(v);
-        }
-        for &v in self.c.as_slice() {
-            buf.put_f64_le(v);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a snapshot previously written by [`Self::to_bytes`].
-    ///
-    /// Returns `None` when the buffer is truncated or inconsistent.
-    pub fn from_bytes(mut data: Bytes) -> Option<Self> {
-        if data.remaining() < 32 {
-            return None;
-        }
-        let dim = usize::try_from(data.get_u64_le()).ok()?;
-        // Checked arithmetic: a corrupt header must yield None, not an
-        // overflow-wrapped size check and a giant allocation.
-        let need = dim
-            .checked_mul(dim)
-            .and_then(|d2| d2.checked_mul(2))
-            .and_then(|d2| d2.checked_add(dim))
-            .and_then(|n| n.checked_mul(8))
-            .and_then(|n| n.checked_add(24))?;
-        if data.remaining() < need {
-            return None;
-        }
-        let t = data.get_f64_le();
-        let u = data.get_f64_le();
-        let y = data.get_f64_le();
-        let mut x = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            x.push(data.get_f64_le());
-        }
-        let mut gv = Vec::with_capacity(dim * dim);
-        for _ in 0..dim * dim {
-            gv.push(data.get_f64_le());
-        }
-        let mut cv = Vec::with_capacity(dim * dim);
-        for _ in 0..dim * dim {
-            cv.push(data.get_f64_le());
-        }
-        Some(Self { t, u, y, x, g: Mat::from_vec(dim, dim, gv), c: Mat::from_vec(dim, dim, cv) })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trip() {
-        let snap = JacobianSnapshot {
-            t: 1e-9,
-            u: 0.9,
-            y: 1.8,
-            x: vec![1.0, 2.0, 3.0],
-            g: Mat::from_fn(3, 3, |i, j| (i * 3 + j) as f64),
-            c: Mat::from_fn(3, 3, |i, j| 0.1 * (i + j) as f64),
-        };
-        let bytes = snap.to_bytes();
-        let back = JacobianSnapshot::from_bytes(bytes).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn truncated_buffer_rejected() {
-        let snap = JacobianSnapshot {
-            t: 0.0,
-            u: 0.0,
-            y: 0.0,
-            x: vec![1.0],
-            g: Mat::zeros(1, 1),
-            c: Mat::zeros(1, 1),
-        };
-        let bytes = snap.to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 4);
-        assert!(JacobianSnapshot::from_bytes(cut).is_none());
-        assert!(JacobianSnapshot::from_bytes(Bytes::new()).is_none());
-    }
-
-    #[test]
-    fn corrupt_dim_header_rejected_without_overflow() {
-        // dim chosen so 8·(2·dim² + dim) + 24 wraps a u64/usize: the
-        // size check must fail via checked arithmetic, not wrap small
-        // and attempt a giant allocation.
-        for dim in [u64::MAX, 3_037_000_499u64, 1u64 << 62] {
-            let mut buf = BytesMut::with_capacity(40);
-            buf.put_u64_le(dim);
-            for _ in 0..4 {
-                buf.put_f64_le(0.0);
-            }
-            assert!(JacobianSnapshot::from_bytes(buf.freeze()).is_none(), "dim {dim}");
-        }
-    }
 }

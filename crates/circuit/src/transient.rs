@@ -1,21 +1,12 @@
-//! Transient analysis: fixed-step implicit integration with Newton at
-//! every step and optional Jacobian snapshot capture.
+//! Transient analysis: fixed-step trapezoidal integration (second order,
+//! A-stable, SPICE's default) with Newton at every step and optional
+//! Jacobian snapshot capture.
 
 use rvf_numerics::Lu;
 
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
 use crate::snapshot::JacobianSnapshot;
-
-/// Implicit integration rule for `f(x) + q̇(x) = 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// First-order, L-stable, artificially damped.
-    BackwardEuler,
-    /// Second-order, A-stable; SPICE's default.
-    #[default]
-    Trapezoidal,
-}
 
 /// Options for the transient solver.
 #[derive(Debug, Clone)]
@@ -24,8 +15,6 @@ pub struct TranOptions {
     pub dt: f64,
     /// Stop time (s); the solver takes `ceil(t_stop/dt)` steps.
     pub t_stop: f64,
-    /// Integration rule.
-    pub integrator: Integrator,
     /// Maximum Newton iterations per step.
     pub max_newton: usize,
     /// Residual tolerance (A).
@@ -43,7 +32,6 @@ impl Default for TranOptions {
         Self {
             dt: 1e-12,
             t_stop: 1e-9,
-            integrator: Integrator::Trapezoidal,
             max_newton: 50,
             tol_residual: 1e-9,
             tol_update: 1e-9,
@@ -77,7 +65,8 @@ pub struct TranResult {
 /// # Errors
 ///
 /// Returns [`CircuitError::BadAnalysisOptions`] for a non-positive or
-/// non-finite `dt`/`t_stop`, [`CircuitError::StateSizeMismatch`] when
+/// non-finite `dt`/`t_stop` or a step count `t_stop/dt` whose time
+/// points cannot be stored, [`CircuitError::StateSizeMismatch`] when
 /// `x0` does not match the circuit dimension,
 /// [`CircuitError::NewtonDiverged`] with the failing time if a step
 /// does not converge, or a numerics error for singular Jacobians.
@@ -100,7 +89,19 @@ pub fn transient(
     if x0.len() != dim {
         return Err(CircuitError::StateSizeMismatch { expected: dim, got: x0.len() });
     }
+    // `as` saturates, so a step count past `usize::MAX` fails the add.
     let n_steps = (opts.t_stop / opts.dt).ceil() as usize;
+    let n_points = n_steps.checked_add(1).ok_or_else(|| too_many_points(n_steps))?;
+    let mut result = TranResult {
+        times: reserve(n_points)?,
+        inputs: reserve(n_points)?,
+        outputs: reserve(n_points)?,
+        states: reserve(n_points)?,
+        snapshots: Vec::new(),
+        newton_iterations: 0,
+    };
+    // Trapezoidal companion scale: `q̇ₙ₊₁ = k·(qₙ₊₁ − qₙ) − q̇ₙ`.
+    let k = 2.0 / opts.dt;
 
     let mut x = x0.to_vec();
     // q and q̇ at the current accepted point; at a DC equilibrium
@@ -109,14 +110,6 @@ pub fn transient(
     let mut q_prev = ev0.q;
     let mut qdot_prev: Vec<f64> = ev0.f.iter().map(|v| -v).collect();
 
-    let mut result = TranResult {
-        times: Vec::with_capacity(n_steps + 1),
-        inputs: Vec::with_capacity(n_steps + 1),
-        outputs: Vec::with_capacity(n_steps + 1),
-        states: Vec::with_capacity(n_steps + 1),
-        snapshots: Vec::new(),
-        newton_iterations: 0,
-    };
     let record = |res: &mut TranResult, circuit: &Circuit, t: f64, x: &[f64]| {
         res.times.push(t);
         res.inputs.push(circuit.input_value(t).unwrap_or(0.0));
@@ -138,22 +131,10 @@ pub fn transient(
                 (Some(g), Some(c)) => (g, c),
                 _ => return Err(CircuitError::MissingJacobian),
             };
-            // Residual and companion Jacobian per integrator.
-            let (res_vec, jac) = match opts.integrator {
-                Integrator::BackwardEuler => {
-                    let inv_h = 1.0 / opts.dt;
-                    let r: Vec<f64> =
-                        (0..dim).map(|i| ev.f[i] + (ev.q[i] - q_prev[i]) * inv_h).collect();
-                    (r, g.axpy(inv_h, &c))
-                }
-                Integrator::Trapezoidal => {
-                    let k = 2.0 / opts.dt;
-                    let r: Vec<f64> = (0..dim)
-                        .map(|i| ev.f[i] + k * (ev.q[i] - q_prev[i]) - qdot_prev[i])
-                        .collect();
-                    (r, g.axpy(k, &c))
-                }
-            };
+            // Trapezoidal residual and companion Jacobian.
+            let res_vec: Vec<f64> =
+                (0..dim).map(|i| ev.f[i] + k * (ev.q[i] - q_prev[i]) - qdot_prev[i]).collect();
+            let jac = g.axpy(k, &c);
             residual = res_vec.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             let lu = Lu::factor(&jac)?;
             let dx = lu.solve(&res_vec)?;
@@ -180,24 +161,28 @@ pub fn transient(
         }
         // Accept: update charge history.
         let ev = circuit.eval(&x, t, opts.gmin, false);
-        match opts.integrator {
-            Integrator::BackwardEuler => {
-                for i in 0..dim {
-                    qdot_prev[i] = (ev.q[i] - q_prev[i]) / opts.dt;
-                }
-            }
-            Integrator::Trapezoidal => {
-                let k = 2.0 / opts.dt;
-                for i in 0..dim {
-                    qdot_prev[i] = k * (ev.q[i] - q_prev[i]) - qdot_prev[i];
-                }
-            }
+        for i in 0..dim {
+            qdot_prev[i] = k * (ev.q[i] - q_prev[i]) - qdot_prev[i];
         }
         q_prev = ev.q;
         record(&mut result, circuit, t, &x);
         maybe_snapshot(circuit, &mut result, step, opts, t, &x)?;
     }
     Ok(result)
+}
+
+fn too_many_points(n_steps: usize) -> CircuitError {
+    CircuitError::BadAnalysisOptions {
+        message: format!("t_stop/dt asks for {n_steps} steps, more than can be stored"),
+    }
+}
+
+/// An empty vector with room for exactly `n` elements, or the typed
+/// error if that much memory cannot be had.
+fn reserve<T>(n: usize) -> Result<Vec<T>, CircuitError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n).map_err(|_| too_many_points(n - 1))?;
+    Ok(v)
 }
 
 fn maybe_snapshot(
@@ -387,14 +372,23 @@ mod tests {
             },
         );
         let x0 = vec![0.0; ckt.dim()];
-        for bad_dt in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
-            let opts = TranOptions { dt: bad_dt, ..Default::default() };
+        // The last two rows ask for more time points than fit in a
+        // `usize` (1e300) or in memory (1e15).
+        for (bad_dt, t_stop) in [
+            (0.0, 1e-9),
+            (-1e-9, 1e-9),
+            (f64::NAN, 1e-9),
+            (f64::INFINITY, 1e-9),
+            (1e-300, 1.0),
+            (1e-15, 1.0),
+        ] {
+            let opts = TranOptions { dt: bad_dt, t_stop, ..Default::default() };
             assert!(
                 matches!(
                     transient(&mut ckt, &x0, &opts),
                     Err(CircuitError::BadAnalysisOptions { .. })
                 ),
-                "dt={bad_dt}"
+                "dt={bad_dt}, t_stop={t_stop}"
             );
         }
         for bad_stop in [0.0, -1.0, f64::NAN] {
@@ -414,34 +408,5 @@ mod tests {
                 if expected == 3 && got == 2),
             "{got:?}"
         );
-    }
-
-    #[test]
-    fn backward_euler_also_converges() {
-        let (mut ckt, out) = rc_lowpass(
-            1e3,
-            1e-9,
-            Waveform::Pulse {
-                v0: 0.0,
-                v1: 1.0,
-                delay: 0.0,
-                rise: 1e-15,
-                fall: 1e-15,
-                width: 1.0,
-                period: 0.0,
-            },
-        );
-        let x0 = vec![0.0; ckt.dim()];
-        let opts = TranOptions {
-            dt: 2.5e-11,
-            t_stop: 5e-9,
-            integrator: Integrator::BackwardEuler,
-            ..Default::default()
-        };
-        let res = transient(&mut ckt, &x0, &opts).unwrap();
-        let t_end = *res.times.last().unwrap();
-        let want = 1.0 - (-t_end / 1e-6).exp();
-        let got = res.states.last().unwrap()[out - 1];
-        assert!((got - want).abs() < 5e-3, "{got} vs {want}");
     }
 }

@@ -147,11 +147,6 @@ impl Waveform {
         }
     }
 
-    /// `true` if the waveform is time-invariant.
-    pub fn is_dc(&self) -> bool {
-        matches!(self, Waveform::Dc(_))
-    }
-
     /// The value at `t = 0` (the DC operating-point stimulus).
     pub fn dc_value(&self) -> f64 {
         self.value(0.0)
@@ -188,7 +183,6 @@ mod tests {
         let w = Waveform::Dc(1.5);
         assert_eq!(w.value(0.0), 1.5);
         assert_eq!(w.value(1e9), 1.5);
-        assert!(w.is_dc());
     }
 
     #[test]
@@ -203,7 +197,6 @@ mod tests {
         assert!((w.value(0.0) - 0.9).abs() < 1e-15);
         assert!((w.value(0.25) - 1.4).abs() < 1e-12);
         assert!((w.value(0.75) - 0.4).abs() < 1e-12);
-        assert!(!w.is_dc());
     }
 
     #[test]

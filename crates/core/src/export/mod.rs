@@ -12,6 +12,6 @@
 //! * [`matlab`] — a MATLAB function implementing the model equations for
 //!   `ode45`-style integration.
 
-pub mod matlab;
+pub(crate) mod matlab;
 pub mod text;
-pub mod verilog_a;
+pub(crate) mod verilog_a;

@@ -35,7 +35,7 @@ pub struct StateFn {
 impl StateFn {
     /// Builds from response `k` of a state-axis fit, with the primitive
     /// anchored to `primitive(u0) = anchor`.
-    pub fn from_fit(model: &RationalModel, k: usize, u0: f64, anchor: f64) -> Self {
+    pub(crate) fn from_fit(model: &RationalModel, k: usize, u0: f64, anchor: f64) -> Self {
         let rational = single_response(model, k);
         let primitive = IntegratedStateFn::from_state_fit(&rational, 0).anchored(u0, anchor);
         Self { rational, primitive }
@@ -80,7 +80,7 @@ pub enum DynBlock {
 
 impl DynBlock {
     /// State dimension (1 or 2).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         match self {
             DynBlock::Real { .. } => 1,
             DynBlock::Pair { .. } => 2,
@@ -89,7 +89,7 @@ impl DynBlock {
 
     /// The complex residue value `r(u)` reconstructed from the
     /// input-shifted components (inverse of paper eq. 14).
-    pub fn residue_at(&self, u: f64) -> Complex {
+    pub(crate) fn residue_at(&self, u: f64) -> Complex {
         match self {
             DynBlock::Real { f, .. } => Complex::from_re(f.value(u)),
             DynBlock::Pair { f1, f2, .. } => {
@@ -101,7 +101,7 @@ impl DynBlock {
     }
 
     /// Transfer contribution at `(u, s)`.
-    pub fn transfer(&self, u: f64, s: Complex) -> Complex {
+    pub(crate) fn transfer(&self, u: f64, s: Complex) -> Complex {
         match self {
             DynBlock::Real { a, .. } => self.residue_at(u) * (s - Complex::from_re(*a)).inv(),
             DynBlock::Pair { sigma, omega, .. } => {
@@ -127,7 +127,7 @@ pub struct BuildDiagnostics {
     /// State pole count of the static path.
     pub static_pole_count: usize,
     /// Relative RMS error of the static-path fit.
-    pub static_rel_error: f64,
+    pub(crate) static_rel_error: f64,
     /// Warm-started fits, over every stage of the build, that hit a
     /// numerical kernel failure and fell back to a cold restart.
     pub cold_restarts: usize,
@@ -152,11 +152,6 @@ impl HammersteinModel {
     /// Total LTI state dimension.
     pub fn n_states(&self) -> usize {
         self.blocks.iter().map(DynBlock::dim).sum()
-    }
-
-    /// Number of frequency poles.
-    pub fn n_poles(&self) -> usize {
-        self.n_states()
     }
 
     /// The model's TFT `T(x, s)` for hyperplane comparison (Fig. 7):
@@ -457,6 +452,30 @@ mod tests {
         let got = *y.last().unwrap();
         assert!((got - want).abs() < 2e-3, "{got} vs {want}");
         // Starts in steady state: y[0] = 0.
+        assert!(y[0].abs() < 1e-12);
+
+        // Pair block a = σ + jω with a constant residue r (eq. 14's
+        // components f₁ = Re r + Im r, f₂ = Re r − Im r): the same step
+        // settles to the DC transfer −2·Re(r/a).
+        let (a, r) = (c(-2.0e9, 3.0e9), c(2.0e9, 1.0e9));
+        let pair = DynBlock::Pair {
+            sigma: a.re,
+            omega: a.im,
+            f1: state_fn_for(move |_x| r.re + r.im, 0.0, 0.0),
+            f2: state_fn_for(move |_x| r.re - r.im, 0.0, 0.0),
+        };
+        let want = -2.0 * (r / a).re;
+        let dc = pair.transfer(1.0, Complex::ZERO);
+        assert!((dc.re - want).abs() < 1e-6 * want.abs() && dc.im == 0.0, "{dc:?} vs {want}");
+        let model = HammersteinModel {
+            static_path: state_fn_for(|_x| 0.0, 0.0, 0.0),
+            blocks: vec![pair],
+            u0: 0.0,
+            y0: 0.0,
+        };
+        let y = model.simulate(dt, &u);
+        let got = *y.last().unwrap();
+        assert!((got - want).abs() < 2e-3 * want.abs(), "{got} vs {want}");
         assert!(y[0].abs() < 1e-12);
     }
 

@@ -53,7 +53,7 @@ impl IntegratedStateFn {
     /// Panics if the model contains a *real* pole (state fits keep poles
     /// in conjugate pairs; a real pole would put a singularity on the
     /// axis and has no smooth primitive there).
-    pub fn from_state_fit(model: &RationalModel, k: usize) -> Self {
+    pub(crate) fn from_state_fit(model: &RationalModel, k: usize) -> Self {
         let terms: Vec<LogTerm> = model
             .poles()
             .entries()
@@ -70,7 +70,7 @@ impl IntegratedStateFn {
     }
 
     /// Evaluates the primitive at `u`.
-    pub fn eval(&self, u: f64) -> f64 {
+    pub(crate) fn eval(&self, u: f64) -> f64 {
         let mut acc = self.constant + self.linear * u + 0.5 * self.quadratic * u * u;
         for t in &self.terms {
             let z = Complex::from_re(u) - t.pole;
@@ -81,7 +81,8 @@ impl IntegratedStateFn {
 
     /// Evaluates the derivative (the original rational function) — used
     /// to verify the integral against the fitted residues.
-    pub fn derivative(&self, u: f64) -> f64 {
+    #[cfg(test)]
+    fn derivative(&self, u: f64) -> f64 {
         let mut acc = self.linear + self.quadratic * u;
         for t in &self.terms {
             let z = (Complex::from_re(u) - t.pole).inv();
@@ -93,7 +94,7 @@ impl IntegratedStateFn {
     /// Shifts the constant so that `eval(u0) == value` (anchoring on the
     /// DC solution).
     #[must_use]
-    pub fn anchored(mut self, u0: f64, value: f64) -> Self {
+    pub(crate) fn anchored(mut self, u0: f64, value: f64) -> Self {
         self.constant = 0.0;
         let at = self.eval(u0);
         self.constant = value - at;

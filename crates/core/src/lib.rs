@@ -9,19 +9,19 @@
 //!
 //! 1. **TFT data** (from [`rvf_tft`]) — state-dependent frequency
 //!    responses sampled from circuit Jacobians;
-//! 2. **RVF** ([`rvf`]) — common-pole vector fitting along the frequency
+//! 2. **RVF** ([`fit_frequency_stage`], [`fit_state_stage`]) — common-pole vector fitting along the frequency
 //!    axis, then *recursive* vector fitting of every state-dependent
 //!    residue trajectory in the state variable, with automatic pole
 //!    count selection against an error bound `ε`;
-//! 3. **Analytic integration** ([`integrated`]) — the log-form
+//! 3. **Analytic integration** ([`IntegratedStateFn`]) — the log-form
 //!    closed-form primitives of the RVF base functions (paper eq. 19)
 //!    that make the Hammerstein static stages automatic;
-//! 4. **The Hammerstein model** ([`hammerstein`]) — stable-by-
+//! 4. **The Hammerstein model** ([`HammersteinModel`]) — stable-by-
 //!    construction parallel structure with exact-exponential simulation;
-//! 5. **Export** ([`export`]) — lossless text serialization, Verilog-A
-//!    and MATLAB code generation;
+//! 5. **Export** ([`text`], [`to_verilog_a`], [`to_matlab`]) — lossless
+//!    text serialization, Verilog-A and MATLAB code generation;
 //! 6. **Serving** ([`serving`]) — the compiled evaluation runtime behind
-//!    [`HammersteinModel::simulate`](hammerstein::HammersteinModel::simulate):
+//!    [`HammersteinModel::simulate`]:
 //!    models lowered to flat shared-basis tables, with one-shot, pooled
 //!    batch, and streaming/resumable session APIs
 //!    ([`SimState`], [`StreamingSession`], and
@@ -55,14 +55,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod error;
-pub mod export;
-pub mod hammerstein;
-pub mod integrated;
-pub mod metrics;
-pub mod pipeline;
-pub mod recursive;
-pub mod rvf;
+mod error;
+mod export;
+mod hammerstein;
+mod integrated;
+mod metrics;
+mod pipeline;
+mod recursive;
+mod rvf;
 pub mod serving;
 
 pub use error::RvfError;

@@ -7,7 +7,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeDomainReport {
     /// Absolute RMS error.
-    pub rmse: f64,
+    pub(crate) rmse: f64,
     /// RMS error normalized by the reference peak-to-peak swing — the
     /// paper's Table I "Time Domain RMSE" convention (≈ 0.0098 for RVF).
     pub nrmse: f64,

@@ -29,13 +29,13 @@ use crate::rvf::{fit_state_stage_in, grow_poles, single_response, state_preset, 
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rvf2d {
     /// Pole set of the outer (last) variable `x₂`.
-    pub x2_poles: PoleSet,
+    pub(crate) x2_poles: PoleSet,
     /// Whether the outer fit carried a constant column.
-    pub x2_has_const: bool,
+    pub(crate) x2_has_const: bool,
     /// Inner fits: one single-response rational model of `x₁` per outer
     /// basis coefficient (flat basis order of `x2_poles`, then the
     /// constant column when present).
-    pub coefficient_fits: Vec<RationalModel>,
+    pub(crate) coefficient_fits: Vec<RationalModel>,
 }
 
 impl Rvf2d {

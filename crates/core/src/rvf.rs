@@ -86,7 +86,7 @@ pub struct StageFit {
     pub relocation_rounds: usize,
     /// Fits of the stage whose warm start failed and fell back to a cold
     /// restart (see [`rvf_vecfit::VfFit::cold_restarted`]).
-    pub cold_restarts: usize,
+    pub(crate) cold_restarts: usize,
 }
 
 /// Fits the frequency axis: common stable poles across all state
@@ -253,7 +253,7 @@ fn strict_check(
 
 /// Extracts a single response from a multi-response model (helper for
 /// building per-block state functions).
-pub fn single_response(model: &RationalModel, k: usize) -> RationalModel {
+pub(crate) fn single_response(model: &RationalModel, k: usize) -> RationalModel {
     RationalModel::new(model.poles().clone(), vec![model.terms()[k].clone()])
 }
 

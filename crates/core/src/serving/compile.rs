@@ -67,8 +67,8 @@ impl SimBuilder {
     }
 
     /// Registers the analytic primitive of an RVF state fit as a drive
-    /// row and returns its row id. The row evaluates exactly like
-    /// [`IntegratedStateFn::eval`].
+    /// row and returns its row id. The row evaluates exactly like the
+    /// primitive's own `eval`.
     pub fn drive_rational(&mut self, primitive: &IntegratedStateFn) -> usize {
         // 0.5·q is exact (power-of-two scaling), so precomputing it
         // preserves the reference expression `… + 0.5*q*u*u` bit for bit.

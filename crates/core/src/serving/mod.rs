@@ -5,7 +5,7 @@
 //! the deployment hot path (the paper's Table I "Speedup" is a claim
 //! about *evaluation* cost). The runtime lowers a model **once** into
 //! flat structure-of-arrays tables ([`SimBuilder`] → [`CompiledSim`],
-//! see [`compile`]) and then evaluates stimuli through three entry
+//! see `compile.rs`) and then evaluates stimuli through three entry
 //! styles:
 //!
 //! * **one-shot** — [`CompiledSim::simulate`] /
@@ -16,12 +16,12 @@
 //! * **batched** — [`CompiledSim::try_simulate_batch`] /
 //!   [`CompiledSim::try_simulate_batch_in`]: many stimuli from fresh
 //!   states, one task each over the
-//!   [`SweepPool`](rvf_numerics::SweepPool) runtime ([`batch`]);
+//!   [`SweepPool`](rvf_numerics::SweepPool) runtime (`batch.rs`);
 //! * **streaming** — [`SimState`] + [`CompiledSim::simulate_into`]
-//!   ([`state`]) carry the per-simulation first-order-hold state across
+//!   (`state.rs`) carry the per-simulation first-order-hold state across
 //!   chunk boundaries, so a stimulus fed in N chunks produces exactly
 //!   the bits of the one-shot call; [`StreamingSession`] and the
-//!   many-session [`CompiledSim::advance_chunks`] ([`session`]) build
+//!   many-session [`CompiledSim::advance_chunks`] (`session.rs`) build
 //!   resumable serving sessions on top.
 //!
 //! Every style runs the same single-simulation kernel over one
@@ -43,10 +43,10 @@
 //! invalid steps, foreign states, mis-sized buffers, and mid-batch
 //! worker panics all surface as a typed [`ServingError`].
 
-pub mod batch;
-pub mod compile;
-pub mod session;
-pub mod state;
+pub(crate) mod batch;
+pub(crate) mod compile;
+pub(crate) mod session;
+pub(crate) mod state;
 
 pub use compile::{CompiledSim, SimBuilder};
 pub use session::{SessionChunk, StreamingSession};

@@ -106,26 +106,9 @@ impl<'a> StreamingSession<'a> {
         self.state
     }
 
-    /// The session's current state.
-    pub fn state(&self) -> &SimState {
-        &self.state
-    }
-
     /// Samples fed so far.
     pub fn samples(&self) -> u64 {
         self.state.samples()
-    }
-
-    /// The sample step the session was opened with.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Rewinds the session to the fresh state (the next chunk's first
-    /// sample re-seeds the blocks at its DC operating point). Keeps all
-    /// buffers, so a reset session still allocates nothing.
-    pub fn reset(&mut self) {
-        self.state.reset();
     }
 }
 

@@ -153,8 +153,7 @@ impl SimState {
         self.samples += n as u64;
     }
 
-    /// Samples this state has absorbed since creation (or the last
-    /// [`reset`](SimState::reset)).
+    /// Samples this state has absorbed since creation.
     pub fn samples(&self) -> u64 {
         self.samples
     }
@@ -164,15 +163,6 @@ impl SimState {
     /// input it sees.
     pub fn is_started(&self) -> bool {
         self.started
-    }
-
-    /// Rewinds to the fresh state: the next chunk's first sample
-    /// re-seeds the blocks at its DC operating point. Buffers (and the
-    /// propagator cache) are kept, so a reset session still allocates
-    /// nothing.
-    pub fn reset(&mut self) {
-        self.started = false;
-        self.samples = 0;
     }
 
     /// Exports this state as a plain-data [`StateCheckpoint`] — the
@@ -651,21 +641,6 @@ mod tests {
             }
             assert_eq!(resumed.samples(), 60);
         }
-    }
-
-    #[test]
-    fn reset_rewinds_to_fresh() {
-        let sim = linear_real_sim(-1.0e9, 1.0);
-        let u = [0.3, 0.6, 0.9];
-        let mut state = sim.new_state();
-        let mut out = [0.0; 3];
-        sim.simulate_into(1e-10, &u, &mut state, &mut out).unwrap();
-        let first = out;
-        state.reset();
-        assert!(!state.is_started());
-        assert_eq!(state.samples(), 0);
-        sim.simulate_into(1e-10, &u, &mut state, &mut out).unwrap();
-        assert_eq!(first, out, "a reset state replays from the DC seed");
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct CMat {
 
 impl CMat {
     /// Creates a `rows × cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self { rows, cols, data: vec![Complex::ZERO; rows * cols] }
     }
 
@@ -41,16 +41,6 @@ impl CMat {
             m[(i, i)] = Complex::ONE;
         }
         m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<Complex>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
-        Self { rows, cols, data }
     }
 
     /// Builds the complex combination `A + s·B` of two real matrices.
@@ -72,75 +62,34 @@ impl CMat {
         Self { rows, cols, data }
     }
 
-    /// Promotes a real matrix to a complex one.
-    pub fn from_real(a: &Mat) -> Self {
-        let (rows, cols) = a.shape();
-        let data = a.as_slice().iter().map(|&v| Complex::from_re(v)).collect();
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(rows, cols)`.
     #[inline]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// Borrow of the raw row-major data.
-    #[inline]
-    pub fn as_slice(&self) -> &[Complex] {
-        &self.data
-    }
-
-    /// Mutable borrow of the raw row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Complex] {
-        &mut self.data
     }
 
     /// Borrow of row `i`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[Complex] {
+    pub(crate) fn row(&self, i: usize) -> &[Complex] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutable borrow of row `i`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [Complex] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [Complex] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Conjugate transpose `Aᴴ`.
-    pub fn adjoint(&self) -> CMat {
-        let mut t = CMat::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)].conj();
-            }
-        }
-        t
-    }
-
-    /// Plain transpose `Aᵀ` (no conjugation).
-    pub fn transpose(&self) -> CMat {
-        let mut t = CMat::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 
     /// Matrix–vector product `A·x`.
@@ -148,7 +97,8 @@ impl CMat {
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[Complex]) -> Vec<Complex> {
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[Complex]) -> Vec<Complex> {
         assert_eq!(x.len(), self.cols, "dimension mismatch in matvec");
         let mut y = vec![Complex::ZERO; self.rows];
         for i in 0..self.rows {
@@ -166,7 +116,7 @@ impl CMat {
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, other: &CMat) -> CMat {
+    pub(crate) fn matmul(&self, other: &CMat) -> CMat {
         assert_eq!(self.cols, other.rows, "dimension mismatch in matmul");
         let mut out = CMat::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -183,16 +133,6 @@ impl CMat {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Max-abs entry.
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 }
 
@@ -271,15 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_conjugates() {
-        let mut a = CMat::zeros(2, 2);
-        a[(0, 1)] = c(1.0, 2.0);
-        let h = a.adjoint();
-        assert_eq!(h[(1, 0)], c(1.0, -2.0));
-        assert_eq!(h[(0, 1)], Complex::ZERO);
-    }
-
-    #[test]
     fn matmul_identity() {
         let mut a = CMat::zeros(2, 2);
         a[(0, 0)] = c(1.0, 1.0);
@@ -299,13 +230,5 @@ mod tests {
         let y = a.matvec(&x);
         assert_eq!(y[0], c(0.0, 1.0));
         assert_eq!(y[1], c(0.0, 2.0));
-    }
-
-    #[test]
-    fn norms() {
-        let mut a = CMat::zeros(1, 2);
-        a[(0, 0)] = c(3.0, 4.0);
-        assert_eq!(a.norm_fro(), 5.0);
-        assert_eq!(a.norm_max(), 5.0);
     }
 }

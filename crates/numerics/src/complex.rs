@@ -31,11 +31,8 @@ pub struct Complex {
     pub im: f64,
 }
 
-/// Shorthand alias used throughout the workspace.
-pub type C64 = Complex;
-
 /// The imaginary unit `j`.
-pub const J: Complex = Complex { re: 0.0, im: 1.0 };
+pub(crate) const J: Complex = Complex { re: 0.0, im: 1.0 };
 
 /// Convenience constructor: `c(re, im)`.
 #[inline]
@@ -172,41 +169,6 @@ impl Complex {
         Self::new(re, im)
     }
 
-    /// Principal square root.
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        let r = self.abs();
-        let z = Self::new((0.5 * (r + self.re)).max(0.0).sqrt(), {
-            let v = (0.5 * (r - self.re)).max(0.0).sqrt();
-            if self.im < 0.0 {
-                -v
-            } else {
-                v
-            }
-        });
-        z
-    }
-
-    /// Integer power by repeated squaring.
-    pub fn powi(self, mut n: i32) -> Self {
-        if n == 0 {
-            return Self::ONE;
-        }
-        let mut base = if n < 0 { self.inv() } else { self };
-        if n < 0 {
-            n = -n;
-        }
-        let mut acc = Self::ONE;
-        while n > 0 {
-            if n & 1 == 1 {
-                acc *= base;
-            }
-            base = base * base;
-            n >>= 1;
-        }
-        acc
-    }
-
     /// Returns `true` if both components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -217,12 +179,6 @@ impl Complex {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         Self::new(self.re * k, self.im * k)
-    }
-
-    /// Fused multiply-add: `self * a + b`.
-    #[inline]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        self * a + b
     }
 }
 
@@ -828,26 +784,6 @@ mod tests {
     fn ln_shifted_into_rejects_short_outputs() {
         let poles = [Complex::ONE; 3];
         ln_shifted_into(0.5, &poles, &mut [0.0; 3], &mut [0.0; 2]);
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        for &z in &[c(4.0, 0.0), c(-4.0, 0.0), c(1.0, 1.0), c(-3.0, -4.0)] {
-            let s = z.sqrt();
-            assert!(close(s * s, z, 1e-12), "sqrt({z:?})² = {:?}", s * s);
-            assert!(s.re >= 0.0, "principal branch has Re ≥ 0");
-        }
-    }
-
-    #[test]
-    fn powi_matches_repeated_multiplication() {
-        let z = c(0.9, 0.2);
-        let mut acc = Complex::ONE;
-        for n in 0..8 {
-            assert!(close(z.powi(n), acc, 1e-12));
-            acc *= z;
-        }
-        assert!(close(z.powi(-3), (z * z * z).inv(), 1e-12));
     }
 
     #[test]

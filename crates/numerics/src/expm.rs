@@ -20,22 +20,6 @@
 
 use crate::complex::Complex;
 
-/// Exponential of the 2×2 real block `[[σ, ω], [−ω, σ]]·h`.
-///
-/// # Examples
-///
-/// ```
-/// use rvf_numerics::expm2;
-/// let e = expm2(0.0, core::f64::consts::FRAC_PI_2, 1.0);
-/// // Pure rotation by -90°… acting as [[cos, sin], [-sin, cos]].
-/// assert!((e[0][0]).abs() < 1e-15 && (e[0][1] - 1.0).abs() < 1e-15);
-/// ```
-pub fn expm2(sigma: f64, omega: f64, h: f64) -> [[f64; 2]; 2] {
-    let r = (sigma * h).exp();
-    let (sn, cs) = (omega * h).sin_cos();
-    [[r * cs, r * sn], [-r * sn, r * cs]]
-}
-
 /// `Γ₁(x) / h = (eˣ − 1)/x` with a series fallback near zero.
 fn phi1(x: Complex) -> Complex {
     if x.abs() < 1e-4 {
@@ -135,6 +119,14 @@ mod tests {
             t += dt;
         }
         x
+    }
+
+    /// Exponential of the 2×2 real block `[[σ, ω], [−ω, σ]]·h`: the
+    /// closed-form oracle for [`FohPair`]'s homogeneous flow.
+    fn expm2(sigma: f64, omega: f64, h: f64) -> [[f64; 2]; 2] {
+        let r = (sigma * h).exp();
+        let (sn, cs) = (omega * h).sin_cos();
+        [[r * cs, r * sn], [-r * sn, r * cs]]
     }
 
     #[test]

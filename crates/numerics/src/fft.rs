@@ -13,7 +13,7 @@ use crate::complex::Complex;
 ///
 /// Panics if the length is not a power of two (zero-pad first; see
 /// [`power_spectrum`]).
-pub fn fft_in_place(data: &mut [Complex]) {
+pub(crate) fn fft_in_place(data: &mut [Complex]) {
     let n = data.len();
     assert!(n.is_power_of_two(), "fft length must be a power of two");
     if n <= 1 {
@@ -48,7 +48,7 @@ pub fn fft_in_place(data: &mut [Complex]) {
 }
 
 /// Forward FFT of a real signal (zero-padded to the next power of two).
-pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
+pub(crate) fn fft_real(signal: &[f64]) -> Vec<Complex> {
     let n = signal.len().next_power_of_two().max(1);
     let mut data: Vec<Complex> = signal.iter().map(|&v| Complex::from_re(v)).collect();
     data.resize(n, Complex::ZERO);
@@ -56,28 +56,11 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
     data
 }
 
-/// Inverse FFT (in place).
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn ifft_in_place(data: &mut [Complex]) {
-    let n = data.len();
-    for v in data.iter_mut() {
-        *v = v.conj();
-    }
-    fft_in_place(data);
-    let scale = 1.0 / n as f64;
-    for v in data.iter_mut() {
-        *v = v.conj().scale(scale);
-    }
-}
-
 /// One-sided power spectrum of a real signal sampled at `dt`.
 ///
 /// Returns `(frequencies_hz, magnitudes)` up to the Nyquist frequency;
 /// magnitudes are normalized by the transform length.
-pub fn power_spectrum(signal: &[f64], dt: f64) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn power_spectrum(signal: &[f64], dt: f64) -> (Vec<f64>, Vec<f64>) {
     let spec = fft_real(signal);
     let n = spec.len();
     let df = 1.0 / (n as f64 * dt);
@@ -107,7 +90,6 @@ pub fn spectral_occupancy(signal: &[f64], dt: f64, threshold: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::c;
 
     #[test]
     fn fft_of_impulse_is_flat() {
@@ -134,18 +116,6 @@ mod tests {
             if i != k && i != n - k {
                 assert!(v.abs() < 1e-9, "leakage at bin {i}");
             }
-        }
-    }
-
-    #[test]
-    fn round_trip_fft_ifft() {
-        let mut data: Vec<Complex> =
-            (0..32).map(|i| c((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos())).collect();
-        let original = data.clone();
-        fft_in_place(&mut data);
-        ifft_in_place(&mut data);
-        for (a, b) in data.iter().zip(&original) {
-            assert!((*a - *b).abs() < 1e-12);
         }
     }
 

@@ -40,16 +40,6 @@ pub fn logspace(a: f64, b: f64, n: usize) -> Vec<f64> {
     linspace(a, b, n).into_iter().map(|e| 10f64.powf(e)).collect()
 }
 
-/// `n` geometrically spaced points from `a` to `b` inclusive (`a, b > 0`).
-///
-/// # Panics
-///
-/// Panics if `n == 0` or either endpoint is non-positive.
-pub fn geomspace(a: f64, b: f64, n: usize) -> Vec<f64> {
-    assert!(a > 0.0 && b > 0.0, "geomspace endpoints must be positive");
-    logspace(a.log10(), b.log10(), n)
-}
-
 /// Imaginary-axis frequency grid `s = j·2π·f` for frequencies in hertz.
 ///
 /// # Examples
@@ -90,21 +80,6 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert!((x / 10f64.powi(i as i32) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn geomspace_matches_logspace() {
-        let a = geomspace(1.0, 1e10, 11);
-        let b = logspace(0.0, 10.0, 11);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() <= 1e-6 * y);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomspace_rejects_nonpositive() {
-        let _ = geomspace(0.0, 1.0, 3);
     }
 
     #[test]

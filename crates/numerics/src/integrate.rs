@@ -1,10 +1,8 @@
-//! Quadrature and reference ODE integration.
+//! Cumulative trapezoid quadrature.
 //!
 //! The static path of the TFT model reconstructs `f(u) = ∫ g(u)du` from
 //! sampled conductances by cumulative trapezoid integration over the
-//! input trajectory (paper §II); RK4 serves as the dense reference
-//! integrator in tests and for CAFFEINE models whose stages lack a
-//! closed-form propagator.
+//! input trajectory (paper §II).
 
 /// Cumulative trapezoid integral of samples `y(x)`; result has the same
 /// length with `out[0] = 0`.
@@ -29,81 +27,9 @@ pub fn cumtrapz(x: &[f64], y: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Definite trapezoid integral over samples `y(x)`.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn trapz(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "trapz needs equal-length inputs");
-    let mut acc = 0.0;
-    for i in 1..x.len() {
-        acc += 0.5 * (y[i] + y[i - 1]) * (x[i] - x[i - 1]);
-    }
-    acc
-}
-
-/// One classical RK4 step for `ẋ = f(t, x)` on a state vector.
-pub fn rk4_step(
-    f: &mut impl FnMut(f64, &[f64], &mut [f64]),
-    t: f64,
-    x: &[f64],
-    h: f64,
-) -> Vec<f64> {
-    let n = x.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-    f(t, x, &mut k1);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * h * k1[i];
-    }
-    f(t + 0.5 * h, &tmp, &mut k2);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * h * k2[i];
-    }
-    f(t + 0.5 * h, &tmp, &mut k3);
-    for i in 0..n {
-        tmp[i] = x[i] + h * k3[i];
-    }
-    f(t + h, &tmp, &mut k4);
-    (0..n).map(|i| x[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])).collect()
-}
-
-/// Integrates `ẋ = f(t, x)` from `t0` over `n` steps of size `h`,
-/// returning the state at every step (including the initial state).
-pub fn rk4_integrate(
-    mut f: impl FnMut(f64, &[f64], &mut [f64]),
-    t0: f64,
-    x0: &[f64],
-    h: f64,
-    n: usize,
-) -> Vec<Vec<f64>> {
-    let mut out = Vec::with_capacity(n + 1);
-    out.push(x0.to_vec());
-    let mut x = x0.to_vec();
-    let mut t = t0;
-    for _ in 0..n {
-        x = rk4_step(&mut f, t, &x, h);
-        t += h;
-        out.push(x.clone());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trapz_linear_exact() {
-        // ∫₀¹ 2x dx = 1, trapezoid is exact for linear integrands.
-        let x: Vec<f64> = (0..11).map(|i| i as f64 / 10.0).collect();
-        let y: Vec<f64> = x.iter().map(|v| 2.0 * v).collect();
-        assert!((trapz(&x, &y) - 1.0).abs() < 1e-15);
-    }
 
     #[test]
     fn cumtrapz_monotone() {
@@ -125,30 +51,5 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|v| v.sin() + 1.0).collect();
         let c = cumtrapz(&x, &y);
         assert!(c.last().unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn rk4_exponential_decay() {
-        let xs = rk4_integrate(|_, x, dx| dx[0] = -x[0], 0.0, &[1.0], 0.01, 100);
-        let got = xs.last().unwrap()[0];
-        assert!((got - (-1.0_f64).exp()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rk4_harmonic_oscillator_energy() {
-        // ẋ = v, v̇ = -x: energy x² + v² conserved to O(h⁴).
-        let xs = rk4_integrate(
-            |_, x, dx| {
-                dx[0] = x[1];
-                dx[1] = -x[0];
-            },
-            0.0,
-            &[1.0, 0.0],
-            0.01,
-            628,
-        );
-        let last = xs.last().unwrap();
-        let energy = last[0] * last[0] + last[1] * last[1];
-        assert!((energy - 1.0).abs() < 1e-8);
     }
 }

@@ -24,7 +24,11 @@
 //!   fitting pole relocation,
 //! * exact first-order-hold block propagators ([`FohScalar`], [`FohPair`])
 //!   for simulating the extracted Hammerstein models,
-//! * grids, quadrature, polynomials and error metrics.
+//! * frequency grids ([`logspace`], [`jw_grid`]), the cumulative
+//!   trapezoid rule ([`cumtrapz`]) behind the static curve, polynomial
+//!   roots and antiderivatives ([`Poly`]), the dB and NRMSE error
+//!   metrics, and [`spectral_occupancy`] for the bit-pattern stimulus
+//!   check.
 //!
 //! # Examples
 //!
@@ -67,30 +71,30 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cmatrix;
-pub mod complex;
-pub mod eig;
-pub mod error;
-pub mod expm;
-pub mod fft;
-pub mod grid;
-pub mod integrate;
-pub mod lu;
-pub mod matrix;
-pub mod pencil;
-pub mod poly;
-pub mod qr;
-pub mod stats;
-pub mod sweep;
+mod cmatrix;
+mod complex;
+mod eig;
+mod error;
+mod expm;
+mod fft;
+mod grid;
+mod integrate;
+mod lu;
+mod matrix;
+mod pencil;
+mod poly;
+mod qr;
+mod stats;
+mod sweep;
 
 pub use cmatrix::CMat;
-pub use complex::{c, ln_shifted_into, Complex, C64, J};
+pub use complex::{c, ln_shifted_into, Complex};
 pub use eig::{eig_2x2, eigenvalues, sort_eigenvalues};
 pub use error::NumericsError;
-pub use expm::{expm2, FohPair, FohScalar};
-pub use fft::{fft_in_place, fft_real, ifft_in_place, power_spectrum, spectral_occupancy};
-pub use grid::{geomspace, jw_grid, linspace, logspace};
-pub use integrate::{cumtrapz, rk4_integrate, rk4_step, trapz};
+pub use expm::{FohPair, FohScalar};
+pub use fft::spectral_occupancy;
+pub use grid::{jw_grid, linspace, logspace};
+pub use integrate::cumtrapz;
 pub use lu::{CLu, Lu};
 pub use matrix::Mat;
 pub use pencil::{HtPencil, PENCIL_REDUCTION_CROSSOVER};
@@ -99,9 +103,7 @@ pub use qr::{
     apply_reflectors_in_place, factor_block_in_place, factor_with_rhs_in_place, lstsq, lstsq_ridge,
     Qr,
 };
-pub use stats::{
-    db10, db20, deg, from_db20, max_abs_err, mean, nrmse, rms, rmse, rmse_complex, unwrap_phase,
-};
+pub use stats::{db20, from_db20, max_abs_err, nrmse, rmse, unwrap_phase};
 pub use sweep::{
     pool_constructions, resolve_threads, SweepConfig, SweepError, SweepPool,
     AUTO_PARALLEL_CROSSOVER,

@@ -30,8 +30,6 @@ pub struct Lu {
     lu: Mat,
     /// Row permutation: original row of pivot `i`.
     piv: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
 }
 
 impl Lu {
@@ -48,7 +46,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut piv: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // Pivot search in column k.
             let mut p = k;
@@ -70,7 +67,6 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
                 piv.swap(k, p);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -84,11 +80,11 @@ impl Lu {
                 }
             }
         }
-        Ok(Self { lu, piv, sign })
+        Ok(Self { lu, piv })
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
@@ -129,7 +125,7 @@ impl Lu {
     /// # Errors
     ///
     /// Returns an error if `b.rows()` differs from the factored dimension.
-    pub fn solve_mat(&self, b: &Mat) -> Result<Mat, NumericsError> {
+    pub(crate) fn solve_mat(&self, b: &Mat) -> Result<Mat, NumericsError> {
         let n = self.dim();
         if b.rows() != n {
             return Err(NumericsError::DimensionMismatch { expected: n, got: b.rows() });
@@ -143,15 +139,6 @@ impl Lu {
             }
         }
         Ok(out)
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 
     /// Inverse of the original matrix.
@@ -200,7 +187,6 @@ impl Lu {
 pub struct CLu {
     lu: CMat,
     piv: Vec<usize>,
-    sign: f64,
 }
 
 impl CLu {
@@ -217,7 +203,6 @@ impl CLu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut piv: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             let mut p = k;
             let mut best = lu[(k, k)].norm_sqr();
@@ -238,7 +223,6 @@ impl CLu {
                     lu[(p, j)] = tmp;
                 }
                 piv.swap(k, p);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             let pinv = pivot.inv();
@@ -253,11 +237,11 @@ impl CLu {
                 }
             }
         }
-        Ok(Self { lu, piv, sign })
+        Ok(Self { lu, piv })
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
@@ -297,15 +281,6 @@ impl CLu {
     pub fn solve_real(&self, b: &[f64]) -> Result<Vec<Complex>, NumericsError> {
         let cb: Vec<Complex> = b.iter().map(|&v| Complex::from_re(v)).collect();
         self.solve(&cb)
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> Complex {
-        let mut d = Complex::from_re(self.sign);
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 }
 
@@ -348,16 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.det() + 2.0).abs() < 1e-14);
-        // Permutation sign is accounted for.
-        let b = Mat::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!((Lu::factor(&b).unwrap().det() + 1.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn inverse_round_trip() {
         let a = Mat::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
         let inv = Lu::factor(&a).unwrap().inverse().unwrap();
@@ -389,14 +354,6 @@ mod tests {
         for (ri, bi) in r.iter().zip(&b) {
             assert!((*ri - *bi).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn complex_det_of_rotation() {
-        // [[0, -1], [1, 0]] has det 1; promote to complex.
-        let m = Mat::from_rows(&[&[0.0, -1.0], &[1.0, 0.0]]);
-        let lu = CLu::factor(&CMat::from_real(&m)).unwrap();
-        assert!((lu.det() - Complex::ONE).abs() < 1e-14);
     }
 
     #[test]

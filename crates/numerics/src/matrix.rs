@@ -95,7 +95,7 @@ impl Mat {
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -107,7 +107,7 @@ impl Mat {
 
     /// `true` if the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -125,18 +125,18 @@ impl Mat {
 
     /// Borrow of row `i` as a slice.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutable borrow of row `i`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Copies column `j` into a new vector.
-    pub fn col(&self, j: usize) -> Vec<f64> {
+    pub(crate) fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
@@ -219,7 +219,7 @@ impl Mat {
     }
 
     /// Scales every entry by `k`, in place.
-    pub fn scale_mut(&mut self, k: f64) {
+    pub(crate) fn scale_mut(&mut self, k: f64) {
         for v in &mut self.data {
             *v *= k;
         }
@@ -234,17 +234,6 @@ impl Mat {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in axpy");
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a + k * b).collect();
         Mat { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Extracts the square submatrix `rows × cols` given by index lists.
-    pub fn submatrix(&self, row_idx: &[usize], col_idx: &[usize]) -> Mat {
-        let mut m = Mat::zeros(row_idx.len(), col_idx.len());
-        for (i, &ri) in row_idx.iter().enumerate() {
-            for (j, &cj) in col_idx.iter().enumerate() {
-                m[(i, j)] = self[(ri, cj)];
-            }
-        }
-        m
     }
 
     /// Consumes the matrix and returns the raw row-major data.
@@ -393,13 +382,6 @@ mod tests {
         let d = Mat::from_diag(&[1.0, 2.0, 3.0]);
         let f = Mat::from_fn(3, 3, |i, j| if i == j { (i + 1) as f64 } else { 0.0 });
         assert_eq!(d, f);
-    }
-
-    #[test]
-    fn submatrix_extraction() {
-        let a = Mat::from_fn(4, 4, |i, j| (4 * i + j) as f64);
-        let s = a.submatrix(&[0, 2], &[1, 3]);
-        assert_eq!(s, Mat::from_rows(&[&[1.0, 3.0], &[9.0, 11.0]]));
     }
 
     #[test]

@@ -196,7 +196,11 @@ impl HtPencil {
     /// Returns [`NumericsError::Singular`] when `G + s·C` is singular at
     /// this frequency and [`NumericsError::DimensionMismatch`] on a
     /// length mismatch.
-    pub fn solve_reduced(&self, s: Complex, bt: &[f64]) -> Result<Vec<Complex>, NumericsError> {
+    pub(crate) fn solve_reduced(
+        &self,
+        s: Complex,
+        bt: &[f64],
+    ) -> Result<Vec<Complex>, NumericsError> {
         if s.re == 0.0 {
             self.solve_reduced_jw(s.im, bt)
         } else {
@@ -204,16 +208,19 @@ impl HtPencil {
         }
     }
 
-    /// The general-complex reference path of [`HtPencil::solve_reduced`]:
-    /// assembles `H + s·R` as a complex matrix and runs a complex
-    /// Hessenberg elimination. Public so the jω kernel can be pinned
-    /// against it (tests, proptests, and the
-    /// `pencil_solve_real_vs_complex` bench); production callers should
-    /// use the dispatching [`HtPencil::solve_reduced`].
+    /// The general-complex reference path of the reduced solve `(H +
+    /// s·R)·y = bt`: assembles `H + s·R` as a complex matrix and runs a
+    /// complex Hessenberg elimination. Public so the jω kernel can be
+    /// pinned against it (tests, proptests, and the
+    /// `pencil_solve_real_vs_complex` bench); production callers go
+    /// through [`HtPencil::solve`] or [`HtPencil::transfer_projected`],
+    /// which send jω points to [`HtPencil::solve_reduced_jw`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`HtPencil::solve_reduced`].
+    /// Returns [`NumericsError::Singular`] when `G + s·C` is singular at
+    /// this frequency and [`NumericsError::DimensionMismatch`] on a
+    /// length mismatch.
     pub fn solve_reduced_complex(
         &self,
         s: Complex,
@@ -245,7 +252,7 @@ impl HtPencil {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`HtPencil::solve_reduced`].
+    /// Same conditions as [`HtPencil::solve_reduced_complex`].
     pub fn solve_reduced_jw(&self, omega: f64, bt: &[f64]) -> Result<Vec<Complex>, NumericsError> {
         let n = self.dim();
         if bt.len() != n {
@@ -264,7 +271,7 @@ impl HtPencil {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`HtPencil::solve_reduced`].
+    /// Same conditions as [`HtPencil::solve_reduced_complex`].
     pub fn transfer_projected(
         &self,
         bt: &[f64],
@@ -287,7 +294,7 @@ impl HtPencil {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`HtPencil::solve_reduced`].
+    /// Same conditions as [`HtPencil::solve_reduced_complex`].
     pub fn solve(&self, s: Complex, b: &[f64]) -> Result<Vec<Complex>, NumericsError> {
         let bt = self.project_input(b)?;
         let y = self.solve_reduced(s, &bt)?;

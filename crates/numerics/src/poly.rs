@@ -1,4 +1,4 @@
-//! Real polynomials: arithmetic, calculus and root finding.
+//! Real polynomials: evaluation, antidifferentiation and root finding.
 //!
 //! The CAFFEINE baseline regresses residues onto polynomial canonical
 //! forms; its "manually integrable" path is polynomial antidifferentiation,
@@ -20,7 +20,7 @@ use crate::matrix::Mat;
 ///
 /// let p = Poly::new(vec![1.0, 0.0, 1.0]); // 1 + x²
 /// assert_eq!(p.eval(2.0), 5.0);
-/// assert_eq!(p.deriv().eval(2.0), 4.0);
+/// assert_eq!(p.antideriv(0.0).eval(3.0), 12.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -41,54 +41,24 @@ impl Poly {
         Self { coeffs }
     }
 
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        Self { coeffs: vec![0.0] }
-    }
-
-    /// The constant polynomial `c`.
-    pub fn constant(c: f64) -> Self {
-        Self::new(vec![c])
-    }
-
-    /// Monomial `xⁿ`.
-    pub fn monomial(n: usize) -> Self {
-        let mut c = vec![0.0; n + 1];
-        c[n] = 1.0;
-        Self { coeffs: c }
-    }
-
     /// Ascending coefficients.
     pub fn coeffs(&self) -> &[f64] {
         &self.coeffs
     }
 
     /// Degree (0 for constants, including the zero polynomial).
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.coeffs.len() - 1
     }
 
     /// `true` if every coefficient is zero.
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         self.coeffs.iter().all(|&c| c == 0.0)
     }
 
     /// Horner evaluation at a real point.
     pub fn eval(&self, x: f64) -> f64 {
         self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-    }
-
-    /// Horner evaluation at a complex point.
-    pub fn eval_complex(&self, x: Complex) -> Complex {
-        self.coeffs.iter().rev().fold(Complex::ZERO, |acc, &c| acc * x + Complex::from_re(c))
-    }
-
-    /// Derivative.
-    pub fn deriv(&self) -> Poly {
-        if self.coeffs.len() <= 1 {
-            return Poly::zero();
-        }
-        Poly::new(self.coeffs[1..].iter().enumerate().map(|(i, &c)| c * (i + 1) as f64).collect())
     }
 
     /// Antiderivative with integration constant `c0`.
@@ -103,38 +73,6 @@ impl Poly {
             out.push(c / (i + 1) as f64);
         }
         Poly::new(out)
-    }
-
-    /// Polynomial sum.
-    pub fn add(&self, other: &Poly) -> Poly {
-        let n = self.coeffs.len().max(other.coeffs.len());
-        let mut out = vec![0.0; n];
-        for (i, &c) in self.coeffs.iter().enumerate() {
-            out[i] += c;
-        }
-        for (i, &c) in other.coeffs.iter().enumerate() {
-            out[i] += c;
-        }
-        Poly::new(out)
-    }
-
-    /// Polynomial product.
-    pub fn mul(&self, other: &Poly) -> Poly {
-        if self.is_zero() || other.is_zero() {
-            return Poly::zero();
-        }
-        let mut out = vec![0.0; self.coeffs.len() + other.coeffs.len() - 1];
-        for (i, &a) in self.coeffs.iter().enumerate() {
-            for (j, &b) in other.coeffs.iter().enumerate() {
-                out[i + j] += a * b;
-            }
-        }
-        Poly::new(out)
-    }
-
-    /// Scales all coefficients.
-    pub fn scale(&self, k: f64) -> Poly {
-        Poly::new(self.coeffs.iter().map(|&c| c * k).collect())
     }
 
     /// All complex roots via the companion-matrix eigenproblem.
@@ -167,11 +105,15 @@ impl Poly {
 
 /// Builds the monic polynomial with the given real roots.
 pub fn from_roots(roots: &[f64]) -> Poly {
-    let mut p = Poly::constant(1.0);
+    let mut c = vec![1.0];
     for &r in roots {
-        p = p.mul(&Poly::new(vec![-r, 1.0]));
+        // (x − r)·p: shift up one degree, then subtract r·p.
+        c.insert(0, 0.0);
+        for i in 0..c.len() - 1 {
+            c[i] -= r * c[i + 1];
+        }
     }
-    p
+    Poly::new(c)
 }
 
 #[cfg(test)]
@@ -192,22 +134,6 @@ mod tests {
         let p = Poly::new(vec![1.0, 2.0, 0.0, 0.0]);
         assert_eq!(p.degree(), 1);
         assert_eq!(Poly::new(vec![]).degree(), 0);
-    }
-
-    #[test]
-    fn derivative_and_antiderivative_inverse() {
-        let p = Poly::new(vec![3.0, -2.0, 5.0, 1.0]);
-        let back = p.deriv().antideriv(p.coeffs()[0]);
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn arithmetic() {
-        let a = Poly::new(vec![1.0, 1.0]); // 1 + x
-        let b = Poly::new(vec![-1.0, 1.0]); // -1 + x
-        assert_eq!(a.mul(&b), Poly::new(vec![-1.0, 0.0, 1.0])); // x² - 1
-        assert_eq!(a.add(&b), Poly::new(vec![0.0, 2.0]));
-        assert_eq!(a.scale(2.0), Poly::new(vec![2.0, 2.0]));
     }
 
     #[test]
@@ -233,15 +159,7 @@ mod tests {
 
     #[test]
     fn constant_has_no_roots_and_zero_errs() {
-        assert!(Poly::constant(5.0).roots().unwrap().is_empty());
-        assert!(Poly::zero().roots().is_err());
-    }
-
-    #[test]
-    fn eval_complex_consistent() {
-        let p = Poly::new(vec![1.0, 2.0, 3.0]);
-        let z = Complex::from_re(1.5);
-        assert!((p.eval_complex(z).re - p.eval(1.5)).abs() < 1e-14);
-        assert_eq!(p.eval_complex(z).im, 0.0);
+        assert!(Poly::new(vec![5.0]).roots().unwrap().is_empty());
+        assert!(Poly::new(vec![0.0, 0.0]).roots().is_err());
     }
 }

@@ -48,30 +48,6 @@ impl Qr {
         Self { qr, tau }
     }
 
-    /// Computes the QR factorization of `a` while applying the
-    /// reflectors to `b` as they are formed, returning `(Qr, Qᵀ·b)`.
-    ///
-    /// Numerically identical to [`Qr::factor`] followed by
-    /// [`Qr::qt_mul`] (the reflectors hit `b` in the same order with the
-    /// same coefficients), but in one pass over the data, without the
-    /// separate `qt_mul` sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the row count of `a`.
-    pub fn factor_with_rhs(a: &Mat, b: &[f64]) -> (Self, Vec<f64>) {
-        let mut qr = a.clone();
-        let mut tau = Vec::new();
-        let mut y = b.to_vec();
-        factor_with_rhs_in_place(&mut qr, &mut tau, &mut y);
-        (Self { qr, tau }, y)
-    }
-
-    /// Shape of the factored matrix.
-    pub fn shape(&self) -> (usize, usize) {
-        self.qr.shape()
-    }
-
     /// The upper-triangular factor `R` (economy size: `min(m,n) × n`).
     pub fn r(&self) -> Mat {
         let (m, n) = self.qr.shape();
@@ -86,7 +62,7 @@ impl Qr {
     }
 
     /// Applies `Qᵀ` to a vector (length `m`), in place semantics via return.
-    pub fn qt_mul(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn qt_mul(&self, b: &[f64]) -> Vec<f64> {
         let m = self.qr.rows();
         assert_eq!(b.len(), m, "dimension mismatch in qt_mul");
         let mut y = b.to_vec();
@@ -153,14 +129,6 @@ impl Qr {
         Ok(x)
     }
 
-    /// Residual norm `‖A·x − b‖₂` of the least-squares solution, computed
-    /// from the tail of `Qᵀ·b` without forming the residual vector.
-    pub fn residual_norm(&self, b: &[f64]) -> f64 {
-        let (m, n) = self.qr.shape();
-        let y = self.qt_mul(b);
-        y[n.min(m)..].iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Numerical rank: number of `R` diagonals above `tol · max|R_ii|`.
     pub fn rank(&self, rel_tol: f64) -> usize {
         let (m, n) = self.qr.shape();
@@ -178,8 +146,7 @@ impl Qr {
 /// reflector scalars, and `rhs` (when non-empty) is overwritten with
 /// `Qᵀ·rhs`.
 ///
-/// This is the allocation-free core behind [`Qr::factor`] /
-/// [`Qr::factor_with_rhs`]: callers that own a reusable block buffer
+/// This is the allocation-free core behind [`Qr::factor`]: callers that own a reusable block buffer
 /// factor it in place and read the rows of `R` straight out of the
 /// packed factor — entries `(i, j)` with `j ≥ i` — without a [`Qr`]
 /// handle, a copy of `R`, or a separate `qt_mul` pass. `tau` is cleared
@@ -601,17 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_norm_matches_direct() {
-        let a = Mat::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
-        let b = [0.0, 1.0, 0.0, 2.0];
-        let f = Qr::factor(&a);
-        let x = f.solve_lstsq(&b).unwrap();
-        let ax = a.matvec(&x);
-        let direct: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
-        assert!((f.residual_norm(&b) - direct).abs() < 1e-12);
-    }
-
-    #[test]
     fn rank_detection() {
         // Rank-1 matrix.
         let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
@@ -639,20 +595,6 @@ mod tests {
             Qr::factor(&a).solve_lstsq(&[1.0, 2.0]),
             Err(NumericsError::RankDeficient { .. })
         ));
-    }
-
-    #[test]
-    fn factor_with_rhs_matches_factor_then_qt_mul() {
-        let a = Mat::from_fn(9, 4, |i, j| ((i * 5 + j * 3) as f64).sin());
-        let b: Vec<f64> = (0..9).map(|i| ((i * 7) as f64).cos()).collect();
-        let (fused, y_fused) = Qr::factor_with_rhs(&a, &b);
-        let separate = Qr::factor(&a);
-        let y_sep = separate.qt_mul(&b);
-        // Same reflectors in the same order: bitwise-identical outputs.
-        for (p, q) in y_fused.iter().zip(&y_sep) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-        assert_eq!(fused.r(), separate.r());
     }
 
     #[test]

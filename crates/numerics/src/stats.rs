@@ -4,18 +4,6 @@
 //! (phase), and time-domain RMSE in absolute units; these helpers define
 //! those quantities once for everything downstream.
 
-use crate::complex::Complex;
-
-/// Root-mean-square of a sequence.
-///
-/// Returns `0.0` for an empty input.
-pub fn rms(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    (v.iter().map(|x| x * x).sum::<f64>() / v.len() as f64).sqrt()
-}
-
 /// Root-mean-square error between two equally long sequences.
 ///
 /// # Panics
@@ -30,20 +18,6 @@ pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
     (sum / a.len() as f64).sqrt()
 }
 
-/// RMSE between two complex sequences (moduli of the differences).
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn rmse_complex(a: &[Complex], b: &[Complex]) -> f64 {
-    assert_eq!(a.len(), b.len(), "rmse needs equal-length inputs");
-    if a.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = a.iter().zip(b).map(|(x, y)| (*x - *y).norm_sqr()).sum();
-    (sum / a.len() as f64).sqrt()
-}
-
 /// Amplitude ratio in decibels: `20·log₁₀(x)`.
 ///
 /// Returns `-inf` for `x == 0` and NaN for negative input, matching the
@@ -52,19 +26,9 @@ pub fn db20(x: f64) -> f64 {
     20.0 * x.log10()
 }
 
-/// Power ratio in decibels: `10·log₁₀(x)`.
-pub fn db10(x: f64) -> f64 {
-    10.0 * x.log10()
-}
-
 /// Inverse of [`db20`].
 pub fn from_db20(db: f64) -> f64 {
     10f64.powf(db / 20.0)
-}
-
-/// Radians to degrees.
-pub fn deg(rad: f64) -> f64 {
-    rad.to_degrees()
 }
 
 /// Maximum absolute difference between two sequences.
@@ -99,15 +63,6 @@ pub fn nrmse(reference: &[f64], model: &[f64]) -> f64 {
     }
 }
 
-/// Mean of a sequence (`0.0` if empty).
-pub fn mean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
 /// Unwraps a phase sequence (radians) so consecutive samples never jump
 /// by more than π — the TFT phase surfaces span several full rotations.
 pub fn unwrap_phase(phase: &mut [f64]) {
@@ -127,13 +82,6 @@ pub fn unwrap_phase(phase: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::c;
-
-    #[test]
-    fn rms_of_constant() {
-        assert_eq!(rms(&[2.0, 2.0, 2.0]), 2.0);
-        assert_eq!(rms(&[]), 0.0);
-    }
 
     #[test]
     fn rmse_basic() {
@@ -142,20 +90,11 @@ mod tests {
     }
 
     #[test]
-    fn rmse_complex_matches_real_on_real_data() {
-        let a = [c(1.0, 0.0), c(2.0, 0.0)];
-        let b = [c(0.0, 0.0), c(0.0, 0.0)];
-        let want = rmse(&[1.0, 2.0], &[0.0, 0.0]);
-        assert!((rmse_complex(&a, &b) - want).abs() < 1e-15);
-    }
-
-    #[test]
     fn db_round_trip() {
         for &x in &[1e-3, 0.5, 1.0, 42.0] {
             assert!((from_db20(db20(x)) - x).abs() < 1e-12 * x);
         }
         assert_eq!(db20(10.0), 20.0);
-        assert_eq!(db10(10.0), 10.0);
     }
 
     #[test]
@@ -180,11 +119,5 @@ mod tests {
     #[test]
     fn max_abs_err_picks_worst() {
         assert_eq!(max_abs_err(&[0.0, 5.0, 1.0], &[0.0, 2.0, 1.5]), 3.0);
-    }
-
-    #[test]
-    fn mean_empty_and_values() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
     }
 }

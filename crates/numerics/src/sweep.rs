@@ -34,7 +34,7 @@
 //! # Examples
 //!
 //! ```
-//! use rvf_numerics::sweep::{SweepConfig, SweepPool};
+//! use rvf_numerics::{SweepConfig, SweepPool};
 //!
 //! // Square 0..8 on 3 workers; results come back in task order.
 //! let pool = SweepPool::new(3);
@@ -45,7 +45,7 @@
 //! Reuse one pool across many rounds — the relocation-loop pattern:
 //!
 //! ```
-//! use rvf_numerics::sweep::{SweepConfig, SweepPool};
+//! use rvf_numerics::{SweepConfig, SweepPool};
 //!
 //! let pool = SweepPool::new(3);
 //! let mut scratch = vec![0u64; pool.workers()];
@@ -90,9 +90,9 @@ pub const AUTO_PARALLEL_CROSSOVER: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Worker threads (`0` = available parallelism).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Task indices claimed per queue pop (`0` is treated as `1`).
-    pub batch: usize,
+    pub(crate) batch: usize,
 }
 
 impl Default for SweepConfig {
@@ -309,7 +309,7 @@ impl SweepPool {
 
     /// Number of *parallel* rounds dispatched to the parked workers
     /// (sweeps that resolved to the inline path are not counted).
-    pub fn rounds(&self) -> u64 {
+    pub(crate) fn rounds(&self) -> u64 {
         self.rounds.load(Ordering::Relaxed)
     }
 

@@ -75,4 +75,3 @@ pub use error::ServeError;
 pub use registry::{ModelId, ModelRegistry};
 pub use replica::{Follower, ReplicaError, ReplicationSink, SharedLog};
 pub use scheduler::{Event, RequestId, Scheduler, ServeConfig, SessionHandle};
-pub use wire::{WireError, WireRecord};

@@ -20,7 +20,7 @@ pub struct ModelId(pub(crate) usize);
 
 impl ModelId {
     /// The raw registry index.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.0
     }
 }
@@ -45,7 +45,6 @@ impl ModelId {
 /// let registry = ModelRegistry::build([("lowpass".to_string(), b.try_build().unwrap())]);
 /// let id = registry.id("lowpass").unwrap();
 /// assert!(registry.get(id).is_ok());
-/// assert_eq!(registry.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModelRegistry {
@@ -83,23 +82,8 @@ impl ModelRegistry {
     }
 
     /// The name a model was registered under.
-    pub fn name(&self, id: ModelId) -> Option<&str> {
+    pub(crate) fn name(&self, id: ModelId) -> Option<&str> {
         self.names.get(id.0).map(String::as_str)
-    }
-
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
-    /// Iterates `(id, name)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (ModelId, &str)> {
-        self.names.iter().enumerate().map(|(i, n)| (ModelId(i), n.as_str()))
     }
 
     /// Every entry's name and table fingerprint, in index order — the
@@ -132,15 +116,12 @@ mod tests {
             ("b".to_string(), tiny_model(-2.0e9)),
             ("a".to_string(), tiny_model(-3.0e9)),
         ]);
-        assert_eq!(reg.len(), 3);
-        assert!(!reg.is_empty());
         assert_eq!(reg.id("a"), Some(ModelId(2)), "last registration wins");
         assert_eq!(reg.id("b"), Some(ModelId(1)));
         assert_eq!(reg.id("missing"), None);
         assert!(reg.get(ModelId(1)).is_ok());
         assert_eq!(reg.get(ModelId(9)).unwrap_err(), ServeError::UnknownModel { id: 9 });
         assert_eq!(reg.name(ModelId(0)), Some("a"));
-        assert_eq!(reg.iter().count(), 3);
         // Shared, not copied: two lookups alias the same compiled model.
         let x = Arc::clone(reg.get(ModelId(0)).unwrap());
         assert!(Arc::ptr_eq(&x, reg.get(ModelId(0)).unwrap()));
@@ -149,7 +130,6 @@ mod tests {
     #[test]
     fn empty_registry() {
         let reg = ModelRegistry::build([]);
-        assert!(reg.is_empty());
         assert_eq!(reg.id("x"), None);
         assert!(matches!(reg.get(ModelId(0)), Err(ServeError::UnknownModel { id: 0 })));
     }

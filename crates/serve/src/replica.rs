@@ -131,16 +131,6 @@ impl SharedLog {
     pub fn bytes(&self) -> Bytes {
         Bytes::from_owner(LogVersion(Arc::clone(&self.lock())))
     }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
 }
 
 impl ReplicationSink for SharedLog {
@@ -282,12 +272,6 @@ impl Follower {
     /// The stored poison error, if the follower has failed.
     pub fn error(&self) -> Option<&ReplicaError> {
         self.failed.as_ref()
-    }
-
-    /// Bytes of the tailed log consumed so far (resume offset for
-    /// [`tail`](Follower::tail)).
-    pub fn consumed(&self) -> usize {
-        self.offset
     }
 
     /// XXH64 over the follower's encoded reconstruction — directly
@@ -457,11 +441,11 @@ mod tests {
     #[test]
     fn shared_log_accumulates_appends() {
         let log = SharedLog::new();
-        assert!(log.is_empty());
+        assert!(log.bytes().is_empty());
         let mut writer = log.clone();
         writer.append(Bytes::from(vec![1, 2, 3]));
         writer.append(Bytes::from(vec![4]));
-        assert_eq!(log.len(), 4);
+        assert_eq!(log.bytes().len(), 4);
         assert_eq!(log.bytes().as_ref(), &[1, 2, 3, 4]);
     }
 
@@ -528,7 +512,7 @@ mod tests {
         log.append(Bytes::from(vec![3]));
         assert_eq!(view.as_ref(), &[1, 2], "the old view is unchanged");
         assert_eq!(log.bytes().as_ref(), &[1, 2, 3], "the append landed");
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.bytes().len(), 3);
     }
 
     #[test]
@@ -555,7 +539,6 @@ mod tests {
         primary.close_session(session).expect("close");
         follower.tail(&log.bytes()).expect("tail applies cleanly");
         assert!(follower.has_baseline());
-        assert_eq!(follower.applied_seq(), primary.replication_seq());
         assert_eq!(
             follower.state_digest().expect("digest"),
             primary.state_digest().expect("digest")

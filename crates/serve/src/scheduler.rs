@@ -6,7 +6,7 @@
 //! chunks with a deadline, and the serving loop calls
 //! [`tick`](Scheduler::tick) to coalesce eligible requests into one
 //! [`CompiledSim::advance_chunks`] round per model — one pool task per
-//! request — over one shared [`SweepPool`](rvf_numerics::SweepPool).
+//! request — over one shared [`SweepPool`].
 //!
 //! The scheduler is a runtime shell (registry, pool, replication sink)
 //! around the plain-data committed state of the `machine` module: the
@@ -45,6 +45,8 @@
 //!   threshold the pool is torn down and rebuilt, and past a rebuild
 //!   budget the scheduler degrades to a one-worker pool (serial, no
 //!   thread) whose output is bit-identical to the pooled path.
+//!
+//! [`CompiledSim::advance_chunks`]: rvf_core::CompiledSim::advance_chunks
 
 use std::sync::Arc;
 
@@ -310,18 +312,6 @@ impl Scheduler {
         let digest_every = digest_every.max(1);
         self.replica = Some(Replication { sink, seq: 0, digest_every, digest_due: false });
         Ok(())
-    }
-
-    /// Detaches the replication sink, returning it; the scheduler stops
-    /// journaling. `None` if no sink was attached.
-    pub fn detach_replica(&mut self) -> Option<Box<dyn ReplicationSink>> {
-        self.replica.take().map(|rep| rep.sink)
-    }
-
-    /// Sequence number of the last journaled delta (0 before the first,
-    /// or when no sink is attached).
-    pub fn replication_seq(&self) -> u64 {
-        self.replica.as_ref().map_or(0, |rep| rep.seq)
     }
 
     /// XXH64 over the scheduler's encoded canonical state — the

@@ -586,7 +586,7 @@ pub struct F64s<'a>(&'a [u8]);
 
 impl<'a> F64s<'a> {
     /// The values in order, bit-exact.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
         self.0.chunks_exact(8).map(|b| f64::from_bits(le64(b)))
     }
 
@@ -920,7 +920,7 @@ pub type WireView<'a> = Record<F64s<'a>>;
 
 impl<V> Record<V> {
     /// The record's kind byte.
-    pub fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             Self::Stimulus(_) => KIND_STIMULUS,
             Self::Response(_) => KIND_RESPONSE,

@@ -24,7 +24,7 @@ impl Hyperplane {
     /// # Panics
     ///
     /// Panics if row lengths are inconsistent.
-    pub fn from_responses(
+    pub(crate) fn from_responses(
         states: Vec<f64>,
         freqs_hz: Vec<f64>,
         responses: &[Vec<Complex>],

@@ -39,11 +39,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod dataset;
-pub mod error;
-pub mod hyperplane;
-pub mod sampler;
-pub mod static_part;
+mod dataset;
+mod error;
+mod hyperplane;
+mod sampler;
+mod static_part;
 
 pub use dataset::{StateSample, TftDataset};
 pub use error::TftError;

@@ -16,34 +16,6 @@ pub struct StaticCurve {
     pub y: Vec<f64>,
 }
 
-impl StaticCurve {
-    /// Linear interpolation (clamped at the ends).
-    pub fn eval(&self, u: f64) -> f64 {
-        if self.u.is_empty() {
-            return 0.0;
-        }
-        if u <= self.u[0] {
-            return self.y[0];
-        }
-        if u >= *self.u.last().expect("nonempty") {
-            return *self.y.last().expect("nonempty");
-        }
-        // Binary search for the segment.
-        let mut lo = 0;
-        let mut hi = self.u.len() - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.u[mid] <= u {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let f = (u - self.u[lo]) / (self.u[hi] - self.u[lo]);
-        self.y[lo] + f * (self.y[hi] - self.y[lo])
-    }
-}
-
 /// Reconstructs the static curve from trajectory-ordered samples.
 ///
 /// * `u_traj`: input values in trajectory (time) order,
@@ -145,22 +117,13 @@ mod tests {
         let g = vec![1.0; 11];
         let curve = reconstruct_static(&u, &g, 0.5, 10.0);
         // y(u) = u + c with y(0.5) = 10 ⇒ c = 9.5.
-        assert!((curve.eval(0.0) - 9.5).abs() < 1e-12);
-        assert!((curve.eval(1.0) - 10.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eval_clamps_and_interpolates() {
-        let c = StaticCurve { u: vec![0.0, 1.0, 2.0], y: vec![0.0, 1.0, 4.0] };
-        assert_eq!(c.eval(-1.0), 0.0);
-        assert_eq!(c.eval(3.0), 4.0);
-        assert!((c.eval(0.5) - 0.5).abs() < 1e-15);
-        assert!((c.eval(1.5) - 2.5).abs() < 1e-15);
+        assert!((curve.y[0] - 9.5).abs() < 1e-12);
+        assert!((curve.y[10] - 10.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_input() {
         let c = reconstruct_static(&[], &[], 0.0, 0.0);
-        assert_eq!(c.eval(1.0), 0.0);
+        assert!(c.u.is_empty() && c.y.is_empty());
     }
 }

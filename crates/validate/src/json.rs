@@ -40,7 +40,7 @@ impl Json {
     }
 
     /// The object fields, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn as_obj(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(fields) => Some(fields),
             _ => None,

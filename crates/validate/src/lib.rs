@@ -33,15 +33,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod json;
-pub mod report;
-pub mod runner;
+mod json;
+mod report;
+mod runner;
 pub mod zoo;
 
 pub use json::Json;
 pub use report::{AccuracyContract, AccuracyReport, Violation};
 pub use runner::{
-    builtin_contracts, parse_contracts, report_json, run_family, run_zoo, FamilyRun, GatedRun,
-    ZooError, CONTRACT_MANIFEST,
+    builtin_contracts, report_json, run_family, run_zoo, FamilyRun, GatedRun, ZooError,
 };
 pub use zoo::{zoo, ZooFamily, DEFAULT_SEED};

@@ -13,18 +13,18 @@ pub struct AccuracyReport {
     /// Peak-to-peak swing of the oracle waveform.
     pub swing: f64,
     /// Absolute RMS error over the full window.
-    pub rmse: f64,
+    pub(crate) rmse: f64,
     /// Swing-normalized RMS error over the full window.
     pub nrmse: f64,
     /// Worst-case absolute error over the full window.
-    pub max_abs: f64,
+    pub(crate) max_abs: f64,
     /// Worst-case error normalized by the swing (per-sample bound).
     pub max_abs_norm: f64,
     /// First sample index of the settled window.
-    pub settle_split: usize,
+    pub(crate) settle_split: usize,
     /// Swing-normalized RMS error over the initial settling window
     /// `[0, settle_split)` — model state ramps from zero here.
-    pub settling_nrmse: f64,
+    pub(crate) settling_nrmse: f64,
     /// Swing-normalized RMS error over the settled window
     /// `[settle_split, n)`.
     pub settled_nrmse: f64,
@@ -89,9 +89,9 @@ pub struct Violation {
     /// Name of the violated metric (`"nrmse"`, …).
     pub metric: &'static str,
     /// The measured value.
-    pub measured: f64,
+    pub(crate) measured: f64,
     /// The contract bound.
-    pub bound: f64,
+    pub(crate) bound: f64,
 }
 
 impl core::fmt::Display for Violation {

@@ -13,7 +13,7 @@ use crate::zoo::ZooFamily;
 /// The committed per-family accuracy-contract manifest. Bounds were
 /// measured with [`crate::zoo::DEFAULT_SEED`] and carry ~2–4× headroom;
 /// tightening one below the measured error must fail the gate.
-pub const CONTRACT_MANIFEST: &str = include_str!("../contracts/zoo.json");
+pub(crate) const CONTRACT_MANIFEST: &str = include_str!("../contracts/zoo.json");
 
 /// Everything the harness knows about one executed family.
 #[derive(Debug, Clone)]
@@ -25,9 +25,9 @@ pub struct FamilyRun {
     /// Frequency-stage pole count of the extracted model.
     pub n_freq_poles: usize,
     /// Warm-started fits of the build that fell back to a cold restart.
-    pub cold_restarts: usize,
+    pub(crate) cold_restarts: usize,
     /// Model build time (excluding the training transient), seconds.
-    pub build_seconds: f64,
+    pub(crate) build_seconds: f64,
 }
 
 /// Harness errors: anything that stops a family from producing a report.
@@ -109,7 +109,7 @@ pub fn run_family(family: &ZooFamily) -> Result<FamilyRun, ZooError> {
 /// # Errors
 ///
 /// Returns [`ZooError::Manifest`] on syntax errors or missing metrics.
-pub fn parse_contracts(text: &str) -> Result<HashMap<String, AccuracyContract>, ZooError> {
+pub(crate) fn parse_contracts(text: &str) -> Result<HashMap<String, AccuracyContract>, ZooError> {
     let doc = Json::parse(text).map_err(ZooError::Manifest)?;
     let fields =
         doc.as_obj().ok_or_else(|| ZooError::Manifest("manifest root must be an object".into()))?;

@@ -25,8 +25,6 @@ pub const DEFAULT_SEED: u64 = 0x2013_0318;
 pub struct ZooFamily {
     /// Stable family name (contract manifest key).
     pub name: &'static str,
-    /// One-line description of what the family exercises.
-    pub description: &'static str,
     /// Netlist used for TFT training (extraction).
     pub train_deck: String,
     /// Netlist with a held-out stimulus; its transient is the oracle.
@@ -125,7 +123,7 @@ const LINEAR_VALID_SRC: &str = "Vin in 0 PULSE(0.2 0.8 1e-6 1e-7 1e-7 4e-6 1e-5)
 /// sweeping 0.1–0.9 V.
 const LINEAR_TRAIN_SRC: &str = "Vin in 0 SINE(0.5 0.4 1e4)";
 
-fn linear_family(name: &'static str, description: &'static str, body: String) -> ZooFamily {
+fn linear_family(name: &'static str, body: String) -> ZooFamily {
     let (tft, rvf) = linear_cfg();
     let train =
         format!("* zoo: {name} (train)\n{LINEAR_TRAIN_SRC}\n{body}.input Vin\n.output out\n.end\n");
@@ -133,7 +131,6 @@ fn linear_family(name: &'static str, description: &'static str, body: String) ->
         format!("* zoo: {name} (valid)\n{LINEAR_VALID_SRC}\n{body}.input Vin\n.output out\n.end\n");
     ZooFamily {
         name,
-        description,
         train_deck: train,
         valid_deck: valid,
         tft,
@@ -146,7 +143,6 @@ fn linear_family(name: &'static str, description: &'static str, body: String) ->
 
 fn clipper_family(
     name: &'static str,
-    description: &'static str,
     body: String,
     train_src: String,
     valid_src: String,
@@ -158,17 +154,7 @@ fn clipper_family(
         format!("* zoo: {name} (train)\n{train_src}\n{body}.input Vin\n.output out\n.end\n");
     let valid =
         format!("* zoo: {name} (valid)\n{valid_src}\n{body}.input Vin\n.output out\n.end\n");
-    ZooFamily {
-        name,
-        description,
-        train_deck: train,
-        valid_deck: valid,
-        tft,
-        rvf,
-        dt,
-        t_stop,
-        settle_frac: 0.2,
-    }
+    ZooFamily { name, train_deck: train, valid_deck: valid, tft, rvf, dt, t_stop, settle_frac: 0.2 }
 }
 
 /// Builds the full zoo for a seed. The family list and their nominal
@@ -187,7 +173,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
         let mut r = rng(&mut idx);
         let body =
             format!("R1 in out {:.6e}\nC1 out 0 {:.6e}\n", jit(&mut r, 1.0e3), jit(&mut r, 1.0e-9));
-        families.push(linear_family("rc_lowpass", "single-section RC low-pass", body));
+        families.push(linear_family("rc_lowpass", body));
     }
 
     // 2. Deep RC ladder: 4 cascaded sections (higher-order roll-off).
@@ -205,7 +191,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
                 jit(&mut r, 3.0e-10)
             ));
         }
-        families.push(linear_family("rc_ladder_deep", "4-section RC ladder", body));
+        families.push(linear_family("rc_ladder_deep", body));
     }
 
     // 3. RLC ladder: 2 sections with series inductance (complex poles,
@@ -225,7 +211,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
                 jit(&mut r, 1.0e-9)
             ));
         }
-        families.push(linear_family("rlc_ladder", "2-section RLC ladder", body));
+        families.push(linear_family("rlc_ladder", body));
     }
 
     // 4. VCVS (E) two-pole chain: ideal-buffer-separated RC stages with
@@ -240,7 +226,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
             jit(&mut r, 1.0e3),
             jit(&mut r, 1.0e-9)
         );
-        families.push(linear_family("vcvs_chain", "VCVS-buffered two-pole RC chain", body));
+        families.push(linear_family("vcvs_chain", body));
     }
 
     // 5. VCCS (G) transconductance amplifier into an RC load.
@@ -253,7 +239,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
             jit(&mut r, 1.0e3),
             jit(&mut r, 1.0e-9)
         );
-        families.push(linear_family("vccs_amp", "VCCS transconductance stage with RC load", body));
+        families.push(linear_family("vccs_amp", body));
     }
 
     // 6. CCCS (F) current mirror: a zero-volt sense source feeds the
@@ -267,7 +253,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
             jit(&mut r, 1.0e3),
             jit(&mut r, 1.0e-9)
         );
-        families.push(linear_family("cccs_mirror", "CCCS mirrored-current RC stage", body));
+        families.push(linear_family("cccs_mirror", body));
     }
 
     // 7. CCVS (H) transresistance stage: branch current sensed through a
@@ -281,7 +267,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
             jit(&mut r, 1.0e3),
             jit(&mut r, 1.0e-9)
         );
-        families.push(linear_family("ccvs_transresistance", "CCVS transresistance RC stage", body));
+        families.push(linear_family("ccvs_transresistance", body));
     }
 
     // 8. Subcircuit RC ladder: the deep ladder expressed as three
@@ -293,11 +279,7 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
             jit(&mut r, 1.0e3),
             jit(&mut r, 3.0e-10)
         );
-        families.push(linear_family(
-            "subckt_ladder",
-            "RC ladder built from .subckt sections",
-            body,
-        ));
+        families.push(linear_family("subckt_ladder", body));
     }
 
     // Diode clippers: same topology as `rvf_circuit::diode_clipper`,
@@ -317,7 +299,6 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
         let body = clipper_body(&mut r, 5.0e-11);
         families.push(clipper_family(
             "clipper_soft",
-            "diode clipper, soft drive (knee only)",
             body,
             "Vin in 0 SINE(0 0.5 1e5)".into(),
             "Vin in 0 SINE(0.1 0.35 2.5e5 1)".into(),
@@ -332,7 +313,6 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
         let body = clipper_body(&mut r, 5.0e-11);
         families.push(clipper_family(
             "clipper_hard",
-            "diode clipper, hard drive (deep clipping)",
             body,
             "Vin in 0 SINE(0 1.5 1e5)".into(),
             "Vin in 0 SINE(0.2 1.2 2.5e5 1)".into(),
@@ -355,7 +335,6 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
         );
         families.push(ZooFamily {
             name: "clipper_fast",
-            description: "diode clipper, 5x higher corner frequency",
             train_deck: train,
             valid_deck: valid,
             tft,
@@ -380,7 +359,6 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
         );
         families.push(clipper_family(
             "subckt_clipper",
-            "subcircuit clipper stage with RC post-filter",
             body,
             "Vin in 0 SINE(0 1.2 1e5)".into(),
             "Vin in 0 SINE(0.2 1.0 2.5e5 1)".into(),
@@ -391,15 +369,10 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
 
     // MOSFET square-law stages at GHz corners (buffer-like device
     // parameters from the paper's test vehicle).
-    let mos_family = |name: &'static str,
-                      description: &'static str,
-                      body: String,
-                      train_src: &str,
-                      valid_src: &str| {
+    let mos_family = |name: &'static str, body: String, train_src: &str, valid_src: &str| {
         let (tft, rvf) = mos_cfg();
         ZooFamily {
             name,
-            description,
             train_deck: format!(
                 "* zoo: {name} (train)\nVDD vdd 0 DC 1.5\n{train_src}\n{body}.input Vin\n.output out\n.end\n"
             ),
@@ -424,7 +397,6 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
         );
         families.push(mos_family(
             "mos_cs_amp",
-            "square-law common-source stage with RC load",
             body,
             "Vin in 0 SINE(0.9 0.25 5e7)",
             "Vin in 0 BIT(0.68 1.12 2.5e8 4e-10 0110100111010010)",
@@ -441,7 +413,6 @@ pub fn zoo(seed: u64) -> Vec<ZooFamily> {
         );
         families.push(mos_family(
             "mos_follower",
-            "NMOS source follower with resistive sink",
             body,
             "Vin in 0 SINE(0.9 0.3 5e7)",
             "Vin in 0 BIT(0.65 1.15 1.25e8 1.2e-9 01011001)",

@@ -34,17 +34,6 @@ pub fn basis_row(poles: &PoleSet, s: Complex, out: &mut Vec<Complex>) {
     }
 }
 
-/// Dense basis matrix: `L × n_basis` rows of [`basis_row`].
-pub fn basis_matrix(poles: &PoleSet, samples: &[Complex]) -> Vec<Vec<Complex>> {
-    let mut rows = Vec::with_capacity(samples.len());
-    let mut row = Vec::new();
-    for &s in samples {
-        basis_row(poles, s, &mut row);
-        rows.push(row.clone());
-    }
-    rows
-}
-
 /// Structured residues aligned with the entries of a [`PoleSet`]: one
 /// complex number per entry (`Real` entries have zero imaginary part;
 /// `Pair` entries store `c₁ + j·c₂` in terms of the basis coefficients).
@@ -54,7 +43,7 @@ pub struct Residues(pub Vec<Complex>);
 impl Residues {
     /// Converts the flat least-squares coefficient vector (one value per
     /// basis column) into structured residues.
-    pub fn from_flat(poles: &PoleSet, flat: &[f64]) -> Self {
+    pub(crate) fn from_flat(poles: &PoleSet, flat: &[f64]) -> Self {
         let mut out = Vec::with_capacity(poles.n_entries());
         let mut i = 0;
         for e in poles.entries() {
@@ -92,7 +81,7 @@ impl Residues {
     /// For pairs the contribution is `r/(s−a) + r*/(s−a*)` with
     /// `r = c₁ + j·c₂`, exactly the combination realized by the basis
     /// columns.
-    pub fn eval(&self, poles: &PoleSet, s: Complex) -> Complex {
+    pub(crate) fn eval(&self, poles: &PoleSet, s: Complex) -> Complex {
         let mut acc = Complex::ZERO;
         for (e, r) in poles.entries().iter().zip(&self.0) {
             match e {
@@ -126,7 +115,7 @@ mod tests {
 
     #[test]
     fn pair_basis_is_real_on_real_axis() {
-        let p = PoleSet::from_pairs(&[c(0.5, 0.3)]);
+        let p = PoleSet::new(vec![PoleEntry::Pair(c(0.5, 0.3))]);
         let mut row = Vec::new();
         for &x in &[0.0, 0.4, 1.0, 2.0] {
             basis_row(&p, Complex::from_re(x), &mut row);
@@ -138,7 +127,7 @@ mod tests {
 
     #[test]
     fn pair_basis_hermitian_on_imag_axis() {
-        let p = PoleSet::from_pairs(&[c(-1.0, 5.0)]);
+        let p = PoleSet::new(vec![PoleEntry::Pair(c(-1.0, 5.0))]);
         let mut row_p = Vec::new();
         let mut row_m = Vec::new();
         basis_row(&p, c(0.0, 2.0), &mut row_p);
@@ -172,14 +161,5 @@ mod tests {
         basis_row(&p, s, &mut row);
         let via_basis: Complex = row.iter().zip(&flat).map(|(phi, &w)| *phi * w).sum();
         assert!((r.eval(&p, s) - via_basis).abs() < 1e-13);
-    }
-
-    #[test]
-    fn basis_matrix_shape() {
-        let p = PoleSet::initial_imag_axis(4, 1.0, 100.0, 0.01, true);
-        let samples: Vec<Complex> = (1..=5).map(|i| c(0.0, i as f64)).collect();
-        let m = basis_matrix(&p, &samples);
-        assert_eq!(m.len(), 5);
-        assert!(m.iter().all(|r| r.len() == 4));
     }
 }

@@ -130,7 +130,7 @@ pub fn fit(
 /// With `initial`, the growth loop (paper Algorithm 1) passes the
 /// *relocated* poles of the previous, smaller fit instead of re-seeding
 /// from the generic spread at every count: the engine augments them to
-/// [`VfOptions::n_poles`] via [`PoleSet::grown_to`], and
+/// [`VfOptions::n_poles`] (adding pairs inside the sample span), and
 /// already-settled poles then need few (often zero) further relocation
 /// rounds. An initial set with *more* than `opts.n_poles` poles is used
 /// as-is. `None` is exactly [`fit`].
@@ -743,7 +743,7 @@ fn identify_residues(
 }
 
 /// Absolute RMS error of a model against the training data.
-pub fn model_rms(model: &RationalModel, samples: &[Complex], data: &[Vec<Complex>]) -> f64 {
+fn model_rms(model: &RationalModel, samples: &[Complex], data: &[Vec<Complex>]) -> f64 {
     let mut acc = 0.0;
     let mut n = 0usize;
     for (k, row) in data.iter().enumerate() {

@@ -12,9 +12,10 @@
 //! * the same machinery on the *real axis* for the recursive
 //!   state-dimension fits of the RVF algorithm, where poles are kept in
 //!   complex conjugate pairs off the axis (the paper's zero-phase base
-//!   functions);
-//! * block-diagonal state-space realizations, including the
-//!   *input-shifted* Hammerstein-compatible form of paper eqs. (12)–(14).
+//!   functions).
+//!
+//! The fitted pole–residue models are realized in the input-shifted
+//! state-space form of paper eqs. (12)–(14) by `rvf_core::hammerstein`.
 //!
 //! # Threading
 //!
@@ -59,18 +60,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod basis;
-pub mod error;
-pub mod fit;
-pub mod model;
-pub mod options;
-pub mod poles;
-pub mod realization;
+mod basis;
+mod error;
+mod fit;
+mod model;
+mod options;
+mod poles;
 
-pub use basis::{basis_matrix, basis_row, Residues};
+pub use basis::{basis_row, Residues};
 pub use error::VecfitError;
-pub use fit::{auto_workers, fit, fit_in, fit_single, model_rms, VfFit};
+pub use fit::{auto_workers, fit, fit_in, fit_single, VfFit};
 pub use model::{RationalModel, ResponseTerms};
 pub use options::{Axis, PoleSpread, VfOptions};
 pub use poles::{PoleEntry, PoleSet};
-pub use realization::{realize, Block, Form, Realization};

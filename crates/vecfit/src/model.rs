@@ -71,11 +71,6 @@ impl RationalModel {
         self.terms.len()
     }
 
-    /// Number of poles (pairs counted twice).
-    pub fn n_poles(&self) -> usize {
-        self.poles.n_poles()
-    }
-
     /// Evaluates response `k` at the (complex) point `s`.
     ///
     /// # Panics
@@ -84,11 +79,6 @@ impl RationalModel {
     pub fn eval(&self, k: usize, s: Complex) -> Complex {
         let t = &self.terms[k];
         t.residues.eval(&self.poles, s) + Complex::from_re(t.d) + s * t.e
-    }
-
-    /// Evaluates response `k` on a grid of points.
-    pub fn eval_grid(&self, k: usize, samples: &[Complex]) -> Vec<Complex> {
-        samples.iter().map(|&s| self.eval(k, s)).collect()
     }
 
     /// The residue trajectory of pole entry `p` across all responses —
@@ -102,20 +92,16 @@ impl RationalModel {
         assert!(p < self.poles.n_entries(), "pole entry out of range");
         self.terms.iter().map(|t| t.residues.0[p]).collect()
     }
-
-    /// The constant-term trajectory `d(x(k))` across responses.
-    pub fn const_trajectory(&self) -> Vec<f64> {
-        self.terms.iter().map(|t| t.d).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poles::PoleEntry;
     use rvf_numerics::c;
 
     fn two_response_model() -> RationalModel {
-        let poles = PoleSet::from_pairs(&[c(-1.0, 3.0)]);
+        let poles = PoleSet::new(vec![PoleEntry::Pair(c(-1.0, 3.0))]);
         let t0 = ResponseTerms { residues: Residues(vec![c(1.0, 0.5)]), d: 0.1, e: 0.0 };
         let t1 = ResponseTerms { residues: Residues(vec![c(2.0, -0.5)]), d: -0.1, e: 0.0 };
         RationalModel::new(poles, vec![t0, t1])
@@ -145,15 +131,5 @@ mod tests {
         let m = two_response_model();
         let tr = m.residue_trajectory(0);
         assert_eq!(tr, vec![c(1.0, 0.5), c(2.0, -0.5)]);
-        assert_eq!(m.const_trajectory(), vec![0.1, -0.1]);
-    }
-
-    #[test]
-    fn grid_eval_matches_pointwise() {
-        let m = two_response_model();
-        let grid = [c(0.0, 1.0), c(0.0, 2.0)];
-        let g = m.eval_grid(1, &grid);
-        assert_eq!(g[0], m.eval(1, grid[0]));
-        assert_eq!(g[1], m.eval(1, grid[1]));
     }
 }

@@ -17,7 +17,7 @@ pub enum PoleEntry {
 
 impl PoleEntry {
     /// Number of basis columns this entry contributes (1 or 2).
-    pub fn basis_width(&self) -> usize {
+    pub(crate) fn basis_width(&self) -> usize {
         match self {
             PoleEntry::Real(_) => 1,
             PoleEntry::Pair(_) => 2,
@@ -25,7 +25,7 @@ impl PoleEntry {
     }
 
     /// The pole value(s) as complex numbers.
-    pub fn values(&self) -> Vec<Complex> {
+    pub(crate) fn values(&self) -> Vec<Complex> {
         match self {
             PoleEntry::Real(a) => vec![Complex::from_re(*a)],
             PoleEntry::Pair(a) => vec![*a, a.conj()],
@@ -58,16 +58,6 @@ impl PoleSet {
     /// Creates a pole set of real poles.
     pub fn from_reals(poles: &[f64]) -> Self {
         Self { entries: poles.iter().map(|&a| PoleEntry::Real(a)).collect() }
-    }
-
-    /// Creates a pole set of conjugate pairs from their upper-half members.
-    pub fn from_pairs(poles: &[Complex]) -> Self {
-        Self {
-            entries: poles
-                .iter()
-                .map(|&a| PoleEntry::Pair(Complex::new(a.re, a.im.abs())))
-                .collect(),
-        }
     }
 
     /// The entries.
@@ -137,7 +127,12 @@ impl PoleSet {
     /// Starting poles for real-axis (state) fitting: conjugate pairs with
     /// real parts spread across the sampled interval `[x_min, x_max]` and
     /// imaginary parts a fixed fraction of the interval length.
-    pub fn initial_real_axis(n_poles: usize, x_min: f64, x_max: f64, imag_frac: f64) -> Self {
+    pub(crate) fn initial_real_axis(
+        n_poles: usize,
+        x_min: f64,
+        x_max: f64,
+        imag_frac: f64,
+    ) -> Self {
         assert!(n_poles >= 2, "real-axis fitting needs at least one pair");
         assert!(x_max > x_min, "need a nonempty interval");
         let n_pairs = n_poles.div_ceil(2);
@@ -160,7 +155,7 @@ impl PoleSet {
     ///
     /// For the imaginary axis `lo`/`hi` are angular frequencies of the
     /// sample grid; for the real axis they are the state interval bounds.
-    pub fn initial_for(opts: &VfOptions, lo: f64, hi: f64) -> Self {
+    pub(crate) fn initial_for(opts: &VfOptions, lo: f64, hi: f64) -> Self {
         match opts.axis {
             Axis::Imaginary => Self::initial_imag_axis(
                 opts.n_poles,
@@ -184,7 +179,7 @@ impl PoleSet {
     /// collide with either the edge-seeded initial spread or the
     /// relocated poles. If `self` already has `n_poles` or more, it is
     /// returned unchanged.
-    pub fn grown_to(&self, n_poles: usize, opts: &VfOptions, lo: f64, hi: f64) -> Self {
+    pub(crate) fn grown_to(&self, n_poles: usize, opts: &VfOptions, lo: f64, hi: f64) -> Self {
         let mut entries = self.entries.clone();
         let have = self.n_poles();
         if have >= n_poles {
@@ -235,7 +230,7 @@ impl PoleSet {
     ///   leave the fitted *values* intact through cancellation but
     ///   destroy the precision of the logarithmic primitives, so they
     ///   are pulled back in.
-    pub fn from_eigenvalues(
+    pub(crate) fn from_eigenvalues(
         eigs: &[Complex],
         axis: Axis,
         enforce_stability: bool,
@@ -349,7 +344,7 @@ impl PoleSet {
     /// Maximum relative displacement between two pole sets of identical
     /// structure — the convergence monitor of the relocation loop.
     /// Returns `f64::INFINITY` when structures differ.
-    pub fn displacement(&self, other: &PoleSet) -> f64 {
+    pub(crate) fn displacement(&self, other: &PoleSet) -> f64 {
         let a = self.to_complex();
         let b = other.to_complex();
         if a.len() != b.len() {
@@ -496,7 +491,7 @@ mod tests {
 
     #[test]
     fn to_complex_expands_pairs() {
-        let p = PoleSet::from_pairs(&[c(-1.0, 2.0)]);
+        let p = PoleSet::new(vec![PoleEntry::Pair(c(-1.0, 2.0))]);
         let v = p.to_complex();
         assert_eq!(v.len(), 2);
         assert_eq!(v[0], c(-1.0, 2.0));

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rvf_numerics::{c, jw_grid, linspace, logspace, Complex};
-use rvf_vecfit::{fit_single, realize, Form, PoleSet, Residues, VfOptions};
+use rvf_vecfit::{fit_single, VfOptions};
 
 fn pf(poles: &[Complex], residues: &[Complex], s: Complex) -> Complex {
     poles.iter().zip(residues).map(|(&a, &r)| r * (s - a).inv()).sum()
@@ -56,25 +56,6 @@ proptest! {
         let a = fit.model.eval(0, s);
         let b = fit.model.eval(0, s.conj());
         prop_assert!((a.conj() - b).abs() < 1e-10 * a.abs().max(1.0));
-    }
-
-    #[test]
-    fn realization_forms_agree(re in -4.0..-0.1f64, im in 0.5..20.0f64,
-                               rr in -3.0..3.0f64, ri in -3.0..3.0f64,
-                               pr in -5.0..-0.1f64, rp in -3.0..3.0f64) {
-        // Classic and input-shifted realizations are the same transfer
-        // function for arbitrary poles/residues (paper eq. 14).
-        let poles = PoleSet::new(vec![
-            rvf_vecfit::PoleEntry::Pair(c(re, im)),
-            rvf_vecfit::PoleEntry::Real(pr),
-        ]);
-        let res = Residues(vec![c(rr, ri), c(rp, 0.0)]);
-        let classic = realize(&poles, &res, 0.0, Form::Classic);
-        let shifted = realize(&poles, &res, 0.0, Form::InputShifted);
-        for i in 1..6 {
-            let s = c(0.0, i as f64 * 1.7);
-            prop_assert!((classic.eval(s) - shifted.eval(s)).abs() < 1e-10);
-        }
     }
 
     #[test]
