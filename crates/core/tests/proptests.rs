@@ -323,6 +323,41 @@ proptest! {
     }
 
     #[test]
+    fn realization_forms_agree(re in -4.0..-0.1f64, im in 0.5..20.0f64,
+                               rr in -3.0..3.0f64, ri in -3.0..3.0f64,
+                               pr in -5.0..-0.1f64, rp in -3.0..3.0f64) {
+        // The input-shifted blocks (paper eq. 14: f₁ = Re r + Im r,
+        // f₂ = Re r − Im r) realize the classic pole–residue form
+        // r/(s−a) + r*/(s−a*) + r_p/(s−p), both as a transfer function
+        // and as the DC level a simulated step settles to.
+        let (a, r) = (c(re, im), c(rr, ri));
+        let constant = |v: f64| statefn(c(-1.0, 1.0), Complex::ZERO, v, 0.0);
+        let m = HammersteinModel {
+            static_path: constant(0.0),
+            blocks: vec![
+                DynBlock::Pair { sigma: re, omega: im, f1: constant(rr + ri), f2: constant(rr - ri) },
+                DynBlock::Real { a: pr, f: constant(rp) },
+            ],
+            u0: 0.0,
+            y0: 0.0,
+        };
+        let classic = |s: Complex| {
+            r * (s - a).inv() + r.conj() * (s - a.conj()).inv() + rp * (s - c(pr, 0.0)).inv()
+        };
+        for i in 0..6 {
+            let s = c(0.0, i as f64 * 1.7);
+            let want = classic(s);
+            prop_assert!((m.transfer(1.0, s) - want).abs() < 1e-10 * want.abs().max(1.0));
+        }
+        // Slowest pole −0.1 decays by e^{−20} over the 200 s run.
+        let mut u = vec![1.0; 4000];
+        u[0] = 0.0;
+        let settled = *m.simulate(0.05, &u).last().unwrap();
+        let want = classic(Complex::ZERO).re;
+        prop_assert!((settled - want).abs() < 1e-6 * want.abs().max(1.0), "{settled} vs {want}");
+    }
+
+    #[test]
     fn verilog_and_matlab_generation_never_panics(m in arb_model()) {
         let v = rvf_core::to_verilog_a(&m, "m1");
         prop_assert!(v.contains("endmodule"));
