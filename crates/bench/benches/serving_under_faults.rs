@@ -25,7 +25,11 @@
 //!   it, so this row is the per-round checksum floor;
 //! * `state_digest_1000_sessions` — one `state_digest` of a scheduler
 //!   holding 1000 sessions after a served round: the canonical-state
-//!   digest the primary journals and the standby recomputes.
+//!   digest the primary journals and the standby recomputes;
+//! * `state_digest_1000_sessions_queued` — the same digest with a
+//!   round's 1000 64-sample chunks still queued: the first digest of a
+//!   standby round lands after the 1000th admission and hashes every
+//!   queued sample, so this is the digest that costs the most.
 //!
 //! A fault budget of `p` permille is split 40% worker panics (the
 //! whole round retries with backoff), 30% NaN/∞ stimulus (rejected at
@@ -312,6 +316,10 @@ fn bench_serving_under_faults(c: &mut Criterion) {
     harness.submit_round();
     harness.drain();
     c.bench_function("state_digest_1000_sessions", |b| {
+        b.iter(|| harness.sched.state_digest().expect("digest"))
+    });
+    harness.submit_round();
+    c.bench_function("state_digest_1000_sessions_queued", |b| {
         b.iter(|| harness.sched.state_digest().expect("digest"))
     });
 }

@@ -505,7 +505,7 @@ const VALUE_SUFFIXES: &[(&str, f64)] = &[
 /// are unit names and are ignored (`10pF` = 1e-11, `1kOhm` = 1e3);
 /// any other trailing content — digits, punctuation, or letters without
 /// a leading scale factor (`1x`) — rejects the value.
-pub fn parse_value(text: &str) -> Option<f64> {
+pub(crate) fn parse_value(text: &str) -> Option<f64> {
     let t = text.trim().to_ascii_lowercase();
     if t.is_empty() {
         return None;
@@ -656,6 +656,19 @@ mod tests {
         assert_eq!(parse_value("junk"), None);
         assert_eq!(parse_value("1x"), None);
         assert_eq!(parse_value(""), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(
+            proptest::prelude::ProptestConfig::with_cases(24).with_rng_seed(0xDA7E_2013)
+        )]
+
+        #[test]
+        fn parse_value_round_trips_plain_numbers(v in -1e6..1e6f64) {
+            let s = format!("{v:.6e}");
+            let parsed = parse_value(&s).unwrap();
+            proptest::prop_assert!((parsed - v).abs() <= 1e-5 * v.abs().max(1e-12));
+        }
     }
 
     #[test]

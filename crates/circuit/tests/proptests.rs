@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use rvf_circuit::devices::passive::{Capacitor, Resistor};
 use rvf_circuit::devices::sources::Vsource;
-use rvf_circuit::parser::parse_value;
 use rvf_circuit::{
     ac_sweep, dc_operating_point, rc_ladder, transient, Circuit, DcOptions, TranOptions, Waveform,
 };
@@ -95,13 +94,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parse_value_round_trips_plain_numbers(v in -1e6..1e6f64) {
-        let s = format!("{v:.6e}");
-        let parsed = parse_value(&s).unwrap();
-        prop_assert!((parsed - v).abs() <= 1e-5 * v.abs().max(1e-12));
     }
 
     #[test]

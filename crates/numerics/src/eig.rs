@@ -61,7 +61,7 @@ pub fn eigenvalues(a: &Mat) -> Result<Vec<Complex>, NumericsError> {
 }
 
 /// Closed-form eigenvalues of the 2×2 matrix `[[a, b], [c, d]]`.
-pub fn eig_2x2(a: f64, b: f64, c: f64, d: f64) -> [Complex; 2] {
+pub(crate) fn eig_2x2(a: f64, b: f64, c: f64, d: f64) -> [Complex; 2] {
     let tr = a + d;
     let det = a * d - b * c;
     let disc = tr * tr / 4.0 - det;
@@ -611,6 +611,23 @@ mod tests {
         let mut v = [a.re, b.re];
         v.sort_by(|x, y| x.partial_cmp(y).unwrap());
         assert_eq!(v, [-5.0, 3.0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The closed form's roots sum to the trace and multiply to the
+        /// determinant: an oracle independent of `eigenvalues`, which
+        /// answers every 2×2 matrix with `eig_2x2` itself.
+        #[test]
+        fn eig_2x2_matches_trace_and_determinant(a in -5.0..5.0f64, b in -5.0..5.0f64,
+                                                 c in -5.0..5.0f64, d in -5.0..5.0f64) {
+            let [l1, l2] = eig_2x2(a, b, c, d);
+            let scale = [a, b, c, d].iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let (trace, det) = (Complex::from_re(a + d), Complex::from_re(a * d - b * c));
+            proptest::prop_assert!((l1 + l2 - trace).abs() <= 1e-12 * scale);
+            proptest::prop_assert!((l1 * l2 - det).abs() <= 1e-12 * scale * scale);
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ mod sweep;
 
 pub use cmatrix::CMat;
 pub use complex::{c, ln_shifted_into, Complex};
-pub use eig::{eig_2x2, eigenvalues, sort_eigenvalues};
+pub use eig::{eigenvalues, sort_eigenvalues};
 pub use error::NumericsError;
 pub use expm::{FohPair, FohScalar};
 pub use fft::spectral_occupancy;

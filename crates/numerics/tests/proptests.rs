@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rvf_numerics::{
-    c, cumtrapz, eig_2x2, eigenvalues, from_roots, linspace, lstsq, sort_eigenvalues, Complex,
-    FohScalar, Lu, Mat, Qr,
+    c, cumtrapz, eigenvalues, from_roots, linspace, lstsq, sort_eigenvalues, Complex, FohScalar,
+    Lu, Mat, Qr,
 };
 
 fn finite_f64(range: core::ops::Range<f64>) -> impl Strategy<Value = f64> {
@@ -202,19 +202,6 @@ proptest! {
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (got, w) in roots.iter().zip(want) {
             prop_assert!((got.re - w).abs() < 1e-5 && got.im.abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn eig_2x2_matches_general_solver(a in -5.0..5.0f64, b in -5.0..5.0f64,
-                                      cc in -5.0..5.0f64, d in -5.0..5.0f64) {
-        let m = Mat::from_rows(&[&[a, b], &[cc, d]]);
-        let mut closed = eig_2x2(a, b, cc, d).to_vec();
-        let mut general = eigenvalues(&m).unwrap();
-        sort_eigenvalues(&mut closed);
-        sort_eigenvalues(&mut general);
-        for (x, y) in closed.iter().zip(&general) {
-            prop_assert!((*x - *y).abs() < 1e-8);
         }
     }
 

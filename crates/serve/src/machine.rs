@@ -268,7 +268,7 @@ impl<S> Put for Slot<S>
 where
     for<'s> &'s S: Into<CheckpointView<'s>>,
 {
-    fn put(&self, w: &mut Sink<'_>) {
+    fn put<W: Sink>(&self, w: &mut W) {
         // A state riding a batch round never gets here: `snapshot`
         // refuses first.
         let session = self.session.as_ref().and_then(|s| {

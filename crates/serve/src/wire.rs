@@ -26,18 +26,21 @@
 //! Each record's fields are listed once, in wire order, in the layout
 //! table below. That one list is the record's encoder — which the frame
 //! runs to count the payload, to write it, and to fold it into XXH64 —
-//! and its decoder. `f64`s travel as raw IEEE-754 bit patterns, so an
-//! encode → decode round trip is **bit-exact**: the property the tier's
-//! restore-then-replay guarantee is built on.
+//! and its decoder; the encoder is compiled once per destination, and a
+//! list of `f64`s crosses it as one bulk run. `f64`s travel as raw
+//! IEEE-754 bit patterns, so an encode → decode round trip is
+//! **bit-exact**: the property the tier's restore-then-replay guarantee
+//! is built on.
 //!
 //! Records are generic over how they hold their `f64` vectors. A
 //! [`WireRecord`] owns them. The scheduler journals from borrowed
 //! `&[f64]`s and [`CheckpointView`](rvf_core::CheckpointView)s.
 //! [`WireRecord::decode`] and [`decode_stream`] yield a [`WireView`],
-//! whose [`F64s`] read the decoded bytes in place: those bytes are not
-//! 8-aligned, so they cannot be cast to `&[f64]`. [`WireView::to_owned`]
-//! copies a view out. A snapshot, read once per baseline or restore,
-//! decodes straight into an owned [`SchedulerSnapshot`].
+//! whose [`F64s`] read the decoded bytes in place, a whole 8-byte chunk
+//! per value: those bytes are not 8-aligned, so they cannot be cast to
+//! `&[f64]`. [`WireView::to_owned`] copies a view out. A snapshot, read
+//! once per baseline or restore, decodes straight into an owned
+//! [`SchedulerSnapshot`].
 //!
 //! # Totality
 //!
@@ -119,15 +122,11 @@ fn merge(acc: u64, v: u64) -> u64 {
     (acc ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
 }
 
-fn le64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
 /// Streaming XXH64 with seed 0 (the xxHash specification): four lane
-/// accumulators over 32-byte stripes. Input arrives a word at a time:
-/// whole little-endian words fill the pending stripe, and the bytes of
-/// a shorter field wait in `carry` until a word is complete, so a `u64`
-/// after an odd-length field costs one shift, not eight byte stores.
+/// accumulators over 32-byte stripes. Whole little-endian words fill the
+/// pending stripe or, in a run, go to the lanes a stripe at a time; the
+/// bytes of a shorter field wait in `carry` until a word is complete, so
+/// a `u64` after an odd-length field costs one shift, not eight stores.
 pub(crate) struct Xxh64 {
     acc: [u64; 4],
     stripe: [u64; 4],
@@ -156,39 +155,40 @@ impl Xxh64 {
         }
     }
 
-    /// Appends the low `n` bytes of `v` (1 ≤ `n` ≤ 8; higher bytes zero).
-    fn put_word(&mut self, v: u64, n: u32) {
-        self.total += u64::from(n);
-        let k = self.carry_len;
-        let word = self.carry | v << (8 * k);
-        if k + n < 8 {
-            (self.carry, self.carry_len) = (word, k + n);
-            return;
+    /// Appends a run of whole words, `bits` of each element. Whole words
+    /// keep `carry_len` fixed: past carried bytes, each word is shifted
+    /// over them and its top bytes carried on.
+    fn put_run<T>(&mut self, src: &[T], bits: impl Fn(&T) -> u64) {
+        self.total += 8 * src.len() as u64;
+        // Aligned runs (every `checksum64`) skip the shift: it would cost
+        // them about twice the time.
+        if self.carry_len == 0 {
+            return self.put_words(src, bits);
         }
-        self.push_word(word);
-        self.carry = if k == 0 { 0 } else { v >> (64 - 8 * k) };
-        self.carry_len = k + n - 8;
+        let (k, mut carry) = (8 * self.carry_len, self.carry);
+        self.put_words(src, |v| {
+            let v = bits(v);
+            let w = v << k | carry;
+            carry = v >> (64 - k);
+            w
+        });
+        self.carry = carry;
     }
 
-    fn put_slice(&mut self, mut src: &[u8]) {
-        if self.lanes == 0 && self.carry_len == 0 {
-            // On a stripe boundary: whole stripes go straight to the lanes.
-            let mut stripes = src.chunks_exact(32);
-            for s in &mut stripes {
-                for (i, acc) in self.acc.iter_mut().enumerate() {
-                    *acc = round(*acc, le64(&s[8 * i..]));
-                }
+    /// Tops up the pending stripe, then feeds the lanes a stripe at a
+    /// time.
+    fn put_words<T>(&mut self, src: &[T], mut word: impl FnMut(&T) -> u64) {
+        let (head, body) = src.split_at(src.len().min((4 - self.lanes) % 4));
+        head.iter().for_each(|v| self.push_word(word(v)));
+        let (stripes, tail) = body.as_chunks::<4>();
+        let mut acc = self.acc;
+        for s in stripes {
+            for (acc, v) in acc.iter_mut().zip(s) {
+                *acc = round(*acc, word(v));
             }
-            self.total += (src.len() - stripes.remainder().len()) as u64;
-            src = stripes.remainder();
         }
-        let mut words = src.chunks_exact(8);
-        for w in &mut words {
-            self.put_word(le64(w), 8);
-        }
-        for &b in words.remainder() {
-            self.put_word(u64::from(b), 1);
-        }
+        self.acc = acc;
+        tail.iter().for_each(|v| self.push_word(word(v)));
     }
 
     /// The digest of everything written so far; the state is untouched,
@@ -326,30 +326,68 @@ impl From<TryGetError> for WireError {
     }
 }
 
-/// Where encoded bytes go — counted, buffered, or folded into XXH64 —
-/// so a record's length field, bytes and checksum share one writer.
-pub(crate) enum Sink<'a> {
-    Count(&'a mut usize),
-    Buf(&'a mut Vec<u8>),
-    Hash(&'a mut Xxh64),
+/// Where encoded bytes go — counted (`usize`), buffered (`Vec<u8>`), or
+/// folded into XXH64 — so a record's length field, bytes and checksum
+/// share one writer, monomorphised per destination.
+pub(crate) trait Sink {
+    /// The low `n` bytes of `v` (1 ≤ `n` ≤ 8; higher bytes zero),
+    /// little-endian.
+    fn put_word(&mut self, v: u64, n: u32);
+    fn put_slice(&mut self, src: &[u8]);
+    /// A run of `f64` bit patterns, little-endian, in one bulk write.
+    fn put_f64s(&mut self, src: &[f64]);
 }
 
-impl Sink<'_> {
+impl Sink for usize {
+    fn put_word(&mut self, _: u64, n: u32) {
+        *self += n as usize;
+    }
     fn put_slice(&mut self, src: &[u8]) {
-        match self {
-            Sink::Count(n) => **n += src.len(),
-            Sink::Buf(b) => b.extend_from_slice(src),
-            Sink::Hash(h) => h.put_slice(src),
+        *self += src.len();
+    }
+    fn put_f64s(&mut self, src: &[f64]) {
+        *self += 8 * src.len();
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put_word(&mut self, v: u64, n: u32) {
+        self.extend_from_slice(&v.to_le_bytes()[..n as usize]);
+    }
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+    fn put_f64s(&mut self, src: &[f64]) {
+        let at = self.len();
+        self.resize(at + 8 * src.len(), 0);
+        for (to, v) in self[at..].as_chunks_mut().0.iter_mut().zip(src) {
+            *to = v.to_le_bytes();
         }
     }
+}
 
-    /// The low `n` bytes of `v`, little-endian.
+impl Sink for Xxh64 {
     fn put_word(&mut self, v: u64, n: u32) {
-        match self {
-            Sink::Count(c) => **c += n as usize,
-            Sink::Buf(b) => b.extend_from_slice(&v.to_le_bytes()[..n as usize]),
-            Sink::Hash(h) => h.put_word(v, n),
+        self.total += u64::from(n);
+        let k = self.carry_len;
+        let word = self.carry | v << (8 * k);
+        if k + n < 8 {
+            (self.carry, self.carry_len) = (word, k + n);
+            return;
         }
+        self.push_word(word);
+        self.carry = if k == 0 { 0 } else { v >> (64 - 8 * k) };
+        self.carry_len = k + n - 8;
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        let (words, rest) = src.as_chunks();
+        self.put_run(words, |w| u64::from_le_bytes(*w));
+        rest.iter().for_each(|&b| self.put_word(u64::from(b), 1));
+    }
+
+    fn put_f64s(&mut self, src: &[f64]) {
+        self.put_run(src, |v| v.to_bits());
     }
 }
 
@@ -376,7 +414,16 @@ fn count(r: &mut Reader<'_>, min: usize, what: &'static str) -> Result<usize, Wi
 
 /// The encoding half of a layout.
 pub(crate) trait Put {
-    fn put(&self, w: &mut Sink<'_>);
+    fn put<W: Sink>(&self, w: &mut W);
+
+    /// A list's elements in order, one at a time unless the type writes
+    /// a run in bulk (the `Hash::hash_slice` pattern).
+    fn put_all<W: Sink>(list: &[Self], w: &mut W)
+    where
+        Self: Sized,
+    {
+        list.iter().for_each(|v| v.put(w));
+    }
 }
 
 /// The decoding half of a layout.
@@ -417,7 +464,7 @@ macro_rules! layout {
         }
 
         impl<$p: Put> Put for $ty<$p> {
-            fn put(&self, w: &mut Sink<'_>) {
+            fn put<W: Sink>(&self, w: &mut W) {
                 match self {
                     $(Self::$v $({ $($f),+ })? => {
                         w.put_word($tag, 1);
@@ -445,7 +492,7 @@ macro_rules! layout {
     };
     ($ty:ident $(<$($p:ident),+>)? { $($f:ident: $t:ty $(=> $what:literal)?),+ $(,)? }) => {
         impl$(<$($p: Put),+>)? Put for $ty$(<$($p),+>)? {
-            fn put(&self, w: &mut Sink<'_>) {
+            fn put<W: Sink>(&self, w: &mut W) {
                 $(self.$f.put(w);)+
             }
         }
@@ -466,14 +513,20 @@ macro_rules! layout {
 }
 
 /// The fields all layouts are built from, each as `type: |value, sink|
-/// encoding, fewest bytes, |reader, what| decoding;`.
+/// encoding, fewest bytes, |reader, what| decoding;`, and, for a type
+/// that writes a list of itself in one bulk run, `all |list, sink|
+/// encoding` before the `;`.
 macro_rules! leaf {
-    ($($t:ty: |$v:ident, $w:ident| $put:expr, $min:expr, |$r:ident, $what:ident| $get:expr;)+) => {$(
+    ($($t:ty: |$v:ident, $w:ident| $put:expr, $min:expr, |$r:ident, $what:ident| $get:expr
+        $(, all |$l:ident, $lw:ident| $all:expr)?;)+) => {$(
         impl Put for $t {
-            fn put(&self, $w: &mut Sink<'_>) {
+            fn put<W: Sink>(&self, $w: &mut W) {
                 let $v = self;
                 $put
             }
+            $(fn put_all<W: Sink>($l: &[Self], $lw: &mut W) {
+                $all
+            })?
         }
 
         impl<'a> Get<'a> for $t {
@@ -493,7 +546,8 @@ leaf! {
     u8: |v, w| w.put_word(u64::from(*v), 1), 1, |r, _what| Ok(r.try_get_u8()?);
     u32: |v, w| w.put_word(u64::from(*v), 4), 4, |r, _what| Ok(r.try_get_u32_le()?);
     u64: |v, w| w.put_word(*v, 8), 8, |r, _what| Ok(r.try_get_u64_le()?);
-    f64: |v, w| w.put_word(v.to_bits(), 8), 8, |r, _what| Ok(r.try_get_f64_le()?);
+    f64: |v, w| w.put_word(v.to_bits(), 8), 8, |r, _what| Ok(r.try_get_f64_le()?),
+        all |list, w| w.put_f64s(list);
     usize: |v, w| w.put_word(*v as u64, 8), 8, |r, what| {
         usize::try_from(r.try_get_u64_le()?).map_err(|_| WireError::Malformed { what })
     };
@@ -506,7 +560,7 @@ leaf! {
         Ok([u64::get(r, what)?, u64::get(r, what)?, u64::get(r, what)?, u64::get(r, what)?])
     };
     // A `u32` byte length, then UTF-8.
-    String: |v, w| put_list(w, v.as_bytes().iter()), 4, |r, what| {
+    String: |v, w| put_list(w, v.as_bytes()), 4, |r, what| {
         let len = count(r, 1, what)?;
         let text = core::str::from_utf8(take(r, len)?);
         text.map(str::to_owned).map_err(|_| WireError::Malformed { what: "non-UTF-8 string" })
@@ -515,7 +569,7 @@ leaf! {
 
 /// A presence flag, then the value if present.
 impl<T: Put> Put for Option<T> {
-    fn put(&self, w: &mut Sink<'_>) {
+    fn put<W: Sink>(&self, w: &mut W) {
         self.is_some().put(w);
         self.iter().for_each(|v| v.put(w));
     }
@@ -532,32 +586,33 @@ impl<'a, T: Get<'a>> Get<'a> for Option<T> {
     }
 }
 
-/// A list: a `u32` count, then each element.
-fn put_list<'t, T: Put + 't>(w: &mut Sink<'_>, list: impl ExactSizeIterator<Item = &'t T>) {
+/// A list: a `u32` count, then the elements.
+fn put_list<T: Put>(w: &mut impl Sink, list: &[T]) {
     w.put_word(list.len() as u64, 4);
-    list.for_each(|v| v.put(w));
+    T::put_all(list, w);
 }
 
 impl<T: Put> Put for [T] {
-    fn put(&self, w: &mut Sink<'_>) {
-        put_list(w, self.iter());
+    fn put<W: Sink>(&self, w: &mut W) {
+        put_list(w, self);
     }
 }
 
 impl<T: Put> Put for Vec<T> {
-    fn put(&self, w: &mut Sink<'_>) {
-        put_list(w, self.iter());
+    fn put<W: Sink>(&self, w: &mut W) {
+        put_list(w, self);
     }
 }
 
 impl<T: Put> Put for VecDeque<T> {
-    fn put(&self, w: &mut Sink<'_>) {
-        put_list(w, self.iter());
+    fn put<W: Sink>(&self, w: &mut W) {
+        w.put_word(self.len() as u64, 4);
+        self.iter().for_each(|v| v.put(w));
     }
 }
 
 impl<T: Put + ?Sized> Put for &T {
-    fn put(&self, w: &mut Sink<'_>) {
+    fn put<W: Sink>(&self, w: &mut W) {
         (**self).put(w);
     }
 }
@@ -579,15 +634,15 @@ impl<'a, T: Get<'a>> Get<'a> for Vec<T> {
 }
 
 /// A decoded `f64` vector, borrowed: the raw little-endian bit patterns
-/// in the decoded bytes, read one value at a time (`iter().len()` is
-/// its length). Compares bit for bit.
+/// in the decoded bytes, read a whole 8-byte chunk per value
+/// (`iter().len()` is its length). Compares bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct F64s<'a>(&'a [u8]);
 
 impl<'a> F64s<'a> {
     /// The values in order, bit-exact.
     pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
-        self.0.chunks_exact(8).map(|b| f64::from_bits(le64(b)))
+        self.0.as_chunks().0.iter().map(|&b| f64::from_le_bytes(b))
     }
 
     /// The values as an owned vector.
@@ -597,7 +652,7 @@ impl<'a> F64s<'a> {
 }
 
 impl Put for F64s<'_> {
-    fn put(&self, w: &mut Sink<'_>) {
+    fn put<W: Sink>(&self, w: &mut W) {
         w.put_word(self.0.len() as u64 / 8, 4);
         w.put_slice(self.0);
     }
@@ -988,7 +1043,7 @@ fn decode_front(bytes: &[u8], exact: bool) -> Result<(WireView<'_>, usize), Wire
     }
     // total >= needed, so the frame's length fits in usize.
     let (framed, trailer) = bytes[..needed as usize].split_at(needed as usize - 8);
-    let (expected, found) = (checksum64(framed), le64(trailer));
+    let (expected, found) = (checksum64(framed), u64::get(&mut &*trailer, "")?);
     if found != expected {
         return Err(WireError::BadChecksum { expected, found });
     }
@@ -1128,7 +1183,7 @@ pub fn decode_stream(buf: &Bytes) -> RecordStream<'_> {
 }
 
 impl<V: Put> Put for Record<V> {
-    fn put(&self, w: &mut Sink<'_>) {
+    fn put<W: Sink>(&self, w: &mut W) {
         match self {
             Self::Stimulus(c) => c.put(w),
             Self::Response(c) => c.put(w),
@@ -1140,24 +1195,22 @@ impl<V: Put> Put for Record<V> {
     }
 }
 
-/// Writes a `kind` header and `payload`, sized by a counting pass first
-/// (a buffer reserves the whole record from it).
-fn put_record(w: &mut Sink<'_>, kind: u8, payload: &impl Put) {
+/// Writes a `kind` header and `payload` to the sink `new` makes for
+/// the record's length in bytes, counted by a first pass.
+fn put_record<W: Sink>(kind: u8, payload: &impl Put, new: impl FnOnce(usize) -> W) -> W {
     let mut len = 0;
-    payload.put(&mut Sink::Count(&mut len));
-    if let Sink::Buf(b) = w {
-        b.reserve_exact(HEADER_LEN + len + 8);
-    }
+    payload.put(&mut len);
+    let mut w = new(HEADER_LEN + len + 8);
     // Magic, version, kind and the zero reserved byte: one word.
     w.put_word(u64::from(MAGIC) | u64::from(WIRE_VERSION) << 32 | u64::from(kind) << 48, 8);
     w.put_word(len as u64, 8);
-    payload.put(w);
+    payload.put(&mut w);
+    w
 }
 
 /// Frames `payload` (header, payload, trailer) in one buffer.
 pub(crate) fn frame(kind: u8, payload: &impl Put) -> Bytes {
-    let mut buf = Vec::new();
-    put_record(&mut Sink::Buf(&mut buf), kind, payload);
+    let mut buf = put_record(kind, payload, Vec::with_capacity);
     buf.extend_from_slice(&checksum64(&buf).to_le_bytes());
     Bytes::from(buf)
 }
@@ -1167,8 +1220,7 @@ pub(crate) fn frame(kind: u8, payload: &impl Put) -> Bytes {
 /// header and payload is the trailer, and the hash goes on over the
 /// trailer's bytes.
 pub(crate) fn framed_checksum(kind: u8, payload: &impl Put) -> u64 {
-    let mut h = Xxh64::new();
-    put_record(&mut Sink::Hash(&mut h), kind, payload);
+    let mut h = put_record(kind, payload, |_| Xxh64::new());
     let trailer = h.finish();
     h.put_word(trailer, 8);
     h.finish()
@@ -1467,7 +1519,7 @@ mod tests {
     fn one_buffer_frame_matches_the_two_copy_oracle() {
         for record in corpus() {
             let mut payload = Vec::new();
-            record.put(&mut Sink::Buf(&mut payload));
+            record.put(&mut payload);
             let want = two_copy_frame(record.kind(), Bytes::from(payload));
             assert_eq!(record.encode(), want, "kind {} framed differently", record.kind());
             let sum = framed_checksum(record.kind(), &record);
@@ -1499,7 +1551,7 @@ mod tests {
             cuts in proptest::collection::vec((0u8..4, 0usize..70), 0..40),
         ) {
             let mut h = Xxh64::new();
-            let mut w = Sink::Hash(&mut h);
+            let w = &mut h;
             let mut at = 0;
             for (how, len) in cuts {
                 let rest = &bytes[at..];
@@ -1523,6 +1575,86 @@ mod tests {
             }
             w.put_slice(&bytes[at..]);
             proptest::prop_assert_eq!(h.finish(), checksum64(&bytes));
+        }
+    }
+
+    /// A value of the IEEE-754 class `class` picks, its other bits from
+    /// `bits`: a signed zero, a subnormal, an infinity, a NaN with a
+    /// payload, or (classes 4 and up) any bit pattern.
+    fn of_class(class: u8, bits: u64) -> f64 {
+        const SIGN: u64 = 1 << 63;
+        const EXP: u64 = 0x7FF << 52;
+        const MANT: u64 = (1 << 52) - 1;
+        f64::from_bits(match class {
+            0 => bits & SIGN,
+            1 => bits & (SIGN | MANT) | 1,
+            2 => bits & SIGN | EXP,
+            3 => bits & (SIGN | MANT) | EXP | 1,
+            _ => bits,
+        })
+    }
+
+    /// `bytes` single bytes, `words` whole words, then `list` as a wire
+    /// list: in one bulk run, or one value at a time.
+    struct Prefixed<'a> {
+        bytes: usize,
+        words: usize,
+        list: &'a [f64],
+        bulk: bool,
+    }
+
+    impl Put for Prefixed<'_> {
+        fn put<W: Sink>(&self, w: &mut W) {
+            (0..self.bytes).for_each(|i| w.put_word(0xA0 + i as u64, 1));
+            (0..self.words).for_each(|i| w.put_word(0x0123_4567_89AB_CDEF << i, 8));
+            if self.bulk {
+                self.list.put(w);
+            } else {
+                w.put_word(self.list.len() as u64, 4);
+                self.list.iter().for_each(|v| v.put(w));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A bulk `f64` run, after a prefix that starts it at every
+        /// carry offset and stripe phase, counts, writes and hashes the
+        /// same as writing its values one at a time; its framed checksum
+        /// is the checksum of its frame, and it reads back bit for bit.
+        #[test]
+        fn bulk_f64_run_equals_one_value_at_a_time(
+            raw in proptest::collection::vec((0u8..8, 0u64..=u64::MAX), 0..80),
+            bytes in 0usize..8,
+            words in 0usize..4,
+        ) {
+            let list: Vec<f64> = raw.iter().map(|&(class, bits)| of_class(class, bits)).collect();
+            let bulk = Prefixed { bytes, words, list: &list, bulk: true };
+            let single = Prefixed { bulk: false, ..bulk };
+            let (mut n_bulk, mut n_single) = (0usize, 0usize);
+            bulk.put(&mut n_bulk);
+            single.put(&mut n_single);
+            let (mut b_bulk, mut b_single) = (Vec::new(), Vec::new());
+            bulk.put(&mut b_bulk);
+            single.put(&mut b_single);
+            let (mut h_bulk, mut h_single) = (Xxh64::new(), Xxh64::new());
+            bulk.put(&mut h_bulk);
+            single.put(&mut h_single);
+            proptest::prop_assert_eq!(n_bulk, n_single);
+            proptest::prop_assert_eq!(n_bulk, b_single.len());
+            proptest::prop_assert_eq!(&b_bulk, &b_single);
+            proptest::prop_assert_eq!(h_bulk.finish(), h_single.finish());
+            proptest::prop_assert_eq!(h_bulk.finish(), checksum64(&b_single));
+
+            let framed = frame(KIND_RESPONSE, &bulk);
+            let framed = framed.as_ref();
+            let want = two_copy_frame(KIND_RESPONSE, Bytes::from(b_single));
+            proptest::prop_assert_eq!(framed, want.as_ref());
+            proptest::prop_assert_eq!(framed_checksum(KIND_RESPONSE, &bulk), checksum64(framed));
+            let r = &mut &framed[HEADER_LEN + bytes + 8 * words..];
+            let back = F64s::get(r, "").expect("the run reads back").iter().map(f64::to_bits);
+            proptest::prop_assert!(back.eq(list.iter().map(|v| v.to_bits())));
         }
     }
 
