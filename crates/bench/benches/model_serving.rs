@@ -24,8 +24,8 @@
 //!   single-stimulus calls, the floor the batch path's per-round
 //!   bookkeeping is measured against;
 //! * `serving_stream_sustained_c064` / `serving_stream_sustained_c512`
-//!   — 64k samples pushed through one `StreamingSession` via the
-//!   zero-allocation `feed_into` in 64- / 512-sample chunks: the
+//!   — 64k samples pushed through one `SimState` via the
+//!   zero-allocation `simulate_into` in 64- / 512-sample chunks: the
 //!   sustained-Msamples/s figure of the streaming tier (must hold the
 //!   batch path's throughput).
 //!
@@ -34,7 +34,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rvf_bench::{buffer_circuit, paper_rvf_options, paper_tft_config, test_pattern};
 use rvf_circuit::Waveform;
-use rvf_core::{fit_tft, DynBlock};
+use rvf_core::{fit_tft, CompiledSim, DynBlock, SessionChunk, SimState};
 use rvf_numerics::{ln_shifted_into, Complex};
 use rvf_tft::extract_from_circuit;
 
@@ -128,30 +128,46 @@ fn bench_serving(c: &mut Criterion) {
     for batch in [1usize, 16, 256] {
         let id = format!("serving_batch_b{batch:03}");
         let slice = &refs[..batch];
-        c.bench_function(&id, |b| b.iter(|| sim.try_simulate_batch(dt, slice).unwrap()));
+        c.bench_function(&id, |b| b.iter(|| batch_round(&sim, dt, slice)));
     }
     c.bench_function("serving_sequential_b256", |b| {
         b.iter(|| refs.iter().map(|s| sim.simulate(dt, s)).collect::<Vec<_>>())
     });
 
-    // Sustained streaming: one long stimulus through a StreamingSession
-    // in fixed-size chunks over the allocation-free feed_into path.
+    // Sustained streaming: one long stimulus through one state in
+    // fixed-size chunks over the allocation-free simulate_into path.
     let stream: Vec<f64> = pattern_stimulus(999, 65_536, dt);
     for chunk in [64usize, 512] {
         let id = format!("serving_stream_sustained_c{chunk:03}");
         c.bench_function(&id, |b| {
             b.iter(|| {
-                let mut session = sim.session(dt).unwrap();
+                let mut state = sim.new_state();
                 let mut out = vec![0.0; chunk];
                 let mut acc = 0.0;
                 for piece in stream.chunks(chunk) {
-                    session.feed_into(piece, &mut out[..piece.len()]).unwrap();
+                    sim.simulate_into(dt, piece, &mut state, &mut out[..piece.len()]).unwrap();
                     acc += out[piece.len() - 1];
                 }
                 acc
             })
         });
     }
+}
+
+/// One batch: every stimulus from a fresh state in one serial
+/// [`CompiledSim::advance_chunks`] round.
+fn batch_round(sim: &CompiledSim, dt: f64, stimuli: &[&[f64]]) -> Vec<Vec<f64>> {
+    let mut states: Vec<SimState> = stimuli.iter().map(|_| sim.new_state()).collect();
+    let mut outs: Vec<Vec<f64>> = stimuli.iter().map(|s| vec![0.0; s.len()]).collect();
+    let mut chunks: Vec<SessionChunk<'_>> = states
+        .iter_mut()
+        .zip(stimuli)
+        .zip(outs.iter_mut())
+        .map(|((state, input), output)| SessionChunk { state, input, output })
+        .collect();
+    sim.advance_chunks(dt, &mut chunks, None).unwrap();
+    drop(chunks);
+    outs
 }
 
 criterion_group! {

@@ -430,10 +430,20 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() <= 1e-12 * peak, "{g} vs {w}");
         }
-        // And the batch path is bit-identical to per-stimulus serial.
+        // And a batch round over fresh states is bit-identical to
+        // per-stimulus serial.
         let sim = m.compile().unwrap();
         let halves: Vec<&[f64]> = inputs.chunks(57).collect();
-        let batch = sim.try_simulate_batch(1e-11, &halves).unwrap();
+        let mut states: Vec<_> = halves.iter().map(|_| sim.new_state()).collect();
+        let mut batch: Vec<Vec<f64>> = halves.iter().map(|s| vec![0.0; s.len()]).collect();
+        let mut chunks: Vec<rvf_core::SessionChunk<'_>> = states
+            .iter_mut()
+            .zip(halves.iter().copied())
+            .zip(batch.iter_mut())
+            .map(|((state, input), output)| rvf_core::SessionChunk { state, input, output })
+            .collect();
+        sim.advance_chunks(1e-11, &mut chunks, None).unwrap();
+        drop(chunks);
         for (s, out) in halves.iter().zip(&batch) {
             let single = sim.simulate(1e-11, s);
             assert_eq!(out.len(), single.len());
@@ -444,10 +454,10 @@ mod tests {
         // Streaming the same stimulus chunk by chunk reproduces the
         // one-shot bits: the CAFFEINE power-basis rows go through the
         // same chunk kernel as the RVF log-form rows.
-        let mut session = sim.session(1e-11).unwrap();
-        let mut streamed = Vec::new();
-        for chunk in inputs.chunks(23) {
-            streamed.extend(session.feed(chunk).unwrap());
+        let mut state = sim.new_state();
+        let mut streamed = vec![0.0; inputs.len()];
+        for (chunk, out) in inputs.chunks(23).zip(streamed.chunks_mut(23)) {
+            sim.simulate_into(1e-11, chunk, &mut state, out).unwrap();
         }
         assert_eq!(streamed.len(), got.len());
         for (a, b) in streamed.iter().zip(&got) {

@@ -172,7 +172,7 @@ impl HammersteinModel {
     /// Lowers the model into the flat serving tables of
     /// [`CompiledSim`](crate::CompiledSim): call once, then evaluate
     /// many stimuli through [`CompiledSim::simulate`](crate::CompiledSim::simulate)
-    /// / [`CompiledSim::try_simulate_batch`](crate::CompiledSim::try_simulate_batch).
+    /// / [`CompiledSim::advance_chunks`](crate::CompiledSim::advance_chunks).
     pub fn compile(&self) -> crate::CompiledSim {
         let mut b = crate::SimBuilder::new();
         let s = b.drive_rational(&self.static_path.primitive);

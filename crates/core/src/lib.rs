@@ -22,10 +22,10 @@
 //!    text serialization, Verilog-A and MATLAB code generation;
 //! 6. **Serving** ([`serving`]) — the compiled evaluation runtime behind
 //!    [`HammersteinModel::simulate`]:
-//!    models lowered to flat shared-basis tables, with one-shot, pooled
-//!    batch, and streaming/resumable session APIs
-//!    ([`SimState`], [`StreamingSession`], and
-//!    [`CompiledSim::advance_chunks`] for many sessions over a pool).
+//!    models lowered to flat shared-basis tables, evaluated through
+//!    three entries: one-shot [`CompiledSim::simulate`], one resumable
+//!    [`SimState`] per [`CompiledSim::simulate_into`] call, and
+//!    [`CompiledSim::advance_chunks`] for many states over a pool.
 //!
 //! # Examples
 //!
@@ -75,5 +75,4 @@ pub use recursive::{fit_recursive_2d, Rvf2d};
 pub use rvf::{fit_frequency_stage, fit_state_stage, RvfOptions, StageFit};
 pub use serving::{
     CheckpointView, CompiledSim, ServingError, SessionChunk, SimBuilder, SimState, StateCheckpoint,
-    StreamingSession,
 };

@@ -269,10 +269,10 @@ pub(crate) struct BlockCoef {
 ///
 /// Build one with [`HammersteinModel::compile`](crate::HammersteinModel::compile)
 /// (or [`SimBuilder`] directly), then evaluate stimuli with
-/// [`simulate`](CompiledSim::simulate) /
-/// [`try_simulate_batch`](CompiledSim::try_simulate_batch), or stream
-/// chunks through a [`SimState`](super::SimState) /
-/// [`StreamingSession`](super::StreamingSession).
+/// [`simulate`](CompiledSim::simulate), stream chunks through a
+/// [`SimState`](super::SimState) with
+/// [`simulate_into`](CompiledSim::simulate_into), or advance many
+/// states at once with [`advance_chunks`](CompiledSim::advance_chunks).
 #[derive(Debug, Clone)]
 pub struct CompiledSim {
     pub(crate) static_row: usize,

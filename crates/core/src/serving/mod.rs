@@ -1,55 +1,46 @@
-//! Compiled serving runtime for extracted Hammerstein models: one-shot,
-//! batched, and streaming evaluation.
+//! Compiled serving runtime for extracted Hammerstein models.
 //!
 //! [`HammersteinModel::simulate`](crate::HammersteinModel::simulate) is
 //! the deployment hot path (the paper's Table I "Speedup" is a claim
 //! about *evaluation* cost). The runtime lowers a model **once** into
 //! flat structure-of-arrays tables ([`SimBuilder`] → [`CompiledSim`],
-//! see `compile.rs`) and then evaluates stimuli through three entry
-//! styles:
+//! see `compile.rs`) and then runs one kernel, `advance`, over one
+//! [`SimState`] at a time. Three entries lead into it:
 //!
-//! * **one-shot** — [`CompiledSim::simulate`] /
-//!   [`CompiledSim::try_simulate`]: one stimulus in, one output vector
-//!   out, sample-for-sample equal to
+//! * [`CompiledSim::simulate`] — one-shot: one stimulus in, one output
+//!   vector out, sample-for-sample equal to
 //!   [`HammersteinModel::simulate_reference`](crate::HammersteinModel::simulate_reference)
 //!   under `f64` comparison;
-//! * **batched** — [`CompiledSim::try_simulate_batch`] /
-//!   [`CompiledSim::try_simulate_batch_in`]: many stimuli from fresh
-//!   states, one task each over the
-//!   [`SweepPool`](rvf_numerics::SweepPool) runtime (`batch.rs`);
-//! * **streaming** — [`SimState`] + [`CompiledSim::simulate_into`]
-//!   (`state.rs`) carry the per-simulation first-order-hold state across
-//!   chunk boundaries, so a stimulus fed in N chunks produces exactly
-//!   the bits of the one-shot call; [`StreamingSession`] and the
-//!   many-session [`CompiledSim::advance_chunks`] (`session.rs`) build
-//!   resumable serving sessions on top.
-//!
-//! Every style runs the same single-simulation kernel over one
-//! [`SimState`] at a time; [`CompiledSim::advance_chunks`] is the one
-//! routine that fans chunks over a pool, and the batch entry points are
-//! an `advance_chunks` round over fresh states. That round always runs
-//! on a caller-owned [`SweepPool`](rvf_numerics::SweepPool) (a local
-//! one-worker pool when none is given): the model carries no thread
-//! setting, and the module holds no global state.
+//! * [`CompiledSim::simulate_into`] — one caller-owned [`SimState`]
+//!   advanced by one chunk, checked and allocation-free. A stimulus fed
+//!   in N chunks produces exactly the bits of the one-shot call;
+//!   `clone` (or [`SimState::export`] /
+//!   [`CompiledSim::import_state`]) checkpoints and resumes;
+//! * [`CompiledSim::advance_chunks`] — many states advanced one chunk
+//!   each as one transactional round on a caller-owned
+//!   [`SweepPool`](rvf_numerics::SweepPool) (a local one-worker pool
+//!   when none is given). A batch is a round over fresh states. The
+//!   model carries no thread setting, and the module holds no global
+//!   state.
 //!
 //! Every kernel expression reproduces the reference loop's operation
 //! order, so compiled output equals the reference sample-for-sample
-//! (`f64` `==`), batch output is bit-identical to per-stimulus serial
-//! calls for every worker count, and chunked session output is
-//! bit-identical to one-shot evaluation for every chunk split.
+//! (`f64` `==`), a round's output is bit-identical to per-state serial
+//! calls for every worker count, and chunked output is bit-identical to
+//! one-shot evaluation for every chunk split.
 //!
-//! The *checked* entry points (`try_*`, [`CompiledSim::simulate_into`],
-//! [`CompiledSim::advance_chunks`], the session type) never panic:
-//! invalid steps, foreign states, mis-sized buffers, and mid-batch
-//! worker panics all surface as a typed [`ServingError`].
+//! The checked entries ([`CompiledSim::simulate_into`],
+//! [`CompiledSim::advance_chunks`]) run one per-chunk check and never
+//! panic: invalid steps, foreign states, mis-sized buffers, non-finite
+//! samples and mid-round worker panics all surface as a typed
+//! [`ServingError`], with no state touched.
 
-pub(crate) mod batch;
 pub(crate) mod compile;
 pub(crate) mod session;
 pub(crate) mod state;
 
 pub use compile::{CompiledSim, SimBuilder};
-pub use session::{SessionChunk, StreamingSession};
+pub use session::SessionChunk;
 pub use state::{CheckpointView, SimState, StateCheckpoint};
 
 use core::fmt;
@@ -57,11 +48,10 @@ use core::fmt;
 /// Errors produced by the checked serving APIs.
 ///
 /// The serving layer's contract is that the *checked* entry points
-/// ([`CompiledSim::try_simulate_batch`], [`CompiledSim::simulate_into`],
-/// [`StreamingSession`], [`CompiledSim::advance_chunks`],
-/// [`SimBuilder::try_build`])
-/// never panic: every data-dependent failure — including a worker panic
-/// inside a pooled batch round — comes back as one of these variants.
+/// ([`CompiledSim::simulate_into`], [`CompiledSim::advance_chunks`],
+/// [`SimBuilder::try_build`]) never panic: every data-dependent
+/// failure — including a worker panic inside a pooled round — comes
+/// back as one of these variants.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServingError {
@@ -82,13 +72,10 @@ pub enum ServingError {
     MissingStaticDrive,
     /// A stimulus chunk contains a non-finite (NaN or ±∞) sample.
     ///
-    /// Checked at every state-mutating boundary
-    /// ([`CompiledSim::simulate_into`], [`StreamingSession::feed`] /
-    /// [`feed_into`](StreamingSession::feed_into),
-    /// [`CompiledSim::advance_chunks`], the
-    /// `try_*` batch entry points) *before* any state is touched: a NaN
-    /// sample would otherwise poison the first-order-hold registers and
-    /// every later checkpoint silently.
+    /// Checked by [`CompiledSim::simulate_into`] and
+    /// [`CompiledSim::advance_chunks`] *before* any state is touched: a
+    /// NaN sample would otherwise poison the first-order-hold registers
+    /// and every later checkpoint silently.
     BadStimulus {
         /// Position of the offending sample within its chunk.
         index: usize,
@@ -143,7 +130,7 @@ impl std::error::Error for ServingError {}
 
 /// Whether `dt` is usable as a sample step (finite and strictly
 /// positive) — the predicate behind [`check_dt`] and the
-/// `debug_assert!`s of the legacy infallible signatures.
+/// `debug_assert!` of the unchecked [`CompiledSim::simulate`].
 pub(crate) fn dt_ok(dt: f64) -> bool {
     dt.is_finite() && dt > 0.0
 }

@@ -1,16 +1,10 @@
-//! Resumable serving sessions: one stimulus fed chunk by chunk
-//! ([`StreamingSession`]), and many independent sessions advanced one
-//! chunk each over a borrowed [`SweepPool`]
-//! ([`CompiledSim::advance_chunks`]).
+//! Many independent sessions advanced one chunk each over a borrowed
+//! [`SweepPool`] ([`CompiledSim::advance_chunks`]).
 //!
-//! Both are thin lifecycles around [`SimState`]: a session *is* its
-//! state plus the `dt` it was opened with (validated once at open, so
-//! the per-chunk path has no failure modes beyond buffer shape). The
-//! bit-identity contract carries through — a session fed any chunk
-//! split produces exactly the one-shot [`CompiledSim::simulate`] bits,
-//! and an [`advance_chunks`](CompiledSim::advance_chunks) round
-//! produces exactly the bits each session would produce alone, whatever
-//! the worker count.
+//! A session is a caller-owned [`SimState`] plus the `dt` it runs at.
+//! The bit-identity contract carries through: a round produces exactly
+//! the bits each state would produce alone through
+//! [`CompiledSim::simulate_into`], whatever the worker count.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -18,132 +12,7 @@ use rvf_numerics::{SweepConfig, SweepError, SweepPool};
 
 use super::compile::CompiledSim;
 use super::state::{advance, SimState};
-use super::{check_dt, check_stimulus, ServingError};
-
-/// A resumable streaming evaluation of one stimulus.
-///
-/// Open one with [`CompiledSim::session`], feed input chunks with
-/// [`feed`](StreamingSession::feed) (allocating) or
-/// [`feed_into`](StreamingSession::feed_into) (zero-allocation in
-/// steady state), checkpoint with
-/// [`checkpoint`](StreamingSession::checkpoint), and resume a
-/// checkpoint later via [`CompiledSim::session_from`]. Chunked output
-/// is bit-identical to the one-shot call for every split.
-///
-/// # Examples
-///
-/// ```
-/// use rvf_core::{IntegratedStateFn, SimBuilder};
-///
-/// let mut b = SimBuilder::new();
-/// let s = b.drive_poly(&[0.0, 1.0]);
-/// b.set_static_drive(s);
-/// b.block_real(-1.0e9, s);
-/// let sim = b.try_build().unwrap();
-///
-/// let stimulus = [0.0, 0.5, 1.0, 1.0, 0.25];
-/// let mut session = sim.session(1.0e-10).unwrap();
-/// let mut streamed = Vec::new();
-/// for chunk in stimulus.chunks(2) {
-///     streamed.extend(session.feed(chunk).unwrap());
-/// }
-/// assert_eq!(streamed, sim.simulate(1.0e-10, &stimulus));
-/// assert_eq!(session.samples(), 5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct StreamingSession<'a> {
-    sim: &'a CompiledSim,
-    dt: f64,
-    state: SimState,
-}
-
-impl<'a> StreamingSession<'a> {
-    /// Feeds one chunk and returns its output samples. Allocates the
-    /// return vector; use [`feed_into`](StreamingSession::feed_into)
-    /// for the allocation-free path.
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::BadStimulus`] when the chunk contains a NaN or
-    /// infinite sample; the session state is untouched in that case (a
-    /// non-finite sample would otherwise poison the first-order-hold
-    /// registers and every later checkpoint).
-    pub fn feed(&mut self, chunk: &[f64]) -> Result<Vec<f64>, ServingError> {
-        check_stimulus(chunk)?;
-        let mut out = vec![0.0; chunk.len()];
-        advance(self.sim, self.dt, &mut self.state, chunk, &mut out);
-        Ok(out)
-    }
-
-    /// Feeds one chunk, writing its output samples into `out` — the
-    /// zero-allocation steady-state path (`dt` was validated at open,
-    /// the propagator cache lives in the state).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::OutputMismatch`] when `out.len() !=
-    /// chunk.len()`, [`ServingError::BadStimulus`] when the chunk
-    /// contains a non-finite sample; the session state is untouched in
-    /// either case.
-    pub fn feed_into(&mut self, chunk: &[f64], out: &mut [f64]) -> Result<(), ServingError> {
-        if out.len() != chunk.len() {
-            return Err(ServingError::OutputMismatch { expected: chunk.len(), got: out.len() });
-        }
-        check_stimulus(chunk)?;
-        advance(self.sim, self.dt, &mut self.state, chunk, out);
-        Ok(())
-    }
-
-    /// A resumable snapshot of the session's current state — hand it to
-    /// [`CompiledSim::session_from`] (or keep feeding this session; the
-    /// snapshot is independent).
-    pub fn checkpoint(&self) -> SimState {
-        self.state.clone()
-    }
-
-    /// Consumes the session, returning its state.
-    pub fn into_state(self) -> SimState {
-        self.state
-    }
-
-    /// Samples fed so far.
-    pub fn samples(&self) -> u64 {
-        self.state.samples()
-    }
-}
-
-impl CompiledSim {
-    /// Opens a [`StreamingSession`] at sample step `dt` (validated once
-    /// here — the per-chunk path cannot fail on `dt`).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::BadDt`] for a non-finite or non-positive `dt`.
-    pub fn session(&self, dt: f64) -> Result<StreamingSession<'_>, ServingError> {
-        check_dt(dt)?;
-        Ok(StreamingSession { sim: self, dt, state: self.new_state() })
-    }
-
-    /// Opens a [`StreamingSession`] resuming from a checkpointed
-    /// `state` (see [`StreamingSession::checkpoint`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::BadDt`] for an invalid `dt`,
-    /// [`ServingError::StateMismatch`] when `state` was built for a
-    /// different model shape.
-    pub fn session_from(
-        &self,
-        dt: f64,
-        state: SimState,
-    ) -> Result<StreamingSession<'_>, ServingError> {
-        check_dt(dt)?;
-        if !state.matches(self) {
-            return Err(ServingError::StateMismatch);
-        }
-        Ok(StreamingSession { sim: self, dt, state })
-    }
-}
+use super::{check_dt, ServingError};
 
 /// One session's unit of work for [`CompiledSim::advance_chunks`]: the
 /// session's state, its next input chunk, and the buffer its output
@@ -209,16 +78,7 @@ impl CompiledSim {
     ) -> Result<(), ServingError> {
         check_dt(dt)?;
         for c in chunks.iter() {
-            if c.output.len() != c.input.len() {
-                return Err(ServingError::OutputMismatch {
-                    expected: c.input.len(),
-                    got: c.output.len(),
-                });
-            }
-            if !c.state.matches(self) {
-                return Err(ServingError::StateMismatch);
-            }
-            check_stimulus(c.input)?;
+            self.check_chunk(c.state, c.input, c.output)?;
         }
         let n_jobs = chunks.iter().filter(|c| !c.input.is_empty()).count();
         if n_jobs == 0 {
@@ -293,22 +153,37 @@ mod tests {
             .collect()
     }
 
+    /// The check a serving session's open runs through the kernel:
+    /// `simulate_into` on an empty chunk refuses a bad `dt` and a
+    /// foreign-shape state, and touches neither state.
     #[test]
     fn session_open_errors() {
         let sim = linear_real_sim(-1.0e9, 1.0);
+        let mut state = sim.new_state();
+        sim.simulate_into(1e-10, &[0.25, 0.5], &mut state, &mut [0.0; 2]).unwrap();
+        let before = state.export();
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(sim.session(bad), Err(ServingError::BadDt { .. })), "{bad}");
+            let err = sim.simulate_into(bad, &[], &mut state, &mut []).unwrap_err();
+            assert!(matches!(err, ServingError::BadDt { .. }), "{bad}: {err:?}");
         }
+        // A valid empty chunk passes and, at a new dt, warms no cache.
+        sim.simulate_into(2e-10, &[], &mut state, &mut []).unwrap();
+        assert_eq!(state.export(), before);
+
         let mut b = crate::SimBuilder::new();
         let s = b.drive_poly(&[0.0, 1.0, 1.0]);
         b.set_static_drive(s);
         b.block_real(-1.0e9, s);
         b.block_real(-2.0e9, s);
         let other = b.try_build().unwrap();
-        assert!(matches!(
-            sim.session_from(1e-10, other.new_state()),
+        let mut foreign = other.new_state();
+        other.simulate_into(1e-10, &[0.5], &mut foreign, &mut [0.0]).unwrap();
+        let foreign_before = foreign.export();
+        assert_eq!(
+            sim.simulate_into(1e-10, &[], &mut foreign, &mut []),
             Err(ServingError::StateMismatch)
-        ));
+        );
+        assert_eq!(foreign.export(), foreign_before);
     }
 
     #[test]
@@ -317,44 +192,12 @@ mod tests {
         let u = stim(7, 120);
         let dt = 3.0e-11;
         let want = sim.simulate(dt, &u);
-        let mut session = sim.session(dt).unwrap();
-        let mut got = Vec::new();
-        for chunk in u.chunks(7) {
-            got.extend(session.feed(chunk).unwrap());
+        let mut state = sim.new_state();
+        let mut got = vec![0.0; u.len()];
+        for (chunk, out) in u.chunks(7).zip(got.chunks_mut(7)) {
+            sim.simulate_into(dt, chunk, &mut state, out).unwrap();
         }
-        assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn feed_into_checks_output_shape() {
-        let sim = linear_real_sim(-1.0e9, 1.0);
-        let mut session = sim.session(1e-10).unwrap();
-        let mut out = [0.0; 2];
-        assert_eq!(
-            session.feed_into(&[1.0, 2.0, 3.0], &mut out),
-            Err(ServingError::OutputMismatch { expected: 3, got: 2 })
-        );
-        assert_eq!(session.samples(), 0, "failed feed leaves the session untouched");
-        session.feed_into(&[1.0, 2.0], &mut out).unwrap();
-        assert_eq!(session.samples(), 2);
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_through_session_from() {
-        let sim = linear_real_sim(-2.0e9, 0.9);
-        let u = stim(3, 64);
-        let dt = 1.0e-10;
-        let want = sim.simulate(dt, &u);
-        let mut first = sim.session(dt).unwrap();
-        let head = first.feed(&u[..20]).unwrap();
-        let snapshot = first.checkpoint();
-        drop(first);
-        let mut resumed = sim.session_from(dt, snapshot).unwrap();
-        let tail = resumed.feed(&u[20..]).unwrap();
-        for (g, w) in head.iter().chain(&tail).zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
     }
@@ -426,38 +269,30 @@ mod tests {
         let sim = linear_real_sim(-1.3e9, 1.2);
         let dt = 2.0e-11;
         let clean = stim(42, 30);
-        // NaN/∞ in first, middle, and last chunk positions, across every
-        // state-mutating boundary. The failed call must leave the
-        // session exactly where it stood: the follow-up clean run stays
-        // bit-identical to a session that never saw the bad chunk.
+        // NaN/∞ in first, middle, and last chunk positions, across both
+        // checked entries. The failed call must leave the state exactly
+        // where it stood: the follow-up clean run stays bit-identical to
+        // a state that never saw the bad chunk.
         for bad_value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for bad_pos in [0usize, 4, 9] {
                 let mut bad = vec![0.5; 10];
                 bad[bad_pos] = bad_value;
 
-                let mut session = sim.session(dt).unwrap();
-                let head = session.feed(&clean[..10]).unwrap();
-                let err = session.feed(&bad).unwrap_err();
+                let mut state = sim.new_state();
+                let mut got = vec![0.0; clean.len()];
+                sim.simulate_into(dt, &clean[..10], &mut state, &mut got[..10]).unwrap();
+                let err = sim.simulate_into(dt, &bad, &mut state, &mut got[10..20]).unwrap_err();
                 assert!(
                     matches!(err, ServingError::BadStimulus { index, .. } if index == bad_pos),
                     "{bad_value} at {bad_pos}: {err:?}"
                 );
-                assert_eq!(session.samples(), 10, "rejected feed commits nothing");
-                let mut out = vec![0.0; 10];
-                assert!(matches!(
-                    session.feed_into(&bad, &mut out),
-                    Err(ServingError::BadStimulus { .. })
-                ));
-                assert_eq!(session.samples(), 10);
-                let tail = session.feed(&clean[10..]).unwrap();
-
-                let mut reference = sim.session(dt).unwrap();
-                let want = reference.feed(&clean).unwrap();
-                for (g, w) in head.iter().chain(&tail).zip(&want) {
+                assert_eq!(state.samples(), 10, "a rejected chunk commits nothing");
+                sim.simulate_into(dt, &clean[10..], &mut state, &mut got[10..]).unwrap();
+                for (g, w) in got.iter().zip(&sim.simulate(dt, &clean)) {
                     assert_eq!(g.to_bits(), w.to_bits(), "{bad_value} at {bad_pos}");
                 }
 
-                // simulate_into boundary: state untouched on rejection.
+                // A fresh state stays fresh.
                 let mut state = sim.new_state();
                 let mut buf = vec![0.0; 10];
                 assert!(matches!(
@@ -466,12 +301,6 @@ mod tests {
                 ));
                 assert_eq!(state.samples(), 0);
                 assert!(!state.is_started());
-
-                // try_simulate boundary.
-                assert!(matches!(
-                    sim.try_simulate(dt, &bad),
-                    Err(ServingError::BadStimulus { .. })
-                ));
 
                 // advance_chunks boundary: a bad chunk rejects the whole
                 // round before any state (its sibling's included) moves.

@@ -9,8 +9,9 @@
 //! [`CompiledSim::simulate`] call — the kernel's per-sample arithmetic
 //! never depends on where a chunk boundary falls.
 //!
-//! Every entry point — one-shot, streaming, batched, and the pooled
-//! [`CompiledSim::advance_chunks`] — runs the same single-simulation
+//! All three entries — [`CompiledSim::simulate`],
+//! [`CompiledSim::simulate_into`] and the pooled
+//! [`CompiledSim::advance_chunks`] — run the same single-simulation
 //! kernel, `advance`, over one state at a time.
 
 use rvf_numerics::{ln_shifted_into, Complex};
@@ -473,15 +474,27 @@ impl CompiledSim {
         out: &mut [f64],
     ) -> Result<(), ServingError> {
         check_dt(dt)?;
-        if out.len() != inputs.len() {
-            return Err(ServingError::OutputMismatch { expected: inputs.len(), got: out.len() });
+        self.check_chunk(state, inputs, out)?;
+        advance(self, dt, state, inputs, out);
+        Ok(())
+    }
+
+    /// The per-chunk check of both checked entries, run before any
+    /// state is touched: `output` has one slot per input sample,
+    /// `state` fits this model's shape, and every input is finite.
+    pub(crate) fn check_chunk(
+        &self,
+        state: &SimState,
+        input: &[f64],
+        output: &[f64],
+    ) -> Result<(), ServingError> {
+        if output.len() != input.len() {
+            return Err(ServingError::OutputMismatch { expected: input.len(), got: output.len() });
         }
         if !state.matches(self) {
             return Err(ServingError::StateMismatch);
         }
-        check_stimulus(inputs)?;
-        advance(self, dt, state, inputs, out);
-        Ok(())
+        check_stimulus(input)
     }
 
     /// Simulates one stimulus sampled at fixed `dt` — the compiled
@@ -491,8 +504,8 @@ impl CompiledSim {
     ///
     /// A non-finite or non-positive `dt` is a caller bug: it is
     /// `debug_assert!`ed here and produces non-finite output in release
-    /// builds. Use [`try_simulate`](CompiledSim::try_simulate) to get a
-    /// typed error instead.
+    /// builds. Use [`simulate_into`](CompiledSim::simulate_into) to get
+    /// a typed error instead.
     pub fn simulate(&self, dt: f64, inputs: &[f64]) -> Vec<f64> {
         debug_assert!(dt_ok(dt), "CompiledSim::simulate: dt must be finite and positive ({dt})");
         let mut out = vec![0.0; inputs.len()];
@@ -538,19 +551,6 @@ impl CompiledSim {
         }
         Ok(state)
     }
-
-    /// Checked [`simulate`](CompiledSim::simulate): validates `dt` and
-    /// the stimulus once per call and never panics.
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::BadDt`] for a non-finite or non-positive `dt`,
-    /// [`ServingError::BadStimulus`] for a NaN or infinite sample.
-    pub fn try_simulate(&self, dt: f64, inputs: &[f64]) -> Result<Vec<f64>, ServingError> {
-        check_dt(dt)?;
-        check_stimulus(inputs)?;
-        Ok(self.simulate(dt, inputs))
-    }
 }
 
 #[cfg(test)]
@@ -589,7 +589,6 @@ mod tests {
     fn empty_and_zero_length_stimuli() {
         let sim = linear_real_sim(-1.0e9, 1.0);
         assert!(sim.simulate(1e-10, &[]).is_empty());
-        assert!(sim.try_simulate(1e-10, &[]).unwrap().is_empty());
         let mut state = sim.new_state();
         sim.simulate_into(1e-10, &[], &mut state, &mut []).unwrap();
         assert_eq!(state.samples(), 0);
@@ -650,10 +649,6 @@ mod tests {
         let mut out = [0.0; 1];
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(
-                matches!(sim.try_simulate(bad, &[1.0]), Err(ServingError::BadDt { .. })),
-                "try_simulate({bad})"
-            );
-            assert!(
                 matches!(
                     sim.simulate_into(bad, &[1.0], &mut state, &mut out),
                     Err(ServingError::BadDt { .. })
@@ -674,6 +669,7 @@ mod tests {
             sim.simulate_into(1e-10, &[1.0, 2.0], &mut state, &mut short),
             Err(ServingError::OutputMismatch { expected: 2, got: 1 })
         );
+        assert_eq!(state.samples(), 0, "a rejected chunk leaves the state untouched");
         // A state from a different model shape is refused.
         let other = linear_real_sim(-1.0e9, 1.0);
         let mut b = SimBuilder::new();

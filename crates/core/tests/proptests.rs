@@ -216,8 +216,17 @@ proptest! {
         let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
         let sim = m.compile();
         let serial: Vec<Vec<f64>> = refs.iter().map(|s| sim.simulate(1e-10, s)).collect();
-        let batch = sim.try_simulate_batch_in(&SweepPool::new(threads), 1e-10, &refs).unwrap();
-        prop_assert_eq!(batch.len(), serial.len());
+        // A batch is one advance_chunks round over fresh states.
+        let mut states: Vec<SimState> = refs.iter().map(|_| sim.new_state()).collect();
+        let mut batch: Vec<Vec<f64>> = refs.iter().map(|s| vec![0.0; s.len()]).collect();
+        let mut chunks: Vec<SessionChunk<'_>> = states
+            .iter_mut()
+            .zip(refs.iter().copied())
+            .zip(batch.iter_mut())
+            .map(|((state, input), output)| SessionChunk { state, input, output })
+            .collect();
+        sim.advance_chunks(1e-10, &mut chunks, Some(&SweepPool::new(threads))).unwrap();
+        drop(chunks);
         for (k, (a, b)) in batch.iter().zip(&serial).enumerate() {
             prop_assert_eq!(a.len(), b.len(), "stimulus {}", k);
             for (x, y) in a.iter().zip(b) {
@@ -233,10 +242,10 @@ proptest! {
         cuts in prop::collection::vec(0usize..128, 0..8),
         dt_exp in -11.0..-9.0f64,
     ) {
-        // A StreamingSession fed any chunk split — including length-1
-        // chunks and boundaries landing inside a memoized bit-equal
-        // hold (arb_stimulus emits held stretches) — reproduces the
-        // one-shot bits exactly.
+        // One state fed through simulate_into in any chunk split —
+        // including length-1 chunks and boundaries landing inside a
+        // memoized bit-equal hold (arb_stimulus emits held stretches) —
+        // reproduces the one-shot bits exactly.
         let dt = 10.0f64.powf(dt_exp);
         let sim = m.compile();
         let want = sim.simulate(dt, &inputs);
@@ -247,16 +256,16 @@ proptest! {
         bounds.push(0);
         bounds.push(inputs.len());
         bounds.sort_unstable();
-        let mut session = sim.session(dt).unwrap();
-        let mut got = Vec::with_capacity(inputs.len());
+        let mut state = sim.new_state();
+        let mut got = vec![0.0; inputs.len()];
         for w in bounds.windows(2) {
-            got.extend(session.feed(&inputs[w[0]..w[1]]).unwrap());
+            let (a, b) = (w[0], w[1]);
+            sim.simulate_into(dt, &inputs[a..b], &mut state, &mut got[a..b]).unwrap();
         }
-        prop_assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert_eq!(g.to_bits(), w.to_bits(), "sample {}", i);
         }
-        prop_assert_eq!(session.samples(), inputs.len() as u64);
+        prop_assert_eq!(state.samples(), inputs.len() as u64);
     }
 
     #[test]

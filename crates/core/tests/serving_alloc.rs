@@ -1,7 +1,7 @@
 //! Pins the zero-allocation contract of the streaming serving path:
-//! `simulate_into` / `feed_into` perform **no heap allocation per
-//! chunk**, the first chunk on a fresh state (which fills the per-`dt`
-//! propagator cache inside the state) included.
+//! `simulate_into` performs **no heap allocation per chunk**, the first
+//! chunk on a fresh state (which fills the per-`dt` propagator cache
+//! inside the state) included.
 //!
 //! Lives in its own test binary because it installs a counting global
 //! allocator — the count is process-wide, so the measured region must
@@ -81,14 +81,4 @@ fn simulate_into_allocates_nothing_per_chunk_in_steady_state() {
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "steady-state simulate_into must not allocate");
-
-    // The StreamingSession::feed_into path inherits the contract.
-    let mut session = sim.session(dt).unwrap();
-    session.feed_into(&chunk, &mut out).unwrap();
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..50 {
-        session.feed_into(&chunk, &mut out).unwrap();
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "steady-state feed_into must not allocate");
 }

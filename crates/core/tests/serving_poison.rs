@@ -1,5 +1,5 @@
 //! Regression test for the serving worker-panic path: a panic inside a
-//! pooled batch/advance round must surface as
+//! pooled `advance_chunks` round must surface as
 //! `Err(ServingError::WorkerPanicked)` from the checked APIs — not
 //! propagate — and the pool must stay usable for the next round.
 //!
@@ -63,20 +63,9 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
     let dt = 1.0e-10;
     let stims: Vec<Vec<f64>> = (0..12).map(|k| vec![0.05 * k as f64; 64]).collect();
     let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
-    let want = sim.try_simulate_batch(dt, &refs).unwrap();
+    let want: Vec<Vec<f64>> = refs.iter().map(|u| sim.simulate(dt, u)).collect();
 
     let pool = SweepPool::new(2);
-
-    // --- batch path ---
-    pool.inject_panic();
-    let err = sim.try_simulate_batch_in(&pool, dt, &refs).unwrap_err();
-    assert!(matches!(err, ServingError::WorkerPanicked { .. }), "got {err:?}");
-    // The panic was contained to that round: the same pool serves the
-    // retry, and the output is the full, correct batch.
-    let retry = sim.try_simulate_batch_in(&pool, dt, &refs).unwrap();
-    assert_eq!(retry, want);
-
-    // --- many-session path ---
     let mut states: Vec<SimState> = (0..12).map(|_| sim.new_state()).collect();
     let mut outs: Vec<Vec<f64>> = refs.iter().map(|u| vec![0.0; u.len()]).collect();
     pool.inject_panic();
@@ -88,7 +77,8 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
         assert_eq!(state.samples(), 0);
         assert!(!state.is_started());
     }
-    // Retrying on the same pool succeeds and matches the solo bits.
+    // The panic was contained to that round: the same pool serves the
+    // retry, and the output matches the solo bits.
     advance_round(&sim, dt, &mut states, &refs, &mut outs, &pool).unwrap();
     for (i, (out, w)) in outs.iter().zip(&want).enumerate() {
         assert_eq!(out, w, "session {i}");
@@ -112,8 +102,7 @@ fn advance_chunks_contains_panics_on_both_paths() {
     let serial = SweepPool::new(1);
 
     for pool in [&pooled, &serial] {
-        let mut states: Vec<SimState> =
-            (0..5).map(|_| sim.session(dt).unwrap().into_state()).collect();
+        let mut states: Vec<SimState> = (0..5).map(|_| sim.new_state()).collect();
         let mut outs: Vec<Vec<f64>> = stims.iter().map(|u| vec![0.0; u.len()]).collect();
         let panics_before = pool.contained_panics();
 

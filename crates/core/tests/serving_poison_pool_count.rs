@@ -56,7 +56,7 @@ proptest! {
         let dt = 1.0e-10;
         let stims: Vec<Vec<f64>> = (0..12).map(|k| vec![0.05 * k as f64; 32]).collect();
         let refs: Vec<&[f64]> = stims.iter().map(Vec::as_slice).collect();
-        let want = sim.try_simulate_batch(dt, &refs).unwrap();
+        let want: Vec<Vec<f64>> = refs.iter().map(|u| sim.simulate(dt, u)).collect();
 
         let pool = SweepPool::new(2);
         let constructions_before = pool_constructions();

@@ -33,9 +33,9 @@ use crate::wire::{
 pub(crate) struct Session<S> {
     pub(crate) model: ModelId,
     pub(crate) dt: f64,
-    /// `Some` between ticks; lent out while the state rides a batch
+    /// The kernel state: on the primary, advanced in place by a batch
     /// round.
-    pub(crate) state: Option<S>,
+    pub(crate) state: S,
     pub(crate) last_activity: u64,
     /// Requests of this session currently queued.
     pub(crate) queued: usize,
@@ -137,18 +137,30 @@ impl<S> SchedulerCore<S> {
         Some(r)
     }
 
-    /// Lends a session's state out for a batch round. Not a transition:
-    /// the round hands it back through [`complete`](Self::complete) or,
-    /// unchanged, through [`put_state`](Self::put_state).
-    pub(crate) fn take_state(&mut self, handle: SessionHandle) -> Option<S> {
-        self.session_mut(handle)?.state.take()
-    }
-
-    /// Returns a lent state after a round that committed nothing.
-    pub(crate) fn put_state(&mut self, handle: SessionHandle, state: S) {
-        if let Some(session) = self.session_mut(handle) {
-            session.state = Some(state);
-        }
+    /// What a batch round needs of each member — a request picked from
+    /// the queue, at most one per session, in queue order: its
+    /// session's state, borrowed mutably where it lives, and its queued
+    /// input. A member whose session or request is gone is left out.
+    /// Not a transition: the round advances the states in place, and
+    /// [`complete`](Self::complete) then commits the rest of each chunk.
+    pub(crate) fn round_parts<T: Copy>(
+        &mut self,
+        members: &[T],
+        key: impl Fn(T) -> (SessionHandle, RequestId),
+    ) -> Vec<(T, &mut S, &[f64])> {
+        let mut by_slot: Vec<Option<(u32, &mut S)>> = (self.slots.iter_mut())
+            .map(|slot| Some((slot.generation, &mut slot.session.as_mut()?.state)))
+            .collect();
+        // Members are a subsequence of the queue, so one forward walk
+        // finds every input.
+        let mut queued = self.queue.iter();
+        let parts = members.iter().filter_map(|&m| {
+            let (handle, request) = key(m);
+            let input = queued.find(|r| r.id == request.0)?.input.as_slice();
+            let (generation, state) = by_slot.get_mut(handle.index())?.take()?;
+            (generation == handle.generation()).then_some((m, state, input))
+        });
+        parts.collect()
     }
 
     /// The handle [`open`](Self::open) assigns next: the top of the
@@ -163,8 +175,7 @@ impl<S> SchedulerCore<S> {
     /// Opens a session (op 1) under [`next_handle`](Self::next_handle).
     pub(crate) fn open(&mut self, model: ModelId, dt: f64, now: u64, state: S) -> SessionHandle {
         let handle = self.next_handle();
-        let session =
-            Some(Session { model, dt, state: Some(state), last_activity: now, queued: 0 });
+        let session = Some(Session { model, dt, state, last_activity: now, queued: 0 });
         match self.free.pop() {
             Some(i) => self.slots[i as usize].session = session,
             None => self.slots.push(Slot { generation: 0, session }),
@@ -203,13 +214,14 @@ impl<S> SchedulerCore<S> {
 
     /// A chunk completed (op 3): the request at queue position `pos`
     /// (from one [`position`](Self::position) lookup) leaves the queue,
-    /// and `advance` moves the session's state to its post-chunk state.
+    /// and `advance` moves the session's state to its post-chunk state
+    /// (a no-op for a state the round already advanced in place).
     pub(crate) fn complete(
         &mut self,
         pos: Option<usize>,
         session: SessionHandle,
         now: u64,
-        advance: impl FnOnce(&mut Option<S>),
+        advance: impl FnOnce(&mut S),
     ) {
         pos.and_then(|pos| self.dequeue(pos));
         if let Some(s) = self.session_mut(session) {
@@ -269,12 +281,10 @@ where
     for<'s> &'s S: Into<CheckpointView<'s>>,
 {
     fn put<W: Sink>(&self, w: &mut W) {
-        // A state riding a batch round never gets here: `snapshot`
-        // refuses first.
-        let session = self.session.as_ref().and_then(|s| {
+        let session = self.session.as_ref().map(|s| {
             let (model, dt_bits) = (s.model.index() as u32, s.dt.to_bits());
-            let state = s.state.as_ref()?.into();
-            Some(SnapshotSession { model, dt_bits, last_activity: s.last_activity, state })
+            let state = (&s.state).into();
+            SnapshotSession { model, dt_bits, last_activity: s.last_activity, state }
         });
         SnapshotSlot { generation: self.generation, session }.put(w);
     }
@@ -286,31 +296,22 @@ where
 {
     /// The state as a [`SchedulerSnapshot`] borrowing every session
     /// state and queued stimulus.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::SnapshotInvalid`] if a session's state is riding a
-    /// batch round.
-    fn snapshot(&self) -> Result<impl Put + '_, ServeError> {
-        if self.slots.iter().filter_map(|s| s.session.as_ref()).any(|s| s.state.is_none()) {
-            let what = "a session's state is riding a batch round";
-            return Err(ServeError::SnapshotInvalid { what });
-        }
+    fn snapshot(&self) -> impl Put + '_ {
         let (models, slots, free, queue) = (&self.models, &self.slots, &self.free, &self.queue);
         let (next_request, rebuilds, degraded) = (self.next_request, self.rebuilds, self.degraded);
         let cfg = self.cfg.clone();
-        Ok(SchedulerSnapshot { cfg, next_request, rebuilds, degraded, models, slots, free, queue })
+        SchedulerSnapshot { cfg, next_request, rebuilds, degraded, models, slots, free, queue }
     }
 
     /// The state as one framed snapshot record.
-    pub(crate) fn encode(&self) -> Result<Bytes, ServeError> {
-        Ok(frame(KIND_SNAPSHOT, &self.snapshot()?))
+    pub(crate) fn encode(&self) -> Bytes {
+        frame(KIND_SNAPSHOT, &self.snapshot())
     }
 
     /// XXH64 over [`encode`](Self::encode) — the value a digest record
     /// carries — in one pass, building nothing.
-    pub(crate) fn digest(&self) -> Result<u64, ServeError> {
-        Ok(framed_checksum(KIND_SNAPSHOT, &self.snapshot()?))
+    pub(crate) fn digest(&self) -> u64 {
+        framed_checksum(KIND_SNAPSHOT, &self.snapshot())
     }
 }
 
@@ -353,7 +354,7 @@ impl SchedulerCore<StateCheckpoint> {
                         return invalid("a session's dt is not a positive finite number");
                     }
                     core.live += 1;
-                    let (model, state) = (ModelId(s.model as usize), Some(s.state));
+                    let (model, state) = (ModelId(s.model as usize), s.state);
                     Some(Session { model, dt, state, last_activity: s.last_activity, queued: 0 })
                 }
             };
@@ -385,6 +386,13 @@ impl SchedulerCore<StateCheckpoint> {
             core.queued_samples += r.input.len();
             core.queue.push_back(r);
         }
+        // A repeated id would let one request's completion dequeue
+        // another's.
+        let mut ids: Vec<u64> = core.queue.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
+            return invalid("two queued requests share one id");
+        }
         Ok(core)
     }
 
@@ -405,10 +413,7 @@ impl SchedulerCore<StateCheckpoint> {
             let session = match session {
                 None => None,
                 Some(Session { model, dt, state, last_activity, queued }) => {
-                    let state = match state {
-                        Some(c) => Some(registry.get(model)?.import_state(&c)?),
-                        None => None,
-                    };
+                    let state = registry.get(model)?.import_state(&state)?;
                     Some(Session { model, dt, state, last_activity, queued })
                 }
             };
@@ -488,11 +493,10 @@ impl SchedulerCore<StateCheckpoint> {
                 let fits = |c: &StateCheckpoint| {
                     c.shape == state.shape && [c.v0.len(), c.sre.len(), c.sim.len()] == lens
                 };
-                if !live.state.as_ref().is_some_and(fits) {
+                if !fits(&live.state) {
                     return Err("completion carries a state that does not fit the session");
                 }
                 self.complete(Some(pos), handle, last_activity, |c| {
-                    let Some(c) = c else { return };
                     for (to, from) in
                         [(&mut c.v0, state.v0), (&mut c.sre, state.sre), (&mut c.sim, state.sim)]
                     {
@@ -527,76 +531,78 @@ impl SchedulerCore<StateCheckpoint> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::replica::{Follower, ReplicaError};
     use crate::wire::{checksum64, SnapshotSession, WireRecord};
+    use crate::Scheduler;
+    use rvf_core::SimBuilder;
 
     /// The state as an owned [`SchedulerSnapshot`], cloning every
     /// session state and queued stimulus — the pre-streaming encoding
     /// path, kept as the digest oracle.
-    fn to_snapshot<S>(core: &SchedulerCore<S>) -> Result<SchedulerSnapshot, ServeError>
+    fn to_snapshot<S>(core: &SchedulerCore<S>) -> SchedulerSnapshot
     where
         for<'s> &'s S: Into<CheckpointView<'s>>,
     {
-        let mut slots = Vec::with_capacity(core.slots.len());
-        for slot in &core.slots {
-            let session = match &slot.session {
-                None => None,
-                Some(s) => {
-                    let state = s.state.as_ref().ok_or(ServeError::SnapshotInvalid {
-                        what: "a session's state is riding a batch round",
-                    })?;
-                    Some(SnapshotSession {
-                        model: s.model.index() as u32,
-                        dt_bits: s.dt.to_bits(),
-                        last_activity: s.last_activity,
-                        state: Into::<CheckpointView<'_>>::into(state).to_checkpoint(),
-                    })
-                }
-            };
-            slots.push(SnapshotSlot { generation: slot.generation, session });
-        }
-        Ok(SchedulerSnapshot {
+        let slots = core.slots.iter().map(|slot| SnapshotSlot {
+            generation: slot.generation,
+            session: slot.session.as_ref().map(|s| SnapshotSession {
+                model: s.model.index() as u32,
+                dt_bits: s.dt.to_bits(),
+                last_activity: s.last_activity,
+                state: Into::<CheckpointView<'_>>::into(&s.state).to_checkpoint(),
+            }),
+        });
+        SchedulerSnapshot {
             cfg: core.cfg.clone(),
             next_request: core.next_request,
             rebuilds: core.rebuilds,
             degraded: core.degraded,
             models: core.models.clone(),
-            slots,
+            slots: slots.collect(),
             free: core.free.clone(),
             queue: core.queue.iter().cloned().collect(),
-        })
+        }
     }
 
     /// The digest as it was computed before streaming: clone the state
     /// into a snapshot, encode it, hash the record.
-    pub(crate) fn oracle_digest<S>(core: &SchedulerCore<S>) -> Result<u64, ServeError>
+    pub(crate) fn oracle_digest<S>(core: &SchedulerCore<S>) -> u64
     where
         for<'s> &'s S: Into<CheckpointView<'s>>,
     {
-        Ok(checksum64(WireRecord::Snapshot(to_snapshot(core)?).encode().as_ref()))
+        checksum64(WireRecord::Snapshot(to_snapshot(core)).encode().as_ref())
     }
 
+    /// A checksum-valid snapshot whose queue names one request id twice
+    /// is refused by restore and by a follower's baseline alike: served,
+    /// the later request's input would go to the earlier one's session.
     #[test]
-    fn a_riding_state_refuses_encode_and_digest() {
-        let mut core = SchedulerCore::new(ServeConfig::default(), Vec::new());
-        let state = StateCheckpoint {
-            shape: [1, 1, 0, 1],
-            v0: vec![0.5],
-            sre: vec![0.25],
-            sim: vec![0.0],
-            uprev: 0,
-            started: true,
-            samples: 3,
-            coef_dt: 1.0f64.to_bits(),
+    fn a_snapshot_repeating_a_queued_request_id_is_refused() {
+        let registry = || {
+            let mut b = SimBuilder::new();
+            let s = b.drive_poly(&[0.0, 1.0]);
+            b.set_static_drive(s);
+            b.block_real(-1.0e9, s);
+            ModelRegistry::build([("m".to_string(), b.try_build().unwrap())])
         };
-        let handle = core.open(ModelId(0), 1.0, 0, state);
-        assert!(core.digest().is_ok());
-        let state = core.take_state(handle).expect("live");
-        let riding =
-            Err(ServeError::SnapshotInvalid { what: "a session's state is riding a batch round" });
-        assert_eq!(core.encode().map(|_| ()), riding);
-        assert_eq!(core.digest().map(|_| ()), riding);
-        assert_eq!(oracle_digest(&core).map(|_| ()), riding);
-        core.put_state(handle, state);
-        assert_eq!(core.digest(), oracle_digest(&core));
+        let mut sched = Scheduler::new(registry(), ServeConfig::default());
+        let model = ModelId(0);
+        let a = sched.open_session(model, 1e-10, 0).unwrap();
+        let b = sched.open_session(model, 1e-10, 0).unwrap();
+        sched.submit(a, &[0.1; 4], 0, 100).unwrap();
+        sched.submit(b, &[0.2; 4], 0, 100).unwrap();
+        let mut snap = to_snapshot(sched.core_for_test());
+        // The clean image restores; only the repeated id is at fault.
+        let clean = WireRecord::Snapshot(snap.clone()).encode();
+        assert!(Scheduler::restore(&clean, &registry()).is_ok());
+
+        snap.queue[1].id = snap.queue[0].id;
+        let bytes = WireRecord::Snapshot(snap).encode();
+        let refused = ServeError::SnapshotInvalid { what: "two queued requests share one id" };
+        assert_eq!(Scheduler::restore(&bytes, &registry()).err(), Some(refused.clone()));
+        let mut follower = Follower::new(registry());
+        let record = WireRecord::decode(&bytes).unwrap();
+        assert_eq!(follower.apply(record), Err(ReplicaError::Serve(refused)));
+        assert!(!follower.has_baseline());
     }
 }

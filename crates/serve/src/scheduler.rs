@@ -73,6 +73,17 @@ struct Replication {
     digest_due: bool,
 }
 
+impl Replication {
+    /// Appends the committed mutation `op`, written from borrowed
+    /// parts, under the next sequence number.
+    fn journal(&mut self, op: DeltaOp<&[f64]>) {
+        self.seq += 1;
+        self.sink.append(frame(KIND_DELTA, &DeltaRecord { seq: self.seq, op }));
+        // The sequence restarts at each baseline.
+        self.digest_due |= self.seq % self.digest_every == 0;
+    }
+}
+
 /// Stable handle to a live session. Handles are generation-tagged: a
 /// handle to a closed session stays invalid forever, even if its slot
 /// is reused.
@@ -123,8 +134,9 @@ pub struct ServeConfig {
     /// checkpoint. `0` disables idle expiry.
     pub idle_timeout: u64,
     /// Base of the retry backoff: attempt `k` (1-based) of a panicked
-    /// request becomes eligible again `retry_backoff_base << (k-1)`
-    /// ticks after the failure.
+    /// request becomes eligible again `retry_backoff_base · 2^(k-1)`
+    /// ticks after the failure (the exponent capped at 16, the product
+    /// saturating at `u64::MAX`).
     pub retry_backoff_base: u64,
     /// Retry budget per request (initial attempt not counted): after
     /// this many *re*-tries land in panicked rounds the request fails
@@ -162,8 +174,8 @@ impl Default for ServeConfig {
 #[non_exhaustive]
 pub enum Event {
     /// A request was served; `output` holds one sample per input
-    /// sample, bit-identical to feeding the chunk through a lone
-    /// [`StreamingSession`](rvf_core::StreamingSession).
+    /// sample, bit-identical to advancing the session's state alone
+    /// through [`CompiledSim::simulate_into`](rvf_core::CompiledSim::simulate_into).
     Completed {
         /// The served request.
         request: RequestId,
@@ -300,15 +312,14 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`ServeError::SnapshotInvalid`] if the baseline snapshot cannot
-    /// be taken (unreachable through the public API); on error no sink
-    /// is attached.
+    /// None: encoding the committed state cannot fail. The `Result`
+    /// keeps the signature callers compile against.
     pub fn attach_replica(
         &mut self,
         mut sink: Box<dyn ReplicationSink>,
         digest_every: u64,
     ) -> Result<(), ServeError> {
-        sink.append(self.snapshot()?);
+        sink.append(self.core.encode());
         let digest_every = digest_every.max(1);
         self.replica = Some(Replication { sink, seq: 0, digest_every, digest_due: false });
         Ok(())
@@ -320,35 +331,27 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`ServeError::SnapshotInvalid`] if a session's state is riding a
-    /// batch round (unreachable through the public API).
+    /// None: encoding the committed state cannot fail. The `Result`
+    /// keeps the signature callers compile against.
     pub fn state_digest(&self) -> Result<u64, ServeError> {
-        self.core.digest()
+        Ok(self.core.digest())
     }
 
-    /// Appends the committed mutation `op`, written from borrowed
-    /// parts, to the log if a sink is attached, under the next sequence
-    /// number. Infallible: journaling never blocks or poisons the
+    /// Appends the committed mutation `op` to the log if a sink is
+    /// attached. Infallible: journaling never blocks or poisons the
     /// serving path.
     fn journal(&mut self, op: DeltaOp<&[f64]>) {
-        let Some(rep) = self.replica.as_mut() else { return };
-        rep.seq += 1;
-        rep.sink.append(frame(KIND_DELTA, &DeltaRecord { seq: rep.seq, op }));
-        // The sequence restarts at each baseline.
-        rep.digest_due |= rep.seq % rep.digest_every == 0;
+        if let Some(rep) = self.replica.as_mut() {
+            rep.journal(op);
+        }
     }
 
     /// Emits a due digest. Only called at snapshot-consistent points
-    /// (never mid-batch, when session states are riding the round).
+    /// (between mutations, never between a round and its commits).
     fn flush_digest(&mut self) {
-        let Some(rep) = self.replica.as_mut().filter(|rep| rep.digest_due) else {
-            return;
-        };
-        // Cannot fail: flush points are snapshot-consistent. If it did,
-        // the digest would stay due; a follower just verifies one
-        // cadence later.
-        if let Ok(digest) = self.core.digest() {
+        if let Some(rep) = self.replica.as_mut().filter(|rep| rep.digest_due) {
             rep.digest_due = false;
+            let digest = self.core.digest();
             rep.sink.append(WireRecord::Digest(DigestRecord { seq: rep.seq, digest }).encode());
         }
     }
@@ -365,9 +368,8 @@ impl Scheduler {
         dt: f64,
         now: u64,
     ) -> Result<SessionHandle, ServeError> {
-        let sim = Arc::clone(self.registry.get(model)?);
-        let state = sim.session(dt)?.into_state();
-        self.install(model, dt, state, now)
+        let state = self.registry.get(model)?.new_state();
+        self.open_session_from(model, dt, state, now)
     }
 
     /// Opens a session resuming from a checkpointed `state` (see
@@ -382,21 +384,11 @@ impl Scheduler {
         &mut self,
         model: ModelId,
         dt: f64,
-        state: SimState,
+        mut state: SimState,
         now: u64,
     ) -> Result<SessionHandle, ServeError> {
-        let sim = Arc::clone(self.registry.get(model)?);
-        let state = sim.session_from(dt, state)?.into_state();
-        self.install(model, dt, state, now)
-    }
-
-    fn install(
-        &mut self,
-        model: ModelId,
-        dt: f64,
-        state: SimState,
-        now: u64,
-    ) -> Result<SessionHandle, ServeError> {
+        // The kernel's own check, on an empty chunk that touches nothing.
+        self.registry.get(model)?.simulate_into(dt, &[], &mut state, &mut [])?;
         let limit = self.core.cfg().max_sessions;
         if self.core.live() >= limit {
             return Err(ServeError::SessionLimit { live: self.core.live(), limit });
@@ -415,8 +407,8 @@ impl Scheduler {
     }
 
     fn live_state(&self, handle: SessionHandle) -> Result<&SimState, ServeError> {
-        let state = self.core.session(handle).and_then(|s| s.state.as_ref());
-        state.ok_or(ServeError::UnknownSession { id: handle.raw() })
+        let session = self.core.session(handle);
+        session.map(|s| &s.state).ok_or(ServeError::UnknownSession { id: handle.raw() })
     }
 
     /// A resumable snapshot of the session's current state.
@@ -445,11 +437,11 @@ impl Scheduler {
     ///
     /// [`ServeError::UnknownSession`] for a closed or stale handle.
     pub fn close_session(&mut self, handle: SessionHandle) -> Result<SimState, ServeError> {
-        let unknown = ServeError::UnknownSession { id: handle.raw() };
-        let session = self.core.close(handle).ok_or(unknown.clone())?;
+        let session =
+            self.core.close(handle).ok_or(ServeError::UnknownSession { id: handle.raw() })?;
         self.journal(DeltaOp::SessionClosed { session: handle.raw() });
         self.flush_digest();
-        session.state.ok_or(unknown)
+        Ok(session.state)
     }
 
     /// Submits one stimulus chunk for the session, to be served by a
@@ -509,12 +501,10 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`ServeError::SnapshotInvalid`] if a session's state is
-    /// currently riding a batch round (unreachable through the public
-    /// API — [`tick`](Scheduler::tick) always puts states back before
-    /// returning).
+    /// None: encoding the committed state cannot fail. The `Result`
+    /// keeps the signature callers compile against.
     pub fn snapshot(&self) -> Result<Bytes, ServeError> {
-        self.core.encode()
+        Ok(self.core.encode())
     }
 
     /// Rebuilds a scheduler from [`snapshot`](Scheduler::snapshot)
@@ -685,52 +675,35 @@ impl Scheduler {
         let Ok(sim) = self.registry.get(model).map(Arc::clone) else {
             return;
         };
-        // Lend each member's state out of the core for the round; every
-        // path below hands it back (advanced on success, untouched on
-        // failure — advance_chunks is transactional).
-        let mut lent: Vec<(Picked, SimState)> = members
+        // Each member's state advances where it lives in the core's
+        // slab; advance_chunks is transactional, so a failed round
+        // leaves every state untouched.
+        let riders = self.core.round_parts(&members, |m| (m.session, m.request));
+        let mut outputs: Vec<(Picked, Vec<f64>)> =
+            riders.iter().map(|(m, _, input)| (*m, vec![0.0; input.len()])).collect();
+        let mut chunks: Vec<SessionChunk<'_>> = riders
             .into_iter()
-            .filter_map(|m| Some((m, self.core.take_state(m.session)?)))
+            .zip(outputs.iter_mut())
+            .map(|((_, state, input), (_, output))| SessionChunk { state, input, output })
             .collect();
-        let mut outputs = Vec::with_capacity(lent.len());
-        let outcome = {
-            // Members are a subsequence of the queue in FIFO order, so
-            // one forward walk finds every input.
-            let mut queued = self.core.queue().iter();
-            let inputs: Vec<&[f64]> = lent
-                .iter()
-                .map(|(m, _)| {
-                    queued.find(|r| r.id == m.request.0).map_or(&[][..], |r| r.input.as_slice())
-                })
-                .collect();
-            outputs.extend(inputs.iter().map(|input| vec![0.0; input.len()]));
-            let mut chunks: Vec<SessionChunk<'_>> = lent
-                .iter_mut()
-                .zip(inputs)
-                .zip(outputs.iter_mut())
-                .map(|(((_, state), input), output)| SessionChunk {
-                    state,
-                    input,
-                    output: output.as_mut_slice(),
-                })
-                .collect();
-            sim.advance_chunks(dt, &mut chunks, Some(&self.pool))
-        };
-        match outcome {
+        match sim.advance_chunks(dt, &mut chunks, Some(&self.pool)) {
             Ok(()) => {
-                for ((m, advanced), output) in lent.into_iter().zip(outputs) {
-                    // Journaled from the borrowed post-state, before it
-                    // returns to the core.
+                for (m, output) in outputs {
                     let (request, session, last_activity) = (m.request.0, m.session.raw(), now);
-                    let state = (&advanced).into();
-                    self.journal(DeltaOp::ChunkCompleted {
-                        request,
-                        session,
-                        last_activity,
-                        state,
-                    });
+                    // Journaled from the advanced state, borrowed in place.
+                    if let (Some(rep), Some(s)) =
+                        (self.replica.as_mut(), self.core.session(m.session))
+                    {
+                        let state = (&s.state).into();
+                        rep.journal(DeltaOp::ChunkCompleted {
+                            request,
+                            session,
+                            last_activity,
+                            state,
+                        });
+                    }
                     let pos = self.core.position(m.request);
-                    self.core.complete(pos, m.session, now, |slot| *slot = Some(advanced));
+                    self.core.complete(pos, m.session, now, |_| {});
                     events.push(Event::Completed {
                         request: m.request,
                         session: m.session,
@@ -739,21 +712,19 @@ impl Scheduler {
                 }
             }
             Err(ServingError::WorkerPanicked { worker }) => {
-                // Nothing was committed; hand the states back, then
-                // retry or give up per request.
+                // Nothing was committed: retry or give up per request.
                 let ServeConfig { max_retries, retry_backoff_base, .. } = *self.core.cfg();
                 let mut requeue = Vec::new();
-                for (m, state) in lent {
-                    self.core.put_state(m.session, state);
+                for (m, _) in outputs {
                     let attempts = m.attempts + 1;
                     if attempts > max_retries {
                         let error = ServeError::RetriesExhausted { attempts, worker };
                         self.fail(m.request, m.session, error, events);
                         self.cancel_session_queue(m.session, m.request, events);
                     } else {
-                        let shift = (attempts - 1).min(16);
-                        let not_before = now.saturating_add(retry_backoff_base << shift);
-                        requeue.push((m.request, attempts, not_before));
+                        let backoff =
+                            retry_backoff_base.saturating_mul(1 << (attempts - 1).min(16));
+                        requeue.push((m.request, attempts, now.saturating_add(backoff)));
                     }
                 }
                 // Retries go back to the *front*, preserving their FIFO
@@ -768,10 +739,9 @@ impl Scheduler {
             }
             Err(error) => {
                 // Validation failures cannot normally reach this point
-                // (submit re-checks everything advance_chunks checks),
-                // but stay typed and transactional regardless.
-                for (m, state) in lent {
-                    self.core.put_state(m.session, state);
+                // (open and submit check everything advance_chunks
+                // checks), but stay typed and transactional regardless.
+                for (m, _) in outputs {
                     self.fail(m.request, m.session, ServeError::Serving(error.clone()), events);
                     self.cancel_session_queue(m.session, m.request, events);
                 }
@@ -1012,6 +982,50 @@ mod tests {
         // The checkpoint reopens and continues where it stood.
         let resumed = sched.open_session_from(model, 1e-10, checkpoint.clone(), 12).unwrap();
         assert_eq!(sched.samples(resumed).unwrap(), 4);
+    }
+
+    #[test]
+    fn open_from_a_foreign_checkpoint_opens_and_journals_nothing() {
+        let (mut sched, model) = one_model_scheduler(ServeConfig::default());
+        let log = crate::replica::SharedLog::new();
+        sched.attach_replica(Box::new(log.clone()), 1).unwrap();
+        let logged = log.bytes().len();
+        let mut b = SimBuilder::new();
+        let s = b.drive_poly(&[0.0, 1.0]);
+        b.set_static_drive(s);
+        b.block_real(-1.0e9, s);
+        b.block_real(-2.0e9, s);
+        let foreign = b.try_build().unwrap().new_state();
+        assert!(matches!(
+            sched.open_session_from(model, 1e-10, foreign, 0),
+            Err(ServeError::Serving(ServingError::StateMismatch))
+        ));
+        assert_eq!(sched.live_sessions(), 0);
+        assert_eq!(log.bytes().len(), logged, "a refused open journals nothing");
+        // No slot was consumed: the next open takes the first one.
+        let opened = sched.open_session(model, 1e-10, 0).unwrap();
+        assert_eq!(opened, SessionHandle::new(0, 0));
+    }
+
+    #[test]
+    fn retry_backoff_saturates_instead_of_wrapping() {
+        let cfg = ServeConfig { retry_backoff_base: 1 << 62, workers: 1, ..Default::default() };
+        let (mut sched, model) = one_model_scheduler(cfg);
+        let session = sched.open_session(model, 1e-10, 0).unwrap();
+        let r = sched.submit(session, &[0.5; 4], 0, u64::MAX).unwrap();
+        // Backoffs 2^62 and 2^63 fit; the third, 2^64, saturates.
+        for now in [0, 1 << 62, 3 << 62] {
+            crate::chaos::arm_worker_panic(&sched);
+            assert!(sched.tick(now).is_empty(), "tick {now}: a panicked round serves nothing");
+        }
+        let queued = &sched.core.queue()[0];
+        // The third retry waits out the saturated backoff.
+        assert_eq!((queued.id, queued.attempts, queued.not_before), (r.0, 3, u64::MAX));
+        assert!(sched.tick(3 << 62).is_empty());
+        assert!(sched.tick(u64::MAX - 1).is_empty());
+        assert!(
+            matches!(sched.tick(u64::MAX)[0], Event::Completed { request, .. } if request == r)
+        );
     }
 
     #[test]

@@ -836,8 +836,8 @@ layout! {
     /// method, so applying ops in sequence order reconstructs the
     /// primary's canonical state ([`SchedulerSnapshot`]) byte for byte.
     ///
-    /// A batch round's in-flight motion (states lent to the round while
-    /// it runs) is deliberately *not* journaled: deltas describe
+    /// A batch round's in-flight motion (states advanced in place
+    /// while it runs) is deliberately *not* journaled: deltas describe
     /// committed state transitions only, so the log between any two
     /// [`DigestRecord`]s is a pure function of the scheduler's
     /// observable state.

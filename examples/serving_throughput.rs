@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use rvf::circuit::{high_speed_buffer, prbs7, BufferParams, Waveform};
-use rvf::model::{extract_model, RvfOptions};
+use rvf::model::{extract_model, RvfOptions, SessionChunk, SimState};
 use rvf::numerics::SweepPool;
 use rvf::tft::TftConfig;
 
@@ -59,31 +59,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (0..n_samples).map(|i| wave.value(i as f64 * dt)).collect()
         })
         .collect();
-    let refs: Vec<&[f64]> = stimuli.iter().map(Vec::as_slice).collect();
-    let total_samples = (refs.len() * n_samples) as f64;
+    let total_samples = (stimuli.len() * n_samples) as f64;
 
-    // 4. Serve: one batch call fans one task per stimulus over a worker
-    //    pool; a long-lived server keeps the pool, so the threads are
-    //    spawned once.
+    // 4. Serve: one `advance_chunks` round over fresh states fans one
+    //    task per stimulus over a worker pool; a long-lived server keeps
+    //    the pool, so the threads are spawned once.
     let pool = SweepPool::new(0);
+    let mut outputs: Vec<Vec<f64>> = vec![vec![0.0; n_samples]; stimuli.len()];
     for round in 1..=3 {
         let start = Instant::now();
-        let outputs = sim.try_simulate_batch_in(&pool, dt, &refs)?;
+        let mut states: Vec<SimState> = stimuli.iter().map(|_| sim.new_state()).collect();
+        let mut chunks: Vec<SessionChunk<'_>> = states
+            .iter_mut()
+            .zip(&stimuli)
+            .zip(outputs.iter_mut())
+            .map(|((state, input), output)| SessionChunk { state, input, output })
+            .collect();
+        sim.advance_chunks(dt, &mut chunks, Some(&pool))?;
+        drop(chunks);
         let secs = start.elapsed().as_secs_f64();
         let last = outputs.last().and_then(|o| o.last()).copied().unwrap_or(0.0);
         println!(
             "round {round}: {} stimuli × {n_samples} samples in {:.1} ms  \
              ({:.2} Msamples/s, last output {last:.4} V)",
-            refs.len(),
+            stimuli.len(),
             secs * 1e3,
             total_samples / secs / 1e6
         );
     }
 
     // Sanity: the batch output is bit-identical to a serial call.
-    let serial = sim.simulate(dt, refs[0]);
-    let batch = sim.try_simulate_batch_in(&pool, dt, &refs[..1])?;
-    assert!(serial.iter().zip(&batch[0]).all(|(a, b)| a.to_bits() == b.to_bits()));
+    let serial = sim.simulate(dt, &stimuli[0]);
+    assert!(serial.iter().zip(&outputs[0]).all(|(a, b)| a.to_bits() == b.to_bits()));
     println!("bit-identity check passed; pool ran {} sweeps", pool.sweeps());
     Ok(())
 }

@@ -1,6 +1,6 @@
-//! Streaming an extracted model chunk by chunk: open resumable
-//! sessions on one compiled buffer macromodel, feed inputs as they
-//! "arrive", checkpoint mid-stream, and advance many live sessions
+//! Streaming an extracted model chunk by chunk: advance resumable
+//! states of one compiled buffer macromodel as inputs "arrive",
+//! checkpoint mid-stream, and advance many live sessions
 //! together over a worker pool — the model-serving service tier.
 //!
 //! ```sh
@@ -34,9 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (report, _dataset, _train) = extract_model(&mut buffer, &tft_cfg, &opts)?;
     let sim = report.model.compile();
 
-    // 2. One live input stream, served in 64-sample chunks. The session
-    //    carries the block state across chunk boundaries, so the result
-    //    is bit-identical to evaluating the whole stimulus at once.
+    // 2. One live input stream, served in 64-sample chunks. The state
+    //    carries the block registers across chunk boundaries, so the
+    //    result is bit-identical to evaluating the whole stimulus at
+    //    once.
     let dt = 2.0e-12;
     let wave = Waveform::BitPattern {
         v0: 0.5,
@@ -48,13 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let stream: Vec<f64> = (0..65_536).map(|i| wave.value(i as f64 * dt)).collect();
 
-    let mut session = sim.session(dt)?;
+    let mut state = sim.new_state();
     let mut out = vec![0.0; 64];
     let mut streamed = Vec::with_capacity(stream.len());
     let start = Instant::now();
     for chunk in stream.chunks(64) {
-        // feed_into reuses the caller's buffer: no allocation per chunk.
-        session.feed_into(chunk, &mut out[..chunk.len()])?;
+        // simulate_into reuses the caller's buffer: no allocation per
+        // chunk.
+        sim.simulate_into(dt, chunk, &mut state, &mut out[..chunk.len()])?;
         streamed.extend_from_slice(&out[..chunk.len()]);
     }
     let secs = start.elapsed().as_secs_f64();
@@ -70,14 +72,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Checkpoint / resume: clone the state mid-stream, park it, and
     //    continue later from exactly the same point.
-    let mut session = sim.session(dt)?;
-    let head = session.feed(&stream[..32_768])?;
-    let checkpoint = session.checkpoint();
-    println!("checkpointed after {} samples", checkpoint.samples());
-    let mut resumed = sim.session_from(dt, checkpoint)?;
-    let tail = resumed.feed(&stream[32_768..])?;
-    assert!(head.iter().chain(&tail).zip(&one_shot).all(|(a, b)| a.to_bits() == b.to_bits()));
-    println!("resumed session reproduced the stream bit-for-bit");
+    let mut state = sim.new_state();
+    let mut resumed_out = vec![0.0; stream.len()];
+    let (head, tail) = resumed_out.split_at_mut(32_768);
+    sim.simulate_into(dt, &stream[..32_768], &mut state, head)?;
+    let mut resumed = state.clone();
+    println!("checkpointed after {} samples", resumed.samples());
+    sim.simulate_into(dt, &stream[32_768..], &mut resumed, tail)?;
+    assert!(resumed_out.iter().zip(&one_shot).all(|(a, b)| a.to_bits() == b.to_bits()));
+    println!("resumed state reproduced the stream bit-for-bit");
 
     // 4. `advance_chunks` advances many live sessions at once, one pool
     //    task per session chunk over a persistent worker pool. The

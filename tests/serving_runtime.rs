@@ -1,10 +1,12 @@
 //! Pins the compiled serving runtime against the scalar reference loop
 //! on a *real* extracted model (the diode clipper): exact per-sample
 //! identity for the single-stimulus path, bit-identical batch output
-//! for every worker count (owned and borrowed pools), and the pole
+//! (one `advance_chunks` round over fresh states) for every worker
+//! count (owned and borrowed pools), and the pole
 //! dedup that makes the compiled path cheaper than the reference.
 
 use rvf::circuit::{diode_clipper, Waveform};
+use rvf::model::serving::{CompiledSim, SessionChunk, SimState};
 use rvf::model::{fit_tft, DynBlock, HammersteinModel, RvfOptions};
 use rvf::numerics::SweepPool;
 use rvf::tft::{extract_from_circuit, TftConfig};
@@ -107,6 +109,22 @@ fn compiled_is_exactly_identical_to_reference_on_the_diode_clipper() {
     assert_eq!(model.simulate(dt, &u), sim.simulate(dt, &u));
 }
 
+/// Runs every stimulus from a fresh state in one
+/// [`CompiledSim::advance_chunks`] round on `pool`.
+fn batch(sim: &CompiledSim, pool: &SweepPool, dt: f64, stimuli: &[&[f64]]) -> Vec<Vec<f64>> {
+    let mut states: Vec<SimState> = stimuli.iter().map(|_| sim.new_state()).collect();
+    let mut outs: Vec<Vec<f64>> = stimuli.iter().map(|s| vec![0.0; s.len()]).collect();
+    let mut chunks: Vec<SessionChunk<'_>> = states
+        .iter_mut()
+        .zip(stimuli)
+        .zip(outs.iter_mut())
+        .map(|((state, input), output)| SessionChunk { state, input, output })
+        .collect();
+    sim.advance_chunks(dt, &mut chunks, Some(pool)).unwrap();
+    drop(chunks);
+    outs
+}
+
 #[test]
 fn batch_output_is_bit_identical_for_every_worker_count() {
     let model = clipper_model();
@@ -120,8 +138,8 @@ fn batch_output_is_bit_identical_for_every_worker_count() {
 
     let pool = SweepPool::new(4);
     for threads in [1usize, 2, 4, 0] {
-        let owned = sim.try_simulate_batch_in(&SweepPool::new(threads), dt, &refs).unwrap();
-        let borrowed = sim.try_simulate_batch_in(&pool, dt, &refs).unwrap();
+        let owned = batch(&sim, &SweepPool::new(threads), dt, &refs);
+        let borrowed = batch(&sim, &pool, dt, &refs);
         for (k, ((a, b), c)) in owned.iter().zip(&serial).zip(&borrowed).enumerate() {
             assert_eq!(a.len(), b.len(), "stimulus {k}, threads {threads}");
             for ((x, y), z) in a.iter().zip(b).zip(c) {

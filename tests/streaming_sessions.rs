@@ -1,7 +1,8 @@
 //! Pins the streaming serving tier on a *real* extracted model (the
-//! diode clipper): chunked session output is bit-identical to one-shot
-//! evaluation for arbitrary chunk splits, checkpoints resume exactly,
-//! and `CompiledSim::advance_chunks` advancing many live sessions over
+//! diode clipper): chunked `simulate_into` output is bit-identical to
+//! one-shot evaluation for arbitrary chunk splits, checkpoints (by
+//! `clone` and by `export`/`import_state`) resume exactly, and
+//! `CompiledSim::advance_chunks` advancing many live sessions over
 //! a borrowed pool reproduces each session's solo bits at every worker
 //! count.
 
@@ -73,31 +74,36 @@ fn chunked_sessions_are_bit_identical_on_the_diode_clipper() {
         vec![vec![400], vec![1, 399], vec![7; 57].into_iter().chain([1]).collect(), vec![1; 400]];
     for split in splits {
         assert_eq!(split.iter().sum::<usize>(), 400);
-        let mut session = sim.session(dt).unwrap();
-        let mut got = Vec::new();
+        let mut state = sim.new_state();
+        let mut got = vec![0.0; u.len()];
         let mut off = 0;
         for len in split {
-            got.extend(session.feed(&u[off..off + len]).unwrap());
+            sim.simulate_into(dt, &u[off..off + len], &mut state, &mut got[off..off + len])
+                .unwrap();
             off += len;
         }
-        assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "sample {i}");
         }
     }
 
-    // feed_into: zero-allocation path, same bits; checkpoint + resume
-    // through a detached SimState continues exactly.
-    let mut session = sim.session(dt).unwrap();
-    let mut got = vec![0.0; 160];
-    session.feed_into(&u[..160], &mut got).unwrap();
-    let snapshot: SimState = session.checkpoint();
-    assert_eq!(snapshot.samples(), 160);
-    let mut resumed = sim.session_from(dt, snapshot).unwrap();
-    let mut tail = vec![0.0; 240];
-    resumed.feed_into(&u[160..], &mut tail).unwrap();
-    for (i, (g, w)) in got.iter().chain(&tail).zip(&want).enumerate() {
-        assert_eq!(g.to_bits(), w.to_bits(), "sample {i}");
+    // Checkpoint after 160 samples, by clone and by export/import into
+    // a recompiled twin; each resumed state continues exactly.
+    let mut state = sim.new_state();
+    let mut head = vec![0.0; 160];
+    sim.simulate_into(dt, &u[..160], &mut state, &mut head).unwrap();
+    let twin = model.compile();
+    let resumed: [(&str, &_, SimState); 2] = [
+        ("clone", &sim, state.clone()),
+        ("export", &twin, twin.import_state(&state.export()).unwrap()),
+    ];
+    for (how, sim, mut resumed) in resumed {
+        assert_eq!(resumed.samples(), 160, "{how}");
+        let mut tail = vec![0.0; 240];
+        sim.simulate_into(dt, &u[160..], &mut resumed, &mut tail).unwrap();
+        for (i, (g, w)) in head.iter().chain(&tail).zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{how}, sample {i}");
+        }
     }
 }
 
