@@ -16,6 +16,11 @@
 //! * `serving_drive_ln_scalar_p46_x4096` — its control: the same
 //!   features from one out-of-line `Complex::ln` call per pole, so each
 //!   run shows the vector/scalar ratio;
+//! * `serving_held_level_x4096` — the kernel's held-run layer: one
+//!   started state fed 4096 samples at the level it holds, so each
+//!   sample is one first-order-hold step of the buffer model's blocks
+//!   with no drive evaluation — the per-sample cost every held input
+//!   pays, next to `serving_drive_ln_p46_x4096`'s changed-sample cost;
 //! * `serving_batch_b{001,016,256}` — batch evaluation of 1/16/256
 //!   distinct bit patterns through one compiled model (serial worker:
 //!   one `advance_chunks` round over fresh states, one task per
@@ -119,6 +124,19 @@ fn bench_serving(c: &mut Criterion) {
                 acc += lr[0] + li[poles.len() - 1];
             }
             acc
+        })
+    });
+
+    // The held-run layer: one started state fed 4096 samples at the
+    // level it already holds, so every sample is one held-run step.
+    let held = vec![0.9; 4096];
+    let mut held_state = sim.new_state();
+    let mut held_out = vec![0.0; held.len()];
+    sim.simulate_into(dt, &held[..1], &mut held_state, &mut held_out[..1]).unwrap();
+    c.bench_function("serving_held_level_x4096", |b| {
+        b.iter(|| {
+            sim.simulate_into(dt, &held, &mut held_state, &mut held_out).unwrap();
+            held_out[held.len() - 1]
         })
     });
 

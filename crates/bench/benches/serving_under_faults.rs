@@ -65,7 +65,7 @@ const STANDBY_ROUND_LOG_BYTES: usize = 835_080;
 
 fn chaos_config(permille: u16) -> ChaosConfig {
     ChaosConfig {
-        seed: 0xFA_17_2013,
+        seed: 0xFA17_2013,
         worker_panic_permille: permille * 4 / 10,
         bad_stimulus_permille: permille * 3 / 10,
         oversized_chunk_permille: permille / 5,

@@ -309,7 +309,7 @@ pub fn update_baseline(baseline: &Path, current: &Path) -> io::Result<BaselineUp
     let mut current_names: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for entry in std::fs::read_dir(current)? {
         let path = entry?.path();
-        if !path.extension().is_some_and(|e| e == "json") {
+        if path.extension().is_none_or(|e| e != "json") {
             continue;
         }
         let name = path.file_name().expect("json files have names").to_string_lossy().into_owned();
@@ -323,7 +323,7 @@ pub fn update_baseline(baseline: &Path, current: &Path) -> io::Result<BaselineUp
     }
     for entry in std::fs::read_dir(baseline)? {
         let path = entry?.path();
-        if !path.extension().is_some_and(|e| e == "json") {
+        if path.extension().is_none_or(|e| e != "json") {
             continue;
         }
         let name = path.file_name().expect("json files have names").to_string_lossy().into_owned();

@@ -604,7 +604,7 @@ fn parse_waveform(line: usize, tokens: &[String]) -> Result<Waveform, CircuitErr
                 })
             }
             "PWL" => {
-                if args.len() < 2 || args.len() % 2 != 0 {
+                if args.len() < 2 || !args.len().is_multiple_of(2) {
                     return Err(err(line, "PWL needs pairs of (t v)"));
                 }
                 Ok(Waveform::Pwl(args.chunks_exact(2).map(|c| (c[0], c[1])).collect()))

@@ -196,7 +196,7 @@ fn maybe_snapshot(
     let Some(every) = opts.snapshot_every else {
         return Ok(());
     };
-    if every == 0 || step % every != 0 {
+    if every == 0 || !step.is_multiple_of(every) {
         return Ok(());
     }
     // Capture the *device* Jacobians (no integrator companion terms, no

@@ -379,12 +379,12 @@ impl CompiledSim {
         h.finish()
     }
 
-    /// Appends the first-order-hold coefficients of every block for
-    /// step `dt` to `out`, computed with the exact per-kind propagators
-    /// of the reference loop. The caller owns the buffer, so a state
-    /// that caches it re-fills in place without allocating.
-    pub(crate) fn fill_propagators(&self, dt: f64, out: &mut Vec<BlockCoef>) {
-        out.extend((0..self.n_blocks()).map(|b| {
+    /// The first-order-hold coefficients of every block for step `dt`,
+    /// in block order, computed with the exact per-kind propagators of
+    /// the reference loop. A state that caches them collects them into
+    /// capacity it owns, so a re-fill allocates nothing.
+    pub(crate) fn propagators(&self, dt: f64) -> impl Iterator<Item = BlockCoef> + '_ {
+        (0..self.n_blocks()).map(move |b| {
             if self.pair[b] {
                 let p = FohPair::new(self.sigma[b], self.omega[b], dt);
                 BlockCoef {
@@ -399,7 +399,7 @@ impl CompiledSim {
                 let p = FohScalar::new(self.sigma[b], dt);
                 BlockCoef { er: p.e, ei: 0.0, g1r: p.g1, g1i: 0.0, g2r: p.g2, g2i: 0.0 }
             }
-        }));
+        })
     }
 }
 

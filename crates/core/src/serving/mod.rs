@@ -23,6 +23,11 @@
 //!   model carries no thread setting, and the module holds no global
 //!   state.
 //!
+//! The kernel steps a held run of bit-equal input samples (the flat
+//! stretches of a bit pattern) with its drives and per-block input
+//! terms computed once for the run, and re-evaluates the drives only
+//! for a sample whose bits changed.
+//!
 //! Every kernel expression reproduces the reference loop's operation
 //! order, so compiled output equals the reference sample-for-sample
 //! (`f64` `==`), a round's output is bit-identical to per-state serial

@@ -144,7 +144,7 @@ mod tests {
                 x ^= x >> 7;
                 x ^= x << 17;
                 // Held stretches exercise the memo path.
-                if x % 5 == 0 {
+                if x.is_multiple_of(5) {
                     0.5
                 } else {
                     (x % 1000) as f64 / 1000.0

@@ -13,6 +13,12 @@
 //! [`CompiledSim::simulate_into`] and the pooled
 //! [`CompiledSim::advance_chunks`] — run the same single-simulation
 //! kernel, `advance`, over one state at a time.
+//!
+//! `advance` walks a chunk in segments: a sample whose input bits
+//! changed re-evaluates the drives and steps once, and a held run of
+//! bit-equal samples steps with drives and input terms computed once
+//! for the whole run. Both run one step body in the reference
+//! association, so the segment split moves no output bit.
 
 use rvf_numerics::{ln_shifted_into, Complex};
 
@@ -81,8 +87,9 @@ pub struct SimState {
     li: Vec<f64>,
     /// Power basis `[1, u, …, u^pdeg]` (scratch).
     pw: Vec<f64>,
-    /// Cached first-order-hold coefficients for `coef_dt`.
-    coef: Vec<BlockCoef>,
+    /// One kernel row per block: the first-order-hold coefficients
+    /// cached for `coef_dt`, and the current segment's input terms.
+    rows: Vec<BlockRow>,
     /// Bit pattern of the `dt` the cache was computed for.
     coef_dt: u64,
     /// Model shape fingerprint: (drives, blocks, pole features, pdeg).
@@ -104,11 +111,11 @@ impl SimState {
     /// this never allocates.
     pub(crate) fn ensure_coef(&mut self, sim: &CompiledSim, dt: f64) {
         let bits = dt.to_bits();
-        if self.coef_dt == bits && self.coef.len() == sim.n_blocks() {
+        if self.coef_dt == bits && self.rows.len() == sim.n_blocks() {
             return;
         }
-        self.coef.clear();
-        sim.fill_propagators(dt, &mut self.coef);
+        self.rows.clear();
+        self.rows.extend(sim.propagators(dt).map(BlockRow::new));
         self.coef_dt = bits;
     }
 
@@ -198,8 +205,8 @@ impl<'a> From<&'a SimState> for CheckpointView<'a> {
 /// complete per-sample carry of the kernel, nothing is approximated.
 ///
 /// Scratch buffers (current-sample drives, log-feature and power-basis
-/// temporaries) are deliberately absent: they are overwritten before
-/// being read on every sample, so they are not state.
+/// temporaries, per-block input terms) are deliberately absent: they
+/// are overwritten before being read, so they are not state.
 ///
 /// `V` is how the three vectors are held: owned (`Vec<f64>`, the
 /// default), borrowed ([`CheckpointView`]), or in any other form a
@@ -326,14 +333,87 @@ fn emit(sim: &CompiledSim, v1: &[f64], sre: &[f64], simc: &[f64]) -> f64 {
     acc
 }
 
+/// One block's row of the kernel: its first-order-hold coefficients
+/// and the input terms of the current segment, `k₁ = g1·w0` and `k₂ =
+/// g2·(w1 − w0)` component-wise. The terms share the coefficients'
+/// buffer instead of having one of their own: with one more buffer per
+/// state, a warm standby's heap fragmented and its peak RSS grew from
+/// pass to pass.
+#[derive(Debug, Clone, Copy)]
+struct BlockRow {
+    c: BlockCoef,
+    k1r: f64,
+    k1i: f64,
+    k2r: f64,
+    k2i: f64,
+}
+
+impl BlockRow {
+    /// A row for coefficients `c`; every segment writes its terms
+    /// before stepping.
+    fn new(c: BlockCoef) -> Self {
+        Self { c, k1r: 0.0, k1i: 0.0, k2r: 0.0, k2i: 0.0 }
+    }
+}
+
+/// Computes every block's input terms for a step from drives `w0` to
+/// `w1`, in the reference association. `w1 − w0` is a subtraction even
+/// when `w1` is `w0` (a held run), so an infinite drive gives the NaN
+/// the per-sample step would.
+fn fill_terms(sim: &CompiledSim, rows: &mut [BlockRow], w0: &[f64], w1: &[f64]) {
+    for (b, row) in rows.iter_mut().enumerate() {
+        let (o1, o2) = (sim.d1[b], sim.d2[b]);
+        let (w0r, w0i) = (w0[o1], w0[o2]);
+        let (dvr, dvi) = (w1[o1] - w0r, w1[o2] - w0i);
+        let c = &row.c;
+        (row.k1r, row.k1i) = (c.g1r * w0r - c.g1i * w0i, c.g1r * w0i + c.g1i * w0r);
+        (row.k2r, row.k2i) = (c.g2r * dvr - c.g2i * dvi, c.g2r * dvi + c.g2i * dvr);
+    }
+}
+
+/// Steps every block once per output slot with the segment's input
+/// terms, `x ← (e·x + k₁) + k₂` component-wise (the reference
+/// association of `e·z + g1·w0 + g2·(w1 − w0)`), and emits each sample
+/// as `y_static` plus the blocks' components in block order. Real
+/// blocks carry exact zeros in the imaginary parts, so there is no
+/// per-block dispatch.
+fn step_segment(
+    rows: &[BlockRow],
+    sre: &mut [f64],
+    simc: &mut [f64],
+    y_static: f64,
+    out: &mut [f64],
+) {
+    for y in out {
+        let mut acc = y_static;
+        for (row, (xr, xi)) in rows.iter().zip(sre.iter_mut().zip(simc.iter_mut())) {
+            let (c, r, i) = (&row.c, *xr, *xi);
+            *xr = (c.er * r - c.ei * i + row.k1r) + row.k2r;
+            *xi = (c.er * i + c.ei * r + row.k1i) + row.k2i;
+            acc += *xr + *xi;
+        }
+        *y = acc;
+    }
+}
+
 /// Advances `state` through one chunk of samples, writing output sample
 /// `t` into `out[t]`. This is the whole serving kernel: every entry
 /// point runs it, one simulation at a time.
 ///
 /// A state that has not started yet absorbs its first sample as the DC
-/// seed (the reference loop's `t = 0` path); a started state continues
-/// with the first-order-hold step against the drive vector and memo
-/// register it carries, so a chunk boundary is arithmetically
+/// seed (the reference loop's `t = 0` path). After that the chunk is
+/// walked in *segments*, each stepped by one shared body with its input
+/// terms computed once:
+///
+/// * a **changed sample** (bits differ from the memo register `uprev`)
+///   is a segment of length 1: its drives are evaluated into `v1`, the
+///   blocks step from `v0` to `v1`, and the two swap;
+/// * a **held run** is the longest stretch of samples whose bits equal
+///   `uprev`: the drives are pure functions of `u`, so every sample of
+///   it steps from `v0` to `v0` — no drive evaluation, copy or swap.
+///
+/// The state carries the drive vector and memo register across calls,
+/// so a chunk boundary (even one inside a held run) is arithmetically
 /// invisible.
 pub(crate) fn advance(
     sim: &CompiledSim,
@@ -348,9 +428,9 @@ pub(crate) fn advance(
     }
     state.ensure_coef(sim, dt);
     state.samples += input.len() as u64;
-    let SimState { v0, v1, sre, sim: simc, uprev, started, lr, li, pw, coef, .. } = state;
+    let SimState { v0, v1, sre, sim: simc, uprev, started, lr, li, pw, rows, .. } = state;
 
-    let mut t0 = 0;
+    let mut t = 0;
     if !*started {
         // DC seed: every block starts at the steady state of the first
         // input (the circuit's DC operating point).
@@ -372,39 +452,26 @@ pub(crate) fn advance(
         out[0] = emit(sim, v1, sre, simc);
         core::mem::swap(v0, v1);
         *started = true;
-        t0 = 1;
+        t = 1;
     }
 
-    for t in t0..input.len() {
-        // Drive pass: re-evaluate only when the input actually changed
-        // (bit compare — flat bit-pattern stretches skip the
-        // transcendentals entirely; exact, since the drives are pure
-        // functions of `u`).
-        let u = input[t];
-        let bits = u.to_bits();
-        if bits == *uprev {
-            v1.copy_from_slice(v0);
+    while t < input.len() {
+        let bits = input[t].to_bits();
+        let held = bits == *uprev;
+        let end = if held {
+            input[t..].iter().position(|u| u.to_bits() != bits).map_or(input.len(), |n| t + n)
         } else {
-            eval_drives(sim, u, v1, lr, li, pw);
+            eval_drives(sim, input[t], v1, lr, li, pw);
             *uprev = bits;
+            t + 1
+        };
+        let w1: &[f64] = if held { v0 } else { v1 };
+        fill_terms(sim, rows, v0, w1);
+        step_segment(rows, sre, simc, w1[sim.static_row], &mut out[t..end]);
+        if !held {
+            core::mem::swap(v0, v1);
         }
-        // Block pass: uniform complex-scalar FOH madds — no per-block
-        // dispatch (real blocks carry exact zeros in the imaginary
-        // parts).
-        for (b, c) in coef.iter().enumerate() {
-            let (o1, o2) = (sim.d1[b], sim.d2[b]);
-            let (xr, xi) = (sre[b], simc[b]);
-            let (w0r, w0i) = (v0[o1], v0[o2]);
-            let (dvr, dvi) = (v1[o1] - w0r, v1[o2] - w0i);
-            // `e·z + g1·w0 + g2·(w1 − w0)`, component-wise in the
-            // reference association.
-            sre[b] =
-                (c.er * xr - c.ei * xi + (c.g1r * w0r - c.g1i * w0i)) + (c.g2r * dvr - c.g2i * dvi);
-            simc[b] =
-                (c.er * xi + c.ei * xr + (c.g1r * w0i + c.g1i * w0r)) + (c.g2r * dvi + c.g2i * dvr);
-        }
-        out[t] = emit(sim, v1, sre, simc);
-        core::mem::swap(v0, v1);
+        t = end;
     }
 }
 
@@ -425,7 +492,7 @@ impl CompiledSim {
             lr: vec![0.0; self.poles.len()],
             li: vec![0.0; self.poles.len()],
             pw: vec![0.0; self.pdeg + 1],
-            coef: Vec::with_capacity(self.n_blocks()),
+            rows: Vec::with_capacity(self.n_blocks()),
             coef_dt: u64::MAX,
             shape: shape_of(self),
             samples: 0,

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rvf_core::{
     text, DynBlock, HammersteinModel, IntegratedStateFn, LogTerm, SessionChunk, SimState, StateFn,
 };
-use rvf_numerics::{c, Complex, SweepPool};
+use rvf_numerics::{c, Complex, FohScalar, SweepPool};
 use rvf_vecfit::{PoleEntry, PoleSet, RationalModel, Residues, ResponseTerms};
 
 fn statefn(pole: Complex, rho: Complex, d: f64, constant: f64) -> StateFn {
@@ -100,6 +100,61 @@ fn arb_serving_model() -> impl Strategy<Value = HammersteinModel> {
 fn arb_stimulus() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec((-2.5..2.5f64, 1usize..6), 0..24)
         .prop_map(|segs| segs.into_iter().flat_map(|(v, hold)| vec![v; hold]).collect())
+}
+
+/// A stimulus of 1–8 held runs of 1..=300 samples each. A run's level
+/// is one of the two bit levels of the Fig. 9 pattern (so runs revisit
+/// a level) or is drawn at random.
+fn arb_held_runs() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((0usize..3, -2.5..2.5f64, 1usize..=300), 1..9).prop_map(|runs| {
+        runs.into_iter().flat_map(|(pick, v, hold)| vec![[0.5, 1.3, v][pick]; hold]).collect()
+    })
+}
+
+/// Whether `a` and `b` have the same bits, any NaN counting as any NaN:
+/// Rust leaves the sign and payload of a NaN result unspecified, so
+/// two code paths may each produce a different one.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Checks that `m`'s compiled kernel gives exactly the bits of its
+/// reference loop on `u` (by [`same_bits`]): one-shot through
+/// `simulate`, and streamed through `simulate_into` with chunk
+/// boundaries at `cuts` (taken modulo `u.len() + 1`). Returns the first
+/// mismatch.
+fn held_run_mismatch(m: &HammersteinModel, dt: f64, u: &[f64], cuts: &[usize]) -> Option<String> {
+    let want = m.simulate_reference(dt, u);
+    let sim = m.compile();
+    let first_diff = |got: &[f64]| {
+        (got.len() != want.len())
+            .then(|| format!("{} outputs, want {}", got.len(), want.len()))
+            .or_else(|| {
+                let i = got.iter().zip(&want).position(|(g, w)| !same_bits(*g, *w))?;
+                let (g, w) = (got[i], want[i]);
+                Some(format!(
+                    "sample {i} (input {}): {g:e} ({:#x}) vs reference {w:e} ({:#x})",
+                    u[i],
+                    g.to_bits(),
+                    w.to_bits()
+                ))
+            })
+    };
+    if let Some(e) = first_diff(&sim.simulate(dt, u)) {
+        return Some(format!("simulate: {e}"));
+    }
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (u.len() + 1)).collect();
+    bounds.extend([0, u.len()]);
+    bounds.sort_unstable();
+    let mut state = sim.new_state();
+    let mut got = vec![0.0; u.len()];
+    for w in bounds.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        if let Err(e) = sim.simulate_into(dt, &u[a..b], &mut state, &mut got[a..b]) {
+            return Some(format!("simulate_into({a}..{b}): {e}"));
+        }
+    }
+    first_diff(&got).map(|e| format!("simulate_into cut at {bounds:?}: {e}"))
 }
 
 fn arb_model() -> impl Strategy<Value = HammersteinModel> {
@@ -269,6 +324,29 @@ proptest! {
     }
 
     #[test]
+    fn held_runs_match_the_reference_bit_for_bit(
+        m in arb_serving_model(),
+        quiet in 0usize..2,
+        u in arb_held_runs(),
+        cuts in prop::collection::vec(0usize..2400, 0..8),
+        dt_exp in -11.0..-9.0f64,
+    ) {
+        // Every held run steps with input terms computed once per run;
+        // runs start at sample 0 of a fresh state and cross chunk
+        // boundaries, and the output keeps the reference's bits. In
+        // half the cases the static path is zero, so the output is the
+        // block sum alone and shows the last bit of every block state
+        // (an O(1) static value would round those bits away).
+        let mut m = m;
+        if quiet == 1 {
+            m.static_path = zero_statefn();
+        }
+        let dt = 10.0f64.powf(dt_exp);
+        let mismatch = held_run_mismatch(&m, dt, &u, &cuts);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+    }
+
+    #[test]
     fn advance_chunks_bit_identical_to_solo(
         m in arb_serving_model(),
         stims in prop::collection::vec(arb_stimulus(), 1..10),
@@ -372,5 +450,138 @@ proptest! {
         prop_assert!(v.contains("endmodule"));
         let mat = rvf_core::to_matlab(&m, "m1");
         prop_assert!(mat.contains("function"));
+    }
+}
+
+/// The identically zero state function.
+fn zero_statefn() -> StateFn {
+    statefn(c(-1.0, 1.0), Complex::ZERO, 0.0, 0.0)
+}
+
+/// A state function `∫ r du` with one log term at `pole` (real or
+/// complex) and a linear head.
+fn log_statefn(pole: Complex, rho: Complex, linear: f64, constant: f64) -> StateFn {
+    let entry = if pole.im == 0.0 { PoleEntry::Real(pole.re) } else { PoleEntry::Pair(pole) };
+    StateFn {
+        rational: RationalModel::new(
+            PoleSet::new(vec![entry]),
+            vec![ResponseTerms { residues: Residues(vec![rho]), d: linear, e: 0.0 }],
+        ),
+        primitive: IntegratedStateFn {
+            terms: vec![LogTerm { pole, rho }],
+            linear,
+            quadratic: 0.0,
+            constant,
+        },
+    }
+}
+
+/// Twelve blocks, lowered through `SimBuilder` by `compile`: the
+/// per-block input terms live in a buffer sized by the model, so there
+/// is no block-count cap. The static path is zero, so the output shows
+/// every block's last bit.
+#[test]
+fn twelve_block_model_keeps_reference_bits_through_held_runs() {
+    let blocks: Vec<DynBlock> = (0..12)
+        .map(|b| {
+            let k = b as f64;
+            let f = |s: f64| log_statefn(c(-0.3 - 0.1 * k, 0.4 + s), c(0.2 + s, -0.1 * k), 0.5, s);
+            if b % 3 == 0 {
+                DynBlock::Real { a: -1.0e9 * (1.0 + k), f: f(0.1) }
+            } else {
+                DynBlock::Pair {
+                    sigma: -0.7e9 * (1.0 + k),
+                    omega: 2.0e9 + 1.0e8 * k,
+                    f1: f(0.2),
+                    f2: f(0.3),
+                }
+            }
+        })
+        .collect();
+    let m = HammersteinModel { static_path: zero_statefn(), blocks, u0: 0.0, y0: 0.0 };
+    assert_eq!(m.compile().n_blocks(), 12);
+    let mut u = Vec::new();
+    for (level, hold) in [(0.5, 40), (1.3, 1), (1.3, 299), (0.5, 3), (0.9, 1), (1.3, 70)] {
+        u.extend(std::iter::repeat_n(level, hold));
+    }
+    for cuts in [vec![], vec![1], vec![20, 41, 42, 300, 341], (0..u.len()).step_by(7).collect()] {
+        assert_eq!(held_run_mismatch(&m, 1e-10, &u, &cuts), None, "cuts {cuts:?}");
+    }
+}
+
+/// A held level exactly on a real log-term pole: the drive there is
+/// `ln 0 = −∞` scaled, so `w − w` is NaN and the blocks go non-finite.
+/// The held-run step must reproduce the reference's ∞ bits and NaNs,
+/// whether the pole level is the DC seed, a run reached mid-stimulus
+/// (split or not by a chunk boundary), or a single changed sample.
+///
+/// Outputs are pinned on pair blocks. A real block's output at an
+/// infinite drive is NaN in the kernel, where the reference adds ±∞:
+/// its exactly-zero imaginary lane picks up 0·∞. So a real block's
+/// real lane is pinned instead, against the reference step itself;
+/// that is where `w − w` = NaN shows (a state seeded at the pole level
+/// stays −∞ if the held run's `w − w` is taken as 0).
+#[test]
+fn held_level_on_a_real_pole_keeps_the_reference_bits() {
+    let (pole, dt) = (0.7, 1e-10);
+    let on_pole = |rho: Complex| log_statefn(c(pole, 0.0), rho, 0.3, 0.1);
+    let pair = |omega, f2| DynBlock::Pair { sigma: -1.0e9, omega, f1: on_pole(c(-0.2, 0.5)), f2 };
+    let finite = log_statefn(c(-0.4, 0.8), c(0.3, 0.2), 0.7, 0.0);
+    let stimuli: [&[(f64, usize)]; 4] = [
+        &[(pole, 5), (0.2, 3)],
+        &[(0.2, 10), (pole, 25), (1.1, 4)],
+        &[(1.1, 6), (pole, 1), (0.2, 8)],
+        &[(0.2, 1), (pole, 300)],
+    ];
+    let runs_of = |runs: &[(f64, usize)]| -> Vec<f64> {
+        runs.iter().flat_map(|&(v, n)| std::iter::repeat_n(v, n)).collect()
+    };
+    for blocks in [
+        vec![pair(3.0e9, finite.clone())],
+        vec![pair(-3.0e9, finite.clone())],
+        vec![pair(3.0e9, on_pole(c(0.8, -0.1))), pair(-3.0e9, finite)],
+    ] {
+        let m = HammersteinModel {
+            static_path: log_statefn(c(-0.5, 0.9), c(0.4, 0.3), 1.0, 0.0),
+            blocks,
+            u0: 0.0,
+            y0: 0.0,
+        };
+        for runs in stimuli {
+            let u = runs_of(runs);
+            let y = m.simulate_reference(dt, &u);
+            assert!(
+                y.iter().any(|v| !v.is_finite()),
+                "{runs:?}: the pole level must reach the output"
+            );
+            for cuts in [vec![], vec![12, 13], (0..u.len()).collect()] {
+                let mismatch = held_run_mismatch(&m, dt, &u, &cuts);
+                assert_eq!(mismatch, None, "{} blocks, {runs:?}, cuts {cuts:?}", m.blocks.len());
+            }
+        }
+    }
+
+    let (a, f) = (-2.0e9, on_pole(c(0.6, 0.0)));
+    let m = HammersteinModel {
+        static_path: zero_statefn(),
+        blocks: vec![DynBlock::Real { a, f: f.clone() }],
+        u0: 0.0,
+        y0: 0.0,
+    };
+    let (sim, prop) = (m.compile(), FohScalar::new(a, dt));
+    for runs in stimuli {
+        let u = runs_of(runs);
+        let mut state = sim.new_state();
+        let (mut x, mut v) = (-f.integral(u[0]) / a, f.integral(u[0]));
+        for (t, &ut) in u.iter().enumerate() {
+            if t > 0 {
+                let v1 = f.integral(ut);
+                x = prop.step(x, v, v1);
+                v = v1;
+            }
+            sim.simulate_into(dt, &u[t..=t], &mut state, &mut [0.0]).unwrap();
+            let got = state.export().sre[0];
+            assert!(same_bits(got, x), "{runs:?}, sample {t}: {got} vs reference state {x}");
+        }
     }
 }

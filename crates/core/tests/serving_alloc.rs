@@ -1,7 +1,9 @@
 //! Pins the zero-allocation contract of the streaming serving path:
 //! `simulate_into` performs **no heap allocation per chunk**, the first
 //! chunk on a fresh state (which fills the per-`dt` propagator cache
-//! inside the state) included.
+//! inside the state) included, on mixed chunks and on held-level
+//! chunks alike. Through `advance_chunks` on a warm pool, the kernel
+//! adds no allocation to the round's fixed bookkeeping.
 //!
 //! Lives in its own test binary because it installs a counting global
 //! allocator — the count is process-wide, so the measured region must
@@ -10,8 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rvf_core::{IntegratedStateFn, LogTerm, SimBuilder};
-use rvf_numerics::Complex;
+use rvf_core::{IntegratedStateFn, LogTerm, SessionChunk, SimBuilder};
+use rvf_numerics::{Complex, SweepPool};
 
 /// System allocator wrapper that counts allocation calls.
 struct CountingAlloc;
@@ -81,4 +83,40 @@ fn simulate_into_allocates_nothing_per_chunk_in_steady_state() {
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "steady-state simulate_into must not allocate");
+
+    // Held levels: a chunk that changes level on its first sample and
+    // holds it, one that continues that run across the chunk boundary,
+    // and one at a new level. The input terms of a run live in the
+    // state's kernel rows.
+    for level in [0.3, 0.3, -0.8] {
+        let held = vec![level; chunk.len()];
+        let before = ALLOCS.load(Ordering::SeqCst);
+        sim.simulate_into(dt, &held, &mut state, &mut out).unwrap();
+        let after = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(after - before, 0, "a held-level chunk at {level} must not allocate");
+    }
+
+    // advance_chunks on a warm pool: the round's own bookkeeping (one
+    // scratch state per worker, the carry buffer, the job list, the
+    // pool's result slots) is allocated per round by design, so the pin
+    // is that the kernel adds nothing to it: a held-level chunk and a
+    // mixed chunk cost a round exactly what a one-sample chunk does.
+    let pool = SweepPool::new(1);
+    let mut round = |input: &[f64]| {
+        let mut output = vec![0.0; input.len()];
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let mut chunks = [SessionChunk { state: &mut state, input, output: &mut output }];
+        sim.advance_chunks(dt, &mut chunks, Some(&pool)).unwrap();
+        ALLOCS.load(Ordering::SeqCst) - before
+    };
+    round(&chunk);
+    let floor = round(&chunk[..1]);
+    for _ in 0..5 {
+        assert_eq!(
+            round(&vec![0.3; chunk.len()]),
+            floor,
+            "held-level chunk through advance_chunks"
+        );
+        assert_eq!(round(&chunk), floor, "mixed chunk through advance_chunks");
+    }
 }

@@ -101,12 +101,12 @@ impl CMat {
     pub(crate) fn matvec(&self, x: &[Complex]) -> Vec<Complex> {
         assert_eq!(x.len(), self.cols, "dimension mismatch in matvec");
         let mut y = vec![Complex::ZERO; self.rows];
-        for i in 0..self.rows {
+        for (i, yi) in y.iter_mut().enumerate() {
             let mut acc = Complex::ZERO;
             for (a, b) in self.row(i).iter().zip(x) {
                 acc += *a * *b;
             }
-            y[i] = acc;
+            *yi = acc;
         }
         y
     }

@@ -410,6 +410,8 @@ macro_rules! impl_binop {
             }
         }
         impl $assign_trait for Complex {
+            // `$f` is the one operator body all four impls share.
+            #[allow(clippy::redundant_closure_call)]
             #[inline]
             fn $assign_method(&mut self, rhs: Complex) {
                 let f: fn(Complex, Complex) -> Complex = $f;
@@ -417,6 +419,8 @@ macro_rules! impl_binop {
             }
         }
         impl $assign_trait<f64> for Complex {
+            // `$f` is the one operator body all four impls share.
+            #[allow(clippy::redundant_closure_call)]
             #[inline]
             fn $assign_method(&mut self, rhs: f64) {
                 let f: fn(Complex, Complex) -> Complex = $f;

@@ -94,6 +94,9 @@ impl Lu {
     ///
     /// Returns [`NumericsError::DimensionMismatch`] if `b.len()` differs
     /// from the factored dimension.
+    // Substitution reads x[j] for j on one side of i while writing x[i];
+    // the index loops keep that operation order explicit.
+    #[allow(clippy::needless_range_loop)]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
         let n = self.dim();
         if b.len() != n {
@@ -250,6 +253,9 @@ impl CLu {
     /// # Errors
     ///
     /// Returns [`NumericsError::DimensionMismatch`] on a length mismatch.
+    // Substitution reads x[j] for j on one side of i while writing x[i];
+    // the index loops keep that operation order explicit.
+    #[allow(clippy::needless_range_loop)]
     pub fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, NumericsError> {
         let n = self.dim();
         if b.len() != n {

@@ -159,13 +159,12 @@ impl Mat {
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "dimension mismatch in matvec");
         let mut y = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let row = self.row(i);
+        for (i, yi) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
+            for (a, b) in self.row(i).iter().zip(x) {
                 acc += a * b;
             }
-            y[i] = acc;
+            *yi = acc;
         }
         y
     }
@@ -174,9 +173,8 @@ impl Mat {
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "dimension mismatch in matvec_t");
         let mut y = vec![0.0; self.cols];
-        for i in 0..self.rows {
+        for (i, &xi) in x.iter().enumerate() {
             let row = self.row(i);
-            let xi = x[i];
             for (yj, a) in y.iter_mut().zip(row) {
                 *yj += a * xi;
             }

@@ -102,6 +102,9 @@ impl Qr {
     /// Returns [`NumericsError::DimensionMismatch`] if `b.len() != m`, and
     /// [`NumericsError::RankDeficient`] if a diagonal of `R` underflows
     /// relative tolerance (the system does not determine all unknowns).
+    // Back substitution reads x[j] for j > i while writing x[i]; the
+    // index loop keeps that operation order explicit.
+    #[allow(clippy::needless_range_loop)]
     pub fn solve_lstsq(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
         let (m, n) = self.qr.shape();
         if b.len() != m {

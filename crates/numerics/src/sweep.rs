@@ -447,7 +447,8 @@ impl SweepPool {
                 if start >= n_tasks {
                     return;
                 }
-                for i in start..(start + batch).min(n_tasks) {
+                let end = (start + batch).min(n_tasks);
+                for (i, slot) in (start..end).zip(&slots_ref[start..end]) {
                     if abort.load(Ordering::Acquire) {
                         return;
                     }
@@ -456,7 +457,7 @@ impl SweepPool {
                         // exactly one worker, so this slot is written by
                         // this thread only, and the round handshake
                         // happens before the slots are read.
-                        Ok(v) => unsafe { *slots_ref[i].0.get() = Some(v) },
+                        Ok(v) => unsafe { *slot.0.get() = Some(v) },
                         Err(e) => {
                             // The first failure (error or contained
                             // panic) wins and flags the other workers
@@ -803,7 +804,7 @@ mod tests {
         // And the pool accepts it.
         let pool = SweepPool::new(0);
         assert_eq!(pool.workers(), resolve_threads(0));
-        let out = pool.run(9, &SweepConfig::threads(0), |i| Ok::<_, ()>(i)).unwrap();
+        let out = pool.run(9, &SweepConfig::threads(0), Ok::<_, ()>).unwrap();
         assert_eq!(out.len(), 9);
     }
 
@@ -1081,19 +1082,19 @@ mod tests {
 
     #[test]
     fn injected_panic_fires_once_on_the_armed_pool_only() {
-        let cfg = |workers| SweepConfig::threads(workers);
+        let cfg = SweepConfig::threads;
         for workers in [3, 1] {
             let armed = SweepPool::new(workers);
             let bystander = SweepPool::new(workers);
             // Arming is idempotent and an empty round does not consume it.
             armed.inject_panic();
             armed.inject_panic();
-            assert!(armed.run(0, &cfg(workers), |i| Ok::<_, ()>(i)).unwrap().is_empty());
+            assert!(armed.run(0, &cfg(workers), Ok::<_, ()>).unwrap().is_empty());
             let calls = AtomicUsize::new(0);
             let (faulted, clean) = thread::scope(|scope| {
                 let side = scope.spawn(|| {
                     (0..20)
-                        .map(|_| bystander.run(16, &cfg(workers), |i| Ok::<_, ()>(i)))
+                        .map(|_| bystander.run(16, &cfg(workers), Ok::<_, ()>))
                         .collect::<Vec<_>>()
                 });
                 let faulted = armed.run(16, &cfg(workers), |i| {

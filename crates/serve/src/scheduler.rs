@@ -80,7 +80,7 @@ impl Replication {
         self.seq += 1;
         self.sink.append(frame(KIND_DELTA, &DeltaRecord { seq: self.seq, op }));
         // The sequence restarts at each baseline.
-        self.digest_due |= self.seq % self.digest_every == 0;
+        self.digest_due |= self.seq.is_multiple_of(self.digest_every);
     }
 }
 
@@ -170,6 +170,9 @@ impl Default for ServeConfig {
 }
 
 /// One completion surfaced by [`Scheduler::tick`].
+// Events are moved, not stored in bulk; boxing the large variant would
+// change the public type of its field.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Event {

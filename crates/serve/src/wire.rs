@@ -1289,7 +1289,7 @@ mod tests {
             free: vec![1],
             queue: vec![SnapshotRequest {
                 id: 41,
-                session: (3u64 << 32) | 0,
+                session: 3u64 << 32,
                 deadline: 99,
                 attempts: 2,
                 not_before: 44,

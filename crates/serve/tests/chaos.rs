@@ -550,7 +550,7 @@ fn degraded_serial_output_matches_pooled_bit_for_bit() {
         let mut now = 0u64;
         let mut outputs = BTreeMap::new();
         if degrade_first {
-            chaos::arm_worker_panic(&sched);
+            chaos::arm_worker_panic(sched);
         }
         for chunk in u.chunks(9) {
             sched.submit(session, chunk, now, now + 100).expect("submit");

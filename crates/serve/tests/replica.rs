@@ -173,7 +173,7 @@ fn failover(
     primary: Scheduler,
     log: &RecordLog,
     lag: usize,
-    clients: &mut Vec<Client>,
+    clients: &mut [Client],
     now: &mut u64,
 ) -> Scheduler {
     let surviving = log.lagged_bytes(lag);

@@ -495,7 +495,7 @@ proptest! {
             let cut = rng.below(raw.len());
             prop_assert!(WireRecord::decode(&Bytes::from(raw[..cut].to_vec())).is_err());
             let mut long = raw.to_vec();
-            long.extend(std::iter::repeat(0xA5).take(1 + rng.below(9)));
+            long.extend(std::iter::repeat_n(0xA5, 1 + rng.below(9)));
             let long = Bytes::from(long);
             let got = WireRecord::decode(&long);
             let trailing = matches!(got, Err(WireError::TrailingBytes { .. }));
@@ -561,7 +561,7 @@ proptest! {
             sre: (0..rng.below(6)).map(|_| f64::from_bits(rng.next())).collect(),
             sim: (0..rng.below(6)).map(|_| f64::from_bits(rng.next())).collect(),
             uprev: rng.next(),
-            started: rng.next() % 2 == 0,
+            started: rng.next().is_multiple_of(2),
             samples: rng.next(),
             coef_dt: rng.next(),
         };
@@ -573,7 +573,7 @@ proptest! {
             },
             next_request: rng.next(),
             rebuilds: rng.next() % 8,
-            degraded: rng.next() % 2 == 0,
+            degraded: rng.next().is_multiple_of(2),
             models: vec![SnapshotModel { name: "αβγ-model".to_string(), fingerprint: rng.next() }],
             slots: vec![
                 SnapshotSlot { generation: rng.next() as u32, session: None },

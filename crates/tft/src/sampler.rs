@@ -95,6 +95,8 @@ impl TftConfig {
 /// [`TftError::DimensionMismatch`], a numerics error if a frequency
 /// solve hits a singular matrix, or [`TftError::WorkerPanicked`] if a
 /// sweep worker dies (the panic is contained, not propagated).
+// `!(f > 0.0)` also rejects NaN frequencies, which `f <= 0.0` would pass.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn tft_from_snapshots(
     snapshots: &[JacobianSnapshot],
     b: &[f64],
@@ -348,7 +350,7 @@ mod tests {
             c: rvf_numerics::Mat::zeros(1, 1),
         };
         assert!(matches!(
-            tft_from_snapshots(&[snap.clone()], &[1.0], &[1.0], &[], 1, 1),
+            tft_from_snapshots(std::slice::from_ref(&snap), &[1.0], &[1.0], &[], 1, 1),
             Err(TftError::BadFrequencyGrid)
         ));
         assert!(matches!(

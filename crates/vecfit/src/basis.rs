@@ -2,9 +2,9 @@
 //!
 //! For a pole set the basis columns are
 //!
-//! * real pole `a`:      `φ(s) = 1/(s − a)`
-//! * pair `(a, a*)`:     `φ₁(s) = 1/(s − a) + 1/(s − a*)`
-//!                       `φ₂(s) = j/(s − a) − j/(s − a*)`
+//! * real pole `a`: `φ(s) = 1/(s − a)`
+//! * pair `(a, a*)`: `φ₁(s) = 1/(s − a) + 1/(s − a*)` and
+//!   `φ₂(s) = j/(s − a) − j/(s − a*)`
 //!
 //! The pair combination keeps the fitted function real for data with the
 //! appropriate symmetry on *both* axes: Hermitian data on `s = jω` and

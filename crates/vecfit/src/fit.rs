@@ -368,6 +368,8 @@ fn validate(
     Ok(())
 }
 
+// `!(hi > lo)` also rejects a NaN range, which `hi <= lo` would pass.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 fn sample_range(samples: &[Complex], axis: Axis) -> Result<(f64, f64), VecfitError> {
     match axis {
         Axis::Imaginary => {
