@@ -9,18 +9,19 @@
 //! * `serving_compiled_single` — the same stimulus through a
 //!   pre-compiled [`rvf_core::CompiledSim`];
 //! * `serving_compile_lowering` — the one-off model → tables lowering;
-//! * `serving_drive_ln_p46_x4096` — the kernel's drive pass alone:
+//! * `serving_drive_ln_p10_x4096` — the kernel's drive pass alone:
 //!   `ln_shifted_into`, one `ln(u − pole)` per distinct state pole of
-//!   the compiled buffer model (46 poles), over 4096 smooth inputs —
+//!   the compiled buffer model (10 poles: its one common state-pole
+//!   set), over 4096 smooth inputs —
 //!   the per-sample transcendental cost every changed input pays;
-//! * `serving_drive_ln_scalar_p46_x4096` — its control: the same
+//! * `serving_drive_ln_scalar_p10_x4096` — its control: the same
 //!   features from one out-of-line `Complex::ln` call per pole, so each
 //!   run shows the vector/scalar ratio;
 //! * `serving_held_level_x4096` — the kernel's held-run layer: one
 //!   started state fed 4096 samples at the level it holds, so each
 //!   sample is one first-order-hold step of the buffer model's blocks
 //!   with no drive evaluation — the per-sample cost every held input
-//!   pays, next to `serving_drive_ln_p46_x4096`'s changed-sample cost;
+//!   pays, next to `serving_drive_ln_p10_x4096`'s changed-sample cost;
 //! * `serving_batch_b{001,016,256}` — batch evaluation of 1/16/256
 //!   distinct bit patterns through one compiled model (serial worker:
 //!   one `advance_chunks` round over fresh states, one task per
@@ -96,11 +97,11 @@ fn bench_serving(c: &mut Criterion) {
         }
     }
     assert_eq!(poles.len(), sim.n_pole_features());
-    assert_eq!(poles.len(), 46, "the buffer model's log-feature basis");
+    assert_eq!(poles.len(), 10, "the buffer model's log-feature basis");
     let drive_inputs: Vec<f64> =
         (0..4096).map(|i| 0.9 + 0.4 * (f64::from(i) * 0.0123).sin()).collect();
     let (mut lr, mut li) = (vec![0.0; poles.len()], vec![0.0; poles.len()]);
-    c.bench_function("serving_drive_ln_p46_x4096", |b| {
+    c.bench_function("serving_drive_ln_p10_x4096", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for &u in &drive_inputs {
@@ -113,7 +114,7 @@ fn bench_serving(c: &mut Criterion) {
     // Called through an opaque pointer, so the compiler can neither
     // inline nor vectorise it: one out-of-line `Complex::ln` per pole.
     let scalar_ln: fn(Complex) -> Complex = black_box(Complex::ln);
-    c.bench_function("serving_drive_ln_scalar_p46_x4096", |b| {
+    c.bench_function("serving_drive_ln_scalar_p10_x4096", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for &u in &drive_inputs {

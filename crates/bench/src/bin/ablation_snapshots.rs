@@ -15,7 +15,7 @@ use rvf_tft::{error_surface, extract_from_circuit};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut circuit = buffer_circuit();
     let (dataset, _) = extract_from_circuit(&mut circuit, &paper_tft_config())?;
-    println!("{:>6} {:>8} {:>16} {:>22}", "thin", "states", "surface RMS", "state poles");
+    println!("{:>6} {:>8} {:>16} {:>12}", "thin", "states", "surface RMS", "state poles");
     for &thin in &[1usize, 2, 4, 8] {
         let train_set = dataset.thin_states(thin);
         // Cap the state-pole budget to what the thinned set supports.
@@ -25,11 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Score on the full dataset (generalization over the state).
         let es = error_surface(&dataset, |x, s| report.model.transfer(x, s));
         println!(
-            "{:>6} {:>8} {:>13.1} dB {:>22}",
+            "{:>6} {:>8} {:>13.1} dB {:>12}",
             thin,
             train_set.n_states(),
             es.rms_complex_db,
-            format!("{:?}", report.diagnostics.state_pole_counts)
+            report.diagnostics.static_pole_count
         );
     }
     println!();

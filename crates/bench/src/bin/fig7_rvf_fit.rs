@@ -37,13 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = paper_rvf_options();
     let report = fit_tft(&dataset, &opts)?;
     println!(
-        "RVF fit: {} frequency poles, state poles {:?}, static {} (epsilon {:.0e})",
-        report.diagnostics.n_freq_poles,
-        report.diagnostics.state_pole_counts,
-        report.diagnostics.static_pole_count,
-        opts.epsilon
+        "RVF fit: {} frequency poles, {} common state poles (epsilon {:.0e})",
+        report.diagnostics.n_freq_poles, report.diagnostics.static_pole_count, opts.epsilon
     );
-    println!("(paper: 12 frequency poles, 10 state poles per residue at epsilon 1e-3)");
+    println!("(paper: 12 frequency poles, 10 state poles per residue at epsilon 1e-3;");
+    println!(" this code fits one state-pole set shared by all residues)");
     println!();
 
     // Top of the figure: the model hyperplane.

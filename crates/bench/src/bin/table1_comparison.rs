@@ -112,9 +112,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("details:");
     println!(
-        "  RVF : {} freq poles, state poles {:?}, max gain err {:.1} dB",
+        "  RVF : {} freq poles, {} common state poles, max gain err {:.1} dB",
         rvf_report.diagnostics.n_freq_poles,
-        rvf_report.diagnostics.state_pole_counts,
+        rvf_report.diagnostics.static_pole_count,
         rvf_surface.max_gain_err_db
     );
     println!(

@@ -20,7 +20,7 @@ use rvf_vecfit::{PoleEntry, RationalModel};
 
 use crate::error::RvfError;
 use crate::integrated::IntegratedStateFn;
-use crate::rvf::{fit_state_stage_in, single_response, RvfOptions, StageFit};
+use crate::rvf::{fit_state_stage, single_response, RvfOptions, StageFit};
 
 /// A fitted state-dependent function together with its analytic
 /// primitive.
@@ -33,11 +33,11 @@ pub struct StateFn {
 }
 
 impl StateFn {
-    /// Builds from response `k` of a state-axis fit, with the primitive
-    /// anchored to `primitive(u0) = anchor`.
-    pub(crate) fn from_fit(model: &RationalModel, k: usize, u0: f64, anchor: f64) -> Self {
-        let rational = single_response(model, k);
-        let primitive = IntegratedStateFn::from_state_fit(&rational, 0).anchored(u0, anchor);
+    /// Builds from response `k` of a state-axis fit, times the `scale` it
+    /// was divided by, with the primitive anchored to `primitive(u0) = y`.
+    pub(crate) fn from_fit(fit: &RationalModel, k: usize, scale: f64, u0: f64, y: f64) -> Self {
+        let rational = single_response(fit, k, scale);
+        let primitive = IntegratedStateFn::from_state_fit(&rational, 0).anchored(u0, y);
         Self { rational, primitive }
     }
 
@@ -120,14 +120,15 @@ pub struct BuildDiagnostics {
     pub freq_rel_error: f64,
     /// Number of frequency poles (the paper reports 12 on the buffer).
     pub n_freq_poles: usize,
-    /// State pole counts per dynamic block (paper: ~10 each).
+    /// [`static_pole_count`](Self::static_pole_count) once per dynamic
+    /// block: every block shares the model's one state-pole set.
     pub state_pole_counts: Vec<usize>,
-    /// Relative RMS errors of the per-block state fits.
-    pub state_rel_errors: Vec<f64>,
-    /// State pole count of the static path.
+    /// Size of the one state-pole set that the static path and every
+    /// block share (the paper fits ~10 poles per residue, each on its own).
     pub static_pole_count: usize,
-    /// Relative RMS error of the static-path fit.
-    pub(crate) static_rel_error: f64,
+    /// Relative RMS error of the one state fit, over every normalised
+    /// response.
+    pub state_rel_error: f64,
     /// Warm-started fits, over every stage of the build, that hit a
     /// numerical kernel failure and fell back to a cold restart.
     pub cold_restarts: usize,
@@ -292,7 +293,6 @@ pub fn build_hammerstein(
     freq_stage: &StageFit,
     opts: &RvfOptions,
 ) -> Result<(HammersteinModel, BuildDiagnostics), RvfError> {
-    let states = dataset.states();
     // DC anchor: the trajectory point at the earliest time.
     let (u0, y0) = dataset
         .samples
@@ -302,12 +302,11 @@ pub fn build_hammerstein(
         .unwrap_or((0.0, 0.0));
 
     let freq_model = &freq_stage.fit.model;
-    // Per-block error scales. A residue error δr on pole a perturbs the
-    // transfer function by up to δr·max_l 1/|s_l − a|, so each residue
-    // trajectory must be fitted to an *absolute* tolerance of
-    // ε·peak(H)·min_l|s_l − a| — otherwise low-frequency poles (small
-    // |a|, small residues) silently amplify their fitting error by
-    // orders of magnitude.
+    // Error scales. A residue error δr on pole a perturbs the transfer
+    // function by up to δr·max_l 1/|s_l − a|, so a block's residues are
+    // divided by peak(H)·min_l|s_l − a| before they are held to ε; else
+    // low-frequency poles (small |a|, small residues) amplify their fitting
+    // error by orders of magnitude. The static gain is divided by its peak.
     let s_grid = dataset.s_grid();
     let peak_dyn = dataset
         .samples
@@ -322,57 +321,57 @@ pub fn build_hammerstein(
             .fold(f64::INFINITY, f64::min);
         peak_dyn * min_dist.max(1e-300)
     };
-    let mut diagnostics = BuildDiagnostics {
-        freq_rel_error: freq_stage.rel_error,
-        n_freq_poles: freq_stage.n_poles,
-        cold_restarts: freq_stage.cold_restarts,
-        ..Default::default()
-    };
 
-    // One worker pool shared by every per-block state stage (each fits
-    // 1–2 trajectories, so the pool stays within the stage's effective
-    // worker count) instead of a runtime per stage call.
-    let pool = rvf_numerics::SweepPool::new(rvf_vecfit::auto_workers(opts.threads, 2));
-    let mut blocks = Vec::with_capacity(freq_model.poles().n_entries());
-    for (p, entry) in freq_model.poles().entries().iter().enumerate() {
+    // One common state-pole set per model (the paper fits each residue on
+    // its own): one growth loop, its error the RMS over all responses.
+    let entries = freq_model.poles().entries();
+    let (mut trajectories, mut scales) = (Vec::new(), Vec::new());
+    let mut push = |mut traj: Vec<f64>, scale: f64| {
+        traj.iter_mut().for_each(|v| *v /= scale);
+        trajectories.push(traj);
+        scales.push(scale);
+    };
+    for (p, entry) in entries.iter().enumerate() {
         let traj = freq_model.residue_trajectory(p);
         match entry {
             PoleEntry::Real(a) => {
-                let comp: Vec<f64> = traj.iter().map(|r| r.re).collect();
-                let scale = block_scale(&[Complex::from_re(*a)]);
-                let stage = fit_state_stage_in(&pool, &states, &[comp], scale, opts)?;
-                diagnostics.cold_restarts += stage.cold_restarts;
-                diagnostics.state_pole_counts.push(stage.n_poles);
-                diagnostics.state_rel_errors.push(stage.rel_error);
-                let f = StateFn::from_fit(&stage.fit.model, 0, u0, 0.0);
-                blocks.push(DynBlock::Real { a: *a, f });
+                push(traj.iter().map(|r| r.re).collect(), block_scale(&[Complex::from_re(*a)]));
             }
             PoleEntry::Pair(a) => {
                 // Input-shifted components (paper eq. 14).
-                let c1: Vec<f64> = traj.iter().map(|r| r.re + r.im).collect();
-                let c2: Vec<f64> = traj.iter().map(|r| r.re - r.im).collect();
                 let scale = block_scale(&[*a, a.conj()]);
-                let stage = fit_state_stage_in(&pool, &states, &[c1, c2], scale, opts)?;
-                diagnostics.cold_restarts += stage.cold_restarts;
-                diagnostics.state_pole_counts.push(stage.n_poles);
-                diagnostics.state_rel_errors.push(stage.rel_error);
-                let f1 = StateFn::from_fit(&stage.fit.model, 0, u0, 0.0);
-                let f2 = StateFn::from_fit(&stage.fit.model, 1, u0, 0.0);
-                blocks.push(DynBlock::Pair { sigma: a.re, omega: a.im, f1, f2 });
+                push(traj.iter().map(|r| r.re + r.im).collect(), scale);
+                push(traj.iter().map(|r| r.re - r.im).collect(), scale);
             }
         }
     }
-
-    // Static path: fit the DC-gain trajectory and integrate, anchored at
-    // the DC solution (u0, y0).
     let g_traj = dataset.static_gains();
-    let g_scale = g_traj.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    let static_stage = fit_state_stage_in(&pool, &states, &[g_traj], g_scale.max(1e-300), opts)?;
-    diagnostics.static_pole_count = static_stage.n_poles;
-    diagnostics.static_rel_error = static_stage.rel_error;
-    diagnostics.cold_restarts += static_stage.cold_restarts;
-    let static_path = StateFn::from_fit(&static_stage.fit.model, 0, u0, y0);
+    let g_scale = g_traj.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
+    push(g_traj, g_scale);
+    let stage = fit_state_stage(&dataset.states(), &trajectories, 1.0, opts)?;
 
+    // Responses come back in the order they went in: blocks, then static.
+    let mut k = 0;
+    let mut f = || {
+        k += 1;
+        StateFn::from_fit(&stage.fit.model, k - 1, scales[k - 1], u0, 0.0)
+    };
+    let blocks: Vec<DynBlock> = entries
+        .iter()
+        .map(|entry| match *entry {
+            PoleEntry::Real(a) => DynBlock::Real { a, f: f() },
+            PoleEntry::Pair(a) => DynBlock::Pair { sigma: a.re, omega: a.im, f1: f(), f2: f() },
+        })
+        .collect();
+    let static_path = StateFn::from_fit(&stage.fit.model, k, g_scale, u0, y0);
+    let diagnostics = BuildDiagnostics {
+        freq_rel_error: freq_stage.rel_error,
+        n_freq_poles: freq_stage.n_poles,
+        state_pole_counts: vec![stage.n_poles; blocks.len()],
+        static_pole_count: stage.n_poles,
+        state_rel_error: stage.rel_error,
+        cold_restarts: freq_stage.cold_restarts + stage.cold_restarts,
+    };
     Ok((HammersteinModel { static_path, blocks, u0, y0 }, diagnostics))
 }
 
@@ -386,7 +385,7 @@ mod tests {
         let xs: Vec<Complex> = linspace(0.0, 2.0, 81).into_iter().map(Complex::from_re).collect();
         let data: Vec<Complex> = xs.iter().map(|x| Complex::from_re(g(x.re))).collect();
         let fit = fit_single(&xs, &data, &VfOptions::state(8).with_iterations(10)).unwrap();
-        StateFn::from_fit(&fit.model, 0, u0, anchor)
+        StateFn::from_fit(&fit.model, 0, 1.0, u0, anchor)
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! 2. **RVF** ([`fit_frequency_stage`], [`fit_state_stage`]) — common-pole vector fitting along the frequency
 //!    axis, then *recursive* vector fitting of every state-dependent
 //!    residue trajectory in the state variable, with automatic pole
-//!    count selection against an error bound `ε`;
+//!    count selection against an error bound `ε`. One common state-pole
+//!    set serves all of a model's residues and its static gain (the
+//!    paper fits each residue with poles of its own);
 //! 3. **Analytic integration** ([`IntegratedStateFn`]) — the log-form
 //!    closed-form primitives of the RVF base functions (paper eq. 19)
 //!    that make the Hammerstein static stages automatic;

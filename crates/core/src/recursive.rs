@@ -140,7 +140,7 @@ pub fn fit_recursive_2d(
         trajectories.iter().flat_map(|t| t.iter()).fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
     let inner_stage = fit_state_stage_in(&pool, x1_grid, &trajectories, scale, opts)?;
     let coefficient_fits: Vec<RationalModel> =
-        (0..trajectories.len()).map(|k| single_response(&inner_stage.fit.model, k)).collect();
+        (0..trajectories.len()).map(|k| single_response(&inner_stage.fit.model, k, 1.0)).collect();
     Ok(Rvf2d { x2_poles: outer.model.poles().clone(), x2_has_const: has_const, coefficient_fits })
 }
 

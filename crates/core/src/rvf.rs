@@ -2,11 +2,11 @@
 //!
 //! Stage 1 fits the frequency axis of the TFT data with common poles,
 //! incrementing the pole count by two until the error bound `ε` is met.
-//! Stage 2 recursively fits every state-dependent quantity (the residue
-//! trajectories and the static conductance) as partial fractions in the
-//! state variable, again growing the pole count until `ε` is met. Both
-//! stages, and both levels of the 2-D recursion in [`crate::recursive`],
-//! run the one growth loop of this module.
+//! Stage 2 fits all of a model's state-dependent quantities (residue
+//! trajectories and static conductance) in the state variable with one
+//! common pole set, grown the same way, where the paper gives each residue
+//! its own. Both stages, and both levels of the 2-D recursion in
+//! [`crate::recursive`], run the one growth loop of this module.
 
 use rvf_numerics::{Complex, SweepPool};
 use rvf_vecfit::{auto_workers, fit_in, Axis, PoleSet, RationalModel, VfFit, VfOptions};
@@ -14,7 +14,8 @@ use rvf_vecfit::{auto_workers, fit_in, Axis, PoleSet, RationalModel, VfFit, VfOp
 use crate::error::RvfError;
 
 /// Options for the RVF extraction (paper: `ε = 10⁻³`, yielding 12
-/// frequency poles and 10 state poles per residue on the buffer).
+/// frequency poles and 10 state poles per residue on the buffer; here one
+/// common state-pole set serves all of a model's residues).
 #[derive(Debug, Clone)]
 pub struct RvfOptions {
     /// Relative error bound `ε` for both fitting stages.
@@ -25,7 +26,7 @@ pub struct RvfOptions {
     pub max_freq_poles: usize,
     /// Starting number of state poles (rounded up to pairs).
     pub start_state_poles: usize,
-    /// Maximum number of state poles per residue function.
+    /// Maximum size of a model's common state-pole set.
     pub max_state_poles: usize,
     /// Relocation iterations for the frequency fits.
     pub freq_vf_iterations: usize,
@@ -124,9 +125,8 @@ pub fn fit_frequency_stage(
 /// conjugate-pair poles in the state variable, growing the pole count
 /// until `ε·scale` is reached (paper Algorithm 1, lines 18–25).
 ///
-/// `scale` normalizes the error target: residue components are compared
-/// against the overall residue magnitude, not their own peak, so
-/// near-zero components don't demand absurd accuracy.
+/// `scale` normalizes the error target, so near-zero components are held
+/// to the overall residue magnitude rather than to their own peak.
 ///
 /// # Errors
 ///
@@ -145,8 +145,8 @@ pub fn fit_state_stage(
     fit_state_stage_in(&pool, states, trajectories, scale, opts)
 }
 
-/// [`fit_state_stage`] on a caller-owned pool, so the Hammerstein
-/// builder and the 2-D recursion share one pool across all their stages.
+/// [`fit_state_stage`] on a caller-owned pool, so the 2-D recursion
+/// shares one pool across its stages.
 pub(crate) fn fit_state_stage_in(
     pool: &SweepPool,
     states: &[f64],
@@ -251,10 +251,10 @@ fn strict_check(
     Ok(best)
 }
 
-/// Extracts a single response from a multi-response model (helper for
-/// building per-block state functions).
-pub(crate) fn single_response(model: &RationalModel, k: usize) -> RationalModel {
-    RationalModel::new(model.poles().clone(), vec![model.terms()[k].clone()])
+/// Response `k` of a multi-response model, multiplied by `scale` (which
+/// undoes a fit of trajectories divided by it).
+pub(crate) fn single_response(model: &RationalModel, k: usize, scale: f64) -> RationalModel {
+    RationalModel::new(model.poles().clone(), vec![model.terms()[k].scaled(scale)])
 }
 
 #[cfg(test)]
@@ -387,8 +387,11 @@ mod tests {
                 ResponseTerms { residues: Residues(vec![c(2.0, 0.0)]), d: -0.5, e: 0.0 },
             ],
         );
-        let second = single_response(&model, 1);
+        let second = single_response(&model, 1, 1.0);
         assert_eq!(second.n_responses(), 1);
-        assert_eq!(second.terms()[0].d, -0.5);
+        assert_eq!(second.terms()[0], model.terms()[1]);
+        let doubled = single_response(&model, 1, 2.0);
+        assert_eq!(doubled.terms()[0].residues, Residues(vec![c(4.0, 0.0)]));
+        assert_eq!(doubled.terms()[0].d, -1.0);
     }
 }

@@ -169,9 +169,9 @@ impl SimBuilder {
         let mut term_pole: Vec<usize> = Vec::new();
         let mut poles: Vec<Complex> = Vec::new();
         // Pole-sequence dedup: rows whose pole sequences agree bit for
-        // bit (the two responses of a pair block — they come from one
-        // stage fit) share one run of feature slots, so the ln per pole
-        // is paid once per sample however many rows consume it.
+        // bit (every row of a fitted model — its one state fit gives all
+        // of them one pole set) share one run of feature slots, so the ln
+        // per pole is paid once per sample however many rows consume it.
         let mut runs: HashMap<Vec<(u64, u64)>, usize> = HashMap::new();
         let mut prow: Vec<usize> = Vec::new();
         let mut pcoeffs: Vec<Vec<f64>> = Vec::new();
@@ -315,8 +315,8 @@ impl CompiledSim {
     }
 
     /// Number of *distinct* poles in the shared log-feature basis —
-    /// after dedup, so a pair block's two responses count their common
-    /// poles once.
+    /// after dedup, so rows that share a pole sequence (all rows of a
+    /// fitted model) count their common poles once.
     pub fn n_pole_features(&self) -> usize {
         self.poles.len()
     }

@@ -17,6 +17,14 @@ pub struct ResponseTerms {
     pub e: f64,
 }
 
+impl ResponseTerms {
+    /// The response multiplied by `k`: every residue, `d` and `e`.
+    pub fn scaled(&self, k: f64) -> Self {
+        let residues = Residues(self.residues.0.iter().map(|r| r.scale(k)).collect());
+        Self { residues, d: self.d * k, e: self.e * k }
+    }
+}
+
 /// A set of rational functions with *common poles* and per-response
 /// residues — the output of a (vector) fit:
 ///

@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "freq fit error  : {:.3e} (epsilon {:.1e})",
         report.diagnostics.freq_rel_error, opts.epsilon
     );
-    println!("state poles/res : {:?}", report.diagnostics.state_pole_counts);
-    println!("static poles    : {}", report.diagnostics.static_pole_count);
+    println!("state poles     : {} (one common set)", report.diagnostics.static_pole_count);
+    println!("state fit error : {:.3e}", report.diagnostics.state_rel_error);
     println!("build time      : {:.2} s (paper: 2 min on 2013 hardware)", report.build_seconds);
 
     // The Fig. 6 hyperplane and the Fig. 7 model error surface.

@@ -42,10 +42,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = fit_tft(&dataset, &RvfOptions { epsilon: 1e-3, ..Default::default() })?;
     println!(
-        "model: {} freq poles (err {:.2e}), state poles {:?}",
+        "model: {} freq poles (err {:.2e}), {} common state poles",
         report.diagnostics.n_freq_poles,
         report.diagnostics.freq_rel_error,
-        report.diagnostics.state_pole_counts
+        report.diagnostics.static_pole_count
     );
 
     // Show the extracted static transfer curve — the nonlinearity the

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = RvfOptions { epsilon: 1e-3, ..Default::default() };
     let (report, dataset, _train) = extract_model(&mut circuit, &tft_cfg, &opts)?;
     println!(
-        "extracted model: {} frequency poles (rel err {:.2e}), static path {} state poles",
+        "extracted model: {} frequency poles (rel err {:.2e}), {} common state poles",
         report.diagnostics.n_freq_poles,
         report.diagnostics.freq_rel_error,
         report.diagnostics.static_pole_count,

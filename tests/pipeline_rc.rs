@@ -102,9 +102,12 @@ fn extraction_reports_are_self_consistent() {
     let mut ckt = rc_ladder(2, 1.0e3, 1.0e-9, train);
     let opts = RvfOptions { epsilon: 1e-4, ..Default::default() };
     let (report, dataset, tran) = extract_model(&mut ckt, &small_cfg(), &opts).unwrap();
-    // Diagnostics arrays line up with the block structure.
-    assert_eq!(report.diagnostics.state_pole_counts.len(), report.model.blocks.len());
-    assert_eq!(report.diagnostics.state_rel_errors.len(), report.model.blocks.len());
+    // Diagnostics line up with the block structure, and every block
+    // reports the model's one common state-pole count.
+    let d = &report.diagnostics;
+    assert_eq!(d.state_pole_counts.len(), report.model.blocks.len());
+    assert!(d.state_pole_counts.iter().all(|&n| n == d.static_pole_count));
+    assert!(d.state_rel_error.is_finite() && d.state_rel_error >= 0.0);
     // Dataset states come from the training inputs.
     let (ulo, uhi) = tran
         .inputs
