@@ -5,7 +5,10 @@
 //! frequency-stage and state-stage shapes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rvf_numerics::{eigenvalues, jw_grid, linspace, logspace, CLu, CMat, Complex, Mat, Qr};
+use rvf_numerics::{
+    apply_reflectors_in_place, eigenvalues, factor_block_in_place, factor_with_rhs_in_place,
+    jw_grid, linspace, logspace, CLu, CMat, Complex, Mat, Qr, Reflectors,
+};
 use rvf_vecfit::{fit, VfOptions};
 
 fn bench_eigensolver(c: &mut Criterion) {
@@ -67,6 +70,35 @@ fn bench_qr_compression(c: &mut Criterion) {
             f.r()
         })
     });
+}
+
+fn bench_qr_compress_response(c: &mut Criterion) {
+    // One response's share of a relocation round: apply the shared
+    // local factor's reflectors to its `rows × n_sig` sigma block and
+    // RHS, then factor the trailing `rows − n_loc` rows. The shapes are
+    // the ones that dominate an extraction: a frequency-stage fit (24
+    // frequencies, 4 poles, relaxed) and a state-stage fit (101 states,
+    // 20 poles plus the constant, relaxed).
+    for &(name, rows, n_loc, n_sig) in
+        &[("qr_compress_freq_48x4x5", 48, 4, 5), ("qr_compress_state_101x21x21", 101, 21, 21)]
+    {
+        let mut local = Mat::from_fn(rows, n_loc, |i, j| ((i * 7 + j * 13) as f64).sin());
+        let mut local_refl = Reflectors::default();
+        factor_with_rhs_in_place(&mut local, &mut local_refl, &mut []);
+        let sigma: Vec<f64> = (0..rows * n_sig).map(|e| ((e * 5 + 3) as f64).cos()).collect();
+        let rhs0: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (mut block, mut rhs, mut refl) = (sigma.clone(), rhs0.clone(), Reflectors::default());
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                block.copy_from_slice(&sigma);
+                rhs.copy_from_slice(&rhs0);
+                apply_reflectors_in_place(&local_refl, &mut block, n_sig, &mut rhs);
+                let (trail, trail_rhs) = (&mut block[n_loc * n_sig..], &mut rhs[n_loc..]);
+                factor_block_in_place(trail, rows - n_loc, n_sig, &mut refl, trail_rhs);
+                trail_rhs[0]
+            })
+        });
+    }
 }
 
 /// Synthetic 4-pole trajectory data: `k_responses` responses whose
@@ -151,7 +183,7 @@ criterion_group! {
     // MAD interval bench_diff builds from being degenerate on the
     // µs-scale kernel rows.
     config = Criterion::default().sample_size(10).quick_sample_size(7);
-    targets = bench_eigensolver, bench_complex_solve, bench_qr_compression, bench_vf_fit,
-        bench_state_stage_fit, bench_vf_k_scaling
+    targets = bench_eigensolver, bench_complex_solve, bench_qr_compression,
+        bench_qr_compress_response, bench_vf_fit, bench_state_stage_fit, bench_vf_k_scaling
 }
 criterion_main!(benches);

@@ -13,9 +13,10 @@
 //!   a pair block price their transcendentals once instead of twice;
 //! * every LTI block becomes one uniform 2-wide state slot with
 //!   contiguous first-order-hold coefficients (a real pole is a pair
-//!   with zero imaginary parts — the extra multiplies are by ±0.0 and
-//!   exact), so the inner loop has **no enum dispatch per block per
-//!   sample**.
+//!   with zero imaginary parts — at a finite drive the extra multiplies
+//!   are by ±0.0 and exact; at an infinite drive `∞·0` makes the
+//!   kernel output NaN where the reference gives ±∞), so the inner
+//!   loop has **no enum dispatch per block per sample**.
 //!
 //! Compilation is cheap (no transcendentals — the first-order-hold
 //! coefficients are computed per `dt` at simulation time and cached in

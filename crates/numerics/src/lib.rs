@@ -101,7 +101,7 @@ pub use pencil::{HtPencil, PENCIL_REDUCTION_CROSSOVER};
 pub use poly::{from_roots, Poly};
 pub use qr::{
     apply_reflectors_in_place, factor_block_in_place, factor_with_rhs_in_place, lstsq, lstsq_ridge,
-    Qr,
+    Qr, Reflectors,
 };
 pub use stats::{db20, from_db20, max_abs_err, nrmse, rmse, unwrap_phase};
 pub use sweep::{

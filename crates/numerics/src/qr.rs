@@ -6,9 +6,17 @@
 //! factor of per-snapshot blocks to compress the pole-identification
 //! system. Every factorization runs one row-oriented fused Householder
 //! kernel ([`factor_block_in_place`]); [`apply_reflectors_in_place`]
-//! replays a packed factor's reflectors on another block with the same
+//! replays a factor's [`Reflectors`] on another block with the same
 //! arithmetic, so a column block shared by many systems is factored
 //! once.
+//!
+//! Each reflector is applied by one kernel, which factor, apply,
+//! `Qᵀ·b` and [`Qr::q`] all run. It reads the reflector's `v`
+//! from a contiguous slice of the packed panel that the factorization
+//! fills as it goes, and updates the block's columns in groups of 8, 4,
+//! 2 and 1 whose accumulators stay in registers, so no row runs a
+//! remainder loop. Every column keeps the column-dot arithmetic in its
+//! order, so the grouping moves no bit.
 
 use crate::error::NumericsError;
 use crate::matrix::Mat;
@@ -35,17 +43,17 @@ use crate::matrix::Mat;
 pub struct Qr {
     /// Reflectors below the diagonal, R on and above.
     qr: Mat,
-    /// Scalar factors of the reflectors.
-    tau: Vec<f64>,
+    /// The same reflectors, packed for the kernel.
+    refl: Reflectors,
 }
 
 impl Qr {
     /// Computes the QR factorization of `a`.
     pub fn factor(a: &Mat) -> Self {
         let mut qr = a.clone();
-        let mut tau = Vec::new();
-        factor_with_rhs_in_place(&mut qr, &mut tau, &mut []);
-        Self { qr, tau }
+        let mut refl = Reflectors::default();
+        factor_with_rhs_in_place(&mut qr, &mut refl, &mut []);
+        Self { qr, refl }
     }
 
     /// The upper-triangular factor `R` (economy size: `min(m,n) × n`).
@@ -63,14 +71,9 @@ impl Qr {
 
     /// Applies `Qᵀ` to a vector (length `m`), in place semantics via return.
     pub(crate) fn qt_mul(&self, b: &[f64]) -> Vec<f64> {
-        let m = self.qr.rows();
-        assert_eq!(b.len(), m, "dimension mismatch in qt_mul");
+        assert_eq!(b.len(), self.qr.rows(), "dimension mismatch in qt_mul");
         let mut y = b.to_vec();
-        for (j, &t) in self.tau.iter().enumerate() {
-            if t != 0.0 {
-                reflect_vec(&mut y, j, t, |i| self.qr[(i, j)]);
-            }
-        }
+        apply_reflectors_in_place(&self.refl, &mut y, 1, &mut []);
         y
     }
 
@@ -78,18 +81,11 @@ impl Qr {
     pub fn q(&self) -> Mat {
         let (m, n) = self.qr.shape();
         let k = m.min(n);
-        let mut q = Mat::zeros(m, k);
-        // Apply reflectors in reverse to the identity columns.
-        for col in 0..k {
-            let mut e = vec![0.0; m];
-            e[col] = 1.0;
-            for j in (0..k).rev() {
-                if self.tau[j] != 0.0 {
-                    reflect_vec(&mut e, j, self.tau[j], |i| self.qr[(i, j)]);
-                }
-            }
-            for i in 0..m {
-                q[(i, col)] = e[i];
+        // Apply the reflectors in reverse to the identity columns.
+        let mut q = Mat::from_fn(m, k, |i, j| if i == j { 1.0 } else { 0.0 });
+        for (j, &t) in self.refl.tau.iter().enumerate().rev() {
+            if t != 0.0 {
+                reflect(q.as_mut_slice(), k, j, 0, t, self.refl.v(j));
             }
         }
         q
@@ -144,16 +140,42 @@ impl Qr {
     }
 }
 
+/// The Householder reflectors of a factor left by
+/// [`factor_block_in_place`]: the scalars `τ_j` and the packed panel,
+/// which holds each reflector's `v_i` (`i > j`) as one contiguous slice.
+///
+/// The factorization fills it as it goes and keeps its capacity across
+/// calls, so a caller that owns one factors without allocating, and
+/// [`apply_reflectors_in_place`] reuses it on as many blocks as it
+/// likes.
+#[derive(Debug, Clone, Default)]
+pub struct Reflectors {
+    /// Row count of the factored block.
+    rows: usize,
+    /// Scalar factors; `τ = 0` is the identity (an all-zero column).
+    tau: Vec<f64>,
+    /// Reflector `j` in `panel[j·rows..(j+1)·rows]`: slot `j` is the
+    /// column's scratch copy, slots `j+1..` its `v_i`.
+    panel: Vec<f64>,
+}
+
+impl Reflectors {
+    /// Reflector `j`'s entries below its unit head.
+    fn v(&self, j: usize) -> &[f64] {
+        &self.panel[j * self.rows + j + 1..(j + 1) * self.rows]
+    }
+}
+
 /// In-place fused Householder factorization: on return `a` holds `R` on
-/// and above the diagonal and the reflectors below it, `tau` the
-/// reflector scalars, and `rhs` (when non-empty) is overwritten with
-/// `Qᵀ·rhs`.
+/// and above the diagonal and the reflectors below it, `refl` the
+/// reflectors in packed form, and `rhs` (when non-empty) is overwritten
+/// with `Qᵀ·rhs`.
 ///
 /// This is the allocation-free core behind [`Qr::factor`]: callers that own a reusable block buffer
 /// factor it in place and read the rows of `R` straight out of the
 /// packed factor — entries `(i, j)` with `j ≥ i` — without a [`Qr`]
-/// handle, a copy of `R`, or a separate `qt_mul` pass. `tau` is cleared
-/// and refilled, retaining its capacity across calls.
+/// handle, a copy of `R`, or a separate `qt_mul` pass. `refl` is
+/// refilled, retaining its capacity across calls.
 ///
 /// An empty `rhs` slice means "no right-hand side".
 ///
@@ -161,21 +183,23 @@ impl Qr {
 ///
 /// Panics if `rhs` is non-empty and its length differs from the row
 /// count of `a`.
-pub fn factor_with_rhs_in_place(a: &mut Mat, tau: &mut Vec<f64>, rhs: &mut [f64]) {
+pub fn factor_with_rhs_in_place(a: &mut Mat, refl: &mut Reflectors, rhs: &mut [f64]) {
     let (m, n) = a.shape();
-    factor_block_in_place(a.as_mut_slice(), m, n, tau, rhs);
+    factor_block_in_place(a.as_mut_slice(), m, n, refl, rhs);
 }
 
 /// [`factor_with_rhs_in_place`] on a row-major `rows × cols` slice, so a
 /// caller can factor a trailing row block of a larger buffer in place.
 ///
-/// Column norms use a scaled sum of squares (one max pass, one
+/// Each column is gathered once into its slot of the packed panel.
+/// Its norm uses a scaled sum of squares (one max pass, one
 /// accumulation pass) instead of an `m`-deep `hypot` chain; `hypot`'s
 /// per-element overflow guard costs an order of magnitude more than a
-/// multiply-add and the scaling achieves the same robustness. Each
-/// reflector is applied row by row (see [`apply_reflectors_in_place`]
-/// for the per-column arithmetic), so the update streams contiguous
-/// row slices instead of one strided dot chain per column.
+/// multiply-add and the scaling achieves the same robustness. The
+/// reflector is then applied row by row (see
+/// [`apply_reflectors_in_place`] for the per-column arithmetic), so the
+/// update streams contiguous row slices instead of one strided dot
+/// chain per column.
 ///
 /// # Panics
 ///
@@ -185,50 +209,60 @@ pub fn factor_block_in_place(
     a: &mut [f64],
     rows: usize,
     cols: usize,
-    tau: &mut Vec<f64>,
+    refl: &mut Reflectors,
     rhs: &mut [f64],
 ) {
     let (m, n) = (rows, cols);
     assert_eq!(a.len(), m * n, "block length must equal rows*cols");
     assert!(rhs.is_empty() || rhs.len() == m, "dimension mismatch in factor_block_in_place");
     let k = m.min(n);
-    tau.clear();
-    tau.resize(k, 0.0);
+    refl.rows = m;
+    refl.tau.clear();
+    refl.tau.resize(k, 0.0);
+    // Every slot a nonzero τ reads is written below first.
+    refl.panel.resize(k * m, 0.0);
     for j in 0..k {
         // Householder reflector for column j; scaled sum of squares
         // keeps the norm overflow-safe without hypot.
-        let amax = a[j * n + j..].iter().step_by(n).fold(0.0_f64, |acc, v| acc.max(v.abs()));
+        let x = &mut refl.panel[j * m + j..(j + 1) * m];
+        for (xi, ai) in x.iter_mut().zip(a[j * n + j..].iter().step_by(n)) {
+            *xi = *ai;
+        }
+        let amax = x.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));
         if amax == 0.0 {
             // tau[j] stays 0: identity reflector.
             continue;
         }
         let mut ssq = 0.0;
-        for v in a[j * n + j..].iter().step_by(n) {
+        for v in x.iter() {
             let t = v / amax;
             ssq += t * t;
         }
         let norm = amax * ssq.sqrt();
         // Choose sign to avoid cancellation.
-        let ajj = a[j * n + j];
+        let ajj = x[0];
         let alpha = if ajj >= 0.0 { -norm } else { norm };
         // v = x - alpha*e1, normalized so v[0] = 1.
         let v0 = ajj - alpha;
-        for v in a.iter_mut().skip((j + 1) * n + j).step_by(n) {
-            *v /= v0;
+        for (vi, ai) in x[1..].iter_mut().zip(a.iter_mut().skip((j + 1) * n + j).step_by(n)) {
+            *vi /= v0;
+            *ai = *vi;
         }
-        tau[j] = -v0 / alpha;
+        let t = -v0 / alpha;
+        refl.tau[j] = t;
         a[j * n + j] = alpha;
         // Apply the reflector to the remaining columns and, fusing the
         // qt_mul pass, to the right-hand side.
-        reflect_rows(a, n, j, j + 1, tau[j], |_, row| row[j]);
-        reflect_vec(rhs, j, tau[j], |i| a[i * n + j]);
+        let v = refl.v(j);
+        reflect(a, n, j, j + 1, t, v);
+        reflect(rhs, 1, j, 0, t, v);
     }
 }
 
-/// Applies the reflectors of an already-packed factor — `factor` and
-/// `tau` as left by [`factor_with_rhs_in_place`] — to another row-major
-/// block `b` (`b_cols` wide, as many rows as `factor`) and to `rhs`
-/// when it is non-empty: `b ← Qᵀ·b`, `rhs ← Qᵀ·rhs`.
+/// Applies the reflectors of a factor — as left in `refl` by
+/// [`factor_block_in_place`] — to another row-major block `b` (`b_cols`
+/// wide, as many rows as the factored block) and to `rhs` when it is
+/// non-empty: `b ← Qᵀ·b`, `rhs ← Qᵀ·rhs`.
 ///
 /// The arithmetic is exactly the fused kernel's, so factoring
 /// `[A | B]` in one pass and factoring `A` then applying its reflectors
@@ -240,89 +274,81 @@ pub fn factor_block_in_place(
 ///
 /// # Panics
 ///
-/// Panics if `tau` holds more reflectors than `factor` has, if
-/// `b.len() != rows · b_cols`, or if `rhs` is non-empty and its length
-/// differs from the row count.
-pub fn apply_reflectors_in_place(
-    factor: &Mat,
-    tau: &[f64],
-    b: &mut [f64],
-    b_cols: usize,
-    rhs: &mut [f64],
-) {
-    let (m, n) = factor.shape();
-    assert!(tau.len() <= m.min(n), "more reflectors than the factor holds");
+/// Panics if `b.len() != rows · b_cols`, or if `rhs` is non-empty and
+/// its length differs from the row count.
+pub fn apply_reflectors_in_place(refl: &Reflectors, b: &mut [f64], b_cols: usize, rhs: &mut [f64]) {
+    let m = refl.rows;
     assert_eq!(b.len(), m * b_cols, "block length must equal rows*cols");
     assert!(rhs.is_empty() || rhs.len() == m, "dimension mismatch in apply_reflectors_in_place");
-    for (j, &t) in tau.iter().enumerate() {
+    for (j, &t) in refl.tau.iter().enumerate() {
         if t == 0.0 {
             continue;
         }
-        reflect_rows(b, b_cols, j, 0, t, |i, _| factor[(i, j)]);
-        reflect_vec(rhs, j, t, |i| factor[(i, j)]);
+        let v = refl.v(j);
+        reflect(b, b_cols, j, 0, t, v);
+        reflect(rhs, 1, j, 0, t, v);
     }
 }
 
-/// Columns per pass of the row-oriented update: their accumulators live
-/// on the stack, so the kernel needs no workspace.
-const COL_CHUNK: usize = 64;
-
-/// Applies the reflector `I − τ·v·vᵀ` (`v_j = 1`, `v_i = v(i, row_i)`
-/// below) to rows `j..` of columns `first_col..cols` of the row-major
-/// block `b`. Every column gets the fused kernel's products in its
-/// summation order; only the loop nest is swapped so rows stream
-/// contiguously.
-fn reflect_rows(
-    b: &mut [f64],
-    cols: usize,
-    j: usize,
-    first_col: usize,
-    tau: f64,
-    v: impl Fn(usize, &[f64]) -> f64,
-) {
-    let rows = b.len().checked_div(cols).unwrap_or(0);
-    let mut acc = [0.0_f64; COL_CHUNK];
-    for c0 in (first_col..cols).step_by(COL_CHUNK) {
-        let width = (cols - c0).min(COL_CHUNK);
-        let w = &mut acc[..width];
-        w.copy_from_slice(&b[j * cols + c0..][..width]);
-        for i in j + 1..rows {
-            let row = &b[i * cols..(i + 1) * cols];
-            let vi = v(i, row);
-            for (wc, x) in w.iter_mut().zip(&row[c0..c0 + width]) {
-                *wc += vi * x;
-            }
-        }
-        for wc in w.iter_mut() {
-            *wc *= tau;
-        }
-        for (x, wc) in b[j * cols + c0..][..width].iter_mut().zip(w.iter()) {
-            *x -= wc;
-        }
-        for i in j + 1..rows {
-            let vi = v(i, &b[i * cols..(i + 1) * cols]);
-            for (x, wc) in b[i * cols + c0..][..width].iter_mut().zip(w.iter()) {
-                *x -= wc * vi;
-            }
-        }
-    }
-}
-
-/// Applies the reflector `I − τ·v·vᵀ` (`v_j = 1`, `v_i = v(i)` below) to
-/// rows `j..` of the vector `y`; a no-op on an empty `y`.
-fn reflect_vec(y: &mut [f64], j: usize, tau: f64, v: impl Fn(usize) -> f64) {
-    let Some((yj, below)) = y.get_mut(j..).and_then(<[f64]>::split_first_mut) else {
+/// Applies the reflector `I − τ·v·vᵀ` (`v_j = 1`, `v_{j+1..}` the slice
+/// `v`) to rows `j..` of columns `first_col..cols` of the row-major
+/// block `b`; a no-op on an empty block, so an empty right-hand side
+/// passes through.
+///
+/// Columns go in groups of 8, 4, 2 and 1 (see [`reflect_group`]). Every
+/// column gets the column-dot kernel's products in its summation
+/// order; only the loop nest is swapped so rows stream contiguously.
+fn reflect(b: &mut [f64], cols: usize, j: usize, first_col: usize, tau: f64, v: &[f64]) {
+    if b.is_empty() || first_col >= cols {
         return;
-    };
-    let mut dot = *yj;
-    for (i, yi) in (j + 1..).zip(below.iter()) {
-        dot += v(i) * yi;
     }
-    dot *= tau;
-    *yj -= dot;
-    for (i, yi) in (j + 1..).zip(below.iter_mut()) {
-        *yi -= dot * v(i);
+    let (top, below) = b[j * cols..].split_at_mut(cols);
+    debug_assert_eq!(below.len(), v.len() * cols, "one v entry per row below j");
+    let mut c = first_col;
+    while c < cols {
+        c += match cols - c {
+            8.. => reflect_group::<8>(top, below, cols, c, tau, v),
+            4..=7 => reflect_group::<4>(top, below, cols, c, tau, v),
+            2 | 3 => reflect_group::<2>(top, below, cols, c, tau, v),
+            _ => reflect_group::<1>(top, below, cols, c, tau, v),
+        };
     }
+}
+
+/// [`reflect`] on the `W` columns `c..c + W`: row `j` is `top`, the rows
+/// under it are `below`. The `W` accumulators are one array value that
+/// stays in registers, and each row touches exactly `W` entries.
+/// Returns `W`.
+#[inline(always)]
+fn reflect_group<const W: usize>(
+    top: &mut [f64],
+    below: &mut [f64],
+    cols: usize,
+    c: usize,
+    tau: f64,
+    v: &[f64],
+) -> usize {
+    let top: &mut [f64; W] = (&mut top[c..c + W]).try_into().expect("group inside the row");
+    let mut w = *top;
+    for (row, &vi) in below.chunks_exact(cols).zip(v) {
+        let x: &[f64; W] = row[c..c + W].try_into().expect("group inside the row");
+        for (wc, xc) in w.iter_mut().zip(x) {
+            *wc += vi * xc;
+        }
+    }
+    for wc in &mut w {
+        *wc *= tau;
+    }
+    for (xc, wc) in top.iter_mut().zip(&w) {
+        *xc -= wc;
+    }
+    for (row, &vi) in below.chunks_exact_mut(cols).zip(v) {
+        let x: &mut [f64; W] = (&mut row[c..c + W]).try_into().expect("group inside the row");
+        for (xc, wc) in x.iter_mut().zip(&w) {
+            *xc -= wc * vi;
+        }
+    }
+    W
 }
 
 /// One-shot least squares `min ‖A·x − b‖₂`.
@@ -436,11 +462,32 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A `rows × cols` matrix from `data`, with the columns flagged in
-    /// `zero_mask` forced to zero (identity reflectors).
-    fn masked(rows: usize, cols: usize, data: &[f64], zero_mask: u32) -> Mat {
+    /// Applies the reflectors packed in the oracle's factor `f` (with
+    /// scalars `tau`) to the vector `y`, reflector `j` in the order
+    /// `order` yields, one strided dot chain per reflector.
+    fn column_dot_apply(f: &Mat, tau: &[f64], order: impl Iterator<Item = usize>, y: &mut [f64]) {
+        let m = f.rows();
+        for j in order {
+            if tau[j] == 0.0 {
+                continue;
+            }
+            let mut dot = y[j];
+            for i in (j + 1)..m {
+                dot += f[(i, j)] * y[i];
+            }
+            dot *= tau[j];
+            y[j] -= dot;
+            for i in (j + 1)..m {
+                y[i] -= dot * f[(i, j)];
+            }
+        }
+    }
+
+    /// A `rows × cols` matrix from `data`, with the columns listed in
+    /// `zero_cols` forced to zero (identity reflectors).
+    fn masked(rows: usize, cols: usize, data: &[f64], zero_cols: &[usize]) -> Mat {
         Mat::from_fn(rows, cols, |i, j| {
-            if zero_mask >> j & 1 == 1 {
+            if zero_cols.contains(&j) {
                 0.0
             } else {
                 data[(i * cols + j) % data.len()]
@@ -453,59 +500,83 @@ mod tests {
 
         #[test]
         fn row_kernel_is_bit_identical_to_column_dot_oracle(
-            rows in 0usize..14,
-            cols in 0usize..11,
-            data in prop::collection::vec(-5.0..5.0f64, 97),
-            zero_mask in 0u32..2048,
-            rhs_data in prop::collection::vec(-5.0..5.0f64, 14),
+            rows in 0usize..=130,
+            cols in 0usize..=26,
+            data in prop::collection::vec(-5.0..5.0f64, 211),
+            zero_cols in prop::collection::vec(0usize..=26, 0..4),
+            rhs_data in prop::collection::vec(-5.0..5.0f64, 131),
             with_rhs in 0u8..2,
         ) {
-            // Covers wide (m < n) shapes, all-zero columns and an empty RHS.
-            let a = masked(rows, cols, &data, zero_mask);
+            // Up to 26 columns run every group width (8, 4, 2, 1) and
+            // every remainder as the trailing block narrows; the shapes
+            // also cover m < n, all-zero columns (τ = 0) and an empty RHS.
+            let a = masked(rows, cols, &data, &zero_cols);
             let rhs0: Vec<f64> = if with_rhs == 1 { rhs_data[..rows].to_vec() } else { Vec::new() };
             let (mut want, mut want_tau, mut want_rhs) = (a.clone(), Vec::new(), rhs0.clone());
             column_dot_factor(&mut want, &mut want_tau, &mut want_rhs);
-            let (mut got, mut got_tau, mut got_rhs) = (a, vec![3.0; 5], rhs0);
-            factor_with_rhs_in_place(&mut got, &mut got_tau, &mut got_rhs);
+            let (mut got, mut got_refl, mut got_rhs) = (a.clone(), Reflectors::default(), rhs0);
+            // A stale panel from a larger factor must not leak in.
+            factor_with_rhs_in_place(&mut Mat::from_fn(131, 27, |i, j| (i + j) as f64), &mut got_refl, &mut []);
+            factor_with_rhs_in_place(&mut got, &mut got_refl, &mut got_rhs);
             prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
-            prop_assert_eq!(bits(&got_tau), bits(&want_tau));
+            prop_assert_eq!(bits(&got_refl.tau), bits(&want_tau));
             prop_assert_eq!(bits(&got_rhs), bits(&want_rhs));
+
+            // Qᵀ·b and the economy Q run the same kernel: Q's columns
+            // are the reflectors applied in reverse to identity columns.
+            let f = Qr::factor(&a);
+            let y0 = &rhs_data[..rows];
+            let mut want_y = y0.to_vec();
+            column_dot_apply(&want, &want_tau, 0..want_tau.len(), &mut want_y);
+            prop_assert_eq!(bits(&f.qt_mul(y0)), bits(&want_y));
+            let k = rows.min(cols);
+            let q = f.q();
+            for col in 0..k {
+                let mut e = vec![0.0; rows];
+                e[col] = 1.0;
+                column_dot_apply(&want, &want_tau, (0..k).rev(), &mut e);
+                let got_col: Vec<f64> = (0..rows).map(|i| q[(i, col)]).collect();
+                prop_assert_eq!(bits(&got_col), bits(&e));
+            }
         }
 
         #[test]
         fn shared_reflectors_then_trailing_factor_match_one_pass(
-            rows in 1usize..14,
-            left in 1usize..6,
-            right in 0usize..7,
-            data in prop::collection::vec(-5.0..5.0f64, 89),
-            zero_mask in 0u32..512,
-            rhs_data in prop::collection::vec(-5.0..5.0f64, 14),
+            rows in 0usize..=130,
+            left in 0usize..=26,
+            right in 0usize..=26,
+            data in prop::collection::vec(-5.0..5.0f64, 211),
+            zero_cols in prop::collection::vec(0usize..=52, 0..4),
+            rhs_data in prop::collection::vec(-5.0..5.0f64, 131),
+            with_rhs in 0u8..2,
         ) {
             // Factoring [A | B] in one pass, and factoring A, applying
-            // its reflectors to B, then factoring B's trailing rows, must
-            // leave the same bits in B's columns and in Qᵀb.
+            // its packed reflectors to B, then factoring B's trailing
+            // rows, must leave the same bits in B's columns and in Qᵀb.
+            // The shapes reach the state stage's 101 × 21 | 21 blocks.
             let n = left + right;
-            let full = masked(rows, n, &data, zero_mask);
-            let rhs0 = rhs_data[..rows].to_vec();
-            let (mut one, mut one_tau, mut one_rhs) = (full.clone(), Vec::new(), rhs0.clone());
-            factor_with_rhs_in_place(&mut one, &mut one_tau, &mut one_rhs);
+            let full = masked(rows, n, &data, &zero_cols);
+            let rhs0: Vec<f64> = if with_rhs == 1 { rhs_data[..rows].to_vec() } else { Vec::new() };
+            let (mut one, mut one_refl, mut one_rhs) = (full.clone(), Reflectors::default(), rhs0.clone());
+            factor_with_rhs_in_place(&mut one, &mut one_refl, &mut one_rhs);
 
             let mut a = Mat::from_fn(rows, left, |i, j| full[(i, j)]);
-            let mut a_tau = Vec::new();
-            factor_with_rhs_in_place(&mut a, &mut a_tau, &mut []);
+            let mut a_refl = Reflectors::default();
+            factor_with_rhs_in_place(&mut a, &mut a_refl, &mut []);
             let mut b: Vec<f64> = (0..rows).flat_map(|i| full.row(i)[left..].to_vec()).collect();
             let mut b_rhs = rhs0;
-            apply_reflectors_in_place(&a, &a_tau, &mut b, right, &mut b_rhs);
+            apply_reflectors_in_place(&a_refl, &mut b, right, &mut b_rhs);
             let top = left.min(rows);
-            let mut t_tau = Vec::new();
-            factor_block_in_place(&mut b[top * right..], rows - top, right, &mut t_tau, &mut b_rhs[top..]);
+            let mut t_refl = Reflectors::default();
+            let t_rhs = if b_rhs.is_empty() { &mut [][..] } else { &mut b_rhs[top..] };
+            factor_block_in_place(&mut b[top * right..], rows - top, right, &mut t_refl, t_rhs);
 
             let want_b: Vec<f64> = (0..rows).flat_map(|i| one.row(i)[left..].to_vec()).collect();
             prop_assert_eq!(bits(&b), bits(&want_b));
             prop_assert_eq!(bits(&b_rhs), bits(&one_rhs));
-            let mut tau = a_tau;
-            tau.extend_from_slice(&t_tau);
-            prop_assert_eq!(bits(&tau), bits(&one_tau));
+            let mut tau = a_refl.tau.clone();
+            tau.extend_from_slice(&t_refl.tau);
+            prop_assert_eq!(bits(&tau), bits(&one_refl.tau));
         }
     }
 
@@ -604,9 +675,9 @@ mod tests {
     fn in_place_factor_exposes_r_in_packed_form() {
         let a = Mat::from_fn(6, 3, |i, j| ((i * 3 + j) as f64 + 0.5).cos());
         let mut packed = a.clone();
-        let mut tau = Vec::new();
+        let mut refl = Reflectors::default();
         let mut rhs = vec![1.0, -1.0, 0.5, 2.0, 0.0, 1.5];
-        factor_with_rhs_in_place(&mut packed, &mut tau, &mut rhs);
+        factor_with_rhs_in_place(&mut packed, &mut refl, &mut rhs);
         let f = Qr::factor(&a);
         let r = f.r();
         for i in 0..3 {
@@ -624,14 +695,17 @@ mod tests {
     fn in_place_factor_reuses_tau_capacity() {
         let a = Mat::from_fn(8, 5, |i, j| (i + 2 * j) as f64 + 0.25);
         let mut work = a.clone();
-        let mut tau = vec![9.0; 32];
-        factor_with_rhs_in_place(&mut work, &mut tau, &mut []);
-        assert_eq!(tau.len(), 5);
+        let mut refl = Reflectors::default();
+        factor_with_rhs_in_place(&mut Mat::zeros(32, 32), &mut refl, &mut []);
+        let (tau_cap, panel_cap) = (refl.tau.capacity(), refl.panel.capacity());
+        factor_with_rhs_in_place(&mut work, &mut refl, &mut []);
+        assert_eq!(refl.tau.len(), 5);
         // A zero column yields the identity reflector (tau = 0).
         let z = Mat::zeros(4, 2);
         let mut wz = z.clone();
-        factor_with_rhs_in_place(&mut wz, &mut tau, &mut []);
-        assert_eq!(tau, vec![0.0, 0.0]);
+        factor_with_rhs_in_place(&mut wz, &mut refl, &mut []);
+        assert_eq!(refl.tau, vec![0.0, 0.0]);
+        assert_eq!((refl.tau.capacity(), refl.panel.capacity()), (tau_cap, panel_cap));
     }
 
     #[test]

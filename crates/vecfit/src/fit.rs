@@ -33,7 +33,7 @@
 //! that lives for the whole fit (or is borrowed from the caller via
 //! [`fit_in`], so a pole-growth loop pays one pool for its entire
 //! sequence of fits). Each worker owns a `BlockScratch` of reusable
-//! buffers (block, RHS, complex row, QR scalars) held in a `FitScratch`
+//! buffers (block, RHS, complex row, reflectors) held in a `FitScratch`
 //! that lives for the whole fit next to the shared local factor, so the
 //! steady-state relocation round performs no per-response heap
 //! allocation — and, with the pool, no thread spawn either. The final
@@ -46,8 +46,8 @@
 
 use rvf_numerics::{
     apply_reflectors_in_place, eigenvalues, factor_block_in_place, factor_with_rhs_in_place,
-    lstsq_ridge, resolve_threads, Complex, Mat, NumericsError, Qr, SweepConfig, SweepError,
-    SweepPool, AUTO_PARALLEL_CROSSOVER,
+    lstsq_ridge, resolve_threads, Complex, Mat, NumericsError, Qr, Reflectors, SweepConfig,
+    SweepError, SweepPool, AUTO_PARALLEL_CROSSOVER,
 };
 
 use crate::basis::{basis_row, Residues};
@@ -251,8 +251,8 @@ struct BlockScratch {
     bdata: Vec<f64>,
     /// Complex row staging buffer.
     crow: Vec<Complex>,
-    /// Householder scalars of the trailing-block factorization.
-    tau: Vec<f64>,
+    /// Reflectors of the trailing-block factorization.
+    refl: Reflectors,
 }
 
 /// Buffers shared by all rounds of one fit: basis tables, the shared
@@ -264,13 +264,15 @@ struct FitScratch {
     loc: Vec<Vec<Complex>>,
     sig: Vec<Vec<Complex>>,
     sig_norms: Vec<f64>,
+    /// `−1/‖σ_j‖` per sigma column, the factor every block entry takes.
+    sig_scale: Vec<f64>,
     /// Column norms of the shared local block.
     loc_norms: Vec<f64>,
     /// The equilibrated local block: each round's packed shared factor,
     /// then the residue identification's left-hand side.
     local: Mat,
-    /// Householder scalars of the shared local factor.
-    local_tau: Vec<f64>,
+    /// The shared local factor's reflectors, packed once per round.
+    local_refl: Reflectors,
     stacked: Mat,
     stacked_rhs: Vec<f64>,
     /// Per-worker block scratch; its length is the fit's effective
@@ -540,9 +542,10 @@ fn relocate_once(
         loc,
         sig,
         sig_norms,
+        sig_scale,
         loc_norms,
         local,
-        local_tau,
+        local_refl,
         stacked,
         stacked_rhs,
         block_pool,
@@ -569,14 +572,17 @@ fn relocate_once(
         }
     }
     let sig_norms = &*sig_norms;
+    sig_scale.clear();
+    sig_scale.extend(sig_norms.iter().map(|n| -1.0 / n));
+    let sig_scale = &*sig_scale;
 
     // The local columns are the same for every response: equilibrate and
     // factor them once. (Sigma columns share the global scaling above;
     // rescaling them per block would break the stacking.)
     let block_rows = rows_per_sample(opts.axis) * l;
     local_block(opts.axis, loc, (block_rows, n_loc), f64::MIN_POSITIVE, local, loc_norms);
-    factor_with_rhs_in_place(local, local_tau, &mut []);
-    let (local, local_tau) = (&*local, &local_tau[..]);
+    factor_with_rhs_in_place(local, local_refl, &mut []);
+    let local_refl = &*local_refl;
 
     // Per-response compression, fanned out over the work-stealing
     // executor. Response k owns rows k·kept..(k+1)·kept of the stacked
@@ -605,7 +611,7 @@ fn relocate_once(
             ws.bdata.clear();
             for (si, &h) in sig.iter().zip(&data[k]) {
                 ws.crow.clear();
-                ws.crow.extend(si.iter().zip(sig_norms).map(|(v, n)| *v * h * (-1.0 / n)));
+                ws.crow.extend(si.iter().zip(sig_scale).map(|(v, s)| *v * h * *s));
                 realify_rows(opts.axis, &ws.crow, &mut ws.mdata);
                 // Classic VF: σ = 1 + Σ c̃φ moves H·1 to the RHS.
                 let rhs = if opts.relaxed { Complex::ZERO } else { h };
@@ -613,9 +619,9 @@ fn relocate_once(
             }
             // Qᵀ of the shared local factor, then the trailing rows' own
             // factor: only the R₂₂ rows are read out.
-            apply_reflectors_in_place(local, local_tau, &mut ws.mdata, n_sig, &mut ws.bdata);
+            apply_reflectors_in_place(local_refl, &mut ws.mdata, n_sig, &mut ws.bdata);
             let (trail, trail_rhs) = (&mut ws.mdata[top * n_sig..], &mut ws.bdata[top..]);
-            factor_block_in_place(trail, block_rows - top, n_sig, &mut ws.tau, trail_rhs);
+            factor_block_in_place(trail, block_rows - top, n_sig, &mut ws.refl, trail_rhs);
             for ri in 0..kept {
                 let dest = k * kept + ri;
                 for j in 0..n_sig {
@@ -835,7 +841,7 @@ mod tests {
                 }
             }
             let mut block = Mat::from_vec(block_rows, n_cols, mdata);
-            factor_with_rhs_in_place(&mut block, &mut Vec::new(), &mut bdata);
+            factor_with_rhs_in_place(&mut block, &mut Reflectors::default(), &mut bdata);
             for (ri, row_out) in (n_loc..n_loc + kept).enumerate() {
                 for j in 0..n_sig {
                     let col = n_loc + j;
