@@ -72,6 +72,10 @@ fn encode_statefn(out: &mut String, f: &StateFn) {
 
 struct Lines<'a> {
     iter: core::iter::Enumerate<core::str::Lines<'a>>,
+    /// Length of the whole text. A count can deliver no more items than
+    /// the text has bytes, so capping a reservation here keeps a lying
+    /// count from sizing an allocation.
+    bytes: usize,
 }
 
 impl<'a> Lines<'a> {
@@ -104,9 +108,10 @@ fn decode_statefn(
         .next()
         .and_then(|t| t.parse().ok())
         .ok_or(RvfError::Decode { line: first_line, message: "expected a pair count".into() })?;
-    let mut terms = Vec::with_capacity(n);
-    let mut entries = Vec::with_capacity(n);
-    let mut residues = Vec::with_capacity(n);
+    let n_cap = n.min(lines.bytes);
+    let mut terms = Vec::with_capacity(n_cap);
+    let mut entries = Vec::with_capacity(n_cap);
+    let mut residues = Vec::with_capacity(n_cap);
     for _ in 0..n {
         let (ln, line) = lines.next()?;
         let mut it = line.split_whitespace();
@@ -138,7 +143,7 @@ fn decode_statefn(
 /// Returns [`RvfError::Decode`] with the offending line for malformed
 /// input.
 pub fn decode(text: &str) -> Result<HammersteinModel, RvfError> {
-    let mut lines = Lines { iter: text.lines().enumerate() };
+    let mut lines = Lines { iter: text.lines().enumerate(), bytes: text.len() };
     let (ln, header) = lines.next()?;
     if header != "rvf-hammerstein v1" {
         return Err(RvfError::Decode { line: ln, message: format!("bad header '{header}'") });
@@ -162,7 +167,7 @@ pub fn decode(text: &str) -> Result<HammersteinModel, RvfError> {
         .strip_prefix("blocks ")
         .and_then(|t| t.trim().parse().ok())
         .ok_or(RvfError::Decode { line: ln, message: "expected 'blocks <n>'".into() })?;
-    let mut blocks = Vec::with_capacity(n_blocks);
+    let mut blocks = Vec::with_capacity(n_blocks.min(lines.bytes));
     for _ in 0..n_blocks {
         let (ln, head) = lines.next()?;
         let mut it = head.split_whitespace();
@@ -269,10 +274,26 @@ mod tests {
         let mut text = encode(&toy_model());
         text = text.replace("blocks 2", "blocks two");
         assert!(matches!(decode(&text), Err(RvfError::Decode { .. })));
-        // Truncation.
+        // Truncation after every line.
         let text = encode(&toy_model());
-        let cut = &text[..text.len() / 2];
-        assert!(decode(cut).is_err());
+        let lines: Vec<&str> = text.lines().collect();
+        for n in 0..lines.len() {
+            let cut: String = lines[..n].iter().map(|l| format!("{l}\n")).collect();
+            assert!(matches!(decode(&cut), Err(RvfError::Decode { .. })), "{n} lines");
+        }
+    }
+
+    #[test]
+    fn lying_counts_run_out_of_input_instead_of_allocating() {
+        let head = "rvf-hammerstein v1\nanchor 0 0\n";
+        for tail in [
+            "static 0 0 0 99999999999999\n".to_string(),
+            format!("static 0 0 0 {}\n", usize::MAX),
+            "static 0 0 0 0\nblocks 99999999999999\n".to_string(),
+        ] {
+            let got = decode(&format!("{head}{tail}"));
+            assert!(matches!(got, Err(RvfError::Decode { .. })), "{tail}");
+        }
     }
 
     #[test]

@@ -25,9 +25,16 @@ use crate::error::ServeError;
 use crate::registry::{ModelId, ModelRegistry};
 use crate::scheduler::{RequestId, ServeConfig, SessionHandle};
 use crate::wire::{
-    frame, framed_checksum, DeltaOp, F64s, Get, Put, SchedulerSnapshot, Sink, SnapshotModel,
+    frame, framed_checksum, DeltaOp, F64s, Put, SchedulerSnapshot, Sink, SnapshotModel,
     SnapshotRequest, SnapshotSession, SnapshotSlot, KIND_SNAPSHOT,
 };
+
+/// The most pool workers a snapshot may name. Restore and promotion
+/// spawn `workers − 1` threads from this field before serving anything,
+/// and a spawn the OS refuses panics, so a corrupt count must be refused
+/// as data first. A thousand workers is far past any core count the
+/// tier is built for.
+const MAX_SNAPSHOT_WORKERS: usize = 1024;
 
 /// One live session.
 pub(crate) struct Session<S> {
@@ -318,8 +325,9 @@ where
 impl SchedulerCore<StateCheckpoint> {
     /// Validates a decoded snapshot against `registry` and adopts it:
     /// the registry must carry every snapshot model at the same index,
-    /// by name *and* table fingerprint, and the slab, free stack and
-    /// queue must be mutually consistent.
+    /// by name *and* table fingerprint, the slab, free stack and queue
+    /// must be mutually consistent, and the pool may ask for at most
+    /// `MAX_SNAPSHOT_WORKERS` workers.
     ///
     /// # Errors
     ///
@@ -338,6 +346,9 @@ impl SchedulerCore<StateCheckpoint> {
             }
         }
         let invalid = |what| Err(ServeError::SnapshotInvalid { what });
+        if snap.cfg.workers > MAX_SNAPSHOT_WORKERS {
+            return invalid("the worker count exceeds the most a restore may spawn");
+        }
         let mut core = Self::new(snap.cfg, snap.models);
         core.next_request = snap.next_request;
         core.rebuilds = snap.rebuilds;
@@ -463,7 +474,11 @@ impl SchedulerCore<StateCheckpoint> {
                 if handle.generation() != next.generation() {
                     return Err("the opened slot's generation does not match the handle");
                 }
-                self.open(ModelId(model as usize), dt, last_activity, state.owned());
+                let [v0, sre, sim] = [state.v0, state.sre, state.sim].map(|v| v.to_vec());
+                let StateCheckpoint { shape, uprev, started, samples, coef_dt, .. } = state;
+                let state =
+                    StateCheckpoint { shape, v0, sre, sim, uprev, started, samples, coef_dt };
+                self.open(ModelId(model as usize), dt, last_activity, state);
             }
             DeltaOp::Admitted { request, session, deadline, not_before, input } => {
                 let handle = SessionHandle::from_raw(session);

@@ -31,7 +31,9 @@
 //! * **Structural validation** — a delta is checked against the state
 //!   before anything mutates ([`ReplicaError::BadDelta`] commits
 //!   nothing); a baseline that restore would refuse is refused on
-//!   arrival ([`ReplicaError::Serve`]), not at promotion.
+//!   arrival ([`ReplicaError::Serve`]), not at promotion. A frame of
+//!   any kind but snapshot, delta or digest fails at its header
+//!   ([`ReplicaError::Wire`]).
 //!
 //! [`promote`](Follower::promote) imports each checkpoint into a live
 //! kernel state — the import restore runs — and wraps the state in a
@@ -354,20 +356,15 @@ impl Follower {
                 }
                 self.verified += 1;
             }
-            WireView::Stimulus(_) | WireView::Response(_) | WireView::Checkpoint(_) => {
-                return Err(ReplicaError::BadDelta {
-                    seq: self.seq,
-                    what: "record kind does not belong in a replication log",
-                });
-            }
         }
         Ok(())
     }
 
     /// Tails a replication log: applies every complete record past the
     /// follower's resume offset, leaving a trailing partial record (a
-    /// log caught mid-append) for the next call. Returns the number of
-    /// records applied.
+    /// log caught mid-append) for the next call, which resumes at the
+    /// stream's [`consumed`](crate::wire::RecordStream::consumed)
+    /// offset. Returns the number of records applied.
     ///
     /// `log` must be the *whole* log from its first byte — the follower
     /// tracks its own offset, so repeatedly passing the zero-copy

@@ -1177,12 +1177,7 @@ mod tests {
             Err(ServeError::Wire(_))
         ));
         // A non-snapshot record is refused.
-        let wrong = WireRecord::Response(crate::wire::ResponseChunk {
-            session: 0,
-            request: 0,
-            samples: vec![],
-        })
-        .encode();
+        let wrong = WireRecord::Digest(crate::wire::DigestRecord { seq: 0, digest: 0 }).encode();
         assert!(matches!(
             Scheduler::restore(&wrong, sched.registry()),
             Err(ServeError::SnapshotInvalid { .. })

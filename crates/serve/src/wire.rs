@@ -1,7 +1,7 @@
 //! Versioned, checksummed binary wire format for the durability layer.
 //!
 //! Everything the serving tier needs to persist or ship crosses this
-//! module as one of six record types, each framed identically:
+//! module as one of three record kinds, each framed identically:
 //!
 //! ```text
 //! ┌──────────────────────── 16-byte header ────────────────────────┐
@@ -14,14 +14,16 @@
 //! └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! * [`StimulusChunk`] (kind 1) — one submitted stimulus chunk.
-//! * [`ResponseChunk`] (kind 2) — one completed output chunk.
-//! * [`StateCheckpoint`] (kind 3) — a per-session kernel checkpoint.
 //! * [`SchedulerSnapshot`] (kind 4) — the whole scheduler.
 //! * [`DeltaRecord`] (kind 5) — one committed scheduler mutation in the
 //!   replication log.
 //! * [`DigestRecord`] (kind 6) — a digest of the primary's canonical
 //!   state, letting a follower prove its reconstruction byte-identical.
+//!
+//! Kinds 1–3 (standalone stimulus, response and checkpoint records) are
+//! retired and never reused: a frame carrying one fails at the header
+//! as [`WireError::UnknownRecord`]. A [`StateCheckpoint`] travels only
+//! inside a snapshot or a delta.
 //!
 //! Each record's fields are listed once, in wire order, in the layout
 //! table below. That one list is the record's encoder — which the frame
@@ -38,9 +40,9 @@
 //! [`WireRecord::decode`] and [`decode_stream`] yield a [`WireView`],
 //! whose [`F64s`] read the decoded bytes in place, a whole 8-byte chunk
 //! per value: those bytes are not 8-aligned, so they cannot be cast to
-//! `&[f64]`. [`WireView::to_owned`] copies a view out. A snapshot, read
-//! once per baseline or restore, decodes straight into an owned
-//! [`SchedulerSnapshot`].
+//! `&[f64]`; a caller that keeps one copies it out with
+//! [`F64s::to_vec`]. A snapshot, read once per baseline or restore,
+//! decodes straight into an owned [`SchedulerSnapshot`].
 //!
 //! # Totality
 //!
@@ -81,12 +83,6 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"RVFW");
 /// payload byte changed.
 pub const WIRE_VERSION: u16 = 2;
 
-/// Record kind of a [`StimulusChunk`].
-pub const KIND_STIMULUS: u8 = 1;
-/// Record kind of a [`ResponseChunk`].
-pub const KIND_RESPONSE: u8 = 2;
-/// Record kind of a [`StateCheckpoint`].
-pub const KIND_CHECKPOINT: u8 = 3;
 /// Record kind of a [`SchedulerSnapshot`].
 pub const KIND_SNAPSHOT: u8 = 4;
 /// Record kind of a [`DeltaRecord`].
@@ -431,11 +427,8 @@ pub(crate) trait Get<'a>: Sized {
     /// Fewest payload bytes one value occupies, against which a count of
     /// them is checked.
     const MIN: usize;
-    /// The value with its borrowed vectors copied out.
-    type Owned;
     /// Reads one value; `what` names the field in its errors.
     fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError>;
-    fn owned(self) -> Self::Owned;
 }
 
 /// A record's layout: its fields in wire order, each with its type and,
@@ -476,17 +469,11 @@ macro_rules! layout {
 
         impl<'a, $p: Get<'a>> Get<'a> for $ty<$p> {
             const MIN: usize = 1;
-            type Owned = $ty<$p::Owned>;
             fn get(r: &mut Reader<'a>, _: &'static str) -> Result<Self, WireError> {
                 Ok(match r.try_get_u8()? {
                     $($tag => Self::$v $({ $($f: Get::get(r, layout!(@what $($what)?))?),+ })?,)+
                     _ => return Err(WireError::Malformed { what: $unknown }),
                 })
-            }
-            fn owned(self) -> Self::Owned {
-                match self {
-                    $(Self::$v $({ $($f),+ })? => $ty::$v $({ $($f: $f.owned()),+ })?,)+
-                }
             }
         }
     };
@@ -499,12 +486,8 @@ macro_rules! layout {
 
         impl<'a, $($($p: Get<'a>),+)?> Get<'a> for $ty$(<$($p),+>)? {
             const MIN: usize = 0 $(+ <$t as Get<'a>>::MIN)+;
-            type Owned = $ty$(<$($p::Owned),+>)?;
             fn get(r: &mut Reader<'a>, _: &'static str) -> Result<Self, WireError> {
                 Ok(Self { $($f: Get::get(r, layout!(@what $($what)?))?),+ })
-            }
-            fn owned(self) -> Self::Owned {
-                $ty { $($f: self.$f.owned()),+ }
             }
         }
     };
@@ -531,12 +514,8 @@ macro_rules! leaf {
 
         impl<'a> Get<'a> for $t {
             const MIN: usize = $min;
-            type Owned = Self;
             fn get($r: &mut Reader<'a>, $what: &'static str) -> Result<Self, WireError> {
                 $get
-            }
-            fn owned(self) -> Self {
-                self
             }
         }
     )+};
@@ -577,12 +556,8 @@ impl<T: Put> Put for Option<T> {
 
 impl<'a, T: Get<'a>> Get<'a> for Option<T> {
     const MIN: usize = 1;
-    type Owned = Option<T::Owned>;
     fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError> {
         Ok(if bool::get(r, what)? { Some(T::get(r, what)?) } else { None })
-    }
-    fn owned(self) -> Self::Owned {
-        self.map(T::owned)
     }
 }
 
@@ -619,7 +594,6 @@ impl<T: Put + ?Sized> Put for &T {
 
 impl<'a, T: Get<'a>> Get<'a> for Vec<T> {
     const MIN: usize = 4;
-    type Owned = Vec<T::Owned>;
     fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError> {
         let n = count(r, T::MIN, what)?;
         let mut list = Vec::with_capacity(n);
@@ -627,9 +601,6 @@ impl<'a, T: Get<'a>> Get<'a> for Vec<T> {
             list.push(T::get(r, what)?);
         }
         Ok(list)
-    }
-    fn owned(self) -> Self::Owned {
-        self.into_iter().map(T::owned).collect()
     }
 }
 
@@ -660,46 +631,14 @@ impl Put for F64s<'_> {
 
 impl<'a> Get<'a> for F64s<'a> {
     const MIN: usize = 4;
-    type Owned = Vec<f64>;
     fn get(r: &mut Reader<'a>, what: &'static str) -> Result<Self, WireError> {
         let n = count(r, 8, what)?;
         Ok(F64s(take(r, 8 * n)?))
-    }
-    fn owned(self) -> Vec<f64> {
-        self.to_vec()
     }
 }
 
 // The layout table: every record, and every part of one, with its
 // fields in wire order.
-
-layout! {
-    /// One submitted stimulus chunk in transit (kind 1).
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct StimulusChunk<V = Vec<f64>> {
-        /// Raw session handle the chunk belongs to.
-        session: u64,
-        /// Raw request id assigned at admission.
-        request: u64,
-        /// Absolute-tick deadline the chunk was submitted with.
-        deadline: u64,
-        /// The stimulus samples.
-        samples: V => "stimulus samples",
-    }
-}
-
-layout! {
-    /// One completed output chunk in transit (kind 2).
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct ResponseChunk<V = Vec<f64>> {
-        /// Raw session handle the chunk belongs to.
-        session: u64,
-        /// Raw request id the output answers.
-        request: u64,
-        /// The output samples, one per input sample, bit-exact.
-        samples: V => "response samples",
-    }
-}
 
 // Declared by `rvf_core` and the scheduler.
 layout!(StateCheckpoint<V> {
@@ -953,12 +892,6 @@ layout! {
 /// [`WireRecord`], borrowed from the decoded bytes in a [`WireView`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record<V> {
-    /// A stimulus chunk (kind 1).
-    Stimulus(StimulusChunk<V>),
-    /// A response chunk (kind 2).
-    Response(ResponseChunk<V>),
-    /// A session kernel checkpoint (kind 3).
-    Checkpoint(StateCheckpoint<V>),
     /// A full scheduler snapshot (kind 4), always owned.
     Snapshot(SchedulerSnapshot),
     /// A replication-log delta (kind 5).
@@ -977,9 +910,6 @@ impl<V> Record<V> {
     /// The record's kind byte.
     pub(crate) fn kind(&self) -> u8 {
         match self {
-            Self::Stimulus(_) => KIND_STIMULUS,
-            Self::Response(_) => KIND_RESPONSE,
-            Self::Checkpoint(_) => KIND_CHECKPOINT,
             Self::Snapshot(_) => KIND_SNAPSHOT,
             Self::Delta(_) => KIND_DELTA,
             Self::Digest(_) => KIND_DIGEST,
@@ -1013,18 +943,6 @@ impl WireView<'_> {
     pub fn encode(&self) -> Bytes {
         frame(self.kind(), self)
     }
-
-    /// The record with its vectors copied out of the decoded bytes.
-    pub fn to_owned(self) -> WireRecord {
-        match self {
-            Self::Stimulus(c) => Record::Stimulus(c.owned()),
-            Self::Response(c) => Record::Response(c.owned()),
-            Self::Checkpoint(c) => Record::Checkpoint(c.owned()),
-            Self::Snapshot(s) => Record::Snapshot(s),
-            Self::Delta(d) => Record::Delta(d.owned()),
-            Self::Digest(d) => Record::Digest(d),
-        }
-    }
 }
 
 /// Decodes the record at the *front* of `bytes`, returning it with the
@@ -1049,9 +967,6 @@ fn decode_front(bytes: &[u8], exact: bool) -> Result<(WireView<'_>, usize), Wire
     }
     let r = &mut &framed[HEADER_LEN..];
     let record = match framed[6] {
-        KIND_STIMULUS => Record::Stimulus(Get::get(r, "")?),
-        KIND_RESPONSE => Record::Response(Get::get(r, "")?),
-        KIND_CHECKPOINT => Record::Checkpoint(Get::get(r, "")?),
         KIND_SNAPSHOT => Record::Snapshot(Get::get(r, "")?),
         KIND_DELTA => Record::Delta(Get::get(r, "")?),
         _ => Record::Digest(Get::get(r, "")?),
@@ -1062,25 +977,6 @@ fn decode_front(bytes: &[u8], exact: bool) -> Result<(WireView<'_>, usize), Wire
     Ok((record, needed as usize))
 }
 
-/// How a [`RecordStream`] ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamEnd {
-    /// The buffer ended exactly on a record boundary.
-    Clean,
-    /// The buffer ends inside a record whose visible prefix is valid —
-    /// the shape of a log caught mid-append. A tailer keeps the
-    /// `offset` bytes it consumed and retries once more bytes arrive.
-    Partial {
-        /// Byte offset of the partial record's first byte.
-        offset: usize,
-        /// Bytes the partial record promises in total (0 when even the
-        /// header's length field is not yet visible).
-        needed: u64,
-        /// Bytes actually available from `offset`.
-        available: u64,
-    },
-}
-
 /// Streaming decoder over concatenated framed records — the shape of a
 /// replication log. Yields a view of each complete record in order; see
 /// [`decode_stream`].
@@ -1088,9 +984,8 @@ pub enum StreamEnd {
 pub struct RecordStream<'a> {
     buf: &'a [u8],
     offset: usize,
-    /// `Some` once iteration is over: how it ended, or `None` after a
-    /// hard error.
-    done: Option<Option<StreamEnd>>,
+    /// Set by a hard decode error, which ends the stream.
+    failed: bool,
 }
 
 impl RecordStream<'_> {
@@ -1100,37 +995,22 @@ impl RecordStream<'_> {
     pub fn consumed(&self) -> usize {
         self.offset
     }
-
-    /// How the stream ended: `None` while records remain or after a
-    /// hard decode error, `Some` once iteration returned `None`
-    /// normally — [`StreamEnd::Clean`] on an exact record boundary,
-    /// [`StreamEnd::Partial`] when the buffer ends inside a record
-    /// still being appended.
-    pub fn end(&self) -> Option<StreamEnd> {
-        self.done.flatten()
-    }
 }
 
 impl<'a> Iterator for RecordStream<'a> {
     type Item = Result<WireView<'a>, WireError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done.is_some() {
+        if self.failed {
             return None;
         }
         let rest = &self.buf[self.offset..];
-        let len = rest.len() as u64;
         // A partial record is only "partial" while every byte seen so
         // far is consistent with a record under construction — anything
         // else is a hard error, not a wait-for-more-bytes condition.
         let decoded = match check_header(rest) {
-            Ok(Some(needed)) if needed <= len => decode_front(rest, false),
-            Ok(needed) => {
-                let (offset, needed) = (self.offset, needed.unwrap_or(0));
-                let partial = StreamEnd::Partial { offset, needed, available: len };
-                self.done = Some(Some(if len == 0 { StreamEnd::Clean } else { partial }));
-                return None;
-            }
+            Ok(Some(needed)) if needed <= rest.len() as u64 => decode_front(rest, false),
+            Ok(_) => return None,
             Err(e) => Err(e),
         };
         match decoded {
@@ -1139,7 +1019,7 @@ impl<'a> Iterator for RecordStream<'a> {
                 Some(Ok(record))
             }
             Err(e) => {
-                self.done = Some(None);
+                self.failed = true;
                 Some(Err(e))
             }
         }
@@ -1158,7 +1038,7 @@ fn check_header(r: &[u8]) -> Result<Option<u64>, WireError> {
     if let Some(found) = le(4..6).filter(|&version| version != WIRE_VERSION as u64) {
         return Err(WireError::UnsupportedVersion { found: found as u16 });
     }
-    if let Some(&kind) = r.get(6).filter(|kind| !(KIND_STIMULUS..=KIND_DIGEST).contains(kind)) {
+    if let Some(&kind) = r.get(6).filter(|kind| !(KIND_SNAPSHOT..=KIND_DIGEST).contains(kind)) {
         return Err(WireError::UnknownRecord { kind });
     }
     if r.get(7).is_some_and(|&reserved| reserved != 0) {
@@ -1168,26 +1048,23 @@ fn check_header(r: &[u8]) -> Result<Option<u64>, WireError> {
 }
 
 /// Iterates the concatenated framed records at the front of `buf`,
-/// distinguishing a **clean end** (buffer exhausted exactly on a
-/// record boundary) from a **trailing partial record** (buffer ends
-/// inside a record whose visible prefix is valid — a log caught
-/// mid-append). Any other malformation is a hard, typed error and
-/// fuses the iterator. Each record comes out as a view borrowing `buf`.
+/// each as a view borrowing `buf`. The stream stops without an error
+/// at a **clean end** (buffer exhausted exactly on a record boundary)
+/// or at a **trailing partial record** (buffer ends inside a record
+/// whose visible prefix is valid — a log caught mid-append). Any other
+/// malformation is a hard, typed error and ends the stream.
 ///
-/// After iteration, [`RecordStream::end`] reports which end state was
-/// reached and [`RecordStream::consumed`] the resume offset — together
-/// they are the log-tailing contract used by
-/// [`Follower::tail`](crate::replica::Follower::tail).
+/// [`RecordStream::consumed`] is then the resume offset: the end of the
+/// last whole record, where a tailer such as
+/// [`Follower::tail`](crate::replica::Follower::tail) retries once more
+/// bytes arrive.
 pub fn decode_stream(buf: &Bytes) -> RecordStream<'_> {
-    RecordStream { buf: buf.as_ref(), offset: 0, done: None }
+    RecordStream { buf: buf.as_ref(), offset: 0, failed: false }
 }
 
 impl<V: Put> Put for Record<V> {
     fn put<W: Sink>(&self, w: &mut W) {
         match self {
-            Self::Stimulus(c) => c.put(w),
-            Self::Response(c) => c.put(w),
-            Self::Checkpoint(c) => c.put(w),
             Self::Snapshot(s) => s.put(w),
             Self::Delta(d) => d.put(w),
             Self::Digest(d) => d.put(w),
@@ -1335,14 +1212,6 @@ mod tests {
     #[test]
     fn all_records_round_trip_bit_exact() {
         let mut records = vec![
-            WireRecord::Stimulus(StimulusChunk {
-                session: 9,
-                request: 1,
-                deadline: 100,
-                samples: vec![0.0, -0.0, 1.5e-300, f64::MIN_POSITIVE],
-            }),
-            WireRecord::Response(ResponseChunk { session: 9, request: 1, samples: vec![] }),
-            WireRecord::Checkpoint(checkpoint()),
             WireRecord::Snapshot(snapshot()),
             WireRecord::Digest(DigestRecord { seq: 17, digest: 0xFEED_5EED_F00D_D00D }),
         ];
@@ -1352,21 +1221,20 @@ mod tests {
             let view = WireRecord::decode(&bytes).expect("round trip decodes");
             assert_eq!(view.kind(), record.kind());
             assert_eq!(view.encode(), bytes, "kind {}: the view re-encodes", record.kind());
-            let back = view.to_owned();
-            assert_eq!(back, record);
             // -0.0 vs 0.0 travel as distinct bit patterns.
-            if let (WireRecord::Stimulus(a), WireRecord::Stimulus(b)) = (&back, &record) {
-                for (x, y) in a.samples.iter().zip(&b.samples) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
+            if let (
+                Record::Delta(DeltaRecord { op: DeltaOp::Admitted { input: got, .. }, .. }),
+                Record::Delta(DeltaRecord { op: DeltaOp::Admitted { input: want, .. }, .. }),
+            ) = (&view, &record)
+            {
+                assert!(got.iter().map(f64::to_bits).eq(want.iter().map(|v| v.to_bits())));
             }
         }
     }
 
     #[test]
     fn header_validation_order() {
-        let good = WireRecord::Response(ResponseChunk { session: 1, request: 2, samples: vec![] })
-            .encode();
+        let good = WireRecord::Digest(DigestRecord { seq: 1, digest: 2 }).encode();
         let raw = good.as_ref().to_vec();
 
         // Too short for even the magic.
@@ -1385,13 +1253,13 @@ mod tests {
             WireRecord::decode(&Bytes::from(bad)),
             Err(WireError::UnsupportedVersion { found: 0xFF })
         ));
-        // Unknown kind.
-        let mut bad = raw.clone();
-        bad[6] = 200;
-        assert!(matches!(
-            WireRecord::decode(&Bytes::from(bad)),
-            Err(WireError::UnknownRecord { kind: 200 })
-        ));
+        // Unknown kinds, the retired 1–3 among them.
+        for kind in [0, 1, 2, 3, 7, 200] {
+            let mut bad = raw.clone();
+            bad[6] = kind;
+            let got = WireRecord::decode(&Bytes::from(bad)).err();
+            assert_eq!(got, Some(WireError::UnknownRecord { kind }), "kind {kind}");
+        }
         // Nonzero reserved byte.
         let mut bad = raw.clone();
         bad[7] = 1;
@@ -1419,30 +1287,30 @@ mod tests {
 
     #[test]
     fn lying_count_field_is_rejected_before_allocation() {
-        // A response chunk claiming u32::MAX samples in a tiny payload,
-        // with a *valid* checksum: the count check must catch it.
+        // An admission claiming u32::MAX samples in a tiny payload, with
+        // a *valid* checksum: the count check must catch it.
         let mut p = BytesMut::new();
         p.put_u64_le(1);
-        p.put_u64_le(2);
+        p.put_u8(2);
+        (0..4).for_each(|i| p.put_u64_le(i));
         p.put_u32_le(u32::MAX);
-        let bytes = two_copy_frame(KIND_RESPONSE, p.freeze());
+        let bytes = two_copy_frame(KIND_DELTA, p.freeze());
         assert!(matches!(
             WireRecord::decode(&bytes),
-            Err(WireError::BadCount { what: "response samples", .. })
+            Err(WireError::BadCount { what: "admitted request samples", .. })
         ));
     }
 
     #[test]
     fn payload_longer_than_contents_is_rejected() {
-        // Valid response payload plus 4 spare zero bytes inside the
+        // Valid digest payload plus 4 spare zero bytes inside the
         // declared payload length (checksum valid): decode must notice
         // the leftovers.
         let mut p = BytesMut::new();
         p.put_u64_le(1);
         p.put_u64_le(2);
         p.put_u32_le(0);
-        p.put_u32_le(0);
-        let bytes = two_copy_frame(KIND_RESPONSE, p.freeze());
+        let bytes = two_copy_frame(KIND_DIGEST, p.freeze());
         assert!(matches!(WireRecord::decode(&bytes), Err(WireError::Malformed { .. })));
     }
 
@@ -1482,31 +1350,20 @@ mod tests {
         sched.submit(s0, &[0.4; 5], 2, 100).expect("submit");
         sched.submit(s1, &[-0.2; 2], 2, 100).expect("submit");
         sched.close_session(s1).expect("close");
-        WireRecord::decode(&sched.snapshot().expect("snapshot")).expect("decodes").to_owned()
+        let bytes = sched.snapshot().expect("snapshot");
+        let Ok(WireView::Snapshot(snap)) = WireRecord::decode(&bytes) else {
+            panic!("a snapshot decodes to a snapshot record");
+        };
+        WireRecord::Snapshot(snap)
     }
 
     /// One record of every kind and every delta op: the wire fuzz
     /// suite's round-trip corpus plus the unit fixtures.
     fn corpus() -> Vec<WireRecord> {
+        let empty =
+            DeltaOp::Admitted { request: 2, session: 1, deadline: 3, not_before: 0, input: vec![] };
         let mut records = vec![
-            WireRecord::Stimulus(StimulusChunk {
-                session: 0x0000_0003_0000_0001,
-                request: 41,
-                deadline: 99,
-                samples: vec![0.25, -0.5, 1.0e-12, -0.0],
-            }),
-            WireRecord::Response(ResponseChunk {
-                session: 7,
-                request: 8,
-                samples: vec![3.25, f64::MIN_POSITIVE],
-            }),
-            WireRecord::Stimulus(StimulusChunk {
-                session: 1,
-                request: 2,
-                deadline: 3,
-                samples: vec![],
-            }),
-            WireRecord::Checkpoint(checkpoint()),
+            WireRecord::Delta(DeltaRecord { seq: 1, op: empty }),
             WireRecord::Snapshot(snapshot()),
             live_snapshot(),
             WireRecord::Digest(DigestRecord { seq: 2, digest: 0xDEAD_BEEF_0BAD_F00D }),
@@ -1647,11 +1504,11 @@ mod tests {
             proptest::prop_assert_eq!(h_bulk.finish(), h_single.finish());
             proptest::prop_assert_eq!(h_bulk.finish(), checksum64(&b_single));
 
-            let framed = frame(KIND_RESPONSE, &bulk);
+            let framed = frame(KIND_DELTA, &bulk);
             let framed = framed.as_ref();
-            let want = two_copy_frame(KIND_RESPONSE, Bytes::from(b_single));
+            let want = two_copy_frame(KIND_DELTA, Bytes::from(b_single));
             proptest::prop_assert_eq!(framed, want.as_ref());
-            proptest::prop_assert_eq!(framed_checksum(KIND_RESPONSE, &bulk), checksum64(framed));
+            proptest::prop_assert_eq!(framed_checksum(KIND_DELTA, &bulk), checksum64(framed));
             let r = &mut &framed[HEADER_LEN + bytes + 8 * words..];
             let back = F64s::get(r, "").expect("the run reads back").iter().map(f64::to_bits);
             proptest::prop_assert!(back.eq(list.iter().map(|v| v.to_bits())));
@@ -1682,10 +1539,10 @@ mod tests {
         let mut stream = decode_stream(&log);
         let mut back = Vec::new();
         for item in &mut stream {
-            back.push(item.expect("stream record decodes").to_owned());
+            back.push(item.expect("stream record decodes").encode());
         }
-        assert_eq!(back, records);
-        assert_eq!(stream.end(), Some(StreamEnd::Clean));
+        assert_eq!(back, records.iter().map(WireRecord::encode).collect::<Vec<_>>());
+        assert!(stream.next().is_none());
         assert_eq!(stream.consumed(), total);
     }
 
@@ -1703,14 +1560,10 @@ mod tests {
             let mut stream = decode_stream(&log);
             let first = stream.next().expect("first record present").expect("first decodes");
             assert_eq!(first, WireRecord::decode(&a).expect("a decodes"));
-            assert!(stream.next().is_none());
-            match stream.end() {
-                Some(StreamEnd::Partial { offset, available, .. }) => {
-                    assert_eq!(offset, a.len());
-                    assert_eq!(available, cut as u64);
-                }
-                other => panic!("expected partial end at cut {cut}, got {other:?}"),
-            }
+            // A partial record stops the stream without an error, and the
+            // resume offset stays at its first byte.
+            assert!(stream.next().is_none(), "cut {cut}");
+            assert!(stream.next().is_none(), "cut {cut}");
             assert_eq!(stream.consumed(), a.len());
         }
     }
@@ -1727,7 +1580,6 @@ mod tests {
         assert!(stream.next().expect("first record").is_ok());
         assert!(matches!(stream.next(), Some(Err(WireError::BadMagic { .. }))));
         assert!(stream.next().is_none());
-        assert_eq!(stream.end(), None);
         assert_eq!(stream.consumed(), a.len());
     }
 }

@@ -965,7 +965,7 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
         panic!("snapshot bytes decode to a snapshot record");
     };
     type Mutation = fn(&mut rvf_serve::wire::SchedulerSnapshot, u64);
-    let restore_cases: [(&str, Mutation); 8] = [
+    let restore_cases: [(&str, Mutation); 10] = [
         ("a session references a model outside the snapshot registry", |s, _| {
             s.slots[0].session.as_mut().expect("live").model = 7;
         }),
@@ -980,6 +980,12 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
             s.queue[0].id = s.next_request;
         }),
         ("a queued stimulus holds a non-finite sample", |s, _| s.queue[0].input[0] = f64::NAN),
+        // Refused before any pool exists: restoring either would first
+        // try to spawn that many worker threads.
+        ("the worker count exceeds the most a restore may spawn", |s, _| s.cfg.workers = 1025),
+        ("the worker count exceeds the most a restore may spawn", |s, _| {
+            s.cfg.workers = usize::MAX;
+        }),
     ];
     for (want, mutate) in restore_cases {
         let mut snap = base.clone();
@@ -1014,14 +1020,10 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
     }
     let garbage = Bytes::from(vec![0u8; 40]);
     assert!(matches!(Scheduler::restore(&garbage, &registry()).err(), Some(ServeError::Wire(_))));
-    let response = WireRecord::Response(rvf_serve::wire::ResponseChunk {
-        session: 0,
-        request: 0,
-        samples: vec![],
-    });
+    let digest = WireRecord::Digest(DigestRecord { seq: 0, digest: 0 });
     let not_a_snapshot =
         ServeError::SnapshotInvalid { what: "the record is not a scheduler snapshot" };
-    assert_eq!(Scheduler::restore(&response.encode(), &registry()).err(), Some(not_a_snapshot));
+    assert_eq!(Scheduler::restore(&digest.encode(), &registry()).err(), Some(not_a_snapshot));
     let superset = ModelRegistry::build([
         ("a".to_string(), model(1.0)),
         ("b".to_string(), model(1.7)),
@@ -1078,7 +1080,6 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
         ("retry names a request that is not queued", false, delta(retry)),
         ("close names a dead session", false, delta(DeltaOp::SessionClosed { session: b })),
         ("a second baseline snapshot arrived mid-log", false, WireRecord::Snapshot(base.clone())),
-        ("record kind does not belong in a replication log", false, response.clone()),
     ];
     let refilled = fixture(true);
     for (want, refill, record) in delta_cases {
@@ -1113,6 +1114,39 @@ fn every_structural_refusal_is_typed_and_commits_nothing() {
     assert_eq!(err, ReplicaError::SequenceGap { expected: seq + 1, found: seq + 5 });
     assert!(matches!(follower.tail(&fx.log.all_bytes()), Err(ReplicaError::SequenceGap { .. })));
     assert_poisoned(follower, &err, seq, "sequence gap");
+}
+
+/// Kinds 1–3 (the retired standalone stimulus, response and checkpoint
+/// records) are unknown at the header: restore refuses such a frame as
+/// a wire error, and a follower tailing a log that holds one applies
+/// the records before it, then poisons itself and applies nothing after.
+#[test]
+fn a_retired_record_kind_fails_at_the_header_and_poisons_the_follower() {
+    let fx = fixture(false);
+    for kind in 1..=3 {
+        // A checksum-valid frame: only its kind byte is wrong.
+        let mut raw = delta_at(1, DeltaOp::PoolRebuilt).encode().as_ref().to_vec();
+        raw[6] = kind;
+        let body = raw.len() - 8;
+        let sum = checksum64(&raw[..body]);
+        raw[body..].copy_from_slice(&sum.to_le_bytes());
+        let retired = Bytes::from(raw);
+        let unknown = WireError::UnknownRecord { kind };
+        let refused = Scheduler::restore(&retired, &registry()).err();
+        assert_eq!(refused, Some(ServeError::Wire(unknown.clone())), "kind {kind}");
+
+        let mut records = fx.log.records();
+        let at = records.len() / 2;
+        let seq = records[..at]
+            .iter()
+            .filter(|r| matches!(WireRecord::decode(r), Ok(WireView::Delta(_))))
+            .count() as u64;
+        records.insert(at, retired);
+        let mut follower = Follower::new(registry());
+        let err = follower.tail(&concat(&records)).expect_err("a retired kind is refused");
+        assert_eq!(err, ReplicaError::Wire(unknown), "kind {kind}");
+        assert_poisoned(follower, &err, seq, "retired record kind");
+    }
 }
 
 fn delta(op: DeltaOp) -> WireRecord {

@@ -5,17 +5,16 @@
 //! fields behind a **valid** checksum — produces a typed
 //! [`WireError`], never a panic and never an allocation the input's
 //! own length cannot justify. Round-trip properties pin the other
-//! direction: `decode(encode(x)) == x` bit-exactly for random records,
-//! random kernel checkpoints, and full scheduler snapshots.
+//! direction: `decode(encode(x)) == x` bit-exactly for random deltas,
+//! the kernel checkpoints they carry, and full scheduler snapshots.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use rvf_core::{CompiledSim, SimBuilder, StateCheckpoint};
 use rvf_serve::wire::{
-    checksum64, decode_stream, DeltaOp, DeltaRecord, DigestRecord, ResponseChunk,
-    SchedulerSnapshot, SnapshotModel, SnapshotRequest, SnapshotSession, SnapshotSlot,
-    StimulusChunk, StreamEnd, WireError, WireRecord, WireView, HEADER_LEN, KIND_CHECKPOINT,
-    KIND_DELTA, KIND_SNAPSHOT, KIND_STIMULUS, MAGIC, WIRE_VERSION,
+    checksum64, decode_stream, DeltaOp, DeltaRecord, DigestRecord, SchedulerSnapshot,
+    SnapshotModel, SnapshotRequest, SnapshotSession, SnapshotSlot, WireError, WireRecord, WireView,
+    HEADER_LEN, KIND_DELTA, KIND_SNAPSHOT, MAGIC, WIRE_VERSION,
 };
 use rvf_serve::{ModelRegistry, Scheduler, ServeConfig};
 
@@ -78,29 +77,10 @@ fn live_snapshot_bytes() -> Bytes {
     sched.snapshot().expect("snapshot")
 }
 
-/// One valid encoded exemplar of every record kind.
+/// One valid encoded exemplar of every record kind and of every delta
+/// op that carries samples, plus one that carries none.
 fn exemplars() -> Vec<(&'static str, Bytes)> {
     vec![
-        (
-            "stimulus",
-            WireRecord::Stimulus(StimulusChunk {
-                session: 0x0000_0003_0000_0001,
-                request: 41,
-                deadline: 99,
-                samples: vec![0.25, -0.5, 1.0e-12, -0.0],
-            })
-            .encode(),
-        ),
-        (
-            "response",
-            WireRecord::Response(ResponseChunk {
-                session: 7,
-                request: 8,
-                samples: vec![3.25, f64::MIN_POSITIVE],
-            })
-            .encode(),
-        ),
-        ("checkpoint", WireRecord::Checkpoint(live_checkpoint()).encode()),
         ("snapshot", live_snapshot_bytes()),
         (
             "delta-open",
@@ -127,6 +107,27 @@ fn exemplars() -> Vec<(&'static str, Bytes)> {
                     not_before: 13,
                     input: vec![0.5, -0.25, 1.0e-9, -0.0],
                 },
+            })
+            .encode(),
+        ),
+        (
+            "delta-complete",
+            WireRecord::Delta(DeltaRecord {
+                seq: 3,
+                op: DeltaOp::ChunkCompleted {
+                    request: 7,
+                    session: 0x0000_0002_0000_0000,
+                    last_activity: 14,
+                    state: live_checkpoint(),
+                },
+            })
+            .encode(),
+        ),
+        (
+            "delta-retry",
+            WireRecord::Delta(DeltaRecord {
+                seq: 4,
+                op: DeltaOp::RequestRetried { request: 8, attempts: 2, not_before: 21 },
             })
             .encode(),
         ),
@@ -211,27 +212,35 @@ fn wrong_magic_version_and_kind_are_typed() {
 
 #[test]
 fn lying_count_fields_with_valid_checksums_cannot_oom() {
-    // For every record kind, a payload whose first count/length field
-    // claims ~4 billion elements behind a perfectly valid checksum.
-    // `BadCount` must fire before any allocation is sized from it.
-    let mut stim = BytesMut::new();
-    stim.put_u64_le(1);
-    stim.put_u64_le(2);
-    stim.put_u64_le(3);
-    stim.put_u32_le(u32::MAX);
-    let mut resp = BytesMut::new();
-    resp.put_u64_le(1);
-    resp.put_u64_le(2);
-    resp.put_u32_le(u32::MAX);
-    let mut ckpt = BytesMut::new();
-    for _ in 0..4 {
-        ckpt.put_u64_le(1);
+    // For the snapshot and every delta op that carries samples, a
+    // payload whose first count/length field claims ~4 billion elements
+    // behind a perfectly valid checksum. `BadCount` must fire before
+    // any allocation is sized from it.
+    let lying_checkpoint = |b: &mut BytesMut| {
+        for _ in 0..4 {
+            b.put_u64_le(1); // shape
+        }
+        b.put_u64_le(0); // uprev
+        b.put_u8(1); // started
+        b.put_u64_le(0); // samples
+        b.put_u64_le(u64::MAX); // coef_dt
+        b.put_u32_le(u32::MAX); // v0 count lies
+    };
+    let mut open = BytesMut::new();
+    open.put_u64_le(1); // seq
+    open.put_u8(1); // OP_OPEN
+    open.put_u64_le(2); // session
+    open.put_u32_le(0); // model
+    open.put_u64_le(1.0e-10f64.to_bits()); // dt_bits
+    open.put_u64_le(3); // last_activity
+    lying_checkpoint(&mut open);
+    let mut complete = BytesMut::new();
+    complete.put_u64_le(4); // seq
+    complete.put_u8(3); // OP_COMPLETE
+    for _ in 0..3 {
+        complete.put_u64_le(1); // request, session, last_activity
     }
-    ckpt.put_u64_le(0);
-    ckpt.put_u8(1);
-    ckpt.put_u64_le(0);
-    ckpt.put_u64_le(u64::MAX);
-    ckpt.put_u32_le(u32::MAX); // v0 count lies
+    lying_checkpoint(&mut complete);
     let mut snap = BytesMut::new();
     for _ in 0..6 {
         snap.put_u64_le(1); // cfg u64 fields
@@ -251,17 +260,16 @@ fn lying_count_fields_with_valid_checksums_cannot_oom() {
         delta.put_u64_le(1); // request, session, deadline, not_before
     }
     delta.put_u32_le(u32::MAX); // admitted sample count lies
-    for (kind, payload) in [
-        (KIND_STIMULUS, stim),
-        (rvf_serve::wire::KIND_RESPONSE, resp),
-        (KIND_CHECKPOINT, ckpt),
-        (KIND_SNAPSHOT, snap),
-        (KIND_DELTA, delta),
+    for (what, kind, payload) in [
+        ("snapshot", KIND_SNAPSHOT, snap),
+        ("delta-open", KIND_DELTA, open),
+        ("delta-admit", KIND_DELTA, delta),
+        ("delta-complete", KIND_DELTA, complete),
     ] {
         let bytes = frame_raw(kind, WIRE_VERSION, payload.freeze().as_ref());
         assert!(
             matches!(WireRecord::decode(&bytes), Err(WireError::BadCount { .. })),
-            "kind {kind}: lying count must be rejected before allocation"
+            "{what}: lying count must be rejected before allocation"
         );
     }
 }
@@ -338,7 +346,7 @@ fn assert_low_weight_errors_detected(what: &str, record: &Bytes) -> usize {
 
 /// The checksum's guarantee, checked exhaustively rather than sampled:
 /// no error of weight one or two in a digest record (40 bytes: every
-/// 1-bit flip and all 51,040 pairs) or in a one-sample stimulus record
+/// 1-bit flip and all 51,040 pairs) or in a one-sample admission delta
 /// decodes. A weaker checksum — a single-lane word hash, say — leaves
 /// some pairs undetected and fails here.
 #[test]
@@ -347,15 +355,20 @@ fn every_one_and_two_bit_error_is_detected() {
         WireRecord::Digest(DigestRecord { seq: 9, digest: 0x0123_4567_89AB_CDEF }).encode();
     assert_eq!(digest.len(), 40);
     assert_eq!(assert_low_weight_errors_detected("digest", &digest), 320 + 51_040);
-    let stimulus = WireRecord::Stimulus(StimulusChunk {
-        session: 0x0000_0001_0000_0002,
-        request: 5,
-        deadline: 77,
-        samples: vec![0.375],
+    let admitted = WireRecord::Delta(DeltaRecord {
+        seq: 5,
+        op: DeltaOp::Admitted {
+            request: 5,
+            session: 0x0000_0001_0000_0002,
+            deadline: 77,
+            not_before: 3,
+            input: vec![0.375],
+        },
     })
     .encode();
-    let bits = 8 * stimulus.len();
-    assert_eq!(assert_low_weight_errors_detected("stimulus", &stimulus), bits * (bits + 1) / 2);
+    assert_eq!(admitted.len(), 77);
+    let bits = 8 * admitted.len();
+    assert_eq!(assert_low_weight_errors_detected("admitted", &admitted), bits * (bits + 1) / 2);
 }
 
 /// Concatenated bytes of every exemplar, in order — a replication-log
@@ -370,8 +383,8 @@ fn exemplar_stream() -> (Vec<Bytes>, Bytes) {
 }
 
 /// `decode_stream` over every exemplar back to back: each record comes
-/// out bit-identical to its framing, the iterator ends clean, and the
-/// consumed offset is the full buffer.
+/// out bit-identical to its framing, the iterator ends without an
+/// error, and the consumed offset is the full buffer.
 #[test]
 fn stream_decodes_every_kind_to_a_clean_end() {
     let (records, buf) = exemplar_stream();
@@ -382,7 +395,6 @@ fn stream_decodes_every_kind_to_a_clean_end() {
         assert_eq!(got.encode(), *want, "record {i} did not survive the stream");
     }
     assert!(stream.next().is_none());
-    assert!(matches!(stream.end(), Some(StreamEnd::Clean)));
     assert_eq!(stream.consumed(), total);
 }
 
@@ -390,10 +402,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Cut a multi-record stream at *any* byte: every whole record
-    /// before the cut decodes, and the end state is `Clean` exactly at
-    /// record boundaries and `Partial` (with the boundary as the resume
-    /// offset) everywhere else — never a hard error, because a
-    /// truncated tail is a log caught mid-append, not corruption.
+    /// before the cut decodes, then the stream stops — never with a
+    /// hard error, because a truncated tail is a log caught mid-append,
+    /// not corruption. The resume offset is the last boundary: the
+    /// whole buffer exactly when the cut is clean, short of it when a
+    /// partial record trails.
     #[test]
     fn stream_cut_anywhere_distinguishes_clean_from_partial(seed in 1u64..(1u64 << 48)) {
         let (records, buf) = exemplar_stream();
@@ -414,23 +427,15 @@ proptest! {
             let got = stream.next().expect("record present");
             prop_assert!(got.is_ok(), "whole record {i} failed under cut {cut}");
         }
-        prop_assert!(stream.next().is_none());
-        prop_assert_eq!(stream.consumed(), boundary);
-        match stream.end() {
-            Some(StreamEnd::Clean) => prop_assert_eq!(cut, boundary, "Clean off a boundary"),
-            Some(StreamEnd::Partial { offset, .. }) => {
-                prop_assert!(cut != boundary, "Partial at a boundary");
-                prop_assert_eq!(offset, boundary, "resume offset must be the last boundary");
-            }
-            None => prop_assert!(false, "stream not finished"),
-        }
+        prop_assert!(stream.next().is_none(), "a cut tail must stop the stream, not fail it");
+        prop_assert!(stream.next().is_none(), "a stopped stream stays stopped");
+        prop_assert_eq!(stream.consumed(), boundary, "resume offset must be the last boundary");
     }
 
     /// Bit-flip a multi-record stream anywhere: iteration terminates
     /// with some clean prefix of records followed by either a typed
-    /// error, a partial tail, or — if the flips landed in the tail
-    /// record's payload without breaking its checksum — a clean end.
-    /// Never a panic, never an unbounded loop.
+    /// error, a partial tail, or a clean end. Never a panic, never an
+    /// unbounded loop, and the resume offset never passes the buffer.
     #[test]
     fn stream_bit_flips_terminate_typed(seed in 1u64..(1u64 << 48)) {
         let (records, buf) = exemplar_stream();
@@ -454,9 +459,8 @@ proptest! {
             }
         }
         prop_assert!(yielded <= records.len(), "stream invented records");
-        if !erred {
-            prop_assert!(stream.end().is_some(), "stream neither erred nor finished");
-        }
+        prop_assert!(stream.next().is_none(), "stream did not stop after {}", erred);
+        prop_assert!(stream.consumed() <= mutant.len());
     }
 
     /// ≥ 512 random bit-flip mutations per record type (64 cases × 8
@@ -512,9 +516,10 @@ proptest! {
         prop_assert!(WireRecord::decode(&Bytes::from(noise)).is_err());
     }
 
-    /// Round trip on random stimulus/response records, including NaN
-    /// and ±∞ payload samples: the wire layer carries raw bit patterns,
-    /// so re-encoding the decoded record reproduces the exact bytes.
+    /// Round trip on random admitted chunks, including NaN and ±∞
+    /// samples: the wire layer carries raw bit patterns, so re-encoding
+    /// the decoded record reproduces the exact bytes, and the view reads
+    /// back every sample's bits.
     #[test]
     fn random_chunks_round_trip_bit_exact(seed in 1u64..(1u64 << 48)) {
         let mut rng = Rng::new(seed);
@@ -523,35 +528,31 @@ proptest! {
             .collect();
         samples.push(f64::NAN);
         samples.push(f64::NEG_INFINITY);
-        let records = [
-            WireRecord::Stimulus(StimulusChunk {
-                session: rng.next(),
-                request: rng.next(),
-                deadline: rng.next(),
-                samples: samples.clone(),
-            }),
-            WireRecord::Response(ResponseChunk {
-                session: rng.next(),
-                request: rng.next(),
-                samples,
-            }),
-        ];
-        for record in records {
-            let encoded = record.encode();
-            let decoded = WireRecord::decode(&encoded);
-            prop_assert!(decoded.is_ok());
-            if let Ok(back) = decoded {
-                prop_assert_eq!(back.encode(), encoded);
-                // The owned copy is the record bit for bit (`==` cannot
-                // see NaN payloads): it encodes to the same bytes.
-                prop_assert_eq!(back.to_owned().encode(), encoded);
-            }
+        let op = DeltaOp::Admitted {
+            request: rng.next(),
+            session: rng.next(),
+            deadline: rng.next(),
+            not_before: rng.next(),
+            input: samples.clone(),
+        };
+        let encoded = WireRecord::Delta(DeltaRecord { seq: rng.next(), op }).encode();
+        let decoded = WireRecord::decode(&encoded);
+        prop_assert!(decoded.is_ok());
+        if let Ok(back) = decoded {
+            prop_assert_eq!(back.encode(), encoded.clone());
+            let WireView::Delta(DeltaRecord { op: DeltaOp::Admitted { input, .. }, .. }) = back
+            else {
+                panic!("an admission decodes to an admission");
+            };
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&input.to_vec()), bits(&samples));
         }
     }
 
-    /// Round trip on random (even shape-inconsistent) checkpoints and
-    /// hand-built snapshots: `decode(encode(x)) == x`. Semantic
-    /// validation is `import_state`/`restore`'s job, not the wire's.
+    /// Round trip on random (even shape-inconsistent) checkpoints, in
+    /// the deltas that carry them, and on hand-built snapshots:
+    /// `decode(encode(x)) == x`. Semantic validation is
+    /// `import_state`/`restore`'s job, not the wire's.
     #[test]
     fn random_checkpoints_and_snapshots_round_trip(seed in 1u64..(1u64 << 48)) {
         let mut rng = Rng::new(seed);
@@ -597,21 +598,36 @@ proptest! {
                 input: (0..rng.below(8)).map(|_| f64::from_bits(rng.next())).collect(),
             }],
         };
-        for record in [WireRecord::Checkpoint(ckpt), WireRecord::Snapshot(snap)] {
+        let open = DeltaOp::SessionOpened {
+            session: rng.next(),
+            model: rng.next() as u32,
+            dt_bits: rng.next(),
+            last_activity: rng.next(),
+            state: ckpt.clone(),
+        };
+        let complete = DeltaOp::ChunkCompleted {
+            request: rng.next(),
+            session: rng.next(),
+            last_activity: rng.next(),
+            state: ckpt,
+        };
+        for record in [
+            WireRecord::Delta(DeltaRecord { seq: rng.next(), op: open }),
+            WireRecord::Delta(DeltaRecord { seq: rng.next(), op: complete }),
+            WireRecord::Snapshot(snap),
+        ] {
             let encoded = record.encode();
             let decoded = WireRecord::decode(&encoded);
             prop_assert!(decoded.is_ok());
             if let Ok(back) = decoded {
                 prop_assert_eq!(back.encode(), encoded);
-                // The owned copy is the record bit for bit (`==` cannot
-                // see NaN payloads): it encodes to the same bytes.
-                prop_assert_eq!(back.to_owned().encode(), encoded);
             }
         }
     }
 
     /// End to end on random models and states: a kernel state shipped
-    /// through the wire (export → encode → decode → import) continues
+    /// through the wire in a completion delta (export → encode → decode
+    /// → copy out → import, the follower's path) continues
     /// bit-identically to the state that never left the process.
     #[test]
     fn checkpoints_of_random_models_resume_bitwise(
@@ -630,10 +646,23 @@ proptest! {
         let mut state = sim.new_state();
         let mut head = vec![0.0; cut];
         sim.simulate_into(dt, &u[..cut], &mut state, &mut head).expect("head");
-        let bytes = WireRecord::Checkpoint(state.export()).encode();
-        let Ok(WireRecord::Checkpoint(ckpt)) = WireRecord::decode(&bytes).map(WireView::to_owned)
+        let state = state.export();
+        let op = DeltaOp::ChunkCompleted { request: 0, session: 0, last_activity: 0, state };
+        let bytes = WireRecord::Delta(DeltaRecord { seq: 1, op }).encode();
+        let Ok(WireView::Delta(DeltaRecord { op: DeltaOp::ChunkCompleted { state: s, .. }, .. })) =
+            WireRecord::decode(&bytes)
         else {
             panic!("checkpoint failed to round trip");
+        };
+        let ckpt = StateCheckpoint {
+            shape: s.shape,
+            v0: s.v0.to_vec(),
+            sre: s.sre.to_vec(),
+            sim: s.sim.to_vec(),
+            uprev: s.uprev,
+            started: s.started,
+            samples: s.samples,
+            coef_dt: s.coef_dt,
         };
         let mut resumed = sim.import_state(&ckpt).expect("import");
         let mut tail = vec![0.0; 40 - cut];

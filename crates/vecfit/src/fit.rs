@@ -54,7 +54,7 @@ use crate::basis::{basis_row, Residues};
 use crate::error::VecfitError;
 use crate::model::{RationalModel, ResponseTerms};
 use crate::options::{Axis, VfOptions};
-use crate::poles::{PoleEntry, PoleSet};
+use crate::poles::{PoleEntry, PoleSet, REAL_AXIS_MIN_IMAG};
 
 /// Result of a vector fitting run.
 #[derive(Debug, Clone)]
@@ -169,7 +169,7 @@ fn fit_inner(
     validate(samples, data, opts, opts.n_poles)?;
     let (lo, hi) = sample_range(samples, opts.axis)?;
     let min_imag_abs = match opts.axis {
-        Axis::Real => (opts.real_axis_min_imag * (hi - lo)).max(1e-12),
+        Axis::Real => (REAL_AXIS_MIN_IMAG * (hi - lo)).max(1e-12),
         Axis::Imaginary => 0.0,
     };
     let clamp = match opts.axis {
@@ -177,7 +177,7 @@ fn fit_inner(
         Axis::Imaginary => None,
     };
     let mut poles = match initial {
-        Some(p) => p.grown_to(opts.n_poles, opts, lo, hi),
+        Some(p) => p.grown_to(opts.n_poles, opts.axis, lo, hi),
         None => PoleSet::initial_for(opts, lo, hi),
     };
     // The grown set can exceed the requested count (odd growth rounds up
@@ -698,7 +698,7 @@ fn relocate_once(
         }
     }
     let eigs = eigenvalues(&a)?;
-    Ok(PoleSet::from_eigenvalues(&eigs, opts.axis, opts.enforce_stability, min_imag_abs, clamp))
+    Ok(PoleSet::from_eigenvalues(&eigs, opts.axis, min_imag_abs, clamp))
 }
 
 /// Final residue identification with the poles fixed: the left-hand

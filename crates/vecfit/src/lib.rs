@@ -71,5 +71,5 @@ pub use basis::{basis_row, Residues};
 pub use error::VecfitError;
 pub use fit::{auto_workers, fit, fit_in, fit_single, VfFit};
 pub use model::{RationalModel, ResponseTerms};
-pub use options::{Axis, PoleSpread, VfOptions};
+pub use options::{Axis, VfOptions};
 pub use poles::{PoleEntry, PoleSet};

@@ -5,16 +5,21 @@
 /// Frequency responses are sampled on the imaginary axis (`s = jω`);
 /// the recursive state-dimension fits of the RVF algorithm run on the
 /// *real* axis (`ξ = x`, the state estimator value). The two axes differ
-/// in their symmetry and stability conventions:
+/// in their symmetry and stability conventions, and the axis alone
+/// decides them:
 ///
 /// * `Imaginary`: data carries Hermitian symmetry, poles must be stable
 ///   (left half-plane) for a causal model, basis rows are complex and are
-///   split into real/imaginary equations.
+///   split into real/imaginary equations. Relocated right-half-plane
+///   poles are flipped (paper: "guaranteed stable by construction"), and
+///   starting pairs are spread logarithmically, damped by 1/100
+///   (Gustavsen's classic recipe).
 /// * `Real`: data is real-valued, basis functions must stay real and
 ///   nonsingular on the sampled interval, which requires *complex-pair*
 ///   poles kept off the real axis (the paper's "complex pairs whose real
 ///   parts have opposite sign" in the `ju` plane — conjugate pairs in the
-///   `x` plane). No stability flipping applies.
+///   `x` plane): at least 5% of the interval length. Starting pairs are
+///   spread linearly; no stability flipping applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Axis {
     /// Fit along `s = jω` (frequency responses).
@@ -22,17 +27,6 @@ pub enum Axis {
     Imaginary,
     /// Fit along a real variable (residue trajectories over the state).
     Real,
-}
-
-/// Distribution of the starting poles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoleSpread {
-    /// Logarithmically spaced imaginary parts (frequency fitting over
-    /// several decades).
-    #[default]
-    Logarithmic,
-    /// Linearly spaced (state-axis fitting over a bounded interval).
-    Linear,
 }
 
 /// Options controlling a vector fitting run.
@@ -54,9 +48,6 @@ pub struct VfOptions {
     pub iterations: usize,
     /// Sample axis (see [`Axis`]).
     pub axis: Axis,
-    /// Flip right-half-plane poles into the left half-plane after each
-    /// relocation (paper: "guaranteed stable by construction").
-    pub enforce_stability: bool,
     /// Use the relaxed nontriviality constraint of Gustavsen (2006)
     /// instead of fixing `σ(∞) = 1`.
     pub relaxed: bool,
@@ -64,15 +55,6 @@ pub struct VfOptions {
     pub include_const: bool,
     /// Include a linear term `s·e` in the fitted model.
     pub include_linear: bool,
-    /// Starting pole distribution.
-    pub spread: PoleSpread,
-    /// Real-axis fits only: lower bound on `|Im(pole)|` as a fraction of
-    /// the sampled interval length, keeping the log base functions smooth
-    /// on the interval.
-    pub real_axis_min_imag: f64,
-    /// Ratio `|Re|/|Im|` of the starting complex poles (Gustavsen's
-    /// classic 1/100 recipe).
-    pub initial_damping: f64,
     /// Worker threads for the per-response stages (block assembly + QR
     /// compression in relocation, residue identification).
     ///
@@ -98,13 +80,9 @@ impl VfOptions {
             n_poles,
             iterations: 10,
             axis: Axis::Imaginary,
-            enforce_stability: true,
             relaxed: true,
             include_const: false,
             include_linear: false,
-            spread: PoleSpread::Logarithmic,
-            real_axis_min_imag: 0.05,
-            initial_damping: 0.01,
             threads: 1,
             stop_displacement: 1e-10,
         }
@@ -117,13 +95,9 @@ impl VfOptions {
             n_poles: n_poles + n_poles % 2,
             iterations: 10,
             axis: Axis::Real,
-            enforce_stability: false,
             relaxed: true,
             include_const: true,
             include_linear: false,
-            spread: PoleSpread::Linear,
-            real_axis_min_imag: 0.05,
-            initial_damping: 0.01,
             threads: 1,
             stop_displacement: 1e-10,
         }
@@ -180,7 +154,6 @@ mod tests {
     #[test]
     fn frequency_preset() {
         let o = VfOptions::frequency(10);
-        assert!(o.enforce_stability);
         assert!(o.relaxed);
         assert_eq!(o.axis, Axis::Imaginary);
     }
@@ -189,7 +162,6 @@ mod tests {
     fn state_preset_rounds_to_even() {
         let o = VfOptions::state(9);
         assert_eq!(o.n_poles, 10);
-        assert!(!o.enforce_stability);
         assert_eq!(o.axis, Axis::Real);
         assert!(o.include_const);
     }

@@ -3,7 +3,16 @@
 
 use rvf_numerics::{linspace, logspace, Complex};
 
-use crate::options::{Axis, PoleSpread, VfOptions};
+use crate::options::{Axis, VfOptions};
+
+/// Ratio `|Re|/|Im|` of the starting pairs on the imaginary axis
+/// (Gustavsen's classic 1/100 recipe).
+const INITIAL_DAMPING: f64 = 0.01;
+
+/// Real axis: lower bound on `|Im(pole)|` as a fraction of the sampled
+/// interval length, keeping the log base functions smooth on the
+/// interval.
+pub(crate) const REAL_AXIS_MIN_IMAG: f64 = 0.05;
 
 /// A single pole entry: either a real pole or a complex conjugate pair
 /// (stored as the member with positive imaginary part).
@@ -40,7 +49,7 @@ impl PoleEntry {
 /// ```
 /// use rvf_vecfit::PoleSet;
 ///
-/// let poles = PoleSet::initial_imag_axis(6, 1.0e3, 1.0e9, 0.01, true);
+/// let poles = PoleSet::initial_imag_axis(6, 1.0e3, 1.0e9);
 /// assert_eq!(poles.n_poles(), 6);
 /// assert!(poles.is_stable());
 /// ```
@@ -94,15 +103,9 @@ impl PoleSet {
     }
 
     /// Classic starting poles for frequency fitting: complex pairs with
-    /// imaginary parts spread over `[w_min, w_max]` (rad/s) and real
-    /// parts `-damping·ω`.
-    pub fn initial_imag_axis(
-        n_poles: usize,
-        w_min: f64,
-        w_max: f64,
-        damping: f64,
-        log_spread: bool,
-    ) -> Self {
+    /// imaginary parts spread logarithmically over `[w_min, w_max]`
+    /// (rad/s) and real parts `-ω/100`.
+    pub fn initial_imag_axis(n_poles: usize, w_min: f64, w_max: f64) -> Self {
         assert!(n_poles > 0, "need at least one pole");
         assert!(w_min > 0.0 && w_max > w_min, "need 0 < w_min < w_max");
         let n_pairs = n_poles / 2;
@@ -112,13 +115,8 @@ impl PoleSet {
             entries.push(PoleEntry::Real(-w_min));
         }
         if n_pairs > 0 {
-            let ws = if log_spread {
-                logspace(w_min.log10(), w_max.log10(), n_pairs)
-            } else {
-                linspace(w_min, w_max, n_pairs)
-            };
-            for w in ws {
-                entries.push(PoleEntry::Pair(Complex::new(-damping * w, w)));
+            for w in logspace(w_min.log10(), w_max.log10(), n_pairs) {
+                entries.push(PoleEntry::Pair(Complex::new(-INITIAL_DAMPING * w, w)));
             }
         }
         Self { entries }
@@ -126,18 +124,13 @@ impl PoleSet {
 
     /// Starting poles for real-axis (state) fitting: conjugate pairs with
     /// real parts spread across the sampled interval `[x_min, x_max]` and
-    /// imaginary parts a fixed fraction of the interval length.
-    pub(crate) fn initial_real_axis(
-        n_poles: usize,
-        x_min: f64,
-        x_max: f64,
-        imag_frac: f64,
-    ) -> Self {
+    /// imaginary parts [`REAL_AXIS_MIN_IMAG`] of the interval length.
+    pub(crate) fn initial_real_axis(n_poles: usize, x_min: f64, x_max: f64) -> Self {
         assert!(n_poles >= 2, "real-axis fitting needs at least one pair");
         assert!(x_max > x_min, "need a nonempty interval");
         let n_pairs = n_poles.div_ceil(2);
         let span = x_max - x_min;
-        let height = (imag_frac * span).max(1e-12);
+        let height = (REAL_AXIS_MIN_IMAG * span).max(1e-12);
         let centers = if n_pairs == 1 {
             vec![0.5 * (x_min + x_max)]
         } else {
@@ -157,14 +150,8 @@ impl PoleSet {
     /// sample grid; for the real axis they are the state interval bounds.
     pub(crate) fn initial_for(opts: &VfOptions, lo: f64, hi: f64) -> Self {
         match opts.axis {
-            Axis::Imaginary => Self::initial_imag_axis(
-                opts.n_poles,
-                lo.max(1e-30),
-                hi,
-                opts.initial_damping,
-                matches!(opts.spread, PoleSpread::Logarithmic),
-            ),
-            Axis::Real => Self::initial_real_axis(opts.n_poles, lo, hi, opts.real_axis_min_imag),
+            Axis::Imaginary => Self::initial_imag_axis(opts.n_poles, lo.max(1e-30), hi),
+            Axis::Real => Self::initial_real_axis(opts.n_poles, lo, hi),
         }
     }
 
@@ -179,14 +166,14 @@ impl PoleSet {
     /// collide with either the edge-seeded initial spread or the
     /// relocated poles. If `self` already has `n_poles` or more, it is
     /// returned unchanged.
-    pub(crate) fn grown_to(&self, n_poles: usize, opts: &VfOptions, lo: f64, hi: f64) -> Self {
+    pub(crate) fn grown_to(&self, n_poles: usize, axis: Axis, lo: f64, hi: f64) -> Self {
         let mut entries = self.entries.clone();
         let have = self.n_poles();
         if have >= n_poles {
             return Self { entries };
         }
         let missing = n_poles - have;
-        match opts.axis {
+        match axis {
             Axis::Imaginary => {
                 let n_pairs = missing / 2;
                 if missing % 2 == 1 {
@@ -195,16 +182,13 @@ impl PoleSet {
                 let lo = lo.max(1e-30);
                 for i in 1..=n_pairs {
                     let t = i as f64 / (n_pairs + 1) as f64;
-                    let w = match opts.spread {
-                        PoleSpread::Logarithmic => lo * (hi / lo).powf(t),
-                        PoleSpread::Linear => lo + t * (hi - lo),
-                    };
-                    entries.push(PoleEntry::Pair(Complex::new(-opts.initial_damping * w, w)));
+                    let w = lo * (hi / lo).powf(t);
+                    entries.push(PoleEntry::Pair(Complex::new(-INITIAL_DAMPING * w, w)));
                 }
             }
             Axis::Real => {
                 let span = hi - lo;
-                let height = (opts.real_axis_min_imag * span).max(1e-12);
+                let height = (REAL_AXIS_MIN_IMAG * span).max(1e-12);
                 let n_pairs = missing.div_ceil(2);
                 for i in 1..=n_pairs {
                     let t = i as f64 / (n_pairs + 1) as f64;
@@ -219,8 +203,8 @@ impl PoleSet {
     /// relocation step.
     ///
     /// * `Axis::Imaginary`: eigenvalues with `|Im|` below `pair_tol·|λ|`
-    ///   become real poles; if `enforce_stability`, right-half-plane
-    ///   poles are flipped (`Re → −Re`), the paper's stability guarantee.
+    ///   become real poles, and right-half-plane poles are flipped
+    ///   (`Re → −Re`), the paper's stability guarantee.
     /// * `Axis::Real`: every pole must be a complex pair off the real
     ///   axis; real eigenvalues are paired up and given an imaginary part
     ///   of at least `min_imag` so the log base functions stay smooth on
@@ -233,7 +217,6 @@ impl PoleSet {
     pub(crate) fn from_eigenvalues(
         eigs: &[Complex],
         axis: Axis,
-        enforce_stability: bool,
         min_imag: f64,
         clamp: Option<(f64, f64)>,
     ) -> Self {
@@ -245,16 +228,14 @@ impl PoleSet {
                     if used[i] {
                         continue;
                     }
-                    let mut a = eigs[i];
+                    let a = eigs[i];
                     let scale = a.abs().max(1e-30);
                     if a.im.abs() <= 1e-9 * scale {
-                        let mut re = a.re;
-                        if enforce_stability && re > 0.0 {
-                            re = -re;
-                        }
-                        if enforce_stability && re == 0.0 {
-                            re = -1e-12 * scale.max(1.0);
-                        }
+                        let re = match a.re {
+                            re if re > 0.0 => -re,
+                            0.0 => -1e-12 * scale.max(1.0),
+                            re => re,
+                        };
                         entries.push(PoleEntry::Real(re));
                         used[i] = true;
                     } else {
@@ -275,10 +256,8 @@ impl PoleSet {
                             used[j] = true;
                         }
                         used[i] = true;
-                        if enforce_stability && a.re > 0.0 {
-                            a = Complex::new(-a.re, a.im);
-                        }
-                        entries.push(PoleEntry::Pair(Complex::new(a.re, a.im.abs())));
+                        let re = if a.re > 0.0 { -a.re } else { a.re };
+                        entries.push(PoleEntry::Pair(Complex::new(re, a.im.abs())));
                     }
                 }
                 Self { entries }
@@ -380,7 +359,7 @@ mod tests {
 
     #[test]
     fn initial_imag_axis_structure() {
-        let p = PoleSet::initial_imag_axis(7, 1.0, 1e6, 0.01, true);
+        let p = PoleSet::initial_imag_axis(7, 1.0, 1e6);
         assert_eq!(p.n_poles(), 7);
         assert_eq!(p.n_entries(), 4); // 1 real + 3 pairs
         assert!(p.is_stable());
@@ -392,7 +371,7 @@ mod tests {
 
     #[test]
     fn initial_real_axis_pairs_only() {
-        let p = PoleSet::initial_real_axis(10, 0.4, 1.4, 0.05);
+        let p = PoleSet::initial_real_axis(10, 0.4, 1.4);
         assert_eq!(p.n_poles(), 10);
         for e in p.entries() {
             match e {
@@ -408,23 +387,15 @@ mod tests {
     #[test]
     fn from_eigenvalues_flips_unstable() {
         let eigs = [c(2.0, 5.0), c(2.0, -5.0), c(3.0, 0.0)];
-        let p = PoleSet::from_eigenvalues(&eigs, Axis::Imaginary, true, 0.0, None);
+        let p = PoleSet::from_eigenvalues(&eigs, Axis::Imaginary, 0.0, None);
         assert!(p.is_stable());
         assert_eq!(p.n_poles(), 3);
     }
 
     #[test]
-    fn from_eigenvalues_keeps_stable_without_flip() {
-        let eigs = [c(2.0, 5.0), c(2.0, -5.0)];
-        let p = PoleSet::from_eigenvalues(&eigs, Axis::Imaginary, false, 0.0, None);
-        assert!(!p.is_stable());
-        assert_eq!(p.to_complex()[0].re, 2.0);
-    }
-
-    #[test]
     fn real_axis_pairing_of_real_eigenvalues() {
         let eigs = [c(1.0, 0.0), c(2.0, 0.0), c(0.5, 0.3), c(0.5, -0.3)];
-        let p = PoleSet::from_eigenvalues(&eigs, Axis::Real, false, 0.05, None);
+        let p = PoleSet::from_eigenvalues(&eigs, Axis::Real, 0.05, None);
         // All entries must be pairs with |Im| >= 0.05.
         for e in p.entries() {
             match e {
@@ -438,7 +409,7 @@ mod tests {
     #[test]
     fn real_axis_odd_leftover() {
         let eigs = [c(1.0, 0.0)];
-        let p = PoleSet::from_eigenvalues(&eigs, Axis::Real, false, 0.1, None);
+        let p = PoleSet::from_eigenvalues(&eigs, Axis::Real, 0.1, None);
         assert_eq!(p.n_entries(), 1);
         match p.entries()[0] {
             PoleEntry::Pair(a) => {
@@ -451,9 +422,8 @@ mod tests {
 
     #[test]
     fn grown_to_keeps_existing_and_adds_pairs() {
-        let opts = crate::options::VfOptions::frequency(6);
-        let p = PoleSet::initial_imag_axis(4, 1.0, 1e6, 0.01, true);
-        let g = p.grown_to(6, &opts, 1.0, 1e6);
+        let p = PoleSet::initial_imag_axis(4, 1.0, 1e6);
+        let g = p.grown_to(6, Axis::Imaginary, 1.0, 1e6);
         assert_eq!(g.n_poles(), 6);
         // Original entries survive verbatim at the front.
         assert_eq!(&g.entries()[..p.n_entries()], p.entries());
@@ -463,14 +433,13 @@ mod tests {
             PoleEntry::Real(_) => panic!("expected a pair"),
         }
         // Already big enough: unchanged.
-        assert_eq!(p.grown_to(3, &opts, 1.0, 1e6), p);
+        assert_eq!(p.grown_to(3, Axis::Imaginary, 1.0, 1e6), p);
     }
 
     #[test]
     fn grown_to_real_axis_adds_interior_pairs() {
-        let opts = crate::options::VfOptions::state(4);
-        let p = PoleSet::initial_real_axis(4, 0.0, 2.0, 0.05);
-        let g = p.grown_to(6, &opts, 0.0, 2.0);
+        let p = PoleSet::initial_real_axis(4, 0.0, 2.0);
+        let g = p.grown_to(6, Axis::Real, 0.0, 2.0);
         assert_eq!(g.n_poles(), 6);
         match g.entries().last().unwrap() {
             PoleEntry::Pair(a) => {
@@ -483,9 +452,9 @@ mod tests {
 
     #[test]
     fn displacement_zero_for_identical() {
-        let p = PoleSet::initial_imag_axis(6, 1.0, 1e3, 0.01, true);
+        let p = PoleSet::initial_imag_axis(6, 1.0, 1e3);
         assert_eq!(p.displacement(&p), 0.0);
-        let q = PoleSet::initial_imag_axis(4, 1.0, 1e3, 0.01, true);
+        let q = PoleSet::initial_imag_axis(4, 1.0, 1e3);
         assert!(p.displacement(&q).is_infinite());
     }
 
