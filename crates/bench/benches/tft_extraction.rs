@@ -22,7 +22,6 @@ fn bench_training_transient(c: &mut Criterion) {
                     dt: 1.0e-5 / 200.0,
                     t_stop: 1.0e-5 / 10.0,
                     snapshot_every: Some(2),
-                    ..Default::default()
                 };
                 transient(&mut ckt, &op, &opts).unwrap()
             },
@@ -35,12 +34,7 @@ fn bench_tft_transform(c: &mut Criterion) {
     // Capture once; benchmark only the frequency-domain transform.
     let mut ckt = buffer_circuit();
     let op = dc_operating_point(&mut ckt, &DcOptions::default()).unwrap();
-    let opts = TranOptions {
-        dt: 1.0e-5 / 400.0,
-        t_stop: 1.0e-5 / 10.0,
-        snapshot_every: Some(2),
-        ..Default::default()
-    };
+    let opts = TranOptions { dt: 1.0e-5 / 400.0, t_stop: 1.0e-5 / 10.0, snapshot_every: Some(2) };
     let tran = transient(&mut ckt, &op, &opts).unwrap();
     let b_col = ckt.input_column().unwrap();
     let d_row = ckt.output_row().unwrap();

@@ -19,12 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "epsilon", "fpoles", "spoles", "surface RMS", "build [s]"
     );
     for &eps in &[1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5] {
-        let opts = RvfOptions {
-            epsilon: eps,
-            max_state_poles: 20,
-            max_freq_poles: 24,
-            ..Default::default()
-        };
+        let opts = RvfOptions { epsilon: eps, max_state_poles: 20, ..Default::default() };
         let report = fit_tft(&dataset, &opts)?;
         let es = error_surface(&dataset, |x, s| report.model.transfer(x, s));
         println!(

@@ -31,7 +31,6 @@
 //!     dt: 2.0e-11,
 //!     t_stop: 4.0e-10,
 //!     snapshot_every: Some(10),
-//!     ..Default::default()
 //! };
 //! let result = transient(&mut buf, &op, &opts)?;
 //! assert!(!result.snapshots.is_empty());

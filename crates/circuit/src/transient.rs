@@ -1,12 +1,28 @@
 //! Transient analysis: fixed-step trapezoidal integration (second order,
 //! A-stable, SPICE's default) with Newton at every step and optional
 //! Jacobian snapshot capture.
+//!
+//! A caller chooses the step, the stop time and the snapshot cadence.
+//! The Newton loop's settings are fixed: at most `MAX_NEWTON`
+//! iterations per step, converged once the residual is below
+//! `TOL_RESIDUAL` and the update below `TOL_UPDATE`, with `GMIN`
+//! from every node to ground.
 
 use rvf_numerics::Lu;
 
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
 use crate::snapshot::JacobianSnapshot;
+
+/// Maximum Newton iterations per time step.
+const MAX_NEWTON: usize = 50;
+/// Newton residual tolerance (A).
+const TOL_RESIDUAL: f64 = 1e-9;
+/// Newton update tolerance (V).
+const TOL_UPDATE: f64 = 1e-9;
+/// Conductance kept from every node to ground during the transient (S);
+/// it helps devices in cutoff.
+const GMIN: f64 = 1e-12;
 
 /// Options for the transient solver.
 #[derive(Debug, Clone)]
@@ -15,29 +31,13 @@ pub struct TranOptions {
     pub dt: f64,
     /// Stop time (s); the solver takes `ceil(t_stop/dt)` steps.
     pub t_stop: f64,
-    /// Maximum Newton iterations per step.
-    pub max_newton: usize,
-    /// Residual tolerance (A).
-    pub tol_residual: f64,
-    /// Update tolerance (V).
-    pub tol_update: f64,
-    /// Gmin kept during transient (helps cutoff devices; 0 disables).
-    pub gmin: f64,
     /// Capture a [`JacobianSnapshot`] every `n` steps (`None` disables).
     pub snapshot_every: Option<usize>,
 }
 
 impl Default for TranOptions {
     fn default() -> Self {
-        Self {
-            dt: 1e-12,
-            t_stop: 1e-9,
-            max_newton: 50,
-            tol_residual: 1e-9,
-            tol_update: 1e-9,
-            gmin: 1e-12,
-            snapshot_every: None,
-        }
+        Self { dt: 1e-12, t_stop: 1e-9, snapshot_every: None }
     }
 }
 
@@ -106,7 +106,7 @@ pub fn transient(
     let mut x = x0.to_vec();
     // q and q̇ at the current accepted point; at a DC equilibrium
     // f(x₀) + q̇ = 0 gives q̇₀ = −f(x₀) (≈ 0 when starting from the op).
-    let ev0 = circuit.eval(&x, 0.0, opts.gmin, false);
+    let ev0 = circuit.eval(&x, 0.0, GMIN, false);
     let mut q_prev = ev0.q;
     let mut qdot_prev: Vec<f64> = ev0.f.iter().map(|v| -v).collect();
 
@@ -124,9 +124,9 @@ pub fn transient(
         // Newton on the discretized residual.
         let mut converged = false;
         let mut residual = f64::INFINITY;
-        for _ in 0..opts.max_newton {
+        for _ in 0..MAX_NEWTON {
             result.newton_iterations += 1;
-            let ev = circuit.eval(&x, t, opts.gmin, true);
+            let ev = circuit.eval(&x, t, GMIN, true);
             let (g, c) = match (ev.g, ev.c) {
                 (Some(g), Some(c)) => (g, c),
                 _ => return Err(CircuitError::MissingJacobian),
@@ -147,20 +147,16 @@ pub fn transient(
             for (xi, di) in x.iter_mut().zip(&dx) {
                 *xi -= alpha * di;
             }
-            if residual < opts.tol_residual && norm * alpha < opts.tol_update {
+            if residual < TOL_RESIDUAL && norm * alpha < TOL_UPDATE {
                 converged = true;
                 break;
             }
         }
         if !converged {
-            return Err(CircuitError::NewtonDiverged {
-                iterations: opts.max_newton,
-                residual,
-                time: t,
-            });
+            return Err(CircuitError::NewtonDiverged { iterations: MAX_NEWTON, residual, time: t });
         }
         // Accept: update charge history.
-        let ev = circuit.eval(&x, t, opts.gmin, false);
+        let ev = circuit.eval(&x, t, GMIN, false);
         for i in 0..dim {
             qdot_prev[i] = k * (ev.q[i] - q_prev[i]) - qdot_prev[i];
         }
@@ -344,8 +340,7 @@ mod tests {
             },
         );
         let x0 = dc_operating_point(&mut ckt, &DcOptions::default()).unwrap();
-        let opts =
-            TranOptions { dt: 1e-8, t_stop: 1e-5, snapshot_every: Some(100), ..Default::default() };
+        let opts = TranOptions { dt: 1e-8, t_stop: 1e-5, snapshot_every: Some(100) };
         let res = transient(&mut ckt, &x0, &opts).unwrap();
         assert_eq!(res.snapshots.len(), 1000 / 100 + 1); // incl. t=0
         for s in &res.snapshots {

@@ -19,7 +19,6 @@ fn one_period_sine_with_snapshots() {
         dt: period / steps as f64,
         t_stop: period,
         snapshot_every: Some(steps / 100),
-        ..Default::default()
     };
     let res = transient(&mut buf, &op, &opts).unwrap();
     assert_eq!(res.snapshots.len(), 101, "~100 training snapshots");

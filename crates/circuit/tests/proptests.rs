@@ -80,7 +80,6 @@ proptest! {
                 dt: 1e-7,
                 t_stop: 2e-6,
                 snapshot_every: Some(10),
-                ..Default::default()
             },
         )
         .unwrap();

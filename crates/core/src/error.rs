@@ -13,23 +13,12 @@ use crate::serving::ServingError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum RvfError {
-    /// The error target was not reached within the pole budget.
-    ToleranceNotReached {
-        /// Which stage failed (`"frequency"` or `"state"`).
-        stage: &'static str,
-        /// Relative RMS error achieved.
-        achieved: f64,
-        /// Requested tolerance.
-        epsilon: f64,
-        /// Pole budget that was exhausted.
-        max_poles: usize,
-    },
     /// A pole-growth loop was given no pole count to try: its starting
-    /// count (at least 2) exceeds its maximum.
+    /// count exceeds its maximum.
     EmptyPoleBudget {
         /// Which stage (`"frequency"` or `"state"`).
         stage: &'static str,
-        /// Starting pole count, after raising it to at least 2.
+        /// Starting pole count.
         start: usize,
         /// Maximum pole count.
         max: usize,
@@ -63,10 +52,6 @@ pub enum RvfError {
 impl fmt::Display for RvfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::ToleranceNotReached { stage, achieved, epsilon, max_poles } => write!(
-                f,
-                "{stage} fit reached {achieved:.3e} (target {epsilon:.3e}) with {max_poles} poles"
-            ),
             Self::EmptyPoleBudget { stage, start, max } => {
                 write!(f, "{stage} pole budget is empty: start {start} exceeds max {max}")
             }
@@ -135,13 +120,9 @@ mod tests {
     #[test]
     fn display_and_chaining() {
         use std::error::Error;
-        let e = RvfError::ToleranceNotReached {
-            stage: "frequency",
-            achieved: 1e-2,
-            epsilon: 1e-3,
-            max_poles: 24,
-        };
-        assert!(e.to_string().contains("frequency"));
+        let e = RvfError::EmptyPoleBudget { stage: "state", start: 4, max: 2 };
+        assert!(e.to_string().contains("state"));
+        assert!(e.source().is_none());
         let e = RvfError::from(VecfitError::EmptyData);
         assert!(e.source().is_some());
         let e = RvfError::from(ServingError::BadDt { dt: 0.0 });

@@ -287,7 +287,9 @@ impl HammersteinModel {
 ///
 /// # Errors
 ///
-/// Propagates fitting failures; in strict mode also tolerance misses.
+/// Propagates fitting failures. A stage that misses `ε` within its pole
+/// budget is not an error: it keeps its best fit, and the diagnostics
+/// report the error it reached.
 pub fn build_hammerstein(
     dataset: &TftDataset,
     freq_stage: &StageFit,

@@ -27,7 +27,9 @@ pub struct ExtractionReport {
 ///
 /// # Errors
 ///
-/// Propagates fitting failures (and tolerance misses in strict mode).
+/// Propagates fitting failures. A stage that misses `ε` within its pole
+/// budget keeps its best fit; the report's diagnostics give the error it
+/// reached.
 pub fn fit_tft(dataset: &TftDataset, opts: &RvfOptions) -> Result<ExtractionReport, RvfError> {
     let start = Instant::now();
     let s_grid = dataset.s_grid();

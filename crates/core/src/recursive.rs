@@ -17,11 +17,11 @@
 //! and the product-form closed integral of eq. 18.
 
 use rvf_numerics::{Complex, SweepPool};
-use rvf_vecfit::{auto_workers, PoleSet, RationalModel, VecfitError, VfOptions};
+use rvf_vecfit::{auto_workers, Axis, PoleSet, RationalModel, VecfitError};
 
 use crate::error::RvfError;
 use crate::integrated::IntegratedStateFn;
-use crate::rvf::{fit_state_stage_in, grow_poles, single_response, state_preset, RvfOptions};
+use crate::rvf::{fit_state_stage_in, grow_poles, single_response, RvfOptions};
 
 /// A recursively fitted bivariate function `f(x₁, x₂)`: common poles in
 /// `x₂`, with every `x₂`-basis coefficient itself a rational function of
@@ -114,20 +114,18 @@ pub fn fit_recursive_2d(
     let x2_samples: Vec<Complex> = x2_grid.iter().map(|&v| Complex::from_re(v)).collect();
     let data: Vec<Vec<Complex>> =
         values.iter().map(|row| row.iter().map(|&v| Complex::from_re(v)).collect()).collect();
-    let pool = SweepPool::new(auto_workers(opts.threads, data.len().max(opts.max_state_poles + 1)));
+    let inner_responses = opts.max_state_poles.saturating_add(1);
+    let pool = SweepPool::new(auto_workers(opts.threads, data.len().max(inner_responses)));
     // Grow the outer pole count until the bound is met (Algorithm 1).
-    // Unlike the state stage, this level fits odd counts as requested
-    // rather than rounding them up to a pair.
     let peak =
         values.iter().flat_map(|r| r.iter()).fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-    let preset = |p| VfOptions { n_poles: p, ..state_preset(p, opts) };
-    let budget = ("state", opts.start_state_poles, opts.max_state_poles);
-    let outer = grow_poles(&pool, &x2_samples, &data, preset, budget, peak, opts)?.fit;
+    let outer =
+        grow_poles(&pool, &x2_samples, &data, Axis::Real, opts.max_state_poles, peak, opts)?.fit;
 
     // Level 2 (the recursion): each outer basis coefficient is a
     // trajectory over x₁ — fit them with common x₁ poles.
     let n_basis = outer.model.poles().n_basis();
-    let has_const = true; // VfOptions::state always carries the constant column
+    let has_const = true; // a real-axis fit always carries the constant column
     let mut trajectories: Vec<Vec<f64>> = vec![Vec::with_capacity(x1_grid.len()); n_basis + 1];
     for terms in outer.model.terms() {
         let flat = terms.residues.to_flat(outer.model.poles());
@@ -233,9 +231,21 @@ mod tests {
         let x1 = linspace(0.0, 1.0, 30);
         let x2 = linspace(0.0, 1.0, 30);
         let values = grid_values(&x1, &x2, |a, b| a + b);
-        let opts = RvfOptions { start_state_poles: 20, max_state_poles: 16, ..Default::default() };
+        let opts = RvfOptions { max_state_poles: 2, ..Default::default() };
         let err = fit_recursive_2d(&x1, &x2, &values, &opts).unwrap_err();
-        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "state", start: 20, max: 16 });
+        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "state", start: 4, max: 2 });
+    }
+
+    #[test]
+    fn unbounded_state_budget_does_not_overflow() {
+        // The pool sizing adds one coefficient trajectory to the budget;
+        // at usize::MAX that must saturate, and the growth loop stops on
+        // the sample count instead.
+        let x1 = linspace(0.0, 1.0, 30);
+        let x2 = linspace(0.0, 1.0, 30);
+        let values = grid_values(&x1, &x2, |a, b| a + b);
+        let opts = RvfOptions { max_state_poles: usize::MAX, ..Default::default() };
+        assert!(fit_recursive_2d(&x1, &x2, &values, &opts).is_ok());
     }
 
     #[test]

@@ -7,11 +7,24 @@
 //! common pole set, grown the same way, where the paper gives each residue
 //! its own. Both stages, and both levels of the 2-D recursion in
 //! [`crate::recursive`], run the one growth loop of this module.
+//!
+//! A caller sets only `ε`, the state-pole budget and the thread count.
+//! The rest of Algorithm 1's schedule is fixed: both stages start at 4
+//! poles (`START_POLES`), the frequency stage stops at 24
+//! (`MAX_FREQ_POLES`), every fit runs its [`VfOptions`] preset's 10
+//! relocation rounds (fewer once the poles settle to a relative
+//! displacement of 1e-10), and each count after the first starts from
+//! the previous count's relocated poles.
 
 use rvf_numerics::{Complex, SweepPool};
 use rvf_vecfit::{auto_workers, fit_in, Axis, PoleSet, RationalModel, VfFit, VfOptions};
 
 use crate::error::RvfError;
+
+/// Pole count at which every growth loop starts.
+pub(crate) const START_POLES: usize = 4;
+/// Largest frequency-stage pole count.
+pub(crate) const MAX_FREQ_POLES: usize = 24;
 
 /// Options for the RVF extraction (paper: `ε = 10⁻³`, yielding 12
 /// frequency poles and 10 state poles per residue on the buffer; here one
@@ -20,56 +33,18 @@ use crate::error::RvfError;
 pub struct RvfOptions {
     /// Relative error bound `ε` for both fitting stages.
     pub epsilon: f64,
-    /// Starting number of frequency poles.
-    pub start_freq_poles: usize,
-    /// Maximum number of frequency poles.
-    pub max_freq_poles: usize,
-    /// Starting number of state poles (rounded up to pairs).
-    pub start_state_poles: usize,
     /// Maximum size of a model's common state-pole set.
     pub max_state_poles: usize,
-    /// Relocation iterations for the frequency fits.
-    pub freq_vf_iterations: usize,
-    /// Relocation iterations for the state fits.
-    pub state_vf_iterations: usize,
-    /// Abort instead of accepting the best effort when the pole budget
-    /// is exhausted before `ε` is met.
-    pub strict: bool,
-    /// Warm-start each pole-count increment from the previous fit's
-    /// relocated poles (augmented to the new count) instead of
-    /// re-seeding from the generic spread — already-settled poles need
-    /// few further relocation rounds, so the growth loop performs
-    /// strictly fewer total rounds on well-behaved data.
-    pub warm_start: bool,
     /// Worker threads for the per-response stages of every vector fit
     /// (see [`rvf_vecfit::VfOptions::threads`]): `0` = one per core
     /// above the engine's response-count crossover, `1` = serial. The
     /// fit results are bit-identical for every setting.
     pub threads: usize,
-    /// Per-fit relocation convergence threshold (see
-    /// [`rvf_vecfit::VfOptions::stop_displacement`]): once a round's
-    /// maximum relative pole displacement drops below it, that fit
-    /// stops iterating. The default `1e-10` effectively always runs the
-    /// full iteration budget; warm-started growth benefits from a
-    /// looser value (e.g. `1e-4`).
-    pub vf_stop_displacement: f64,
 }
 
 impl Default for RvfOptions {
     fn default() -> Self {
-        Self {
-            epsilon: 1e-3,
-            start_freq_poles: 4,
-            max_freq_poles: 24,
-            start_state_poles: 4,
-            max_state_poles: 16,
-            freq_vf_iterations: 10,
-            state_vf_iterations: 10,
-            strict: false,
-            warm_start: true,
-            threads: 0,
-            vf_stop_displacement: 1e-10,
-        }
+        Self { epsilon: 1e-3, max_state_poles: 16, threads: 0 }
     }
 }
 
@@ -83,7 +58,7 @@ pub struct StageFit {
     /// Number of poles used.
     pub n_poles: usize,
     /// Total pole-relocation rounds performed across *all* pole counts
-    /// the stage tried — the work metric the warm start cuts.
+    /// the stage tried.
     pub relocation_rounds: usize,
     /// Fits of the stage whose warm start failed and fell back to a cold
     /// restart (see [`rvf_vecfit::VfFit::cold_restarted`]).
@@ -96,10 +71,8 @@ pub struct StageFit {
 ///
 /// # Errors
 ///
-/// Returns [`RvfError::EmptyPoleBudget`] when `start_freq_poles`
-/// exceeds `max_freq_poles`, and [`RvfError::ToleranceNotReached`] in
-/// strict mode when the pole budget is exhausted; otherwise returns the
-/// best fit found.
+/// Propagates fitting failures; otherwise returns the best fit found,
+/// which misses `ε` when the pole budget runs out first.
 pub fn fit_frequency_stage(
     s_grid: &[Complex],
     responses: &[Vec<Complex>],
@@ -110,15 +83,7 @@ pub fn fit_frequency_stage(
     let pool = SweepPool::new(auto_workers(opts.threads, responses.len()));
     let peak =
         responses.iter().flat_map(|r| r.iter()).fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-    let preset = |p| {
-        VfOptions::frequency(p)
-            .with_iterations(opts.freq_vf_iterations)
-            .with_threads(opts.threads)
-            .with_stop_displacement(opts.vf_stop_displacement)
-    };
-    let budget = ("frequency", opts.start_freq_poles, opts.max_freq_poles);
-    let best = grow_poles(&pool, s_grid, responses, preset, budget, peak, opts)?;
-    strict_check(best, budget, opts)
+    grow_poles(&pool, s_grid, responses, Axis::Imaginary, MAX_FREQ_POLES, peak, opts)
 }
 
 /// Fits one or more real-valued state trajectories with *common*
@@ -130,11 +95,9 @@ pub fn fit_frequency_stage(
 ///
 /// # Errors
 ///
-/// Returns [`RvfError::EmptyPoleBudget`] when `start_state_poles`
-/// exceeds `max_state_poles`, [`RvfError::TooFewStates`] when the
-/// states cannot support the starting pole count,
-/// [`RvfError::ToleranceNotReached`] in strict mode when the pole
-/// budget is exhausted, and propagates fitting failures.
+/// Returns [`RvfError::EmptyPoleBudget`] when `max_state_poles` is
+/// below the starting count of 4, [`RvfError::TooFewStates`] when the
+/// states cannot support it, and propagates fitting failures.
 pub fn fit_state_stage(
     states: &[f64],
     trajectories: &[Vec<f64>],
@@ -157,30 +120,15 @@ pub(crate) fn fit_state_stage_in(
     let xs: Vec<Complex> = states.iter().map(|&x| Complex::from_re(x)).collect();
     let data: Vec<Vec<Complex>> =
         trajectories.iter().map(|t| t.iter().map(|&v| Complex::from_re(v)).collect()).collect();
-    let preset = |p| state_preset(p, opts);
-    let budget = ("state", opts.start_state_poles, opts.max_state_poles);
-    let best = grow_poles(pool, &xs, &data, preset, budget, scale.max(1e-300), opts)?;
-    strict_check(best, budget, opts)
+    grow_poles(pool, &xs, &data, Axis::Real, opts.max_state_poles, scale.max(1e-300), opts)
 }
-
-/// The state-axis preset for `p` poles (rounded up to a pair) with the
-/// RVF iteration, thread and convergence settings.
-pub(crate) fn state_preset(p: usize, opts: &RvfOptions) -> VfOptions {
-    VfOptions::state(p)
-        .with_iterations(opts.state_vf_iterations)
-        .with_threads(opts.threads)
-        .with_stop_displacement(opts.vf_stop_displacement)
-}
-
-/// A growth loop's pole budget: stage name, starting and maximum count.
-type PoleBudget = (&'static str, usize, usize);
 
 /// The pole-growth loop of paper Algorithm 1, shared by every stage: fit
-/// with `preset(p)` poles and, while `rms / scale` is above `ε`, add two
-/// poles and fit again — from the previous fit's relocated poles when
-/// [`RvfOptions::warm_start`] is set — until the budget's maximum.
-/// Real-axis presets stop growing once the samples no longer support
-/// the count (real rows are single equations, so `L ≥ 2P + 2`).
+/// with the `axis` preset's `p` poles from `START_POLES` and, while
+/// `rms / scale` is above `ε`, add two poles and fit again from the
+/// previous fit's relocated poles, until `max`. Real-axis fits stop
+/// growing once the samples no longer support the count (real rows are
+/// single equations, so `L ≥ 2P + 2`).
 ///
 /// Returns the lowest-error fit, with the relocation rounds and cold
 /// restarts of every count tried.
@@ -188,12 +136,16 @@ pub(crate) fn grow_poles(
     pool: &SweepPool,
     samples: &[Complex],
     data: &[Vec<Complex>],
-    preset: impl Fn(usize) -> VfOptions,
-    (stage, start, max): PoleBudget,
+    axis: Axis,
+    max: usize,
     scale: f64,
     opts: &RvfOptions,
 ) -> Result<StageFit, RvfError> {
-    let start = start.max(2);
+    let (stage, preset): (_, fn(usize) -> VfOptions) = match axis {
+        Axis::Imaginary => ("frequency", VfOptions::frequency),
+        Axis::Real => ("state", VfOptions::state),
+    };
+    let start = START_POLES;
     if start > max {
         return Err(RvfError::EmptyPoleBudget { stage, start, max });
     }
@@ -202,16 +154,14 @@ pub(crate) fn grow_poles(
     let (mut relocation_rounds, mut cold_restarts) = (0, 0);
     let mut p = start;
     while p <= max {
-        let vf_opts = preset(p);
-        if vf_opts.axis == Axis::Real && samples.len() < 2 * p + 2 {
+        if axis == Axis::Real && samples.len() < 2 * p + 2 {
             break;
         }
+        let vf_opts = preset(p).with_threads(opts.threads);
         let fit = fit_in(pool, samples, data, &vf_opts, warm.as_ref())?;
         relocation_rounds += fit.iterations_run;
         cold_restarts += usize::from(fit.cold_restarted);
-        if opts.warm_start {
-            warm = Some(fit.model.poles().clone());
-        }
+        warm = Some(fit.model.poles().clone());
         let rel = fit.rms_error / scale;
         if best.as_ref().is_none_or(|b| rel < b.rel_error) {
             best = Some(StageFit {
@@ -231,23 +181,6 @@ pub(crate) fn grow_poles(
         best.ok_or(RvfError::TooFewStates { got: samples.len(), needed: 2 * start + 2 })?;
     best.relocation_rounds = relocation_rounds;
     best.cold_restarts = cold_restarts;
-    Ok(best)
-}
-
-/// Strict mode: a best effort that misses `ε` is an error.
-fn strict_check(
-    best: StageFit,
-    (stage, _, max_poles): PoleBudget,
-    opts: &RvfOptions,
-) -> Result<StageFit, RvfError> {
-    if opts.strict && best.rel_error > opts.epsilon {
-        return Err(RvfError::ToleranceNotReached {
-            stage,
-            achieved: best.rel_error,
-            epsilon: opts.epsilon,
-            max_poles,
-        });
-    }
     Ok(best)
 }
 
@@ -287,34 +220,10 @@ mod tests {
             .iter()
             .map(|&s| poles.iter().zip(&residues).map(|(&a, &r)| r * (s - a).inv()).sum())
             .collect()];
-        let opts = RvfOptions { epsilon: 1e-6, start_freq_poles: 4, ..Default::default() };
+        let opts = RvfOptions { epsilon: 1e-6, ..Default::default() };
         let stage = fit_frequency_stage(&s_grid, &data, &opts).unwrap();
         assert!(stage.n_poles >= 6, "stopped at {} poles", stage.n_poles);
         assert!(stage.rel_error <= 1e-6, "rel err {}", stage.rel_error);
-    }
-
-    #[test]
-    fn strict_mode_reports_failure() {
-        // A sharp resonance cannot be matched with 2 poles max.
-        let s_grid = jw_grid(&linspace(1.0, 100.0, 80));
-        let data: Vec<Vec<Complex>> = vec![s_grid
-            .iter()
-            .map(|&s| {
-                (s - c(-0.1, 30.0)).inv()
-                    + (s - c(-0.1, -30.0)).inv()
-                    + (s - c(-0.2, 70.0)).inv()
-                    + (s - c(-0.2, -70.0)).inv()
-            })
-            .collect()];
-        let opts = RvfOptions {
-            epsilon: 1e-9,
-            start_freq_poles: 2,
-            max_freq_poles: 2,
-            strict: true,
-            ..Default::default()
-        };
-        let err = fit_frequency_stage(&s_grid, &data, &opts).unwrap_err();
-        assert!(matches!(err, RvfError::ToleranceNotReached { stage: "frequency", .. }));
     }
 
     #[test]
@@ -351,18 +260,8 @@ mod tests {
     fn state_stage_too_few_states() {
         let states = [0.0, 0.5, 1.0];
         let data = vec![vec![1.0, 2.0, 3.0]];
-        let opts = RvfOptions { start_state_poles: 4, ..Default::default() };
-        let err = fit_state_stage(&states, &data, 1.0, &opts).unwrap_err();
+        let err = fit_state_stage(&states, &data, 1.0, &RvfOptions::default()).unwrap_err();
         assert!(matches!(err, RvfError::TooFewStates { .. }));
-    }
-
-    #[test]
-    fn frequency_stage_empty_pole_budget_is_a_typed_error() {
-        let s_grid = jw_grid(&logspace(2.0, 6.0, 40));
-        let data = vec![s_grid.iter().map(|&s| (s + 1.0e3).inv()).collect::<Vec<_>>()];
-        let opts = RvfOptions { start_freq_poles: 30, max_freq_poles: 24, ..Default::default() };
-        let err = fit_frequency_stage(&s_grid, &data, &opts).unwrap_err();
-        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "frequency", start: 30, max: 24 });
     }
 
     #[test]
@@ -371,10 +270,10 @@ mod tests {
         // sample count, is what is wrong.
         let states = linspace(0.0, 1.0, 60);
         let traj: Vec<f64> = states.iter().map(|&x| x * x).collect();
-        let opts = RvfOptions { start_state_poles: 20, max_state_poles: 16, ..Default::default() };
+        let opts = RvfOptions { max_state_poles: 2, ..Default::default() };
         let err = fit_state_stage(&states, &[traj], 1.0, &opts).unwrap_err();
-        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "state", start: 20, max: 16 });
-        assert!(err.to_string().contains("start 20 exceeds max 16"), "{err}");
+        assert_eq!(err, RvfError::EmptyPoleBudget { stage: "state", start: 4, max: 2 });
+        assert!(err.to_string().contains("start 4 exceeds max 2"), "{err}");
     }
 
     #[test]

@@ -233,7 +233,6 @@ pub fn extract_from_circuit(
         dt: cfg.t_train / cfg.steps as f64,
         t_stop: cfg.t_train,
         snapshot_every: Some(every),
-        ..Default::default()
     };
     let tran = transient(circuit, &op, &opts)?;
     let b = circuit.input_column()?;
@@ -488,7 +487,6 @@ mod tests {
             dt: cfg.t_train / cfg.steps as f64,
             t_stop: cfg.t_train,
             snapshot_every: Some((cfg.steps / cfg.n_snapshots).max(1)),
-            ..Default::default()
         };
         let tran = transient(&mut ckt, &op, &opts).unwrap();
         let b = ckt.input_column().unwrap();

@@ -7,7 +7,8 @@
 //! Runs every zoo family through the full extraction pipeline, prints a
 //! per-family accuracy table, optionally writes the JSON report
 //! artifact, and exits `1` if any family violates its committed
-//! contract (`2` on harness errors).
+//! contract (`2` on harness errors, an unstable extracted model among
+//! them).
 
 use std::process::ExitCode;
 

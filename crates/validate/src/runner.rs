@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use rvf_circuit::{dc_operating_point, parse_netlist, transient, CircuitError, TranOptions};
-use rvf_core::{extract_model, RvfError};
+use rvf_core::{extract_model, DynBlock, HammersteinModel, RvfError};
 
 use crate::json::Json;
 use crate::report::{AccuracyContract, AccuracyReport, Violation};
@@ -47,6 +47,16 @@ pub enum ZooError {
         /// Underlying extraction error.
         source: RvfError,
     },
+    /// An extracted model has a dynamic block whose pole is not in the
+    /// open left half-plane.
+    UnstableModel {
+        /// Family being run.
+        family: String,
+        /// Index of the block in [`HammersteinModel::blocks`].
+        block: usize,
+        /// Real part of the block's pole.
+        re: f64,
+    },
     /// The contract manifest has no entry for a family.
     MissingContract {
         /// Family lacking a contract.
@@ -61,6 +71,9 @@ impl core::fmt::Display for ZooError {
         match self {
             Self::Circuit { family, source } => write!(f, "family '{family}': {source}"),
             Self::Extraction { family, source } => write!(f, "family '{family}': {source}"),
+            Self::UnstableModel { family, block, re } => {
+                write!(f, "family '{family}': block {block} is unstable (pole real part {re:e})")
+            }
             Self::MissingContract { family } => {
                 write!(f, "no contract for family '{family}' in the manifest")
             }
@@ -72,12 +85,14 @@ impl core::fmt::Display for ZooError {
 impl std::error::Error for ZooError {}
 
 /// Runs one family end to end: parse both decks, extract a model from
-/// the training deck, simulate the validation deck at transistor level
-/// (the oracle) and score the compiled model against it.
+/// the training deck, check that it is stable, simulate the validation
+/// deck at transistor level (the oracle) and score the compiled model
+/// against it.
 ///
 /// # Errors
 ///
-/// Returns [`ZooError`] if any pipeline stage fails.
+/// Returns [`ZooError`] if any pipeline stage fails, and
+/// [`ZooError::UnstableModel`] if the extracted model is unstable.
 pub fn run_family(family: &ZooFamily) -> Result<FamilyRun, ZooError> {
     let ckt = |e: CircuitError| ZooError::Circuit { family: family.name.into(), source: e };
     let ext = |e: RvfError| ZooError::Extraction { family: family.name.into(), source: e };
@@ -85,6 +100,7 @@ pub fn run_family(family: &ZooFamily) -> Result<FamilyRun, ZooError> {
     let mut train = parse_netlist(&family.train_deck).map_err(ckt)?;
     let (extraction, _dataset, _train_tran) =
         extract_model(&mut train, &family.tft, &family.rvf).map_err(ext)?;
+    check_stable(family.name, &extraction.model)?;
 
     let mut valid = parse_netlist(&family.valid_deck).map_err(ckt)?;
     let op = dc_operating_point(&mut valid, &Default::default()).map_err(ckt)?;
@@ -102,6 +118,23 @@ pub fn run_family(family: &ZooFamily) -> Result<FamilyRun, ZooError> {
         cold_restarts: extraction.diagnostics.cold_restarts,
         build_seconds: extraction.build_seconds,
     })
+}
+
+/// Checks that every dynamic block of `model` is stable: a real block's
+/// pole `a` and a pair's real part `σ` must be negative. The frequency
+/// fit flips unstable poles, so this checks that construction rather
+/// than trusting it.
+fn check_stable(family: &str, model: &HammersteinModel) -> Result<(), ZooError> {
+    for (block, b) in model.blocks.iter().enumerate() {
+        let re = match *b {
+            DynBlock::Real { a, .. } => a,
+            DynBlock::Pair { sigma, .. } => sigma,
+        };
+        if re.is_nan() || re >= 0.0 {
+            return Err(ZooError::UnstableModel { family: family.into(), block, re });
+        }
+    }
+    Ok(())
 }
 
 /// Parses a contract manifest (JSON object keyed by family name).
@@ -232,6 +265,44 @@ mod tests {
         for family in crate::zoo::zoo(crate::zoo::DEFAULT_SEED) {
             assert!(contracts.contains_key(family.name), "no contract for '{}'", family.name);
         }
+    }
+
+    #[test]
+    fn unstable_block_is_a_typed_error() {
+        use rvf_core::{IntegratedStateFn, StateFn};
+        let f = || StateFn {
+            rational: Default::default(),
+            primitive: IntegratedStateFn {
+                terms: vec![],
+                linear: 1.0,
+                quadratic: 0.0,
+                constant: 0.0,
+            },
+        };
+        let pair = |sigma| DynBlock::Pair { sigma, omega: 2.0, f1: f(), f2: f() };
+        let mut model = HammersteinModel {
+            static_path: f(),
+            blocks: vec![pair(-1.0), DynBlock::Real { a: -3.0, f: f() }],
+            u0: 0.0,
+            y0: 0.0,
+        };
+        assert!(check_stable("hand_built", &model).is_ok());
+        for (block, re) in [(1, 0.5), (1, 0.0), (0, f64::NAN)] {
+            let mut unstable = model.clone();
+            match &mut unstable.blocks[block] {
+                DynBlock::Real { a, .. } => *a = re,
+                DynBlock::Pair { sigma, .. } => *sigma = re,
+            }
+            let err = check_stable("hand_built", &unstable).unwrap_err();
+            assert!(
+                matches!(&err, ZooError::UnstableModel { family, block: b, .. }
+                    if family == "hand_built" && *b == block),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(&format!("'hand_built': block {block}")), "{err}");
+        }
+        model.blocks.clear();
+        assert!(check_stable("no_blocks", &model).is_ok());
     }
 
     #[test]

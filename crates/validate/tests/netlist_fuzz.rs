@@ -4,8 +4,10 @@
 //!
 //! The mutants are every char-boundary truncation and every
 //! single-token deletion of each zoo train and validation deck (seeds
-//! 1–3), plus `.subckt` instances that connect one port too few or too
-//! many, which must be refused.
+//! 1–3), every swap of two adjacent lines and every duplicated line of
+//! those decks, plus `.subckt` instances that connect one port too few
+//! or too many, which must be refused. A duplicated element line must be
+//! refused too: a netlist names each device once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -95,4 +97,52 @@ fn subckt_instances_with_a_lying_port_count_are_refused() {
         }
     }
     assert!(instances >= 12, "only {instances} subcircuit instances in the zoo decks");
+}
+
+/// The device a netlist line defines, if it is an element line: its
+/// first token, unless the line is blank, a comment or a dot command.
+fn element_name(line: &str) -> Option<&str> {
+    let name = line.split_whitespace().next()?;
+    (!name.starts_with(['*', '.'])).then_some(name)
+}
+
+#[test]
+fn swapped_and_duplicated_lines_never_panic() {
+    let (mut swaps, mut duplicates) = (0usize, 0usize);
+    for (what, deck) in decks() {
+        let lines: Vec<&str> = deck.lines().collect();
+        for i in 0..lines.len().saturating_sub(1) {
+            let mut mutant = lines.clone();
+            mutant.swap(i, i + 1);
+            let _ = parse(
+                &format!("{what}, lines {} and {} swapped", i + 1, i + 2),
+                &mutant.join("\n"),
+            );
+            swaps += 1;
+        }
+        for (i, line) in lines.iter().enumerate() {
+            let mut mutant = lines.clone();
+            mutant.insert(i + 1, line);
+            let got = parse(&format!("{what}, line {} duplicated", i + 1), &mutant.join("\n"));
+            duplicates += 1;
+            let Some(name) = element_name(line) else { continue };
+            match got {
+                // Inside a subcircuit the repeated name is the instance's
+                // copy (`X1.Rc`); a repeated instance clashes on its first
+                // expanded device (`X1.Rs`).
+                Err(CircuitError::DuplicateDevice { name: dup }) => {
+                    let (dup, name) = (dup.to_ascii_uppercase(), name.to_ascii_uppercase());
+                    assert!(
+                        dup == name
+                            || dup.ends_with(&format!(".{name}"))
+                            || dup.starts_with(&format!("{name}.")),
+                        "{what}: duplicated `{line}` refused as a duplicate of '{dup}'"
+                    );
+                }
+                Err(CircuitError::Parse { message, .. }) if message.contains(name) => {}
+                other => panic!("{what}: duplicated `{line}` was not refused: {other:?}"),
+            }
+        }
+    }
+    assert!(swaps > 500 && duplicates > 500, "only {swaps} swaps, {duplicates} duplicates");
 }

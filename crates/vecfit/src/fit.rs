@@ -9,7 +9,7 @@
 //! One relocation round:
 //!
 //! 1. Assemble and column-equilibrate the local block `Φ_loc` (the
-//!    per-response unknowns: residues, optional `d`, `e`) and
+//!    per-response unknowns: residues, plus `d` on the real axis) and
 //!    Householder-factor it **once**: every row carries weight one, so
 //!    `Φ_loc` — and hence the first `n_loc` reflectors of every
 //!    response's block `[ Φ_loc | −H_k·Φ_σ ]` — is the same for all `k`.
@@ -53,7 +53,7 @@ use rvf_numerics::{
 use crate::basis::{basis_row, Residues};
 use crate::error::VecfitError;
 use crate::model::{RationalModel, ResponseTerms};
-use crate::options::{Axis, VfOptions};
+use crate::options::{Axis, VfOptions, STOP_DISPLACEMENT};
 use crate::poles::{PoleEntry, PoleSet, REAL_AXIS_MIN_IMAG};
 
 /// Result of a vector fitting run.
@@ -196,7 +196,7 @@ fn fit_inner(
         displacement = new_poles.displacement(&poles);
         poles = new_poles;
         iterations_run += 1;
-        if displacement < opts.stop_displacement {
+        if displacement < STOP_DISPLACEMENT {
             break;
         }
     }
@@ -361,7 +361,7 @@ fn validate(
     if samples.iter().any(|v| !v.is_finite()) {
         return Err(VecfitError::NonFinite);
     }
-    let n_loc = n_poles + usize::from(opts.include_const) + usize::from(opts.include_linear);
+    let n_loc = n_poles + usize::from(opts.has_const());
     let n_sig = n_poles + usize::from(opts.relaxed);
     let needed = (n_loc + n_sig).div_ceil(rows_per_sample(opts.axis));
     if l < needed {
@@ -409,7 +409,8 @@ fn sample_range(samples: &[Complex], axis: Axis) -> Result<(f64, f64), VecfitErr
 }
 
 /// Refills `out` with the augmented local basis: partial fractions plus
-/// optional `1` and `s` columns. Row vectors are reused across rounds.
+/// the constant column on the real axis. Row vectors are reused across
+/// rounds.
 fn fill_local_columns(
     poles: &PoleSet,
     samples: &[Complex],
@@ -419,11 +420,8 @@ fn fill_local_columns(
     out.resize_with(samples.len(), Vec::new);
     for (row, &s) in out.iter_mut().zip(samples) {
         basis_row(poles, s, row);
-        if opts.include_const {
+        if opts.has_const() {
             row.push(Complex::ONE);
-        }
-        if opts.include_linear {
-            row.push(s);
         }
     }
 }
@@ -534,7 +532,7 @@ fn relocate_once(
     let l = samples.len();
     let k_count = data.len();
     let n_basis = poles.n_basis();
-    let n_loc = n_basis + usize::from(opts.include_const) + usize::from(opts.include_linear);
+    let n_loc = n_basis + usize::from(opts.has_const());
     let n_sig = n_basis + usize::from(opts.relaxed);
     let n_cols = n_loc + n_sig;
 
@@ -714,7 +712,7 @@ fn identify_residues(
     scratch: &mut FitScratch,
 ) -> Result<RationalModel, VecfitError> {
     let n_basis = poles.n_basis();
-    let n_loc = n_basis + usize::from(opts.include_const) + usize::from(opts.include_linear);
+    let n_loc = n_basis + usize::from(opts.has_const());
     let FitScratch { loc, loc_norms, local, block_pool, .. } = scratch;
     fill_local_columns(&poles, samples, opts, loc);
     let rows = rows_per_sample(opts.axis) * samples.len();
@@ -735,16 +733,8 @@ fn identify_residues(
             let sol = solve_lstsq_robust(&qr, lhs, &ws.bdata)?;
             let flat: Vec<f64> = sol.iter().zip(norms).map(|(v, n)| v / n).collect();
             let residues = Residues::from_flat(poles_ref, &flat[..n_basis]);
-            let mut idx = n_basis;
-            let d = if opts.include_const {
-                let v = flat[idx];
-                idx += 1;
-                v
-            } else {
-                0.0
-            };
-            let e = if opts.include_linear { flat[idx] } else { 0.0 };
-            Ok::<ResponseTerms, VecfitError>(ResponseTerms { residues, d, e })
+            let d = if opts.has_const() { flat[n_basis] } else { 0.0 };
+            Ok::<ResponseTerms, VecfitError>(ResponseTerms { residues, d, e: 0.0 })
         })
         .map_err(unwrap_sweep)?;
     Ok(RationalModel::new(poles, terms))
@@ -786,7 +776,7 @@ mod tests {
     ) -> (Mat, Vec<f64>) {
         let l = samples.len();
         let n_basis = poles.n_basis();
-        let n_loc = n_basis + usize::from(opts.include_const) + usize::from(opts.include_linear);
+        let n_loc = n_basis + usize::from(opts.has_const());
         let n_sig = n_basis + usize::from(opts.relaxed);
         let n_cols = n_loc + n_sig;
         let (mut loc, mut sig) = (Vec::new(), Vec::new());
@@ -883,8 +873,6 @@ mod tests {
         fn shared_local_factor_stacks_the_oracle_bits(
             real_axis in 0u8..2,
             relaxed in 0u8..2,
-            include_const in 0u8..2,
-            include_linear in 0u8..2,
             n_poles in 1usize..7,
             k_count in 1usize..9,
             workers in 1usize..3,
@@ -892,11 +880,7 @@ mod tests {
             values in prop::collection::vec(-5.0..5.0f64, 61),
         ) {
             let base = if real_axis == 1 { VfOptions::state(n_poles) } else { VfOptions::frequency(n_poles) };
-            let opts = base
-                .with_relaxed(relaxed == 1)
-                .with_const(include_const == 1)
-                .with_linear(include_linear == 1)
-                .with_iterations(1);
+            let opts = base.with_relaxed(relaxed == 1).with_iterations(1);
             let l = opts.n_poles + 4 + extra_samples;
             let samples = match opts.axis {
                 Axis::Imaginary => jw_grid(&logspace(0.0, 3.0, l)),

@@ -11,9 +11,10 @@ use crate::poles::PoleSet;
 pub struct ResponseTerms {
     /// Structured residues (one complex value per pole entry).
     pub residues: Residues,
-    /// Constant term `d` (zero when not fitted).
+    /// Constant term `d` (fitted on the real axis, zero on `jω`).
     pub d: f64,
-    /// Linear term `e` in `s·e` (zero when not fitted).
+    /// Linear term `e` in `s·e` (no fit carries one, so a fitted model
+    /// leaves it zero).
     pub e: f64,
 }
 

@@ -29,7 +29,16 @@ pub enum Axis {
     Real,
 }
 
+/// Relocation stops early once a round's maximum relative pole
+/// displacement falls below this threshold (the poles have settled).
+/// At `1e-10` a fit almost always runs its full iteration budget.
+pub(crate) const STOP_DISPLACEMENT: f64 = 1e-10;
+
 /// Options controlling a vector fitting run.
+///
+/// The axis decides the model's polynomial terms: a real-axis fit
+/// carries a constant column `d`, a frequency fit carries none, and no
+/// fit carries a linear `s·e` column.
 ///
 /// # Examples
 ///
@@ -51,10 +60,6 @@ pub struct VfOptions {
     /// Use the relaxed nontriviality constraint of Gustavsen (2006)
     /// instead of fixing `σ(∞) = 1`.
     pub relaxed: bool,
-    /// Include a constant term `d` in the fitted model.
-    pub include_const: bool,
-    /// Include a linear term `s·e` in the fitted model.
-    pub include_linear: bool,
     /// Worker threads for the per-response stages (block assembly + QR
     /// compression in relocation, residue identification).
     ///
@@ -65,27 +70,12 @@ pub struct VfOptions {
     /// bit-identical for every setting: responses are independent
     /// blocks written to fixed row ranges of the stacked system.
     pub threads: usize,
-    /// Relocation stops early once the maximum relative pole
-    /// displacement of a round falls below this threshold (the poles
-    /// have settled). The default `1e-10` is effectively "run all
-    /// iterations"; warm-started growth loops use a looser value so
-    /// converged fits stop paying for rounds that no longer move.
-    pub stop_displacement: f64,
 }
 
 impl VfOptions {
     /// Preset for frequency-response fitting with `n_poles` stable poles.
     pub fn frequency(n_poles: usize) -> Self {
-        Self {
-            n_poles,
-            iterations: 10,
-            axis: Axis::Imaginary,
-            relaxed: true,
-            include_const: false,
-            include_linear: false,
-            threads: 1,
-            stop_displacement: 1e-10,
-        }
+        Self { n_poles, iterations: 10, axis: Axis::Imaginary, relaxed: true, threads: 1 }
     }
 
     /// Preset for real-axis (state-dimension) fitting with `n_poles`
@@ -96,11 +86,14 @@ impl VfOptions {
             iterations: 10,
             axis: Axis::Real,
             relaxed: true,
-            include_const: true,
-            include_linear: false,
             threads: 1,
-            stop_displacement: 1e-10,
         }
+    }
+
+    /// Whether the fit carries the constant column `d`: only real-axis
+    /// fits do.
+    pub(crate) fn has_const(&self) -> bool {
+        self.axis == Axis::Real
     }
 
     /// Sets the worker-thread count (see [`VfOptions::threads`]).
@@ -109,28 +102,9 @@ impl VfOptions {
         self
     }
 
-    /// Sets the relocation convergence threshold
-    /// (see [`VfOptions::stop_displacement`]).
-    pub fn with_stop_displacement(mut self, tol: f64) -> Self {
-        self.stop_displacement = tol;
-        self
-    }
-
     /// Sets the iteration count.
     pub fn with_iterations(mut self, iterations: usize) -> Self {
         self.iterations = iterations;
-        self
-    }
-
-    /// Enables or disables the constant term.
-    pub fn with_const(mut self, include: bool) -> Self {
-        self.include_const = include;
-        self
-    }
-
-    /// Enables or disables the linear (`s·e`) term.
-    pub fn with_linear(mut self, include: bool) -> Self {
-        self.include_linear = include;
         self
     }
 
@@ -163,17 +137,15 @@ mod tests {
         let o = VfOptions::state(9);
         assert_eq!(o.n_poles, 10);
         assert_eq!(o.axis, Axis::Real);
-        assert!(o.include_const);
+        assert!(o.has_const());
+        assert!(!VfOptions::frequency(10).has_const());
     }
 
     #[test]
     fn builder_methods_chain() {
-        let o = VfOptions::frequency(4)
-            .with_iterations(3)
-            .with_const(true)
-            .with_linear(true)
-            .with_relaxed(false);
+        let o = VfOptions::frequency(4).with_iterations(3).with_threads(2).with_relaxed(false);
         assert_eq!(o.iterations, 3);
-        assert!(o.include_const && o.include_linear && !o.relaxed);
+        assert_eq!(o.threads, 2);
+        assert!(!o.relaxed);
     }
 }

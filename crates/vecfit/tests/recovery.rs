@@ -50,21 +50,6 @@ fn recovers_poles_across_decades() {
 }
 
 #[test]
-fn recovers_constant_and_linear_terms() {
-    let poles = [c(-10.0, 0.0)];
-    let residues = [c(5.0, 0.0)];
-    let samples = jw_grid(&linspace(0.1, 20.0, 80));
-    let data: Vec<Complex> =
-        samples.iter().map(|&s| pf(&poles, &residues, 2.5, s) + s * 0.125).collect();
-    let opts = VfOptions::frequency(1).with_const(true).with_linear(true);
-    let fit = fit_single(&samples, &data, &opts).unwrap();
-    assert!(fit.rms_error < 1e-9, "rms {}", fit.rms_error);
-    let t = &fit.model.terms()[0];
-    assert!((t.d - 2.5).abs() < 1e-7, "d = {}", t.d);
-    assert!((t.e - 0.125).abs() < 1e-9, "e = {}", t.e);
-}
-
-#[test]
 fn common_pole_fit_with_parameterized_residues() {
     // K responses sharing poles with smoothly varying residues — the
     // exact structure of TFT data (state-dependent residues, fixed poles).
@@ -136,15 +121,20 @@ fn real_axis_fit_of_smooth_nonlinearity() {
 fn real_axis_fit_multiple_trajectories() {
     // Several residue trajectories fitted with common state poles.
     let xs: Vec<Complex> = linspace(-1.0, 1.0, 81).into_iter().map(Complex::from_re).collect();
-    let fns: [Box<dyn Fn(f64) -> f64>; 3] = [
+    let fns: [Box<dyn Fn(f64) -> f64>; 4] = [
         Box::new(|x: f64| 1.0 / (1.0 + 4.0 * x * x)),
         Box::new(|x: f64| x / (1.0 + 4.0 * x * x)),
         Box::new(|x: f64| (0.7 * x).sin()),
+        Box::new(|x: f64| 0.75 + 1.0 / (1.0 + 4.0 * x * x)),
     ];
     let data: Vec<Vec<Complex>> =
         fns.iter().map(|f| xs.iter().map(|s| Complex::from_re(f(s.re))).collect()).collect();
     let fit = fit(&xs, &data, &VfOptions::state(10).with_iterations(12)).unwrap();
     assert!(fit.rms_error < 1e-5, "rms {}", fit.rms_error);
+    // A real-axis fit carries the constant column: the last trajectory is
+    // the first plus 0.75, and that offset must land in `d`.
+    let (first, offset) = (&fit.model.terms()[0], &fit.model.terms()[3]);
+    assert!((offset.d - first.d - 0.75).abs() < 1e-8, "d {} vs {}", offset.d, first.d);
 }
 
 #[test]

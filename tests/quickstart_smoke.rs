@@ -34,12 +34,7 @@ C1  out 0   1n
     let tran = transient(
         &mut ckt,
         &op,
-        &TranOptions {
-            dt: t_train / steps as f64,
-            t_stop: t_train,
-            snapshot_every: Some(8),
-            ..Default::default()
-        },
+        &TranOptions { dt: t_train / steps as f64, t_stop: t_train, snapshot_every: Some(8) },
     )
     .expect("transient runs");
     assert!(tran.snapshots.len() >= 40, "snapshot capture too sparse: {}", tran.snapshots.len());
