@@ -40,7 +40,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rvf_bench::{buffer_circuit, paper_rvf_options, paper_tft_config, test_pattern};
 use rvf_circuit::Waveform;
-use rvf_core::{fit_tft, CompiledSim, DynBlock, SessionChunk, SimState};
+use rvf_core::{fit_tft, CompiledSim, SessionChunk, SimState};
 use rvf_numerics::{ln_shifted_into, Complex};
 use rvf_tft::extract_from_circuit;
 
@@ -84,12 +84,8 @@ fn bench_serving(c: &mut Criterion) {
     // (deduplicated by bit pattern, as `compile` does), each evaluated
     // as a log feature at every input.
     let mut poles: Vec<Complex> = Vec::new();
-    let rows = model.blocks.iter().flat_map(|block| match block {
-        DynBlock::Real { f, .. } => vec![f],
-        DynBlock::Pair { f1, f2, .. } => vec![f1, f2],
-    });
-    for row in std::iter::once(&model.static_path).chain(rows) {
-        for t in &row.primitive.terms {
+    for row in model.stages() {
+        for t in &row.terms {
             let bits = |z: &Complex| (z.re.to_bits(), z.im.to_bits());
             if !poles.iter().any(|p| bits(p) == bits(&t.pole)) {
                 poles.push(t.pole);

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rvf_bench::{
     buffer_circuit, caffeine_options, paper_rvf_options, paper_tft_config, test_pattern,
 };
-use rvf_caffeine::build_caffeine_hammerstein;
+use rvf_caffeine::{build_caffeine_hammerstein, simulate};
 use rvf_circuit::{
     dc_operating_point, high_speed_buffer, transient, BufferParams, DcOptions, TranOptions,
 };
@@ -48,7 +48,7 @@ fn bench_simulation(c: &mut Criterion) {
     c.bench_function("rvf_model_bit_pattern", |b| b.iter(|| rvf.model.simulate(dt, &inputs)));
 
     c.bench_function("caffeine_model_bit_pattern", |b| {
-        b.iter(|| caff.simulate(dt, &inputs).unwrap())
+        b.iter(|| simulate(&caff, dt, &inputs).unwrap())
     });
 }
 

@@ -13,7 +13,7 @@
 use rvf_bench::{
     buffer_circuit, caffeine_options, paper_rvf_options, paper_tft_config, test_pattern,
 };
-use rvf_caffeine::build_caffeine_hammerstein;
+use rvf_caffeine::{build_caffeine_hammerstein, simulate};
 use rvf_circuit::{
     dc_operating_point, high_speed_buffer, transient, BufferParams, DcOptions, TranOptions,
 };
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tran = transient(&mut test_ckt, &op, &TranOptions { dt, t_stop, ..Default::default() })?;
 
     let y_rvf = rvf.model.simulate(dt, &tran.inputs);
-    let y_caff = caff.simulate(dt, &tran.inputs).expect("integrable preset");
+    let y_caff = simulate(&caff, dt, &tran.inputs).expect("integrable preset");
 
     println!("Fig. 9 — response to a 2.5 GS/s PRBS-7 bit pattern");
     println!("{:>10} {:>8} {:>8} {:>8} {:>8}", "t [s]", "u", "SPICE", "RVF", "CAFF");

@@ -19,7 +19,9 @@
 use std::time::Instant;
 
 use rvf_bench::{buffer_circuit, test_pattern, PaperSetup};
-use rvf_caffeine::{build_caffeine_hammerstein, Integrability};
+use rvf_caffeine::{
+    build_caffeine_hammerstein, integrability, simulate, worst_stage_rmse, Integrability,
+};
 use rvf_circuit::{dc_operating_point, transient, DcOptions, TranOptions};
 use rvf_core::{fit_frequency_stage, fit_tft, time_domain_report};
 use rvf_tft::{error_surface, extract_from_circuit};
@@ -68,14 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rvf_time = time_domain_report(&tran.outputs, &y_rvf);
 
     let t_m = Instant::now();
-    let y_caff = caff_model
-        .simulate(dt, &tran.inputs)
+    let y_caff = simulate(&caff_model, dt, &tran.inputs)
         .expect("integrable_only preset guarantees closed-form stages");
     let caff_seconds = t_m.elapsed().as_secs_f64();
     let caff_time = time_domain_report(&tran.outputs, &y_caff);
 
     let rvf_auto = "YES"; // log-form integrals exist by construction
-    let caff_auto = match caff_model.integrability() {
+    let caff_auto = match integrability(&caff_model) {
         // The polynomial subset is integrable, but only because the
         // basis was *manually* restricted (as the paper did); general
         // CAFFEINE forms are not automatable.
@@ -119,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  CAFF: worst stage rmse {:.3e}, max gain err {:.1} dB",
-        caff_model.worst_stage_rmse(),
+        worst_stage_rmse(&caff_model),
         caff_surface.max_gain_err_db
     );
     println!(

@@ -18,9 +18,12 @@
 //!   the automation gap the paper reports for CAFFEINE ("the indefinite
 //!   integral … needs to be computed manually, if it can be computed
 //!   altogether");
-//! * the CAFFEINE Hammerstein baseline ([`CaffeineHammerstein`]): VF
-//!   frequency poles + GP residue regression, with simulation available
-//!   only for integrable stages.
+//! * the CAFFEINE Hammerstein baseline ([`build_caffeine_hammerstein`]):
+//!   rvf-core's [`HammersteinModel`](rvf_core::HammersteinModel) over
+//!   [`CaffeineStage`]s — VF frequency poles + GP residue regression —
+//!   simulated and lowered through rvf-core's one reference loop and one
+//!   lowering, once [`primitives`] has mapped every stage to its
+//!   closed-form primitive (integrable stages only).
 //!
 //! # Examples
 //!
@@ -50,5 +53,6 @@ mod model;
 pub use expr::Integrability;
 pub use gp::GpOptions;
 pub use model::{
-    build_caffeine_hammerstein, CafBlock, CaffeineHammerstein, CaffeineOptions, CaffeineStage,
+    build_caffeine_hammerstein, compile, integrability, primitives, simulate, simulate_reference,
+    worst_stage_rmse, CaffeineModel, CaffeineOptions, CaffeineStage,
 };

@@ -7,7 +7,8 @@
 
 use core::fmt::Write as _;
 
-use crate::hammerstein::{DynBlock, HammersteinModel, StateFn};
+use crate::hammerstein::{DynBlock, HammersteinModel};
+use crate::integrated::StateFn;
 
 /// Generates a MATLAB function file implementing the model.
 ///
@@ -60,8 +61,7 @@ pub fn to_matlab(model: &HammersteinModel, name: &str) -> String {
 }
 
 /// The analytic primitive as a MATLAB expression (`log`, `atan2`).
-fn integral_expr(f: &StateFn, var: &str) -> String {
-    let p = &f.primitive;
+fn integral_expr(p: &StateFn, var: &str) -> String {
     let mut out = format!("({:.17e})", p.constant);
     if p.linear != 0.0 {
         let _ = write!(out, " + ({:.17e})*{var}", p.linear);
@@ -81,25 +81,13 @@ fn integral_expr(f: &StateFn, var: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrated::{IntegratedStateFn, LogTerm};
+    use crate::integrated::LogTerm;
     use rvf_numerics::c;
-    use rvf_vecfit::{PoleEntry, PoleSet, RationalModel, Residues, ResponseTerms};
 
     fn toy_statefn() -> StateFn {
         let pole = c(0.9, 0.3);
         let rho = c(0.5, -0.2);
-        StateFn {
-            rational: RationalModel::new(
-                PoleSet::new(vec![PoleEntry::Pair(pole)]),
-                vec![ResponseTerms { residues: Residues(vec![rho]), d: 0.1, e: 0.0 }],
-            ),
-            primitive: IntegratedStateFn {
-                terms: vec![LogTerm { pole, rho }],
-                linear: 0.1,
-                quadratic: 0.0,
-                constant: -0.05,
-            },
-        }
+        StateFn { terms: vec![LogTerm { pole, rho }], linear: 0.1, quadratic: 0.0, constant: -0.05 }
     }
 
     #[test]

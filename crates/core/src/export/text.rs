@@ -18,12 +18,13 @@
 //! end
 //! ```
 
+use core::str::SplitWhitespace;
+
 use rvf_numerics::Complex;
-use rvf_vecfit::{PoleEntry, PoleSet, RationalModel, Residues, ResponseTerms};
 
 use crate::error::RvfError;
-use crate::hammerstein::{DynBlock, HammersteinModel, StateFn};
-use crate::integrated::{IntegratedStateFn, LogTerm};
+use crate::hammerstein::{DynBlock, HammersteinModel};
+use crate::integrated::{LogTerm, StateFn};
 
 /// Serializes a model to the versioned text format.
 pub fn encode(model: &HammersteinModel) -> String {
@@ -35,18 +36,14 @@ pub fn encode(model: &HammersteinModel) -> String {
     out.push_str(&format!("blocks {}\n", model.blocks.len()));
     for b in &model.blocks {
         match b {
-            DynBlock::Real { a, f } => {
-                out.push_str(&format!("real {a:.17e}\n"));
-                out.push_str("fn ");
-                encode_statefn(&mut out, f);
-            }
-            DynBlock::Pair { sigma, omega, f1, f2 } => {
+            DynBlock::Real { a, .. } => out.push_str(&format!("real {a:.17e}\n")),
+            DynBlock::Pair { sigma, omega, .. } => {
                 out.push_str(&format!("pair_block {sigma:.17e} {omega:.17e}\n"));
-                out.push_str("fn ");
-                encode_statefn(&mut out, f1);
-                out.push_str("fn ");
-                encode_statefn(&mut out, f2);
             }
+        }
+        for f in b.stages() {
+            out.push_str("fn ");
+            encode_statefn(&mut out, f);
         }
     }
     out.push_str("end\n");
@@ -54,15 +51,14 @@ pub fn encode(model: &HammersteinModel) -> String {
 }
 
 fn encode_statefn(out: &mut String, f: &StateFn) {
-    let t = &f.rational.terms()[0];
     out.push_str(&format!(
         "{:.17e} {:.17e} {:.17e} {}\n",
-        t.d,
-        t.e,
-        f.primitive.constant,
-        f.primitive.terms.len()
+        f.linear,
+        f.quadratic,
+        f.constant,
+        f.terms.len()
     ));
-    for term in &f.primitive.terms {
+    for term in &f.terms {
         out.push_str(&format!(
             "pair {:.17e} {:.17e} {:.17e} {:.17e}\n",
             term.pole.re, term.pole.im, term.rho.re, term.rho.im
@@ -88,19 +84,32 @@ impl<'a> Lines<'a> {
         }
         Err(RvfError::Decode { line: 0, message: "unexpected end of input".into() })
     }
+
+    /// The next line, which must start with `word`: its line number and
+    /// the words after `word`.
+    fn keyword(&mut self, word: &str) -> Result<(usize, SplitWhitespace<'a>), RvfError> {
+        let (ln, line) = self.next()?;
+        let mut it = line.split_whitespace();
+        if it.next() == Some(word) {
+            Ok((ln, it))
+        } else {
+            Err(RvfError::Decode { line: ln, message: format!("expected '{word}'") })
+        }
+    }
 }
 
+/// A finite number: a model with a non-finite coefficient would
+/// simulate to NaN or ±∞.
 fn parse_f64(line: usize, tok: Option<&str>) -> Result<f64, RvfError> {
     tok.and_then(|t| t.parse::<f64>().ok())
-        .ok_or(RvfError::Decode { line, message: "expected a number".into() })
+        .filter(|v| v.is_finite())
+        .ok_or(RvfError::Decode { line, message: "expected a finite number".into() })
 }
 
-fn decode_statefn(
-    lines: &mut Lines<'_>,
-    first: &str,
-    first_line: usize,
-) -> Result<StateFn, RvfError> {
-    let mut it = first.split_whitespace();
+/// Reads one state function: a `<word> <d> <e> <const> <n_pairs>`
+/// line, then its `pair` lines.
+fn decode_statefn(lines: &mut Lines<'_>, word: &str) -> Result<StateFn, RvfError> {
+    let (first_line, mut it) = lines.keyword(word)?;
     let d = parse_f64(first_line, it.next())?;
     let e = parse_f64(first_line, it.next())?;
     let constant = parse_f64(first_line, it.next())?;
@@ -108,32 +117,20 @@ fn decode_statefn(
         .next()
         .and_then(|t| t.parse().ok())
         .ok_or(RvfError::Decode { line: first_line, message: "expected a pair count".into() })?;
-    let n_cap = n.min(lines.bytes);
-    let mut terms = Vec::with_capacity(n_cap);
-    let mut entries = Vec::with_capacity(n_cap);
-    let mut residues = Vec::with_capacity(n_cap);
+    let mut terms = Vec::with_capacity(n.min(lines.bytes));
     for _ in 0..n {
-        let (ln, line) = lines.next()?;
-        let mut it = line.split_whitespace();
-        if it.next() != Some("pair") {
-            return Err(RvfError::Decode { line: ln, message: "expected 'pair'".into() });
-        }
+        let (ln, mut it) = lines.keyword("pair")?;
         let pre = parse_f64(ln, it.next())?;
         let pim = parse_f64(ln, it.next())?;
+        // A log term's pole lies in the upper half-plane (`LogTerm`).
+        if pim <= 0.0 {
+            return Err(RvfError::Decode { line: ln, message: "pole must have Im > 0".into() });
+        }
         let rre = parse_f64(ln, it.next())?;
         let rim = parse_f64(ln, it.next())?;
-        let pole = Complex::new(pre, pim);
-        let rho = Complex::new(rre, rim);
-        terms.push(LogTerm { pole, rho });
-        entries.push(PoleEntry::Pair(pole));
-        residues.push(rho);
+        terms.push(LogTerm { pole: Complex::new(pre, pim), rho: Complex::new(rre, rim) });
     }
-    let rational = RationalModel::new(
-        PoleSet::new(entries),
-        vec![ResponseTerms { residues: Residues(residues), d, e }],
-    );
-    let primitive = IntegratedStateFn { terms, linear: d, quadratic: e, constant };
-    Ok(StateFn { rational, primitive })
+    Ok(StateFn { terms, linear: d, quadratic: e, constant })
 }
 
 /// Parses a model from the text format produced by [`encode`].
@@ -148,24 +145,16 @@ pub fn decode(text: &str) -> Result<HammersteinModel, RvfError> {
     if header != "rvf-hammerstein v1" {
         return Err(RvfError::Decode { line: ln, message: format!("bad header '{header}'") });
     }
-    let (ln, anchor) = lines.next()?;
-    let mut it = anchor.split_whitespace();
-    if it.next() != Some("anchor") {
-        return Err(RvfError::Decode { line: ln, message: "expected 'anchor'".into() });
-    }
+    let (ln, mut it) = lines.keyword("anchor")?;
     let u0 = parse_f64(ln, it.next())?;
     let y0 = parse_f64(ln, it.next())?;
 
-    let (ln, stat) = lines.next()?;
-    let rest = stat
-        .strip_prefix("static ")
-        .ok_or(RvfError::Decode { line: ln, message: "expected 'static'".into() })?;
-    let static_path = decode_statefn(&mut lines, rest, ln)?;
+    let static_path = decode_statefn(&mut lines, "static")?;
 
-    let (ln, blk) = lines.next()?;
-    let n_blocks: usize = blk
-        .strip_prefix("blocks ")
-        .and_then(|t| t.trim().parse().ok())
+    let (ln, mut it) = lines.keyword("blocks")?;
+    let n_blocks: usize = it
+        .next()
+        .and_then(|t| t.parse().ok())
         .ok_or(RvfError::Decode { line: ln, message: "expected 'blocks <n>'".into() })?;
     let mut blocks = Vec::with_capacity(n_blocks.min(lines.bytes));
     for _ in 0..n_blocks {
@@ -174,28 +163,14 @@ pub fn decode(text: &str) -> Result<HammersteinModel, RvfError> {
         match it.next() {
             Some("real") => {
                 let a = parse_f64(ln, it.next())?;
-                let (fl, fline) = lines.next()?;
-                let rest = fline
-                    .strip_prefix("fn ")
-                    .ok_or(RvfError::Decode { line: fl, message: "expected 'fn'".into() })?;
-                let f = decode_statefn(&mut lines, rest, fl)?;
-                blocks.push(DynBlock::Real { a, f });
+                blocks.push(DynBlock::Real { a, f: decode_statefn(&mut lines, "fn")? });
             }
-            Some("pair_block") => {
-                let sigma = parse_f64(ln, it.next())?;
-                let omega = parse_f64(ln, it.next())?;
-                let mut fns = Vec::with_capacity(2);
-                for _ in 0..2 {
-                    let (fl, fline) = lines.next()?;
-                    let rest = fline
-                        .strip_prefix("fn ")
-                        .ok_or(RvfError::Decode { line: fl, message: "expected 'fn'".into() })?;
-                    fns.push(decode_statefn(&mut lines, rest, fl)?);
-                }
-                let f2 = fns.pop().expect("two fns");
-                let f1 = fns.pop().expect("two fns");
-                blocks.push(DynBlock::Pair { sigma, omega, f1, f2 });
-            }
+            Some("pair_block") => blocks.push(DynBlock::Pair {
+                sigma: parse_f64(ln, it.next())?,
+                omega: parse_f64(ln, it.next())?,
+                f1: decode_statefn(&mut lines, "fn")?,
+                f2: decode_statefn(&mut lines, "fn")?,
+            }),
             other => {
                 return Err(RvfError::Decode {
                     line: ln,
@@ -219,17 +194,12 @@ mod tests {
     fn toy_statefn(seed: f64) -> StateFn {
         let pole = c(0.5 + seed, 0.25);
         let rho = c(1.0 - seed, 0.5 * seed);
-        let rational = RationalModel::new(
-            PoleSet::new(vec![PoleEntry::Pair(pole)]),
-            vec![ResponseTerms { residues: Residues(vec![rho]), d: 0.3 * seed, e: 0.0 }],
-        );
-        let primitive = IntegratedStateFn {
+        StateFn {
             terms: vec![LogTerm { pole, rho }],
             linear: 0.3 * seed,
             quadratic: 0.0,
             constant: seed,
-        };
-        StateFn { rational, primitive }
+        }
     }
 
     fn toy_model() -> HammersteinModel {
@@ -280,6 +250,32 @@ mod tests {
         for n in 0..lines.len() {
             let cut: String = lines[..n].iter().map(|l| format!("{l}\n")).collect();
             assert!(matches!(decode(&cut), Err(RvfError::Decode { .. })), "{n} lines");
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_and_real_axis_poles_are_refused() {
+        let head = "rvf-hammerstein v1\nanchor 0.9 0.5\nstatic 0 0 0 1\n";
+        let model = |pair: &str, tail: &str| format!("{head}{pair}\nblocks 1\n{tail}end\n");
+        let block = "real -1e9\nfn 0 0 0 1\npair 0.9 0.25 1.0 0.0\n";
+        assert!(decode(&model("pair 0.9 0.25 1.0 0.0", block)).is_ok());
+        let cases = [
+            (model("pair 0.9 0.0 1.0 0.0", block), 4),
+            (model("pair 0.9 -0.25 1.0 0.0", block), 4),
+            (model("pair 0.9 0.25 1.0 0.0", "real -1e9\nfn 0 0 0 1\npair 0.9 0.0 1.0 0.0\n"), 8),
+            (model("pair 0.9 NaN 1.0 0.0", block), 4),
+            (model("pair 0.9 inf 1.0 0.0", block), 4),
+            (model("pair 0.9 0.25 1.0 -inf", block), 4),
+            (model("pair 0.9 0.25 1.0 0.0", "real NaN\nfn 0 0 0 1\npair 0.9 0.25 1.0 0.0\n"), 6),
+            (model("pair 0.9 0.25 1.0 0.0", "real -1e9\nfn 0 inf 0 0\n"), 7),
+            ("rvf-hammerstein v1\nanchor inf NaN\nstatic 0 0 0 0\nblocks 0\nend\n".into(), 2),
+        ];
+        for (text, line) in cases {
+            let got = decode(&text);
+            assert!(
+                matches!(got, Err(RvfError::Decode { line: l, .. }) if l == line),
+                "{text}: {got:?}"
+            );
         }
     }
 

@@ -8,7 +8,8 @@
 
 use core::fmt::Write as _;
 
-use crate::hammerstein::{DynBlock, HammersteinModel, StateFn};
+use crate::hammerstein::{DynBlock, HammersteinModel};
+use crate::integrated::StateFn;
 
 /// Generates a Verilog-A module implementing the model.
 ///
@@ -30,42 +31,33 @@ pub fn to_verilog_a(model: &HammersteinModel, module_name: &str) -> String {
     let _ = writeln!(s, "module {module_name}(p_in, p_out);");
     let _ = writeln!(s, "  inout p_in, p_out;");
     let _ = writeln!(s, "  electrical p_in, p_out;");
+    // Block i has one state node x{i}_j and one drive value v{i}_j per
+    // stage.
+    let names = |prefix: &str, i: usize, b: &DynBlock| -> Vec<String> {
+        (1..=b.stages().count()).map(|j| format!("{prefix}{i}_{j}")).collect()
+    };
     for (i, b) in model.blocks.iter().enumerate() {
-        match b {
-            DynBlock::Real { .. } => {
-                let _ = writeln!(s, "  electrical x{i}_1;");
-            }
-            DynBlock::Pair { .. } => {
-                let _ = writeln!(s, "  electrical x{i}_1, x{i}_2;");
-            }
-        }
+        let _ = writeln!(s, "  electrical {};", names("x", i, b).join(", "));
     }
     let _ = writeln!(s, "  real u, y_static;");
     for (i, b) in model.blocks.iter().enumerate() {
-        match b {
-            DynBlock::Real { .. } => {
-                let _ = writeln!(s, "  real v{i}_1;");
-            }
-            DynBlock::Pair { .. } => {
-                let _ = writeln!(s, "  real v{i}_1, v{i}_2;");
-            }
-        }
+        let _ = writeln!(s, "  real {};", names("v", i, b).join(", "));
     }
     let _ = writeln!(s);
     let _ = writeln!(s, "  analog begin");
     let _ = writeln!(s, "    u = V(p_in);");
     let _ = writeln!(s, "    y_static = {};", integral_expr(&model.static_path, "u"));
     for (i, b) in model.blocks.iter().enumerate() {
+        for (v, f) in names("v", i, b).iter().zip(b.stages()) {
+            let _ = writeln!(s, "    {v} = {};", integral_expr(f, "u"));
+        }
         match b {
-            DynBlock::Real { a, f } => {
-                let _ = writeln!(s, "    v{i}_1 = {};", integral_expr(f, "u"));
+            DynBlock::Real { a, .. } => {
                 let _ = writeln!(s, "    // block {i}: real pole a = {a:.9e}");
                 let _ =
                     writeln!(s, "    I(x{i}_1) <+ ddt(V(x{i}_1)) - ({a:.17e})*V(x{i}_1) - v{i}_1;");
             }
-            DynBlock::Pair { sigma, omega, f1, f2 } => {
-                let _ = writeln!(s, "    v{i}_1 = {};", integral_expr(f1, "u"));
-                let _ = writeln!(s, "    v{i}_2 = {};", integral_expr(f2, "u"));
+            DynBlock::Pair { sigma, omega, .. } => {
                 let _ = writeln!(
                     s,
                     "    // block {i}: pole pair sigma = {sigma:.9e}, omega = {omega:.9e}"
@@ -83,13 +75,8 @@ pub fn to_verilog_a(model: &HammersteinModel, module_name: &str) -> String {
     }
     let mut sum = String::from("y_static");
     for (i, b) in model.blocks.iter().enumerate() {
-        match b {
-            DynBlock::Real { .. } => {
-                let _ = write!(sum, " + V(x{i}_1)");
-            }
-            DynBlock::Pair { .. } => {
-                let _ = write!(sum, " + V(x{i}_1) + V(x{i}_2)");
-            }
+        for x in names("x", i, b) {
+            let _ = write!(sum, " + V({x})");
         }
     }
     let _ = writeln!(s, "    V(p_out) <+ {sum};");
@@ -100,8 +87,7 @@ pub fn to_verilog_a(model: &HammersteinModel, module_name: &str) -> String {
 
 /// The analytic primitive as a Verilog-A expression in variable `var`:
 /// `2·Re{ρ·ln(u−x̃)}` expanded to real arithmetic with `ln` and `atan2`.
-fn integral_expr(f: &StateFn, var: &str) -> String {
-    let p = &f.primitive;
+fn integral_expr(p: &StateFn, var: &str) -> String {
     let mut out = format!("({:.17e})", p.constant);
     if p.linear != 0.0 {
         let _ = write!(out, " + ({:.17e})*{var}", p.linear);
@@ -127,25 +113,13 @@ fn integral_expr(f: &StateFn, var: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrated::{IntegratedStateFn, LogTerm};
+    use crate::integrated::LogTerm;
     use rvf_numerics::c;
-    use rvf_vecfit::{PoleEntry, PoleSet, RationalModel, Residues, ResponseTerms};
 
     fn toy_statefn() -> StateFn {
         let pole = c(0.9, 0.3);
         let rho = c(0.5, -0.2);
-        StateFn {
-            rational: RationalModel::new(
-                PoleSet::new(vec![PoleEntry::Pair(pole)]),
-                vec![ResponseTerms { residues: Residues(vec![rho]), d: 0.1, e: 0.0 }],
-            ),
-            primitive: IntegratedStateFn {
-                terms: vec![LogTerm { pole, rho }],
-                linear: 0.1,
-                quadratic: 0.0,
-                constant: -0.05,
-            },
-        }
+        StateFn { terms: vec![LogTerm { pole, rho }], linear: 0.1, quadratic: 0.0, constant: -0.05 }
     }
 
     fn toy_model() -> HammersteinModel {
@@ -191,10 +165,9 @@ mod tests {
     #[test]
     fn integral_expr_matches_rust_evaluation() {
         // Evaluate the generated expression manually at a point and
-        // compare against IntegratedStateFn::eval.
-        let f = toy_statefn();
+        // compare against StateFn::integral.
+        let p = toy_statefn();
         let u = 1.3_f64;
-        let p = &f.primitive;
         let mut want = p.constant + p.linear * u;
         for t in &p.terms {
             let (a, b) = (t.pole.re, t.pole.im);
@@ -202,9 +175,9 @@ mod tests {
             want += c * ((u - a) * (u - a) + b * b).ln() - 2.0 * d * (-b).atan2(u - a);
         }
         assert!(
-            (want - p.eval(u)).abs() < 1e-12,
+            (want - p.integral(u)).abs() < 1e-12,
             "emitted formula disagrees: {want} vs {}",
-            p.eval(u)
+            p.integral(u)
         );
     }
 }

@@ -13,55 +13,75 @@
 //! Stability is structural: every `Â_p` comes from the stability-flipped
 //! frequency fit, and the simulator advances each block with its exact
 //! first-order-hold flow.
+//!
+//! The model is generic over its state stage: RVF's [`StateFn`] (the
+//! default) or any other regressor's. A [`Stage`] gives the transfer
+//! function; a [`Primitive`] (closed-form `∫ r du`) gives simulation and
+//! lowering.
 
-use rvf_numerics::{Complex, FohPair, FohScalar};
+use core::convert::Infallible;
+
+use rvf_numerics::{Complex, FohPair, FohScalar, Poly};
 use rvf_tft::TftDataset;
 use rvf_vecfit::{PoleEntry, RationalModel};
 
 use crate::error::RvfError;
-use crate::integrated::IntegratedStateFn;
-use crate::rvf::{fit_state_stage, single_response, RvfOptions, StageFit};
+use crate::integrated::StateFn;
+use crate::rvf::{fit_state_stage, RvfOptions, StageFit};
+use crate::serving::{CompiledSim, SimBuilder};
 
-/// A fitted state-dependent function together with its analytic
-/// primitive.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StateFn {
-    /// The rational fit `r(u)` (single response, real axis).
-    pub rational: RationalModel,
-    /// The closed-form primitive `∫ r du` (anchored).
-    pub primitive: IntegratedStateFn,
+/// A state stage: the function `r(u)` that sets a block's residue (or,
+/// on the static path, the DC conductance).
+pub trait Stage {
+    /// The stage function `r(u)`.
+    fn value(&self, u: f64) -> f64;
 }
 
-impl StateFn {
-    /// Builds from response `k` of a state-axis fit, times the `scale` it
-    /// was divided by, with the primitive anchored to `primitive(u0) = y`.
-    pub(crate) fn from_fit(fit: &RationalModel, k: usize, scale: f64, u0: f64, y: f64) -> Self {
-        let rational = single_response(fit, k, scale);
-        let primitive = IntegratedStateFn::from_state_fit(&rational, 0).anchored(u0, y);
-        Self { rational, primitive }
-    }
+/// A closed-form, anchored primitive `∫ r du` of a state stage: what
+/// drives the LTI blocks in simulation.
+pub trait Primitive {
+    /// The primitive at `u`.
+    fn integral(&self, u: f64) -> f64;
+    /// Registers the primitive as a drive row of `b` and returns the
+    /// row id.
+    fn drive(&self, b: &mut SimBuilder) -> usize;
+}
 
-    /// The fitted function value `r(u)`.
-    pub fn value(&self, u: f64) -> f64 {
-        self.rational.eval(0, Complex::from_re(u)).re
+impl Stage for StateFn {
+    fn value(&self, u: f64) -> f64 {
+        StateFn::value(self, u)
     }
+}
 
-    /// The anchored primitive `∫ r du`.
-    pub fn integral(&self, u: f64) -> f64 {
-        self.primitive.eval(u)
+impl Primitive for StateFn {
+    fn integral(&self, u: f64) -> f64 {
+        StateFn::integral(self, u)
+    }
+    fn drive(&self, b: &mut SimBuilder) -> usize {
+        b.drive_rational(self)
+    }
+}
+
+/// A polynomial primitive (ascending coefficients).
+impl Primitive for Poly {
+    fn integral(&self, u: f64) -> f64 {
+        self.eval(u)
+    }
+    fn drive(&self, b: &mut SimBuilder) -> usize {
+        b.drive_poly(self.coeffs())
     }
 }
 
 /// One dynamic branch of the parallel Hammerstein structure.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DynBlock {
+pub enum DynBlock<S = StateFn> {
     /// First-order block for a real frequency pole `a`:
     /// `ẏ = a·y + f(u)`, output weight 1 (input-shifted form, eq. 13).
     Real {
         /// The pole.
         a: f64,
-        /// The integrated input nonlinearity.
-        f: StateFn,
+        /// The input nonlinearity.
+        f: S,
     },
     /// Second-order real block for a complex pair `σ ± jω` with the
     /// input-shifted residue components (eq. 14): inputs
@@ -72,29 +92,42 @@ pub enum DynBlock {
         /// Imaginary part of the pole (positive member).
         omega: f64,
         /// First input-shifted component `Re r + Im r`.
-        f1: StateFn,
+        f1: S,
         /// Second input-shifted component `Re r − Im r`.
-        f2: StateFn,
+        f2: S,
     },
 }
 
-impl DynBlock {
-    /// State dimension (1 or 2).
-    pub(crate) fn dim(&self) -> usize {
-        match self {
-            DynBlock::Real { .. } => 1,
-            DynBlock::Pair { .. } => 2,
-        }
+impl<S> DynBlock<S> {
+    /// The block's stages in order: `f`, or `f1` then `f2`.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &S> {
+        let (first, second) = match self {
+            DynBlock::Real { f, .. } => (f, None),
+            DynBlock::Pair { f1, f2, .. } => (f1, Some(f2)),
+        };
+        core::iter::once(first).chain(second)
     }
 
+    /// The same block over new stages: `f` maps `f`, or `f1` then `f2`,
+    /// and its first error is returned.
+    pub fn try_map<T, E>(&self, mut f: impl FnMut(&S) -> Result<T, E>) -> Result<DynBlock<T>, E> {
+        Ok(match self {
+            DynBlock::Real { a, f: s } => DynBlock::Real { a: *a, f: f(s)? },
+            DynBlock::Pair { sigma, omega, f1, f2 } => {
+                DynBlock::Pair { sigma: *sigma, omega: *omega, f1: f(f1)?, f2: f(f2)? }
+            }
+        })
+    }
+}
+
+impl<S: Stage> DynBlock<S> {
     /// The complex residue value `r(u)` reconstructed from the
     /// input-shifted components (inverse of paper eq. 14).
     pub(crate) fn residue_at(&self, u: f64) -> Complex {
         match self {
             DynBlock::Real { f, .. } => Complex::from_re(f.value(u)),
             DynBlock::Pair { f1, f2, .. } => {
-                let c1 = f1.value(u);
-                let c2 = f2.value(u);
+                let (c1, c2) = (f1.value(u), f2.value(u));
                 Complex::new(0.5 * (c1 + c2), 0.5 * (c1 - c2))
             }
         }
@@ -134,29 +167,53 @@ pub struct BuildDiagnostics {
     pub cold_restarts: usize,
 }
 
-/// The extracted analytical model.
+/// The extracted analytical model, over its state stage `S` (RVF's
+/// [`StateFn`] by default).
 #[derive(Debug, Clone, PartialEq)]
-pub struct HammersteinModel {
+pub struct HammersteinModel<S = StateFn> {
     /// Static path: `value(u)` is the fitted DC conductance `g(u)`,
     /// `integral(u)` the static transfer curve `y_s(u)` anchored at the
     /// DC solution.
-    pub static_path: StateFn,
+    pub static_path: S,
     /// Parallel dynamic blocks.
-    pub blocks: Vec<DynBlock>,
+    pub blocks: Vec<DynBlock<S>>,
     /// DC anchor input (trajectory value at `t = 0`).
     pub u0: f64,
     /// DC anchor output.
     pub y0: f64,
 }
 
-impl HammersteinModel {
+impl<S> HammersteinModel<S> {
     /// Total LTI state dimension.
     pub fn n_states(&self) -> usize {
-        self.blocks.iter().map(DynBlock::dim).sum()
+        self.blocks.iter().flat_map(DynBlock::stages).count()
     }
 
-    /// The model's TFT `T(x, s)` for hyperplane comparison (Fig. 7):
-    /// fitted static gain plus the dynamic pole-residue part.
+    /// Every stage in order: each block's (`f`, or `f1` then `f2`), then
+    /// the static path.
+    pub fn stages(&self) -> impl Iterator<Item = &S> {
+        self.blocks.iter().flat_map(DynBlock::stages).chain(core::iter::once(&self.static_path))
+    }
+
+    /// The same model over new stages: `f` maps each stage, in
+    /// [`stages`](Self::stages) order, and its first error is returned.
+    pub fn try_map<T, E>(
+        &self,
+        mut f: impl FnMut(&S) -> Result<T, E>,
+    ) -> Result<HammersteinModel<T>, E> {
+        let blocks = self.blocks.iter().map(|b| b.try_map(&mut f)).collect::<Result<_, _>>()?;
+        Ok(HammersteinModel {
+            static_path: f(&self.static_path)?,
+            blocks,
+            u0: self.u0,
+            y0: self.y0,
+        })
+    }
+}
+
+impl<S: Stage> HammersteinModel<S> {
+    /// The model's TFT `T(x, s)` for hyperplane comparison (Figs. 7 and
+    /// 8): fitted static gain plus the dynamic pole-residue part.
     pub fn transfer(&self, x: f64, s: Complex) -> Complex {
         let mut acc = Complex::from_re(self.static_path.value(x));
         for b in &self.blocks {
@@ -164,30 +221,25 @@ impl HammersteinModel {
         }
         acc
     }
+}
 
+impl<S: Primitive> HammersteinModel<S> {
     /// The static (DC) transfer curve `y_s(u)`.
     pub fn static_output(&self, u: f64) -> f64 {
         self.static_path.integral(u)
     }
 
     /// Lowers the model into the flat serving tables of
-    /// [`CompiledSim`](crate::CompiledSim): call once, then evaluate
-    /// many stimuli through [`CompiledSim::simulate`](crate::CompiledSim::simulate)
-    /// / [`CompiledSim::advance_chunks`](crate::CompiledSim::advance_chunks).
-    pub fn compile(&self) -> crate::CompiledSim {
-        let mut b = crate::SimBuilder::new();
-        let s = b.drive_rational(&self.static_path.primitive);
+    /// [`CompiledSim`]: call once, then evaluate many stimuli through
+    /// [`CompiledSim::simulate`] / [`CompiledSim::advance_chunks`].
+    pub fn compile(&self) -> CompiledSim {
+        let mut b = SimBuilder::new();
+        let s = self.static_path.drive(&mut b);
         for block in &self.blocks {
-            match block {
-                DynBlock::Real { a, f } => {
-                    let d = b.drive_rational(&f.primitive);
-                    b.block_real(*a, d);
-                }
-                DynBlock::Pair { sigma, omega, f1, f2 } => {
-                    let d1 = b.drive_rational(&f1.primitive);
-                    let d2 = b.drive_rational(&f2.primitive);
-                    b.block_pair(*sigma, *omega, d1, d2);
-                }
+            let Ok(rows) = block.try_map(|f| Ok::<_, Infallible>(f.drive(&mut b)));
+            match rows {
+                DynBlock::Real { a, f } => b.block_real(a, f),
+                DynBlock::Pair { sigma, omega, f1, f2 } => b.block_pair(sigma, omega, f1, f2),
             }
         }
         // Every row is registered before a block references it, so the
@@ -203,37 +255,37 @@ impl HammersteinModel {
     /// matching the circuit starting from its DC operating point.
     ///
     /// This routes through the compiled serving runtime
-    /// ([`compile`](HammersteinModel::compile) + the streaming kernel) and is
-    /// equal to [`simulate_reference`](HammersteinModel::simulate_reference)
+    /// ([`compile`](HammersteinModel::compile) + the streaming kernel).
+    /// For RVF stages it is equal to
+    /// [`simulate_reference`](HammersteinModel::simulate_reference)
     /// sample-for-sample under `f64` comparison; callers evaluating many
-    /// stimuli should compile once and reuse the
-    /// [`CompiledSim`](crate::CompiledSim).
+    /// stimuli should compile once and reuse the [`CompiledSim`].
     pub fn simulate(&self, dt: f64, inputs: &[f64]) -> Vec<f64> {
         self.compile().simulate(dt, inputs)
     }
 
     /// The scalar reference simulation loop — per-block enum dispatch,
-    /// per-response log-term passes — kept as the readable
+    /// per-stage primitive evaluation — kept as the readable
     /// specification and the oracle the compiled runtime is pinned
     /// against.
     pub fn simulate_reference(&self, dt: f64, inputs: &[f64]) -> Vec<f64> {
-        if inputs.is_empty() {
+        let Some(&u_first) = inputs.first() else {
             return Vec::new();
+        };
+        enum BlockState<'a, S> {
+            Real { prop: FohScalar, x: f64, v_prev: f64, f: &'a S },
+            Pair { prop: FohPair, z: Complex, v_prev: [f64; 2], f1: &'a S, f2: &'a S },
         }
-        enum BlockState {
-            Real { prop: FohScalar, x: f64, v_prev: f64 },
-            Pair { prop: FohPair, z: Complex, v_prev: [f64; 2] },
-        }
-        let mut states: Vec<BlockState> = self
+        let mut states: Vec<BlockState<'_, S>> = self
             .blocks
             .iter()
             .map(|b| match b {
                 DynBlock::Real { a, f } => {
-                    let v = f.integral(inputs[0]);
-                    BlockState::Real { prop: FohScalar::new(*a, dt), x: -v / a, v_prev: v }
+                    let v = f.integral(u_first);
+                    BlockState::Real { prop: FohScalar::new(*a, dt), x: -v / a, v_prev: v, f }
                 }
                 DynBlock::Pair { sigma, omega, f1, f2 } => {
-                    let v = [f1.integral(inputs[0]), f2.integral(inputs[0])];
+                    let v = [f1.integral(u_first), f2.integral(u_first)];
                     // ż = λz + w with λ = σ − jω (complex representation).
                     let lambda = Complex::new(*sigma, -*omega);
                     let w = Complex::new(v[0], v[1]);
@@ -241,14 +293,15 @@ impl HammersteinModel {
                         prop: FohPair::new(*sigma, *omega, dt),
                         z: -(w / lambda),
                         v_prev: v,
+                        f1,
+                        f2,
                     }
                 }
             })
             .collect();
 
-        let mut out = Vec::with_capacity(inputs.len());
-        let emit = |states: &[BlockState], u: f64, this: &Self| -> f64 {
-            let mut y = this.static_path.integral(u);
+        let emit = |states: &[BlockState<'_, S>], u: f64| -> f64 {
+            let mut y = self.static_path.integral(u);
             for s in states {
                 match s {
                     BlockState::Real { x, .. } => y += x,
@@ -257,29 +310,67 @@ impl HammersteinModel {
             }
             y
         };
-        out.push(emit(&states, inputs[0], self));
-        for win in inputs.windows(2) {
-            let u1 = win[1];
-            for (bs, block) in states.iter_mut().zip(&self.blocks) {
-                match (bs, block) {
-                    (BlockState::Real { prop, x, v_prev, .. }, DynBlock::Real { f, .. }) => {
+        let mut out = Vec::with_capacity(inputs.len());
+        out.push(emit(&states, u_first));
+        for &u1 in &inputs[1..] {
+            for bs in &mut states {
+                match bs {
+                    BlockState::Real { prop, x, v_prev, f } => {
                         let v1 = f.integral(u1);
                         *x = prop.step(*x, *v_prev, v1);
                         *v_prev = v1;
                     }
-                    (BlockState::Pair { prop, z, v_prev, .. }, DynBlock::Pair { f1, f2, .. }) => {
+                    BlockState::Pair { prop, z, v_prev, f1, f2 } => {
                         let v1 = [f1.integral(u1), f2.integral(u1)];
                         let next = prop.step([z.re, z.im], *v_prev, v1);
                         *z = Complex::new(next[0], next[1]);
                         *v_prev = v1;
                     }
-                    _ => unreachable!("state/block kinds always match"),
                 }
             }
-            out.push(emit(&states, u1, self));
+            out.push(emit(&states, u1));
         }
         out
     }
+}
+
+/// The model skeleton every state-stage regressor starts from (RVF in
+/// [`build_hammerstein`], CAFFEINE in `rvf-caffeine`): the DC anchor,
+/// and one block per pole entry of the frequency fit whose stages are
+/// the state trajectories its residue splits into — a real pole's
+/// residue, or a pair's input-shifted components `Re r ± Im r` (paper
+/// eq. 14). The static path holds the static-gain trajectory `g(x)`.
+pub fn stage_trajectories(
+    dataset: &TftDataset,
+    freq_model: &RationalModel,
+) -> HammersteinModel<Vec<f64>> {
+    // DC anchor: the trajectory point at the earliest time.
+    let (u0, y0) = dataset
+        .samples
+        .iter()
+        .min_by(|a, b| a.t.partial_cmp(&b.t).unwrap_or(core::cmp::Ordering::Equal))
+        .map(|s| (s.state, s.y))
+        .unwrap_or((0.0, 0.0));
+    let blocks = freq_model
+        .poles()
+        .entries()
+        .iter()
+        .enumerate()
+        .map(|(p, entry)| {
+            let traj = freq_model.residue_trajectory(p);
+            let component = |c: fn(Complex) -> f64| traj.iter().map(|&r| c(r)).collect();
+            match *entry {
+                PoleEntry::Real(a) => DynBlock::Real { a, f: component(|r| r.re) },
+                PoleEntry::Pair(a) => DynBlock::Pair {
+                    sigma: a.re,
+                    omega: a.im,
+                    f1: component(|r| r.re + r.im),
+                    f2: component(|r| r.re - r.im),
+                },
+            }
+        })
+        .collect();
+    HammersteinModel { static_path: dataset.static_gains(), blocks, u0, y0 }
 }
 
 /// Builds a Hammerstein model from a TFT dataset (the full RVF
@@ -295,15 +386,7 @@ pub fn build_hammerstein(
     freq_stage: &StageFit,
     opts: &RvfOptions,
 ) -> Result<(HammersteinModel, BuildDiagnostics), RvfError> {
-    // DC anchor: the trajectory point at the earliest time.
-    let (u0, y0) = dataset
-        .samples
-        .iter()
-        .min_by(|a, b| a.t.partial_cmp(&b.t).unwrap_or(core::cmp::Ordering::Equal))
-        .map(|s| (s.state, s.y))
-        .unwrap_or((0.0, 0.0));
-
-    let freq_model = &freq_stage.fit.model;
+    let skeleton = stage_trajectories(dataset, &freq_stage.fit.model);
     // Error scales. A residue error δr on pole a perturbs the transfer
     // function by up to δr·max_l 1/|s_l − a|, so a block's residues are
     // divided by peak(H)·min_l|s_l − a| before they are held to ε; else
@@ -323,58 +406,47 @@ pub fn build_hammerstein(
             .fold(f64::INFINITY, f64::min);
         peak_dyn * min_dist.max(1e-300)
     };
+    let mut scales = Vec::new();
+    for block in &skeleton.blocks {
+        let scale = match *block {
+            DynBlock::Real { a, .. } => block_scale(&[Complex::from_re(a)]),
+            DynBlock::Pair { sigma, omega, .. } => {
+                let a = Complex::new(sigma, omega);
+                block_scale(&[a, a.conj()])
+            }
+        };
+        scales.extend(block.stages().map(|_| scale));
+    }
+    scales.push(skeleton.static_path.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300));
 
     // One common state-pole set per model (the paper fits each residue on
     // its own): one growth loop, its error the RMS over all responses.
-    let entries = freq_model.poles().entries();
-    let (mut trajectories, mut scales) = (Vec::new(), Vec::new());
-    let mut push = |mut traj: Vec<f64>, scale: f64| {
-        traj.iter_mut().for_each(|v| *v /= scale);
-        trajectories.push(traj);
-        scales.push(scale);
-    };
-    for (p, entry) in entries.iter().enumerate() {
-        let traj = freq_model.residue_trajectory(p);
-        match entry {
-            PoleEntry::Real(a) => {
-                push(traj.iter().map(|r| r.re).collect(), block_scale(&[Complex::from_re(*a)]));
-            }
-            PoleEntry::Pair(a) => {
-                // Input-shifted components (paper eq. 14).
-                let scale = block_scale(&[*a, a.conj()]);
-                push(traj.iter().map(|r| r.re + r.im).collect(), scale);
-                push(traj.iter().map(|r| r.re - r.im).collect(), scale);
-            }
-        }
-    }
-    let g_traj = dataset.static_gains();
-    let g_scale = g_traj.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-    push(g_traj, g_scale);
+    let trajectories: Vec<Vec<f64>> = skeleton
+        .stages()
+        .zip(&scales)
+        .map(|(traj, scale)| traj.iter().map(|v| v / scale).collect())
+        .collect();
     let stage = fit_state_stage(&dataset.states(), &trajectories, 1.0, opts)?;
 
-    // Responses come back in the order they went in: blocks, then static.
+    // Responses come back in the order they went in: stage order. Block
+    // primitives are anchored at 0, the static curve at the DC output.
+    let (u0, y0) = (skeleton.u0, skeleton.y0);
     let mut k = 0;
-    let mut f = || {
+    let Ok(mut model) = skeleton.try_map(|_| {
         k += 1;
-        StateFn::from_fit(&stage.fit.model, k - 1, scales[k - 1], u0, 0.0)
-    };
-    let blocks: Vec<DynBlock> = entries
-        .iter()
-        .map(|entry| match *entry {
-            PoleEntry::Real(a) => DynBlock::Real { a, f: f() },
-            PoleEntry::Pair(a) => DynBlock::Pair { sigma: a.re, omega: a.im, f1: f(), f2: f() },
-        })
-        .collect();
-    let static_path = StateFn::from_fit(&stage.fit.model, k, g_scale, u0, y0);
+        let f = StateFn::from_state_fit(&stage.fit.model, k - 1, scales[k - 1]);
+        Ok::<_, Infallible>(f.anchored(u0, 0.0))
+    });
+    model.static_path = model.static_path.anchored(u0, y0);
     let diagnostics = BuildDiagnostics {
         freq_rel_error: freq_stage.rel_error,
         n_freq_poles: freq_stage.n_poles,
-        state_pole_counts: vec![stage.n_poles; blocks.len()],
+        state_pole_counts: vec![stage.n_poles; model.blocks.len()],
         static_pole_count: stage.n_poles,
         state_rel_error: stage.rel_error,
         cold_restarts: freq_stage.cold_restarts + stage.cold_restarts,
     };
-    Ok((HammersteinModel { static_path, blocks, u0, y0 }, diagnostics))
+    Ok((model, diagnostics))
 }
 
 #[cfg(test)]
@@ -387,7 +459,7 @@ mod tests {
         let xs: Vec<Complex> = linspace(0.0, 2.0, 81).into_iter().map(Complex::from_re).collect();
         let data: Vec<Complex> = xs.iter().map(|x| Complex::from_re(g(x.re))).collect();
         let fit = fit_single(&xs, &data, &VfOptions::state(8).with_iterations(10)).unwrap();
-        StateFn::from_fit(&fit.model, 0, 1.0, u0, anchor)
+        StateFn::from_state_fit(&fit.model, 0, 1.0).anchored(u0, anchor)
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Closed-form indefinite integrals of the RVF state base functions
+//! The RVF state functions and their closed-form indefinite integrals
 //! (paper eqs. 18–19).
 //!
 //! A fitted residue function is a partial-fraction expansion in the real
@@ -19,11 +19,13 @@
 //! the whole axis — this is why the paper restricts the state poles to
 //! complex pairs ("zero-phase base functions"): the integral *exists in
 //! closed form and is computed once*, unlike CAFFEINE's free-form bases.
+//! [`StateFn`] holds the terms once and evaluates both forms.
 
 use rvf_numerics::Complex;
 use rvf_vecfit::{PoleEntry, RationalModel};
 
-/// One logarithmic term `2·Re{ρ·ln(u − x̃)}`.
+/// One pole–residue term: `ρ/(u − x̃) + ρ*/(u − x̃*)` in `r`, and
+/// `2·Re{ρ·ln(u − x̃)}` in its primitive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogTerm {
     /// Pole location in the state plane (`Im > 0`).
@@ -32,45 +34,61 @@ pub struct LogTerm {
     pub rho: Complex,
 }
 
-/// The analytic primitive of a fitted state function.
+/// A fitted state function `r(u)` together with its analytic primitive
+/// `∫ r du`.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct IntegratedStateFn {
-    /// Logarithmic terms (one per conjugate pole pair).
+pub struct StateFn {
+    /// Pole–residue terms (one per conjugate pole pair).
     pub terms: Vec<LogTerm>,
-    /// Coefficient of `u` (from the constant term of the rational fit).
+    /// Constant term `d` of `r`: the coefficient of `u` in the primitive.
     pub linear: f64,
-    /// Coefficient of `u²/2` (from a linear term, normally absent).
+    /// Linear term `e` of `r` (normally absent): the coefficient of
+    /// `u²/2` in the primitive.
     pub quadratic: f64,
     /// Integration constant (fixed from the DC solution, paper §III-B).
     pub constant: f64,
 }
 
-impl IntegratedStateFn {
-    /// Integrates response `k` of a real-axis [`RationalModel`] fit.
+impl StateFn {
+    /// Response `k` of a real-axis [`RationalModel`] fit, times `scale`
+    /// (which undoes a fit of trajectories divided by it), with the
+    /// integration constant 0.
     ///
     /// # Panics
     ///
     /// Panics if the model contains a *real* pole (state fits keep poles
     /// in conjugate pairs; a real pole would put a singularity on the
     /// axis and has no smooth primitive there).
-    pub(crate) fn from_state_fit(model: &RationalModel, k: usize) -> Self {
+    pub(crate) fn from_state_fit(model: &RationalModel, k: usize, scale: f64) -> Self {
+        let t = &model.terms()[k];
         let terms: Vec<LogTerm> = model
             .poles()
             .entries()
             .iter()
-            .zip(&model.terms()[k].residues.0)
+            .zip(&t.residues.0)
             .map(|(e, r)| match e {
-                PoleEntry::Pair(a) => LogTerm { pole: *a, rho: *r },
+                PoleEntry::Pair(a) => LogTerm { pole: *a, rho: r.scale(scale) },
                 PoleEntry::Real(a) => {
                     panic!("state fit must not contain the real pole {a}")
                 }
             })
             .collect();
-        Self { terms, linear: model.terms()[k].d, quadratic: model.terms()[k].e, constant: 0.0 }
+        Self { terms, linear: t.d * scale, quadratic: t.e * scale, constant: 0.0 }
     }
 
-    /// Evaluates the primitive at `u`.
-    pub(crate) fn eval(&self, u: f64) -> f64 {
+    /// The fitted function value `r(u)`, in the operation order of
+    /// [`RationalModel::eval`].
+    pub fn value(&self, u: f64) -> f64 {
+        let s = Complex::from_re(u);
+        let mut acc = Complex::ZERO;
+        for t in &self.terms {
+            acc += t.rho * (s - t.pole).inv() + t.rho.conj() * (s - t.pole.conj()).inv();
+        }
+        (acc + Complex::from_re(self.linear) + s * self.quadratic).re
+    }
+
+    /// The primitive `∫ r du` at `u`.
+    pub fn integral(&self, u: f64) -> f64 {
         let mut acc = self.constant + self.linear * u + 0.5 * self.quadratic * u * u;
         for t in &self.terms {
             let z = Complex::from_re(u) - t.pole;
@@ -79,24 +97,12 @@ impl IntegratedStateFn {
         acc
     }
 
-    /// Evaluates the derivative (the original rational function) — used
-    /// to verify the integral against the fitted residues.
-    #[cfg(test)]
-    fn derivative(&self, u: f64) -> f64 {
-        let mut acc = self.linear + self.quadratic * u;
-        for t in &self.terms {
-            let z = (Complex::from_re(u) - t.pole).inv();
-            acc += 2.0 * (t.rho * z).re;
-        }
-        acc
-    }
-
-    /// Shifts the constant so that `eval(u0) == value` (anchoring on the
-    /// DC solution).
+    /// Shifts the constant so that `integral(u0) == value` (anchoring on
+    /// the DC solution).
     #[must_use]
     pub(crate) fn anchored(mut self, u0: f64, value: f64) -> Self {
         self.constant = 0.0;
-        let at = self.eval(u0);
+        let at = self.integral(u0);
         self.constant = value - at;
         self
     }
@@ -115,7 +121,7 @@ mod tests {
 
     #[test]
     fn derivative_matches_finite_difference_of_eval() {
-        let f = IntegratedStateFn {
+        let f = StateFn {
             terms: vec![
                 LogTerm { pole: c(0.5, 0.2), rho: c(1.0, -0.5) },
                 LogTerm { pole: c(-0.3, 0.8), rho: c(-0.25, 0.1) },
@@ -126,8 +132,8 @@ mod tests {
         };
         for &u in &[-1.0, -0.2, 0.0, 0.4, 0.9, 1.5] {
             let h = 1e-6;
-            let fd = (f.eval(u + h) - f.eval(u - h)) / (2.0 * h);
-            assert!((f.derivative(u) - fd).abs() < 1e-7, "at {u}: {} vs {fd}", f.derivative(u));
+            let fd = (f.integral(u + h) - f.integral(u - h)) / (2.0 * h);
+            assert!((f.value(u) - fd).abs() < 1e-7, "at {u}: {} vs {fd}", f.value(u));
         }
     }
 
@@ -135,7 +141,7 @@ mod tests {
     fn smooth_across_the_whole_axis() {
         // No branch-cut jumps for Im(pole) > 0: sample densely and check
         // continuity.
-        let f = IntegratedStateFn {
+        let f = StateFn {
             terms: vec![LogTerm { pole: c(0.0, 0.05), rho: c(2.0, 1.0) }],
             linear: 0.0,
             quadratic: 0.0,
@@ -143,21 +149,21 @@ mod tests {
         };
         let xs = linspace(-2.0, 2.0, 4001);
         for w in xs.windows(2) {
-            let dy = (f.eval(w[1]) - f.eval(w[0])).abs();
+            let dy = (f.integral(w[1]) - f.integral(w[0])).abs();
             assert!(dy < 0.2, "jump at {}: {dy}", w[0]);
         }
     }
 
     #[test]
     fn anchoring() {
-        let f = IntegratedStateFn {
+        let f = StateFn {
             terms: vec![LogTerm { pole: c(0.5, 0.3), rho: c(1.0, 0.0) }],
             linear: 1.0,
             quadratic: 0.0,
             constant: 0.0,
         }
         .anchored(0.9, 5.0);
-        assert!((f.eval(0.9) - 5.0).abs() < 1e-12);
+        assert!((f.integral(0.9) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -168,11 +174,12 @@ mod tests {
         let g = |x: f64| 2.0 / (1.0 + 9.0 * (x - 0.9) * (x - 0.9));
         let data: Vec<Complex> = xs.iter().map(|x| Complex::from_re(g(x.re))).collect();
         let fit = fit_single(&xs, &data, &VfOptions::state(8).with_iterations(12)).unwrap();
-        let prim = IntegratedStateFn::from_state_fit(&fit.model, 0);
+        let prim = StateFn::from_state_fit(&fit.model, 0, 1.0);
         for &x in &[0.45, 0.7, 0.9, 1.1, 1.35] {
             let h = 1e-6;
-            let fd = (prim.eval(x + h) - prim.eval(x - h)) / (2.0 * h);
+            let fd = (prim.integral(x + h) - prim.integral(x - h)) / (2.0 * h);
             let fitted = fit.model.eval(0, Complex::from_re(x)).re;
+            assert_eq!(prim.value(x).to_bits(), fitted.to_bits(), "value is the fit's eval");
             assert!((fd - fitted).abs() < 1e-6, "at {x}: {fd} vs {fitted}");
         }
         // And the integral over [0.4, 1.4] matches numeric quadrature.
@@ -186,7 +193,7 @@ mod tests {
                 })
                 .sum()
         };
-        let analytic = prim.eval(1.4) - prim.eval(0.4);
+        let analytic = prim.integral(1.4) - prim.integral(0.4);
         assert!((analytic - numeric).abs() < 2e-4, "integral {analytic} vs {numeric}");
     }
 
@@ -198,6 +205,6 @@ mod tests {
             PoleSet::from_reals(&[-1.0]),
             vec![ResponseTerms { residues: Residues(vec![c(1.0, 0.0)]), d: 0.0, e: 0.0 }],
         );
-        let _ = IntegratedStateFn::from_state_fit(&model, 0);
+        let _ = StateFn::from_state_fit(&model, 0, 1.0);
     }
 }

@@ -15,11 +15,14 @@
 //!    count selection against an error bound `ε`. One common state-pole
 //!    set serves all of a model's residues and its static gain (the
 //!    paper fits each residue with poles of its own);
-//! 3. **Analytic integration** ([`IntegratedStateFn`]) — the log-form
-//!    closed-form primitives of the RVF base functions (paper eq. 19)
-//!    that make the Hammerstein static stages automatic;
+//! 3. **Analytic integration** ([`StateFn`]) — each fitted state
+//!    function and its log-form closed-form primitive (paper eq. 19),
+//!    from one set of terms, which make the Hammerstein static stages
+//!    automatic;
 //! 4. **The Hammerstein model** ([`HammersteinModel`]) — stable-by-
-//!    construction parallel structure with exact-exponential simulation;
+//!    construction parallel structure with exact-exponential simulation,
+//!    generic over its state stage ([`Stage`], [`Primitive`]) so the
+//!    CAFFEINE baseline shares its topology, reference loop and lowering;
 //! 5. **Export** ([`text`], [`to_verilog_a`], [`to_matlab`]) — lossless
 //!    text serialization, Verilog-A and MATLAB code generation;
 //! 6. **Serving** ([`serving`]) — the compiled evaluation runtime behind
@@ -69,8 +72,11 @@ pub mod serving;
 
 pub use error::RvfError;
 pub use export::{matlab::to_matlab, text, verilog_a::to_verilog_a};
-pub use hammerstein::{build_hammerstein, BuildDiagnostics, DynBlock, HammersteinModel, StateFn};
-pub use integrated::{IntegratedStateFn, LogTerm};
+pub use hammerstein::{
+    build_hammerstein, stage_trajectories, BuildDiagnostics, DynBlock, HammersteinModel, Primitive,
+    Stage,
+};
+pub use integrated::{LogTerm, StateFn};
 pub use metrics::{measure_speedup, time_domain_report, Speedup, TimeDomainReport};
 pub use pipeline::{extract_model, fit_tft, ExtractionReport};
 pub use recursive::{fit_recursive_2d, Rvf2d};

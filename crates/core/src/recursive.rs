@@ -20,7 +20,7 @@ use rvf_numerics::{Complex, SweepPool};
 use rvf_vecfit::{auto_workers, Axis, PoleSet, RationalModel, VecfitError};
 
 use crate::error::RvfError;
-use crate::integrated::IntegratedStateFn;
+use crate::integrated::StateFn;
 use crate::rvf::{fit_state_stage_in, grow_poles, single_response, RvfOptions};
 
 /// A recursively fitted bivariate function `f(x₁, x₂)`: common poles in
@@ -66,8 +66,8 @@ impl Rvf2d {
         }
         let mut acc = 0.0;
         for (phi, fit) in row.iter().zip(&self.coefficient_fits) {
-            let prim = IntegratedStateFn::from_state_fit(fit, 0);
-            acc += prim.eval(x1) * phi.re;
+            let prim = StateFn::from_state_fit(fit, 0, 1.0);
+            acc += prim.integral(x1) * phi.re;
         }
         acc
     }

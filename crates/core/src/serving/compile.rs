@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use rvf_numerics::{Complex, FohPair, FohScalar};
 
 use super::ServingError;
-use crate::integrated::IntegratedStateFn;
+use crate::integrated::StateFn;
 
 /// A static-stage drive registered with [`SimBuilder`].
 #[derive(Debug, Clone)]
@@ -68,9 +68,9 @@ impl SimBuilder {
     }
 
     /// Registers the analytic primitive of an RVF state fit as a drive
-    /// row and returns its row id. The row evaluates exactly like the
-    /// primitive's own `eval`.
-    pub fn drive_rational(&mut self, primitive: &IntegratedStateFn) -> usize {
+    /// row and returns its row id. The row evaluates exactly like
+    /// [`StateFn::integral`].
+    pub fn drive_rational(&mut self, primitive: &StateFn) -> usize {
         // 0.5·q is exact (power-of-two scaling), so precomputing it
         // preserves the reference expression `… + 0.5*q*u*u` bit for bit.
         self.drives.push(DriveSpec::Rational {
@@ -115,17 +115,29 @@ impl SimBuilder {
     ///
     /// [`ServingError::MissingStaticDrive`] if no static drive was set,
     /// [`ServingError::BadDrive`] if the static path or a block
-    /// references an unregistered drive row.
+    /// references an unregistered drive row,
+    /// [`ServingError::BadLogPole`] if a rational row has a log-term
+    /// pole that is not finite or lies on the real axis.
     pub fn try_build(self) -> Result<CompiledSim, ServingError> {
-        let static_row = self.check_wiring()?;
+        let static_row = self.check()?;
         Ok(self.lower(static_row))
     }
 
-    /// The wiring check behind [`try_build`](SimBuilder::try_build):
-    /// returns the static row once it and every block's drive rows name
-    /// registered rows.
-    fn check_wiring(&self) -> Result<usize, ServingError> {
+    /// The checks behind [`try_build`](SimBuilder::try_build): returns
+    /// the static row once it and every block's drive rows name
+    /// registered rows, and every log-term pole is finite and off the
+    /// real axis (where the kernel and the reference disagree).
+    fn check(&self) -> Result<usize, ServingError> {
         let static_row = self.static_drive.ok_or(ServingError::MissingStaticDrive)?;
+        for (drive, spec) in self.drives.iter().enumerate() {
+            if let DriveSpec::Rational { terms, .. } = spec {
+                for &(pole, _) in terms {
+                    if pole.im == 0.0 || !pole.re.is_finite() || !pole.im.is_finite() {
+                        return Err(ServingError::BadLogPole { drive, pole });
+                    }
+                }
+            }
+        }
         let n_user = self.drives.len();
         let check = |d: usize| {
             if d < n_user {
@@ -148,8 +160,8 @@ impl SimBuilder {
     }
 
     /// Lowers the builder with `static_row` as the static path, without
-    /// the wiring check: for in-crate lowerings that register every row
-    /// before referencing it
+    /// the checks: for in-crate lowerings that register every row before
+    /// referencing it
     /// ([`HammersteinModel::compile`](crate::HammersteinModel::compile)).
     pub(crate) fn lower(mut self, static_row: usize) -> CompiledSim {
         // Real blocks need a second (identically zero) drive component
@@ -438,13 +450,13 @@ mod tests {
     #[test]
     fn pair_pole_dedup_shares_features_between_components() {
         let pole = Complex::new(0.3, 0.8);
-        let t1 = IntegratedStateFn {
+        let t1 = StateFn {
             terms: vec![LogTerm { pole, rho: Complex::new(1.0, -0.5) }],
             linear: 0.1,
             quadratic: 0.0,
             constant: 0.0,
         };
-        let t2 = IntegratedStateFn {
+        let t2 = StateFn {
             terms: vec![LogTerm { pole, rho: Complex::new(-0.25, 0.4) }],
             linear: 0.2,
             quadratic: 0.0,
@@ -464,7 +476,7 @@ mod tests {
 
     #[test]
     fn distinct_pole_sequences_are_not_merged() {
-        let term = |re: f64| IntegratedStateFn {
+        let term = |re: f64| StateFn {
             terms: vec![LogTerm { pole: Complex::new(re, 0.5), rho: Complex::new(1.0, 0.0) }],
             linear: 0.0,
             quadratic: 0.0,
@@ -501,6 +513,22 @@ mod tests {
         let _ = b.drive_poly(&[0.0]);
         b.set_static_drive(3);
         assert_eq!(b.try_build().unwrap_err(), ServingError::BadDrive { drive: 3, n_drives: 1 });
+
+        // A rational row whose log-term pole is real or not finite.
+        for pole in
+            [Complex::new(0.9, 0.0), Complex::new(0.9, f64::NAN), Complex::new(f64::INFINITY, 1.0)]
+        {
+            let mut b = SimBuilder::new();
+            let s = b.drive_poly(&[0.0]);
+            b.set_static_drive(s);
+            let d = b.drive_rational(&StateFn {
+                terms: vec![LogTerm { pole, rho: Complex::new(1.0, 0.0) }],
+                ..StateFn::default()
+            });
+            b.block_real(-1.0, d);
+            let err = b.try_build().unwrap_err();
+            assert!(matches!(err, ServingError::BadLogPole { drive: 1, .. }), "{pole:?}: {err:?}");
+        }
 
         // And a well-formed builder succeeds.
         let mut b = SimBuilder::new();

@@ -50,6 +50,8 @@ pub use state::{CheckpointView, SimState, StateCheckpoint};
 
 use core::fmt;
 
+use rvf_numerics::Complex;
+
 /// Errors produced by the checked serving APIs.
 ///
 /// The serving layer's contract is that the *checked* entry points
@@ -75,6 +77,15 @@ pub enum ServingError {
     },
     /// [`SimBuilder::set_static_drive`] was never called.
     MissingStaticDrive,
+    /// A rational drive row has a log-term pole that is not finite or
+    /// lies on the real axis, where `ln(u − x̃)` is singular on the
+    /// input axis.
+    BadLogPole {
+        /// The drive row.
+        drive: usize,
+        /// The rejected pole.
+        pole: Complex,
+    },
     /// A stimulus chunk contains a non-finite (NaN or ±∞) sample.
     ///
     /// Checked by [`CompiledSim::simulate_into`] and
@@ -115,6 +126,9 @@ impl fmt::Display for ServingError {
                 write!(f, "SimBuilder: block drive row {drive} out of range ({n_drives} rows)")
             }
             Self::MissingStaticDrive => write!(f, "SimBuilder: static drive row not set"),
+            Self::BadLogPole { drive, pole } => {
+                write!(f, "SimBuilder: drive row {drive}: log pole {pole} is real or not finite")
+            }
             Self::BadStimulus { index, value } => {
                 write!(f, "serving: stimulus sample {index} is not finite ({value})")
             }
@@ -165,7 +179,7 @@ pub(crate) fn check_stimulus(chunk: &[f64]) -> Result<(), ServingError> {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::{CompiledSim, SimBuilder};
-    use crate::IntegratedStateFn;
+    use crate::StateFn;
 
     /// One real block `ẏ = a·y + slope·u` behind a zero static path —
     /// the smallest model that exercises the full kernel (drive memo,
@@ -174,7 +188,7 @@ pub(crate) mod testutil {
         let mut b = SimBuilder::new();
         let zero = b.drive_poly(&[0.0]);
         b.set_static_drive(zero);
-        let f = b.drive_rational(&IntegratedStateFn {
+        let f = b.drive_rational(&StateFn {
             terms: vec![],
             linear: slope,
             quadratic: 0.0,
@@ -216,6 +230,9 @@ mod tests {
             .to_string()
             .contains("out of range"));
         assert!(ServingError::MissingStaticDrive.to_string().contains("static drive row not set"));
+        assert!(ServingError::BadLogPole { drive: 2, pole: Complex::new(0.5, 0.0) }
+            .to_string()
+            .contains("real or not finite"));
         assert!(ServingError::BadStimulus { index: 3, value: f64::NAN }
             .to_string()
             .contains("not finite"));

@@ -42,12 +42,12 @@ use super::{check_dt, check_stimulus, dt_ok, ServingError};
 /// # Examples
 ///
 /// ```
-/// use rvf_core::{IntegratedStateFn, SimBuilder};
+/// use rvf_core::{StateFn, SimBuilder};
 ///
 /// let mut b = SimBuilder::new();
 /// let zero = b.drive_poly(&[0.0]);
 /// b.set_static_drive(zero);
-/// let f = b.drive_rational(&IntegratedStateFn {
+/// let f = b.drive_rational(&StateFn {
 ///     terms: vec![],
 ///     linear: 1.0e9,
 ///     quadratic: 0.0,
@@ -517,7 +517,7 @@ impl CompiledSim {
     /// # Examples
     ///
     /// ```
-    /// use rvf_core::{IntegratedStateFn, ServingError, SimBuilder};
+    /// use rvf_core::{StateFn, ServingError, SimBuilder};
     ///
     /// let mut b = SimBuilder::new();
     /// let s = b.drive_poly(&[0.0, 1.0]);

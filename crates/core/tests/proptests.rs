@@ -2,26 +2,12 @@
 //! invariants, export robustness, and model stability.
 
 use proptest::prelude::*;
-use rvf_core::{
-    text, DynBlock, HammersteinModel, IntegratedStateFn, LogTerm, SessionChunk, SimState, StateFn,
-};
+use rvf_core::{text, DynBlock, HammersteinModel, LogTerm, SessionChunk, SimState, StateFn};
 use rvf_numerics::{c, Complex, FohScalar, SweepPool};
-use rvf_vecfit::{PoleEntry, PoleSet, RationalModel, Residues, ResponseTerms};
 
 fn statefn(pole: Complex, rho: Complex, d: f64, constant: f64) -> StateFn {
     let pole = Complex::new(pole.re, pole.im.abs().max(1e-3));
-    StateFn {
-        rational: RationalModel::new(
-            PoleSet::new(vec![PoleEntry::Pair(pole)]),
-            vec![ResponseTerms { residues: Residues(vec![rho]), d, e: 0.0 }],
-        ),
-        primitive: IntegratedStateFn {
-            terms: vec![LogTerm { pole, rho }],
-            linear: d,
-            quadratic: 0.0,
-            constant,
-        },
-    }
+    StateFn { terms: vec![LogTerm { pole, rho }], linear: d, quadratic: 0.0, constant }
 }
 
 fn arb_statefn() -> impl Strategy<Value = StateFn> {
@@ -47,16 +33,7 @@ fn arb_statefn_multi() -> impl Strategy<Value = StateFn> {
                     rho: c(rre, rim),
                 })
                 .collect();
-            let pole_entries: Vec<rvf_vecfit::PoleEntry> =
-                terms.iter().map(|t| PoleEntry::Pair(t.pole)).collect();
-            let residues = Residues(terms.iter().map(|t| t.rho).collect());
-            StateFn {
-                rational: RationalModel::new(
-                    PoleSet::new(pole_entries),
-                    vec![ResponseTerms { residues, d, e }],
-                ),
-                primitive: IntegratedStateFn { terms, linear: d, quadratic: e, constant: k },
-            }
+            StateFn { terms, linear: d, quadratic: e, constant: k }
         })
 }
 
@@ -461,19 +438,7 @@ fn zero_statefn() -> StateFn {
 /// A state function `∫ r du` with one log term at `pole` (real or
 /// complex) and a linear head.
 fn log_statefn(pole: Complex, rho: Complex, linear: f64, constant: f64) -> StateFn {
-    let entry = if pole.im == 0.0 { PoleEntry::Real(pole.re) } else { PoleEntry::Pair(pole) };
-    StateFn {
-        rational: RationalModel::new(
-            PoleSet::new(vec![entry]),
-            vec![ResponseTerms { residues: Residues(vec![rho]), d: linear, e: 0.0 }],
-        ),
-        primitive: IntegratedStateFn {
-            terms: vec![LogTerm { pole, rho }],
-            linear,
-            quadratic: 0.0,
-            constant,
-        },
-    }
+    StateFn { terms: vec![LogTerm { pole, rho }], linear, quadratic: 0.0, constant }
 }
 
 /// Twelve blocks, lowered through `SimBuilder` by `compile`: the

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rvf_core::{IntegratedStateFn, LogTerm, SessionChunk, SimBuilder};
+use rvf_core::{LogTerm, SessionChunk, SimBuilder, StateFn};
 use rvf_numerics::{Complex, SweepPool};
 
 /// System allocator wrapper that counts allocation calls.
@@ -46,13 +46,13 @@ fn simulate_into_allocates_nothing_per_chunk_in_steady_state() {
     let s = b.drive_poly(&[0.1, 1.0, 0.2]);
     b.set_static_drive(s);
     let pole = Complex::new(-0.4, 1.1);
-    let f1 = b.drive_rational(&IntegratedStateFn {
+    let f1 = b.drive_rational(&StateFn {
         terms: vec![LogTerm { pole, rho: Complex::new(0.8, -0.3) }],
         linear: 0.5,
         quadratic: 0.1,
         constant: 0.0,
     });
-    let f2 = b.drive_rational(&IntegratedStateFn {
+    let f2 = b.drive_rational(&StateFn {
         terms: vec![LogTerm { pole, rho: Complex::new(-0.2, 0.6) }],
         linear: 0.2,
         quadratic: 0.0,

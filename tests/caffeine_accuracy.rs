@@ -1,9 +1,10 @@
 //! Accuracy regression for the CAFFEINE baseline's compiled serving
-//! path: a polynomial model lowered through `SimBuilder::try_build`
-//! (inside `CaffeineHammerstein::compile`) must track the scalar
-//! reference loop within an explicit [`rvf::validate::AccuracyContract`].
+//! path: a polynomial model lowered through rvf-core's one Hammerstein
+//! lowering (`rvf::caffeine::compile`) must track the scalar reference
+//! loop within an explicit [`rvf::validate::AccuracyContract`].
 
-use rvf::caffeine::{CafBlock, CaffeineHammerstein, CaffeineStage, GpOptions};
+use rvf::caffeine::{compile, simulate_reference, CaffeineStage, GpOptions};
+use rvf::model::{DynBlock, HammersteinModel};
 use rvf::numerics::linspace;
 use rvf::validate::{AccuracyContract, AccuracyReport};
 
@@ -18,16 +19,16 @@ fn poly_stage(xs: &[f64], f: impl Fn(f64) -> f64) -> CaffeineStage {
 #[test]
 fn compiled_caffeine_model_meets_accuracy_contract() {
     let xs = linspace(-1.0, 1.0, 60);
-    let model = CaffeineHammerstein {
+    let model = HammersteinModel {
         static_path: poly_stage(&xs, |x| 1.8 - 0.25 * x),
         blocks: vec![
-            CafBlock::Pair {
+            DynBlock::Pair {
                 sigma: -1.2e9,
                 omega: 3.5e9,
                 f1: poly_stage(&xs, |x| 0.9 + 0.6 * x - 0.3 * x * x),
                 f2: poly_stage(&xs, |x| 0.4 - 0.7 * x),
             },
-            CafBlock::Real { a: -2.0e9, f: poly_stage(&xs, |x| 0.3 * x + 0.5 * x * x * x) },
+            DynBlock::Real { a: -2.0e9, f: poly_stage(&xs, |x| 0.3 * x + 0.5 * x * x * x) },
         ],
         u0: 0.0,
         y0: 0.8,
@@ -43,9 +44,9 @@ fn compiled_caffeine_model_meets_accuracy_contract() {
     let dt = 1.0e-11;
 
     // Oracle: the scalar reference loop. Model under test: the compiled
-    // serving runtime produced by SimBuilder::try_build.
-    let oracle = model.simulate_reference(dt, &inputs).expect("polynomial model is closed-form");
-    let compiled = model.compile().expect("polynomial model compiles");
+    // serving runtime.
+    let oracle = simulate_reference(&model, dt, &inputs).expect("polynomial model is closed-form");
+    let compiled = compile(&model).expect("polynomial model compiles");
     let y = compiled.simulate(dt, &inputs);
 
     let report = AccuracyReport::compare(&oracle, &y, 0.1);

@@ -92,13 +92,13 @@ fn zoo_anchor_free_fingerprints_are_pinned() {
         ("mos_follower", 0xb9c6_c6de_d39b_7967),
     ];
     let unanchored = |mut model: HammersteinModel| {
-        model.static_path.primitive.constant = 0.0;
+        model.static_path.constant = 0.0;
         for block in &mut model.blocks {
             match block {
-                DynBlock::Real { f, .. } => f.primitive.constant = 0.0,
+                DynBlock::Real { f, .. } => f.constant = 0.0,
                 DynBlock::Pair { f1, f2, .. } => {
-                    f1.primitive.constant = 0.0;
-                    f2.primitive.constant = 0.0;
+                    f1.constant = 0.0;
+                    f2.constant = 0.0;
                 }
             }
         }

@@ -7,7 +7,7 @@
 
 use rvf::circuit::{diode_clipper, Waveform};
 use rvf::model::serving::{CompiledSim, SessionChunk, SimState};
-use rvf::model::{fit_tft, DynBlock, HammersteinModel, RvfOptions};
+use rvf::model::{fit_tft, DynBlock, HammersteinModel, RvfOptions, StateFn};
 use rvf::numerics::SweepPool;
 use rvf::tft::{extract_from_circuit, TftConfig};
 
@@ -69,15 +69,7 @@ fn compiled_is_exactly_identical_to_reference_on_the_diode_clipper() {
 
     // The dedup must collapse each pair block's two responses onto one
     // pole run: distinct features < total log terms of the reference.
-    let reference_terms: usize = model
-        .blocks
-        .iter()
-        .map(|b| match b {
-            DynBlock::Real { f, .. } => f.primitive.n_terms(),
-            DynBlock::Pair { f1, f2, .. } => f1.primitive.n_terms() + f2.primitive.n_terms(),
-        })
-        .sum::<usize>()
-        + model.static_path.primitive.n_terms();
+    let reference_terms: usize = model.stages().map(StateFn::n_terms).sum();
     let has_pairs = model.blocks.iter().any(|b| matches!(b, DynBlock::Pair { .. }));
     if has_pairs {
         assert!(
