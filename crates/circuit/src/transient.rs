@@ -50,8 +50,6 @@ pub struct TranResult {
     pub inputs: Vec<f64>,
     /// Output probe at each time point.
     pub outputs: Vec<f64>,
-    /// Full state at each time point.
-    pub states: Vec<Vec<f64>>,
     /// Captured Jacobian snapshots (when requested).
     pub snapshots: Vec<JacobianSnapshot>,
     /// Total Newton iterations across all steps (effort metric for the
@@ -96,7 +94,6 @@ pub fn transient(
         times: reserve(n_points)?,
         inputs: reserve(n_points)?,
         outputs: reserve(n_points)?,
-        states: reserve(n_points)?,
         snapshots: Vec::new(),
         newton_iterations: 0,
     };
@@ -114,7 +111,6 @@ pub fn transient(
         res.times.push(t);
         res.inputs.push(circuit.input_value(t).unwrap_or(0.0));
         res.outputs.push(if circuit.output_row().is_ok() { circuit.output_value(x) } else { 0.0 });
-        res.states.push(x.to_vec());
     };
     record(&mut result, circuit, 0.0, &x);
     maybe_snapshot(circuit, &mut result, 0, opts, 0.0, &x)?;
@@ -221,7 +217,7 @@ mod tests {
     use crate::devices::sources::Vsource;
     use crate::waveform::Waveform;
 
-    fn rc_lowpass(r: f64, c: f64, w: Waveform) -> (Circuit, usize) {
+    fn rc_lowpass(r: f64, c: f64, w: Waveform) -> Circuit {
         let mut ckt = Circuit::new();
         let a = ckt.node("in");
         let b = ckt.node("out");
@@ -230,13 +226,13 @@ mod tests {
         ckt.add(Capacitor::new("C1", b, 0, c)).unwrap();
         ckt.set_input("Vin").unwrap();
         ckt.set_output(b, 0);
-        (ckt, b)
+        ckt
     }
 
     #[test]
     fn rc_step_response_matches_analytic() {
         // Step from 0 to 1 V at t=0 through R=1k, C=1n: v(t) = 1−e^{−t/τ}.
-        let (mut ckt, out) = rc_lowpass(
+        let mut ckt = rc_lowpass(
             1e3,
             1e-9,
             Waveform::Pulse {
@@ -253,9 +249,8 @@ mod tests {
         let opts = TranOptions { dt: 1e-8 / 400.0, t_stop: 5e-6 / 1000.0, ..Default::default() };
         let res = transient(&mut ckt, &x0, &opts).unwrap();
         let tau = 1e3 * 1e-9;
-        for (t, s) in res.times.iter().zip(&res.states).skip(1) {
+        for (t, &got) in res.times.iter().zip(&res.outputs).skip(1) {
             let want = 1.0 - (-t / tau).exp();
-            let got = s[out - 1];
             assert!((got - want).abs() < 2e-3, "t={t:.3e}: {got} vs {want}");
         }
     }
@@ -266,7 +261,7 @@ mod tests {
         let r = 1e3;
         let c = 1e-9;
         let f0 = 1.0 / (2.0 * core::f64::consts::PI * r * c);
-        let (mut ckt, out) = rc_lowpass(
+        let mut ckt = rc_lowpass(
             r,
             c,
             Waveform::Sine { offset: 0.0, amplitude: 1.0, freq_hz: f0, phase_rad: 0.0, delay: 0.0 },
@@ -277,8 +272,7 @@ mod tests {
         let res = transient(&mut ckt, &x0, &opts).unwrap();
         // Amplitude over the last two periods.
         let n = res.times.len();
-        let tail = &res.states[n - 2000..];
-        let peak = tail.iter().map(|s| s[out - 1]).fold(0.0_f64, f64::max);
+        let peak = res.outputs[n - 2000..].iter().copied().fold(0.0_f64, f64::max);
         assert!((peak - core::f64::consts::FRAC_1_SQRT_2).abs() < 0.01, "peak {peak}");
     }
 
@@ -328,7 +322,7 @@ mod tests {
 
     #[test]
     fn snapshots_captured_at_requested_cadence() {
-        let (mut ckt, _) = rc_lowpass(
+        let mut ckt = rc_lowpass(
             1e3,
             1e-9,
             Waveform::Sine {
@@ -355,7 +349,7 @@ mod tests {
         // Regression for the old `assert!`s: unusable options and a
         // mis-sized initial state must come back as typed errors so a
         // serving/extraction caller can degrade instead of aborting.
-        let (mut ckt, _) = rc_lowpass(
+        let mut ckt = rc_lowpass(
             1e3,
             1e-9,
             Waveform::Sine {

@@ -66,9 +66,6 @@ fn integral_expr(p: &StateFn, var: &str) -> String {
     if p.linear != 0.0 {
         let _ = write!(out, " + ({:.17e})*{var}", p.linear);
     }
-    if p.quadratic != 0.0 {
-        let _ = write!(out, " + ({:.17e})*{var}.^2*0.5", p.quadratic);
-    }
     for t in &p.terms {
         let (a, b) = (t.pole.re, t.pole.im);
         let (c, d) = (t.rho.re, t.rho.im);
@@ -87,7 +84,7 @@ mod tests {
     fn toy_statefn() -> StateFn {
         let pole = c(0.9, 0.3);
         let rho = c(0.5, -0.2);
-        StateFn { terms: vec![LogTerm { pole, rho }], linear: 0.1, quadratic: 0.0, constant: -0.05 }
+        StateFn { terms: vec![LogTerm { pole, rho }], linear: 0.1, constant: -0.05 }
     }
 
     #[test]

@@ -5,18 +5,23 @@
 //! ```text
 //! rvf-hammerstein v1
 //! anchor <u0> <y0>
-//! static <d> <e> <const> <n_pairs>
+//! static <d> 0 <const> <n_pairs>
 //! pair <pole_re> <pole_im> <rho_re> <rho_im>
 //! …
 //! blocks <n>
 //! real <a>
-//! fn <d> <e> <const> <n_pairs>
+//! fn <d> 0 <const> <n_pairs>
 //! pair …
 //! pair_block <sigma> <omega>
 //! fn …        (component 1)
 //! fn …        (component 2)
 //! end
 //! ```
+//!
+//! `<d>` is a state function's `linear` coefficient and `<const>` its
+//! integration constant. The second column held the coefficient of a
+//! `u²/2` term that no fit produces: v1 keeps the column, the encoder
+//! writes zero there and the decoder refuses any other value.
 
 use core::str::SplitWhitespace;
 
@@ -51,10 +56,10 @@ pub fn encode(model: &HammersteinModel) -> String {
 }
 
 fn encode_statefn(out: &mut String, f: &StateFn) {
+    // The second column is v1's always-zero `u²/2` coefficient.
     out.push_str(&format!(
-        "{:.17e} {:.17e} {:.17e} {}\n",
+        "{:.17e} 0.00000000000000000e0 {:.17e} {}\n",
         f.linear,
-        f.quadratic,
         f.constant,
         f.terms.len()
     ));
@@ -106,12 +111,17 @@ fn parse_f64(line: usize, tok: Option<&str>) -> Result<f64, RvfError> {
         .ok_or(RvfError::Decode { line, message: "expected a finite number".into() })
 }
 
-/// Reads one state function: a `<word> <d> <e> <const> <n_pairs>`
-/// line, then its `pair` lines.
+/// Reads one state function: a `<word> <d> 0 <const> <n_pairs>` line,
+/// then its `pair` lines.
 fn decode_statefn(lines: &mut Lines<'_>, word: &str) -> Result<StateFn, RvfError> {
     let (first_line, mut it) = lines.keyword(word)?;
     let d = parse_f64(first_line, it.next())?;
-    let e = parse_f64(first_line, it.next())?;
+    if parse_f64(first_line, it.next())? != 0.0 {
+        return Err(RvfError::Decode {
+            line: first_line,
+            message: "second column must be 0".into(),
+        });
+    }
     let constant = parse_f64(first_line, it.next())?;
     let n: usize = it
         .next()
@@ -130,7 +140,7 @@ fn decode_statefn(lines: &mut Lines<'_>, word: &str) -> Result<StateFn, RvfError
         let rim = parse_f64(ln, it.next())?;
         terms.push(LogTerm { pole: Complex::new(pre, pim), rho: Complex::new(rre, rim) });
     }
-    Ok(StateFn { terms, linear: d, quadratic: e, constant })
+    Ok(StateFn { terms, linear: d, constant })
 }
 
 /// Parses a model from the text format produced by [`encode`].
@@ -194,12 +204,7 @@ mod tests {
     fn toy_statefn(seed: f64) -> StateFn {
         let pole = c(0.5 + seed, 0.25);
         let rho = c(1.0 - seed, 0.5 * seed);
-        StateFn {
-            terms: vec![LogTerm { pole, rho }],
-            linear: 0.3 * seed,
-            quadratic: 0.0,
-            constant: seed,
-        }
+        StateFn { terms: vec![LogTerm { pole, rho }], linear: 0.3 * seed, constant: seed }
     }
 
     fn toy_model() -> HammersteinModel {
@@ -277,6 +282,32 @@ mod tests {
                 "{text}: {got:?}"
             );
         }
+    }
+
+    #[test]
+    fn second_column_must_be_zero() {
+        let model = |stat: &str, fun: &str| {
+            format!("rvf-hammerstein v1\nanchor 0.9 0.5\nstatic {stat}\nblocks 1\nreal -1e9\nfn {fun}\nend\n")
+        };
+        for zero in ["0", "-0.0", "0.00000000000000000e0", "-0.00000000000000000e0"] {
+            let text = model(&format!("0.5 {zero} 0.1 0"), &format!("1 {zero} 0 0"));
+            assert!(decode(&text).is_ok(), "{zero}");
+        }
+        for (text, line) in
+            [(model("0.5 0.25 0.1 0", "1 0 0 0"), 3), (model("0.5 0 0.1 0", "1 -1e-300 0 0"), 6)]
+        {
+            let got = decode(&text);
+            assert!(
+                matches!(got, Err(RvfError::Decode { line: l, .. }) if l == line),
+                "{text}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn committed_ledger_model_round_trips_byte_for_byte() {
+        let text = include_str!("../../../../perf_ledger/models/buffer.rvf.txt");
+        assert_eq!(encode(&decode(text).unwrap()), text);
     }
 
     #[test]

@@ -92,9 +92,6 @@ fn integral_expr(p: &StateFn, var: &str) -> String {
     if p.linear != 0.0 {
         let _ = write!(out, " + ({:.17e})*{var}", p.linear);
     }
-    if p.quadratic != 0.0 {
-        let _ = write!(out, " + ({:.17e})*{var}*{var}*0.5", p.quadratic);
-    }
     for t in &p.terms {
         // 2·Re{ρ ln(u − x̃)} with x̃ = a+jb, ρ = c+jd:
         //   = 2c·ln(|u−x̃|) − 2d·arg(u−x̃)
@@ -119,7 +116,7 @@ mod tests {
     fn toy_statefn() -> StateFn {
         let pole = c(0.9, 0.3);
         let rho = c(0.5, -0.2);
-        StateFn { terms: vec![LogTerm { pole, rho }], linear: 0.1, quadratic: 0.0, constant: -0.05 }
+        StateFn { terms: vec![LogTerm { pole, rho }], linear: 0.1, constant: -0.05 }
     }
 
     fn toy_model() -> HammersteinModel {

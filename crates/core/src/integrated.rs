@@ -5,13 +5,13 @@
 //! state variable `u` with conjugate-pair poles:
 //!
 //! ```text
-//! r(u) = Σ_i [ ρ_i/(u − x̃_i) + ρ_i*/(u − x̃_i*) ] + d (+ e·u)
+//! r(u) = Σ_i [ ρ_i/(u − x̃_i) + ρ_i*/(u − x̃_i*) ] + d
 //! ```
 //!
 //! Its primitive is available analytically:
 //!
 //! ```text
-//! ∫ r du = Σ_i 2·Re{ ρ_i · ln(u − x̃_i) } + d·u + e·u²/2 + C
+//! ∫ r du = Σ_i 2·Re{ ρ_i · ln(u − x̃_i) } + d·u + C
 //! ```
 //!
 //! For real `u` and `Im(x̃_i) > 0`, the argument `u − x̃_i` stays in the
@@ -35,16 +35,13 @@ pub struct LogTerm {
 }
 
 /// A fitted state function `r(u)` together with its analytic primitive
-/// `∫ r du`.
+/// `∫ r du = constant + linear·u + Σ 2·Re{ρ·ln(u − x̃)}`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StateFn {
     /// Pole–residue terms (one per conjugate pole pair).
     pub terms: Vec<LogTerm>,
     /// Constant term `d` of `r`: the coefficient of `u` in the primitive.
     pub linear: f64,
-    /// Linear term `e` of `r` (normally absent): the coefficient of
-    /// `u²/2` in the primitive.
-    pub quadratic: f64,
     /// Integration constant (fixed from the DC solution, paper §III-B).
     pub constant: f64,
 }
@@ -73,7 +70,7 @@ impl StateFn {
                 }
             })
             .collect();
-        Self { terms, linear: t.d * scale, quadratic: t.e * scale, constant: 0.0 }
+        Self { terms, linear: t.d * scale, constant: 0.0 }
     }
 
     /// The fitted function value `r(u)`, in the operation order of
@@ -84,12 +81,12 @@ impl StateFn {
         for t in &self.terms {
             acc += t.rho * (s - t.pole).inv() + t.rho.conj() * (s - t.pole.conj()).inv();
         }
-        (acc + Complex::from_re(self.linear) + s * self.quadratic).re
+        (acc + Complex::from_re(self.linear)).re
     }
 
     /// The primitive `∫ r du` at `u`.
     pub fn integral(&self, u: f64) -> f64 {
-        let mut acc = self.constant + self.linear * u + 0.5 * self.quadratic * u * u;
+        let mut acc = self.constant + self.linear * u;
         for t in &self.terms {
             let z = Complex::from_re(u) - t.pole;
             acc += 2.0 * (t.rho * z.ln()).re;
@@ -127,7 +124,6 @@ mod tests {
                 LogTerm { pole: c(-0.3, 0.8), rho: c(-0.25, 0.1) },
             ],
             linear: 0.7,
-            quadratic: 0.0,
             constant: 2.0,
         };
         for &u in &[-1.0, -0.2, 0.0, 0.4, 0.9, 1.5] {
@@ -144,7 +140,6 @@ mod tests {
         let f = StateFn {
             terms: vec![LogTerm { pole: c(0.0, 0.05), rho: c(2.0, 1.0) }],
             linear: 0.0,
-            quadratic: 0.0,
             constant: 0.0,
         };
         let xs = linspace(-2.0, 2.0, 4001);
@@ -159,7 +154,6 @@ mod tests {
         let f = StateFn {
             terms: vec![LogTerm { pole: c(0.5, 0.3), rho: c(1.0, 0.0) }],
             linear: 1.0,
-            quadratic: 0.0,
             constant: 0.0,
         }
         .anchored(0.9, 5.0);
@@ -203,7 +197,7 @@ mod tests {
         use rvf_vecfit::{PoleSet, RationalModel, Residues, ResponseTerms};
         let model = RationalModel::new(
             PoleSet::from_reals(&[-1.0]),
-            vec![ResponseTerms { residues: Residues(vec![c(1.0, 0.0)]), d: 0.0, e: 0.0 }],
+            vec![ResponseTerms { residues: Residues(vec![c(1.0, 0.0)]), d: 0.0 }],
         );
         let _ = StateFn::from_state_fit(&model, 0, 1.0);
     }

@@ -282,8 +282,8 @@ mod tests {
         let model = RationalModel::new(
             PoleSet::from_reals(&[-1.0]),
             vec![
-                ResponseTerms { residues: Residues(vec![c(1.0, 0.0)]), d: 0.5, e: 0.0 },
-                ResponseTerms { residues: Residues(vec![c(2.0, 0.0)]), d: -0.5, e: 0.0 },
+                ResponseTerms { residues: Residues(vec![c(1.0, 0.0)]), d: 0.5 },
+                ResponseTerms { residues: Residues(vec![c(2.0, 0.0)]), d: -0.5 },
             ],
         );
         let second = single_response(&model, 1, 1.0);

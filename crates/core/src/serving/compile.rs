@@ -33,8 +33,8 @@ use crate::integrated::StateFn;
 /// A static-stage drive registered with [`SimBuilder`].
 #[derive(Debug, Clone)]
 enum DriveSpec {
-    /// RVF log-form primitive: quadratic head + logarithmic terms.
-    Rational { c: [f64; 3], terms: Vec<(Complex, Complex)> },
+    /// RVF log-form primitive: `[constant, linear]` head + log terms.
+    Rational { c: [f64; 2], terms: Vec<(Complex, Complex)> },
     /// Polynomial primitive by ascending coefficients (CAFFEINE path).
     Poly { coeffs: Vec<f64> },
 }
@@ -71,10 +71,8 @@ impl SimBuilder {
     /// row and returns its row id. The row evaluates exactly like
     /// [`StateFn::integral`].
     pub fn drive_rational(&mut self, primitive: &StateFn) -> usize {
-        // 0.5·q is exact (power-of-two scaling), so precomputing it
-        // preserves the reference expression `… + 0.5*q*u*u` bit for bit.
         self.drives.push(DriveSpec::Rational {
-            c: [primitive.constant, primitive.linear, 0.5 * primitive.quadratic],
+            c: [primitive.constant, primitive.linear],
             terms: primitive.terms.iter().map(|t| (t.pole, t.rho)).collect(),
         });
         self.drives.len() - 1
@@ -169,14 +167,14 @@ impl SimBuilder {
         // row serves them all.
         let needs_zero = self.blocks.iter().any(|b| matches!(b, BlockSpec::Real { .. }));
         let zero_row = if needs_zero {
-            self.drives.push(DriveSpec::Rational { c: [0.0; 3], terms: Vec::new() });
+            self.drives.push(DriveSpec::Rational { c: [0.0; 2], terms: Vec::new() });
             self.drives.len() - 1
         } else {
             usize::MAX
         };
 
         let n_drives = self.drives.len();
-        let mut head = vec![[0.0f64; 3]; n_drives];
+        let mut head = vec![[0.0f64; 2]; n_drives];
         let mut row_off = Vec::with_capacity(n_drives + 1);
         let mut term_w: Vec<[f64; 2]> = Vec::new();
         let mut term_pole: Vec<usize> = Vec::new();
@@ -290,8 +288,8 @@ pub(crate) struct BlockCoef {
 pub struct CompiledSim {
     pub(crate) static_row: usize,
     pub(crate) n_drives: usize,
-    /// `[c0, c1, 0.5·q]` quadratic heads, one row per drive.
-    pub(crate) head: Vec<[f64; 3]>,
+    /// `[constant, linear]` heads, one row per drive.
+    pub(crate) head: Vec<[f64; 2]>,
     /// CSR offsets into `term_w`/`term_pole`, length `n_drives + 1`.
     pub(crate) row_off: Vec<usize>,
     /// `(Re ρ, Im ρ)` per log term.
@@ -453,13 +451,11 @@ mod tests {
         let t1 = StateFn {
             terms: vec![LogTerm { pole, rho: Complex::new(1.0, -0.5) }],
             linear: 0.1,
-            quadratic: 0.0,
             constant: 0.0,
         };
         let t2 = StateFn {
             terms: vec![LogTerm { pole, rho: Complex::new(-0.25, 0.4) }],
             linear: 0.2,
-            quadratic: 0.0,
             constant: 0.0,
         };
         let mut b = SimBuilder::new();
@@ -479,7 +475,6 @@ mod tests {
         let term = |re: f64| StateFn {
             terms: vec![LogTerm { pole: Complex::new(re, 0.5), rho: Complex::new(1.0, 0.0) }],
             linear: 0.0,
-            quadratic: 0.0,
             constant: 0.0,
         };
         let mut b = SimBuilder::new();

@@ -188,12 +188,7 @@ pub(crate) mod testutil {
         let mut b = SimBuilder::new();
         let zero = b.drive_poly(&[0.0]);
         b.set_static_drive(zero);
-        let f = b.drive_rational(&StateFn {
-            terms: vec![],
-            linear: slope,
-            quadratic: 0.0,
-            constant: 0.0,
-        });
+        let f = b.drive_rational(&StateFn { terms: vec![], linear: slope, constant: 0.0 });
         b.block_real(a, f);
         b.try_build().unwrap()
     }

@@ -50,7 +50,6 @@ use super::{check_dt, check_stimulus, dt_ok, ServingError};
 /// let f = b.drive_rational(&StateFn {
 ///     terms: vec![],
 ///     linear: 1.0e9,
-///     quadratic: 0.0,
 ///     constant: 0.0,
 /// });
 /// b.block_real(-1.0e9, f);
@@ -281,7 +280,7 @@ fn shape_of(sim: &CompiledSim) -> [usize; 4] {
 ///
 /// Pass 1 fills the shared log-feature basis (one `ln` per *distinct*
 /// pole, in one vectorised `ln_shifted_into` call), pass 2 accumulates
-/// the quadratic heads + CSR log terms in the reference operation order,
+/// the linear heads + CSR log terms in the reference operation order,
 /// pass 3 runs the power-basis matvec for the polynomial rows.
 fn eval_drives(
     sim: &CompiledSim,
@@ -294,9 +293,8 @@ fn eval_drives(
     ln_shifted_into(u, &sim.poles, lr, li);
     for (d, v) in v1.iter_mut().enumerate() {
         let h = sim.head[d];
-        // Matches `constant + linear*u + 0.5*quadratic*u*u` bit for bit
-        // (h[2] is the exactly-precomputed 0.5·q).
-        let mut acc = h[0] + h[1] * u + h[2] * u * u;
+        // Matches `constant + linear*u` bit for bit.
+        let mut acc = h[0] + h[1] * u;
         for t in sim.row_off[d]..sim.row_off[d + 1] {
             let w = sim.term_w[t];
             let p = sim.term_pole[t];

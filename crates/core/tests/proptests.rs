@@ -7,7 +7,7 @@ use rvf_numerics::{c, Complex, FohScalar, SweepPool};
 
 fn statefn(pole: Complex, rho: Complex, d: f64, constant: f64) -> StateFn {
     let pole = Complex::new(pole.re, pole.im.abs().max(1e-3));
-    StateFn { terms: vec![LogTerm { pole, rho }], linear: d, quadratic: 0.0, constant }
+    StateFn { terms: vec![LogTerm { pole, rho }], linear: d, constant }
 }
 
 fn arb_statefn() -> impl Strategy<Value = StateFn> {
@@ -15,17 +15,16 @@ fn arb_statefn() -> impl Strategy<Value = StateFn> {
         .prop_map(|(pre, pim, rre, rim, d, k)| statefn(c(pre, pim), c(rre, rim), d, k))
 }
 
-/// A state function with several log terms and an optional quadratic
-/// tail — wider coverage than [`arb_statefn`] for the serving-runtime
-/// equivalence tests (randomized pole counts and polynomial degrees).
+/// A state function with several log terms — wider coverage than
+/// [`arb_statefn`] for the serving-runtime equivalence tests
+/// (randomized pole counts).
 fn arb_statefn_multi() -> impl Strategy<Value = StateFn> {
     (
         prop::collection::vec((-2.0..2.0f64, 0.01..2.0f64, -3.0..3.0f64, -3.0..3.0f64), 0..4),
         -2.0..2.0f64,
-        -0.5..0.5f64,
         -5.0..5.0f64,
     )
-        .prop_map(|(terms, d, e, k)| {
+        .prop_map(|(terms, d, k)| {
             let terms: Vec<LogTerm> = terms
                 .into_iter()
                 .map(|(pre, pim, rre, rim)| LogTerm {
@@ -33,7 +32,7 @@ fn arb_statefn_multi() -> impl Strategy<Value = StateFn> {
                     rho: c(rre, rim),
                 })
                 .collect();
-            StateFn { terms, linear: d, quadratic: e, constant: k }
+            StateFn { terms, linear: d, constant: k }
         })
 }
 
@@ -438,7 +437,7 @@ fn zero_statefn() -> StateFn {
 /// A state function `∫ r du` with one log term at `pole` (real or
 /// complex) and a linear head.
 fn log_statefn(pole: Complex, rho: Complex, linear: f64, constant: f64) -> StateFn {
-    StateFn { terms: vec![LogTerm { pole, rho }], linear, quadratic: 0.0, constant }
+    StateFn { terms: vec![LogTerm { pole, rho }], linear, constant }
 }
 
 /// Twelve blocks, lowered through `SimBuilder` by `compile`: the
@@ -486,6 +485,9 @@ fn twelve_block_model_keeps_reference_bits_through_held_runs() {
 /// real lane is pinned instead, against the reference step itself;
 /// that is where `w − w` = NaN shows (a state seeded at the pole level
 /// stays −∞ if the held run's `w − w` is taken as 0).
+///
+/// A model with no blocks pins the static row's head against
+/// [`StateFn::integral`] at infinite and signed-zero inputs.
 #[test]
 fn held_level_on_a_real_pole_keeps_the_reference_bits() {
     let (pole, dt) = (0.7, 1e-10);
@@ -547,6 +549,29 @@ fn held_level_on_a_real_pole_keeps_the_reference_bits() {
             sim.simulate_into(dt, &u[t..=t], &mut state, &mut [0.0]).unwrap();
             let got = state.export().sre[0];
             assert!(same_bits(got, x), "{runs:?}, sample {t}: {got} vs reference state {x}");
+        }
+    }
+
+    // With no blocks the output is the static drive row itself, so the
+    // head `constant + linear·u` shows its bits: at ±∞, at ±0.0, and
+    // where it sums to −0.0 (`constant = −0.0`, `linear < 0`, u = +0.0).
+    let negative_zero_head = StateFn { terms: vec![], linear: -1.5, constant: -0.0 };
+    assert_eq!(negative_zero_head.integral(0.0).to_bits(), (-0.0f64).to_bits());
+    for f in [
+        negative_zero_head,
+        StateFn { terms: vec![], linear: 2.0, constant: 0.25 },
+        log_statefn(c(-0.5, 0.9), c(0.4, 0.3), 1.0, 0.0),
+    ] {
+        let m = HammersteinModel { static_path: f.clone(), blocks: vec![], u0: 0.0, y0: 0.0 };
+        let sim = m.compile();
+        for u in [f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0] {
+            let (got, want) = (sim.simulate(dt, &[u])[0], f.integral(u));
+            assert!(same_bits(got, want), "{f:?} at {u}: {got:e} vs {want:e}");
+            // The checked streaming path refuses a non-finite sample.
+            if u.is_finite() {
+                let stimulus = [u, u, 0.3, u];
+                assert_eq!(held_run_mismatch(&m, dt, &stimulus, &[1, 3]), None, "{f:?} at {u}");
+            }
         }
     }
 }

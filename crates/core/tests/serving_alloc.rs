@@ -49,13 +49,11 @@ fn simulate_into_allocates_nothing_per_chunk_in_steady_state() {
     let f1 = b.drive_rational(&StateFn {
         terms: vec![LogTerm { pole, rho: Complex::new(0.8, -0.3) }],
         linear: 0.5,
-        quadratic: 0.1,
         constant: 0.0,
     });
     let f2 = b.drive_rational(&StateFn {
         terms: vec![LogTerm { pole, rho: Complex::new(-0.2, 0.6) }],
         linear: 0.2,
-        quadratic: 0.0,
         constant: 0.1,
     });
     b.block_pair(-1.0e9, 3.0e9, f1, f2);

@@ -17,8 +17,7 @@ fn nonlinear_sim() -> CompiledSim {
     let mut b = SimBuilder::new();
     let zero = b.drive_poly(&[0.0]);
     b.set_static_drive(zero);
-    let f =
-        b.drive_rational(&StateFn { terms: vec![], linear: 1.5, quadratic: 0.2, constant: 0.0 });
+    let f = b.drive_poly(&[0.0, 1.5, 0.1]);
     b.block_real(-1.0e9, f);
     b.try_build().expect("valid wiring")
 }
@@ -47,8 +46,7 @@ fn worker_panic_surfaces_as_typed_error_and_pool_survives() {
     let mut b = SimBuilder::new();
     let zero = b.drive_poly(&[0.0]);
     b.set_static_drive(zero);
-    let f =
-        b.drive_rational(&StateFn { terms: vec![], linear: 1.5, quadratic: 0.0, constant: 0.0 });
+    let f = b.drive_rational(&StateFn { terms: vec![], linear: 1.5, constant: 0.0 });
     b.block_real(-1.0e9, f);
     let sim = b.try_build().expect("valid wiring");
 

@@ -5,15 +5,14 @@
 
 use proptest::prelude::*;
 use rvf_core::serving::SessionChunk;
-use rvf_core::{CompiledSim, ServingError, SimBuilder, SimState, StateFn};
+use rvf_core::{CompiledSim, ServingError, SimBuilder, SimState};
 use rvf_numerics::{pool_constructions, SweepPool};
 
 fn nonlinear_sim() -> CompiledSim {
     let mut b = SimBuilder::new();
     let zero = b.drive_poly(&[0.0]);
     b.set_static_drive(zero);
-    let f =
-        b.drive_rational(&StateFn { terms: vec![], linear: 1.5, quadratic: 0.2, constant: 0.0 });
+    let f = b.drive_poly(&[0.0, 1.5, 0.1]);
     b.block_real(-1.0e9, f);
     b.try_build().expect("valid wiring")
 }

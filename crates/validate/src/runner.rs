@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn unstable_block_is_a_typed_error() {
         use rvf_core::StateFn;
-        let f = || StateFn { terms: vec![], linear: 1.0, quadratic: 0.0, constant: 0.0 };
+        let f = || StateFn { terms: vec![], linear: 1.0, constant: 0.0 };
         let pair = |sigma| DynBlock::Pair { sigma, omega: 2.0, f1: f(), f2: f() };
         let mut model = HammersteinModel {
             static_path: f(),

@@ -734,7 +734,7 @@ fn identify_residues(
             let flat: Vec<f64> = sol.iter().zip(norms).map(|(v, n)| v / n).collect();
             let residues = Residues::from_flat(poles_ref, &flat[..n_basis]);
             let d = if opts.has_const() { flat[n_basis] } else { 0.0 };
-            Ok::<ResponseTerms, VecfitError>(ResponseTerms { residues, d, e: 0.0 })
+            Ok::<ResponseTerms, VecfitError>(ResponseTerms { residues, d })
         })
         .map_err(unwrap_sweep)?;
     Ok(RationalModel::new(poles, terms))

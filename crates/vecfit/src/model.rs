@@ -5,7 +5,7 @@ use rvf_numerics::Complex;
 use crate::basis::Residues;
 use crate::poles::PoleSet;
 
-/// The residues and polynomial terms of one response sharing the common
+/// The residues and constant term of one response sharing the common
 /// pole set.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResponseTerms {
@@ -13,16 +13,13 @@ pub struct ResponseTerms {
     pub residues: Residues,
     /// Constant term `d` (fitted on the real axis, zero on `jω`).
     pub d: f64,
-    /// Linear term `e` in `s·e` (no fit carries one, so a fitted model
-    /// leaves it zero).
-    pub e: f64,
 }
 
 impl ResponseTerms {
-    /// The response multiplied by `k`: every residue, `d` and `e`.
+    /// The response multiplied by `k`: every residue and `d`.
     pub fn scaled(&self, k: f64) -> Self {
         let residues = Residues(self.residues.0.iter().map(|r| r.scale(k)).collect());
-        Self { residues, d: self.d * k, e: self.e * k }
+        Self { residues, d: self.d * k }
     }
 }
 
@@ -30,8 +27,11 @@ impl ResponseTerms {
 /// residues — the output of a (vector) fit:
 ///
 /// ```text
-/// H_k(s) ≈ Σ_p r_{k,p}/(s − a_p) + d_k + s·e_k
+/// H_k(s) ≈ Σ_p r_{k,p}/(s − a_p) + d_k
 /// ```
+///
+/// This is vector fitting's general form without its optional `s·e_k`
+/// term: no fit here has the linear column that would set it.
 ///
 /// For the TFT pipeline, `k` indexes the state-space snapshots, so the
 /// residue trajectories `r_p(x(k))` of the paper are the columns of this
@@ -47,7 +47,6 @@ impl ResponseTerms {
 /// let terms = ResponseTerms {
 ///     residues: Residues(vec![c(2.0, 0.0)]),
 ///     d: 0.0,
-///     e: 0.0,
 /// };
 /// let model = RationalModel::new(poles, vec![terms]);
 /// // H(0) = 2/(0 - (-1)) = 2.
@@ -87,7 +86,7 @@ impl RationalModel {
     /// Panics if `k` is out of range.
     pub fn eval(&self, k: usize, s: Complex) -> Complex {
         let t = &self.terms[k];
-        t.residues.eval(&self.poles, s) + Complex::from_re(t.d) + s * t.e
+        t.residues.eval(&self.poles, s) + Complex::from_re(t.d)
     }
 
     /// The residue trajectory of pole entry `p` across all responses —
@@ -111,19 +110,19 @@ mod tests {
 
     fn two_response_model() -> RationalModel {
         let poles = PoleSet::new(vec![PoleEntry::Pair(c(-1.0, 3.0))]);
-        let t0 = ResponseTerms { residues: Residues(vec![c(1.0, 0.5)]), d: 0.1, e: 0.0 };
-        let t1 = ResponseTerms { residues: Residues(vec![c(2.0, -0.5)]), d: -0.1, e: 0.0 };
+        let t0 = ResponseTerms { residues: Residues(vec![c(1.0, 0.5)]), d: 0.1 };
+        let t1 = ResponseTerms { residues: Residues(vec![c(2.0, -0.5)]), d: -0.1 };
         RationalModel::new(poles, vec![t0, t1])
     }
 
     #[test]
-    fn eval_includes_d_and_e() {
+    fn eval_includes_d() {
         let poles = PoleSet::from_reals(&[-1.0]);
-        let t = ResponseTerms { residues: Residues(vec![c(0.0, 0.0)]), d: 3.0, e: 2.0 };
+        let t = ResponseTerms { residues: Residues(vec![c(2.0, 0.0)]), d: 3.0 };
         let m = RationalModel::new(poles, vec![t]);
         let s = c(0.0, 5.0);
         let v = m.eval(0, s);
-        assert!((v - (c(3.0, 0.0) + s * 2.0)).abs() < 1e-14);
+        assert!((v - (c(2.0, 0.0) / (s + 1.0) + c(3.0, 0.0))).abs() < 1e-14);
     }
 
     #[test]
