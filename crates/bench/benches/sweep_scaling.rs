@@ -19,10 +19,10 @@ fn ladder_pencil() -> (Mat, Mat, Vec<f64>, Vec<f64>) {
     let mut ckt = rc_ladder(5, 1.0e3, 1.0e-9, Waveform::Dc(0.5));
     // dc_operating_point finalizes the circuit, so eval is safe here.
     let x0 = dc_operating_point(&mut ckt, &DcOptions::default()).unwrap();
-    let ev = ckt.eval(&x0, 0.0, 0.0, true);
+    let ev = ckt.eval(&x0, 0.0, 0.0);
     let b = ckt.input_column().unwrap();
     let d = ckt.output_row().unwrap();
-    (ev.g.unwrap(), ev.c.unwrap(), b, d)
+    (ev.g, ev.c, b, d)
 }
 
 fn s_grid(n_freqs: usize) -> Vec<Complex> {

@@ -134,14 +134,12 @@ pub fn ac_sweep(
     freqs_hz: &[f64],
 ) -> Result<Vec<Complex>, CircuitError> {
     let _ = circuit.dim();
-    let ev = circuit.eval(x_op, 0.0, 0.0, true);
-    let g = ev.g.expect("jacobian requested");
-    let c = ev.c.expect("jacobian requested");
+    let ev = circuit.eval(x_op, 0.0, 0.0);
     let b = circuit.input_column()?;
     let d = circuit.output_row()?;
     let ss: Vec<Complex> =
         freqs_hz.iter().map(|&f| Complex::from_im(2.0 * core::f64::consts::PI * f)).collect();
-    transfer_sweep(&g, &c, &b, &d, &ss)
+    transfer_sweep(&ev.g, &ev.c, &b, &d, &ss)
 }
 
 #[cfg(test)]
@@ -185,10 +183,10 @@ mod tests {
     fn pencil_at_op(ckt: &mut Circuit) -> (Mat, Mat, Vec<f64>, Vec<f64>) {
         // dc_operating_point finalizes the circuit, so eval is safe here.
         let x0 = dc_operating_point(ckt, &DcOptions::default()).unwrap();
-        let ev = ckt.eval(&x0, 0.0, 0.0, true);
+        let ev = ckt.eval(&x0, 0.0, 0.0);
         let b = ckt.input_column().unwrap();
         let d = ckt.output_row().unwrap();
-        (ev.g.unwrap(), ev.c.unwrap(), b, d)
+        (ev.g, ev.c, b, d)
     }
 
     fn assert_paths_agree(ckt: &mut Circuit, what: &str) {
@@ -254,13 +252,11 @@ mod tests {
         let (mut ckt, _) = rc_lowpass();
         let x0 = dc_operating_point(&mut ckt, &DcOptions::default()).unwrap();
         let _ = ckt.dim();
-        let ev = ckt.eval(&x0, 0.0, 0.0, true);
-        let g = ev.g.unwrap();
-        let c = ev.c.unwrap();
+        let ev = ckt.eval(&x0, 0.0, 0.0);
         let b = ckt.input_column().unwrap();
         let d = ckt.output_row().unwrap();
         let s = Complex::new(-2.0e5, 3.0e5);
-        let h = transfer_at(&g, &c, &b, &d, s).unwrap();
+        let h = transfer_at(&ev.g, &ev.c, &b, &d, s).unwrap();
         let rc = 1.0e3 * 1.0e-9;
         let want = (Complex::ONE + s.scale(rc)).inv();
         assert!((h - want).abs() < 1e-9 * want.abs());

@@ -1,44 +1,28 @@
 //! DC operating point: damped Newton with gmin stepping.
 
-use rvf_numerics::Lu;
-
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
+use crate::newton::newton;
 
-/// Options for the DC solver.
-#[derive(Debug, Clone)]
-pub struct DcOptions {
-    /// Maximum Newton iterations per gmin step.
-    pub(crate) max_iterations: usize,
-    /// Residual convergence tolerance (amps).
-    pub(crate) tol_residual: f64,
-    /// Update convergence tolerance (volts).
-    pub(crate) tol_update: f64,
-    /// Per-iteration cap on the infinity norm of the update (volts);
-    /// damping for the exponential nonlinearities.
-    pub(crate) max_step: f64,
-    /// Gmin continuation sequence (conductance to ground at nonlinear
-    /// devices); must end with the target value (normally a tiny one).
-    pub(crate) gmin_sequence: Vec<f64>,
-}
+/// Maximum Newton iterations per gmin step.
+const MAX_ITERATIONS: usize = 100;
+/// Cap on the infinity norm of each Newton update (V): damping for the
+/// exponential nonlinearities.
+const MAX_STEP: f64 = 0.5;
+/// Gmin continuation ladder (S from every nonlinear device node to
+/// ground), ending at the target value.
+const GMIN_LADDER: [f64; 6] = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12];
 
-impl Default for DcOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 100,
-            tol_residual: 1e-9,
-            tol_update: 1e-9,
-            max_step: 0.5,
-            gmin_sequence: vec![1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12],
-        }
-    }
-}
+/// Options for the DC solver. It has none to set: the iteration cap,
+/// damping, tolerances and gmin ladder are fixed.
+#[derive(Debug, Clone, Default)]
+pub struct DcOptions {}
 
 /// Computes the DC operating point with all sources at their `t = 0`
 /// values.
 ///
 /// Runs damped Newton from a zero initial guess, warm-starting across a
-/// decreasing gmin sequence (continuation), which tames the exponential
+/// decreasing gmin ladder (continuation), which tames the exponential
 /// device characteristics the same way production SPICE engines do.
 ///
 /// # Errors
@@ -47,60 +31,16 @@ impl Default for DcOptions {
 /// to converge, or a numerical error if the Jacobian becomes singular.
 pub fn dc_operating_point(
     circuit: &mut Circuit,
-    opts: &DcOptions,
+    _opts: &DcOptions,
 ) -> Result<Vec<f64>, CircuitError> {
-    let dim = circuit.dim();
-    let mut x = vec![0.0; dim];
-    let mut last_err = None;
-    let seq = if opts.gmin_sequence.is_empty() { &[0.0][..] } else { &opts.gmin_sequence[..] };
-    for (step, &gmin) in seq.iter().enumerate() {
-        match newton_dc(circuit, &mut x, gmin, opts) {
-            Ok(()) => {
-                last_err = None;
-            }
-            Err(e) => {
-                // A failed intermediate step can still help the next one
-                // through partial progress; only the final step is fatal.
-                last_err = Some(e);
-                if step + 1 == seq.len() {
-                    break;
-                }
-            }
-        }
+    let mut x = vec![0.0; circuit.dim()];
+    let mut last = Ok(0);
+    for gmin in GMIN_LADDER {
+        // A failed intermediate step can still help the next one through
+        // partial progress; only the final step is fatal.
+        last = newton(circuit, &mut x, 0.0, gmin, MAX_ITERATIONS, MAX_STEP, None);
     }
-    match last_err {
-        None => Ok(x),
-        Some(e) => Err(e),
-    }
-}
-
-fn newton_dc(
-    circuit: &Circuit,
-    x: &mut [f64],
-    gmin: f64,
-    opts: &DcOptions,
-) -> Result<(), CircuitError> {
-    let mut residual = f64::INFINITY;
-    for _iter in 0..opts.max_iterations {
-        let eval = circuit.eval(x, 0.0, gmin, true);
-        residual = eval.f.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        let g = eval.g.expect("jacobian requested");
-        let lu = Lu::factor(&g)?;
-        let mut dx = lu.solve(&eval.f)?;
-        // Newton step: x ← x − J⁻¹ f, damped.
-        let mut norm = 0.0_f64;
-        for v in &dx {
-            norm = norm.max(v.abs());
-        }
-        let alpha = if norm > opts.max_step { opts.max_step / norm } else { 1.0 };
-        for (xi, di) in x.iter_mut().zip(&mut dx) {
-            *xi -= alpha * *di;
-        }
-        if residual < opts.tol_residual && norm * alpha < opts.tol_update {
-            return Ok(());
-        }
-    }
-    Err(CircuitError::NewtonDiverged { iterations: opts.max_iterations, residual, time: f64::NAN })
+    last.map(|_| x)
 }
 
 #[cfg(test)]
@@ -138,8 +78,8 @@ mod tests {
         let vd = x[d - 1];
         assert!((0.5..0.8).contains(&vd), "diode drop {vd}");
         // KCL check: residual at solution is tiny without gmin.
-        let e = c.eval(&x, 0.0, 0.0, false);
-        let r = e.f.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        let (f, _) = c.residual(&x, 0.0, 0.0);
+        let r = f.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
         assert!(r < 1e-6, "residual {r}");
     }
 
@@ -185,5 +125,21 @@ mod tests {
         let vb = x[b - 1];
         // vb solves (1.5−vb)/5k = 2e-3(vb−0.4)² → vb ≈ 0.69.
         assert!((0.55..0.85).contains(&vb), "vb = {vb}");
+    }
+
+    #[test]
+    fn newton_failure_is_a_typed_error() {
+        // 0.5 V damping moves the node at most 50 V per gmin step, 300 V
+        // over the ladder: 1 kV cannot be reached.
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add(Vsource::new("V1", a, 0, Waveform::Dc(1.0e3))).unwrap();
+        c.add(Resistor::new("R1", a, 0, 1.0e3)).unwrap();
+        let got = dc_operating_point(&mut c, &DcOptions::default());
+        assert!(
+            matches!(got, Err(CircuitError::NewtonDiverged { iterations: 100, residual, time })
+                if time.is_nan() && residual == 700.5),
+            "{got:?}"
+        );
     }
 }

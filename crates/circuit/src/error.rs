@@ -69,10 +69,6 @@ pub enum CircuitError {
         /// Length of the vector that was passed.
         got: usize,
     },
-    /// A device evaluation that was asked for Jacobians did not produce
-    /// them — an internal contract violation surfaced as a typed error
-    /// instead of a panic.
-    MissingJacobian,
 }
 
 impl fmt::Display for CircuitError {
@@ -111,9 +107,6 @@ impl fmt::Display for CircuitError {
             Self::StateSizeMismatch { expected, got } => {
                 write!(f, "initial state has {got} entries, circuit dimension is {expected}")
             }
-            Self::MissingJacobian => {
-                write!(f, "device evaluation produced no Jacobians although they were requested")
-            }
         }
     }
 }
@@ -151,6 +144,5 @@ mod tests {
         assert!(e.to_string().contains("dt must be positive"));
         let e = CircuitError::StateSizeMismatch { expected: 4, got: 2 };
         assert!(e.to_string().contains("4"));
-        assert!(CircuitError::MissingJacobian.to_string().contains("Jacobians"));
     }
 }

@@ -47,6 +47,7 @@ mod dc;
 pub mod devices;
 mod error;
 mod netlist;
+mod newton;
 pub mod parser;
 mod snapshot;
 mod transient;

@@ -7,17 +7,17 @@ use rvf_numerics::Mat;
 use crate::devices::{Device, NodeId, StampContext};
 use crate::error::CircuitError;
 
-/// One evaluation of the MNA system at a point `(x, t)`.
+/// The MNA system linearised at a point `(x, t)`.
 #[derive(Debug, Clone)]
 pub struct MnaEval {
     /// Static residual `i(x) − s(t)` (KCL currents and branch equations).
     pub(crate) f: Vec<f64>,
     /// Charge/flux vector `q(x)`.
     pub(crate) q: Vec<f64>,
-    /// `∂f/∂x` (present when Jacobians were requested).
-    pub g: Option<Mat>,
-    /// `∂q/∂x` (present when Jacobians were requested).
-    pub c: Option<Mat>,
+    /// `∂f/∂x`.
+    pub g: Mat,
+    /// `∂q/∂x`.
+    pub c: Mat,
 }
 
 /// A circuit under construction / simulation.
@@ -193,26 +193,44 @@ impl Circuit {
         self.finalized = true;
     }
 
-    /// Evaluates the MNA system at `(x, t)`.
+    /// Linearises the MNA system at `(x, t)`: the residual, the charges
+    /// and both Jacobians.
     ///
     /// # Panics
     ///
     /// Panics if the circuit is not finalized or `x` has the wrong length.
-    pub fn eval(&self, x: &[f64], t: f64, gmin: f64, want_jacobians: bool) -> MnaEval {
+    pub fn eval(&self, x: &[f64], t: f64, gmin: f64) -> MnaEval {
+        let dim = x.len();
+        let mut g = Mat::zeros(dim, dim);
+        let mut c = Mat::zeros(dim, dim);
+        let (f, q) = self.stamp(x, t, gmin, Some(&mut g), Some(&mut c));
+        MnaEval { f, q, g, c }
+    }
+
+    /// The static residual `f` and the charges `q` at `(x, t)`, without
+    /// Jacobians; panics as [`Circuit::eval`] does.
+    pub(crate) fn residual(&self, x: &[f64], t: f64, gmin: f64) -> (Vec<f64>, Vec<f64>) {
+        self.stamp(x, t, gmin, None, None)
+    }
+
+    fn stamp(
+        &self,
+        x: &[f64],
+        t: f64,
+        gmin: f64,
+        g: Option<&mut Mat>,
+        c: Option<&mut Mat>,
+    ) -> (Vec<f64>, Vec<f64>) {
         assert!(self.finalized, "circuit must be finalized before eval");
         let dim = self.n_nodes() + self.n_branches;
         assert_eq!(x.len(), dim, "state vector length mismatch");
         let mut f = vec![0.0; dim];
         let mut q = vec![0.0; dim];
-        let mut g = if want_jacobians { Some(Mat::zeros(dim, dim)) } else { None };
-        let mut c = if want_jacobians { Some(Mat::zeros(dim, dim)) } else { None };
-        {
-            let mut ctx = StampContext::new(x, t, &mut f, &mut q, g.as_mut(), c.as_mut(), gmin);
-            for d in &self.devices {
-                d.stamp(&mut ctx);
-            }
+        let mut ctx = StampContext::new(x, t, &mut f, &mut q, g, c, gmin);
+        for d in &self.devices {
+            d.stamp(&mut ctx);
         }
-        MnaEval { f, q, g, c }
+        (f, q)
     }
 
     /// The input stimulus value at time `t`.
@@ -331,12 +349,11 @@ mod tests {
         // Branch current is the current flowing *out of* p through the
         // source: KCL at a: i_R1 + i_V = 0 → i_V = -1.
         let x = [2.0, 1.0, -1.0];
-        let e = c.eval(&x, 0.0, 0.0, true);
+        let e = c.eval(&x, 0.0, 0.0);
         for v in &e.f {
             assert!(v.abs() < 1e-12, "residual {:?}", e.f);
         }
-        let g = e.g.unwrap();
-        assert!((g[(0, 0)] - 1.0).abs() < 1e-12); // 1/R1 at node a
+        assert!((e.g[(0, 0)] - 1.0).abs() < 1e-12); // 1/R1 at node a
     }
 
     #[test]

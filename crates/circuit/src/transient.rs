@@ -3,23 +3,20 @@
 //! Jacobian snapshot capture.
 //!
 //! A caller chooses the step, the stop time and the snapshot cadence.
-//! The Newton loop's settings are fixed: at most `MAX_NEWTON`
-//! iterations per step, converged once the residual is below
-//! `TOL_RESIDUAL` and the update below `TOL_UPDATE`, with `GMIN`
-//! from every node to ground.
-
-use rvf_numerics::Lu;
+//! Each step runs the shared damped Newton solve with fixed settings: at
+//! most `MAX_NEWTON` iterations, updates capped at `MAX_STEP`, and
+//! `GMIN` from every node to ground.
 
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
+use crate::newton::{newton, Companion};
 use crate::snapshot::JacobianSnapshot;
 
 /// Maximum Newton iterations per time step.
 const MAX_NEWTON: usize = 50;
-/// Newton residual tolerance (A).
-const TOL_RESIDUAL: f64 = 1e-9;
-/// Newton update tolerance (V).
-const TOL_UPDATE: f64 = 1e-9;
+/// Cap on the infinity norm of each Newton update (V): damping for
+/// large excursions.
+const MAX_STEP: f64 = 1.0;
 /// Conductance kept from every node to ground during the transient (S);
 /// it helps devices in cutoff.
 const GMIN: f64 = 1e-12;
@@ -99,66 +96,29 @@ pub fn transient(
     };
     // Trapezoidal companion scale: `q̇ₙ₊₁ = k·(qₙ₊₁ − qₙ) − q̇ₙ`.
     let k = 2.0 / opts.dt;
+    let every = opts.snapshot_every.filter(|&n| n > 0);
+    let due = |step: usize| every.is_some_and(|n| step.is_multiple_of(n));
+    let has_output = circuit.output_row().is_ok();
 
     let mut x = x0.to_vec();
     // q and q̇ at the current accepted point; at a DC equilibrium
     // f(x₀) + q̇ = 0 gives q̇₀ = −f(x₀) (≈ 0 when starting from the op).
-    let ev0 = circuit.eval(&x, 0.0, GMIN, false);
-    let mut q_prev = ev0.q;
-    let mut qdot_prev: Vec<f64> = ev0.f.iter().map(|v| -v).collect();
-
-    let record = |res: &mut TranResult, circuit: &Circuit, t: f64, x: &[f64]| {
-        res.times.push(t);
-        res.inputs.push(circuit.input_value(t).unwrap_or(0.0));
-        res.outputs.push(if circuit.output_row().is_ok() { circuit.output_value(x) } else { 0.0 });
-    };
-    record(&mut result, circuit, 0.0, &x);
-    maybe_snapshot(circuit, &mut result, 0, opts, 0.0, &x)?;
+    let (f0, mut q_prev) = circuit.residual(&x, 0.0, GMIN);
+    let mut qdot_prev: Vec<f64> = f0.iter().map(|v| -v).collect();
+    record(circuit, &mut result, 0.0, &x, has_output, due(0));
 
     for step in 1..=n_steps {
         let t = step as f64 * opts.dt;
-        // Newton on the discretized residual.
-        let mut converged = false;
-        let mut residual = f64::INFINITY;
-        for _ in 0..MAX_NEWTON {
-            result.newton_iterations += 1;
-            let ev = circuit.eval(&x, t, GMIN, true);
-            let (g, c) = match (ev.g, ev.c) {
-                (Some(g), Some(c)) => (g, c),
-                _ => return Err(CircuitError::MissingJacobian),
-            };
-            // Trapezoidal residual and companion Jacobian.
-            let res_vec: Vec<f64> =
-                (0..dim).map(|i| ev.f[i] + k * (ev.q[i] - q_prev[i]) - qdot_prev[i]).collect();
-            let jac = g.axpy(k, &c);
-            residual = res_vec.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            let lu = Lu::factor(&jac)?;
-            let dx = lu.solve(&res_vec)?;
-            let mut norm = 0.0_f64;
-            for v in &dx {
-                norm = norm.max(v.abs());
-            }
-            // Damping for large excursions.
-            let alpha = if norm > 1.0 { 1.0 / norm } else { 1.0 };
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi -= alpha * di;
-            }
-            if residual < TOL_RESIDUAL && norm * alpha < TOL_UPDATE {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(CircuitError::NewtonDiverged { iterations: MAX_NEWTON, residual, time: t });
-        }
+        let companion = Companion { k, q_prev: &q_prev, qdot_prev: &qdot_prev };
+        result.newton_iterations +=
+            newton(circuit, &mut x, t, GMIN, MAX_NEWTON, MAX_STEP, Some(companion))?;
         // Accept: update charge history.
-        let ev = circuit.eval(&x, t, GMIN, false);
+        let (_, q) = circuit.residual(&x, t, GMIN);
         for i in 0..dim {
-            qdot_prev[i] = k * (ev.q[i] - q_prev[i]) - qdot_prev[i];
+            qdot_prev[i] = k * (q[i] - q_prev[i]) - qdot_prev[i];
         }
-        q_prev = ev.q;
-        record(&mut result, circuit, t, &x);
-        maybe_snapshot(circuit, &mut result, step, opts, t, &x)?;
+        q_prev = q;
+        record(circuit, &mut result, t, &x, has_output, due(step));
     }
     Ok(result)
 }
@@ -177,36 +137,27 @@ fn reserve<T>(n: usize) -> Result<Vec<T>, CircuitError> {
     Ok(v)
 }
 
-fn maybe_snapshot(
+/// Records the accepted point `(t, x)` and, when `snapshot` is set, its
+/// Jacobian snapshot.
+fn record(
     circuit: &Circuit,
     result: &mut TranResult,
-    step: usize,
-    opts: &TranOptions,
     t: f64,
     x: &[f64],
-) -> Result<(), CircuitError> {
-    let Some(every) = opts.snapshot_every else {
-        return Ok(());
-    };
-    if every == 0 || !step.is_multiple_of(every) {
-        return Ok(());
+    has_output: bool,
+    snapshot: bool,
+) {
+    let u = circuit.input_value(t).unwrap_or(0.0);
+    let y = if has_output { circuit.output_value(x) } else { 0.0 };
+    result.times.push(t);
+    result.inputs.push(u);
+    result.outputs.push(y);
+    if snapshot {
+        // The *device* Jacobians (no integrator companion terms, no
+        // gmin): these are the TFT matrices of paper eq. (3).
+        let ev = circuit.eval(x, t, 0.0);
+        result.snapshots.push(JacobianSnapshot { t, u, y, x: x.to_vec(), g: ev.g, c: ev.c });
     }
-    // Capture the *device* Jacobians (no integrator companion terms, no
-    // gmin): these are the TFT matrices of paper eq. (3).
-    let ev = circuit.eval(x, t, 0.0, true);
-    let (g, c) = match (ev.g, ev.c) {
-        (Some(g), Some(c)) => (g, c),
-        _ => return Err(CircuitError::MissingJacobian),
-    };
-    result.snapshots.push(JacobianSnapshot {
-        t,
-        u: circuit.input_value(t).unwrap_or(0.0),
-        y: if circuit.output_row().is_ok() { circuit.output_value(x) } else { 0.0 },
-        x: x.to_vec(),
-        g,
-        c,
-    });
-    Ok(())
 }
 
 #[cfg(test)]
@@ -342,6 +293,25 @@ mod tests {
             assert_eq!(s.c.shape(), (3, 3));
             assert!((0.1..=0.9).contains(&s.u) || s.u >= 0.0);
         }
+    }
+
+    #[test]
+    fn newton_failure_names_the_step() {
+        // A 1 kV jump in one step: 1 V damping covers at most 50 V in
+        // the 50 iterations a step may use.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let w = Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 0.0), (2e-9, 1.0e3)]);
+        ckt.add(Vsource::new("Vin", a, 0, w)).unwrap();
+        ckt.add(Resistor::new("R1", a, 0, 1.0e3)).unwrap();
+        let x0 = vec![0.0; ckt.dim()];
+        let opts = TranOptions { dt: 1e-9, t_stop: 3e-9, ..Default::default() };
+        let got = transient(&mut ckt, &x0, &opts);
+        assert!(
+            matches!(got, Err(CircuitError::NewtonDiverged { iterations: 50, time, .. })
+                if time == 2e-9),
+            "{got:?}"
+        );
     }
 
     #[test]

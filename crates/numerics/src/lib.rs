@@ -24,8 +24,7 @@
 //!   fitting pole relocation,
 //! * exact first-order-hold block propagators ([`FohScalar`], [`FohPair`])
 //!   for simulating the extracted Hammerstein models,
-//! * frequency grids ([`logspace`], [`jw_grid`]), the cumulative
-//!   trapezoid rule ([`cumtrapz`]) behind the static curve, polynomial
+//! * frequency grids ([`logspace`], [`jw_grid`]), polynomial
 //!   roots and antiderivatives ([`Poly`]), the dB and NRMSE error
 //!   metrics, and [`spectral_occupancy`] for the bit-pattern stimulus
 //!   check.
@@ -78,7 +77,6 @@ mod error;
 mod expm;
 mod fft;
 mod grid;
-mod integrate;
 mod lu;
 mod matrix;
 mod pencil;
@@ -94,7 +92,6 @@ pub use error::NumericsError;
 pub use expm::{FohPair, FohScalar};
 pub use fft::spectral_occupancy;
 pub use grid::{jw_grid, linspace, logspace};
-pub use integrate::cumtrapz;
 pub use lu::{CLu, Lu};
 pub use matrix::Mat;
 pub use pencil::{HtPencil, PENCIL_REDUCTION_CROSSOVER};

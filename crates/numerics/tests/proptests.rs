@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use rvf_numerics::{
-    c, cumtrapz, eigenvalues, from_roots, linspace, lstsq, sort_eigenvalues, Complex, FohScalar,
-    Lu, Mat, Qr,
+    c, eigenvalues, from_roots, lstsq, sort_eigenvalues, Complex, FohScalar, Lu, Mat, Qr,
 };
 
 fn finite_f64(range: core::ops::Range<f64>) -> impl Strategy<Value = f64> {
@@ -211,18 +210,6 @@ proptest! {
         let p = FohScalar::new(a, h);
         let x1 = p.step(x0, 0.0, 0.0);
         prop_assert!(x1.abs() <= x0.abs() + 1e-12);
-    }
-
-    #[test]
-    fn cumtrapz_linearity(scale in -4.0..4.0f64) {
-        let x = linspace(0.0, 1.0, 33);
-        let y1: Vec<f64> = x.iter().map(|v| v.sin()).collect();
-        let ys: Vec<f64> = y1.iter().map(|v| scale * v).collect();
-        let c1 = cumtrapz(&x, &y1);
-        let cs = cumtrapz(&x, &ys);
-        for (a, b) in c1.iter().zip(&cs) {
-            prop_assert!((scale * a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! The crate also provides:
 //!
 //! * static/dynamic splitting `H = H(0) + [H − H(0)]`,
-//! * static transfer-curve reconstruction by integrating the sampled
-//!   small-signal conductance over the input trajectory,
 //! * gain/phase hyperplanes and error surfaces (Figs. 6–8 of the paper).
 //!
 //! # Example
@@ -43,10 +41,8 @@ mod dataset;
 mod error;
 mod hyperplane;
 mod sampler;
-mod static_part;
 
 pub use dataset::{StateSample, TftDataset};
 pub use error::TftError;
 pub use hyperplane::{error_surface, ErrorSurface, Hyperplane};
 pub use sampler::{extract_from_circuit, tft_from_snapshots, TftConfig};
-pub use static_part::{reconstruct_static, StaticCurve};

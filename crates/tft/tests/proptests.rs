@@ -1,8 +1,8 @@
 //! Property-based tests for the TFT layer.
 
 use proptest::prelude::*;
-use rvf_numerics::{c, linspace, Complex, Mat};
-use rvf_tft::{error_surface, reconstruct_static, Hyperplane, StateSample, TftDataset};
+use rvf_numerics::{c, Complex, Mat};
+use rvf_tft::{error_surface, Hyperplane, StateSample, TftDataset};
 
 fn sample(state: f64, t: f64, gain: f64, freqs: &[f64]) -> StateSample {
     let h: Vec<Complex> = freqs
@@ -91,19 +91,6 @@ proptest! {
         // dB difference = 20·log10(factor).
         let diff = hp.gain_db[(1, 0)] - hp.gain_db[(0, 0)];
         prop_assert!((diff - 20.0 * factor.log10()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn static_reconstruction_inverts_differentiation(a in -2.0..2.0f64, b in -1.0..1.0f64,
-                                                     cc in 0.1..2.0f64) {
-        // y(u) = a + b·u + c·u²  ⇒ g(u) = b + 2c·u; reconstruct and compare.
-        let u = linspace(-1.0, 1.0, 201);
-        let g: Vec<f64> = u.iter().map(|&x| b + 2.0 * cc * x).collect();
-        let curve = reconstruct_static(&u, &g, 0.0, a);
-        for (&ui, &yi) in curve.u.iter().zip(&curve.y).step_by(17) {
-            let want = a + b * ui + cc * ui * ui;
-            prop_assert!((yi - want).abs() < 1e-3, "at {ui}: {yi} vs {want}");
-        }
     }
 
     #[test]
