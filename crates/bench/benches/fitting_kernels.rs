@@ -2,12 +2,16 @@
 //! extraction (ablation data for DESIGN.md): the eigensolver behind
 //! pole relocation, the per-response QR compression, the complex
 //! frequency solves of the TFT transform, and whole fits at the
-//! frequency-stage and state-stage shapes.
+//! frequency-stage and state-stage shapes; plus the real LU refactor
+//! and solve that every Newton iteration of the training transient
+//! runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rvf_bench::buffer_circuit;
+use rvf_circuit::{dc_operating_point, DcOptions};
 use rvf_numerics::{
     apply_reflectors_in_place, eigenvalues, factor_block_in_place, factor_with_rhs_in_place,
-    jw_grid, linspace, logspace, CLu, CMat, Complex, Mat, Qr, Reflectors,
+    jw_grid, linspace, logspace, CLu, CMat, Complex, Lu, Mat, Qr, Reflectors,
 };
 use rvf_vecfit::{fit, VfOptions};
 
@@ -56,6 +60,27 @@ fn bench_complex_solve(c: &mut Criterion) {
             let sys = CMat::from_real_pair(&g, s, &cc);
             let lu = CLu::factor(&sys).unwrap();
             lu.solve_real(&b_vec).unwrap()
+        })
+    });
+}
+
+fn bench_lu_refactor_solve(c: &mut Criterion) {
+    // One Newton iteration's linear algebra in the paper buffer's
+    // training transient: the trapezoidal companion Jacobian G + (2/dt)·C
+    // (26×26) at the DC point, refactored and solved on a warm workspace.
+    let mut ckt = buffer_circuit();
+    let op = dc_operating_point(&mut ckt, &DcOptions::default()).unwrap();
+    let ev = ckt.eval(&op, 0.0, 1e-12);
+    let dt = 1.0e-5 / 2000.0;
+    let jac = ev.g.axpy(2.0 / dt, &ev.c);
+    let rhs: Vec<f64> = (0..jac.rows()).map(|i| 1e-3 * ((i * 7) as f64).sin()).collect();
+    let mut ws = Lu::factor(&jac).unwrap();
+    let mut dx = vec![0.0; rhs.len()];
+    c.bench_function("lu_refactor_solve_26x26_buffer_jacobian", |b| {
+        b.iter(|| {
+            ws.refactor(&jac).unwrap();
+            ws.solve_into(&rhs, &mut dx).unwrap();
+            dx[0]
         })
     });
 }
@@ -183,7 +208,7 @@ criterion_group! {
     // MAD interval bench_diff builds from being degenerate on the
     // µs-scale kernel rows.
     config = Criterion::default().sample_size(10).quick_sample_size(7);
-    targets = bench_eigensolver, bench_complex_solve, bench_qr_compression,
+    targets = bench_eigensolver, bench_complex_solve, bench_lu_refactor_solve, bench_qr_compression,
         bench_qr_compress_response, bench_vf_fit, bench_state_stage_fit, bench_vf_k_scaling
 }
 criterion_main!(benches);

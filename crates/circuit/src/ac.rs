@@ -118,7 +118,7 @@ pub fn transfer_sweep(
         return ss.iter().map(|&s| transfer_at(g, c, b, d, s)).collect();
     }
     let rt = ReducedTransfer::new(g, c, b, d)?;
-    ss.iter().map(|&s| rt.eval(s)).collect()
+    Ok(rt.pencil.transfer_projected_sweep(&rt.bt, &rt.dt, ss)?)
 }
 
 /// Sweeps the small-signal transfer function input→output over a list of

@@ -2,7 +2,7 @@
 
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
-use crate::newton::newton;
+use crate::newton::{newton, NewtonWorkspace};
 
 /// Maximum Newton iterations per gmin step.
 const MAX_ITERATIONS: usize = 100;
@@ -33,12 +33,14 @@ pub fn dc_operating_point(
     circuit: &mut Circuit,
     _opts: &DcOptions,
 ) -> Result<Vec<f64>, CircuitError> {
-    let mut x = vec![0.0; circuit.dim()];
+    let dim = circuit.dim();
+    let mut x = vec![0.0; dim];
+    let mut ws = NewtonWorkspace::new(dim);
     let mut last = Ok(0);
     for gmin in GMIN_LADDER {
         // A failed intermediate step can still help the next one through
         // partial progress; only the final step is fatal.
-        last = newton(circuit, &mut x, 0.0, gmin, MAX_ITERATIONS, MAX_STEP, None);
+        last = newton(circuit, &mut ws, &mut x, 0.0, gmin, MAX_ITERATIONS, MAX_STEP, None);
     }
     last.map(|_| x)
 }

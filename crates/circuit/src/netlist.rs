@@ -20,6 +20,19 @@ pub struct MnaEval {
     pub c: Mat,
 }
 
+impl MnaEval {
+    /// Zeroed buffers for an MNA system of dimension `dim`, to be filled
+    /// by [`Circuit::eval_into`].
+    pub fn zeros(dim: usize) -> Self {
+        Self {
+            f: vec![0.0; dim],
+            q: vec![0.0; dim],
+            g: Mat::zeros(dim, dim),
+            c: Mat::zeros(dim, dim),
+        }
+    }
+}
+
 /// A circuit under construction / simulation.
 ///
 /// Nodes are created by name (`"0"`, `"gnd"` and `"GND"` are ground);
@@ -200,37 +213,60 @@ impl Circuit {
     ///
     /// Panics if the circuit is not finalized or `x` has the wrong length.
     pub fn eval(&self, x: &[f64], t: f64, gmin: f64) -> MnaEval {
-        let dim = x.len();
-        let mut g = Mat::zeros(dim, dim);
-        let mut c = Mat::zeros(dim, dim);
-        let (f, q) = self.stamp(x, t, gmin, Some(&mut g), Some(&mut c));
-        MnaEval { f, q, g, c }
+        let mut ev = MnaEval::zeros(x.len());
+        self.eval_into(x, t, gmin, &mut ev);
+        ev
+    }
+
+    /// [`Circuit::eval`] into the caller's buffers, which must have been
+    /// built for this circuit's dimension ([`MnaEval::zeros`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Circuit::eval`] does, or if `ev` has another
+    /// dimension.
+    pub fn eval_into(&self, x: &[f64], t: f64, gmin: f64, ev: &mut MnaEval) {
+        let MnaEval { f, q, g, c } = ev;
+        self.stamp(x, t, gmin, f, q, Some(g), Some(c));
     }
 
     /// The static residual `f` and the charges `q` at `(x, t)`, without
     /// Jacobians; panics as [`Circuit::eval`] does.
     pub(crate) fn residual(&self, x: &[f64], t: f64, gmin: f64) -> (Vec<f64>, Vec<f64>) {
-        self.stamp(x, t, gmin, None, None)
+        let (mut f, mut q) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+        self.stamp(x, t, gmin, &mut f, &mut q, None, None);
+        (f, q)
     }
 
-    fn stamp(
+    /// The one stamping routine: zero-fills `f`, `q` and whichever
+    /// Jacobians are given, then stamps every device at `(x, t)` into
+    /// them. Panics as [`Circuit::eval`] does, or if a buffer's
+    /// dimension differs from `x`'s.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn stamp(
         &self,
         x: &[f64],
         t: f64,
         gmin: f64,
-        g: Option<&mut Mat>,
-        c: Option<&mut Mat>,
-    ) -> (Vec<f64>, Vec<f64>) {
+        f: &mut [f64],
+        q: &mut [f64],
+        mut g: Option<&mut Mat>,
+        mut c: Option<&mut Mat>,
+    ) {
         assert!(self.finalized, "circuit must be finalized before eval");
         let dim = self.n_nodes() + self.n_branches;
         assert_eq!(x.len(), dim, "state vector length mismatch");
-        let mut f = vec![0.0; dim];
-        let mut q = vec![0.0; dim];
-        let mut ctx = StampContext::new(x, t, &mut f, &mut q, g, c, gmin);
+        assert!(f.len() == dim && q.len() == dim, "residual buffer length mismatch");
+        for m in [g.as_deref_mut(), c.as_deref_mut()].into_iter().flatten() {
+            assert_eq!(m.shape(), (dim, dim), "Jacobian buffer shape mismatch");
+            m.as_mut_slice().fill(0.0);
+        }
+        f.fill(0.0);
+        q.fill(0.0);
+        let mut ctx = StampContext::new(x, t, f, q, g, c, gmin);
         for d in &self.devices {
             d.stamp(&mut ctx);
         }
-        (f, q)
     }
 
     /// The input stimulus value at time `t`.

@@ -9,7 +9,7 @@
 
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
-use crate::newton::{newton, Companion};
+use crate::newton::{newton, Companion, NewtonWorkspace};
 use crate::snapshot::JacobianSnapshot;
 
 /// Maximum Newton iterations per time step.
@@ -87,37 +87,40 @@ pub fn transient(
     // `as` saturates, so a step count past `usize::MAX` fails the add.
     let n_steps = (opts.t_stop / opts.dt).ceil() as usize;
     let n_points = n_steps.checked_add(1).ok_or_else(|| too_many_points(n_steps))?;
+    let every = opts.snapshot_every.filter(|&n| n > 0);
+    let n_snapshots = every.map_or(0, |n| n_steps / n + 1);
     let mut result = TranResult {
-        times: reserve(n_points)?,
-        inputs: reserve(n_points)?,
-        outputs: reserve(n_points)?,
-        snapshots: Vec::new(),
+        times: reserve(n_points, n_steps)?,
+        inputs: reserve(n_points, n_steps)?,
+        outputs: reserve(n_points, n_steps)?,
+        snapshots: reserve(n_snapshots, n_steps)?,
         newton_iterations: 0,
     };
     // Trapezoidal companion scale: `q̇ₙ₊₁ = k·(qₙ₊₁ − qₙ) − q̇ₙ`.
     let k = 2.0 / opts.dt;
-    let every = opts.snapshot_every.filter(|&n| n > 0);
     let due = |step: usize| every.is_some_and(|n| step.is_multiple_of(n));
     let has_output = circuit.output_row().is_ok();
 
     let mut x = x0.to_vec();
     // q and q̇ at the current accepted point; at a DC equilibrium
     // f(x₀) + q̇ = 0 gives q̇₀ = −f(x₀) (≈ 0 when starting from the op).
-    let (f0, mut q_prev) = circuit.residual(&x, 0.0, GMIN);
-    let mut qdot_prev: Vec<f64> = f0.iter().map(|v| -v).collect();
+    let (mut f, mut q_prev) = circuit.residual(&x, 0.0, GMIN);
+    let mut qdot_prev: Vec<f64> = f.iter().map(|v| -v).collect();
+    let mut q = vec![0.0; dim];
+    let mut ws = NewtonWorkspace::new(dim);
     record(circuit, &mut result, 0.0, &x, has_output, due(0));
 
     for step in 1..=n_steps {
         let t = step as f64 * opts.dt;
         let companion = Companion { k, q_prev: &q_prev, qdot_prev: &qdot_prev };
         result.newton_iterations +=
-            newton(circuit, &mut x, t, GMIN, MAX_NEWTON, MAX_STEP, Some(companion))?;
+            newton(circuit, &mut ws, &mut x, t, GMIN, MAX_NEWTON, MAX_STEP, Some(companion))?;
         // Accept: update charge history.
-        let (_, q) = circuit.residual(&x, t, GMIN);
+        circuit.stamp(&x, t, GMIN, &mut f, &mut q, None, None);
         for i in 0..dim {
             qdot_prev[i] = k * (q[i] - q_prev[i]) - qdot_prev[i];
         }
-        q_prev = q;
+        std::mem::swap(&mut q_prev, &mut q);
         record(circuit, &mut result, t, &x, has_output, due(step));
     }
     Ok(result)
@@ -129,11 +132,11 @@ fn too_many_points(n_steps: usize) -> CircuitError {
     }
 }
 
-/// An empty vector with room for exactly `n` elements, or the typed
-/// error if that much memory cannot be had.
-fn reserve<T>(n: usize) -> Result<Vec<T>, CircuitError> {
+/// An empty vector with room for exactly `n` elements of a run of
+/// `n_steps` steps, or the typed error if that much memory cannot be had.
+fn reserve<T>(n: usize, n_steps: usize) -> Result<Vec<T>, CircuitError> {
     let mut v = Vec::new();
-    v.try_reserve_exact(n).map_err(|_| too_many_points(n - 1))?;
+    v.try_reserve_exact(n).map_err(|_| too_many_points(n_steps))?;
     Ok(v)
 }
 

@@ -11,6 +11,12 @@ use crate::matrix::Mat;
 
 /// LU factorization of a square real matrix with partial pivoting.
 ///
+/// A `Lu` doubles as a reusable workspace: [`Lu::refactor`] and
+/// [`Lu::refactor_with`] factor a new matrix in the memory of the last
+/// one, and [`Lu::solve_into`] writes into a caller's buffer, so a
+/// Newton loop factors and solves without allocating. [`Lu::factor`]
+/// and [`Lu::solve`] are allocating wrappers over the same kernel.
+///
 /// # Examples
 ///
 /// ```
@@ -21,14 +27,22 @@ use crate::matrix::Mat;
 /// let lu = Lu::factor(&a)?;
 /// let x = lu.solve(&[10.0, 12.0])?;
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
+///
+/// // Reuse the workspace for a second matrix of the same size.
+/// let mut ws = lu;
+/// ws.refactor(&Mat::from_rows(&[&[0.0, 2.0], &[1.0, 0.0]]))?;
+/// let mut y = [0.0; 2];
+/// ws.solve_into(&[4.0, 3.0], &mut y)?;
+/// assert_eq!(y, [3.0, 2.0]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Lu {
     /// Combined L (unit lower, below diagonal) and U (upper) factors.
     lu: Mat,
-    /// Row permutation: original row of pivot `i`.
+    /// Row permutation: original row of pivot `i`. Empty after a failed
+    /// factorization, so no solve runs on a half-eliminated matrix.
     piv: Vec<usize>,
 }
 
@@ -40,52 +54,59 @@ impl Lu {
     /// Returns [`NumericsError::Singular`] if a pivot is exactly zero, and
     /// [`NumericsError::NotSquare`] if `a` is not square.
     pub fn factor(a: &Mat) -> Result<Self, NumericsError> {
+        let mut lu = Self::default();
+        lu.refactor(a)?;
+        Ok(lu)
+    }
+
+    /// Factors `a` in place of the workspace's last factorization,
+    /// allocating only when `a`'s size differs from it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::factor`].
+    pub fn refactor(&mut self, a: &Mat) -> Result<(), NumericsError> {
         if !a.is_square() {
             return Err(NumericsError::NotSquare { rows: a.rows(), cols: a.cols() });
         }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut piv: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // Pivot search in column k.
-            let mut p = k;
-            let mut best = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best == 0.0 {
-                return Err(NumericsError::Singular { pivot: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                piv.swap(k, p);
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                if m != 0.0 {
-                    for j in (k + 1)..n {
-                        let v = lu[(k, j)];
-                        lu[(i, j)] -= m * v;
-                    }
-                }
-            }
+        self.refactor_with(a.rows(), |m| m.copy_from_slice(a.as_slice()))
+    }
+
+    /// Factors the `n × n` matrix that `fill` writes, row-major, over the
+    /// workspace (whose prior contents are unspecified), so a caller can
+    /// assemble the matrix straight into the factor's memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::Singular`] if a pivot is exactly zero.
+    /// The workspace then holds no factorization: solves report a
+    /// dimension mismatch until the next successful refactor.
+    pub fn refactor_with(
+        &mut self,
+        n: usize,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> Result<(), NumericsError> {
+        if self.lu.shape() != (n, n) {
+            self.lu = Mat::zeros(n, n);
         }
-        Ok(Self { lu, piv })
+        fill(self.lu.as_mut_slice());
+        eliminate(self.lu.as_mut_slice(), n, &mut self.piv)
     }
 
     /// Dimension of the factored matrix.
     pub(crate) fn dim(&self) -> usize {
-        self.lu.rows()
+        self.piv.len()
+    }
+
+    /// The combined factors: `U` on and above the diagonal, the
+    /// multipliers of the unit lower `L` below it.
+    pub fn factors(&self) -> &Mat {
+        &self.lu
+    }
+
+    /// The row permutation: entry `i` is the original row of pivot `i`.
+    pub fn permutation(&self) -> &[usize] {
+        &self.piv
     }
 
     /// Solves `A·x = b`.
@@ -94,33 +115,51 @@ impl Lu {
     ///
     /// Returns [`NumericsError::DimensionMismatch`] if `b.len()` differs
     /// from the factored dimension.
-    // Substitution reads x[j] for j on one side of i while writing x[i];
-    // the index loops keep that operation order explicit.
-    #[allow(clippy::needless_range_loop)]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
+        let mut x = vec![0.0; b.len()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into `x`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::DimensionMismatch`] if `b.len()` or
+    /// `x.len()` differs from the factored dimension (which is 0 after a
+    /// failed factorization).
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), NumericsError> {
         let n = self.dim();
-        if b.len() != n {
-            return Err(NumericsError::DimensionMismatch { expected: n, got: b.len() });
+        for len in [b.len(), x.len()] {
+            if len != n {
+                return Err(NumericsError::DimensionMismatch { expected: n, got: len });
+            }
         }
         // Apply permutation.
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
+        for (xi, &p) in x.iter_mut().zip(&self.piv) {
+            *xi = b[p];
+        }
+        let lu = self.lu.as_slice();
         // Forward substitution (L is unit lower).
         for i in 1..n {
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= self.lu[(i, j)] * x[j];
+            let (done, rest) = x.split_at_mut(i);
+            let mut acc = rest[0];
+            for (l, xj) in lu[i * n..i * n + i].iter().zip(done.iter()) {
+                acc -= l * xj;
             }
-            x[i] = acc;
+            rest[0] = acc;
         }
         // Backward substitution.
         for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(i, j)] * x[j];
+            let row = &lu[i * n..(i + 1) * n];
+            let (head, solved) = x.split_at_mut(i + 1);
+            let mut acc = head[i];
+            for (u, xj) in row[i + 1..].iter().zip(solved.iter()) {
+                acc -= u * xj;
             }
-            x[i] = acc / self.lu[(i, i)];
+            head[i] = acc / row[i];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solves `A·X = B` column by column.
@@ -148,9 +187,10 @@ impl Lu {
     ///
     /// # Errors
     ///
-    /// Propagates solve failures (cannot occur once factored).
+    /// Returns [`NumericsError::DimensionMismatch`] on a workspace whose
+    /// last factorization failed.
     pub fn inverse(&self) -> Result<Mat, NumericsError> {
-        self.solve_mat(&Mat::identity(self.dim()))
+        self.solve_mat(&Mat::identity(self.lu.rows()))
     }
 
     /// Crude reciprocal condition estimate `min|U_ii| / max|U_ii|`.
@@ -168,6 +208,51 @@ impl Lu {
             lo / hi
         }
     }
+}
+
+/// The elimination kernel behind every real factorization: factors the
+/// row-major `n × n` matrix `a` in place as `P·A = L·U` and writes the
+/// row permutation to `piv`, which is reset first. Each update is
+/// `a[i][j] −= m·a[k][j]` in the order of the index loop over `(i, j)`,
+/// skipped for a zero multiplier.
+fn eliminate(a: &mut [f64], n: usize, piv: &mut Vec<usize>) -> Result<(), NumericsError> {
+    piv.clear();
+    piv.extend(0..n);
+    for k in 0..n {
+        // Pivot search in column k.
+        let mut p = k;
+        let mut best = a[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = a[i * n + k].abs();
+            if v > best {
+                best = v;
+                p = i;
+            }
+        }
+        if best == 0.0 {
+            piv.clear();
+            return Err(NumericsError::Singular { pivot: k });
+        }
+        // Rows 0..=k above the split, rows k+1.. below it.
+        let (upper, below) = a.split_at_mut((k + 1) * n);
+        let row_k = &mut upper[k * n..];
+        if p != k {
+            row_k.swap_with_slice(&mut below[(p - k - 1) * n..(p - k) * n]);
+            piv.swap(k, p);
+        }
+        let pivot = row_k[k];
+        let tail_k = &row_k[k + 1..];
+        for row_i in below.chunks_exact_mut(n) {
+            let m = row_i[k] / pivot;
+            row_i[k] = m;
+            if m != 0.0 {
+                for (v, &u) in row_i[k + 1..].iter_mut().zip(tail_k) {
+                    *v -= m * u;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// LU factorization of a square complex matrix with partial pivoting.

@@ -163,9 +163,7 @@ impl HtPencil {
     ///
     /// Returns [`NumericsError::DimensionMismatch`] on a length mismatch.
     pub fn project_input(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
-        if b.len() != self.dim() {
-            return Err(NumericsError::DimensionMismatch { expected: self.dim(), got: b.len() });
-        }
+        self.check_len(b)?;
         Ok(self.q.matvec_t(b))
     }
 
@@ -176,9 +174,7 @@ impl HtPencil {
     ///
     /// Returns [`NumericsError::DimensionMismatch`] on a length mismatch.
     pub fn project_output(&self, d: &[f64]) -> Result<Vec<f64>, NumericsError> {
-        if d.len() != self.dim() {
-            return Err(NumericsError::DimensionMismatch { expected: self.dim(), got: d.len() });
-        }
+        self.check_len(d)?;
         Ok(self.z.matvec_t(d))
     }
 
@@ -226,10 +222,7 @@ impl HtPencil {
         s: Complex,
         bt: &[f64],
     ) -> Result<Vec<Complex>, NumericsError> {
-        let n = self.dim();
-        if bt.len() != n {
-            return Err(NumericsError::DimensionMismatch { expected: n, got: bt.len() });
-        }
+        self.check_len(bt)?;
         let mut m = CMat::from_real_pair(&self.h, s, &self.r);
         let mut y: Vec<Complex> = bt.iter().map(|&v| Complex::from_re(v)).collect();
         hessenberg_solve_in_place(&mut m, &mut y)?;
@@ -254,16 +247,31 @@ impl HtPencil {
     ///
     /// Same conditions as [`HtPencil::solve_reduced_complex`].
     pub fn solve_reduced_jw(&self, omega: f64, bt: &[f64]) -> Result<Vec<Complex>, NumericsError> {
-        let n = self.dim();
-        if bt.len() != n {
-            return Err(NumericsError::DimensionMismatch { expected: n, got: bt.len() });
-        }
-        let mut mr: Vec<f64> = self.h.as_slice().to_vec();
-        let mut mi: Vec<f64> = self.r.as_slice().iter().map(|&v| omega * v).collect();
-        let mut yr: Vec<f64> = bt.to_vec();
-        let mut yi: Vec<f64> = vec![0.0; n];
-        jw_hessenberg_solve_in_place(n, &mut mr, &mut mi, &mut yr, &mut yi)?;
-        Ok(yr.iter().zip(&yi).map(|(&re, &im)| Complex::new(re, im)).collect())
+        self.check_len(bt)?;
+        let mut planes = JwPlanes::default();
+        self.solve_jw_into(omega, bt, &mut planes)?;
+        Ok(planes.solution().collect())
+    }
+
+    /// Loads `H + jω·R` and `bt` into `planes` and runs the jω kernel,
+    /// leaving the solution in `(planes.yr, planes.yi)`; `bt` has the
+    /// pencil's dimension.
+    fn solve_jw_into(
+        &self,
+        omega: f64,
+        bt: &[f64],
+        planes: &mut JwPlanes,
+    ) -> Result<(), NumericsError> {
+        let JwPlanes { mr, mi, yr, yi } = planes;
+        mr.clear();
+        mr.extend_from_slice(self.h.as_slice());
+        mi.clear();
+        mi.extend(self.r.as_slice().iter().map(|&v| omega * v));
+        yr.clear();
+        yr.extend_from_slice(bt);
+        yi.clear();
+        yi.resize(bt.len(), 0.0);
+        jw_hessenberg_solve_in_place(self.dim(), mr, mi, yr, yi)
     }
 
     /// Evaluates `dtᵀ·(H + s·R)⁻¹·bt` for projected ports `bt = Qᵀ·b`,
@@ -278,15 +286,45 @@ impl HtPencil {
         dt: &[f64],
         s: Complex,
     ) -> Result<Complex, NumericsError> {
-        if dt.len() != self.dim() {
-            return Err(NumericsError::DimensionMismatch { expected: self.dim(), got: dt.len() });
+        Ok(self.transfer_projected_sweep(bt, dt, &[s])?[0])
+    }
+
+    /// [`HtPencil::transfer_projected`] at every point of `ss`, in order.
+    /// The jω points share one set of kernel buffers, so the sweep
+    /// allocates the same amount at any length.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`HtPencil::solve_reduced_complex`], at the
+    /// first point that fails.
+    pub fn transfer_projected_sweep(
+        &self,
+        bt: &[f64],
+        dt: &[f64],
+        ss: &[Complex],
+    ) -> Result<Vec<Complex>, NumericsError> {
+        self.check_len(dt)?;
+        self.check_len(bt)?;
+        let mut planes = JwPlanes::default();
+        let mut out = Vec::with_capacity(ss.len());
+        for &s in ss {
+            out.push(if s.re == 0.0 {
+                self.solve_jw_into(s.im, bt, &mut planes)?;
+                project(dt, planes.solution())
+            } else {
+                project(dt, self.solve_reduced_complex(s, bt)?)
+            });
         }
-        let y = self.solve_reduced(s, bt)?;
-        let mut acc = Complex::ZERO;
-        for (di, yi) in dt.iter().zip(&y) {
-            acc += yi.scale(*di);
+        Ok(out)
+    }
+
+    /// [`NumericsError::DimensionMismatch`] unless `v` has the pencil's
+    /// dimension.
+    fn check_len(&self, v: &[f64]) -> Result<(), NumericsError> {
+        if v.len() != self.dim() {
+            return Err(NumericsError::DimensionMismatch { expected: self.dim(), got: v.len() });
         }
-        Ok(acc)
+        Ok(())
     }
 
     /// Solves the original system `(G + s·C)·x = b` through the reduced
@@ -309,6 +347,32 @@ impl HtPencil {
         }
         Ok(x)
     }
+}
+
+/// The split real/imaginary planes the jω kernel works in, reused across
+/// the frequency points of a sweep.
+#[derive(Debug, Default)]
+struct JwPlanes {
+    mr: Vec<f64>,
+    mi: Vec<f64>,
+    yr: Vec<f64>,
+    yi: Vec<f64>,
+}
+
+impl JwPlanes {
+    /// The kernel's solution as complex values.
+    fn solution(&self) -> impl Iterator<Item = Complex> + '_ {
+        self.yr.iter().zip(&self.yi).map(|(&re, &im)| Complex::new(re, im))
+    }
+}
+
+/// The output projection `dtᵀ·y` of a reduced solution `y`.
+fn project(dt: &[f64], y: impl IntoIterator<Item = Complex>) -> Complex {
+    let mut acc = Complex::ZERO;
+    for (di, yi) in dt.iter().zip(y) {
+        acc += yi.scale(*di);
+    }
+    acc
 }
 
 /// Givens pair `(c, s)` such that the row rotation

@@ -113,12 +113,12 @@ pub fn tft_from_snapshots(
     }
     let dim = b.len();
     for (i, s) in snapshots.iter().enumerate() {
-        if s.g.shape() != (dim, dim) || s.c.shape() != (dim, dim) || s.x.len() != dim {
-            return Err(TftError::DimensionMismatch {
-                snapshot: i,
-                expected: dim,
-                got: s.g.rows(),
-            });
+        let ((g_rows, g_cols), (c_rows, c_cols)) = (s.g.shape(), s.c.shape());
+        // Report the first dimension that differs, not always G's rows.
+        if let Some(got) =
+            [g_rows, g_cols, c_rows, c_cols, s.x.len()].into_iter().find(|&n| n != dim)
+        {
+            return Err(TftError::DimensionMismatch { snapshot: i, expected: dim, got });
         }
     }
     let s_grid: Vec<Complex> =
@@ -353,9 +353,38 @@ mod tests {
             Err(TftError::BadFrequencyGrid)
         ));
         assert!(matches!(
-            tft_from_snapshots(&[snap], &[1.0, 0.0], &[1.0, 0.0], &freqs, 1, 1),
-            Err(TftError::DimensionMismatch { .. })
+            tft_from_snapshots(std::slice::from_ref(&snap), &[1.0, 0.0], &[1.0, 0.0], &freqs, 1, 1),
+            Err(TftError::DimensionMismatch { snapshot: 0, expected: 2, got: 1 })
         ));
+    }
+
+    #[test]
+    fn dimension_mismatch_names_the_bad_dimension() {
+        // G matches the ports (3×3); only C, or only x, does not.
+        let good = JacobianSnapshot {
+            t: 0.0,
+            u: 0.0,
+            y: 0.0,
+            x: vec![0.0; 3],
+            g: rvf_numerics::Mat::identity(3),
+            c: rvf_numerics::Mat::zeros(3, 3),
+        };
+        let ports = [1.0, 0.0, 0.0];
+        let bad_c = JacobianSnapshot { c: rvf_numerics::Mat::zeros(2, 2), ..good.clone() };
+        let bad_x = JacobianSnapshot { x: vec![0.0; 4], ..good.clone() };
+        let bad_c_cols = JacobianSnapshot { c: rvf_numerics::Mat::zeros(3, 5), ..good.clone() };
+        for (snaps, want) in
+            [(vec![bad_c], 2), (vec![good.clone(), bad_x], 4), (vec![bad_c_cols], 5)]
+        {
+            let err = tft_from_snapshots(&snaps, &ports, &ports, &[1.0e3], 1, 1).unwrap_err();
+            let at = snaps.len() - 1;
+            assert!(
+                matches!(err, TftError::DimensionMismatch { snapshot, expected: 3, got }
+                    if snapshot == at && got == want),
+                "{err:?}"
+            );
+            assert_eq!(err.to_string(), format!("snapshot {at} has dimension {want}, expected 3"));
+        }
     }
 
     #[test]
