@@ -11,9 +11,9 @@ use rvf_bench::buffer_circuit;
 use rvf_circuit::{dc_operating_point, DcOptions};
 use rvf_numerics::{
     apply_reflectors_in_place, eigenvalues, factor_block_in_place, factor_with_rhs_in_place,
-    jw_grid, linspace, logspace, CLu, CMat, Complex, Lu, Mat, Qr, Reflectors,
+    jw_grid, linspace, logspace, CLu, CMat, Complex, Lu, Mat, Qr, Reflectors, SweepPool,
 };
-use rvf_vecfit::{fit, VfOptions};
+use rvf_vecfit::{auto_workers, fit, fit_in, VfOptions};
 
 fn bench_eigensolver(c: &mut Criterion) {
     // Diagonal-plus-rank-one in real block form, the relocation matrix
@@ -183,20 +183,23 @@ fn bench_state_stage_fit(c: &mut Criterion) {
 
 fn bench_vf_k_scaling(c: &mut Criterion) {
     // Serial vs parallel per-response compression at growing response
-    // counts. `threads: 1` pins the serial path; `threads: 0` takes one
-    // worker per core (but stays serial below the engine's 8-response
+    // counts. `fit` runs on a one-worker pool, the serial path; the
+    // parallel rows build a pool of `auto_workers(0, K)` workers per
+    // fit, one per core (but serial below the engine's 8-response
     // crossover, so K = 4 documents the dispatch heuristic). Outputs
     // are bit-identical between the two paths; only wall-clock differs.
     let samples = jw_grid(&logspace(0.0, 10.0, 60));
+    let opts = VfOptions::frequency(4).with_iterations(5);
     for &k_responses in &[4usize, 16, 64, 256] {
         let data = synth_responses(k_responses, &samples);
-        let serial = VfOptions::frequency(4).with_iterations(5).with_threads(1);
-        let parallel = VfOptions::frequency(4).with_iterations(5).with_threads(0);
         c.bench_function(&format!("vf_k_scaling_k{k_responses:03}_serial"), |b| {
-            b.iter(|| fit(&samples, &data, &serial).unwrap())
+            b.iter(|| fit(&samples, &data, &opts).unwrap())
         });
         c.bench_function(&format!("vf_k_scaling_k{k_responses:03}_parallel"), |b| {
-            b.iter(|| fit(&samples, &data, &parallel).unwrap())
+            b.iter(|| {
+                let pool = SweepPool::new(auto_workers(0, k_responses));
+                fit_in(&pool, &samples, &data, &opts, None).unwrap()
+            })
         });
     }
 }

@@ -13,7 +13,7 @@
 //! dispatch, the path every fitting and serving round takes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rvf_numerics::{SweepConfig, SweepPool};
+use rvf_numerics::SweepPool;
 
 /// Workers per round: fixed at 2 so the dispatch/spawn machinery is
 /// actually exercised wherever the bench runs (on a 1-core container
@@ -40,7 +40,6 @@ fn task_kernel(i: usize) -> Result<f64, ()> {
 
 fn bench_pool_reuse(c: &mut Criterion) {
     for rounds in [8usize, 32, 128] {
-        let cfg = SweepConfig::threads(WORKERS);
         c.bench_function(&format!("pool_reuse_pooled_r{rounds:03}"), |b| {
             b.iter(|| {
                 // One construction for the whole round sequence — the
@@ -49,8 +48,7 @@ fn bench_pool_reuse(c: &mut Criterion) {
                 let mut units = vec![(); WORKERS];
                 let mut total = 0.0;
                 for _ in 0..rounds {
-                    let out =
-                        pool.run_with(TASKS, &cfg, &mut units, |(), i| task_kernel(i)).unwrap();
+                    let out = pool.run_with(TASKS, &mut units, |(), i| task_kernel(i)).unwrap();
                     total += out[TASKS - 1];
                 }
                 total
@@ -64,8 +62,7 @@ fn bench_pool_reuse(c: &mut Criterion) {
                 for _ in 0..rounds {
                     let pool = SweepPool::new(WORKERS);
                     let mut units = vec![(); WORKERS];
-                    let out =
-                        pool.run_with(TASKS, &cfg, &mut units, |(), i| task_kernel(i)).unwrap();
+                    let out = pool.run_with(TASKS, &mut units, |(), i| task_kernel(i)).unwrap();
                     total += out[TASKS - 1];
                 }
                 total

@@ -1,6 +1,6 @@
 //! Naive per-frequency dense LU vs the reduced-pencil fast path on the
-//! 5-section RC ladder — the scaling study behind the TFT sampler's
-//! `transfer_sweep` crossover. The naive path refactors `G + s·C` at
+//! 5-section RC ladder — the scaling study behind `transfer_sweep`
+//! always reducing the pencil. The naive path refactors `G + s·C` at
 //! every frequency (`O(L·n³)`); the reduced path pays one
 //! Hessenberg–triangular reduction and then back-substitutes
 //! (`O(n³ + L·n²)`), so its advantage grows linearly with the sweep
@@ -55,8 +55,7 @@ fn bench_sweep_scaling(c: &mut Criterion) {
 }
 
 fn bench_dispatch_heuristic(c: &mut Criterion) {
-    // The production entry point with its crossover heuristic, at the
-    // paper's sweep length.
+    // The production entry point at the paper's sweep length.
     let (g, cm, b, d) = ladder_pencil();
     let ss = s_grid(60);
     c.bench_function("transfer_sweep_dispatch_60f", |bch| {

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t_m = Instant::now();
     let y_caff = simulate(&caff_model, dt, &tran.inputs)
-        .expect("integrable_only preset guarantees closed-form stages");
+        .expect("the polynomial-only preset guarantees closed-form stages");
     let caff_seconds = t_m.elapsed().as_secs_f64();
     let caff_time = time_domain_report(&tran.outputs, &y_caff);
 

@@ -68,9 +68,9 @@ pub fn caffeine_options() -> CaffeineOptions {
             generations: 60,
             max_terms: 9,
             max_power: 8,
+            allow_operators: false,
             ..Default::default()
         },
-        integrable_only: true,
     }
 }
 

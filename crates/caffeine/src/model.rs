@@ -25,11 +25,10 @@ use crate::gp::{evolve, GpOptions};
 /// Options for building the baseline model.
 #[derive(Debug, Clone, Default)]
 pub struct CaffeineOptions {
-    /// GP engine configuration.
+    /// GP engine configuration. With `allow_operators` off, the GP
+    /// searches the polynomial (integrable) subset only, so the model
+    /// can be simulated automatically — the paper does this manually.
     pub gp: GpOptions,
-    /// Force the polynomial (integrable) subset so the model can be
-    /// simulated automatically — the paper does this manually.
-    pub integrable_only: bool,
 }
 
 /// The CAFFEINE baseline: rvf-core's Hammerstein model over GP stages.
@@ -146,10 +145,7 @@ pub fn build_caffeine_hammerstein(
     let states = dataset.states();
     let skeleton = stage_trajectories(dataset, freq_model);
     let (u0, y0) = (skeleton.u0, skeleton.y0);
-    let mut gp = opts.gp.clone();
-    if opts.integrable_only {
-        gp.allow_operators = false;
-    }
+    let gp = &opts.gp;
     let blocks = skeleton
         .blocks
         .iter()
@@ -168,7 +164,7 @@ pub fn build_caffeine_hammerstein(
             block
         })
         .collect();
-    let static_path = CaffeineStage::fit(&states, &skeleton.static_path, &gp, u0, y0);
+    let static_path = CaffeineStage::fit(&states, &skeleton.static_path, gp, u0, y0);
     HammersteinModel { static_path, blocks, u0, y0 }
 }
 

@@ -5,11 +5,10 @@
 //! * [`transfer_at`] — a dense complex LU per frequency, `O(n³)` each;
 //! * [`ReducedTransfer`] / [`transfer_sweep`] — one Hessenberg–triangular
 //!   reduction of the pencil `(G, C)` ([`rvf_numerics::HtPencil`]), then
-//!   `O(n²)` per frequency; the win for sweeps of more than a handful of
-//!   points, which is why [`transfer_sweep`] switches paths at
-//!   [`PENCIL_REDUCTION_CROSSOVER`].
+//!   `O(n²)` per frequency. Every sweep takes this path; [`transfer_at`]
+//!   is the reference it is tested and benchmarked against.
 
-use rvf_numerics::{CLu, CMat, Complex, HtPencil, Mat, PENCIL_REDUCTION_CROSSOVER};
+use rvf_numerics::{CLu, CMat, Complex, HtPencil, Mat};
 
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
@@ -95,14 +94,14 @@ impl ReducedTransfer {
     }
 }
 
-/// Evaluates `H(s)` over a list of complex frequencies, choosing the
-/// cheaper path: per-frequency LU ([`transfer_at`]) for short sweeps and
-/// tiny systems, the reduced pencil ([`ReducedTransfer`]) once the sweep
-/// is long enough ([`PENCIL_REDUCTION_CROSSOVER`], the workspace-wide
-/// measured break-even) to amortize the reduction.
+/// Evaluates `H(s)` over a list of complex frequencies through the
+/// reduced pencil ([`ReducedTransfer`]): one reduction, then `O(n²)` per
+/// point.
 ///
-/// Both paths agree to machine precision (pinned to 1e-10 in tests on
-/// the RC ladder and diode clipper).
+/// It agrees with the per-frequency LU of [`transfer_at`] to machine
+/// precision (pinned to 1e-10 in tests on the RC ladder and diode
+/// clipper, and to 1e-12 on 1- and 2-point sweeps and a 1-unknown
+/// pencil).
 ///
 /// # Errors
 ///
@@ -114,9 +113,6 @@ pub fn transfer_sweep(
     d: &[f64],
     ss: &[Complex],
 ) -> Result<Vec<Complex>, CircuitError> {
-    if ss.len() < PENCIL_REDUCTION_CROSSOVER || g.rows() < 2 {
-        return ss.iter().map(|&s| transfer_at(g, c, b, d, s)).collect();
-    }
     let rt = ReducedTransfer::new(g, c, b, d)?;
     Ok(rt.pencil.transfer_projected_sweep(&rt.bt, &rt.dt, ss)?)
 }
@@ -147,7 +143,7 @@ mod tests {
     use super::*;
     use crate::dc::{dc_operating_point, DcOptions};
     use crate::devices::passive::{Capacitor, Resistor};
-    use crate::devices::sources::Vsource;
+    use crate::devices::sources::{Isource, Vsource};
     use crate::waveform::Waveform;
     use rvf_numerics::db20;
 
@@ -194,10 +190,6 @@ mod tests {
         let ss: Vec<Complex> = (0..40)
             .map(|i| Complex::from_im(2.0 * core::f64::consts::PI * 10f64.powf(i as f64 * 0.25)))
             .collect();
-        assert!(
-            ss.len() >= PENCIL_REDUCTION_CROSSOVER,
-            "sweep long enough to take the reduced path"
-        );
         let fast = transfer_sweep(&g, &c, &b, &d, &ss).unwrap();
         for (s, h_fast) in ss.iter().zip(&fast) {
             let h_naive = transfer_at(&g, &c, &b, &d, *s).unwrap();
@@ -223,14 +215,36 @@ mod tests {
     }
 
     #[test]
-    fn short_sweep_takes_naive_path_and_agrees() {
+    fn short_and_scalar_pencil_sweeps_match_transfer_at() {
         let (mut ckt, f3db) = rc_lowpass();
         let (g, c, b, d) = pencil_at_op(&mut ckt);
-        let ss =
-            vec![Complex::from_im(2.0 * core::f64::consts::PI * f3db), Complex::new(-1.0e5, 2.0e5)];
-        let swept = transfer_sweep(&g, &c, &b, &d, &ss).unwrap();
-        for (s, h) in ss.iter().zip(&swept) {
-            assert!((*h - transfer_at(&g, &c, &b, &d, *s).unwrap()).abs() < 1e-12);
+        let jw = Complex::from_im(2.0 * core::f64::consts::PI * f3db);
+        // A 1-unknown pencil: a current source driving R‖C.
+        let mut rc = Circuit::new();
+        let n = rc.node("n");
+        rc.add(Isource::new("Iin", 0, n, Waveform::Dc(1.0e-3))).unwrap();
+        rc.add(Resistor::new("R1", n, 0, 1.0e3)).unwrap();
+        rc.add(Capacitor::new("C1", n, 0, 1.0e-9)).unwrap();
+        rc.set_input("Iin").unwrap();
+        rc.set_output(n, 0);
+        let scalar = pencil_at_op(&mut rc);
+        assert_eq!(scalar.0.shape(), (1, 1), "R‖C has one unknown");
+        let cases = [
+            ("1 point", (&g, &c, &b, &d), vec![jw]),
+            ("2 points, one off-axis", (&g, &c, &b, &d), vec![jw, Complex::new(-1.0e5, 2.0e5)]),
+            (
+                "1 unknown",
+                (&scalar.0, &scalar.1, &scalar.2, &scalar.3),
+                vec![jw, Complex::from_im(1.0e3), Complex::new(-2.0e5, 3.0e5)],
+            ),
+        ];
+        for (what, (g, c, b, d), ss) in cases {
+            let swept = transfer_sweep(g, c, b, d, &ss).unwrap();
+            assert_eq!(swept.len(), ss.len(), "{what}");
+            for (s, h) in ss.iter().zip(&swept) {
+                let want = transfer_at(g, c, b, d, *s).unwrap();
+                assert!((*h - want).abs() < 1e-12, "{what} at s={s:?}: {h:?} vs {want:?}");
+            }
         }
     }
 

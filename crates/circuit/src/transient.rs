@@ -7,6 +7,8 @@
 //! most `MAX_NEWTON` iterations, updates capped at `MAX_STEP`, and
 //! `GMIN` from every node to ground.
 
+use rvf_numerics::Mat;
+
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
 use crate::newton::{newton, Companion, NewtonWorkspace};
@@ -108,7 +110,7 @@ pub fn transient(
     let mut qdot_prev: Vec<f64> = f.iter().map(|v| -v).collect();
     let mut q = vec![0.0; dim];
     let mut ws = NewtonWorkspace::new(dim);
-    record(circuit, &mut result, 0.0, &x, has_output, due(0));
+    record(circuit, &mut result, 0.0, &x, has_output, due(0), (&mut f, &mut q));
 
     for step in 1..=n_steps {
         let t = step as f64 * opts.dt;
@@ -121,7 +123,7 @@ pub fn transient(
             qdot_prev[i] = k * (q[i] - q_prev[i]) - qdot_prev[i];
         }
         std::mem::swap(&mut q_prev, &mut q);
-        record(circuit, &mut result, t, &x, has_output, due(step));
+        record(circuit, &mut result, t, &x, has_output, due(step), (&mut f, &mut q));
     }
     Ok(result)
 }
@@ -141,7 +143,8 @@ fn reserve<T>(n: usize, n_steps: usize) -> Result<Vec<T>, CircuitError> {
 }
 
 /// Records the accepted point `(t, x)` and, when `snapshot` is set, its
-/// Jacobian snapshot.
+/// Jacobian snapshot; the snapshot's residual is stamped into `scratch`
+/// and discarded.
 fn record(
     circuit: &Circuit,
     result: &mut TranResult,
@@ -149,6 +152,7 @@ fn record(
     x: &[f64],
     has_output: bool,
     snapshot: bool,
+    scratch: (&mut [f64], &mut [f64]),
 ) {
     let u = circuit.input_value(t).unwrap_or(0.0);
     let y = if has_output { circuit.output_value(x) } else { 0.0 };
@@ -158,8 +162,9 @@ fn record(
     if snapshot {
         // The *device* Jacobians (no integrator companion terms, no
         // gmin): these are the TFT matrices of paper eq. (3).
-        let ev = circuit.eval(x, t, 0.0);
-        result.snapshots.push(JacobianSnapshot { t, u, y, x: x.to_vec(), g: ev.g, c: ev.c });
+        let (mut g, mut c) = (Mat::zeros(x.len(), x.len()), Mat::zeros(x.len(), x.len()));
+        circuit.stamp(x, t, 0.0, scratch.0, scratch.1, Some(&mut g), Some(&mut c));
+        result.snapshots.push(JacobianSnapshot { t, u, y, x: x.to_vec(), g, c });
     }
 }
 

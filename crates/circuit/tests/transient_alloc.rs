@@ -1,7 +1,7 @@
 //! Pins the allocation profile of the training transient and of the
 //! reduced-pencil transfer sweep: a transient's allocations do not grow
-//! with its step count, each snapshot adds a fixed count (the copies the
-//! snapshot owns), and `transfer_sweep` allocates the same at any
+//! with its step count, each snapshot adds exactly the three buffers it
+//! owns (`G`, `C`, `x`), and `transfer_sweep` allocates the same at any
 //! number of jω points.
 //!
 //! Lives in its own test binary because it installs a counting global
@@ -78,7 +78,8 @@ fn transient_and_sweep_allocations_do_not_grow_with_steps_or_points() {
             "{k} snapshots: allocations are not {per_snapshot} per snapshot ({counts:?})"
         );
     }
-    assert!(per_snapshot <= 5, "{per_snapshot} allocations per snapshot");
+    // The snapshot's own G, C and x, nothing else.
+    assert_eq!(per_snapshot, 3, "{per_snapshot} allocations per snapshot");
 
     // The jω sweep of one snapshot through the reduced pencil: the same
     // allocations at 16 and at 120 points.

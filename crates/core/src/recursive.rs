@@ -109,8 +109,8 @@ pub fn fit_recursive_2d(
     // pool serves both recursion levels; its capacity covers whichever
     // level carries more responses — the x₁ rows here, or the inner
     // stage's up to max_state_poles + 1 coefficient trajectories — so
-    // neither level loses parallelism to the other's sizing (each
-    // round's worker count still resolves from its own response count).
+    // neither level loses parallelism to the other's sizing (a round
+    // never runs more workers than it has responses).
     let x2_samples: Vec<Complex> = x2_grid.iter().map(|&v| Complex::from_re(v)).collect();
     let data: Vec<Vec<Complex>> =
         values.iter().map(|row| row.iter().map(|&v| Complex::from_re(v)).collect()).collect();

@@ -35,10 +35,11 @@ pub struct RvfOptions {
     pub epsilon: f64,
     /// Maximum size of a model's common state-pole set.
     pub max_state_poles: usize,
-    /// Worker threads for the per-response stages of every vector fit
-    /// (see [`rvf_vecfit::VfOptions::threads`]): `0` = one per core
-    /// above the engine's response-count crossover, `1` = serial. The
-    /// fit results are bit-identical for every setting.
+    /// Worker threads for the per-response stages of every vector fit:
+    /// each stage sizes one pool with [`rvf_vecfit::auto_workers`] (`0`
+    /// = one per core above the engine's response-count crossover, `1`
+    /// = serial), and every fit of the stage runs as wide as that pool.
+    /// The fit results are bit-identical for every setting.
     pub threads: usize,
 }
 
@@ -157,8 +158,7 @@ pub(crate) fn grow_poles(
         if axis == Axis::Real && samples.len() < 2 * p + 2 {
             break;
         }
-        let vf_opts = preset(p).with_threads(opts.threads);
-        let fit = fit_in(pool, samples, data, &vf_opts, warm.as_ref())?;
+        let fit = fit_in(pool, samples, data, &preset(p), warm.as_ref())?;
         relocation_rounds += fit.iterations_run;
         cold_restarts += usize::from(fit.cold_restarted);
         warm = Some(fit.model.poles().clone());

@@ -8,7 +8,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use rvf_numerics::{SweepConfig, SweepError, SweepPool};
+use rvf_numerics::{SweepError, SweepPool};
 
 use super::compile::CompiledSim;
 use super::state::{advance, SimState};
@@ -115,12 +115,10 @@ impl CompiledSim {
             }
         };
         let mut workspaces = vec![scratch; pool.workers()];
-        let memos = pool
-            .run_with(jobs.len(), &SweepConfig::threads(pool.workers()), &mut workspaces, task)
-            .map_err(|e| match e {
-                SweepError::WorkerPanicked { worker } => ServingError::WorkerPanicked { worker },
-                SweepError::Task { error, .. } => match error {},
-            })?;
+        let memos = pool.run_with(jobs.len(), &mut workspaces, task).map_err(|e| match e {
+            SweepError::WorkerPanicked { worker } => ServingError::WorkerPanicked { worker },
+            SweepError::Task { error, .. } => match error {},
+        })?;
         drop(jobs);
         // Commit only after every task succeeded.
         let advanced = chunks.iter_mut().filter(|c| !c.input.is_empty());

@@ -94,14 +94,11 @@ pub use fft::spectral_occupancy;
 pub use grid::{jw_grid, linspace, logspace};
 pub use lu::{CLu, Lu};
 pub use matrix::Mat;
-pub use pencil::{HtPencil, PENCIL_REDUCTION_CROSSOVER};
+pub use pencil::HtPencil;
 pub use poly::{from_roots, Poly};
 pub use qr::{
     apply_reflectors_in_place, factor_block_in_place, factor_with_rhs_in_place, lstsq, lstsq_ridge,
     Qr, Reflectors,
 };
 pub use stats::{db20, from_db20, max_abs_err, nrmse, rmse, unwrap_phase};
-pub use sweep::{
-    pool_constructions, resolve_threads, SweepConfig, SweepError, SweepPool,
-    AUTO_PARALLEL_CROSSOVER,
-};
+pub use sweep::{pool_constructions, resolve_threads, SweepConfig, SweepError, SweepPool};

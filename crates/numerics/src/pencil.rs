@@ -46,19 +46,6 @@ use crate::error::NumericsError;
 use crate::matrix::Mat;
 use crate::qr::Qr;
 
-/// Minimum number of evaluation points at which a caller should prefer
-/// reducing the pencil over factoring `G + s·C` from scratch per point.
-///
-/// The reduction costs roughly two dense `O(n³)` factorizations up
-/// front (QR of `C` plus the Givens chase) and each reduced evaluation
-/// costs about a third of a dense LU, so a handful of points amortizes
-/// it. Measured break-even (`sweep_scaling` bench, 5-section RC ladder,
-/// MNA dim 7): the reduced path wins from ~8 points and is ~1.6× faster
-/// at 120 points; larger pencils cross over even earlier because the
-/// `O(n³)`/`O(n²)` gap widens. `rvf-circuit::transfer_sweep` dispatches
-/// on this constant (re-exported there as `REDUCTION_CROSSOVER`).
-pub const PENCIL_REDUCTION_CROSSOVER: usize = 8;
-
 /// A pencil `(G, C)` reduced to Hessenberg–triangular form
 /// `(H, R) = (Qᵀ·G·Z, Qᵀ·C·Z)`.
 ///

@@ -45,13 +45,13 @@
 //! Reuse one pool across many rounds — the relocation-loop pattern:
 //!
 //! ```
-//! use rvf_numerics::{SweepConfig, SweepPool};
+//! use rvf_numerics::SweepPool;
 //!
 //! let pool = SweepPool::new(3);
 //! let mut scratch = vec![0u64; pool.workers()];
 //! for round in 1..=4u64 {
 //!     let out = pool
-//!         .run_with(6, &SweepConfig::threads(3), &mut scratch, |ws, i| {
+//!         .run_with(6, &mut scratch, |ws, i| {
 //!             *ws += 1; // per-worker state survives across rounds
 //!             Ok::<_, ()>(round * i as u64)
 //!         })
@@ -67,50 +67,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
-/// Below this many tasks, an *auto* thread request (`threads == 0`)
-/// resolves to a single serial worker in the consumers that adopt the
-/// convention (the vector-fit per-response stages, see
-/// `rvf-vecfit`): the per-task work there is a small block QR, and the
-/// `vf_k_scaling_k004_*` benches measure parity between the serial and
-/// dispatched paths at 4 responses — below ~8 uniform small tasks the
-/// round-dispatch overhead cannot pay for itself. Workloads with
-/// heavyweight tasks (e.g. whole-snapshot frequency sweeps) ignore the
-/// crossover and parallelize from 2 tasks up.
-pub const AUTO_PARALLEL_CROSSOVER: usize = 8;
-
-/// Tuning knobs of a sweep run.
+/// The width request of a [`SweepPool::run`] round.
 ///
 /// `threads` follows the [`resolve_threads`] convention (`0` = one
-/// worker per available core). `batch` is the number of consecutive
-/// task indices a worker claims per queue operation: the default of `1`
-/// preserves task-granular stealing, while larger batches cut
-/// atomic-queue traffic for workloads made of many small uniform tasks
-/// (e.g. the per-response blocks of a vector fit) at the cost of
-/// coarser load balancing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// worker per available core) and is the number of unit workspaces
+/// `run` builds, so it caps that round below the pool's capacity.
+/// [`SweepPool::run_with`] takes no config: its round is as wide as the
+/// pool, the task count and the workspace list allow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepConfig {
     /// Worker threads (`0` = available parallelism).
     pub(crate) threads: usize,
-    /// Task indices claimed per queue pop (`0` is treated as `1`).
-    pub(crate) batch: usize,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        Self { threads: 0, batch: 1 }
-    }
 }
 
 impl SweepConfig {
-    /// A config with the given worker count and task-granular stealing.
+    /// A config with the given worker count.
     pub fn threads(threads: usize) -> Self {
-        Self { threads, batch: 1 }
-    }
-
-    /// Sets the claim batch size.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
+        Self { threads }
     }
 }
 
@@ -341,7 +314,8 @@ impl SweepPool {
         self.fault.store(true, Ordering::Relaxed);
     }
 
-    /// Runs `n_tasks` workspace-free tasks on the pool.
+    /// Runs `n_tasks` workspace-free tasks on the pool, on at most
+    /// `cfg.threads` workers (resolved by [`resolve_threads`]).
     ///
     /// # Errors
     ///
@@ -357,8 +331,8 @@ impl SweepPool {
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
     {
-        let mut units = vec![(); self.capacity];
-        self.run_with(n_tasks, cfg, &mut units, |(), i| task(i))
+        let mut units = vec![(); resolve_threads(cfg.threads).min(self.capacity)];
+        self.run_with(n_tasks, &mut units, |(), i| task(i))
     }
 
     /// Runs one sweep round on the pool: `task(ws, i)` is called exactly
@@ -367,11 +341,10 @@ impl SweepPool {
     /// for the round — keep the workspace pool alive across rounds and
     /// its buffers are paid for once. Results come back in task order.
     ///
-    /// The effective worker count is the minimum of the resolved
-    /// `cfg.threads`, `n_tasks`, `workspaces.len()`, and the pool
-    /// capacity; with one effective worker the round runs inline on the
-    /// calling thread (no handoff, same semantics). `cfg.batch` indices
-    /// are claimed per queue pop (see [`SweepConfig`]).
+    /// The round runs `min(capacity, n_tasks, workspaces.len())`
+    /// workers, each claiming one task index per queue pop; with one
+    /// worker it runs inline on the calling thread (no handoff, same
+    /// semantics).
     ///
     /// # Errors
     ///
@@ -390,7 +363,6 @@ impl SweepPool {
     pub fn run_with<W, T, E, F>(
         &self,
         n_tasks: usize,
-        cfg: &SweepConfig,
         workspaces: &mut [W],
         task: F,
     ) -> Result<Vec<T>, SweepError<E>>
@@ -413,9 +385,7 @@ impl SweepPool {
             } else {
                 n_tasks
             };
-        let batch = cfg.batch.max(1);
-        let workers =
-            resolve_threads(cfg.threads).min(n_tasks).min(workspaces.len()).min(self.capacity);
+        let workers = self.capacity.min(n_tasks).min(workspaces.len());
         if workers <= 1 {
             let out = run_inline(n_tasks, &mut workspaces[0], &task, faulted);
             if matches!(out, Err(SweepError::WorkerPanicked { .. })) {
@@ -443,29 +413,23 @@ impl SweepPool {
                 if abort.load(Ordering::Acquire) {
                     return;
                 }
-                let start = next.fetch_add(batch, Ordering::Relaxed);
-                if start >= n_tasks {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots_ref.get(i) else {
                     return;
-                }
-                let end = (start + batch).min(n_tasks);
-                for (i, slot) in (start..end).zip(&slots_ref[start..end]) {
-                    if abort.load(Ordering::Acquire) {
+                };
+                match catch_task(task_ref, ws, i, i == faulted) {
+                    // SAFETY: the fetch_add hands every index to exactly
+                    // one worker, so this slot is written by this thread
+                    // only, and the round handshake happens before the
+                    // slots are read.
+                    Ok(v) => unsafe { *slot.0.get() = Some(v) },
+                    Err(e) => {
+                        // The first failure (error or contained panic)
+                        // wins and flags the other workers down before
+                        // they claim more work.
+                        abort.store(true, Ordering::Release);
+                        lock(&first_err).get_or_insert(e.into_error(w));
                         return;
-                    }
-                    match catch_task(task_ref, ws, i, i == faulted) {
-                        // SAFETY: the fetch_add hands every index to
-                        // exactly one worker, so this slot is written by
-                        // this thread only, and the round handshake
-                        // happens before the slots are read.
-                        Ok(v) => unsafe { *slot.0.get() = Some(v) },
-                        Err(e) => {
-                            // The first failure (error or contained
-                            // panic) wins and flags the other workers
-                            // down before they claim more work.
-                            abort.store(true, Ordering::Release);
-                            lock(&first_err).get_or_insert(e.into_error(w));
-                            return;
-                        }
                     }
                 }
             }
@@ -809,35 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_claims_cover_every_task() {
-        let pool = SweepPool::new(4);
-        let mut units = vec![(); 4];
-        for batch in [1, 2, 3, 7, 100] {
-            let cfg = SweepConfig::threads(4).with_batch(batch);
-            let out = pool.run_with(23, &cfg, &mut units, |(), i| Ok::<_, ()>(3 * i)).unwrap();
-            assert_eq!(out, (0..23).map(|i| 3 * i).collect::<Vec<_>>(), "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn batch_zero_is_treated_as_one() {
-        let cfg = SweepConfig::threads(2).with_batch(0);
-        let mut units = vec![(); 2];
-        let out = SweepPool::new(2).run_with(9, &cfg, &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
-        assert_eq!(out.len(), 9);
-    }
-
-    #[test]
-    fn batched_error_aborts_and_reports_index() {
-        let cfg = SweepConfig::threads(3).with_batch(4);
-        let mut units = vec![(); 3];
-        let err = SweepPool::new(3)
-            .run_with(64, &cfg, &mut units, |(), i| if i == 5 { Err("boom") } else { Ok(i) })
-            .unwrap_err();
-        assert!(matches!(err, SweepError::Task { index: 5, error: "boom" }), "got {err:?}");
-    }
-
-    #[test]
     fn workspaces_are_per_worker_and_reused() {
         // Each worker owns one workspace exclusively: the per-workspace
         // tallies must sum to the task count, and a workspace pool kept
@@ -845,7 +780,7 @@ mod tests {
         let pool = SweepPool::new(3);
         let mut tallies = vec![0usize; 3];
         for _round in 0..2 {
-            pool.run_with(30, &SweepConfig::threads(3), &mut tallies, |tally, i| {
+            pool.run_with(30, &mut tallies, |tally, i| {
                 *tally += 1;
                 Ok::<_, ()>(i)
             })
@@ -856,12 +791,12 @@ mod tests {
 
     #[test]
     fn worker_count_clamped_to_workspace_pool() {
-        // 8 requested threads but 2 workspaces: only 2 workers run, and
+        // A 4-capacity pool but 2 workspaces: only 2 workers run, and
         // the inline path handles a single workspace.
         let pool = SweepPool::new(4);
         let mut tallies = vec![0usize; 2];
         let out = pool
-            .run_with(10, &SweepConfig::threads(8), &mut tallies, |t, i| {
+            .run_with(10, &mut tallies, |t, i| {
                 *t += 1;
                 Ok::<_, ()>(i)
             })
@@ -869,7 +804,7 @@ mod tests {
         assert_eq!(out.len(), 10);
         assert_eq!(tallies.iter().sum::<usize>(), 10);
         let mut one = vec![0usize];
-        pool.run_with(5, &SweepConfig::threads(8), &mut one, |t, i| {
+        pool.run_with(5, &mut one, |t, i| {
             *t += 1;
             Ok::<_, ()>(i)
         })
@@ -882,7 +817,7 @@ mod tests {
     fn workspace_sweep_contains_panics() {
         let mut units = vec![(); 4];
         let err = SweepPool::new(4)
-            .run_with(16, &SweepConfig::threads(4), &mut units, |(), i| {
+            .run_with(16, &mut units, |(), i| {
                 if i == 7 {
                     panic!("poisoned");
                 }
@@ -907,11 +842,7 @@ mod tests {
         let pool = SweepPool::new(3);
         let mut units = vec![(); pool.workers()];
         for round in 0..5usize {
-            let out = pool
-                .run_with(17, &SweepConfig::threads(3), &mut units, |(), i| {
-                    Ok::<_, ()>(round * 100 + i)
-                })
-                .unwrap();
+            let out = pool.run_with(17, &mut units, |(), i| Ok::<_, ()>(round * 100 + i)).unwrap();
             assert_eq!(out, (0..17).map(|i| round * 100 + i).collect::<Vec<_>>());
         }
         assert_eq!(pool.sweeps(), 5);
@@ -923,7 +854,7 @@ mod tests {
         let pool = SweepPool::new(4);
         let mut tallies = vec![0usize; 4];
         for _ in 0..50 {
-            pool.run_with(40, &SweepConfig::threads(4).with_batch(3), &mut tallies, |t, i| {
+            pool.run_with(40, &mut tallies, |t, i| {
                 *t += 1;
                 Ok::<_, ()>(i)
             })
@@ -937,9 +868,9 @@ mod tests {
     fn pool_inline_path_skips_round_dispatch() {
         let pool = SweepPool::new(4);
         let mut units = vec![(); 4];
-        // One task (and separately one requested thread) stays inline.
-        pool.run_with(1, &SweepConfig::threads(4), &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
-        pool.run_with(9, &SweepConfig::threads(1), &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
+        // One task (and separately one workspace) stays inline.
+        pool.run_with(1, &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
+        pool.run_with(9, &mut units[..1], |(), i| Ok::<_, ()>(i)).unwrap();
         assert_eq!(pool.sweeps(), 2);
         assert_eq!(pool.rounds(), 0);
     }
@@ -948,16 +879,16 @@ mod tests {
     fn pool_clamps_workers_to_capacity_and_workspaces() {
         let pool = SweepPool::new(2);
         assert_eq!(pool.workers(), 2);
-        // Request 8 threads on a 2-capacity pool with 2 workspaces.
-        let mut tallies = vec![0usize; 2];
+        // 8 workspaces on a 2-capacity pool: only the first 2 are used.
+        let mut tallies = vec![0usize; 8];
         let out = pool
-            .run_with(20, &SweepConfig::threads(8), &mut tallies, |t, i| {
+            .run_with(20, &mut tallies, |t, i| {
                 *t += 1;
                 Ok::<_, ()>(i)
             })
             .unwrap();
         assert_eq!(out.len(), 20);
-        assert_eq!(tallies.iter().sum::<usize>(), 20);
+        assert_eq!(tallies[..2].iter().sum::<usize>(), 20);
     }
 
     #[test]
@@ -965,13 +896,7 @@ mod tests {
         let pool = SweepPool::new(3);
         let mut units = vec![(); 3];
         let err = pool
-            .run_with(64, &SweepConfig::threads(3), &mut units, |(), i| {
-                if i == 5 {
-                    Err("boom")
-                } else {
-                    Ok(i)
-                }
-            })
+            .run_with(64, &mut units, |(), i| if i == 5 { Err("boom") } else { Ok(i) })
             .unwrap_err();
         assert!(matches!(err, SweepError::Task { index: 5, error: "boom" }), "got {err:?}");
     }
@@ -981,7 +906,7 @@ mod tests {
         let pool = SweepPool::new(3);
         let mut units = vec![(); 3];
         let err = pool
-            .run_with(16, &SweepConfig::threads(3), &mut units, |(), i| {
+            .run_with(16, &mut units, |(), i| {
                 if i == 7 {
                     panic!("poisoned");
                 }
@@ -990,8 +915,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SweepError::WorkerPanicked { .. }), "got {err:?}");
         // The pool survives the contained panic and runs a clean round.
-        let out =
-            pool.run_with(16, &SweepConfig::threads(3), &mut units, |(), i| Ok::<_, ()>(i * 2));
+        let out = pool.run_with(16, &mut units, |(), i| Ok::<_, ()>(i * 2));
         assert_eq!(out.unwrap()[15], 30);
     }
 
@@ -1002,7 +926,7 @@ mod tests {
         let mut units = vec![(); 3];
         // Pooled round with a panicking task.
         let _ = pool
-            .run_with(16, &SweepConfig::threads(3), &mut units, |(), i| {
+            .run_with(16, &mut units, |(), i| {
                 if i == 4 {
                     panic!("chaos");
                 }
@@ -1012,24 +936,16 @@ mod tests {
         assert_eq!(pool.contained_panics(), 1);
         // Inline (single-worker) sweep with a panicking task.
         let _ = pool
-            .run_with(4, &SweepConfig::threads(1), &mut units, |(), _| -> Result<usize, ()> {
-                panic!("inline chaos")
-            })
+            .run_with(4, &mut units[..1], |(), _| -> Result<usize, ()> { panic!("inline chaos") })
             .unwrap_err();
         assert_eq!(pool.contained_panics(), 2);
         // Task *errors* are not panics and must not move the counter.
         let _ = pool
-            .run_with(8, &SweepConfig::threads(3), &mut units, |(), i| {
-                if i == 2 {
-                    Err("boom")
-                } else {
-                    Ok(i)
-                }
-            })
+            .run_with(8, &mut units, |(), i| if i == 2 { Err("boom") } else { Ok(i) })
             .unwrap_err();
         assert_eq!(pool.contained_panics(), 2);
         // A clean sweep leaves it untouched and the pool stays healthy.
-        pool.run_with(8, &SweepConfig::threads(3), &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
+        pool.run_with(8, &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
         assert_eq!(pool.contained_panics(), 2);
     }
 
@@ -1046,11 +962,7 @@ mod tests {
                         let mut units = vec![(); 2];
                         let mut total = 0usize;
                         for _ in 0..10 {
-                            let out = pool
-                                .run_with(8, &SweepConfig::threads(2), &mut units, |(), i| {
-                                    Ok::<_, ()>(i)
-                                })
-                                .unwrap();
+                            let out = pool.run_with(8, &mut units, |(), i| Ok::<_, ()>(i)).unwrap();
                             total += out.iter().sum::<usize>();
                         }
                         total
@@ -1076,8 +988,39 @@ mod tests {
     #[test]
     fn pool_run_without_workspaces() {
         let pool = SweepPool::new(3);
-        let out = pool.run(9, &SweepConfig::threads(3).with_batch(2), |i| Ok::<_, ()>(i + 1));
+        let out = pool.run(9, &SweepConfig::threads(3), |i| Ok::<_, ()>(i + 1));
         assert_eq!(out.unwrap(), (1..=9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_width_caps_worker_slots_and_keeps_results() {
+        // `run` builds `threads` unit workspaces, so a round on a
+        // 4-capacity pool runs exactly that many workers (one OS thread
+        // per worker slot), and the results do not depend on the width.
+        // Tasks 0..cap meet at a barrier, so each is held by a distinct
+        // worker until all `cap` workers have joined the round.
+        let pool = SweepPool::new(4);
+        let task = |i: usize| (i as f64 + 0.5).sqrt().sin().to_bits();
+        let mut reference = None;
+        for cap in 1..=4 {
+            let (barrier, slots) = (std::sync::Barrier::new(cap), Mutex::new(Vec::new()));
+            let out = pool
+                .run(64, &SweepConfig::threads(cap), |i| {
+                    if i < cap {
+                        barrier.wait();
+                    }
+                    let id = thread::current().id();
+                    let mut seen = lock(&slots);
+                    if !seen.contains(&id) {
+                        seen.push(id);
+                    }
+                    Ok::<_, ()>(task(i))
+                })
+                .unwrap();
+            assert_eq!(slots.into_inner().unwrap().len(), cap, "cap {cap}: worker slots used");
+            assert_eq!(out, *reference.get_or_insert_with(|| out.clone()), "cap {cap}");
+        }
+        assert_eq!(reference.unwrap(), (0..64).map(task).collect::<Vec<_>>());
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!   `O(K·L·n³)`;
 //! * across snapshots, the work is spread over the work-stealing sweep
 //!   runtime of `rvf-numerics` — one [`rvf_numerics::SweepPool`] round
-//!   per extraction, batched claiming for small snapshots — so a slow
-//!   snapshot (near-singular operating point, pivoting churn) occupies
-//!   one worker while the rest keep draining the queue.
+//!   per extraction, each worker claiming one snapshot at a time — so a
+//!   slow snapshot (near-singular operating point, pivoting churn)
+//!   occupies one worker while the rest keep draining the queue.
 
 use rvf_circuit::{
     dc_operating_point, transfer_sweep, transient, Circuit, DcOptions, JacobianSnapshot,
     TranOptions, TranResult,
 };
-use rvf_numerics::{logspace, resolve_threads, Complex, Lu, SweepConfig, SweepPool};
+use rvf_numerics::{logspace, resolve_threads, Complex, Lu, SweepPool};
 
 use crate::dataset::{StateSample, TftDataset};
 use crate::error::TftError;
@@ -48,12 +48,12 @@ pub struct TftConfig {
     pub embed_depth: usize,
     /// Worker threads for the frequency sweep.
     ///
-    /// Snapshots are distributed over this many scoped threads by a
-    /// work-stealing task queue, so the setting is a cap, not a
+    /// The sweep runs on a [`SweepPool`] of this many workers (clamped
+    /// to the snapshot count), built once per extraction. Its workers
+    /// drain a work-stealing task queue, so the setting is a cap, not a
     /// partition: an idle worker always picks up the next pending
     /// snapshot. `0` means "one worker per available core"
-    /// ([`std::thread::available_parallelism`]); any other value is
-    /// used as-is (clamped to the snapshot count).
+    /// ([`std::thread::available_parallelism`]).
     pub threads: usize,
 }
 
@@ -124,26 +124,19 @@ pub fn tft_from_snapshots(
     let s_grid: Vec<Complex> =
         freqs_hz.iter().map(|&f| Complex::from_im(2.0 * core::f64::consts::PI * f)).collect();
 
-    // One task per snapshot, dispatched as a single round on a worker
-    // pool shared with the rest of the extraction pipeline's runtime
-    // conventions: workers borrow snapshots/b/d without Arc, and a slow
-    // snapshot no longer idles the workers that finished their share.
-    // Small-dimension snapshots are claimed in batches (uniformly cheap
-    // tasks: claim-queue traffic would otherwise dominate); large ones
-    // keep task-granular stealing for load balance.
+    // One task per snapshot, dispatched as a single round as wide as
+    // the pool: workers borrow snapshots/b/d without Arc, and a slow
+    // snapshot does not idle the workers that finished their share.
     // Capacity clamped to the snapshot count before spawning: a sweep
     // of 4 snapshots on a many-core machine must not park unusable
     // workers.
     let pool = SweepPool::new(resolve_threads(threads).min(snapshots.len()));
-    let workers = pool.workers();
-    let cfg =
-        SweepConfig::threads(threads).with_batch(snapshot_batch(snapshots.len(), dim, workers));
+    let mut units = vec![(); pool.workers()];
     let mut samples: Vec<StateSample> =
-        pool.run(snapshots.len(), &cfg, |k| -> Result<StateSample, TftError> {
+        pool.run_with(snapshots.len(), &mut units, |(), k| -> Result<StateSample, TftError> {
             let snap = &snapshots[k];
             // Reduced-pencil sweep: one O(n³) reduction, O(n²) per
-            // frequency (transfer_sweep falls back to per-point LU for
-            // short grids where the reduction doesn't pay).
+            // frequency.
             let h = transfer_sweep(&snap.g, &snap.c, b, d, &s_grid)
                 .map_err(TftError::from_circuit_err)?;
             // Static gain from the real DC solve.
@@ -171,24 +164,6 @@ pub fn tft_from_snapshots(
         }
     }
     Ok(TftDataset::new(freqs_hz.to_vec(), samples))
-}
-
-/// MNA dimension at or below which a snapshot's frequency sweep is
-/// cheap and uniform enough that claim-queue traffic, not load
-/// imbalance, is the binding cost — such sweeps are chunked several
-/// snapshots per claim.
-const SMALL_SNAPSHOT_DIM: usize = 16;
-
-/// Claim batch for the snapshot sweep: small snapshots (MNA dimension ≤
-/// [`SMALL_SNAPSHOT_DIM`]) are chunked so each worker aims for ~4
-/// claims over the whole sweep; larger snapshots — an `O(n³)` reduction
-/// each, and irregular near singular operating points — keep
-/// task-granular stealing.
-fn snapshot_batch(n_snapshots: usize, dim: usize, workers: usize) -> usize {
-    if dim > SMALL_SNAPSHOT_DIM || workers <= 1 {
-        return 1;
-    }
-    (n_snapshots / (workers * 4)).max(1)
 }
 
 impl TftError {
@@ -252,7 +227,7 @@ pub fn extract_from_circuit(
 mod tests {
     use super::*;
     use rvf_circuit::{rc_ladder, Waveform};
-    use rvf_numerics::db20;
+    use rvf_numerics::{db20, SweepConfig};
 
     #[test]
     fn rc_ladder_tft_matches_analytic_single_section() {
@@ -459,18 +434,6 @@ mod tests {
         });
         let err: TftError = swept.unwrap_err().into();
         assert!(matches!(err, TftError::NoSnapshots));
-    }
-
-    #[test]
-    fn snapshot_batch_chunks_small_snapshots_only() {
-        // Small MNA dimension: ~4 claims per worker over the sweep.
-        assert_eq!(snapshot_batch(100, 4, 4), 6);
-        assert_eq!(snapshot_batch(100, SMALL_SNAPSHOT_DIM, 2), 12);
-        // Never zero, even for tiny sweeps.
-        assert_eq!(snapshot_batch(3, 4, 4), 1);
-        // Large snapshots and serial sweeps keep task granularity.
-        assert_eq!(snapshot_batch(100, SMALL_SNAPSHOT_DIM + 1, 4), 1);
-        assert_eq!(snapshot_batch(100, 4, 1), 1);
     }
 
     #[test]

@@ -26,13 +26,13 @@
 //!    frequency axis, conjugate-pair enforcement on the state axis).
 //!
 //! Step 2 is independent per response, so it fans out over the
-//! work-stealing sweep runtime of `rvf-numerics` when
-//! [`VfOptions::threads`] asks for workers: every parallel region of a
-//! fit — each relocation round and the final residue identification —
-//! is one [`SweepPool::run_with`] *round* on a single persistent pool
-//! that lives for the whole fit (or is borrowed from the caller via
-//! [`fit_in`], so a pole-growth loop pays one pool for its entire
-//! sequence of fits). Each worker owns a `BlockScratch` of reusable
+//! work-stealing sweep runtime of `rvf-numerics`: every parallel region
+//! of a fit — each relocation round and the final residue
+//! identification — is one [`SweepPool::run_with`] *round*, as wide as
+//! the pool, on a single persistent pool that lives for the whole fit
+//! (one worker for [`fit`]; borrowed from the caller via [`fit_in`], so
+//! a pole-growth loop pays one pool for its entire sequence of fits).
+//! Each worker owns a `BlockScratch` of reusable
 //! buffers (block, RHS, complex row, reflectors) held in a `FitScratch`
 //! that lives for the whole fit next to the shared local factor, so the
 //! steady-state relocation round performs no per-response heap
@@ -46,8 +46,8 @@
 
 use rvf_numerics::{
     apply_reflectors_in_place, eigenvalues, factor_block_in_place, factor_with_rhs_in_place,
-    lstsq_ridge, resolve_threads, Complex, Mat, NumericsError, Qr, Reflectors, SweepConfig,
-    SweepError, SweepPool, AUTO_PARALLEL_CROSSOVER,
+    lstsq_ridge, resolve_threads, Complex, Mat, NumericsError, Qr, Reflectors, SweepError,
+    SweepPool,
 };
 
 use crate::basis::{basis_row, Residues};
@@ -73,7 +73,9 @@ pub struct VfFit {
     pub cold_restarted: bool,
 }
 
-/// Fits `K` responses sampled on a common grid with common poles.
+/// Fits `K` responses sampled on a common grid with common poles, on
+/// the calling thread (a one-worker pool; see [`fit_in`] for a wider
+/// one).
 ///
 /// `samples` are the `L` sample points (on `jω` for
 /// [`Axis::Imaginary`], real values for [`Axis::Real`]); `data[k]` is the
@@ -110,8 +112,7 @@ pub fn fit(
     data: &[Vec<Complex>],
     opts: &VfOptions,
 ) -> Result<VfFit, VecfitError> {
-    let pool = SweepPool::new(auto_workers(opts.threads, data.len()));
-    fit_in(&pool, samples, data, opts, None)
+    fit_in(&SweepPool::new(1), samples, data, opts, None)
 }
 
 /// [`fit`] running its parallel regions on a caller-owned [`SweepPool`],
@@ -121,11 +122,9 @@ pub fn fit(
 /// the RVF pole-growth loop fits once per pole count, each fit running
 /// one sweep round per relocation iteration — construct one pool and
 /// thread it through every fit, collapsing the per-fit spawn/join cost
-/// to a single pool construction for the whole sequence. The effective
-/// worker count of each round is still governed by
-/// [`VfOptions::threads`] (clamped to the pool capacity and the
-/// response count), and the result is bit-identical to [`fit`] for
-/// every pool size.
+/// to a single pool construction for the whole sequence. Each round
+/// runs as many workers as the pool has, up to the response count, and
+/// the result is bit-identical to [`fit`] for every pool size.
 ///
 /// With `initial`, the growth loop (paper Algorithm 1) passes the
 /// *relocated* poles of the previous, smaller fit instead of re-seeding
@@ -187,7 +186,7 @@ fn fit_inner(
     if poles.n_poles() > opts.n_poles {
         validate(samples, data, opts, poles.n_poles())?;
     }
-    let mut scratch = FitScratch::new(auto_workers(opts.threads, data.len()).min(pool.workers()));
+    let mut scratch = FitScratch::new(pool.workers().min(data.len()));
     let mut displacement = f64::INFINITY;
     let mut iterations_run = 0;
     for _ in 0..opts.iterations {
@@ -224,12 +223,19 @@ pub fn fit_single(
     fit(samples, &[data.to_vec()], opts)
 }
 
-/// Resolves the per-response worker count for `threads` over `k_count`
-/// responses (see [`VfOptions::threads`]): an auto request (`0`) stays
-/// serial below [`AUTO_PARALLEL_CROSSOVER`] responses — the measured
-/// break-even of the per-response block stages (`vf_k_scaling` benches)
-/// — and resolves to one worker per core above it; explicit counts are
-/// clamped to the response count.
+/// Below this many responses, an auto width request (`threads == 0`)
+/// resolves to a single serial worker: the per-response work is a small
+/// block QR, and the `vf_k_scaling_k004_*` benches measure parity
+/// between the serial and dispatched paths at 4 responses — below ~8
+/// uniform small tasks the round-dispatch overhead cannot pay for
+/// itself.
+const AUTO_PARALLEL_CROSSOVER: usize = 8;
+
+/// Resolves the pool width for `threads` over `k_count` responses: an
+/// auto request (`0`) stays serial below `AUTO_PARALLEL_CROSSOVER`
+/// responses — the measured break-even of the per-response block
+/// stages (`vf_k_scaling` benches) — and resolves to one worker per
+/// core above it; explicit counts are clamped to the response count.
 ///
 /// Public so stage drivers (the RVF pole-growth loops) can size a
 /// [`SweepPool`] once for a whole sequence of fits over the same data.
@@ -275,9 +281,8 @@ struct FitScratch {
     local_refl: Reflectors,
     stacked: Mat,
     stacked_rhs: Vec<f64>,
-    /// Per-worker block scratch; its length is the fit's effective
-    /// worker count (threads resolved against the response count and
-    /// the sweep pool's capacity).
+    /// Per-worker block scratch, one per worker a round can run: the
+    /// pool's capacity, capped at the response count.
     block_pool: Vec<BlockScratch>,
 }
 
@@ -331,13 +336,6 @@ fn unwrap_sweep(e: SweepError<VecfitError>) -> VecfitError {
         SweepError::Task { error, .. } => error,
         SweepError::WorkerPanicked { worker } => panic!("vector-fit worker {worker} panicked"),
     }
-}
-
-/// Claim batch for `k_count` small uniform per-response tasks: aim for
-/// a few batches per worker so queue traffic shrinks without starving
-/// the stealing.
-fn response_batch(k_count: usize, workers: usize) -> usize {
-    (k_count / (workers.max(1) * 4)).max(1)
 }
 
 fn validate(
@@ -601,10 +599,8 @@ fn relocate_once(
         rhs: stacked_rhs.as_mut_ptr(),
         n_sig,
     };
-    let workers = block_pool.len();
-    let cfg = SweepConfig::threads(workers).with_batch(response_batch(k_count, workers));
     sweep_pool
-        .run_with(k_count, &cfg, &mut block_pool[..], |ws: &mut BlockScratch, k| {
+        .run_with(k_count, &mut block_pool[..], |ws: &mut BlockScratch, k| {
             ws.mdata.clear();
             ws.bdata.clear();
             for (si, &h) in sig.iter().zip(&data[k]) {
@@ -720,12 +716,9 @@ fn identify_residues(
     let (lhs, norms) = (&*local, &*loc_norms);
     let qr = Qr::factor(lhs);
 
-    let k_count = data.len();
-    let workers = block_pool.len();
-    let cfg = SweepConfig::threads(workers).with_batch(response_batch(k_count, workers));
     let poles_ref = &poles;
     let terms: Vec<ResponseTerms> = sweep_pool
-        .run_with(k_count, &cfg, &mut block_pool[..], |ws: &mut BlockScratch, k| {
+        .run_with(data.len(), &mut block_pool[..], |ws: &mut BlockScratch, k| {
             ws.bdata.clear();
             for &h in &data[k] {
                 realify_rows(opts.axis, &[h], &mut ws.bdata);

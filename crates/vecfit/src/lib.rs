@@ -22,14 +22,14 @@
 //! The per-response stages of a fit — block assembly + QR compression in
 //! every relocation round, and the final residue identification — are
 //! independent across responses and fan out over the work-stealing
-//! sweep runtime of `rvf-numerics` when [`VfOptions::threads`] asks for
-//! workers (`0` = one per core, `1` = serial, the default). Every
-//! parallel region of a fit is a *round* on one persistent
-//! [`rvf_numerics::SweepPool`] — constructed once per [`fit()`] call, or
-//! borrowed from the caller via [`fit_in`] so a pole-growth loop shares
-//! a single pool across all of its fits and never pays a per-round (or
-//! even per-fit) thread spawn. The result is **bit-identical** for
-//! every thread count and pool size: each response's compressed `R₂₂`
+//! sweep runtime of `rvf-numerics`. Every parallel region of a fit is a
+//! *round* on one persistent [`rvf_numerics::SweepPool`], and a round is
+//! as wide as that pool: [`fit()`] runs on a one-worker pool (serial,
+//! inline on the caller), and [`fit_in`] borrows the caller's pool, so
+//! a pole-growth loop sized by [`auto_workers`] shares a single pool
+//! across all of its fits and never pays a per-round (or even per-fit)
+//! thread spawn. The result is **bit-identical** for every pool size:
+//! each response's compressed `R₂₂`
 //! block lands in a fixed row range of the stacked sigma system, so
 //! neither the worker count nor the claim order can reach the
 //! arithmetic. Warm starts across pole counts pass the previous fit's

@@ -60,46 +60,24 @@ pub struct VfOptions {
     /// Use the relaxed nontriviality constraint of Gustavsen (2006)
     /// instead of fixing `σ(∞) = 1`.
     pub relaxed: bool,
-    /// Worker threads for the per-response stages (block assembly + QR
-    /// compression in relocation, residue identification).
-    ///
-    /// `1` (the default) runs serially on the calling thread. `0` uses
-    /// one worker per available core, but stays serial below a small
-    /// response count where spawn overhead dominates. Any other value
-    /// is used as-is (clamped to the response count). The fit result is
-    /// bit-identical for every setting: responses are independent
-    /// blocks written to fixed row ranges of the stacked system.
-    pub threads: usize,
 }
 
 impl VfOptions {
     /// Preset for frequency-response fitting with `n_poles` stable poles.
     pub fn frequency(n_poles: usize) -> Self {
-        Self { n_poles, iterations: 10, axis: Axis::Imaginary, relaxed: true, threads: 1 }
+        Self { n_poles, iterations: 10, axis: Axis::Imaginary, relaxed: true }
     }
 
     /// Preset for real-axis (state-dimension) fitting with `n_poles`
     /// poles arranged in complex pairs. `n_poles` is rounded up to even.
     pub fn state(n_poles: usize) -> Self {
-        Self {
-            n_poles: n_poles + n_poles % 2,
-            iterations: 10,
-            axis: Axis::Real,
-            relaxed: true,
-            threads: 1,
-        }
+        Self { n_poles: n_poles + n_poles % 2, iterations: 10, axis: Axis::Real, relaxed: true }
     }
 
     /// Whether the fit carries the constant column `d`: only real-axis
     /// fits do.
     pub(crate) fn has_const(&self) -> bool {
         self.axis == Axis::Real
-    }
-
-    /// Sets the worker-thread count (see [`VfOptions::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Sets the iteration count.
@@ -143,9 +121,8 @@ mod tests {
 
     #[test]
     fn builder_methods_chain() {
-        let o = VfOptions::frequency(4).with_iterations(3).with_threads(2).with_relaxed(false);
+        let o = VfOptions::frequency(4).with_iterations(3).with_relaxed(false);
         assert_eq!(o.iterations, 3);
-        assert_eq!(o.threads, 2);
         assert!(!o.relaxed);
     }
 }

@@ -12,8 +12,8 @@ use rvf::model::{fit_state_stage, RvfOptions};
 use rvf::numerics::{c, jw_grid, logspace, pool_constructions, Complex};
 use rvf::vecfit::{fit, VfOptions};
 
-/// Synthetic multi-response frequency data above the auto-parallel
-/// crossover (16 responses), rich enough to keep relocation busy.
+/// Synthetic multi-response frequency data (16 responses), rich
+/// enough to keep relocation busy.
 fn synth_frequency_data() -> (Vec<Complex>, Vec<Vec<Complex>>) {
     let samples = jw_grid(&logspace(0.0, 6.0, 60));
     let poles = [c(-10.0, 2.0e3), c(-10.0, -2.0e3), c(-3.0e3, 4.0e5), c(-3.0e3, -4.0e5)];
@@ -43,9 +43,10 @@ fn synth_frequency_data() -> (Vec<Complex>, Vec<Vec<Complex>>) {
 fn fits_and_stage_loops_construct_exactly_one_pool() {
     let (samples, data) = synth_frequency_data();
 
-    // A single fit with R relocation rounds: exactly one construction,
-    // however many rounds run.
-    let opts = VfOptions::frequency(4).with_iterations(6).with_threads(2);
+    // A single fit with R relocation rounds: exactly one construction
+    // (a one-worker pool whose rounds run inline), however many rounds
+    // run.
+    let opts = VfOptions::frequency(4).with_iterations(6);
     let before = pool_constructions();
     let f = fit(&samples, &data, &opts).unwrap();
     assert!(f.iterations_run >= 2, "want a multi-round fit, got {}", f.iterations_run);
@@ -55,13 +56,6 @@ fn fits_and_stage_loops_construct_exactly_one_pool() {
         "a fit must construct exactly one sweep pool (R = {} rounds)",
         f.iterations_run
     );
-
-    // The same contract holds with auto threads resolving serial (the
-    // inline path still goes through one pool object).
-    let before = pool_constructions();
-    let _ =
-        fit(&samples, &data, &VfOptions::frequency(4).with_iterations(3).with_threads(1)).unwrap();
-    assert_eq!(pool_constructions() - before, 1);
 
     // A whole stage growth loop (several pole counts, each a full fit
     // with several rounds): still exactly one construction.

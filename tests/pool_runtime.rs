@@ -1,13 +1,14 @@
 //! Pins the behaviour of the persistent sweep-pool runtime at the
 //! fitting layer: a pooled parallel fit is **bit-identical** to the
-//! serial one on a real diode-clipper TFT dataset for every worker
-//! count, one pool serves consecutive fits without re-spawning, and a
-//! panicking worker is contained without poisoning the pool.
+//! serial one on a real diode-clipper TFT dataset, on both fitting axes
+//! and for every pool width, one pool serves consecutive fits without
+//! re-spawning, and a panicking worker is contained without poisoning
+//! the pool.
 
 use rvf::circuit::{diode_clipper, Waveform};
-use rvf::numerics::{Complex, SweepConfig, SweepError, SweepPool};
+use rvf::numerics::{Complex, SweepError, SweepPool};
 use rvf::tft::{extract_from_circuit, TftConfig, TftDataset};
-use rvf::vecfit::{fit, fit_in, PoleEntry, RationalModel, VfOptions};
+use rvf::vecfit::{fit, fit_in, PoleEntry, RationalModel, VfFit, VfOptions};
 
 fn clipper_dataset() -> TftDataset {
     let mut ckt = diode_clipper(Waveform::Sine {
@@ -58,38 +59,45 @@ fn assert_models_bit_identical(a: &RationalModel, b: &RationalModel, what: &str)
     }
 }
 
+/// Bitwise equality of two fits: the model plus every diagnostic.
+fn assert_fits_bit_identical(a: &VfFit, b: &VfFit, what: &str) {
+    assert_models_bit_identical(&a.model, &b.model, what);
+    assert_eq!(a.rms_error.to_bits(), b.rms_error.to_bits(), "{what}: rms error");
+    assert_eq!(a.iterations_run, b.iterations_run, "{what}: iterations");
+    assert_eq!(
+        a.final_displacement.to_bits(),
+        b.final_displacement.to_bits(),
+        "{what}: final displacement"
+    );
+}
+
 #[test]
 fn pooled_fit_is_bitwise_equal_to_serial_for_every_worker_count() {
     let ds = clipper_dataset();
+    // Frequency axis: the dynamic responses over the jω grid.
     let s_grid = ds.s_grid();
     let responses = ds.dynamic_responses();
     assert!(responses.len() >= 16, "want a real many-response workload");
-
-    // Reference: plain serial fit (its internal pool resolves to the
-    // inline path).
-    let serial =
-        fit(&s_grid, &responses, &VfOptions::frequency(6).with_iterations(6).with_threads(1))
-            .unwrap();
-    // One borrowed 4-capacity pool serves fits at every requested
-    // worker count — the round's effective workers clamp to the pool.
-    let pool = SweepPool::new(4);
-    for threads in [1, 2, 4, 0] {
-        let pooled = fit_in(
-            &pool,
-            &s_grid,
-            &responses,
-            &VfOptions::frequency(6).with_iterations(6).with_threads(threads),
-            None,
-        )
-        .unwrap();
-        assert_models_bit_identical(
-            &serial.model,
-            &pooled.model,
-            &format!("pooled frequency fit, threads={threads}"),
-        );
-        assert_eq!(serial.rms_error.to_bits(), pooled.rms_error.to_bits());
-        assert_eq!(serial.iterations_run, pooled.iterations_run);
-        assert_eq!(serial.final_displacement.to_bits(), pooled.final_displacement.to_bits());
+    // State axis: the static gain and a fixed-frequency magnitude over
+    // the state variable.
+    let xs: Vec<Complex> = ds.states().iter().map(|&x| Complex::from_re(x)).collect();
+    let g0: Vec<Complex> = ds.samples.iter().map(|s| Complex::from_re(s.h0.re)).collect();
+    let gm: Vec<Complex> =
+        ds.samples.iter().map(|s| Complex::from_re(s.h[ds.n_freqs() / 2].abs())).collect();
+    let state_data = vec![g0, gm];
+    let axes = [
+        ("frequency", &s_grid, &responses, VfOptions::frequency(6).with_iterations(6)),
+        ("state", &xs, &state_data, VfOptions::state(6).with_iterations(6)),
+    ];
+    for (axis, samples, data, opts) in &axes {
+        // Reference: `fit`, which runs on a one-worker pool.
+        let serial = fit(samples, data, opts).unwrap();
+        // A fit on a pool of each width; `0` is one worker per core.
+        for width in [1, 2, 3, 4, 0] {
+            let pool = SweepPool::new(width);
+            let pooled = fit_in(&pool, samples, data, opts, None).unwrap();
+            assert_fits_bit_identical(&serial, &pooled, &format!("{axis} axis, width {width}"));
+        }
     }
 }
 
@@ -102,7 +110,7 @@ fn one_pool_serves_consecutive_fits_on_both_axes() {
     // Fit 1: frequency axis, parallel.
     let s_grid = ds.s_grid();
     let responses = ds.dynamic_responses();
-    let opts_f = VfOptions::frequency(6).with_iterations(4).with_threads(2);
+    let opts_f = VfOptions::frequency(6).with_iterations(4);
     let f1 = fit_in(&pool, &s_grid, &responses, &opts_f, None).unwrap();
     let f1_fresh = fit(&s_grid, &responses, &opts_f).unwrap();
     assert_models_bit_identical(&f1.model, &f1_fresh.model, "fit 1 vs fresh-pool fit");
@@ -113,7 +121,7 @@ fn one_pool_serves_consecutive_fits_on_both_axes() {
     let gm: Vec<Complex> =
         ds.samples.iter().map(|s| Complex::from_re(s.h[ds.n_freqs() / 2].abs())).collect();
     let data = vec![g0, gm];
-    let opts_s = VfOptions::state(6).with_iterations(4).with_threads(2);
+    let opts_s = VfOptions::state(6).with_iterations(4);
     let f2 = fit_in(&pool, &xs, &data, &opts_s, None).unwrap();
     let f2_fresh = fit(&xs, &data, &opts_s).unwrap();
     assert_models_bit_identical(&f2.model, &f2_fresh.model, "fit 2 vs fresh-pool fit");
@@ -129,7 +137,7 @@ fn worker_panic_is_contained_and_pool_survives() {
     let pool = SweepPool::new(3);
     let mut units = vec![(); 3];
     let err = pool
-        .run_with(24, &SweepConfig::threads(3), &mut units, |(), i| {
+        .run_with(24, &mut units, |(), i| {
             if i == 11 {
                 panic!("poisoned task");
             }
@@ -139,8 +147,6 @@ fn worker_panic_is_contained_and_pool_survives() {
     assert!(matches!(err, SweepError::WorkerPanicked { .. }), "got {err:?}");
     // The contained panic must not wedge or poison the pool: the next
     // round completes normally on the same workers.
-    let out = pool
-        .run_with(24, &SweepConfig::threads(3), &mut units, |(), i| Ok::<_, ()>(i * i))
-        .unwrap();
+    let out = pool.run_with(24, &mut units, |(), i| Ok::<_, ()>(i * i)).unwrap();
     assert_eq!(out[23], 23 * 23);
 }
