@@ -1,103 +1,31 @@
 //! Pins the behaviour of the persistent sweep-pool runtime at the
-//! fitting layer: a pooled parallel fit is **bit-identical** to the
-//! serial one on a real diode-clipper TFT dataset, on both fitting axes
-//! and for every pool width, one pool serves consecutive fits without
-//! re-spawning, and a panicking worker is contained without poisoning
-//! the pool.
+//! fitting layer: one borrowed pool serves fits of every round width
+//! bit-identically to the serial fit on a real diode-clipper TFT
+//! dataset, one pool serves consecutive fits without re-spawning, and a
+//! panicking worker is contained without poisoning the pool.
 
-use rvf::circuit::{diode_clipper, Waveform};
-use rvf::numerics::{Complex, SweepError, SweepPool};
-use rvf::tft::{extract_from_circuit, TftConfig, TftDataset};
-use rvf::vecfit::{fit, fit_in, PoleEntry, RationalModel, VfFit, VfOptions};
+mod common;
 
-fn clipper_dataset() -> TftDataset {
-    let mut ckt = diode_clipper(Waveform::Sine {
-        offset: 0.0,
-        amplitude: 1.5,
-        freq_hz: 1.0e5,
-        phase_rad: 0.0,
-        delay: 0.0,
-    });
-    let cfg = TftConfig {
-        f_min_hz: 1.0e3,
-        f_max_hz: 1.0e8,
-        n_freqs: 30,
-        t_train: 1.0e-5,
-        steps: 400,
-        n_snapshots: 40,
-        embed_depth: 1,
-        threads: 2,
-    };
-    let (ds, _) = extract_from_circuit(&mut ckt, &cfg).unwrap();
-    ds
-}
-
-/// Bitwise equality of two rational models: every pole, residue, and
-/// constant/linear term must match down to the last mantissa bit.
-fn assert_models_bit_identical(a: &RationalModel, b: &RationalModel, what: &str) {
-    let (pa, pb) = (a.poles().entries(), b.poles().entries());
-    assert_eq!(pa.len(), pb.len(), "{what}: pole entry count");
-    for (x, y) in pa.iter().zip(pb) {
-        match (x, y) {
-            (PoleEntry::Real(p), PoleEntry::Real(q)) => {
-                assert_eq!(p.to_bits(), q.to_bits(), "{what}: real pole {p} vs {q}");
-            }
-            (PoleEntry::Pair(p), PoleEntry::Pair(q)) => {
-                assert_eq!(p.re.to_bits(), q.re.to_bits(), "{what}: pair re {p:?} vs {q:?}");
-                assert_eq!(p.im.to_bits(), q.im.to_bits(), "{what}: pair im {p:?} vs {q:?}");
-            }
-            other => panic!("{what}: pole structure differs: {other:?}"),
-        }
-    }
-    assert_eq!(a.terms().len(), b.terms().len(), "{what}: response count");
-    for (k, (ta, tb)) in a.terms().iter().zip(b.terms()).enumerate() {
-        for (ra, rb) in ta.residues.0.iter().zip(&tb.residues.0) {
-            assert_eq!(ra.re.to_bits(), rb.re.to_bits(), "{what}: residue re, response {k}");
-            assert_eq!(ra.im.to_bits(), rb.im.to_bits(), "{what}: residue im, response {k}");
-        }
-        assert_eq!(ta.d.to_bits(), tb.d.to_bits(), "{what}: d term, response {k}");
-    }
-}
-
-/// Bitwise equality of two fits: the model plus every diagnostic.
-fn assert_fits_bit_identical(a: &VfFit, b: &VfFit, what: &str) {
-    assert_models_bit_identical(&a.model, &b.model, what);
-    assert_eq!(a.rms_error.to_bits(), b.rms_error.to_bits(), "{what}: rms error");
-    assert_eq!(a.iterations_run, b.iterations_run, "{what}: iterations");
-    assert_eq!(
-        a.final_displacement.to_bits(),
-        b.final_displacement.to_bits(),
-        "{what}: final displacement"
-    );
-}
+use common::{assert_fits_bit_identical, assert_models_bit_identical, clipper_dataset, state_axis};
+use rvf::numerics::{SweepError, SweepPool};
+use rvf::vecfit::{fit, fit_in, VfOptions};
 
 #[test]
 fn pooled_fit_is_bitwise_equal_to_serial_for_every_worker_count() {
     let ds = clipper_dataset();
-    // Frequency axis: the dynamic responses over the jω grid.
     let s_grid = ds.s_grid();
     let responses = ds.dynamic_responses();
     assert!(responses.len() >= 16, "want a real many-response workload");
-    // State axis: the static gain and a fixed-frequency magnitude over
-    // the state variable.
-    let xs: Vec<Complex> = ds.states().iter().map(|&x| Complex::from_re(x)).collect();
-    let g0: Vec<Complex> = ds.samples.iter().map(|s| Complex::from_re(s.h0.re)).collect();
-    let gm: Vec<Complex> =
-        ds.samples.iter().map(|s| Complex::from_re(s.h[ds.n_freqs() / 2].abs())).collect();
-    let state_data = vec![g0, gm];
-    let axes = [
-        ("frequency", &s_grid, &responses, VfOptions::frequency(6).with_iterations(6)),
-        ("state", &xs, &state_data, VfOptions::state(6).with_iterations(6)),
-    ];
-    for (axis, samples, data, opts) in &axes {
-        // Reference: `fit`, which runs on a one-worker pool.
-        let serial = fit(samples, data, opts).unwrap();
-        // A fit on a pool of each width; `0` is one worker per core.
-        for width in [1, 2, 3, 4, 0] {
-            let pool = SweepPool::new(width);
-            let pooled = fit_in(&pool, samples, data, opts, None).unwrap();
-            assert_fits_bit_identical(&serial, &pooled, &format!("{axis} axis, width {width}"));
-        }
+    let opts = VfOptions::frequency(6).with_iterations(6);
+    // One borrowed 4-capacity pool serves every fit. A round runs
+    // min(capacity, K) workers, so K = 1..4 runs 1..4 workers and the
+    // full dataset runs the whole pool.
+    let pool = SweepPool::new(4);
+    for k in [1, 2, 3, 4, responses.len()] {
+        let data = &responses[..k];
+        let serial = fit(&s_grid, data, &opts).unwrap();
+        let pooled = fit_in(&pool, &s_grid, data, &opts, None).unwrap();
+        assert_fits_bit_identical(&serial, &pooled, &format!("shared pool, K = {k}"));
     }
 }
 
@@ -116,11 +44,7 @@ fn one_pool_serves_consecutive_fits_on_both_axes() {
     assert_models_bit_identical(&f1.model, &f1_fresh.model, "fit 1 vs fresh-pool fit");
 
     // Fit 2 on the same pool: real axis (state trajectories).
-    let xs: Vec<Complex> = ds.states().iter().map(|&x| Complex::from_re(x)).collect();
-    let g0: Vec<Complex> = ds.samples.iter().map(|s| Complex::from_re(s.h0.re)).collect();
-    let gm: Vec<Complex> =
-        ds.samples.iter().map(|s| Complex::from_re(s.h[ds.n_freqs() / 2].abs())).collect();
-    let data = vec![g0, gm];
+    let (xs, data) = state_axis(&ds);
     let opts_s = VfOptions::state(6).with_iterations(4);
     let f2 = fit_in(&pool, &xs, &data, &opts_s, None).unwrap();
     let f2_fresh = fit(&xs, &data, &opts_s).unwrap();
