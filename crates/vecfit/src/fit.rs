@@ -8,17 +8,22 @@
 //!
 //! One relocation round:
 //!
-//! 1. Assemble and column-equilibrate the local block `Φ_loc` (the
-//!    per-response unknowns: residues, plus `d` on the real axis) and
-//!    Householder-factor it **once**: every row carries weight one, so
-//!    `Φ_loc` — and hence the first `n_loc` reflectors of every
-//!    response's block `[ Φ_loc | −H_k·Φ_σ ]` — is the same for all `k`.
-//! 2. For every response `k`, assemble only `−H_k·Φ_σ` (plus the RHS for
-//!    classic VF), apply the shared reflectors to it, factor its trailing
+//! 1. Evaluate the partial-fraction basis once per sample into one
+//!    `[basis | 1]` table: the local block `Φ_loc` (the per-response
+//!    unknowns: residues, plus `d` on the real axis) reads its first
+//!    `n_loc` columns, the sigma block `Φ_σ` its first `n_sig`.
+//!    Column-equilibrate `Φ_loc` and Householder-factor it **once**:
+//!    every row carries weight one, so `Φ_loc` — and hence the first
+//!    `n_loc` reflectors of every response's block
+//!    `[ Φ_loc | −H_k·Φ_σ ]` — is the same for all `k`.
+//! 2. For every response `k`, write only `−H_k·Φ_σ` into the worker's
+//!    block, apply the shared reflectors to it, factor its trailing
 //!    `rows − n_loc` rows and keep the `R₂₂` rows — the influence of
 //!    response `k` on the shared sigma unknowns after eliminating its
 //!    local ones. The kernel's arithmetic makes this bit-identical to
-//!    factoring each full block.
+//!    factoring each full block. Only classic VF has a right-hand side
+//!    (`H_k`) to carry along: relaxed VF's is all +0, which every
+//!    reflection keeps at +0, so it is neither built nor reflected.
 //! 3. Stack all `R₂₂` blocks (plus the relaxation row), solve a small
 //!    least-squares system for the sigma coefficients.
 //! 4. New poles are the zeros of `σ`: eigenvalues of `A − b·c̃ᵀ/d̃` in
@@ -33,7 +38,7 @@
 //! (one worker for [`fit`]; borrowed from the caller via [`fit_in`], so
 //! a pole-growth loop pays one pool for its entire sequence of fits).
 //! Each worker owns a `BlockScratch` of reusable
-//! buffers (block, RHS, complex row, reflectors) held in a `FitScratch`
+//! buffers (block, classic-VF RHS, reflectors) held in a `FitScratch`
 //! that lives for the whole fit next to the shared local factor, so the
 //! steady-state relocation round performs no per-response heap
 //! allocation — and, with the pool, no thread spawn either. The final
@@ -224,18 +229,18 @@ pub fn fit_single(
 }
 
 /// Below this many responses, an auto width request (`threads == 0`)
-/// resolves to a single serial worker: the per-response work is a small
-/// block QR, and the `vf_k_scaling_k004_*` benches measure parity
-/// between the serial and dispatched paths at 4 responses — below ~8
-/// uniform small tasks the round-dispatch overhead cannot pay for
-/// itself.
+/// resolves to a single serial worker. It is a floor under the round
+/// handoff's cost, not a measured break-even: on a 2-vCPU VM the
+/// `vf_k_scaling` rows' two workers were slower than one at 16 and 64
+/// responses (8 of 8 and 7 of 8 default-mode runs) and faster at 256
+/// in only 4 of 8. The benchmark ledger pins every thread count to 1,
+/// so none of its workloads reads this constant.
 const AUTO_PARALLEL_CROSSOVER: usize = 8;
 
 /// Resolves the pool width for `threads` over `k_count` responses: an
 /// auto request (`0`) stays serial below `AUTO_PARALLEL_CROSSOVER`
-/// responses — the measured break-even of the per-response block
-/// stages (`vf_k_scaling` benches) — and resolves to one worker per
-/// core above it; explicit counts are clamped to the response count.
+/// responses and resolves to one worker per core from there up;
+/// explicit counts are clamped to the response count.
 ///
 /// Public so stage drivers (the RVF pole-growth loops) can size a
 /// [`SweepPool`] once for a whole sequence of fits over the same data.
@@ -253,22 +258,21 @@ pub fn auto_workers(threads: usize, k_count: usize) -> usize {
 struct BlockScratch {
     /// Realified sigma block entries (row-major), factored in place.
     mdata: Vec<f64>,
-    /// Realified right-hand side; overwritten with `Qᵀ·b`.
+    /// Realified right-hand side (empty for relaxed VF); overwritten
+    /// with `Qᵀ·b`.
     bdata: Vec<f64>,
-    /// Complex row staging buffer.
-    crow: Vec<Complex>,
     /// Reflectors of the trailing-block factorization.
     refl: Reflectors,
 }
 
-/// Buffers shared by all rounds of one fit: basis tables, the shared
+/// Buffers shared by all rounds of one fit: the basis table, the shared
 /// local block, the stacked sigma system, and the per-worker block
 /// scratch pool. Allocated once per [`fit`] call; the relocation loop
 /// reuses everything.
 #[derive(Default)]
 struct FitScratch {
-    loc: Vec<Vec<Complex>>,
-    sig: Vec<Vec<Complex>>,
+    /// One `[basis | 1]` row per sample (see [`fill_basis_table`]).
+    basis: Vec<Vec<Complex>>,
     sig_norms: Vec<f64>,
     /// `−1/‖σ_j‖` per sigma column, the factor every block entry takes.
     sig_scale: Vec<f64>,
@@ -406,38 +410,15 @@ fn sample_range(samples: &[Complex], axis: Axis) -> Result<(f64, f64), VecfitErr
     }
 }
 
-/// Refills `out` with the augmented local basis: partial fractions plus
-/// the constant column on the real axis. Row vectors are reused across
-/// rounds.
-fn fill_local_columns(
-    poles: &PoleSet,
-    samples: &[Complex],
-    opts: &VfOptions,
-    out: &mut Vec<Vec<Complex>>,
-) {
+/// Refills `out` with one `[basis | 1]` row per sample: the partial
+/// fractions, then the constant column. The local basis (constant on
+/// the real axis) and the sigma basis (constant when relaxed) are both
+/// prefixes of it. Row vectors are reused across rounds.
+fn fill_basis_table(poles: &PoleSet, samples: &[Complex], out: &mut Vec<Vec<Complex>>) {
     out.resize_with(samples.len(), Vec::new);
     for (row, &s) in out.iter_mut().zip(samples) {
         basis_row(poles, s, row);
-        if opts.has_const() {
-            row.push(Complex::ONE);
-        }
-    }
-}
-
-/// Refills `out` with the sigma basis: partial fractions plus (relaxed)
-/// the free constant.
-fn fill_sigma_columns(
-    poles: &PoleSet,
-    samples: &[Complex],
-    opts: &VfOptions,
-    out: &mut Vec<Vec<Complex>>,
-) {
-    out.resize_with(samples.len(), Vec::new);
-    for (row, &s) in out.iter_mut().zip(samples) {
-        basis_row(poles, s, row);
-        if opts.relaxed {
-            row.push(Complex::ONE);
-        }
+        row.push(Complex::ONE);
     }
 }
 
@@ -480,12 +461,13 @@ fn solve_lstsq_robust(qr: &Qr, m: &Mat, rhs: &[f64]) -> Result<Vec<f64>, Numeric
     }
 }
 
-/// Refills `out` with the realified local block of `loc` (`n_loc` wide)
-/// scaled to unit column 2-norms; `norms` receives the scale factors
-/// (divide solutions by them), an all-zero column getting `zero_norm`.
+/// Refills `out` with the realified local block, the first `n_loc`
+/// columns of the basis table, scaled to unit column 2-norms; `norms`
+/// receives the scale factors (divide solutions by them), an all-zero
+/// column getting `zero_norm`.
 fn local_block(
     axis: Axis,
-    loc: &[Vec<Complex>],
+    basis: &[Vec<Complex>],
     (rows, n_loc): (usize, usize),
     zero_norm: f64,
     out: &mut Mat,
@@ -493,8 +475,8 @@ fn local_block(
 ) {
     let mut m = core::mem::take(out).into_vec();
     m.clear();
-    for row in loc {
-        realify_rows(axis, row, &mut m);
+    for row in basis {
+        realify_rows(axis, &row[..n_loc], &mut m);
     }
     norms.clear();
     norms.resize(n_loc, 0.0);
@@ -535,8 +517,7 @@ fn relocate_once(
     let n_cols = n_loc + n_sig;
 
     let FitScratch {
-        loc,
-        sig,
+        basis,
         sig_norms,
         sig_scale,
         loc_norms,
@@ -546,16 +527,15 @@ fn relocate_once(
         stacked_rhs,
         block_pool,
     } = scratch;
-    fill_local_columns(poles, samples, opts, loc);
-    fill_sigma_columns(poles, samples, opts, sig);
-    let sig = &*sig;
+    fill_basis_table(poles, samples, basis);
+    let basis = &*basis;
 
     // Global scaling of the sigma columns must be shared across k blocks;
     // accumulate their norms first.
     sig_norms.clear();
     sig_norms.resize(n_sig, 0.0);
     for row in data {
-        for (si, &h) in sig.iter().zip(row) {
+        for (si, &h) in basis.iter().zip(row) {
             for (nj, v) in sig_norms.iter_mut().zip(si) {
                 *nj += (*v * h).norm_sqr();
             }
@@ -576,7 +556,7 @@ fn relocate_once(
     // factor them once. (Sigma columns share the global scaling above;
     // rescaling them per block would break the stacking.)
     let block_rows = rows_per_sample(opts.axis) * l;
-    local_block(opts.axis, loc, (block_rows, n_loc), f64::MIN_POSITIVE, local, loc_norms);
+    local_block(opts.axis, basis, (block_rows, n_loc), f64::MIN_POSITIVE, local, loc_norms);
     factor_with_rhs_in_place(local, local_refl, &mut []);
     let local_refl = &*local_refl;
 
@@ -601,20 +581,33 @@ fn relocate_once(
     };
     sweep_pool
         .run_with(k_count, &mut block_pool[..], |ws: &mut BlockScratch, k| {
-            ws.mdata.clear();
+            // Every entry is written: the realified rows of one sample
+            // (Re, then Im on jω) take each product's parts.
+            ws.mdata.resize(block_rows * n_sig, 0.0);
+            let per_sample = ws.mdata.chunks_exact_mut(rows_per_sample(opts.axis) * n_sig);
+            for ((rows, bi), &h) in per_sample.zip(basis).zip(&data[k]) {
+                for (j, (v, s)) in bi.iter().zip(sig_scale).enumerate() {
+                    let p = *v * h * *s;
+                    rows[j] = p.re;
+                    if opts.axis == Axis::Imaginary {
+                        rows[n_sig + j] = p.im;
+                    }
+                }
+            }
+            // Classic VF: σ = 1 + Σ c̃φ moves H·1 to the RHS. Relaxed
+            // VF's RHS stays empty: reflected, it would stay all +0,
+            // which `stacked_rhs` already holds.
             ws.bdata.clear();
-            for (si, &h) in sig.iter().zip(&data[k]) {
-                ws.crow.clear();
-                ws.crow.extend(si.iter().zip(sig_scale).map(|(v, s)| *v * h * *s));
-                realify_rows(opts.axis, &ws.crow, &mut ws.mdata);
-                // Classic VF: σ = 1 + Σ c̃φ moves H·1 to the RHS.
-                let rhs = if opts.relaxed { Complex::ZERO } else { h };
-                realify_rows(opts.axis, &[rhs], &mut ws.bdata);
+            if !opts.relaxed {
+                for &h in &data[k] {
+                    realify_rows(opts.axis, &[h], &mut ws.bdata);
+                }
             }
             // Qᵀ of the shared local factor, then the trailing rows' own
             // factor: only the R₂₂ rows are read out.
             apply_reflectors_in_place(local_refl, &mut ws.mdata, n_sig, &mut ws.bdata);
-            let (trail, trail_rhs) = (&mut ws.mdata[top * n_sig..], &mut ws.bdata[top..]);
+            let trail = &mut ws.mdata[top * n_sig..];
+            let trail_rhs = ws.bdata.get_mut(top..).unwrap_or_default();
             factor_block_in_place(trail, block_rows - top, n_sig, &mut ws.refl, trail_rhs);
             for ri in 0..kept {
                 let dest = k * kept + ri;
@@ -625,8 +618,10 @@ fn relocate_once(
                     // SAFETY: response k owns this row range exclusively.
                     unsafe { writer.write(dest, j, v) };
                 }
-                // SAFETY: as above.
-                unsafe { writer.write_rhs(dest, trail_rhs[ri]) };
+                if !opts.relaxed {
+                    // SAFETY: as above.
+                    unsafe { writer.write_rhs(dest, trail_rhs[ri]) };
+                }
             }
             Ok::<(), VecfitError>(())
         })
@@ -639,8 +634,8 @@ fn relocate_once(
         let row = k_count * kept;
         for j in 0..n_sig {
             let mut acc = 0.0;
-            for si in sig.iter() {
-                acc += si[j].re;
+            for bi in basis {
+                acc += bi[j].re;
             }
             stacked[(row, j)] = scale * acc / sig_norms[j];
         }
@@ -709,10 +704,10 @@ fn identify_residues(
 ) -> Result<RationalModel, VecfitError> {
     let n_basis = poles.n_basis();
     let n_loc = n_basis + usize::from(opts.has_const());
-    let FitScratch { loc, loc_norms, local, block_pool, .. } = scratch;
-    fill_local_columns(&poles, samples, opts, loc);
+    let FitScratch { basis, loc_norms, local, block_pool, .. } = scratch;
+    fill_basis_table(&poles, samples, basis);
     let rows = rows_per_sample(opts.axis) * samples.len();
-    local_block(opts.axis, loc, (rows, n_loc), 1.0, local, loc_norms);
+    local_block(opts.axis, basis, (rows, n_loc), 1.0, local, loc_norms);
     let (lhs, norms) = (&*local, &*loc_norms);
     let qr = Qr::factor(lhs);
 
@@ -760,7 +755,10 @@ mod tests {
     /// replaced: for every response assemble `[Φ_loc | −H_k·Φ_σ]`,
     /// equilibrate its local columns, factor the whole block and keep the
     /// `R₂₂` rows; then append the relaxation row. Kept as the bit-level
-    /// oracle of the stacked sigma system.
+    /// oracle of the stacked sigma system. It evaluates its own local and
+    /// sigma bases, and it builds and reflects the RHS in both modes: in
+    /// relaxed mode that is the check that the reflections the engine
+    /// skips only ever leave +0.
     fn full_block_oracle(
         samples: &[Complex],
         data: &[Vec<Complex>],
@@ -773,8 +771,19 @@ mod tests {
         let n_sig = n_basis + usize::from(opts.relaxed);
         let n_cols = n_loc + n_sig;
         let (mut loc, mut sig) = (Vec::new(), Vec::new());
-        fill_local_columns(poles, samples, opts, &mut loc);
-        fill_sigma_columns(poles, samples, opts, &mut sig);
+        for &s in samples {
+            let mut row = Vec::new();
+            basis_row(poles, s, &mut row);
+            let (mut loc_row, mut sig_row) = (row.clone(), row);
+            if opts.has_const() {
+                loc_row.push(Complex::ONE);
+            }
+            if opts.relaxed {
+                sig_row.push(Complex::ONE);
+            }
+            loc.push(loc_row);
+            sig.push(sig_row);
+        }
         let mut sig_norms = vec![0.0_f64; n_sig];
         for row in data {
             for li in 0..l {
@@ -870,6 +879,7 @@ mod tests {
             k_count in 1usize..9,
             workers in 1usize..3,
             extra_samples in 0usize..12,
+            zero_response in 0usize..16,
             values in prop::collection::vec(-5.0..5.0f64, 61),
         ) {
             let base = if real_axis == 1 { VfOptions::state(n_poles) } else { VfOptions::frequency(n_poles) };
@@ -880,10 +890,16 @@ mod tests {
                 Axis::Real => linspace(-1.0, 2.0, l).into_iter().map(Complex::from_re).collect(),
             };
             let value = |i: usize| values[i % values.len()];
+            // Response `zero_response` (when it exists) is all zero: its
+            // sigma block is, so the trailing factor draws τ = 0
+            // identity reflectors.
             let data: Vec<Vec<Complex>> = (0..k_count)
                 .map(|k| {
                     (0..l)
                         .map(|li| {
+                            if k == zero_response {
+                                return Complex::ZERO;
+                            }
                             let i = 2 * (k * l + li);
                             match opts.axis {
                                 Axis::Imaginary => Complex::new(value(i), value(i + 1)),
