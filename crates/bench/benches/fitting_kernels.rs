@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the numerical kernels that dominate the
 //! extraction (ablation data for DESIGN.md): the eigensolver behind
-//! pole relocation, the per-response QR compression, the complex
+//! pole relocation, the lane-group QR compression, the complex
 //! frequency solves of the TFT transform, and whole fits at the
 //! frequency-stage and state-stage shapes; plus the real LU refactor
 //! and solve that every Newton iteration of the training transient
@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rvf_bench::buffer_circuit;
 use rvf_circuit::{dc_operating_point, DcOptions};
 use rvf_numerics::{
-    apply_reflectors_in_place, eigenvalues, factor_block_in_place, factor_with_rhs_in_place,
-    jw_grid, linspace, logspace, CLu, CMat, Complex, Lu, Mat, Qr, Reflectors, SweepPool,
+    compress_lanes_in_place, eigenvalues, factor_with_rhs_in_place, jw_grid, linspace, logspace,
+    CLu, CMat, Complex, LaneBlock, Lu, Mat, Qr, Reflectors, SweepPool, LANES,
 };
 use rvf_vecfit::{auto_workers, fit, fit_in, VfOptions};
 
@@ -98,28 +98,30 @@ fn bench_qr_compression(c: &mut Criterion) {
 }
 
 fn bench_qr_compress_response(c: &mut Criterion) {
-    // One response's share of a relaxed relocation round: apply the
-    // shared local factor's reflectors to its `rows × n_sig` sigma block,
-    // then factor the trailing `rows − n_loc` rows. Relaxed VF carries no
-    // right-hand side (it is all zero). The shapes are the ones that
-    // dominate an extraction: a frequency-stage fit (24 frequencies, 4
-    // poles) and a state-stage fit (101 states, 20 poles plus the
-    // constant).
+    // One lane group's share of a relaxed relocation round, the unit a
+    // round dispatches: four responses' `rows × n_sig` sigma blocks, one
+    // per lane, take the shared local factor's reflectors, then each
+    // lane's trailing `rows − n_loc` rows are factored. Relaxed VF
+    // carries no right-hand side (it is all zero). The shapes are the
+    // ones that dominate an extraction: a frequency-stage fit (24
+    // frequencies, 4 poles) and a state-stage fit (101 states, 20 poles
+    // plus the constant).
     for &(name, rows, n_loc, n_sig) in
-        &[("qr_compress_freq_48x4x5", 48, 4, 5), ("qr_compress_state_101x21x21", 101, 21, 21)]
+        &[("qr_compress_freq_48x4x5_x4", 48, 4, 5), ("qr_compress_state_101x21x21_x4", 101, 21, 21)]
     {
         let mut local = Mat::from_fn(rows, n_loc, |i, j| ((i * 7 + j * 13) as f64).sin());
         let mut local_refl = Reflectors::default();
         factor_with_rhs_in_place(&mut local, &mut local_refl, &mut []);
-        let sigma: Vec<f64> = (0..rows * n_sig).map(|e| ((e * 5 + 3) as f64).cos()).collect();
-        let (mut block, mut refl) = (sigma.clone(), Reflectors::default());
+        let sigma: Vec<[f64; LANES]> = (0..rows * n_sig)
+            .map(|e| core::array::from_fn(|l| ((e * 5 + l * 11 + 3) as f64).cos()))
+            .collect();
+        let (mut buf, mut refl) = (LaneBlock::default(), Reflectors::default());
+        let block = buf.resize(sigma.len());
         c.bench_function(name, |b| {
             b.iter(|| {
                 block.copy_from_slice(&sigma);
-                apply_reflectors_in_place(&local_refl, &mut block, n_sig, &mut []);
-                let trail = &mut block[n_loc * n_sig..];
-                factor_block_in_place(trail, rows - n_loc, n_sig, &mut refl, &mut []);
-                trail[0]
+                compress_lanes_in_place(&local_refl, block, n_sig, n_sig, &mut refl);
+                block[n_loc * n_sig]
             })
         });
     }

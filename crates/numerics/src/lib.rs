@@ -97,8 +97,8 @@ pub use matrix::Mat;
 pub use pencil::HtPencil;
 pub use poly::{from_roots, Poly};
 pub use qr::{
-    apply_reflectors_in_place, factor_block_in_place, factor_with_rhs_in_place, lstsq, lstsq_ridge,
-    Qr, Reflectors,
+    apply_reflectors_in_place, compress_lanes_in_place, factor_block_in_place,
+    factor_with_rhs_in_place, lstsq, lstsq_ridge, LaneBlock, Qr, Reflectors, LANES,
 };
 pub use stats::{db20, from_db20, max_abs_err, nrmse, rmse, unwrap_phase};
 pub use sweep::{pool_constructions, resolve_threads, SweepConfig, SweepError, SweepPool};

@@ -16,43 +16,44 @@
 //!    every row carries weight one, so `Φ_loc` — and hence the first
 //!    `n_loc` reflectors of every response's block
 //!    `[ Φ_loc | −H_k·Φ_σ ]` — is the same for all `k`.
-//! 2. For every response `k`, write only `−H_k·Φ_σ` into the worker's
-//!    block, apply the shared reflectors to it, factor its trailing
-//!    `rows − n_loc` rows and keep the `R₂₂` rows — the influence of
-//!    response `k` on the shared sigma unknowns after eliminating its
-//!    local ones. The kernel's arithmetic makes this bit-identical to
-//!    factoring each full block. Only classic VF has a right-hand side
-//!    (`H_k`) to carry along: relaxed VF's is all +0, which every
-//!    reflection keeps at +0, so it is neither built nor reflected.
+//! 2. Compress the responses [`LANES`] at a time, one per SIMD lane
+//!    of one lane block: write each response's `−H_k·Φ_σ` into its
+//!    lane, apply the shared reflectors to every lane, factor each
+//!    lane's trailing `rows − n_loc` rows and keep its `R₂₂` rows — the
+//!    influence of response `k` on the shared sigma unknowns after
+//!    eliminating its local ones. Every lane runs the one-block
+//!    kernel's arithmetic, which makes this bit-identical to factoring
+//!    each full block; a short last group's missing lanes are zero pads.
+//!    Only classic VF has a right-hand side (`H_k`): one more lane
+//!    column, reflected but never a pivot. Relaxed VF's is all +0, which
+//!    every reflection keeps at +0, so it is neither built nor reflected.
 //! 3. Stack all `R₂₂` blocks (plus the relaxation row), solve a small
 //!    least-squares system for the sigma coefficients.
 //! 4. New poles are the zeros of `σ`: eigenvalues of `A − b·c̃ᵀ/d̃` in
 //!    real block form, post-processed per axis (stability flipping on the
 //!    frequency axis, conjugate-pair enforcement on the state axis).
 //!
-//! Step 2 is independent per response, so it fans out over the
+//! Step 2 is independent per lane group, so it fans out over the
 //! work-stealing sweep runtime of `rvf-numerics`: every parallel region
-//! of a fit — each relocation round and the final residue
-//! identification — is one [`SweepPool::run_with`] *round*, as wide as
-//! the pool, on a single persistent pool that lives for the whole fit
-//! (one worker for [`fit`]; borrowed from the caller via [`fit_in`], so
-//! a pole-growth loop pays one pool for its entire sequence of fits).
-//! Each worker owns a `BlockScratch` of reusable
-//! buffers (block, classic-VF RHS, reflectors) held in a `FitScratch`
-//! that lives for the whole fit next to the shared local factor, so the
-//! steady-state relocation round performs no per-response heap
-//! allocation — and, with the pool, no thread spawn either. The final
-//! residue identification likewise factors its shared left-hand side
-//! once and gives each response one `Qᵀb` plus a back-substitution.
-//! Every response writes its `R₂₂` rows to a fixed row range of the
-//! stacked system (`k·kept .. (k+1)·kept`), which makes the parallel
-//! result **bit-identical** to the serial one regardless of worker
-//! count or claim order.
+//! of a fit — each relocation round (one task per lane group) and the
+//! final residue identification (one per response) — is one
+//! [`SweepPool::run_with`] *round*, as wide as the pool, on a single
+//! persistent pool that lives for the whole fit (one worker for
+//! [`fit`]; borrowed from the caller via [`fit_in`], so a pole-growth
+//! loop pays one pool for its entire sequence of fits). Each worker
+//! owns a `BlockScratch` (lane block, reflectors, identification RHS)
+//! held in a `FitScratch` that lives for the whole fit next to the
+//! shared local factor, so a steady-state round allocates nothing per
+//! task and spawns no thread. The residue identification factors its
+//! shared left-hand side once and gives each response one `Qᵀb` plus a
+//! back-substitution. Response `k` always runs in lane `k mod LANES` of
+//! group `k / LANES` and writes rows `k·kept .. (k+1)·kept` of the
+//! stacked system, so the parallel result is **bit-identical** to the
+//! serial one regardless of worker count or claim order.
 
 use rvf_numerics::{
-    apply_reflectors_in_place, eigenvalues, factor_block_in_place, factor_with_rhs_in_place,
-    lstsq_ridge, resolve_threads, Complex, Mat, NumericsError, Qr, Reflectors, SweepError,
-    SweepPool,
+    compress_lanes_in_place, eigenvalues, factor_with_rhs_in_place, lstsq_ridge, resolve_threads,
+    Complex, LaneBlock, Mat, NumericsError, Qr, Reflectors, SweepError, SweepPool, LANES,
 };
 
 use crate::basis::{basis_row, Residues};
@@ -229,12 +230,14 @@ pub fn fit_single(
 }
 
 /// Below this many responses, an auto width request (`threads == 0`)
-/// resolves to a single serial worker. It is a floor under the round
-/// handoff's cost, not a measured break-even: on a 2-vCPU VM the
-/// `vf_k_scaling` rows' two workers were slower than one at 16 and 64
-/// responses (8 of 8 and 7 of 8 default-mode runs) and faster at 256
-/// in only 4 of 8. The benchmark ledger pins every thread count to 1,
-/// so none of its workloads reads this constant.
+/// resolves to a single serial worker. A relocation round's task is one
+/// lane group of [`LANES`] responses (8 responses are 2 tasks), a
+/// residue identification's one response. It is a floor under the
+/// round handoff's cost, not a measured break-even: on a 2-vCPU VM the
+/// `vf_k_scaling` rows' two workers beat one from 16 responses up,
+/// while `zoo` over seeds 1–4 ran no faster with auto than serial. The
+/// benchmark ledger pins every thread count to 1, so none of its
+/// workloads reads this constant.
 const AUTO_PARALLEL_CROSSOVER: usize = 8;
 
 /// Resolves the pool width for `threads` over `k_count` responses: an
@@ -252,17 +255,17 @@ pub fn auto_workers(threads: usize, k_count: usize) -> usize {
     resolved.clamp(1, k_count.max(1))
 }
 
-/// Per-worker scratch for the per-response block stages. All buffers
-/// retain their capacity across responses and relocation rounds.
+/// Per-worker scratch for the block stages. All buffers retain their
+/// capacity across tasks and relocation rounds.
 #[derive(Default)]
 struct BlockScratch {
-    /// Realified sigma block entries (row-major), factored in place.
-    mdata: Vec<f64>,
-    /// Realified right-hand side (empty for relaxed VF); overwritten
-    /// with `Qᵀ·b`.
+    /// One lane group's realified sigma blocks plus classic VF's RHS
+    /// column, response `l` of the group in lane `l`.
+    lanes: LaneBlock,
+    /// The residue identification's realified right-hand side.
     bdata: Vec<f64>,
-    /// Reflectors of the trailing-block factorization.
-    refl: Reflectors,
+    /// The lanes' trailing reflectors.
+    refl: Reflectors<LANES>,
 }
 
 /// Buffers shared by all rounds of one fit: the basis table, the shared
@@ -300,7 +303,8 @@ impl FitScratch {
 
 /// Raw view of the stacked system for the compression workers.
 ///
-/// SAFETY invariant: task `k` writes only rows `k·kept ..(k+1)·kept`
+/// SAFETY invariant: task `g` (lane group `g`) writes only the rows of
+/// responses `LANES·g .. LANES·(g+1)`, `k·kept .. (k+1)·kept` for each
 /// (disjoint across tasks, each claimed exactly once by the executor),
 /// and the executor joins every worker before the buffers are read
 /// again — so no two threads ever touch the same element and no read
@@ -560,11 +564,8 @@ fn relocate_once(
     factor_with_rhs_in_place(local, local_refl, &mut []);
     let local_refl = &*local_refl;
 
-    // Per-response compression, fanned out over the work-stealing
-    // executor. Response k owns rows k·kept..(k+1)·kept of the stacked
-    // system, so the stacking order is fixed by k and the result is
-    // bit-identical to the serial loop (which is the same closure run
-    // on the inline one-worker path).
+    // Lane groups fan out over the executor; response k owns rows
+    // k·kept..(k+1)·kept of the stacked system (see the module doc).
     let kept = block_rows.min(n_cols).saturating_sub(n_loc);
     let top = n_loc.min(block_rows);
     let total_rows = k_count * kept + usize::from(opts.relaxed);
@@ -579,48 +580,47 @@ fn relocate_once(
         rhs: stacked_rhs.as_mut_ptr(),
         n_sig,
     };
+    // Classic VF's RHS is one more column, never a pivot.
+    let cols = n_sig + usize::from(!opts.relaxed);
     sweep_pool
-        .run_with(k_count, &mut block_pool[..], |ws: &mut BlockScratch, k| {
+        .run_with(k_count.div_ceil(LANES), &mut block_pool[..], |ws: &mut BlockScratch, g| {
+            let first = g * LANES;
+            let group = &data[first..k_count.min(first + LANES)];
             // Every entry is written: the realified rows of one sample
-            // (Re, then Im on jω) take each product's parts.
-            ws.mdata.resize(block_rows * n_sig, 0.0);
-            let per_sample = ws.mdata.chunks_exact_mut(rows_per_sample(opts.axis) * n_sig);
-            for ((rows, bi), &h) in per_sample.zip(basis).zip(&data[k]) {
-                for (j, (v, s)) in bi.iter().zip(sig_scale).enumerate() {
-                    let p = *v * h * *s;
-                    rows[j] = p.re;
-                    if opts.axis == Axis::Imaginary {
-                        rows[n_sig + j] = p.im;
+            // (Re, then Im on jω) take each product's parts in lane l,
+            // response first + l; a short group's missing lanes take
+            // h = 0 and are discarded. Classic VF's σ = 1 + Σ c̃φ moves
+            // H·1 to the RHS column.
+            let block = ws.lanes.resize(block_rows * cols);
+            let per_sample = block.chunks_exact_mut(rows_per_sample(opts.axis) * cols);
+            for (li, (rows, bi)) in per_sample.zip(basis).enumerate() {
+                let hs = (0..LANES).map(|l| group.get(l).map_or(Complex::ZERO, |row| row[li]));
+                for (l, h) in hs.enumerate() {
+                    let sigma = bi.iter().zip(sig_scale).map(|(v, s)| *v * h * *s);
+                    for (j, p) in sigma.chain((!opts.relaxed).then_some(h)).enumerate() {
+                        rows[j][l] = p.re;
+                        if opts.axis == Axis::Imaginary {
+                            rows[cols + j][l] = p.im;
+                        }
                     }
                 }
             }
-            // Classic VF: σ = 1 + Σ c̃φ moves H·1 to the RHS. Relaxed
-            // VF's RHS stays empty: reflected, it would stay all +0,
-            // which `stacked_rhs` already holds.
-            ws.bdata.clear();
-            if !opts.relaxed {
-                for &h in &data[k] {
-                    realify_rows(opts.axis, &[h], &mut ws.bdata);
-                }
-            }
-            // Qᵀ of the shared local factor, then the trailing rows' own
-            // factor: only the R₂₂ rows are read out.
-            apply_reflectors_in_place(local_refl, &mut ws.mdata, n_sig, &mut ws.bdata);
-            let trail = &mut ws.mdata[top * n_sig..];
-            let trail_rhs = ws.bdata.get_mut(top..).unwrap_or_default();
-            factor_block_in_place(trail, block_rows - top, n_sig, &mut ws.refl, trail_rhs);
-            for ri in 0..kept {
-                let dest = k * kept + ri;
-                for j in 0..n_sig {
-                    // R is upper triangular; below-diagonal entries of the
-                    // packed factor hold reflectors, not R.
-                    let v = if j >= ri { trail[ri * n_sig + j] } else { 0.0 };
-                    // SAFETY: response k owns this row range exclusively.
-                    unsafe { writer.write(dest, j, v) };
-                }
-                if !opts.relaxed {
-                    // SAFETY: as above.
-                    unsafe { writer.write_rhs(dest, trail_rhs[ri]) };
+            compress_lanes_in_place(local_refl, block, cols, n_sig, &mut ws.refl);
+            let trail = &block[top * cols..];
+            for (l, k) in (first..first + group.len()).enumerate() {
+                for ri in 0..kept {
+                    let (dest, row) = (k * kept + ri, &trail[ri * cols..(ri + 1) * cols]);
+                    for (j, e) in row[..n_sig].iter().enumerate() {
+                        // R is upper triangular; below-diagonal entries of
+                        // the packed factor hold reflectors, not R.
+                        let v = if j >= ri { e[l] } else { 0.0 };
+                        // SAFETY: group g owns these rows exclusively.
+                        unsafe { writer.write(dest, j, v) };
+                    }
+                    if !opts.relaxed {
+                        // SAFETY: as above.
+                        unsafe { writer.write_rhs(dest, row[n_sig][l]) };
+                    }
                 }
             }
             Ok::<(), VecfitError>(())
@@ -876,34 +876,46 @@ mod tests {
             real_axis in 0u8..2,
             relaxed in 0u8..2,
             n_poles in 1usize..7,
-            k_count in 1usize..9,
+            k_count in 1usize..=13,
             workers in 1usize..3,
-            extra_samples in 0usize..12,
+            extra_samples in 0usize..15,
             zero_response in 0usize..16,
+            subnormal in 0u8..4,
             values in prop::collection::vec(-5.0..5.0f64, 61),
         ) {
             let base = if real_axis == 1 { VfOptions::state(n_poles) } else { VfOptions::frequency(n_poles) };
             let opts = base.with_relaxed(relaxed == 1).with_iterations(1);
-            let l = opts.n_poles + 4 + extra_samples;
+            // From trailing blocks shorter than their pivots (one row
+            // under the last pivot, where a dead lane's reflection
+            // reads only the −0.0 it must keep) to tall ones.
+            let l = opts.n_poles + 1 + extra_samples;
             let samples = match opts.axis {
                 Axis::Imaginary => jw_grid(&logspace(0.0, 3.0, l)),
                 Axis::Real => linspace(-1.0, 2.0, l).into_iter().map(Complex::from_re).collect(),
             };
-            let value = |i: usize| values[i % values.len()];
-            // Response `zero_response` (when it exists) is all zero: its
-            // sigma block is, so the trailing factor draws τ = 0
-            // identity reflectors.
+            // Up to 13 responses fill one to four lane groups and leave
+            // every tail length. Values under 1/4 in magnitude are −0.0.
+            let value = |i: usize| match values[i % values.len()] {
+                v if v.abs() < 0.25 => -0.0,
+                v => v,
+            };
+            // Response `zero_response` (when it exists) is all ±0: its
+            // sigma block is, so its lane takes τ = 0 at every trailing
+            // pivot next to live lanes, and must keep each −0.0. In a
+            // quarter of the cases every value is a few subnormal steps:
+            // the sigma norms underflow to 1, and a product with a basis
+            // value under 1/2 a step rounds to ±0, so some sigma columns
+            // are zero inside live responses.
+            let unit = if subnormal == 0 { 5e-324 } else { 1.0 };
             let data: Vec<Vec<Complex>> = (0..k_count)
                 .map(|k| {
+                    let scale = if k == zero_response { 0.0 } else { unit };
                     (0..l)
                         .map(|li| {
-                            if k == zero_response {
-                                return Complex::ZERO;
-                            }
                             let i = 2 * (k * l + li);
                             match opts.axis {
-                                Axis::Imaginary => Complex::new(value(i), value(i + 1)),
-                                Axis::Real => Complex::from_re(value(i)),
+                                Axis::Imaginary => Complex::new(scale * value(i), scale * value(i + 1)),
+                                Axis::Real => Complex::from_re(scale * value(i)),
                             }
                         })
                         .collect()
