@@ -885,9 +885,7 @@ mod tests {
         ) {
             let base = if real_axis == 1 { VfOptions::state(n_poles) } else { VfOptions::frequency(n_poles) };
             let opts = base.with_relaxed(relaxed == 1).with_iterations(1);
-            // From trailing blocks shorter than their pivots (one row
-            // under the last pivot, where a dead lane's reflection
-            // reads only the −0.0 it must keep) to tall ones.
+            // From trailing blocks shorter than their pivots to tall ones.
             let l = opts.n_poles + 1 + extra_samples;
             let samples = match opts.axis {
                 Axis::Imaginary => jw_grid(&logspace(0.0, 3.0, l)),
