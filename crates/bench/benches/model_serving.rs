@@ -17,6 +17,11 @@
 //! * `serving_drive_ln_scalar_p10_x4096` — its control: the same
 //!   features from one out-of-line `Complex::ln` call per pole, so each
 //!   run shows the vector/scalar ratio;
+//! * `serving_drive_ln_p46_x4096` — the same drive pass on a seeded
+//!   table of 46 off-axis poles in the buffer's trained range (the pole
+//!   count of the buffer model the serving benchmark loads), where every
+//!   build of `ln_shifted_into` runs several full vector groups and one
+//!   padded last group;
 //! * `serving_held_level_x4096` — the kernel's held-run layer: one
 //!   started state fed 4096 samples at the level it holds, so each
 //!   sample is one first-order-hold step of the buffer model's blocks
@@ -119,6 +124,27 @@ fn bench_serving(c: &mut Criterion) {
                     (*r, *i) = (z.re, z.im);
                 }
                 acc += lr[0] + li[poles.len() - 1];
+            }
+            acc
+        })
+    });
+
+    // The drive pass at 46 poles: a seeded table with re in 0.4..1.4 and
+    // im in 0.05..0.3, the range the buffer's state poles are fitted in.
+    let mut state = 0x6c6e_5f70_3436_u64;
+    let mut unit = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let poles46: Vec<Complex> =
+        (0..46).map(|_| Complex::new(0.4 + unit(), 0.05 + 0.25 * unit())).collect();
+    let (mut lr46, mut li46) = (vec![0.0; poles46.len()], vec![0.0; poles46.len()]);
+    c.bench_function("serving_drive_ln_p46_x4096", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for &u in &drive_inputs {
+                ln_shifted_into(u, &poles46, &mut lr46, &mut li46);
+                acc += lr46[0] + li46[poles46.len() - 1];
             }
             acc
         })

@@ -279,9 +279,9 @@ fn shape_of(sim: &CompiledSim) -> [usize; 4] {
 /// Evaluates every drive row at input `u` into `v1`.
 ///
 /// Pass 1 fills the shared log-feature basis (one `ln` per *distinct*
-/// pole, in one vectorised `ln_shifted_into` call), pass 2 accumulates
-/// the linear heads + CSR log terms in the reference operation order,
-/// pass 3 runs the power-basis matvec for the polynomial rows.
+/// pole, one `ln_shifted_into` call in 8/4/2-lane groups, the last padded
+/// inside it), pass 2 adds the linear heads + CSR log terms in reference
+/// operation order, pass 3 runs the power-basis matvec for the polynomial rows.
 fn eval_drives(
     sim: &CompiledSim,
     u: f64,

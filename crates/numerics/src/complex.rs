@@ -140,9 +140,10 @@ impl Complex {
     /// libm call, no fused multiply-add and no table, so its bits do not
     /// depend on the platform's libm. Whether a loop over `ln` calls
     /// vectorises is left to the inliner, and only ever for the baseline
-    /// target; [`ln_shifted_into`] inlines the same kernel into one slice
-    /// loop that vectorises, built for AVX2 as well, with every lane
-    /// bit-equal to this method. Both halves use fdlibm's kernels:
+    /// target; [`ln_shifted_into`] inlines the same kernel into one loop
+    /// over vector-wide pole groups, built for AVX2 and AVX-512 as well,
+    /// with every lane bit-equal to this method. Both halves use fdlibm's
+    /// kernels:
     ///
     /// * `ln|z|`: with `m = max(|x|,|y|)`, both parts are scaled by the
     ///   exact power of two that brings `m` into `[2, 4)` (subnormals are
@@ -292,16 +293,21 @@ fn ln_parts(re: f64, im: f64) -> (f64, f64) {
 /// serving kernel's per-sample log features, one per distinct pole.
 ///
 /// Every element is bit-equal to `(Complex::from_re(u) - poles[p]).ln()`.
-/// The loop inlines [`Complex::ln`]'s kernel, so it vectorises whatever
-/// the inliner makes of `ln` calls elsewhere. Its one body is compiled
-/// twice: for the baseline target, and in a function with AVX2 enabled
-/// (four poles per vector).
-/// On `x86_64` each call picks the AVX2 build when the CPU has it (a
-/// cached feature check, one atomic load); other targets run the
-/// baseline build. Both builds run the same IEEE `+ − × ÷`, selects and
-/// bit operations in the same order, and Rust never contracts `a·b + c`
-/// into a fused multiply-add (AVX2 is enabled without FMA), so the bits
-/// cannot depend on which build runs or on the vector width.
+/// The loop inlines [`Complex::ln`]'s kernel on groups of `W` poles, one
+/// pole per vector lane, so it vectorises whatever the inliner makes of
+/// `ln` calls elsewhere. Its one body is compiled three times: for the
+/// baseline target (`W = 2`, one SSE2 vector on `x86_64`), in a function
+/// with AVX2 enabled (`W = 4`, one `ymm` vector) and in one with
+/// AVX-512F enabled (`W = 8`, one `zmm` vector). The last `len % W`
+/// poles run as one more group, padded with a fixed finite pole whose
+/// results are dropped, so no pole takes a scalar path.
+/// On `x86_64` each call picks the widest build the CPU has (cached
+/// feature checks, one atomic load each); other targets run the
+/// baseline build. Every build runs the same IEEE `+ − × ÷`, selects
+/// and bit operations in the same order, lanes never mix, and Rust
+/// never contracts `a·b + c` into a fused multiply-add (no build enables
+/// FMA), so the bits cannot depend on which build runs, on the group
+/// width or on a pole's lane.
 ///
 /// # Panics
 ///
@@ -315,26 +321,60 @@ pub fn ln_shifted_into(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]
         im.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, the only feature the build enables.
-        return unsafe { ln_shifted_avx2(u, poles, re, im) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU supports AVX-512F, the only feature the build enables.
+            return unsafe { ln_shifted_avx512(u, poles, re, im) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature the build enables.
+            return unsafe { ln_shifted_avx2(u, poles, re, im) };
+        }
     }
-    ln_shifted(u, poles, re, im);
+    ln_shifted::<2>(u, poles, re, im);
 }
 
-/// [`ln_shifted_into`]'s one loop body. Inlined into a caller built for
-/// the baseline target it is the baseline build; inlined into
-/// `ln_shifted_avx2` it is the AVX2 build.
+/// The pole that fills the dead lanes of [`ln_shifted`]'s last group:
+/// finite and off the real axis, so those lanes run the kernel's
+/// ordinary path and raise no special case.
+const PAD_POLE: Complex = Complex::new(0.0, 1.0);
+
+/// [`ln_shifted_into`]'s one loop body, `W` poles per group. Inlined
+/// into a caller built for the baseline target it is the baseline build;
+/// inlined into `ln_shifted_avx2` or `ln_shifted_avx512` it is that
+/// build. The last `len % W` poles are copied into one group padded
+/// with [`PAD_POLE`], and only their lanes are written back.
 #[inline(always)]
-fn ln_shifted(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    for ((r, i), pole) in re.iter_mut().zip(im.iter_mut()).zip(poles) {
+fn ln_shifted<const W: usize>(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
+    let mut groups = poles.chunks_exact(W);
+    let mut re_groups = re.chunks_exact_mut(W);
+    let mut im_groups = im.chunks_exact_mut(W);
+    for ((group, r), i) in groups.by_ref().zip(re_groups.by_ref()).zip(im_groups.by_ref()) {
+        ln_group::<W>(u, group, r, i);
+    }
+    let tail = groups.remainder();
+    if !tail.is_empty() {
+        let mut group = [PAD_POLE; W];
+        group[..tail.len()].copy_from_slice(tail);
+        let (mut r, mut i) = ([0.0; W], [0.0; W]);
+        ln_group::<W>(u, &group, &mut r, &mut i);
+        re_groups.into_remainder().copy_from_slice(&r[..tail.len()]);
+        im_groups.into_remainder().copy_from_slice(&i[..tail.len()]);
+    }
+}
+
+/// `ln(u − pole)` for one group of exactly `W` poles, one per lane.
+#[inline(always)]
+fn ln_group<const W: usize>(u: f64, group: &[Complex], re: &mut [f64], im: &mut [f64]) {
+    let (group, re, im) = (&group[..W], &mut re[..W], &mut im[..W]);
+    for ((r, i), pole) in re.iter_mut().zip(im.iter_mut()).zip(group) {
         // `Complex::from_re(u) - pole`, part by part: 0.0 − im, not −im,
         // so a zero imaginary part stays +0.
         (*r, *i) = ln_parts(u - pole.re, 0.0 - pole.im);
     }
 }
 
-/// The AVX2 build of [`ln_shifted_into`].
+/// The AVX2 build of [`ln_shifted_into`]: four poles per group.
 ///
 /// # Safety
 ///
@@ -342,7 +382,18 @@ fn ln_shifted(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn ln_shifted_avx2(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    ln_shifted(u, poles, re, im);
+    ln_shifted::<4>(u, poles, re, im);
+}
+
+/// The AVX-512 build of [`ln_shifted_into`]: eight poles per group.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn ln_shifted_avx512(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
+    ln_shifted::<8>(u, poles, re, im);
 }
 
 impl From<f64> for Complex {
@@ -660,20 +711,28 @@ mod tests {
     type ShiftedLn = fn(f64, &[Complex], &mut [f64], &mut [f64]);
 
     /// Every build of `ln_shifted_into`'s loop this CPU can run, by name:
-    /// the baseline build, the AVX2 build when the CPU has AVX2 (the
-    /// skip is printed), and the dispatching entry point.
+    /// the baseline build, the AVX2 and AVX-512 builds when the CPU has
+    /// them (each skip is printed), and the dispatching entry point.
     fn shifted_builds() -> Vec<(&'static str, ShiftedLn)> {
         let mut builds: Vec<(&'static str, ShiftedLn)> =
-            vec![("baseline", ln_shifted), ("dispatch", ln_shifted_into)];
+            vec![("baseline", ln_shifted::<2>), ("dispatch", ln_shifted_into)];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2.
-            builds.push(("avx2", |u, p, r, i| unsafe { ln_shifted_avx2(u, p, r, i) }));
-        } else {
-            println!("ln_shifted_into: the CPU has no AVX2, AVX2 build skipped");
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU supports AVX2.
+                builds.push(("avx2", |u, p, r, i| unsafe { ln_shifted_avx2(u, p, r, i) }));
+            } else {
+                println!("ln_shifted_into: the CPU has no AVX2, AVX2 build skipped");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU supports AVX-512F.
+                builds.push(("avx512", |u, p, r, i| unsafe { ln_shifted_avx512(u, p, r, i) }));
+            } else {
+                println!("ln_shifted_into: the CPU has no AVX-512F, AVX-512 build skipped");
+            }
         }
         #[cfg(not(target_arch = "x86_64"))]
-        println!("ln_shifted_into: not x86_64, AVX2 build skipped");
+        println!("ln_shifted_into: not x86_64, AVX2 and AVX-512 builds skipped");
         builds
     }
 
@@ -767,16 +826,18 @@ mod tests {
     fn ln_shifted_into_matches_ln_bits_at_every_remainder() {
         let builds = shifted_builds();
         let mut rng = Stream(0x7265_6d61_696e_6472);
-        for len in 0..=17 {
+        // Every remainder mod 8 at zero to three full groups of the
+        // widest build.
+        for len in 0..=25 {
             for _ in 0..50 {
                 let u = rng.sign() * rng.decades(-3.0, 3.0);
                 let mut poles = Vec::new();
-                while poles.len() < len + 3 {
+                while poles.len() < len + 7 {
                     push_pole(&mut rng, u, &mut poles);
                 }
-                // Every start offset in a vector's reach, so each length
-                // runs at every alignment too.
-                for start in 0..4.min(poles.len() - len + 1) {
+                // Every start offset in a `zmm` vector's reach, so each
+                // length runs at every alignment too.
+                for start in 0..8 {
                     assert_shifted_bits(&builds, u, &poles[start..start + len]);
                 }
             }
