@@ -9,24 +9,19 @@
 //! * `serving_compiled_single` — the same stimulus through a
 //!   pre-compiled [`rvf_core::CompiledSim`];
 //! * `serving_compile_lowering` — the one-off model → tables lowering;
-//! * `serving_drive_ln_p10_x4096` — the kernel's drive pass alone:
-//!   `ln_shifted_into`, one `ln(u − pole)` per distinct state pole of
-//!   the compiled buffer model (10 poles: its one common state-pole
-//!   set), over 4096 smooth inputs —
-//!   the per-sample transcendental cost every changed input pays;
-//! * `serving_drive_ln_scalar_p10_x4096` — its control: the same
-//!   features from one out-of-line `Complex::ln` call per pole, so each
-//!   run shows the vector/scalar ratio;
-//! * `serving_drive_ln_p46_x4096` — the same drive pass on a seeded
-//!   table of 46 off-axis poles in the buffer's trained range (the pole
-//!   count of the buffer model the serving benchmark loads), where every
-//!   build of `ln_shifted_into` runs several full vector groups and one
-//!   padded last group;
+//! * `serving_changed_run{01,04,08}_x4096` / `serving_changed_all_x4096`
+//!   — the whole kernel on the 46-feature buffer model the serving
+//!   benchmark loads (`perf_ledger/models/buffer.rvf.txt`): one started
+//!   state fed 4096 samples in which every 51-sample period opens with a
+//!   run of 1, 4 or 8 samples that each change (the rest hold the last
+//!   level), or in which every sample changes. Changed runs share one
+//!   drive pass per 8, 4, 2 or 1 samples, so these rows show what an
+//!   isolated change costs next to a run of them;
 //! * `serving_held_level_x4096` — the kernel's held-run layer: one
 //!   started state fed 4096 samples at the level it holds, so each
 //!   sample is one first-order-hold step of the buffer model's blocks
 //!   with no drive evaluation — the per-sample cost every held input
-//!   pays, next to `serving_drive_ln_p10_x4096`'s changed-sample cost;
+//!   pays;
 //! * `serving_batch_b{001,016,256}` — batch evaluation of 1/16/256
 //!   distinct bit patterns through one compiled model (serial worker:
 //!   one `advance_chunks` round over fresh states, one task per
@@ -42,11 +37,10 @@
 //!
 //! Throughput = (stimuli × samples) / time.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rvf_bench::{buffer_circuit, paper_rvf_options, paper_tft_config, test_pattern};
 use rvf_circuit::Waveform;
-use rvf_core::{fit_tft, CompiledSim, SessionChunk, SimState};
-use rvf_numerics::{ln_shifted_into, Complex};
+use rvf_core::{fit_tft, text, CompiledSim, SessionChunk, SimState};
 use rvf_tft::extract_from_circuit;
 
 /// One 2.5 GS/s bit pattern, 2 ps sampling. The 20 symbols come from a
@@ -85,70 +79,33 @@ fn bench_serving(c: &mut Criterion) {
     c.bench_function("serving_compiled_single", |b| b.iter(|| sim.simulate(dt, &inputs)));
     c.bench_function("serving_compile_lowering", |b| b.iter(|| model.compile()));
 
-    // The drive pass: the distinct state poles of the lowered tables
-    // (deduplicated by bit pattern, as `compile` does), each evaluated
-    // as a log feature at every input.
-    let mut poles: Vec<Complex> = Vec::new();
-    for row in model.stages() {
-        for t in &row.terms {
-            let bits = |z: &Complex| (z.re.to_bits(), z.im.to_bits());
-            if !poles.iter().any(|p| bits(p) == bits(&t.pole)) {
-                poles.push(t.pole);
-            }
-        }
+    // The whole kernel on the serving benchmark's 46-feature model, at
+    // four densities of changed samples.
+    let buffer46 = text::decode(include_str!("../../../perf_ledger/models/buffer.rvf.txt"))
+        .expect("the committed buffer model decodes")
+        .compile();
+    assert_eq!(buffer46.n_pole_features(), 46, "the serving benchmark's log-feature basis");
+    let smooth = |i: usize| 0.9 + 0.4 * (i as f64 * 0.0123).sin();
+    for (id, run) in [
+        ("serving_changed_run01_x4096", 1usize),
+        ("serving_changed_run04_x4096", 4),
+        ("serving_changed_run08_x4096", 8),
+        ("serving_changed_all_x4096", 51),
+    ] {
+        // Each 51-sample period: `run` changed samples, then the last
+        // level held.
+        let input: Vec<f64> =
+            (0..4096usize).map(|i| smooth(i - (i % 51).saturating_sub(run - 1))).collect();
+        let mut state = buffer46.new_state();
+        let mut out = vec![0.0; input.len()];
+        buffer46.simulate_into(dt, &input[..1], &mut state, &mut out[..1]).unwrap();
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                buffer46.simulate_into(dt, &input, &mut state, &mut out).unwrap();
+                out[input.len() - 1]
+            })
+        });
     }
-    assert_eq!(poles.len(), sim.n_pole_features());
-    assert_eq!(poles.len(), 10, "the buffer model's log-feature basis");
-    let drive_inputs: Vec<f64> =
-        (0..4096).map(|i| 0.9 + 0.4 * (f64::from(i) * 0.0123).sin()).collect();
-    let (mut lr, mut li) = (vec![0.0; poles.len()], vec![0.0; poles.len()]);
-    c.bench_function("serving_drive_ln_p10_x4096", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &u in &drive_inputs {
-                ln_shifted_into(u, &poles, &mut lr, &mut li);
-                acc += lr[0] + li[poles.len() - 1];
-            }
-            acc
-        })
-    });
-    // Called through an opaque pointer, so the compiler can neither
-    // inline nor vectorise it: one out-of-line `Complex::ln` per pole.
-    let scalar_ln: fn(Complex) -> Complex = black_box(Complex::ln);
-    c.bench_function("serving_drive_ln_scalar_p10_x4096", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &u in &drive_inputs {
-                for ((r, i), &pole) in lr.iter_mut().zip(li.iter_mut()).zip(&poles) {
-                    let z = scalar_ln(Complex::from_re(u) - pole);
-                    (*r, *i) = (z.re, z.im);
-                }
-                acc += lr[0] + li[poles.len() - 1];
-            }
-            acc
-        })
-    });
-
-    // The drive pass at 46 poles: a seeded table with re in 0.4..1.4 and
-    // im in 0.05..0.3, the range the buffer's state poles are fitted in.
-    let mut state = 0x6c6e_5f70_3436_u64;
-    let mut unit = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let poles46: Vec<Complex> =
-        (0..46).map(|_| Complex::new(0.4 + unit(), 0.05 + 0.25 * unit())).collect();
-    let (mut lr46, mut li46) = (vec![0.0; poles46.len()], vec![0.0; poles46.len()]);
-    c.bench_function("serving_drive_ln_p46_x4096", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &u in &drive_inputs {
-                ln_shifted_into(u, &poles46, &mut lr46, &mut li46);
-                acc += lr46[0] + li46[poles46.len() - 1];
-            }
-            acc
-        })
-    });
 
     // The held-run layer: one started state fed 4096 samples at the
     // level it already holds, so every sample is one held-run step.

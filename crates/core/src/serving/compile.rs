@@ -24,6 +24,7 @@
 //! requests should still compile once and reuse the instance.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use rvf_numerics::{Complex, FohPair, FohScalar};
 
@@ -184,6 +185,7 @@ impl SimBuilder {
         // of them one pole set) share one run of feature slots, so the ln
         // per pole is paid once per sample however many rows consume it.
         let mut runs: HashMap<Vec<(u64, u64)>, usize> = HashMap::new();
+        let mut feature_runs: Vec<FeatureRun> = Vec::new();
         let mut prow: Vec<usize> = Vec::new();
         let mut pcoeffs: Vec<Vec<f64>> = Vec::new();
         row_off.push(0);
@@ -194,11 +196,14 @@ impl SimBuilder {
                     if !terms.is_empty() {
                         let sig: Vec<(u64, u64)> =
                             terms.iter().map(|(p, _)| (p.re.to_bits(), p.im.to_bits())).collect();
-                        let start = *runs.entry(sig).or_insert_with(|| {
+                        let k = *runs.entry(sig).or_insert_with(|| {
                             let s = poles.len();
                             poles.extend(terms.iter().map(|(p, _)| *p));
-                            s
+                            feature_runs.push(FeatureRun { poles: s..poles.len(), rows: vec![] });
+                            feature_runs.len() - 1
                         });
+                        feature_runs[k].rows.push(d);
+                        let start = feature_runs[k].poles.start;
                         for (i, (_, rho)) in terms.iter().enumerate() {
                             term_w.push([rho.re, rho.im]);
                             term_pole.push(start + i);
@@ -251,6 +256,7 @@ impl SimBuilder {
             term_w,
             term_pole,
             poles,
+            runs: feature_runs,
             prow,
             pmat,
             pdeg,
@@ -276,6 +282,14 @@ pub(crate) struct BlockCoef {
     pub(crate) g2i: f64,
 }
 
+/// One run of the pole table and the drive rows that read it: term `i`
+/// of each such row is the log feature of pole `poles.start + i`.
+#[derive(Debug, Clone)]
+pub(crate) struct FeatureRun {
+    pub(crate) poles: Range<usize>,
+    pub(crate) rows: Vec<usize>,
+}
+
 /// A Hammerstein model lowered into flat serving tables.
 ///
 /// Build one with [`HammersteinModel::compile`](crate::HammersteinModel::compile)
@@ -298,6 +312,9 @@ pub struct CompiledSim {
     pub(crate) term_pole: Vec<usize>,
     /// Deduplicated pole table (the shared log-feature basis).
     pub(crate) poles: Vec<Complex>,
+    /// The pole table's runs in order, each with the rows that read it:
+    /// a view of `row_off`/`term_pole` for the drive pass, not hashed.
+    pub(crate) runs: Vec<FeatureRun>,
     /// Drive rows evaluated by the power-basis matvec.
     pub(crate) prow: Vec<usize>,
     /// Power-basis coefficient matrix, `prow.len() × (pdeg + 1)`.

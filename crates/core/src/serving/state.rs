@@ -14,13 +14,13 @@
 //! [`CompiledSim::advance_chunks`] — run the same single-simulation
 //! kernel, `advance`, over one state at a time.
 //!
-//! `advance` walks a chunk in segments: a sample whose input bits
-//! changed re-evaluates the drives and steps once, and a held run of
-//! bit-equal samples steps with drives and input terms computed once
-//! for the whole run. Both run one step body in the reference
-//! association, so the segment split moves no output bit.
+//! `advance` walks a chunk in segments: a run of changed samples has its
+//! drives evaluated up to eight samples per pass, one per vector lane,
+//! and steps sample by sample; a held run of bit-equal samples steps
+//! with drives and input terms computed once. Every lane and step runs
+//! the reference's operations, so neither split moves an output bit.
 
-use rvf_numerics::{ln_shifted_into, Complex};
+use rvf_numerics::{ln_parts, Complex};
 
 use super::compile::{BlockCoef, CompiledSim};
 use super::{check_dt, check_stimulus, dt_ok, ServingError};
@@ -70,8 +70,6 @@ use super::{check_dt, check_stimulus, dt_ok, ServingError};
 pub struct SimState {
     /// Previous-sample drive values, one per drive row.
     v0: Vec<f64>,
-    /// Current-sample drive values (scratch).
-    v1: Vec<f64>,
     /// Block state, real components, one per block.
     sre: Vec<f64>,
     /// Block state, imaginary components, one per block.
@@ -81,11 +79,9 @@ pub struct SimState {
     /// Has the state absorbed its first sample (which seeds the blocks
     /// at the DC steady state of that input)?
     started: bool,
-    /// Log-feature temporaries (one slot per distinct pole).
-    lr: Vec<f64>,
-    li: Vec<f64>,
-    /// Power basis `[1, u, …, u^pdeg]` (scratch).
-    pw: Vec<f64>,
+    /// The drive block (scratch): per drive row, its values at the up
+    /// to `LANES` samples of one drive pass, one per lane.
+    blk: Vec<[f64; LANES]>,
     /// One kernel row per block: the first-order-hold coefficients
     /// cached for `coef_dt`, and the current segment's input terms.
     rows: Vec<BlockRow>,
@@ -203,9 +199,9 @@ impl<'a> From<&'a SimState> for CheckpointView<'a> {
 /// serialization resumes **bit-identically** — the fields are the
 /// complete per-sample carry of the kernel, nothing is approximated.
 ///
-/// Scratch buffers (current-sample drives, log-feature and power-basis
-/// temporaries, per-block input terms) are deliberately absent: they
-/// are overwritten before being read, so they are not state.
+/// Scratch buffers (the drive block and the per-block input terms) are
+/// deliberately absent: they are overwritten before being read, so they
+/// are not state.
 ///
 /// `V` is how the three vectors are held: owned (`Vec<f64>`, the
 /// default), borrowed ([`CheckpointView`]), or in any other form a
@@ -276,47 +272,122 @@ fn shape_of(sim: &CompiledSim) -> [usize; 4] {
     [sim.n_drives, sim.n_blocks(), sim.poles.len(), sim.pdeg]
 }
 
-/// Evaluates every drive row at input `u` into `v1`.
-///
-/// Pass 1 fills the shared log-feature basis (one `ln` per *distinct*
-/// pole, one `ln_shifted_into` call in 8/4/2-lane groups, the last padded
-/// inside it), pass 2 adds the linear heads + CSR log terms in reference
-/// operation order, pass 3 runs the power-basis matvec for the polynomial rows.
-fn eval_drives(
-    sim: &CompiledSim,
-    u: f64,
-    v1: &mut [f64],
-    lr: &mut [f64],
-    li: &mut [f64],
-    pw: &mut [f64],
-) {
-    ln_shifted_into(u, &sim.poles, lr, li);
-    for (d, v) in v1.iter_mut().enumerate() {
-        let h = sim.head[d];
-        // Matches `constant + linear*u` bit for bit.
-        let mut acc = h[0] + h[1] * u;
-        for t in sim.row_off[d]..sim.row_off[d + 1] {
-            let w = sim.term_w[t];
-            let p = sim.term_pole[t];
-            // Matches `2.0 * (rho * z.ln()).re`.
-            acc += 2.0 * (w[0] * lr[p] - w[1] * li[p]);
+/// Lanes of one vector group of the drive pass: the most samples one
+/// pass evaluates, and the width of each row of the drive block.
+const LANES: usize = 8;
+
+/// Fills the dead lanes of a short last group: finite and off the real
+/// axis, so those lanes take the `ln` kernel's ordinary path.
+const PAD_POLE: Complex = Complex::new(0.0, 1.0);
+
+/// Vector groups per block of the drive pass, whose log features wait on
+/// the stack until the block's terms are added.
+const BLOCK: usize = 8;
+
+/// Evaluates every drive row at the 1, 2, 4 or 8 inputs `u` (other
+/// counts do nothing), row `d` at `u[j]` into `blk[d][j]`. The body is
+/// built for the baseline target, with AVX2 and with AVX-512F; each call
+/// picks the widest build the CPU has (cached feature checks). No build
+/// enables FMA, lanes never mix, and Rust never contracts `a·b + c`, so
+/// every lane has the reference's bits, whatever the build or count.
+fn eval_drives(sim: &CompiledSim, u: &[f64], blk: &mut [[f64; LANES]]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU supports AVX-512F, the only feature the build enables.
+            return unsafe { drives_avx512(sim, u, blk) };
         }
-        *v = acc;
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature the build enables.
+            return unsafe { drives_avx2(sim, u, blk) };
+        }
     }
-    if !sim.prow.is_empty() {
-        let width = sim.pdeg + 1;
-        pw[0] = 1.0;
-        for j in 1..width {
-            pw[j] = pw[j - 1] * u;
+    drive_pass(sim, u, blk);
+}
+
+/// [`eval_drives`] with the sample count as the lane body's constant.
+#[inline(always)]
+fn drive_pass(sim: &CompiledSim, u: &[f64], blk: &mut [[f64; LANES]]) {
+    match *u {
+        [a] => drive_lanes(sim, &[a], blk),
+        [a, b] => drive_lanes(sim, &[a, b], blk),
+        [a, b, c, d] => drive_lanes(sim, &[a, b, c, d], blk),
+        [a, b, c, d, e, f, g, h] => drive_lanes(sim, &[a, b, c, d, e, f, g, h], blk),
+        _ => {}
+    }
+}
+
+/// The AVX2 build of [`eval_drives`], for CPUs with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn drives_avx2(sim: &CompiledSim, u: &[f64], blk: &mut [[f64; LANES]]) {
+    drive_pass(sim, u, blk);
+}
+
+/// The AVX-512 build of [`eval_drives`], for CPUs with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn drives_avx512(sim: &CompiledSim, u: &[f64], blk: &mut [[f64; LANES]]) {
+    drive_pass(sim, u, blk);
+}
+
+/// The drive pass for `M` samples, one per lane. Rational rows start
+/// from their linear heads. Each block of the pole table runs `ln(u −
+/// pole)` in vector groups of `LANES / M` poles × `M` samples; then
+/// every row that reads the block's poles adds its terms on them into
+/// its `M` accumulators. A row reads one run of the table in pole
+/// order, so it adds its terms in its CSR order, as the reference does.
+/// Polynomial rows sum their powers of `u` last.
+#[inline(always)]
+fn drive_lanes<const M: usize>(sim: &CompiledSim, u: &[f64; M], blk: &mut [[f64; LANES]]) {
+    for (h, acc) in sim.head.iter().zip(blk.iter_mut()) {
+        for (a, &u) in acc.iter_mut().zip(u) {
+            // Matches `constant + linear*u` bit for bit.
+            *a = h[0] + h[1] * u;
         }
-        for (r, &d) in sim.prow.iter().enumerate() {
-            let row = &sim.pmat[r * width..(r + 1) * width];
-            let mut acc = 0.0;
-            for j in 0..width {
-                acc += row[j] * pw[j];
+    }
+    let (per, mut run) = (LANES / M, 0);
+    let (mut lr, mut li) = ([[0.0; LANES]; BLOCK], [[0.0; LANES]; BLOCK]);
+    for (b, poles) in sim.poles.chunks(BLOCK * per).enumerate() {
+        for ((group, r), i) in poles.chunks(per).zip(&mut lr).zip(&mut li) {
+            [*r, *i] = if group.len() == per {
+                ln_group(u, group)
+            } else {
+                let mut padded = [PAD_POLE; LANES];
+                padded[..group.len()].copy_from_slice(group);
+                ln_group(u, &padded[..per])
+            };
+        }
+        // Pole `p` of the block at sample `j` is `lr[p][j]`.
+        let (lr, li) = (lr.as_flattened().as_chunks::<M>().0, li.as_flattened().as_chunks::<M>().0);
+        let (first, end) = (b * BLOCK * per, b * BLOCK * per + poles.len());
+        run += sim.runs[run..].iter().take_while(|r| r.poles.end <= first).count();
+        for fr in sim.runs[run..].iter().take_while(|r| r.poles.start < end) {
+            let (lo, hi) = (fr.poles.start.max(first), fr.poles.end.min(end));
+            let lanes = lr[lo - first..].iter().zip(&li[lo - first..]);
+            for &d in &fr.rows {
+                let terms = &sim.term_w[sim.row_off[d] + lo - fr.poles.start..][..hi - lo];
+                let mut acc: [f64; M] = core::array::from_fn(|j| blk[d][j]);
+                for (w, (r, i)) in terms.iter().zip(lanes.clone()) {
+                    for j in 0..M {
+                        // Matches `2.0 * (rho * z.ln()).re`.
+                        acc[j] += 2.0 * (w[0] * r[j] - w[1] * i[j]);
+                    }
+                }
+                blk[d][..M].copy_from_slice(&acc);
             }
-            v1[d] = acc;
         }
+    }
+    for (&d, row) in sim.prow.iter().zip(sim.pmat.chunks_exact(sim.pdeg + 1)) {
+        // `Σ row[k]·u^k` over the powers `1, u, u·u, …` in turn.
+        let (mut acc, mut pw) = ([0.0; M], [1.0; M]);
+        for &c in row {
+            for j in 0..M {
+                acc[j] += c * pw[j];
+                pw[j] *= u[j];
+            }
+        }
+        blk[d][..M].copy_from_slice(&acc);
     }
 }
 
@@ -355,14 +426,14 @@ impl BlockRow {
 }
 
 /// Computes every block's input terms for a step from drives `w0` to
-/// `w1`, in the reference association. `w1 − w0` is a subtraction even
-/// when `w1` is `w0` (a held run), so an infinite drive gives the NaN
-/// the per-sample step would.
-fn fill_terms(sim: &CompiledSim, rows: &mut [BlockRow], w0: &[f64], w1: &[f64]) {
+/// `w1` (row `d`'s drive is `w1(d)`), in the reference association.
+/// `w1 − w0` is a subtraction even when `w1` is `w0` (a held run), so an
+/// infinite drive gives the NaN the per-sample step would.
+fn fill_terms(sim: &CompiledSim, rows: &mut [BlockRow], w0: &[f64], w1: impl Fn(usize) -> f64) {
     for (b, row) in rows.iter_mut().enumerate() {
         let (o1, o2) = (sim.d1[b], sim.d2[b]);
         let (w0r, w0i) = (w0[o1], w0[o2]);
-        let (dvr, dvi) = (w1[o1] - w0r, w1[o2] - w0i);
+        let (dvr, dvi) = (w1(o1) - w0r, w1(o2) - w0i);
         let c = &row.c;
         (row.k1r, row.k1i) = (c.g1r * w0r - c.g1i * w0i, c.g1r * w0i + c.g1i * w0r);
         (row.k2r, row.k2i) = (c.g2r * dvr - c.g2i * dvi, c.g2r * dvi + c.g2i * dvr);
@@ -400,18 +471,21 @@ fn step_segment(
 ///
 /// A state that has not started yet absorbs its first sample as the DC
 /// seed (the reference loop's `t = 0` path). After that the chunk is
-/// walked in *segments*, each stepped by one shared body with its input
-/// terms computed once:
+/// walked in *segments*, each stepped by one shared body:
 ///
-/// * a **changed sample** (bits differ from the memo register `uprev`)
-///   is a segment of length 1: its drives are evaluated into `v1`, the
-///   blocks step from `v0` to `v1`, and the two swap;
+/// * a **changed run** is a stretch of samples whose bits each differ
+///   from the sample before (the first from the memo register
+///   `uprev`): its first 8, 4, 2 or 1 samples (the largest power of two
+///   it holds) have their drives evaluated in one pass, and each of
+///   them steps from the drives before it to its own;
 /// * a **held run** is the longest stretch of samples whose bits equal
 ///   `uprev`: the drives are pure functions of `u`, so every sample of
-///   it steps from `v0` to `v0` — no drive evaluation, copy or swap.
+///   it steps from `v0` to `v0` with input terms computed once — no
+///   drive evaluation or copy.
 ///
 /// The state carries the drive vector and memo register across calls,
-/// so a chunk boundary (even one inside a held run) is arithmetically
+/// and every lane of a drive pass has the bits of a one-sample pass, so
+/// a chunk boundary (even one inside a run) is arithmetically
 /// invisible.
 pub(crate) fn advance(
     sim: &CompiledSim,
@@ -426,17 +500,17 @@ pub(crate) fn advance(
     }
     state.ensure_coef(sim, dt);
     state.samples += input.len() as u64;
-    let SimState { v0, v1, sre, sim: simc, uprev, started, lr, li, pw, rows, .. } = state;
+    let SimState { v0, sre, sim: simc, uprev, started, blk, rows, .. } = state;
 
     let mut t = 0;
     if !*started {
         // DC seed: every block starts at the steady state of the first
         // input (the circuit's DC operating point).
-        let u = input[0];
-        eval_drives(sim, u, v1, lr, li, pw);
-        *uprev = u.to_bits();
+        eval_drives(sim, &input[..1], blk);
+        v0.iter_mut().zip(blk.iter()).for_each(|(v, b)| *v = b[0]);
+        *uprev = input[0].to_bits();
         for b in 0..sim.n_blocks() {
-            let (w1, w2) = (v1[sim.d1[b]], v1[sim.d2[b]]);
+            let (w1, w2) = (v0[sim.d1[b]], v0[sim.d2[b]]);
             if sim.pair[b] {
                 let lambda = Complex::new(sim.sigma[b], -sim.omega[b]);
                 let z = -(Complex::new(w1, w2) / lambda);
@@ -447,30 +521,50 @@ pub(crate) fn advance(
                 simc[b] = 0.0;
             }
         }
-        out[0] = emit(sim, v1, sre, simc);
-        core::mem::swap(v0, v1);
+        out[0] = emit(sim, v0, sre, simc);
         *started = true;
         t = 1;
     }
 
     while t < input.len() {
         let bits = input[t].to_bits();
-        let held = bits == *uprev;
-        let end = if held {
-            input[t..].iter().position(|u| u.to_bits() != bits).map_or(input.len(), |n| t + n)
-        } else {
-            eval_drives(sim, input[t], v1, lr, li, pw);
-            *uprev = bits;
-            t + 1
-        };
-        let w1: &[f64] = if held { v0 } else { v1 };
-        fill_terms(sim, rows, v0, w1);
-        step_segment(rows, sre, simc, w1[sim.static_row], &mut out[t..end]);
-        if !held {
-            core::mem::swap(v0, v1);
+        if bits == *uprev {
+            let end =
+                input[t..].iter().position(|u| u.to_bits() != bits).map_or(input.len(), |n| t + n);
+            fill_terms(sim, rows, v0, |d| v0[d]);
+            step_segment(rows, sre, simc, v0[sim.static_row], &mut out[t..end]);
+            t = end;
+            continue;
         }
-        t = end;
+        let run = input[t..].windows(2).take(LANES - 1);
+        let m = 1 << (run.take_while(|w| w[0].to_bits() != w[1].to_bits()).count() + 1).ilog2();
+        eval_drives(sim, &input[t..t + m], blk);
+        for (j, y) in out[t..t + m].iter_mut().enumerate() {
+            fill_terms(sim, rows, v0, |d| blk[d][j]);
+            step_segment(rows, sre, simc, blk[sim.static_row][j], core::slice::from_mut(y));
+            v0.iter_mut().zip(blk.iter()).for_each(|(v, b)| *v = b[j]);
+        }
+        *uprev = input[t + m - 1].to_bits();
+        t += m;
     }
+}
+
+/// `[Re, Im] ln(u − pole)` for one vector group: the `LANES / M` poles
+/// of `group` at the `M` samples `u`, lane `k` holding pole `k / M` at
+/// sample `k % M` ([`PAD_POLE`] pads a short last group).
+#[inline(always)]
+fn ln_group<const M: usize>(u: &[f64; M], group: &[Complex]) -> [[f64; LANES]; 2] {
+    let (group, mut lr, mut li) = (&group[..LANES / M], [0.0; LANES], [0.0; LANES]);
+    for (k, (r, i)) in lr.iter_mut().zip(li.iter_mut()).enumerate() {
+        // `Complex::from_re(u) - pole`, part by part: 0.0 − im, not −im,
+        // so a zero imaginary part stays +0.
+        let pole = group[k / M];
+        (*r, *i) = (u[k % M] - pole.re, 0.0 - pole.im);
+    }
+    for (r, i) in lr.iter_mut().zip(li.iter_mut()) {
+        (*r, *i) = ln_parts(*r, *i);
+    }
+    [lr, li]
 }
 
 impl CompiledSim {
@@ -482,14 +576,11 @@ impl CompiledSim {
     pub fn new_state(&self) -> SimState {
         SimState {
             v0: vec![0.0; self.n_drives],
-            v1: vec![0.0; self.n_drives],
             sre: vec![0.0; self.n_blocks()],
             sim: vec![0.0; self.n_blocks()],
             uprev: 0,
             started: false,
-            lr: vec![0.0; self.poles.len()],
-            li: vec![0.0; self.poles.len()],
-            pw: vec![0.0; self.pdeg + 1],
+            blk: vec![[0.0; LANES]; self.n_drives],
             rows: Vec::with_capacity(self.n_blocks()),
             coef_dt: u64::MAX,
             shape: shape_of(self),
@@ -799,5 +890,242 @@ mod tests {
         assert!(matches!(sim.import_state(&lying), Err(ServingError::StateMismatch)));
     }
 
+    /// One build of the drive pass.
+    type DrivePass = fn(&CompiledSim, &[f64], &mut [[f64; LANES]]);
+
+    /// Every build of the drive pass this CPU can run, by name: the
+    /// baseline build, the AVX2 and AVX-512 builds when the CPU has them
+    /// (each skip is printed), and the dispatching entry point.
+    fn drive_builds() -> Vec<(&'static str, DrivePass)> {
+        let mut builds: Vec<(&'static str, DrivePass)> =
+            vec![("baseline", drive_pass), ("dispatch", eval_drives)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU supports AVX2.
+                builds.push(("avx2", |s, u, b| unsafe { drives_avx2(s, u, b) }));
+            } else {
+                println!("drive pass: the CPU has no AVX2, AVX2 build skipped");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU supports AVX-512F.
+                builds.push(("avx512", |s, u, b| unsafe { drives_avx512(s, u, b) }));
+            } else {
+                println!("drive pass: the CPU has no AVX-512F, AVX-512 build skipped");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("drive pass: not x86_64, AVX2 and AVX-512 builds skipped");
+        builds
+    }
+
+    /// Whether `a` and `b` have the same bits, any NaN counting as any
+    /// NaN (Rust leaves a NaN result's sign and payload unspecified).
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Lowers `fns` as rational drive rows (checks skipped, so any pole
+    /// goes) plus one polynomial row `poly`, and checks that every build
+    /// writes, for 1, 2, 4 and 8 samples of `u`, every row at every
+    /// lane's input with the bits of the reference: [`StateFn::integral`]
+    /// for the rational rows, the ascending power sum for the polynomial
+    /// row.
+    fn assert_drive_bits(builds: &[(&str, DrivePass)], fns: &[StateFn], poly: &[f64], u: [f64; 8]) {
+        let mut b = SimBuilder::new();
+        for f in fns {
+            b.drive_rational(f);
+        }
+        let p = b.drive_poly(poly);
+        let sim = b.lower(p);
+        let power_sum = |u: f64| {
+            let (mut acc, mut pw) = (0.0, 1.0);
+            for (k, &c) in poly.iter().enumerate() {
+                pw = if k == 0 { 1.0 } else { pw * u };
+                acc += c * pw;
+            }
+            acc
+        };
+        let want: Vec<[f64; 8]> =
+            fns.iter().map(|f| u.map(|u| f.integral(u))).chain([u.map(power_sum)]).collect();
+        // A NaN payload the kernel never produces: an unwritten lane
+        // cannot pass.
+        let unwritten = f64::from_bits(0x7ff8_dead_beef_0001);
+        let (mut blk, n_rows) = (vec![[0.0; LANES]; sim.n_drives], want.len());
+        for &(name, build) in builds {
+            for m in [1, 2, 4, 8] {
+                blk.iter_mut().for_each(|row| row.fill(unwritten));
+                build(&sim, &u[..m], &mut blk);
+                for (d, (got, want)) in blk.iter().zip(&want).enumerate() {
+                    for j in 0..m {
+                        assert!(
+                            got[j].to_bits() != unwritten.to_bits() && same_bits(got[j], want[j]),
+                            "{name} build, {m} samples, row {d} of {}, lane {j} at u = {:e}: \
+                             {:?} vs reference {:?}",
+                            n_rows,
+                            u[j],
+                            got[j],
+                            want[j]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Two one-term rows per pole, whose values are its log feature's
+    /// real and imaginary parts (`2·½·Re ln` and `−2·(−½)·Im ln`), then
+    /// two rows over the whole table with the weights `rho`: one run
+    /// per pole and one run across every group and block.
+    fn feature_rows(poles: &[Complex], rho: &[Complex]) -> Vec<StateFn> {
+        let one = |pole, rho| StateFn { terms: vec![LogTerm { pole, rho }], ..StateFn::default() };
+        let whole = |flip: f64, linear: f64| StateFn {
+            terms: poles
+                .iter()
+                .zip(rho)
+                .map(|(&pole, &r)| LogTerm { pole, rho: r * flip })
+                .collect(),
+            linear,
+            constant: 0.25,
+        };
+        poles
+            .iter()
+            .flat_map(|&p| [one(p, Complex::new(0.5, 0.0)), one(p, Complex::new(0.0, -0.5))])
+            .chain([whole(1.0, 0.5), whole(-0.75, -1.5)])
+            .collect()
+    }
+
+    /// SplitMix64: a seeded stream for the sweeps below.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+
+        /// `±10^e` with `e` uniform in `[lo, hi)`.
+        fn signed_decades(&mut self, lo: f64, hi: f64) -> f64 {
+            let sign = if self.next() & 1 == 0 { 1.0 } else { -1.0 };
+            sign * 10f64.powf(self.uniform(lo, hi))
+        }
+
+        /// A pole: real, a conjugate pair, within a few ulps of `near`
+        /// (so `u − pole` is tiny or zero), or complex with unrelated
+        /// part magnitudes, over 1e-300..1e300.
+        fn push_pole(&mut self, near: f64, poles: &mut Vec<Complex>) {
+            let part = |rng: &mut Stream| rng.signed_decades(-300.0, 300.0);
+            match self.next() % 4 {
+                0 => poles.push(Complex::new(part(self), 0.0)),
+                1 => {
+                    let (a, b) = (part(self), part(self));
+                    poles.extend([Complex::new(a, b), Complex::new(a, -b)]);
+                }
+                2 => {
+                    let re = f64::from_bits(near.to_bits() + self.next() % 9 - 4);
+                    let im = self.signed_decades(-300.0, 0.0);
+                    poles.push(Complex::new(re, im));
+                }
+                _ => poles.push(Complex::new(part(self), part(self))),
+            }
+        }
+    }
+
+    #[test]
+    fn drive_lanes_match_the_reference_bits_over_a_seeded_sweep() {
+        let builds = drive_builds();
+        let mut rng = Stream(0x6472_6976_6573_7770);
+        for _ in 0..1_000 {
+            let u: [f64; 8] = core::array::from_fn(|_| rng.signed_decades(-300.0, 300.0));
+            let mut poles = Vec::new();
+            while poles.len() < 12 {
+                let near = u[(rng.next() % 8) as usize];
+                rng.push_pole(near, &mut poles);
+            }
+            let rho: Vec<Complex> = poles
+                .iter()
+                .map(|_| Complex::new(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+                .collect();
+            let poly = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)];
+            assert_drive_bits(&builds, &feature_rows(&poles, &rho), &poly, u);
+        }
+    }
+
+    #[test]
+    fn drive_lanes_match_the_reference_bits_on_special_values() {
+        let builds = drive_builds();
+        let finite = [
+            0.0,
+            -0.0,
+            4.9e-324,
+            -4.9e-324,
+            f64::MIN_POSITIVE / 3.0,
+            1.0,
+            -1.0,
+            core::f64::consts::PI,
+            -core::f64::consts::PI,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let specials: Vec<f64> =
+            finite.iter().copied().chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]).collect();
+        // Every pole from the table, at every finite input from it, each
+        // input in every lane: the ±0 combinations, the ±π cut (u = −1
+        // against the zero-part poles), u exactly on a pole, subnormals,
+        // MAX, and ±∞ and NaN poles.
+        let poles: Vec<Complex> = specials
+            .iter()
+            .flat_map(|&a| specials.iter().map(move |&b| Complex::new(a, b)))
+            .collect();
+        let rho: Vec<Complex> = poles.iter().map(|_| Complex::new(0.5, -0.25)).collect();
+        let rows = feature_rows(&poles, &rho);
+        for start in 0..finite.len() {
+            let u = core::array::from_fn(|k| finite[(start + k) % finite.len()]);
+            assert_drive_bits(&builds, &rows, &[0.5, -1.0, 2.0], u);
+        }
+    }
+
+    #[test]
+    fn drive_lanes_match_the_reference_bits_at_every_pole_count() {
+        let builds = drive_builds();
+        let mut rng = Stream(0x7265_6d61_696e_6472);
+        let pole = |rng: &mut Stream| {
+            let im = rng.uniform(0.01, 1.0) * if rng.next() & 1 == 0 { 1.0 } else { -1.0 };
+            Complex::new(rng.uniform(-3.0, 3.0), im)
+        };
+        // A run of `len` poles after one of `start`: every pole count
+        // mod 8, cut by the groups of every sample count at every offset,
+        // and runs across the blocks of one (64 poles) and of eight
+        // samples (8 poles).
+        for len in (0..=25).chain([63, 64, 65, 72]) {
+            for start in 0..8 {
+                let u: [f64; 8] = core::array::from_fn(|_| rng.uniform(-3.0, 3.0));
+                let head: Vec<Complex> = (0..start).map(|_| pole(&mut rng)).collect();
+                let run: Vec<Complex> = (0..len).map(|_| pole(&mut rng)).collect();
+                let mut fns = Vec::new();
+                for poles in [&head, &run, &run] {
+                    let terms = poles
+                        .iter()
+                        .map(|&pole| {
+                            let rho = Complex::new(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0));
+                            LogTerm { pole, rho }
+                        })
+                        .collect();
+                    fns.push(StateFn { terms, linear: rng.uniform(-1.0, 1.0), constant: 0.5 });
+                }
+                assert_drive_bits(&builds, &fns, &[1.0], u);
+            }
+        }
+    }
+
     use super::super::SimBuilder;
+    use crate::{LogTerm, StateFn};
 }

@@ -87,6 +87,24 @@ fn arb_held_runs() -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
+/// A stimulus of 1–6 changed runs, each of 1..=20 consecutive samples
+/// that differ from the sample before (steps of a random slope from a
+/// random level), and each followed by a held run of 1..=12 samples at
+/// its last level. Also returns where each changed run starts.
+fn arb_changed_runs() -> impl Strategy<Value = (Vec<f64>, Vec<usize>)> {
+    prop::collection::vec((1usize..=20, 1usize..=12, -2.0..2.0f64, 0.001..0.2f64), 1..7).prop_map(
+        |runs| {
+            let (mut u, mut starts) = (Vec::new(), Vec::new());
+            for (len, hold, level, slope) in runs {
+                starts.push(u.len());
+                u.extend((0..len).map(|i| level + slope * i as f64));
+                u.extend(vec![level + slope * (len - 1) as f64; hold]);
+            }
+            (u, starts)
+        },
+    )
+}
+
 /// Whether `a` and `b` have the same bits, any NaN counting as any NaN:
 /// Rust leaves the sign and payload of a NaN result unspecified, so
 /// two code paths may each produce a different one.
@@ -96,10 +114,10 @@ fn same_bits(a: f64, b: f64) -> bool {
 
 /// Checks that `m`'s compiled kernel gives exactly the bits of its
 /// reference loop on `u` (by [`same_bits`]): one-shot through
-/// `simulate`, and streamed through `simulate_into` with chunk
-/// boundaries at `cuts` (taken modulo `u.len() + 1`). Returns the first
-/// mismatch.
-fn held_run_mismatch(m: &HammersteinModel, dt: f64, u: &[f64], cuts: &[usize]) -> Option<String> {
+/// `simulate`, and streamed through `simulate_into` and through serial
+/// `advance_chunks` rounds with chunk boundaries at `cuts` (taken modulo
+/// `u.len() + 1`). Returns the first mismatch.
+fn chunked_mismatch(m: &HammersteinModel, dt: f64, u: &[f64], cuts: &[usize]) -> Option<String> {
     let want = m.simulate_reference(dt, u);
     let sim = m.compile();
     let first_diff = |got: &[f64]| {
@@ -130,7 +148,19 @@ fn held_run_mismatch(m: &HammersteinModel, dt: f64, u: &[f64], cuts: &[usize]) -
             return Some(format!("simulate_into({a}..{b}): {e}"));
         }
     }
-    first_diff(&got).map(|e| format!("simulate_into cut at {bounds:?}: {e}"))
+    if let Some(e) = first_diff(&got) {
+        return Some(format!("simulate_into cut at {bounds:?}: {e}"));
+    }
+    let mut state = sim.new_state();
+    got.fill(0.0);
+    for w in bounds.windows(2) {
+        let (input, output) = (&u[w[0]..w[1]], &mut got[w[0]..w[1]]);
+        let mut chunk = [SessionChunk { state: &mut state, input, output }];
+        if let Err(e) = sim.advance_chunks(dt, &mut chunk, None) {
+            return Some(format!("advance_chunks({}..{}): {e}", w[0], w[1]));
+        }
+    }
+    first_diff(&got).map(|e| format!("advance_chunks cut at {bounds:?}: {e}"))
 }
 
 fn arb_model() -> impl Strategy<Value = HammersteinModel> {
@@ -318,7 +348,35 @@ proptest! {
             m.static_path = zero_statefn();
         }
         let dt = 10.0f64.powf(dt_exp);
-        let mismatch = held_run_mismatch(&m, dt, &u, &cuts);
+        let mismatch = chunked_mismatch(&m, dt, &u, &cuts);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+    }
+
+    #[test]
+    fn changed_runs_match_the_reference_bit_for_bit(
+        m in arb_serving_model(),
+        quiet in 0usize..2,
+        (u, starts) in arb_changed_runs(),
+        at_groups in 0usize..2,
+        cuts in prop::collection::vec(0usize..200, 0..6),
+        dt_exp in -11.0..-9.0f64,
+    ) {
+        // A changed run's drives are evaluated 8, 4, 2 or 1 samples per
+        // pass, one sample per lane, and its samples step one by one.
+        // Chunks are cut at random, and in half the cases also 1, 2, 4,
+        // 8 and 9 samples into every changed run, so runs split at every
+        // group size; the output keeps the reference's bits through
+        // `simulate_into` and through `advance_chunks`.
+        let mut m = m;
+        if quiet == 1 {
+            m.static_path = zero_statefn();
+        }
+        let mut cuts = cuts;
+        if at_groups == 1 {
+            cuts.extend(starts.iter().flat_map(|&s| [1, 2, 4, 8, 9].map(|k| (s + k).min(u.len()))));
+        }
+        let dt = 10.0f64.powf(dt_exp);
+        let mismatch = chunked_mismatch(&m, dt, &u, &cuts);
         prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     }
 
@@ -469,7 +527,7 @@ fn twelve_block_model_keeps_reference_bits_through_held_runs() {
         u.extend(std::iter::repeat_n(level, hold));
     }
     for cuts in [vec![], vec![1], vec![20, 41, 42, 300, 341], (0..u.len()).step_by(7).collect()] {
-        assert_eq!(held_run_mismatch(&m, 1e-10, &u, &cuts), None, "cuts {cuts:?}");
+        assert_eq!(chunked_mismatch(&m, 1e-10, &u, &cuts), None, "cuts {cuts:?}");
     }
 }
 
@@ -522,7 +580,7 @@ fn held_level_on_a_real_pole_keeps_the_reference_bits() {
                 "{runs:?}: the pole level must reach the output"
             );
             for cuts in [vec![], vec![12, 13], (0..u.len()).collect()] {
-                let mismatch = held_run_mismatch(&m, dt, &u, &cuts);
+                let mismatch = chunked_mismatch(&m, dt, &u, &cuts);
                 assert_eq!(mismatch, None, "{} blocks, {runs:?}, cuts {cuts:?}", m.blocks.len());
             }
         }
@@ -570,7 +628,7 @@ fn held_level_on_a_real_pole_keeps_the_reference_bits() {
             // The checked streaming path refuses a non-finite sample.
             if u.is_finite() {
                 let stimulus = [u, u, 0.3, u];
-                assert_eq!(held_run_mismatch(&m, dt, &stimulus, &[1, 3]), None, "{f:?} at {u}");
+                assert_eq!(chunked_mismatch(&m, dt, &stimulus, &[1, 3]), None, "{f:?} at {u}");
             }
         }
     }

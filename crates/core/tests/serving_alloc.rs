@@ -1,8 +1,9 @@
 //! Pins the zero-allocation contract of the streaming serving path:
 //! `simulate_into` performs **no heap allocation per chunk**, the first
 //! chunk on a fresh state (which fills the per-`dt` propagator cache
-//! inside the state) included, on mixed chunks and on held-level
-//! chunks alike. Through `advance_chunks` on a warm pool, the kernel
+//! inside the state) included, on mixed chunks, on chunks of changed
+//! runs of every drive-pass group size and on held-level chunks alike,
+//! and a fresh state costs at most six allocations. Through `advance_chunks` on a warm pool, the kernel
 //! adds no allocation to the round's fixed bookkeeping.
 //!
 //! Lives in its own test binary because it installs a counting global
@@ -65,11 +66,16 @@ fn simulate_into_allocates_nothing_per_chunk_in_steady_state() {
     let chunk: Vec<f64> = (0..256).map(|i| ((i / 3) as f64 * 0.17).sin()).collect();
     let mut out = vec![0.0; chunk.len()];
 
+    // A fresh state holds at most six heap buffers, each allocated once.
+    let before = ALLOCS.load(Ordering::SeqCst);
     let mut state = sim.new_state();
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert!(after - before <= 6, "new_state made {} allocations", after - before);
+
     // The first chunk on a fresh state seeds the DC state, fills the
     // propagator cache (in capacity reserved by new_state) and is the
     // process's first drive pass, so the CPU feature check that picks
-    // `ln_shifted_into`'s build runs inside the measured region.
+    // the drive pass's build runs inside the measured region.
     let before = ALLOCS.load(Ordering::SeqCst);
     sim.simulate_into(dt, &chunk, &mut state, &mut out).unwrap();
     let after = ALLOCS.load(Ordering::SeqCst);
@@ -81,6 +87,23 @@ fn simulate_into_allocates_nothing_per_chunk_in_steady_state() {
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "steady-state simulate_into must not allocate");
+
+    // Changed runs of every group size: runs of 15 (8 + 4 + 2 + 1), 8,
+    // 4, 2 and 1 changed samples, each followed by a held sample.
+    let mixed: Vec<f64> = [15, 8, 4, 2, 1]
+        .iter()
+        .enumerate()
+        .flat_map(|(r, &len)| {
+            let run: Vec<f64> = (0..len).map(|i| 0.1 * r as f64 + 0.01 * i as f64).collect();
+            let last = run[len - 1];
+            run.into_iter().chain([last])
+        })
+        .collect();
+    let mut mixed_out = vec![0.0; mixed.len()];
+    let before = ALLOCS.load(Ordering::SeqCst);
+    sim.simulate_into(dt, &mixed, &mut state, &mut mixed_out).unwrap();
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(after - before, 0, "a chunk of changed runs of every group size must not allocate");
 
     // Held levels: a chunk that changes level on its first sample and
     // holds it, one that continues that run across the chunk boundary,

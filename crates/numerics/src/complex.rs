@@ -138,12 +138,9 @@ impl Complex {
     /// The routine is in-tree and branch-free: IEEE `+ − × ÷`,
     /// comparisons/selects and exponent bit manipulation only, with no
     /// libm call, no fused multiply-add and no table, so its bits do not
-    /// depend on the platform's libm. Whether a loop over `ln` calls
-    /// vectorises is left to the inliner, and only ever for the baseline
-    /// target; [`ln_shifted_into`] inlines the same kernel into one loop
-    /// over vector-wide pole groups, built for AVX2 and AVX-512 as well,
-    /// with every lane bit-equal to this method. Both halves use fdlibm's
-    /// kernels:
+    /// depend on the platform's libm. The kernel is [`ln_parts`], which a
+    /// vector loop can inline one lane at a time with every lane
+    /// bit-equal to this method. Both halves use fdlibm's kernels:
     ///
     /// * `ln|z|`: with `m = max(|x|,|y|)`, both parts are scaled by the
     ///   exact power of two that brings `m` into `[2, 4)` (subnormals are
@@ -185,12 +182,13 @@ impl Complex {
 
 /// The kernel of [`Complex::ln`] at `re + j·im`, as `(ln|z|, arg z)`.
 ///
-/// Always inlined, so that [`ln_shifted_into`]'s loop sees the whole body
-/// and can vectorise it; `Complex::ln` is its scalar instance.
+/// A lane function: always inlined, so a loop over lanes sees the whole
+/// body and can vectorise it at its build's width, every lane bit-equal
+/// to `Complex::ln`, which is its scalar instance.
 #[inline(always)]
 // The kernel constants are fdlibm's, digit for digit.
 #[allow(clippy::excessive_precision)]
-fn ln_parts(re: f64, im: f64) -> (f64, f64) {
+pub fn ln_parts(re: f64, im: f64) -> (f64, f64) {
     const LN2_HI: f64 = 6.93147180369123816490e-01;
     const LN2_LO: f64 = 1.90821492927058770002e-10;
     const LG: [f64; 7] = [
@@ -287,113 +285,6 @@ fn ln_parts(re: f64, im: f64) -> (f64, f64) {
     let ln_abs = if nan { f64::NAN } else { ln_abs };
     let ln_abs = if inf { f64::INFINITY } else { ln_abs };
     (ln_abs, if nan { f64::NAN } else { arg })
-}
-
-/// Writes `ln(u − poles[p])` into `(re[p], im[p])` for every pole: the
-/// serving kernel's per-sample log features, one per distinct pole.
-///
-/// Every element is bit-equal to `(Complex::from_re(u) - poles[p]).ln()`.
-/// The loop inlines [`Complex::ln`]'s kernel on groups of `W` poles, one
-/// pole per vector lane, so it vectorises whatever the inliner makes of
-/// `ln` calls elsewhere. Its one body is compiled three times: for the
-/// baseline target (`W = 2`, one SSE2 vector on `x86_64`), in a function
-/// with AVX2 enabled (`W = 4`, one `ymm` vector) and in one with
-/// AVX-512F enabled (`W = 8`, one `zmm` vector). The last `len % W`
-/// poles run as one more group, padded with a fixed finite pole whose
-/// results are dropped, so no pole takes a scalar path.
-/// On `x86_64` each call picks the widest build the CPU has (cached
-/// feature checks, one atomic load each); other targets run the
-/// baseline build. Every build runs the same IEEE `+ − × ÷`, selects
-/// and bit operations in the same order, lanes never mix, and Rust
-/// never contracts `a·b + c` into a fused multiply-add (no build enables
-/// FMA), so the bits cannot depend on which build runs, on the group
-/// width or on a pole's lane.
-///
-/// # Panics
-///
-/// If `re` or `im` is not as long as `poles`.
-pub fn ln_shifted_into(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    assert!(
-        re.len() == poles.len() && im.len() == poles.len(),
-        "ln_shifted_into: {} poles into {}/{} outputs",
-        poles.len(),
-        re.len(),
-        im.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the CPU supports AVX-512F, the only feature the build enables.
-            return unsafe { ln_shifted_avx512(u, poles, re, im) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, the only feature the build enables.
-            return unsafe { ln_shifted_avx2(u, poles, re, im) };
-        }
-    }
-    ln_shifted::<2>(u, poles, re, im);
-}
-
-/// The pole that fills the dead lanes of [`ln_shifted`]'s last group:
-/// finite and off the real axis, so those lanes run the kernel's
-/// ordinary path and raise no special case.
-const PAD_POLE: Complex = Complex::new(0.0, 1.0);
-
-/// [`ln_shifted_into`]'s one loop body, `W` poles per group. Inlined
-/// into a caller built for the baseline target it is the baseline build;
-/// inlined into `ln_shifted_avx2` or `ln_shifted_avx512` it is that
-/// build. The last `len % W` poles are copied into one group padded
-/// with [`PAD_POLE`], and only their lanes are written back.
-#[inline(always)]
-fn ln_shifted<const W: usize>(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    let mut groups = poles.chunks_exact(W);
-    let mut re_groups = re.chunks_exact_mut(W);
-    let mut im_groups = im.chunks_exact_mut(W);
-    for ((group, r), i) in groups.by_ref().zip(re_groups.by_ref()).zip(im_groups.by_ref()) {
-        ln_group::<W>(u, group, r, i);
-    }
-    let tail = groups.remainder();
-    if !tail.is_empty() {
-        let mut group = [PAD_POLE; W];
-        group[..tail.len()].copy_from_slice(tail);
-        let (mut r, mut i) = ([0.0; W], [0.0; W]);
-        ln_group::<W>(u, &group, &mut r, &mut i);
-        re_groups.into_remainder().copy_from_slice(&r[..tail.len()]);
-        im_groups.into_remainder().copy_from_slice(&i[..tail.len()]);
-    }
-}
-
-/// `ln(u − pole)` for one group of exactly `W` poles, one per lane.
-#[inline(always)]
-fn ln_group<const W: usize>(u: f64, group: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    let (group, re, im) = (&group[..W], &mut re[..W], &mut im[..W]);
-    for ((r, i), pole) in re.iter_mut().zip(im.iter_mut()).zip(group) {
-        // `Complex::from_re(u) - pole`, part by part: 0.0 − im, not −im,
-        // so a zero imaginary part stays +0.
-        (*r, *i) = ln_parts(u - pole.re, 0.0 - pole.im);
-    }
-}
-
-/// The AVX2 build of [`ln_shifted_into`]: four poles per group.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ln_shifted_avx2(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    ln_shifted::<4>(u, poles, re, im);
-}
-
-/// The AVX-512 build of [`ln_shifted_into`]: eight poles per group.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn ln_shifted_avx512(u: f64, poles: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    ln_shifted::<8>(u, poles, re, im);
 }
 
 impl From<f64> for Complex {
@@ -705,150 +596,6 @@ mod tests {
         assert_eq!(c(-1.0, 0.0).ln().im, PI);
         assert_eq!(c(-1.0, -0.0).ln().im, -PI);
         assert_eq!(c(-0.0, 0.0).ln(), c(f64::NEG_INFINITY, PI));
-    }
-
-    /// One build of `ln_shifted_into`'s loop.
-    type ShiftedLn = fn(f64, &[Complex], &mut [f64], &mut [f64]);
-
-    /// Every build of `ln_shifted_into`'s loop this CPU can run, by name:
-    /// the baseline build, the AVX2 and AVX-512 builds when the CPU has
-    /// them (each skip is printed), and the dispatching entry point.
-    fn shifted_builds() -> Vec<(&'static str, ShiftedLn)> {
-        let mut builds: Vec<(&'static str, ShiftedLn)> =
-            vec![("baseline", ln_shifted::<2>), ("dispatch", ln_shifted_into)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU supports AVX2.
-                builds.push(("avx2", |u, p, r, i| unsafe { ln_shifted_avx2(u, p, r, i) }));
-            } else {
-                println!("ln_shifted_into: the CPU has no AVX2, AVX2 build skipped");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU supports AVX-512F.
-                builds.push(("avx512", |u, p, r, i| unsafe { ln_shifted_avx512(u, p, r, i) }));
-            } else {
-                println!("ln_shifted_into: the CPU has no AVX-512F, AVX-512 build skipped");
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        println!("ln_shifted_into: not x86_64, AVX2 and AVX-512 builds skipped");
-        builds
-    }
-
-    /// Checks that every build writes `(Complex::from_re(u) - pole).ln()`
-    /// for every pole, bit for bit.
-    fn assert_shifted_bits(builds: &[(&str, ShiftedLn)], u: f64, poles: &[Complex]) {
-        // A NaN payload the kernel never produces: an unwritten output
-        // cannot pass.
-        let unwritten = f64::from_bits(0x7ff8_dead_beef_0001);
-        let (mut re, mut im) = (vec![0.0; poles.len()], vec![0.0; poles.len()]);
-        for &(name, build) in builds {
-            re.fill(unwritten);
-            im.fill(unwritten);
-            build(u, poles, &mut re, &mut im);
-            for (p, &pole) in poles.iter().enumerate() {
-                let want = (Complex::from_re(u) - pole).ln();
-                assert!(
-                    re[p].to_bits() == want.re.to_bits() && im[p].to_bits() == want.im.to_bits(),
-                    "{name} build, u = {u:e}, pole {p} of {} = {pole:?}: ({:?}, {:?}) vs ln {want:?}",
-                    poles.len(),
-                    re[p],
-                    im[p]
-                );
-            }
-        }
-    }
-
-    /// A seeded pole: real, a conjugate pair, near `u` (so `u − pole` is
-    /// small) or complex with unrelated part magnitudes, over 1e-300..1e300.
-    fn push_pole(rng: &mut Stream, u: f64, poles: &mut Vec<Complex>) {
-        let part = |rng: &mut Stream| rng.sign() * rng.decades(-300.0, 300.0);
-        match rng.next() % 4 {
-            0 => poles.push(c(part(rng), 0.0)),
-            1 => {
-                let (a, b) = (part(rng), part(rng));
-                poles.extend([c(a, b), c(a, -b)]);
-            }
-            2 => {
-                let im = rng.sign() * rng.decades(-300.0, 0.0);
-                poles.push(c(rng.nudge(u, 4), im));
-            }
-            _ => poles.push(c(part(rng), part(rng))),
-        }
-    }
-
-    #[test]
-    fn ln_shifted_into_matches_ln_bits_over_a_seeded_sweep() {
-        let builds = shifted_builds();
-        let mut rng = Stream(0x6c6e_5f73_6869_6674);
-        let mut poles = Vec::new();
-        for _ in 0..20_000 {
-            let u = rng.sign() * rng.decades(-300.0, 300.0);
-            poles.clear();
-            while poles.len() < 12 {
-                push_pole(&mut rng, u, &mut poles);
-            }
-            assert_shifted_bits(&builds, u, &poles);
-        }
-    }
-
-    #[test]
-    fn ln_shifted_into_matches_ln_bits_on_special_values() {
-        let builds = shifted_builds();
-        let specials = [
-            0.0,
-            -0.0,
-            4.9e-324,
-            -4.9e-324,
-            f64::MIN_POSITIVE / 3.0,
-            1.0,
-            -1.0,
-            PI,
-            -PI,
-            f64::MAX,
-            -f64::MAX,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        // Every pole from the table, at every `u` from it: this covers
-        // the ±0 combinations, the ±π cut (u = −1 against the zero-part
-        // poles), subnormals, MAX, ±∞ and NaN, one lane each.
-        let poles: Vec<Complex> =
-            specials.iter().flat_map(|&a| specials.iter().map(move |&b| c(a, b))).collect();
-        for &u in &specials {
-            assert_shifted_bits(&builds, u, &poles);
-        }
-    }
-
-    #[test]
-    fn ln_shifted_into_matches_ln_bits_at_every_remainder() {
-        let builds = shifted_builds();
-        let mut rng = Stream(0x7265_6d61_696e_6472);
-        // Every remainder mod 8 at zero to three full groups of the
-        // widest build.
-        for len in 0..=25 {
-            for _ in 0..50 {
-                let u = rng.sign() * rng.decades(-3.0, 3.0);
-                let mut poles = Vec::new();
-                while poles.len() < len + 7 {
-                    push_pole(&mut rng, u, &mut poles);
-                }
-                // Every start offset in a `zmm` vector's reach, so each
-                // length runs at every alignment too.
-                for start in 0..8 {
-                    assert_shifted_bits(&builds, u, &poles[start..start + len]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "3 poles into 3/2 outputs")]
-    fn ln_shifted_into_rejects_short_outputs() {
-        let poles = [Complex::ONE; 3];
-        ln_shifted_into(0.5, &poles, &mut [0.0; 3], &mut [0.0; 2]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! pipeline needs, with no external linear-algebra dependencies:
 //!
 //! * [`Complex`] arithmetic with the principal logarithm used by the RVF
-//!   closed-form integrals, and [`ln_shifted_into`], that logarithm over
-//!   a whole pole table in one vectorised loop,
+//!   closed-form integrals, and its kernel [`ln_parts`] as a lane
+//!   function that vector loops inline,
 //! * dense real ([`Mat`]) and complex ([`CMat`]) matrices,
 //! * LU factorizations ([`Lu`], [`CLu`]) for MNA solves and frequency
 //!   sweeps,
@@ -86,7 +86,7 @@ mod stats;
 mod sweep;
 
 pub use cmatrix::CMat;
-pub use complex::{c, ln_shifted_into, Complex};
+pub use complex::{c, ln_parts, Complex};
 pub use eig::{eigenvalues, sort_eigenvalues};
 pub use error::NumericsError;
 pub use expm::{FohPair, FohScalar};
